@@ -96,8 +96,8 @@ def test_shard_sweep_throughput(report_sink, bench_json_sink):
     Each job count runs three times against one :class:`ShardPool` —
     first touch pays process spawn and a replicated build per worker;
     by the third run every worker starts from a prebuilt replica, so the
-    ``coordinator_spawn`` stage shows the warm-pool amortization the
-    shared-memory transport PR claims.  The recorded throughput is the
+    ``coordinator_spawn`` stage shows the warm-pool amortization.  The
+    recorded throughput is the
     best (warm) run.  Correctness (sample count) is asserted
     unconditionally; the scaling gates only fire where the runner
     actually has the cores — a 1-core container records honest flat

@@ -17,26 +17,20 @@ paid once per pool lifetime, and workers prebuild the next scenario
 replica during idle time once they have seen the same scenario twice —
 so warm reruns start with ``coordinator_spawn`` near zero.  A module-wide
 :func:`default_pool` serves every ``run_sharded`` call that does not
-bring its own; any failure mid-run resets the pool (workers terminated,
-segments unlinked), so no run ever observes another run's leftovers.
+bring its own; any failure mid-run resets the pool (workers terminated),
+so no run ever observes another run's leftovers.
 
-**The two wires.**  Control traffic — barrier metadata, spec verdicts,
-scrape snapshots, run/finished/release handshakes — rides a pipe per
-worker, where latency matters and payloads are small.  Sample data rides
-a :class:`~repro.cluster.shm.ShmRing` per worker: the worker encodes each
-columnar :class:`~repro.core.samplebatch.SampleColumns` batch directly
-into the shared segment and the coordinator decodes numpy *views* over
-the same bytes — no pickling, no copies — releasing each barrier's
-records back to the writer in one commit after replay.  If a barrier's
-payload overflows the ring, the coordinator materialises the views it
-holds and commits early (backpressure relief), so arbitrarily large
-windows degrade to copying instead of deadlocking.
+**The wire.**  Everything — run/finished/release handshakes, barrier
+payloads, spec verdicts, scrape snapshots — rides one pipe per worker.
+Sample data crosses it as pickled columnar
+:class:`~repro.core.samplebatch.SampleColumns` batches: a handful of
+numpy buffers per window, a few tens of KiB per barrier.
 
 **Barriers.**  Workers free-run through machine physics and fault-plane
 pumping, and synchronize only at sampler window-close ticks (the schedule
 is fleet-global because every machine shares the duty cycle).  At a
-barrier each worker ships window/arrival *metadata* on the pipe, the
-payloads on the ring, then blocks for the coordinator's spec-refresh
+barrier each worker ships its closed windows and captured fabric
+arrivals, then blocks for the coordinator's spec-refresh
 verdict.  The periodic reschedule point needs no barrier: sharded runs
 refuse scenarios with pending or migratable work, making the rescheduler
 a no-op by construction
@@ -75,8 +69,6 @@ from typing import Any, Callable, Iterable, Optional
 from repro.cluster.shardworker import (ShardSpec, ShardedRunUnsupported,
                                        barrier_ticks, check_shardable,
                                        run_pool_worker)
-from repro.cluster.shm import ShmRing, ShmRingStalled
-from repro.core.samplebatch import SampleColumns
 from repro.obs.metrics import merge_state
 from repro.perf.profiling import StageTimers
 from repro.records import CpiSample
@@ -131,42 +123,31 @@ class _PoolWorker:
     slot: int
     process: Any
     conn: Any
-    ring: ShmRing
     index: int = -1
     machines: tuple[str, ...] = ()
-    #: Batches decoded from the ring and not yet committed; materialised
-    #: in place if backpressure relief forces an early commit.
-    borrowed: list = field(default_factory=list)
 
 
 class ShardPool:
-    """A persistent fleet of shard worker processes plus their rings.
+    """A persistent fleet of shard worker processes.
 
     Workers are generic — any worker can run any :class:`ShardSpec` — so
     the pool grows to the largest ``jobs`` it has served and reuses those
     processes for every subsequent run (not thread-safe: one run at a
     time).  :meth:`reset` is the failure path: terminate everything,
-    unlink every segment, start from scratch on the next lease.
+    start from scratch on the next lease.
     """
 
-    def __init__(self, mp_context=None, ring_bytes: Optional[int] = None):
+    def __init__(self, mp_context=None):
         self._ctx = mp_context or mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        self._ring_bytes = ring_bytes
         self._workers: list[_PoolWorker] = []
         #: Processes ever started — bench asserts warm reruns add zero.
         self.spawned_total = 0
 
     def lease(self, count: int) -> list[_PoolWorker]:
-        """Hand out ``count`` live workers, spawning or replacing as needed.
-
-        A worker is replaced if its process died *or* its ring's mapping
-        is gone — an external ``sweep_segments()`` (the crash backstop is
-        process-global) closes pool rings out from under us, and leasing
-        must hand out healthy transport, not a dangling segment.
-        """
+        """Hand out ``count`` live workers, replacing dead ones as needed."""
         for i, worker in enumerate(self._workers):
-            if not worker.process.is_alive() or worker.ring.closed:
+            if not worker.process.is_alive():
                 self._dispose(worker, terminate=True)
                 self._workers[i] = self._spawn(worker.slot)
         while len(self._workers) < count:
@@ -174,17 +155,14 @@ class ShardPool:
         return self._workers[:count]
 
     def _spawn(self, slot: int) -> _PoolWorker:
-        ring = ShmRing.create(self._ring_bytes)
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
-            target=run_pool_worker,
-            args=(child_conn, ring.name, ring.capacity),
+            target=run_pool_worker, args=(child_conn,),
             name=f"repro-shard-{slot}", daemon=True)
         process.start()
         child_conn.close()
         self.spawned_total += 1
-        return _PoolWorker(slot=slot, process=process, conn=parent_conn,
-                           ring=ring)
+        return _PoolWorker(slot=slot, process=process, conn=parent_conn)
 
     def _dispose(self, worker: _PoolWorker, terminate: bool = False) -> None:
         try:
@@ -194,10 +172,9 @@ class ShardPool:
         if terminate and worker.process.is_alive():
             worker.process.terminate()
             worker.process.join(timeout=5)
-        worker.ring.unlink()
 
     def reset(self) -> None:
-        """Failure path: kill every worker and unlink every segment.
+        """Failure path: kill every worker.
 
         Called whenever a run leaves the pool in an unknown protocol
         state (worker crash, coordinator exception, KeyboardInterrupt);
@@ -208,7 +185,7 @@ class ShardPool:
             self._dispose(worker, terminate=True)
 
     def shutdown(self) -> None:
-        """Graceful exit: stop every worker, then unlink its segment."""
+        """Graceful exit: ask every worker to stop, then join it."""
         workers, self._workers = self._workers, []
         for worker in workers:
             try:
@@ -232,8 +209,6 @@ def default_pool() -> ShardPool:
     global _DEFAULT_POOL
     if _DEFAULT_POOL is None:
         _DEFAULT_POOL = ShardPool()
-        # Registered after repro.cluster.shm's sweep (atexit is LIFO), so
-        # the graceful stop runs first and the sweep stays a no-op.
         atexit.register(_DEFAULT_POOL.shutdown)
     return _DEFAULT_POOL
 
@@ -266,37 +241,6 @@ def _send(worker: _PoolWorker, message) -> None:
     except (BrokenPipeError, OSError):
         raise ShardCrashed(worker.index, worker.machines,
                            "connection closed on send")
-
-
-def _take_batch(worker: _PoolWorker,
-                timeout: Optional[float]) -> SampleColumns:
-    """Decode the next ring record as a zero-copy columnar batch.
-
-    Backpressure relief runs first: once uncommitted bytes pass half the
-    ring, every outstanding view is materialised (copied off the segment)
-    and the ring committed, guaranteeing the blocked writer space for any
-    record up to ``max_record_bytes``.
-    """
-    ring = worker.ring
-    if ring.pending_bytes > ring.capacity // 2:
-        for batch in worker.borrowed:
-            batch.materialize()
-        worker.borrowed.clear()
-        ring.commit()
-    try:
-        view = ring.take(timeout=timeout, is_alive=worker.process.is_alive)
-    except ShmRingStalled as exc:
-        raise ShardCrashed(worker.index, worker.machines, str(exc))
-    batch = SampleColumns.decode(view)
-    worker.borrowed.append(batch)
-    return batch
-
-
-def _commit_rings(workers: list[_PoolWorker]) -> None:
-    """Release every decoded view back to the writers (replay is done)."""
-    for worker in workers:
-        worker.borrowed.clear()
-        worker.ring.commit()
 
 
 @dataclass
@@ -439,7 +383,6 @@ def run_sharded(
             for worker, (index, machines) in zip(workers, enumerate(shards)):
                 worker.index = index
                 worker.machines = machines
-                worker.borrowed.clear()
                 _send(worker, ("run",
                                ShardSpec(index=index, builder=builder,
                                          kwargs=kwargs, machines=machines,
@@ -461,21 +404,13 @@ def run_sharded(
                             worker.index, worker.machines,
                             f"protocol error: expected window@{t}, "
                             f"got {message[:2]}")
-                    # Metadata on the pipe, payloads on the ring — in the
-                    # order the worker wrote them: arrivals, then windows.
-                    for arrived_at, machine in message[3]:
-                        arrivals.append((arrived_at, machine,
-                                         _take_batch(worker,
-                                                     barrier_timeout)))
-                    for name in message[2]:
-                        windows.append((name,
-                                        _take_batch(worker, barrier_timeout)))
+                    windows.extend(message[2])
+                    arrivals.extend(message[3])
             with timers.stage("coordinator_ingest"):
                 sim.now = t  # replica events/clock track the run
                 refreshed = _replay_barrier(result, aggregator, t, windows,
                                             arrivals, faulted, log_samples,
                                             host=host)
-                _commit_rings(workers)
             for worker in workers:
                 _send(worker, ("specs", refreshed))
             if telemetry:
@@ -498,24 +433,18 @@ def run_sharded(
                     raise ShardCrashed(worker.index, worker.machines,
                                        f"protocol error: expected finished, "
                                        f"got {message[0]!r}")
-                summary = message[2]
-                summary["arrivals"] = [
-                    (arrived_at, machine,
-                     _take_batch(worker, barrier_timeout))
-                    for arrived_at, machine in summary.pop("arrival_meta")]
-                summaries.append(summary)
+                summaries.append(message[2])
         with timers.stage("coordinator_merge"):
             sim.now = seconds
             _merge_summaries(result, aggregator, summaries, host=host)
-            _commit_rings(workers)
         # Release last: workers loop back for the next lease (and may
-        # prebuild the next replica) only once their rings are drained.
+        # prebuild the next replica) only once the merge is done.
         for worker in workers:
             _send(worker, ("release",))
     except BaseException:
         # The pool's protocol state is unknowable mid-run: scrap it.
-        # Terminates workers and unlinks every segment (ShardCrashed,
-        # KeyboardInterrupt, and coordinator bugs all land here).
+        # Terminates workers (ShardCrashed, KeyboardInterrupt, and
+        # coordinator bugs all land here).
         pool.reset()
         raise
     finally:
@@ -554,9 +483,7 @@ def _replay_barrier(result: ShardedRunResult, aggregator, t: int,
     the per-machine interleave of ``CpiPipeline._on_samples``.  With a
     durable ``host``, every mutation routes through it (WAL + kill
     schedule) with the host clock caught up tick-by-tick first.  Returns
-    the refreshed spec map, or ``None``.  Consumes every batch before
-    returning (``.tolist()`` under the ingest paths), so the caller may
-    commit the rings immediately after.
+    the refreshed spec map, or ``None``.
     """
     arrivals.sort(key=lambda entry: (entry[0], entry[1]))
     if host is not None:

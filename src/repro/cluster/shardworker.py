@@ -25,13 +25,11 @@ sample log, and merged telemetry.
 Synchronization happens at the natural barrier — every sampler
 window-close tick (``t >= duration and (t - duration) % period == 0``; all
 samplers share the duty cycle, so the schedule is global).  At a barrier
-the worker sends the *metadata* of its closed windows and captured fabric
-arrivals over the control pipe, writes the columnar payloads into its
-shared-memory ring (:mod:`repro.cluster.shm` — no pickling; the
-coordinator decodes numpy views over the same bytes), and blocks for the
-coordinator's spec-refresh verdict before letting its agents consume the
-windows — the exact order the single-process pipeline interleaves these
-effects in.
+the worker sends its closed windows and captured fabric arrivals, as
+columnar :class:`~repro.core.samplebatch.SampleColumns` batches, over its
+pipe, and blocks for the coordinator's spec-refresh verdict before
+letting its agents consume the windows — the exact order the
+single-process pipeline interleaves these effects in.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.cluster.shm import ShmRing
 from repro.core.samplebatch import SampleColumns
 from repro.perf.profiling import StageTimers
 
@@ -209,7 +206,7 @@ def _build_scenario(spec: ShardSpec):
     return scenario, obs
 
 
-def run_pool_worker(conn, ring_name: str, ring_capacity: int) -> None:
+def run_pool_worker(conn) -> None:
     """Persistent worker entry point: loop run requests until stopped.
 
     Protocol (worker side): receive ``("run", spec)``; reply
@@ -219,7 +216,6 @@ def run_pool_worker(conn, ring_name: str, ring_capacity: int) -> None:
     Any per-run failure is reported as ``("error", index, traceback)`` and
     kills the process — the pool discards and respawns crashed workers.
     """
-    ring = ShmRing.attach(ring_name, ring_capacity)
     spec: Optional[ShardSpec] = None
     try:
         prebuilt: Optional[_Prebuilt] = None
@@ -231,7 +227,7 @@ def run_pool_worker(conn, ring_name: str, ring_capacity: int) -> None:
             spec = message[1]
             key = spec.scenario_key()
             run_counts[key] = run_counts.get(key, 0) + 1
-            _run_one(conn, ring, spec, prebuilt)
+            _run_one(conn, spec, prebuilt)
             prebuilt = None
             if run_counts[key] >= PREBUILD_AFTER_RUNS:
                 start = time.perf_counter()
@@ -253,17 +249,17 @@ def run_pool_worker(conn, ring_name: str, ring_capacity: int) -> None:
             pass
         raise
     finally:
-        ring.close()
         conn.close()
 
 
-def _write_batch(ring: ShmRing, columns: SampleColumns) -> None:
-    """Encode one columnar batch straight into the shared segment."""
-    ring.write(columns.encoded_nbytes, columns.encode_into)
+def _columns(samples) -> SampleColumns:
+    """A closed window as columns, reusing the vector sampler's own."""
+    columns = getattr(samples, "columns", None)
+    # Explicit None check: an empty SampleColumns is falsy.
+    return SampleColumns.from_samples(samples) if columns is None else columns
 
 
-def _run_one(conn, ring: ShmRing, spec: ShardSpec,
-             prebuilt: Optional[_Prebuilt]) -> None:
+def _run_one(conn, spec: ShardSpec, prebuilt: Optional[_Prebuilt]) -> None:
     from repro.obs import set_default_observability
     from repro.obs.metrics import export_state
 
@@ -310,22 +306,9 @@ def _run_one(conn, ring: ShmRing, spec: ShardSpec,
                 # this per machine before anything else at this tick).
                 for name, samples in closed:
                     plane.upload(t, name, samples)
-            # Control-plane metadata on the pipe *first*, payloads into
-            # the ring second: the coordinator starts draining as soon as
-            # the metadata lands, so a ring smaller than the barrier
-            # payload backpressures instead of deadlocking.
-            conn.send(("window", t, [name for name, _ in closed],
-                       [(at, machine) for at, machine, _ in arrivals]))
-            for _at, _machine, columns in arrivals:
-                _write_batch(ring, columns)
-            for _name, samples in closed:
-                # The vector sampler already holds the window as columns;
-                # ship those instead of re-encoding.  (Explicit None check:
-                # an empty SampleColumns is falsy.)
-                columns = getattr(samples, "columns", None)
-                if columns is None:
-                    columns = SampleColumns.from_samples(samples)
-                _write_batch(ring, columns)
+            conn.send(("window", t,
+                       [(name, _columns(samples)) for name, samples in closed],
+                       arrivals))
             arrivals.clear()
             now = time.perf_counter()
             compute += now - mark
@@ -363,7 +346,7 @@ def _run_one(conn, ring: ShmRing, spec: ShardSpec,
     timers.add("worker_compute", compute, calls=spec.seconds)
     timers.add("worker_barrier_wait", waiting, calls=len(barriers))
     conn.send(("finished", spec.index, {
-        "arrival_meta": [(at, machine) for at, machine, _ in arrivals],
+        "arrivals": arrivals,
         "incidents": _portable_incidents(agents, shard),
         "forensics": [(row.time_seconds, row.machine, i, row)
                       for i, row in enumerate(pipeline.forensics.records)],
@@ -379,9 +362,6 @@ def _run_one(conn, ring: ShmRing, spec: ShardSpec,
         "timers": [(name, entry["seconds"], int(entry["calls"]))
                    for name, entry in timers.report().items()],
     }))
-    # Post-barrier fabric arrivals ride the ring like everything else.
-    for _at, _machine, columns in arrivals:
-        _write_batch(ring, columns)
-    # Wait for the coordinator's release so neither the pipe nor the ring
-    # is torn down or reused while it still has our summary in flight.
+    # Wait for the coordinator's release: prebuilding the next replica
+    # must not compete with its merge of this run.
     conn.recv()

@@ -2,13 +2,14 @@
 
 A closed sampling window's samples cross two boundaries on their way into
 the aggregator — machine -> coordinator (a process boundary under
-``--jobs N``) and pipeline -> :meth:`CpiAggregator.ingest_batch`.  Shipping
-them as a list of :class:`~repro.records.CpiSample` dataclasses means one
-pickled Python object per sample plus one attribute-walking ``ingest`` call
-per sample on arrival.  :class:`SampleColumns` is the struct-of-arrays
-alternative: three small string tables (aggregation keys and tasknames) and
-four numpy columns, so a 500-sample window pickles as a handful of buffers
-and ingests as one tight loop.
+``--jobs N``, where batches are pickled onto the worker's pipe) and
+pipeline -> :meth:`CpiAggregator.ingest_batch`.  Shipping them as a list
+of :class:`~repro.records.CpiSample` dataclasses means one pickled Python
+object per sample plus one attribute-walking ``ingest`` call per sample on
+arrival.  :class:`SampleColumns` is the struct-of-arrays alternative: two
+small string tables (aggregation keys and tasknames) and five numpy
+columns, so a 500-sample window pickles as a handful of buffers and
+ingests as one tight loop.
 
 The format is *lossless*: ``to_samples`` reconstructs samples that compare
 equal, field by field, to the originals (float64 round-trips exactly), so
@@ -18,8 +19,6 @@ output — which the golden-parity tests in ``tests/test_shards.py`` pin.
 
 from __future__ import annotations
 
-import json
-import struct
 from collections.abc import Sequence as SequenceABC
 from typing import Iterable, Sequence
 
@@ -28,14 +27,6 @@ import numpy as np
 from repro.records import CpiSample, SpecKey
 
 __all__ = ["SampleColumns", "WindowSamples"]
-
-#: Segment record header: n samples, n keys, n tasks, string-blob bytes.
-_WIRE_HEADER = struct.Struct("<4q")
-_WIRE_ALIGN = 8
-
-
-def _pad8(n: int) -> int:
-    return (n + _WIRE_ALIGN - 1) & ~(_WIRE_ALIGN - 1)
 
 
 class SampleColumns:
@@ -52,7 +43,7 @@ class SampleColumns:
     """
 
     __slots__ = ("keys", "tasks", "key_code", "task_code", "timestamp",
-                 "cpu_usage", "cpi", "_blob")
+                 "cpu_usage", "cpi")
 
     def __init__(self, keys: Sequence[SpecKey], tasks: Sequence[str],
                  key_code: np.ndarray, task_code: np.ndarray,
@@ -65,8 +56,6 @@ class SampleColumns:
         self.timestamp = timestamp
         self.cpu_usage = cpu_usage
         self.cpi = cpi
-        #: Lazily-built string-table blob for the segment wire format.
-        self._blob: bytes | None = None
 
     def __len__(self) -> int:
         return len(self.cpi)
@@ -134,104 +123,10 @@ class SampleColumns:
 
     @property
     def nbytes(self) -> int:
-        """Approximate wire size of the numeric columns."""
+        """Bytes held by the numeric columns."""
         return (self.key_code.nbytes + self.task_code.nbytes
                 + self.timestamp.nbytes + self.cpu_usage.nbytes
                 + self.cpi.nbytes)
-
-    # -- shared-memory segment wire format ------------------------------------
-    #
-    # [header: n, n_keys, n_tasks, blob_len (4 x int64)]
-    # [string blob: JSON [[jobname, platforminfo]...], [taskname...]; padded]
-    # [timestamp int64[n]] [cpu_usage f64[n]] [cpi f64[n]]
-    # [key_code int32[n]] [task_code int32[n]] [pad to 8]
-    #
-    # Numeric columns are written raw, so the decoder can hand back numpy
-    # *views* over the segment (zero-copy); only the small string tables
-    # pay a (de)serialization.  Every float — NaN quarantine candidates
-    # included — round-trips bit-exactly.
-
-    def _string_blob(self) -> bytes:
-        blob = self._blob
-        if blob is None:
-            blob = json.dumps(
-                [[k.jobname, k.platforminfo] for k in self.keys],
-                separators=(",", ":")).encode("utf-8") + b"\x00" + json.dumps(
-                list(self.tasks), separators=(",", ":")).encode("utf-8")
-            self._blob = blob
-        return blob
-
-    @property
-    def encoded_nbytes(self) -> int:
-        """Exact size of this batch on the segment wire."""
-        n = len(self)
-        return (_WIRE_HEADER.size + _pad8(len(self._string_blob()))
-                + 24 * n + _pad8(8 * n))
-
-    def encode_into(self, buf: memoryview) -> int:
-        """Serialize into ``buf`` (exactly :attr:`encoded_nbytes` long).
-
-        Designed to run inside :meth:`repro.cluster.shm.ShmRing.write`,
-        filling the ring slot in place — the numeric columns are copied
-        once, straight from their arrays into shared memory.
-        """
-        n = len(self)
-        blob = self._string_blob()
-        _WIRE_HEADER.pack_into(buf, 0, n, len(self.keys), len(self.tasks),
-                               len(blob))
-        off = _WIRE_HEADER.size
-        buf[off:off + len(blob)] = blob
-        off += _pad8(len(blob))
-        for arr, width in ((self.timestamp, 8), (self.cpu_usage, 8),
-                           (self.cpi, 8), (self.key_code, 4),
-                           (self.task_code, 4)):
-            raw = arr.tobytes()
-            buf[off:off + width * n] = raw
-            off += width * n
-        return _pad8(off)
-
-    @classmethod
-    def decode(cls, buf: memoryview, copy: bool = False) -> "SampleColumns":
-        """Deserialize a batch encoded by :meth:`encode_into`.
-
-        With ``copy=False`` the numeric columns are numpy views over
-        ``buf`` — valid only until the underlying ring slot is released
-        (call :meth:`materialize` to keep a batch past that point).
-        """
-        n, n_keys, n_tasks, blob_len = _WIRE_HEADER.unpack_from(buf, 0)
-        off = _WIRE_HEADER.size
-        key_json, task_json = bytes(buf[off:off + blob_len]).split(b"\x00", 1)
-        keys = tuple(SpecKey(job, platform)
-                     for job, platform in json.loads(key_json))
-        tasks = tuple(json.loads(task_json))
-        if len(keys) != n_keys or len(tasks) != n_tasks:
-            raise ValueError(
-                f"corrupt batch header: {n_keys}/{n_tasks} declared, "
-                f"{len(keys)}/{len(tasks)} decoded")
-        off += _pad8(blob_len)
-        columns = []
-        for dtype, width in ((np.int64, 8), (np.float64, 8), (np.float64, 8),
-                             (np.int32, 4), (np.int32, 4)):
-            arr = np.frombuffer(buf, dtype=dtype, count=n, offset=off)
-            columns.append(arr.copy() if copy else arr)
-            off += width * n
-        timestamp, cpu_usage, cpi, key_code, task_code = columns
-        return cls(keys, tasks, key_code, task_code, timestamp, cpu_usage,
-                   cpi)
-
-    def materialize(self) -> "SampleColumns":
-        """Detach from any borrowed buffer by copying the numeric columns.
-
-        Called by the coordinator's backpressure relief: a batch decoded
-        zero-copy can be kept past the ring commit only after this.
-        Returns ``self`` for chaining.
-        """
-        self.key_code = np.array(self.key_code)
-        self.task_code = np.array(self.task_code)
-        self.timestamp = np.array(self.timestamp)
-        self.cpu_usage = np.array(self.cpu_usage)
-        self.cpi = np.array(self.cpi)
-        return self
 
     def __repr__(self) -> str:
         return (f"SampleColumns(n={len(self)}, keys={len(self.keys)}, "

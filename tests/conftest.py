@@ -2,14 +2,33 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from repro.cluster import shards
 from repro.cluster.platform import get_platform
 from repro.core.config import CpiConfig
+from repro.experiments import workerpool
 from repro.obs import set_default_observability
 from repro.records import CpiSample, CpiSpec
 from repro.testing import make_quiet_machine
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_orphaned_children():
+    """The suite ends with no child process left to be orphaned.
+
+    Both persistent pools are shut down the way their atexit hooks would;
+    anything still alive after that is a leak, and fails the run here
+    instead of lingering under PID 1.
+    """
+    yield
+    workerpool.shutdown_pool()
+    if shards._DEFAULT_POOL is not None:
+        shards._DEFAULT_POOL.shutdown()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(autouse=True)

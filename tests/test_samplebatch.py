@@ -1,25 +1,18 @@
-"""SampleColumns over the shared-memory wire, and the ring itself.
+"""SampleColumns over the shard wire: a pickle on the worker's pipe.
 
-The sharded data plane re-serializes every closed window into a shared
-segment (:meth:`SampleColumns.encode_into` / :meth:`SampleColumns.decode`)
-and moves it through :class:`~repro.cluster.shm.ShmRing`.  These tests pin
-the properties parity depends on: lossless (bit-exact floats, NaN
-quarantine candidates included), order-preserving, correct across ring
-wraparound, and deadlock-free under full-buffer backpressure.
+Sharded runs ship every closed window and fabric arrival from worker to
+coordinator as a pickled :class:`SampleColumns`.  These tests pin the
+property parity depends on: the round-trip is lossless (bit-exact floats,
+NaN quarantine candidates included) and order-preserving.
 """
 
 import math
-import os
-import threading
+import pickle
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import shm
-from repro.cluster.shm import (ShmRecordTooLarge, ShmRing, ShmRingStalled,
-                               live_segments, sweep_segments)
 from repro.core.samplebatch import SampleColumns
 from repro.records import CpiSample
 
@@ -40,12 +33,9 @@ samples = st.builds(
 )
 
 
-def roundtrip(batch: SampleColumns, copy: bool = False) -> SampleColumns:
-    """Encode into a fresh buffer, decode back out."""
-    buf = memoryview(bytearray(batch.encoded_nbytes))
-    written = batch.encode_into(buf)
-    assert written == batch.encoded_nbytes
-    return SampleColumns.decode(buf, copy=copy)
+def roundtrip(batch: SampleColumns) -> SampleColumns:
+    """What the coordinator receives for ``batch``."""
+    return pickle.loads(pickle.dumps(batch))
 
 
 def assert_batches_equal(left: SampleColumns, right: SampleColumns) -> None:
@@ -64,12 +54,12 @@ class TestWireFormat:
     @settings(max_examples=50)
     def test_roundtrip_is_lossless(self, batch):
         columns = SampleColumns.from_samples(batch)
-        assert_batches_equal(roundtrip(columns), columns)
-        assert roundtrip(columns, copy=True).to_samples() == batch
+        decoded = roundtrip(columns)
+        assert_batches_equal(decoded, columns)
+        assert decoded.to_samples() == batch
 
     def test_empty_batch(self):
-        columns = SampleColumns.from_samples([])
-        decoded = roundtrip(columns)
+        decoded = roundtrip(SampleColumns.from_samples([]))
         assert len(decoded) == 0
         assert decoded.keys == ()
         assert decoded.tasks == ()
@@ -78,10 +68,12 @@ class TestWireFormat:
     def test_nan_cpi_quarantine_candidates_survive(self):
         # The aggregator quarantines non-finite CPI *after* transport;
         # the wire must deliver the NaN bit pattern intact.
-        batch = [make_sample(cpi=float("nan")),
-                 make_sample(cpu_usage=float("nan"), cpi=0.0),
-                 make_sample(cpi=float("inf"))]
-        decoded = roundtrip(SampleColumns.from_samples(batch))
+        batch = SampleColumns.from_samples(
+            [make_sample(cpi=float("nan")),
+             make_sample(cpu_usage=float("nan"), cpi=0.0),
+             make_sample(cpi=float("inf"))])
+        decoded = roundtrip(batch)
+        assert_batches_equal(decoded, batch)
         assert math.isnan(decoded.cpi[0])
         assert math.isnan(decoded.cpu_usage[1])
         assert decoded.cpi[1] == 0.0
@@ -91,144 +83,5 @@ class TestWireFormat:
         batch = [make_sample(jobname="ジョブ/0", platforminfo="pf-β",
                              taskname=""),
                  make_sample(jobname="", platforminfo="", taskname="t")]
-        decoded = roundtrip(SampleColumns.from_samples(batch), copy=True)
-        assert decoded.to_samples() == batch
-
-    def test_zero_copy_views_borrow_the_buffer(self):
-        columns = SampleColumns.from_samples([make_sample(cpi=2.5)])
-        buf = memoryview(bytearray(columns.encoded_nbytes))
-        columns.encode_into(buf)
-        decoded = SampleColumns.decode(buf)
-        assert decoded.cpi[0] == 2.5
-        # Zeroing the buffer shows through the view (it borrows)...
-        buf[:] = b"\x00" * len(buf)
-        assert decoded.cpi[0] == 0.0
-        # ...unless materialized first.
-        buf2 = memoryview(bytearray(columns.encoded_nbytes))
-        columns.encode_into(buf2)
-        detached = SampleColumns.decode(buf2).materialize()
-        buf2[:] = b"\x00" * len(buf2)
-        assert detached.cpi[0] == 2.5
-
-    def test_corrupt_header_rejected(self):
-        columns = SampleColumns.from_samples([make_sample()])
-        buf = memoryview(bytearray(columns.encoded_nbytes))
-        columns.encode_into(buf)
-        buf[8] ^= 0xFF  # n_keys field
-        with pytest.raises(ValueError, match="corrupt batch header"):
-            SampleColumns.decode(buf)
-
-
-class TestShmRing:
-    def test_roundtrip_through_ring(self):
-        ring = ShmRing.create(4096)
-        try:
-            batch = SampleColumns.from_samples(
-                [make_sample(t=i, cpi=1.0 + i / 7) for i in range(20)])
-            ring.write(batch.encoded_nbytes, batch.encode_into)
-            decoded = SampleColumns.decode(ring.take(timeout=5))
-            assert_batches_equal(decoded, batch)
-            ring.commit()
-        finally:
-            ring.unlink()
-
-    @given(sizes=st.lists(st.integers(min_value=0, max_value=900),
-                          min_size=1, max_size=60))
-    @settings(max_examples=25, deadline=None)
-    def test_wraparound_preserves_every_byte(self, sizes):
-        # Capacity far below the byte total, so the cursor wraps many
-        # times; interleaved take/commit keeps space available.
-        ring = ShmRing.create(4096)
-        try:
-            for i, size in enumerate(sizes):
-                payload = bytes((j + i) % 251 for j in range(size))
-                ring.write_bytes(payload, timeout=5)
-                got = bytes(ring.take(timeout=5))
-                ring.commit()
-                assert got == payload
-        finally:
-            ring.unlink()
-
-    def test_full_buffer_backpressure_roundtrip(self):
-        # Writer thread pushes ~16x the ring capacity; the reader drains
-        # with commits, so the writer blocks and resumes instead of
-        # failing — and every record arrives intact, in order.
-        ring = ShmRing.create(4096)
-        payloads = [bytes((i * 37 + j) % 256 for j in range(i % 1100))
-                    for i in range(64)]
-        failures = []
-
-        def produce():
-            try:
-                for payload in payloads:
-                    ring.write_bytes(payload, timeout=30)
-            except BaseException as exc:  # pragma: no cover - test failure
-                failures.append(exc)
-
-        writer = threading.Thread(target=produce)
-        writer.start()
-        try:
-            for payload in payloads:
-                got = bytes(ring.take(timeout=30))
-                ring.commit()
-                assert got == payload
-            writer.join(timeout=30)
-            assert not writer.is_alive()
-            assert not failures
-        finally:
-            writer.join(timeout=1)
-            ring.unlink()
-
-    def test_record_too_large_rejected_with_advice(self):
-        ring = ShmRing.create(4096)
-        try:
-            with pytest.raises(ShmRecordTooLarge,
-                               match="REPRO_SHM_RING_BYTES"):
-                ring.write_bytes(b"x" * (ring.max_record_bytes + 1))
-        finally:
-            ring.unlink()
-
-    def test_write_times_out_when_reader_stalls(self):
-        ring = ShmRing.create(4096)
-        try:
-            ring.write_bytes(b"a" * ring.max_record_bytes)
-            ring.write_bytes(b"b" * ring.max_record_bytes)
-            with pytest.raises(ShmRingStalled, match="ring full"):
-                ring.write_bytes(b"c" * ring.max_record_bytes, timeout=0.05)
-        finally:
-            ring.unlink()
-
-    def test_take_surfaces_dead_writer(self):
-        ring = ShmRing.create(4096)
-        try:
-            with pytest.raises(ShmRingStalled, match="died"):
-                ring.take(timeout=5, is_alive=lambda: False)
-        finally:
-            ring.unlink()
-
-
-class TestSegmentHygiene:
-    def test_unlink_removes_segment(self):
-        ring = ShmRing.create(4096)
-        name = ring.name
-        assert name in live_segments()
-        assert shm.SEGMENT_PREFIX in name and str(os.getpid()) in name
-        ring.unlink()
-        assert name not in live_segments()
-        with pytest.raises(FileNotFoundError):
-            ShmRing.attach(name, 4096)
-
-    def test_sweep_unlinks_leaks(self):
-        ring = ShmRing.create(4096)
-        name = ring.name
-        assert sweep_segments() >= 1
-        assert name not in live_segments()
-        with pytest.raises(FileNotFoundError):
-            ShmRing.attach(name, 4096)
-
-    def test_env_capacity_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_RING_BYTES", "100")
-        with pytest.raises(ValueError, match=">= 4096"):
-            shm.default_ring_bytes()
-        monkeypatch.setenv("REPRO_SHM_RING_BYTES", "8193")
-        assert shm.default_ring_bytes() == 8200
+        assert roundtrip(SampleColumns.from_samples(batch)).to_samples() \
+            == batch

@@ -18,12 +18,14 @@ hang the coordinator).
 
 from __future__ import annotations
 
-import glob
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cluster.shards import (ShardCrashed, ShardPool,
                                   ShardedRunUnsupported, plan_shards,
                                   run_sharded)
@@ -236,7 +238,7 @@ def test_worker_death_raises_shard_crashed():
         pool.shutdown()
 
 
-# -- pool lifecycle and segment hygiene ---------------------------------------
+# -- pool lifecycle and process hygiene ---------------------------------------
 
 
 #: Small but real: two shards, a few windows, a spec refresh.
@@ -244,11 +246,6 @@ _POOL_KWARGS = dict(num_machines=4, seed=3, num_service_jobs=1,
                     num_batch_jobs=1, tasks_per_job=4,
                     config=CpiConfig(spec_refresh_period=600,
                                      min_samples_per_task=5))
-
-
-def _repro_segments() -> set[str]:
-    """repro-owned segment files currently present in /dev/shm."""
-    return set(glob.glob("/dev/shm/repro-shm-*"))
 
 
 def test_warm_pool_reuses_workers_and_prebuilds():
@@ -272,70 +269,79 @@ def test_warm_pool_reuses_workers_and_prebuilds():
         pool.shutdown()
 
 
-def test_no_segment_leak_after_clean_run():
-    before = _repro_segments()
+def _watched_workers(pool: ShardPool, count: int = 2) -> list:
+    """Spawn the pool's workers up front and return their processes."""
+    return [worker.process for worker in pool.lease(count)]
+
+
+def test_no_worker_leak_after_clean_run():
     pool = ShardPool()
+    processes = _watched_workers(pool)
     try:
         run_sharded(scale_scenario, _POOL_KWARGS, seconds=300, jobs=2,
                     pool=pool)
     finally:
         pool.shutdown()
-    assert _repro_segments() == before
+    assert not any(process.is_alive() for process in processes)
 
 
-def test_no_segment_leak_after_worker_crash():
-    before = _repro_segments()
+def test_no_worker_leak_after_worker_crash():
     pool = ShardPool()
+    processes = _watched_workers(pool)
     try:
         with pytest.raises(ShardCrashed):
             run_sharded(_crashing_scenario, seconds=240, jobs=2,
                         barrier_timeout=60.0, pool=pool)
-    finally:
-        pool.shutdown()
-    assert _repro_segments() == before
-
-
-def test_pool_recovers_after_external_sweep():
-    """sweep_segments() is process-global; leasing must heal, not dangle.
-
-    The crash backstop can close a live pool's rings out from under it
-    (e.g. another component sweeping on its own failure path).  The next
-    lease has to notice the dead mappings and respawn.
-    """
-    from repro.cluster.shm import sweep_segments
-
-    pool = ShardPool()
-    try:
-        first = run_sharded(scale_scenario, _POOL_KWARGS, seconds=300,
-                            jobs=2, pool=pool)
-        assert sweep_segments() >= 2            # yanks both pool rings
-        again = run_sharded(scale_scenario, _POOL_KWARGS, seconds=300,
-                            jobs=2, pool=pool)
-        assert pool.spawned_total == 4          # both workers respawned
-        assert _canon_specs(again.pipeline.aggregator) \
-            == _canon_specs(first.pipeline.aggregator)
+        # The reset killed the surviving worker, not just the dead one.
+        assert not any(process.is_alive() for process in processes)
     finally:
         pool.shutdown()
 
 
-def test_no_segment_leak_after_keyboard_interrupt(monkeypatch):
-    """Ctrl-C mid-barrier resets the pool and unlinks every segment."""
+def test_no_worker_leak_after_keyboard_interrupt(monkeypatch):
+    """Ctrl-C mid-barrier resets the pool and kills every worker."""
     import repro.cluster.shards as shards_module
 
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt
 
-    before = _repro_segments()
     pool = ShardPool()
+    processes = _watched_workers(pool)
     try:
         monkeypatch.setattr(shards_module, "_replay_barrier", interrupt)
         with pytest.raises(KeyboardInterrupt):
             run_sharded(scale_scenario, _POOL_KWARGS, seconds=300, jobs=2,
                         pool=pool)
         assert pool.size == 0
+        assert not any(process.is_alive() for process in processes)
     finally:
         pool.shutdown()
-    assert _repro_segments() == before
+
+
+def test_sharded_run_never_starts_the_resource_tracker():
+    """A sharded run leaves no helper process to be orphaned at exit.
+
+    ``multiprocessing``'s resource tracker, once started, outlives its
+    parent under PID 1.  Shards share nothing that needs tracking, so a
+    fresh interpreter must finish a run with the tracker never started.
+    """
+    code = (
+        "import multiprocessing.resource_tracker as rt\n"
+        "from repro.cluster.shards import ShardPool, run_sharded\n"
+        "from repro.experiments.scenarios import scale_scenario\n"
+        "pool = ShardPool()\n"
+        "run_sharded(scale_scenario, dict(num_machines=4, seed=3,\n"
+        "            num_service_jobs=1, num_batch_jobs=1, tasks_per_job=4),\n"
+        "            seconds=300, jobs=2, pool=pool)\n"
+        "pool.shutdown()\n"
+        "print(rt._resource_tracker._pid)\n")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "None"
 
 
 # -- shard planning and the barrier schedule ----------------------------------
