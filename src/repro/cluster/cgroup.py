@@ -10,24 +10,37 @@ We model bandwidth control at 1-second granularity: a :class:`BandwidthCap`
 bounds the CPU-sec/sec a cgroup may receive until it expires.  The cgroup
 also keeps a short usage history, which is what CPI2's correlation engine
 reads when it hunts for antagonists (it needs the *suspect's* CPU usage
-series time-aligned with the victim's CPI series).
+series time-aligned with the victim's CPI series).  That history is one
+float64 ring of per-second usage, indexed ``t % USAGE_HISTORY_SECONDS``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 __all__ = ["BandwidthCap", "Cgroup"]
 
-#: How many seconds of per-second usage history a cgroup retains.  The
-#: correlation analysis uses a 10-minute window of per-minute samples, so 15
-#: minutes of second-level history is comfortably enough for any consumer.
+#: How many seconds of per-second usage history a cgroup retains: the
+#: seconds ``(last - 900, last]`` before its latest charge.  The correlation
+#: analysis uses a 10-minute window of per-minute samples, so 15 minutes of
+#: second-level history is comfortably enough for any consumer.
 USAGE_HISTORY_SECONDS = 900
+
+
+def _ring_spans(t0: int, n: int) -> list[tuple[int, int, int]]:
+    """The ring slots of seconds ``t0 .. t0+n-1`` (``n <= 900``).
+
+    One ``(first slot, end slot, offset into the run)`` triple, or two when
+    the run wraps past the ring's last slot.
+    """
+    i0 = t0 % USAGE_HISTORY_SECONDS
+    head = USAGE_HISTORY_SECONDS - i0
+    if n <= head:
+        return [(i0, i0 + n, 0)]
+    return [(i0, USAGE_HISTORY_SECONDS, 0), (0, n - head, head)]
 
 
 @dataclass(frozen=True)
@@ -74,26 +87,20 @@ class Cgroup:
         self.name = name
         self.cpu_limit = cpu_limit
         self._cap: Optional[BandwidthCap] = None
-        self._usage_history: deque[tuple[int, float]] = deque(
-            maxlen=USAGE_HISTORY_SECONDS)
         self._total_cpu = 0.0
         # The demand plane's charge ledger, when a compiled task table owns
         # this cgroup: per-tick charges are buffered there and flushed in
         # consecutive runs.  Every usage read below flushes first, so the
         # deferral is unobservable.
         self._ledger = None
-        # Columnar usage ledger: a float64 ring mirroring the deque, indexed
-        # by ``t % USAGE_HISTORY_SECONDS``.  It exists so the identification
-        # engine can read a window of per-second usage as one array slice
-        # (``usage_window_view``) instead of scanning the deque once per
-        # victim timestamp.  It is only trustworthy while charges arrive at
-        # strictly consecutive seconds — the machine's tick loop guarantees
-        # that; anything else (tests charging ad hoc) permanently degrades
-        # this cgroup to the deque path.  Allocated lazily on first charge.
-        self._ring: Optional[np.ndarray] = None
+        # Per-second usage history: second ``t`` lives in slot
+        # ``t % USAGE_HISTORY_SECONDS``, and ``_ring_last`` is the latest
+        # charged second (None before the first charge).  Charge times
+        # strictly increase and skipped seconds are zero-filled, so every
+        # slot of a second in ``(last - 900, last]`` holds that second's
+        # usage, or 0.0 if it was never charged.
+        self._ring = np.zeros(USAGE_HISTORY_SECONDS)
         self._ring_last: Optional[int] = None
-        self._ring_count = 0
-        self._ring_ok = True
 
     # -- capping ------------------------------------------------------------
 
@@ -153,36 +160,38 @@ class Cgroup:
         self._flush_ledger()
         return self._total_cpu
 
-    @total_cpu_seconds.setter
-    def total_cpu_seconds(self, value: float) -> None:
-        self._flush_ledger()
-        self._total_cpu = value
+    def _advance(self, t: int) -> np.ndarray:
+        """Open the ring for a charge at second ``t``; returns the ring.
+
+        Raises if ``t`` does not follow the latest charged second, and
+        zero-fills the slots of any seconds skipped since it — all of them
+        when the gap spans the whole history.
+        """
+        last = self._ring_last
+        ring = self._ring
+        if last is not None and t != last + 1:
+            if t <= last:
+                raise ValueError(
+                    f"cgroup {self.name}: charge at second {t} does not "
+                    f"follow the last charged second {last}")
+            skipped = min(t - last - 1, USAGE_HISTORY_SECONDS)
+            for a, b, _ in _ring_spans(last + 1, skipped):
+                ring[a:b] = 0.0
+        return ring
 
     def charge(self, t: int, usage: float) -> None:
-        """Record ``usage`` CPU-sec/sec consumed during second ``t``."""
+        """Record ``usage`` CPU-sec/sec consumed during second ``t``.
+
+        Raises:
+            ValueError: for negative usage, or a ``t`` at or before the
+                latest charged second (time must strictly increase).
+        """
         self._flush_ledger()
         if usage < 0:
             raise ValueError(f"usage must be >= 0, got {usage}")
-        self._usage_history.append((t, usage))
+        self._advance(t)[t % USAGE_HISTORY_SECONDS] = usage
+        self._ring_last = t
         self._total_cpu += usage
-        if self._ring_ok:
-            last = self._ring_last
-            if last is not None and t == last + 1:
-                self._ring[t % USAGE_HISTORY_SECONDS] = usage
-                self._ring_last = t
-                self._ring_count += 1
-            elif last is None:
-                if self._ring is None:
-                    self._ring = np.zeros(USAGE_HISTORY_SECONDS)
-                self._ring[t % USAGE_HISTORY_SECONDS] = usage
-                self._ring_last = t
-                self._ring_count = 1
-            else:
-                # A gap or replay: the ring can no longer tell recorded
-                # zeros from evicted history, so it stands down for good
-                # and every read falls back to the deque.
-                self._ring_ok = False
-                self._ring = None
 
     def _charge_run(self, t0: int, values: np.ndarray,
                     checked: bool = False) -> None:
@@ -190,11 +199,12 @@ class Cgroup:
 
         The demand plane's ledger flush calls this with one column of its
         pending matrix; the effect is bit-identical to calling
-        :meth:`charge` for ``t0, t0+1, ...`` in order (same deque tuples,
-        same sequential float adds into the total, same ring writes).  Only
-        the ledger may call it — it does not flush, and assumes the run was
-        buffered *after* any earlier direct charges.  ``checked`` means the
-        caller already proved ``values`` non-negative for the whole block.
+        :meth:`charge` for ``t0, t0+1, ...`` in order (same ring writes,
+        same sequential float adds into the total, same errors).  Only the
+        ledger may call it — it does not flush, and assumes the run was
+        buffered *after* any earlier direct charges.  The run spans at most
+        ``USAGE_HISTORY_SECONDS`` seconds.  ``checked`` means the caller
+        already proved ``values`` non-negative for the whole block.
         """
         if not checked and not values.min() >= 0.0:
             # A negative (or NaN) grant: take the scalar path so validation
@@ -202,110 +212,61 @@ class Cgroup:
             for offset, usage in enumerate(values.tolist()):
                 self.charge(t0 + offset, usage)
             return
+        ring = self._advance(t0)
         count = len(values)
-        vals = values.tolist()
-        self._usage_history.extend(zip(range(t0, t0 + count), vals))
+        for a, b, k in _ring_spans(t0, count):
+            ring[a:b] = values[k:k + b - a]
+        self._ring_last = t0 + count - 1
         total = self._total_cpu
-        for v in vals:
+        for v in values.tolist():
             total += v
         self._total_cpu = total
-        if not self._ring_ok:
-            return
-        last = self._ring_last
-        if last is None:
-            if self._ring is None:
-                self._ring = np.zeros(USAGE_HISTORY_SECONDS)
-        elif t0 != last + 1:
-            self._ring_ok = False
-            self._ring = None
-            return
-        capacity = USAGE_HISTORY_SECONDS
-        i0 = t0 % capacity
-        ring = self._ring
-        if i0 + count <= capacity:
-            ring[i0:i0 + count] = values
-        else:
-            head = capacity - i0
-            ring[i0:] = values[:head]
-            ring[:count - head] = values[head:]
-        self._ring_last = t0 + count - 1
-        self._ring_count += count
 
     def usage_between(self, start: int, end: int) -> float:
         """Mean CPU-sec/sec over the half-open window ``[start, end)``.
 
-        Seconds with no recorded sample count as zero usage, so a window that
-        extends beyond the recorded history is averaged over its full length.
+        Seconds with no recorded sample — never charged, or older than the
+        retained history — count as zero usage, so a window that extends
+        beyond the recorded history is averaged over its full length.  The
+        sum runs from ``0.0`` in time order, so it is bit-identical to any
+        running sum over just the charged seconds (``x + 0.0 == x``).
+        """
+        total = 0.0
+        for usage in self.usage_window_view(start, end).tolist():
+            total += usage
+        return total / (end - start)
+
+    def usage_window_view(self, start: int, end: int) -> np.ndarray:
+        """Per-second usage over ``[start, end)`` as a new float64 array.
+
+        Seconds outside the retained history ``(last - 900, last]`` read as
+        ``0.0``, exactly as :meth:`usage_between` treats them.
         """
         if end <= start:
             raise ValueError(f"empty window [{start}, {end})")
         self._flush_ledger()
-        history = self._usage_history
-        span = end - start
-        # Charges arrive once per tick in strictly increasing time order, so
-        # when the last ``span`` entries bracket exactly [start, end) they
-        # ARE the window and the filtered scan of the whole deque (which a
-        # sampler pays per task per window) can be skipped.  Same entries in
-        # the same order, so the sum is bit-identical.
-        if (len(history) >= span and history[-span][0] == start
-                and history[-1][0] == end - 1):
-            total = 0.0
-            for _, u in islice(history, len(history) - span, None):
-                total += u
-            return total / span
-        total = sum(u for (ts, u) in history if start <= ts < end)
-        return total / span
-
-    def usage_window_view(self, start: int, end: int) -> Optional[np.ndarray]:
-        """Per-second usage over ``[start, end)`` as a float64 array.
-
-        Seconds with no recorded charge are zero, exactly as
-        :meth:`usage_between` treats them, so a window mean computed by
-        summing this array in time order is bit-identical to the deque
-        scan (adding an absent second contributes ``+ 0.0``, and usage is
-        never ``-0.0``, so ``x + 0.0 == x`` bitwise).
-
-        Returns ``None`` when the columnar ring cannot serve the request
-        losslessly — charges ever arrived non-consecutively — in which
-        case the caller must fall back to :meth:`usage_between`.
-        """
-        if end <= start:
-            raise ValueError(f"empty window [{start}, {end})")
-        self._flush_ledger()
-        if not self._ring_ok:
-            return None
         out = np.zeros(end - start)
         last = self._ring_last
         if last is None:
-            return out  # never charged: the deque would read all zeros too
-        capacity = USAGE_HISTORY_SECONDS
-        valid_lo = last - min(self._ring_count, capacity) + 1
-        lo = max(start, valid_lo)
-        hi = min(end, last + 1)
-        if lo >= hi:
             return out
-        i0 = lo % capacity
-        n = hi - lo
-        if i0 + n <= capacity:
-            out[lo - start:hi - start] = self._ring[i0:i0 + n]
-        else:
-            head = capacity - i0
-            out[lo - start:lo - start + head] = self._ring[i0:]
-            out[lo - start + head:hi - start] = self._ring[:n - head]
+        lo = max(start, last - USAGE_HISTORY_SECONDS + 1)
+        hi = min(end, last + 1)
+        if lo < hi:
+            ring = self._ring
+            base = lo - start
+            for a, b, k in _ring_spans(lo, hi - lo):
+                out[base + k:base + k + b - a] = ring[a:b]
         return out
 
-    def rebind_ring(self, row: np.ndarray) -> bool:
-        """Re-back the columnar usage ring with caller-owned storage.
+    def rebind_ring(self, row: np.ndarray) -> None:
+        """Re-back the usage ring with caller-owned storage.
 
         The vectorized sampler keeps every resident cgroup's ring as one
         row of a shared ``(n_tasks, USAGE_HISTORY_SECONDS)`` matrix, so a
         whole window's per-task usage gathers as a single slice instead of
         one ring read per cgroup.  Existing history is copied into ``row``
         and future charges write through it, so every reader sees the same
-        state through either handle.  Returns ``False`` (and leaves the
-        cgroup on the deque path) when the ring has permanently stood down
-        — the caller must treat that row as unusable and fall back to
-        :meth:`usage_between`.
+        state through either handle.
 
         Pending ledger charges need no special handling: they flush through
         :meth:`_charge_run` into whatever ``self._ring`` points at, which
@@ -315,21 +276,16 @@ class Cgroup:
             raise ValueError(
                 f"ring row must hold {USAGE_HISTORY_SECONDS} slots, "
                 f"got {len(row)}")
-        if not self._ring_ok:
-            return False
-        if self._ring is None:
-            row[:] = 0.0
-        else:
-            row[:] = self._ring
+        row[:] = self._ring
         self._ring = row
-        return True
 
     def last_usage(self) -> float:
         """Most recently recorded per-second usage (0.0 before any charge)."""
         self._flush_ledger()
-        if not self._usage_history:
+        last = self._ring_last
+        if last is None:
             return 0.0
-        return self._usage_history[-1][1]
+        return float(self._ring[last % USAGE_HISTORY_SECONDS])
 
     def __repr__(self) -> str:
         return f"Cgroup({self.name}, limit={self.cpu_limit}, cap={self._cap})"

@@ -37,7 +37,7 @@ Cgroup state is columnar too: per-task limit and hard-cap columns are
 rebuilt only when any cap changes (a class-level mutation counter on
 :class:`~repro.cluster.cgroup.Cgroup`), and charges are buffered in a
 small per-table ledger that flushes whole consecutive runs into each
-cgroup's ring/deque — any read of cgroup usage state flushes first, so
+cgroup's usage ring — any read of cgroup usage state flushes first, so
 the deferral is unobservable.
 
 Engine selection follows the ``REPRO_ANALYSIS_ENGINE`` precedent:
@@ -491,8 +491,9 @@ class DemandColumns:
         if count == 0:
             self._pend_t0 = t
         elif t != self._pend_t0 + count:
-            # A manually driven machine skipped or replayed seconds; flush
-            # so each cgroup still sees maximal consecutive runs.
+            # A manually driven machine skipped seconds; flush so each
+            # cgroup still sees maximal consecutive runs.  A replayed
+            # second raises from the cgroup when its run is flushed.
             self.flush_charges()
             self._pend_t0 = t
             count = 0

@@ -131,7 +131,7 @@ class _TaskTable:
                  "demand_fns", "on_tick_fns", "base_cpi_fns", "profile_fns",
                  "cpu_limits", "tier_indices", "profiles", "profile_table",
                  "workspace", "counter_matrix", "demand_columns",
-                 "usage_matrix", "usage_rows_ok")
+                 "usage_matrix")
 
     def __init__(self, tasks: Sequence[Task], counters: CounterBank,
                  demand_engine: str = "scalar"):
@@ -165,32 +165,25 @@ class _TaskTable:
         # usage out of; built lazily (usage_rings) so tick-only machines
         # never pay the 900-slot-per-task allocation.
         self.usage_matrix: Optional[np.ndarray] = None
-        self.usage_rows_ok: Optional[np.ndarray] = None
         self.refresh_profiles([fn() for fn in self.profile_fns])
 
-    def usage_rings(self) -> tuple[np.ndarray, np.ndarray]:
+    def usage_rings(self) -> np.ndarray:
         """The per-task usage rings as rows of one shared matrix.
 
-        Row ``i`` becomes the backing storage of ``cgroups[i]``'s columnar
-        usage ring (:meth:`~repro.cluster.cgroup.Cgroup.rebind_ring`);
-        ``rows_ok[i]`` is False for cgroups whose ring had permanently
-        stood down at rebind time — those rows stay zero and must be read
-        through :meth:`~repro.cluster.cgroup.Cgroup.usage_between` instead.
-        A row can also go stale *after* a successful rebind (a charge gap
-        stands the ring down), so readers must still check the cgroup's
-        live ``_ring_ok``/``_ring_last`` before trusting it.
+        Row ``i`` becomes the backing storage of ``cgroups[i]``'s usage
+        ring (:meth:`~repro.cluster.cgroup.Cgroup.rebind_ring`), so it
+        holds the seconds ``(last - 900, last]`` before that cgroup's
+        latest charge (``_ring_last``).
         """
         from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
 
         matrix = self.usage_matrix
         if matrix is None:
             matrix = np.zeros((len(self.tasks), USAGE_HISTORY_SECONDS))
-            rows_ok = np.empty(len(self.tasks), dtype=bool)
-            for i, cg in enumerate(self.cgroups):
-                rows_ok[i] = cg.rebind_ring(matrix[i])
+            for cg, row in zip(self.cgroups, matrix):
+                cg.rebind_ring(row)
             self.usage_matrix = matrix
-            self.usage_rows_ok = rows_ok
-        return matrix, self.usage_rows_ok
+        return matrix
 
     def refresh_profiles(self, profiles: Sequence[ResourceProfile]) -> None:
         """(Re)columnize resource profiles (rare: profiles are static in

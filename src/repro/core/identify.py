@@ -2,13 +2,13 @@
 
 :func:`~repro.core.correlation.rank_suspects` is the scalar reference — one
 Python loop per suspect, and (upstream of it) one
-:meth:`~repro.cluster.cgroup.Cgroup.usage_between` deque scan per suspect
+:meth:`~repro.cluster.cgroup.Cgroup.usage_between` window read per suspect
 per victim timestamp.  At 100 co-tenants and a 30-point victim series that
-is ~3,000 deque scans of up to 900 entries each, per analysis.  This module
-computes the same ranking from columnar data:
+is ~3,000 window reads, per analysis.  This module computes the same
+ranking from columnar data:
 
 * :func:`suspect_usage_matrix` reads each suspect's per-second usage as one
-  contiguous slice of the cgroup's ring ledger
+  contiguous slice of the cgroup's usage ring
   (:meth:`~repro.cluster.cgroup.Cgroup.usage_window_view`) and reduces all
   ``S x T`` sampling windows together.
 * :func:`rank_suspects_matrix` evaluates the paper's asymmetric correlation
@@ -22,8 +22,9 @@ rules that make that possible (see ``docs/performance.md``):
   time axis** (a Python loop of vectorized adds across the suspect axis) —
   numpy's pairwise ``.sum()`` and prefix-sum differences round differently
   from the scalar running sum and would break parity.
-* Seconds with no recorded usage are zero-filled; ``x + 0.0 == x`` bitwise
-  because usage is never ``-0.0``.
+* Seconds with no recorded usage are zero-filled, and window sums start
+  from ``0.0``, so a running sum is never ``-0.0`` and ``x + 0.0 == x``
+  bitwise.
 * Victim samples exactly at the threshold are *skipped* (no ``+ 0.0``
   term), via the shared :func:`~repro.core.correlation._victim_terms`.
 
@@ -85,45 +86,31 @@ def suspect_usage_matrix(cgroups: Sequence["Cgroup"],
     Returns:
         An ``(S, T)`` float64 matrix where ``[s, k]`` equals
         ``cgroups[s].usage_between(timestamps[k] - duration,
-        timestamps[k])`` bit-for-bit.
-
-    Cgroups whose ring ledger is unavailable (non-consecutive charges;
-    see :meth:`~repro.cluster.cgroup.Cgroup.usage_window_view`) fall back
-    to the deque scan row by row, so the result is always exact.
+        timestamps[k])`` bit-for-bit: both read the same per-second ring
+        (:meth:`~repro.cluster.cgroup.Cgroup.usage_window_view`), with
+        seconds outside its history as ``0.0``.
     """
     if duration < 1:
         raise ValueError(f"duration must be >= 1, got {duration}")
     ts = np.asarray(timestamps, dtype=np.int64)
     n_suspects = len(cgroups)
     n_points = int(ts.size)
-    means = np.empty((n_suspects, n_points))
     if n_points == 0 or n_suspects == 0:
-        return means
+        return np.empty((n_suspects, n_points))
     lo = int(ts.min()) - duration
     hi = int(ts.max())
-    slab_rows: list[int] = []
-    slab_views: list[np.ndarray] = []
-    for s, cgroup in enumerate(cgroups):
-        view = cgroup.usage_window_view(lo, hi)
-        if view is None:
-            means[s] = [cgroup.usage_between(int(t) - duration, int(t))
-                        for t in ts.tolist()]
-        else:
-            slab_rows.append(s)
-            slab_views.append(view)
-    if slab_views:
-        slab = np.stack(slab_views)  # (K, hi - lo), seconds lo .. hi-1
-        # Gather each window's seconds: columns[k, j] is the slab column of
-        # second j of window k.
-        columns = (ts - duration - lo)[:, None] + np.arange(duration)[None, :]
-        windows = slab[:, columns]  # (K, T, duration)
-        # Sequential accumulation along the time axis — NOT .sum(), whose
-        # pairwise rounding differs from the scalar running sum.
-        acc = windows[:, :, 0].copy()
-        for j in range(1, duration):
-            acc += windows[:, :, j]
-        acc /= duration
-        means[slab_rows] = acc
+    # (S, hi - lo): seconds lo .. hi-1 of every suspect.
+    slab = np.stack([cgroup.usage_window_view(lo, hi) for cgroup in cgroups])
+    # Gather each window's seconds: columns[k, j] is the slab column of
+    # second j of window k.
+    columns = (ts - duration - lo)[:, None] + np.arange(duration)[None, :]
+    windows = slab[:, columns]  # (S, T, duration)
+    # Sequential accumulation from 0.0 along the time axis — NOT .sum(),
+    # whose pairwise rounding differs from the scalar running sum.
+    means = np.zeros((n_suspects, n_points))
+    for j in range(duration):
+        means += windows[:, :, j]
+    means /= duration
     return means
 
 

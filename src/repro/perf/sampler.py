@@ -244,10 +244,9 @@ class CpiSampler:
     # Bit-identical to the scalar loop by construction: same task order
     # (the task table is name-sorted, exactly resident_tasks() order), the
     # same float64 subtraction per counter slot, the same IEEE division for
-    # CPI, and a window usage summed in the same time order the deque scan
-    # adds in (absent seconds contribute + 0.0, and usage is never -0.0,
-    # so x + 0.0 == x bitwise).  Discard reasons apply in the same
-    # precedence and emit events in the same task order.
+    # CPI, and a window usage summed from 0.0 in the same time order as
+    # Cgroup.usage_between, over the same ring slots.  Discard reasons
+    # apply in the same precedence and emit events in the same task order.
 
     def _close_window_vector(self, end: int) -> "WindowSamples":
         # Deferred import: repro.core pulls in the agent, which imports the
@@ -349,13 +348,14 @@ class CpiSampler:
         """Mean CPU-sec/sec over ``[start+1, end]`` for every candidate row.
 
         One gather + slice-sum over the shared usage-ring matrix for every
-        row whose ring is live and charged through ``end``; anything else
-        (ring stood down, history replayed ad hoc by a test) falls back to
-        the deque-scanning :meth:`~repro.cluster.cgroup.Cgroup.usage_between`
-        per row.  The ledger is flushed once up front so ring state and
-        deque state agree.  Computing usage for rows the scalar engine
-        would have discarded first is unobservable: the read is pure once
-        the ledger is flushed.
+        row whose cgroup was charged through ``end``, so the ring holds
+        exactly the window's seconds.  A row charged only up to an earlier
+        second (its machine skipped ticks) reads the same ring through
+        :meth:`~repro.cluster.cgroup.Cgroup.usage_between` instead, which
+        zero-fills the seconds after its last charge.  The ledger is flushed
+        once up front.  Computing usage for rows the scalar engine would
+        have discarded first is unobservable: the read is pure once the
+        ledger is flushed.
         """
         from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
 
@@ -366,22 +366,17 @@ class CpiSampler:
             dc.flush_charges()
         if span > USAGE_HISTORY_SECONDS:
             return np.array([cg.usage_between(lo, hi) for cg in cgroups])
-        matrix, rows_ok = table.usage_rings()
+        matrix = table.usage_rings()
         if matrix_rows is not None:
             matrix = matrix[matrix_rows]
-            rows_ok = rows_ok[matrix_rows]
         window = matrix[:, np.arange(lo, hi) % USAGE_HISTORY_SECONDS]
-        # Sequential column adds from zero: the exact op order of the
-        # bracketing fast path's deque sweep (and of the filtered scan,
-        # whose missing seconds the ring holds as literal 0.0 slots).
+        # Sequential column adds from zero: the op order of usage_between's
+        # running sum (never-charged seconds are literal 0.0 slots).
         acc = np.zeros(len(cgroups))
         for column in range(span):
             acc += window[:, column]
         acc /= span
-        for j, ok in enumerate(rows_ok.tolist()):
-            # Trust a row only if its ring backs the matrix and charges ran
-            # consecutively through the window's last second.
-            cg = cgroups[j]
-            if not (ok and cg._ring_ok and cg._ring_last == end):
+        for j, cg in enumerate(cgroups):
+            if cg._ring_last != end:
                 acc[j] = cg.usage_between(lo, hi)
         return acc

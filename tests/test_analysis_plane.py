@@ -114,9 +114,9 @@ class TestUsageWindowView:
             cgroup.charge(start + i, float(rng.uniform(0.0, 3.0)))
         return cgroup
 
-    def _assert_view_matches_deque(self, cgroup, start, end, duration=10):
+    def _assert_view_matches_usage_between(self, cgroup, start, end,
+                                           duration=10):
         view = cgroup.usage_window_view(start, end)
-        assert view is not None
         for t in range(start + duration, end + 1, duration):
             total = 0.0
             for u in view[t - duration - start:t - start].tolist():
@@ -126,17 +126,16 @@ class TestUsageWindowView:
 
     def test_view_matches_usage_between(self):
         cgroup = self._charged(120)
-        self._assert_view_matches_deque(cgroup, 40, 120)
+        self._assert_view_matches_usage_between(cgroup, 40, 120)
 
     def test_view_matches_after_ring_wrap(self):
         n = USAGE_HISTORY_SECONDS + 250
         cgroup = self._charged(n)
-        self._assert_view_matches_deque(cgroup, n - 300, n)
+        self._assert_view_matches_usage_between(cgroup, n - 300, n)
 
     def test_window_beyond_history_reads_zero(self):
         cgroup = self._charged(50)
         view = cgroup.usage_window_view(-30, 50)
-        assert view is not None
         assert (view[:30] == 0.0).all()
         assert _hex(sum(view[:40].tolist()) / 40) == _hex(
             cgroup.usage_between(-30, 10))
@@ -144,16 +143,22 @@ class TestUsageWindowView:
     def test_never_charged_reads_all_zero(self):
         cgroup = Cgroup("idle/0", 1.0)
         view = cgroup.usage_window_view(0, 60)
-        assert view is not None and (view == 0.0).all()
+        assert (view == 0.0).all()
 
-    def test_gap_invalidates_ring_permanently(self):
-        cgroup = self._charged(20)
-        cgroup.charge(25, 1.0)  # non-consecutive: ring stands down
-        assert cgroup.usage_window_view(0, 26) is None
-        cgroup.charge(26, 1.0)  # consecutive again, but too late
-        assert cgroup.usage_window_view(0, 27) is None
-        # The deque path still serves the data exactly.
-        assert cgroup.usage_between(20, 27) == pytest.approx(2.0 / 7)
+    def test_gap_zero_fills_skipped_seconds(self):
+        n = USAGE_HISTORY_SECONDS + 20
+        cgroup = self._charged(n)
+        before = cgroup.usage_window_view(n - 40, n)
+        # Skip seconds n .. n+4, whose ring slots hold seconds n-900 ..
+        # n-896 until the gap zero-fills them.
+        cgroup.charge(n + 5, 1.0)
+        view = cgroup.usage_window_view(n - 40, n + 7)
+        assert view[:40].tolist() == before.tolist()
+        assert view[40:].tolist() == [0.0] * 5 + [1.0, 0.0]
+        cgroup.charge(n + 6, 1.0)  # consecutive again
+        self._assert_view_matches_usage_between(cgroup, n - 33, n + 7,
+                                                duration=5)
+        assert cgroup.usage_between(n, n + 7) == pytest.approx(2.0 / 7)
 
     def test_empty_window_raises(self):
         cgroup = self._charged(5)
@@ -168,16 +173,18 @@ class TestSuspectUsageMatrix:
         for cgroup in cgroups:
             for t in range(300):
                 cgroup.charge(t, float(rng.uniform(0.0, 2.5)))
-        # Suspect 3 loses its ring (gap) and must fall back to the deque.
+        # Suspect 3 skips seconds 300..304: its ring zero-fills them, and
+        # the matrix reads it like every other suspect.
         cgroups[3].charge(305, 1.0)
-        timestamps = [150, 160, 170, 230, 290]
+        timestamps = [150, 160, 170, 230, 290, 310]
         duration = 10
         matrix = suspect_usage_matrix(cgroups, timestamps, duration)
-        assert matrix.shape == (5, 5)
+        assert matrix.shape == (5, 6)
         for s, cgroup in enumerate(cgroups):
             for k, t in enumerate(timestamps):
                 assert _hex(matrix[s, k]) == _hex(
                     cgroup.usage_between(t - duration, t))
+        assert matrix[:, -1].tolist() == [0.0, 0.0, 0.0, 0.1, 0.0]
 
     def test_empty_inputs(self):
         assert suspect_usage_matrix([], [100], 10).shape == (0, 1)

@@ -1,8 +1,12 @@
 """Unit tests for repro.cluster.cgroup (CFS bandwidth control model)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster.cgroup import BandwidthCap, Cgroup
+from repro.cluster.cgroup import USAGE_HISTORY_SECONDS, BandwidthCap, Cgroup
+from tests.reference.usage_history import DequeUsageHistory
 
 
 class TestBandwidthCap:
@@ -105,56 +109,159 @@ class TestCgroup:
 
 
 class TestUsageBetweenPaths:
-    """The bracketing fast path vs the filtered deque scan.
+    """Fixed cases of the oracle property below.
 
-    ``usage_between`` skips the whole-deque scan when the last ``span``
-    entries exactly bracket the window.  Both paths sum the same entries,
-    so their results are pinned bit-identical (``float.hex()``), and the
-    fallback cases (short history, mid-window arrival, entries beyond the
-    window) get explicit coverage since the sampling plane leans on them.
+    Each pins :meth:`Cgroup.usage_between` against the deque reference
+    (``tests/reference/usage_history.py``) by ``float.hex()``: short
+    history, mid-window arrival, charges before and after the window, and
+    gaps that wrap the ring or outlast it.
     """
 
     def _charged(self, usages, t0=0):
         cg = Cgroup("job/0", cpu_limit=8.0)
+        ref = DequeUsageHistory()
         for i, u in enumerate(usages):
             cg.charge(t0 + i, u)
-        return cg
+            ref.charge(t0 + i, u)
+        return cg, ref
 
-    def test_bracketing_fast_path_matches_filtered_scan(self):
+    def test_later_history_does_not_change_window(self):
         # Irregular values so ordering mistakes can't cancel out.
         usages = [0.1, 2.7, 0.0, 3.3, 1e-3, 4.0, 0.9, 2.2, 0.5, 1.7]
-        fast = self._charged(usages)            # history == window exactly
-        # Same window via the filtered scan: extra history ahead of the
-        # window breaks the bracketing condition (history[-span] != start).
-        slow = self._charged(usages + [9.9])
-        expected = sum(usages) / 10
-        assert fast.usage_between(0, 10).hex() == \
-            slow.usage_between(0, 10).hex() == float(expected).hex()
+        exact, exact_ref = self._charged(usages)  # history == window
+        longer, longer_ref = self._charged(usages + [9.9])
+        expected = float(sum(usages) / 10).hex()
+        assert exact.usage_between(0, 10).hex() == expected
+        assert longer.usage_between(0, 10).hex() == expected
+        assert exact_ref.usage_between(0, 10).hex() == expected
+        assert longer_ref.usage_between(0, 10).hex() == expected
 
     def test_history_shorter_than_span_scans(self):
-        # 3 charges, 10-second window: len(history) < span forces the scan
-        # and the 7 missing seconds count as zero.
-        cg = self._charged([1.0, 2.0, 3.0], t0=7)
+        # 3 charges, 10-second window: the 7 missing seconds count as zero.
+        cg, ref = self._charged([1.0, 2.0, 3.0], t0=7)
         assert cg.usage_between(0, 10).hex() == (6.0 / 10).hex()
+        assert ref.usage_between(0, 10).hex() == (6.0 / 10).hex()
 
     def test_mid_window_arrival_scans(self):
-        # First charge lands inside the window: the last `span` entries
-        # can't bracket [start, end), so the filtered scan runs.
-        cg = self._charged([0.5, 1.5, 2.5], t0=5)
+        # First charge lands inside the window.
+        cg, ref = self._charged([0.5, 1.5, 2.5], t0=5)
         assert cg.usage_between(3, 8).hex() == (4.5 / 5).hex()
+        assert ref.usage_between(3, 8).hex() == (4.5 / 5).hex()
 
     def test_entries_beyond_window_filtered_out(self):
-        # History extends past end-1: bracketing fails on history[-1],
-        # and the scan must ignore charges at/after `end`.
-        cg = self._charged([1.0, 2.0, 4.0, 8.0, 16.0])
-        assert cg.usage_between(1, 4).hex() == ((2.0 + 4.0 + 8.0) / 3).hex()
+        # History extends past end-1: charges at/after `end` are ignored.
+        cg, ref = self._charged([1.0, 2.0, 4.0, 8.0, 16.0])
+        expected = ((2.0 + 4.0 + 8.0) / 3).hex()
+        assert cg.usage_between(1, 4).hex() == expected
+        assert ref.usage_between(1, 4).hex() == expected
 
-    def test_fast_path_engages_with_older_history_present(self):
-        # Plenty of history before the window, none after: the last `span`
-        # entries bracket exactly, so islice and the filtered scan see the
-        # same entries — pin that they agree bitwise.
+    def test_older_history_before_window_ignored(self):
         usages = [0.3, 1.1, 2.9, 0.7, 5.5, 0.2, 3.8, 1.4]
-        cg = self._charged(usages)
-        window = usages[5:]
-        assert cg.usage_between(5, 8).hex() == \
-            float(sum(window) / 3).hex()
+        cg, ref = self._charged(usages)
+        expected = float(sum(usages[5:]) / 3).hex()
+        assert cg.usage_between(5, 8).hex() == expected
+        assert ref.usage_between(5, 8).hex() == expected
+
+    def test_gap_across_ring_wrap_reads_zero(self):
+        # Seconds 880..899 charged, 900..919 skipped (ring slots 0..19, which
+        # still hold seconds 0..19's usage until the gap zero-fills them).
+        cg, ref = self._charged([1.0 + i / 7 for i in range(900)])
+        cg.charge(920, 2.5)
+        ref.charge(920, 2.5)
+        for start, end in [(880, 921), (900, 920), (905, 921)]:
+            assert cg.usage_between(start, end).hex() == \
+                ref.usage_between(start, end).hex()
+        assert cg.usage_between(900, 920) == 0.0
+
+    def test_gap_longer_than_history_forgets_it(self):
+        cg, ref = self._charged([3.0] * 50)
+        cg.charge(49 + USAGE_HISTORY_SECONDS, 1.0)
+        ref.charge(49 + USAGE_HISTORY_SECONDS, 1.0)
+        start = 50
+        end = 50 + USAGE_HISTORY_SECONDS
+        assert cg.usage_between(start, end).hex() == \
+            ref.usage_between(start, end).hex()
+        # Seconds 0..49 now sit at or below last - 900: no longer retained,
+        # although the deque still holds them.
+        assert cg.usage_between(0, 50) == 0.0
+        assert ref.usage_between(0, 50) == 3.0
+        assert not cg.usage_window_view(0, 50).any()
+
+
+class TestReplayRejected:
+    def test_charge_at_or_before_last_second_raises(self):
+        cg = Cgroup("job/0", cpu_limit=4.0)
+        cg.charge(5, 1.0)
+        for t in (5, 3):
+            with pytest.raises(ValueError, match=rf"job/0.*second {t}\b.*5"):
+                cg.charge(t, 2.0)
+        # A rejected charge changes nothing.
+        assert cg.total_cpu_seconds == 1.0
+        assert cg.last_usage() == 1.0
+        assert cg.usage_between(0, 10) == 0.1
+
+
+# One segment of charges: the gap (seconds) from the previous charge, the
+# usages it cycles through at consecutive seconds, how many times, and
+# whether to charge it as one ledger run instead of second by second.
+_usage_values = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=8.0, allow_nan=False))
+_segments = st.lists(
+    st.tuples(st.integers(1, 1200),
+              st.lists(_usage_values, min_size=1, max_size=12),
+              st.integers(1, 100),
+              st.booleans()),
+    min_size=1, max_size=5)
+
+
+class TestUsageHistoryOracle:
+    """The ring against the deque reference, over random gapped charges."""
+
+    @staticmethod
+    def _build(segments, t0):
+        cg = Cgroup("job/0", cpu_limit=8.0)
+        ref = DequeUsageHistory()
+        t = t0
+        for gap, usages, repeat, as_run in segments:
+            t += gap
+            run = usages * repeat
+            if as_run:  # in chunks no longer than the demand-plane ledger's
+                for i in range(0, len(run), 128):
+                    cg._charge_run(t + i, np.array(run[i:i + 128]))
+            for offset, usage in enumerate(run):
+                if not as_run:
+                    cg.charge(t + offset, usage)
+                ref.charge(t + offset, usage)
+            t += len(run) - 1
+        return cg, ref, t
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), segments=_segments,
+           t0=st.integers(-50, 2000))
+    def test_ring_matches_deque_within_history(self, data, segments, t0):
+        cg, ref, last = self._build(segments, t0)
+        assert cg._ring_last == last
+        assert cg.last_usage().hex() == float(ref.entries[-1][1]).hex()
+        for _ in range(8):
+            start = data.draw(
+                st.integers(last - USAGE_HISTORY_SECONDS + 1, last + 5),
+                label="start")
+            end = start + data.draw(st.integers(1, 1000), label="length")
+            expected = ref.usage_between(start, end).hex()
+            assert cg.usage_between(start, end).hex() == expected
+            total = 0.0
+            for usage in cg.usage_window_view(start, end).tolist():
+                total += usage
+            assert (total / (end - start)).hex() == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), segments=_segments,
+           t0=st.integers(-50, 2000))
+    def test_window_beyond_history_reads_zero(self, data, segments, t0):
+        cg, _ref, last = self._build(segments, t0)
+        end = data.draw(st.integers(last - 3000,
+                                    last - USAGE_HISTORY_SECONDS + 1))
+        start = end - data.draw(st.integers(1, 1000))
+        assert cg.usage_between(start, end) == 0.0
+        assert not cg.usage_window_view(start, end).any()

@@ -487,7 +487,6 @@ class TestChargeLedger:
                 b.cgroup.usage_between(10, 30)
             va = a.cgroup.usage_window_view(0, 37)
             vb = b.cgroup.usage_window_view(0, 37)
-            assert va is not None and vb is not None
             assert va.tolist() == vb.tolist()
 
     def test_long_run_crosses_chunk_boundaries(self):
@@ -508,7 +507,16 @@ class TestChargeLedger:
             mv.tick(t)
         mv.remove(tasks[0].name, TaskState.KILLED, reason="test")
         # The removed task's cgroup must have all 10 charges.
-        assert len(tasks[0].cgroup._usage_history) == 10
+        assert tasks[0].cgroup._ring_last == 9
+        assert tasks[0].cgroup.usage_between(0, 10) == 0.5
+
+    def test_replayed_tick_raises_by_next_read(self):
+        mv, tasks = self._machine("vector")
+        mv.tick(4)
+        mv.tick(5)
+        with pytest.raises(ValueError, match=r"svc/0.*second 5\b.*5"):
+            mv.tick(5)
+            tasks[0].cgroup.usage_between(0, 6)
 
     def test_departure_mid_run_stays_consistent(self):
         """ScriptedWorkload is not a SyntheticWorkload, so its machine

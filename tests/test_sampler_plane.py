@@ -44,7 +44,7 @@ def _drive(machine, sampler, seconds, skip_ticks=()):
     """Tick machine+sampler over ``seconds``; returns closed windows.
 
     ``skip_ticks`` seconds are skipped on the *machine* only (no charge
-    arrives — the sampler still runs), which stands usage rings down.
+    arrives — the sampler still runs), which leaves gaps in usage rings.
     """
     collected = []
     for t in range(seconds):
@@ -143,7 +143,7 @@ class TestWindowSamples:
 
 
 # ---------------------------------------------------------------------------
-# unit-level parity: discards, churn, ring stand-down
+# unit-level parity: discards, churn, charge gaps
 
 
 class TestUnitParity:
@@ -156,11 +156,18 @@ class TestUnitParity:
         assert scalar["windows"] == vector["windows"]
 
     def test_parity_with_machine_tick_gap(self):
-        # Skipping machine seconds mid-window leaves charge gaps: rings
-        # stand down permanently and the vector engine must fall back to
-        # the deque scan per row — and still match the scalar engine.
+        # Skipping machine seconds mid-window leaves charge gaps, which the
+        # rings zero-fill, so the vector engine's matrix read still matches
+        # the scalar engine.
         scalar = _discard_run("scalar", seconds=71, skip_ticks=(4, 63))
         vector = _discard_run("vector", seconds=71, skip_ticks=(4, 63))
+        assert scalar == vector
+        assert len(vector["windows"]) == 2
+        # Skipping a window's last second leaves every ring charged only up
+        # to the second before: the vector engine reads those rows through
+        # usage_between instead of the matrix.
+        scalar = _discard_run("scalar", seconds=71, skip_ticks=(4, 70))
+        vector = _discard_run("vector", seconds=71, skip_ticks=(4, 70))
         assert scalar == vector
         assert len(vector["windows"]) == 2
 
