@@ -5,8 +5,20 @@ calls, but with ~10 tasks per machine each ufunc spends more time in call
 dispatch than in its inner loop.  :class:`FusedFleet` concatenates every
 machine's task table into one cluster-wide arena so the ~30 elementwise
 operations of a tick run once over *all* resident tasks instead of once per
-machine.  On the reference benchmark (10 machines x ~10 tasks) this roughly
-halves the cost of the physics phase.
+machine.  The physics phase and the results it returns cost a fixed number
+of numpy calls however many machines there are:
+
+* per-machine cache/membw pressure is one ``np.bincount`` over the arena's
+  machine-index column, broadcast back to the arena with ``take``;
+* every resident cgroup's counters are rows of one counter arena
+  (:meth:`~repro.perf.counters.CounterBank.matrix_view` with ``out=``),
+  burned with a single add;
+* each machine's :class:`TickResult` builds its ``grants``, ``cpis`` and
+  ``contention`` from per-tick copies of the arena columns the first time
+  they are read.
+
+Demand/allocation (phase 1) and charging/observations (phase 3) still run
+per machine.
 
 Every observable stays bit-identical to stepping the machines one at a time
 (``tests/test_tick_parity.py`` proves it end to end):
@@ -14,8 +26,9 @@ Every observable stays bit-identical to stepping the machines one at a time
 * demand and base-CPI closures — the only tick-phase code that consumes
   randomness — run in the same global order: machines in the simulation's
   name-sorted order, tasks in table order within each machine;
-* per-machine pressure sums stay sequential Python loops over that
-  machine's segment (numpy's pairwise reductions would round differently);
+* per-machine pressure sums match the per-machine running sum: ``bincount``
+  adds each bin's weights in index order starting from 0.0 (numpy's
+  pairwise ``.sum()`` and ``reduceat`` would round differently);
 * measurement noise is drawn per machine from that machine's own generator
   into its segment of the cluster noise buffer.  Machines with sigma == 0
   draw nothing, exactly like the per-machine path; their segment is
@@ -41,6 +54,7 @@ interference model.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,18 +89,55 @@ def fused_eligible(machine: Machine) -> bool:
             and type(machine.counters).burn_matrix is CounterBank.burn_matrix)
 
 
+class _FusedTickResult(TickResult):
+    """One machine's :class:`TickResult` from a fused tick.
+
+    ``grants``, ``cpis`` and ``contention`` are built the first time they
+    are read, then cached (and stay assignable); most ticks nobody reads
+    them.  ``source`` is ``(columns, machine index, arena offset, task
+    names, grant list)``, where ``columns`` are the tick's own copies of
+    ``(cpi, cache_contrib, membw_contrib, cache_pressure,
+    membw_pressure)``.
+    """
+
+    def __init__(self, t: int, source: tuple) -> None:
+        self.t = t
+        self.departures = []
+        self._source = source
+
+    @cached_property
+    def grants(self) -> dict[str, float]:
+        _, _, _, names, grants = self._source
+        return dict(zip(names, grants))
+
+    @cached_property
+    def cpis(self) -> dict[str, float]:
+        (cpi, *_), _, o, names, _ = self._source
+        return dict(zip(names, cpi[o:o + len(names)].tolist()))
+
+    @cached_property
+    def contention(self) -> MachineContention:
+        (_, cc, mc, cache_p, membw_p), j, o, names, _ = self._source
+        end = o + len(names)
+        return MachineContention(
+            cache_pressure=float(cache_p[j]),
+            membw_pressure=float(membw_p[j]),
+            cache_contrib=dict(zip(names, cc[o:end].tolist())),
+            membw_contrib=dict(zip(names, mc[o:end].tolist())))
+
+
 class FusedFleet:
     """One cluster-wide arena for the vectorized tick of many machines."""
 
     __slots__ = (
         "machines", "tables", "ptables", "offsets", "segments", "total",
-        "grants", "cache_contrib", "membw_contrib", "tmp", "tmp2",
+        "seg_id", "grants", "cache_contrib", "membw_contrib", "tmp", "tmp2",
         "inflation", "cpi", "l3_buf", "l2_buf", "kilo", "noise",
         "cache_pressure", "membw_pressure", "events", "event_columns",
-        "llc_mib", "membw_cap", "cpi_scale", "cycles_per_sec", "sigma",
-        "coupling", "coupling4", "cache_mib", "membw_gbps", "cache_sens",
-        "membw_sens", "base_l3", "l2_base", "cold", "any_noise",
-        "matrix_targets", "demand_columns",
+        "counter_arena", "llc_mib", "membw_cap", "cpi_scale",
+        "cycles_per_sec", "sigma", "coupling", "coupling4", "cache_mib",
+        "membw_gbps", "cache_sens", "membw_sens", "base_l3", "l2_base",
+        "cold", "any_noise", "demand_columns",
     )
 
     @classmethod
@@ -118,6 +169,10 @@ class FusedFleet:
             (j, m, tb, offsets[j], len(tb.tasks))
             for j, (m, tb) in enumerate(zip(machines, tables))
             if tb.tasks)
+        # The machine index of every arena slot: the bins of the
+        # per-machine pressure bincount.
+        self.seg_id = np.repeat(np.arange(len(machines), dtype=np.intp),
+                                [len(tb.tasks) for tb in tables])
 
         # One cluster-wide demand program, when every resident segment
         # compiled one: demand/cap/base-CPI columns then span the whole
@@ -147,6 +202,15 @@ class FusedFleet:
          self.membw_pressure) = np.empty((13, total), dtype=np.float64)
         self.events = np.empty((total, 5), dtype=np.float64)
         self.event_columns = tuple(self.events[:, i] for i in range(5))
+
+        # One counter arena: every resident cgroup's counter set becomes a
+        # row of it, so a tick burns the whole cluster with one add.  Each
+        # table's counter_matrix is re-pointed at its segment, which is
+        # where the sampler and the per-machine path read it.
+        self.counter_arena = np.empty((total, 5), dtype=np.float64)
+        for _, m, tb, o, n in self.segments:
+            tb.counter_matrix = m.counters.matrix_view(
+                tb.cgroup_names, out=self.counter_arena[o:o + n])
 
         # Per-element constants: each machine's platform/model scalars
         # repeated across its segment, so elementwise ops see exactly the
@@ -194,9 +258,6 @@ class FusedFleet:
         self.cold = tuple(cold)
         self.any_noise = any(m.cpi_noise_sigma > 0.0
                              for _, m, _, _, _ in self.segments)
-        self.matrix_targets = tuple(
-            (tb.counter_matrix, self.events[o:o + n])
-            for _, _, tb, o, n in self.segments)
 
     def matches(self, machine_order: Sequence[tuple[str, Machine]]) -> bool:
         """Whether this fleet is still valid for ``machine_order``.
@@ -276,27 +337,20 @@ class FusedFleet:
         np.divide(cc, self.llc_mib, cc)
         np.multiply(g, self.membw_gbps, mc)
         np.divide(mc, self.membw_cap, mc)
-        cache_list = cc.tolist()
-        membw_list = mc.tolist()
+        # Per-machine pressure: bincount sums each machine's contributions
+        # in arena order from 0.0, i.e. the per-machine running sum.  With
+        # no resident task it returns int64 zeros, hence the cast.  take()
+        # broadcasts it back ("clip" skips the buffered out of "raise";
+        # every index is in range).
+        seg_id = self.seg_id
+        n_machines = len(self.machines)
+        cache_p = np.bincount(seg_id, weights=cc, minlength=n_machines
+                              ).astype(np.float64, copy=False)
+        membw_p = np.bincount(seg_id, weights=mc, minlength=n_machines
+                              ).astype(np.float64, copy=False)
         pc, pm = self.cache_pressure, self.membw_pressure
-        contentions: list[Optional[MachineContention]] = \
-            [None] * len(self.machines)
-        for j, m, tb, o, n in segments:
-            end = o + n
-            cseg = cache_list[o:end]
-            mseg = membw_list[o:end]
-            cp = 0.0
-            for v in cseg:
-                cp += v
-            mp = 0.0
-            for v in mseg:
-                mp += v
-            contentions[j] = MachineContention(
-                cache_pressure=cp, membw_pressure=mp,
-                cache_contrib=dict(zip(tb.names, cseg)),
-                membw_contrib=dict(zip(tb.names, mseg)))
-            pc[o:end] = cp
-            pm[o:end] = mp
+        cache_p.take(seg_id, out=pc, mode="clip")
+        membw_p.take(seg_id, out=pm, mode="clip")
         np.subtract(pc, cc, tmp)
         np.maximum(tmp, 0.0, out=tmp)
         np.multiply(tmp, _SATURATE_KNEE, tmp2)
@@ -352,24 +406,23 @@ class FusedFleet:
                     f"counter increments must be finite and >= 0, got {lo}")
             if float(ev.max()) == math.inf:
                 raise ValueError("counter increments must be finite")
-        for matrix, rows in self.matrix_targets:
-            matrix += rows
+        self.counter_arena += ev
 
-        # Phase 3 (Python, per machine): results, charging, observations.
-        cpis_all = cpi.tolist()
+        # Phase 3 (Python, per machine): charging and observations.  The
+        # scratch columns are overwritten next tick, so results read
+        # copies taken here.
+        columns = (cpi.copy(), cc.copy(), mc.copy(), cache_p, membw_p)
         offsets = self.offsets
         results: dict[str, TickResult] = {}
         for j, m in enumerate(self.machines):
-            result = TickResult(t=t, departures=[])
             inp = inputs[j]
-            if inp is not None:
-                tb = tables[j]
-                o = offsets[j]
-                names = tb.names
-                grants, capped = inp
-                result.grants = dict(zip(names, grants))
-                result.contention = contentions[j]
-                result.cpis = dict(zip(names, cpis_all[o:o + len(names)]))
-                m._tick_finish(t, tb, result, grants, capped)
+            if inp is None:
+                results[m.name] = TickResult(t=t, departures=[])
+                continue
+            tb = tables[j]
+            grants, capped = inp
+            result = _FusedTickResult(
+                t, (columns, j, offsets[j], tb.names, grants))
+            m._tick_finish(t, tb, result, grants, capped)
             results[m.name] = result
         return results

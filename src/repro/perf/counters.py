@@ -186,7 +186,8 @@ class CounterBank:
                 sets[name] = counters
             counters._values += events[i]
 
-    def matrix_view(self, cgroup_names: Sequence[str]) -> np.ndarray:
+    def matrix_view(self, cgroup_names: Sequence[str],
+                    out: np.ndarray | None = None) -> np.ndarray:
         """Re-back the named counter sets with rows of one shared matrix.
 
         Returns a ``(len(cgroup_names), len(EVENT_ORDER))`` float64 matrix
@@ -197,11 +198,25 @@ class CounterBank:
         existing reader — :meth:`CounterSet.read`, snapshots, deltas — keeps
         working, since they all go through the set's backing array.
 
+        ``out``, when given, is used as that matrix — typically a slice of
+        a larger arena shared with other machines (:mod:`repro.cluster.fused`).
+        The sets' previous backing matrix is left as it was.
+
         The view stays valid until the next :meth:`matrix_view` call for the
         same names; callers re-request it whenever their task set changes.
+
+        Raises:
+            ValueError: if ``out`` is not a float64 matrix of that shape.
         """
-        matrix = np.empty((len(cgroup_names), len(EVENT_ORDER)),
-                          dtype=np.float64)
+        shape = (len(cgroup_names), len(EVENT_ORDER))
+        if out is None:
+            matrix = np.empty(shape, dtype=np.float64)
+        elif out.shape != shape or out.dtype != np.float64:
+            raise ValueError(
+                f"out must be a float64 matrix of shape {shape}, got "
+                f"{out.dtype} {out.shape}")
+        else:
+            matrix = out
         for i, name in enumerate(cgroup_names):
             counters = self.counters_for(name)
             matrix[i] = counters._values

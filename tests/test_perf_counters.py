@@ -1,9 +1,11 @@
 """Unit tests for repro.perf.counters and repro.perf.events."""
 
+import numpy as np
 import pytest
 
 from repro.perf.counters import (
     CONTEXT_SWITCH_COST_SECONDS,
+    EVENT_ORDER,
     CounterBank,
     CounterSet,
 )
@@ -102,3 +104,66 @@ class TestCounterBank:
         bank = CounterBank()
         with pytest.raises(ValueError, match=">= 0"):
             bank.record_context_switches(-1)
+
+
+class TestMatrixViewOut:
+    """``matrix_view(out=)``: counter sets re-backed by caller-owned rows."""
+
+    @staticmethod
+    def _bank() -> CounterBank:
+        bank = CounterBank()
+        bank.counters_for("a").add(CounterEvent.CPU_CLK_UNHALTED_REF, 10.0)
+        bank.counters_for("b").add(CounterEvent.INSTRUCTIONS_RETIRED, 4.0)
+        return bank
+
+    @staticmethod
+    def _reads(bank: CounterBank) -> dict:
+        return {name: [bank.counters_for(name).read(e) for e in EVENT_ORDER]
+                for name in ("a", "b")}
+
+    def test_values_preserved_and_readers_unchanged(self):
+        bank = self._bank()
+        snap = bank.counters_for("a").snapshot()
+        bank.counters_for("a").add(CounterEvent.L3_MISSES, 2.0)
+        reads = self._reads(bank)
+        delta = bank.counters_for("a").delta_since(snap)
+
+        arena = np.full((3, len(EVENT_ORDER)), -1.0)
+        matrix = bank.matrix_view(["a", "b"], out=arena[1:])
+        assert matrix.base is arena
+        assert self._reads(bank) == reads
+        assert bank.counters_for("a").delta_since(snap) == delta
+        assert arena[0].tolist() == [-1.0] * len(EVENT_ORDER)
+
+        # The rows are now the live storage: an arena add is a burn.
+        arena[1:] += 1.0
+        assert bank.counters_for("a").read(
+            CounterEvent.CPU_CLK_UNHALTED_REF) == 11.0
+        assert bank.counters_for("b").read(
+            CounterEvent.INSTRUCTIONS_RETIRED) == 5.0
+
+    def test_later_view_moves_rows_and_leaves_old_matrix(self):
+        bank = self._bank()
+        first = bank.matrix_view(["a", "b"])
+        old = first.copy()
+        second = bank.matrix_view(
+            ["b", "a"], out=np.empty((2, len(EVENT_ORDER))))
+        assert second.tolist() == [old[1].tolist(), old[0].tolist()]
+        second += 1.0
+        assert (first == old).all()
+        assert bank.counters_for("a").read(
+            CounterEvent.CPU_CLK_UNHALTED_REF) == 11.0
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((3, len(EVENT_ORDER)), np.float64),
+        ((2, len(EVENT_ORDER) - 1), np.float64),
+        ((2, len(EVENT_ORDER)), np.float32),
+    ])
+    def test_wrong_out_rejected(self, shape, dtype):
+        bank = self._bank()
+        before = bank.matrix_view(["a", "b"])
+        with pytest.raises(ValueError, match="out must be"):
+            bank.matrix_view(["a", "b"], out=np.zeros(shape, dtype=dtype))
+        before += 1.0       # the sets still live in the earlier matrix
+        assert bank.counters_for("a").read(
+            CounterEvent.CPU_CLK_UNHALTED_REF) == 11.0

@@ -18,12 +18,22 @@ import pytest
 
 from repro.core.config import CpiConfig
 from repro.cluster.fused import FusedFleet
+from repro.cluster.interference import ResourceProfile
+from repro.cluster.job import Job, JobSpec
+from repro.cluster.machine import Machine
+from repro.cluster.platform import get_platform
+from repro.cluster.simulation import ClusterSimulation, SimConfig
+from repro.cluster.task import PriorityBand, SchedulingClass
 from repro.experiments.chaos import chaos_sweep
 from repro.experiments.scenarios import (build_cluster, populated_fleet,
                                          victim_antagonist_machine)
+from repro.perf.counters import EVENT_ORDER
 from repro.records import CpiSpec
+from repro.testing import NOISY_NEIGHBOR_PROFILE, SENSITIVE_PROFILE
 from repro.workloads import AntagonistKind, make_antagonist_job_spec
 from repro.workloads import make_batch_job_spec
+from repro.workloads.base import SyntheticWorkload
+from repro.workloads.demand import constant, on_off, with_noise
 from repro.workloads.services import make_service_job_spec
 
 ENGINES = ("legacy", "vector")
@@ -156,6 +166,169 @@ def test_fused_path_matches_per_machine_vector(monkeypatch):
     assert fused == unfused
 
 
+# -- tick-level parity: fused fleet vs per-machine ticks ----------------------
+
+#: A service profile with the services' default cold-start penalty.
+_COLD_SERVICE = ResourceProfile(
+    cache_mib_per_cpu=0.5, membw_gbps_per_cpu=0.3, cache_sensitivity=1.0,
+    membw_sensitivity=0.8, base_l3_mpki=2.0, cold_start_penalty=4.0)
+
+#: Every task has exited by this second; the rest of the run is empty.
+_LAST_EXIT = 60
+_TICKS = 75
+
+
+class _Leaving(SyntheticWorkload):
+    """A compiled-demand workload that exits once ``t >= leave_at``."""
+
+    def __init__(self, leave_at: int, **kwargs):
+        super().__init__(**kwargs)
+        self.leave_at = leave_at
+
+    def on_tick(self, t, granted_usage, capped):
+        super().on_tick(t, granted_usage, capped)
+        return "exited" if t >= self.leave_at else None
+
+
+def _mixed_fleet(demand_engine: str) -> ClusterSimulation:
+    """Five machines covering every branch of the fused tick.
+
+    ``a-cold`` runs cold-start services at zero and near-zero grants (one
+    in an idle best-effort tier) beside a hog that leaves at t=20, forcing
+    an arena rebuild.  ``b-capped`` oversubscribes its batch tier and
+    hard-caps one task; ``c-duty`` is duty-cycled; ``d-quiet`` has
+    ``cpi_noise_sigma=0``; ``e-empty`` never hosts anything.  Tasks leave
+    one by one until every machine is empty at ``_LAST_EXIT``.
+    """
+    platform = get_platform("westmere-2.6")
+
+    def machine(name, sigma=0.03):
+        return Machine(name, platform, cpi_noise_sigma=sigma,
+                       tick_engine="vector", demand_engine=demand_engine)
+
+    sim = ClusterSimulation(
+        [machine("a-cold"), machine("b-capped"), machine("c-duty"),
+         machine("d-quiet", sigma=0.0), machine("e-empty")],
+        SimConfig(seed=29))
+
+    def job(name, scheduling_class, limit, workloads):
+        return Job(JobSpec(
+            name=name, num_tasks=len(workloads),
+            scheduling_class=scheduling_class,
+            priority_band=PriorityBand.PRODUCTION, cpu_limit_per_task=limit,
+            workload_factory=lambda i: workloads[i]))
+
+    def leaving(leave_at, demand, profile=SENSITIVE_PROFILE):
+        return _Leaving(leave_at, base_cpi=1.0, profile=profile,
+                        demand=demand)
+
+    def noisy(level, seed):
+        return with_noise(constant(level), 0.3, np.random.default_rng(seed))
+
+    ls = SchedulingClass.LATENCY_SENSITIVE
+    batch = SchedulingClass.BATCH
+    hog = NOISY_NEIGHBOR_PROFILE
+    placements = {
+        "a-cold": [
+            job("idle", SchedulingClass.BEST_EFFORT, 2.0,
+                [leaving(_LAST_EXIT, constant(0.0), _COLD_SERVICE)]),
+            job("trickle", ls, 2.0,
+                [leaving(45, constant(0.03), _COLD_SERVICE)]),
+            job("hog", batch, 8.0, [leaving(20, noisy(6.0, 1), hog)]),
+        ],
+        "b-capped": [
+            job("web", ls, 4.0, [leaving(50, noisy(2.0, 2)),
+                                 leaving(55, noisy(1.5, 3))]),
+            job("crunch", batch, 12.0,
+                [leaving(40, noisy(10.0, 4 + i), hog) for i in range(3)]),
+        ],
+        "c-duty": [
+            job("svc", ls, 4.0, [leaving(58, noisy(1.0, 8), _COLD_SERVICE),
+                                 leaving(35, noisy(3.0, 9), hog)]),
+        ],
+        "d-quiet": [
+            job("quiet", ls, 4.0, [leaving(52, constant(1.0)),
+                                   leaving(30, on_off(3.0, 0.5, 10), hog)]),
+        ],
+    }
+    for name, jobs in placements.items():
+        for j in jobs:
+            for task in j.tasks:
+                sim.machines[name].place(task)
+    sim.machines["b-capped"].get_task("crunch/0").cgroup.apply_cap(
+        1.5, now=0, duration=30)
+    sim.machines["c-duty"].apply_duty_cycle(
+        "svc/1", level=0.5, core_share=0.5, now=0, duration=40)
+    return sim
+
+
+def _canon_pairs(mapping) -> list[tuple[str, str]]:
+    return [(k, _hex(v)) for k, v in mapping.items()]
+
+
+def _canon_result(result) -> tuple:
+    c = result.contention
+    return (result.t, _canon_pairs(result.grants), _canon_pairs(result.cpis),
+            None if c is None else (
+                _hex(c.cache_pressure), _hex(c.membw_pressure),
+                _canon_pairs(c.cache_contrib), _canon_pairs(c.membw_contrib)),
+            [(task.name, state.value) for task, state in result.departures])
+
+
+def _run_ticks(sim: ClusterSimulation) -> tuple[list, list, int]:
+    """Step ``sim`` ``_TICKS`` times.
+
+    Returns each tick's canonical results — read only after the *next* tick
+    has run, so results must not alias the fused scratch buffers — each
+    tick's counter values and CPU totals, and how many ticks ran fused.
+    """
+    results, states = [], []
+    fused_ticks = 0
+    pending = None
+    for _ in range(_TICKS):
+        step = sim.step()
+        fused_ticks += sim._fleet is not None
+        states.append([
+            (name, _hex(m.total_cpu_seconds),
+             [(cg, [_hex(m.counters.counters_for(cg).read(e))
+                    for e in EVENT_ORDER])
+              for cg in m.counters.known_cgroups()])
+            for name, m in sorted(sim.machines.items())])
+        if pending is not None:
+            results.append({n: _canon_result(r) for n, r in pending.items()})
+        pending = step
+    results.append({n: _canon_result(r) for n, r in pending.items()})
+    return results, states, fused_ticks
+
+
+@pytest.mark.parametrize("demand_engine", ["vector", "scalar"])
+def test_fused_tick_results_match_per_machine(monkeypatch, demand_engine):
+    """Fused and per-machine ticks agree on every TickResult field, every
+    counter and every CPU total, bit for bit, through rebuilds and an
+    emptied fleet."""
+    fused, fused_states, fused_ticks = _run_ticks(_mixed_fleet(demand_engine))
+    monkeypatch.setattr(FusedFleet, "build",
+                        classmethod(lambda cls, order: None))
+    unfused, unfused_states, unfused_ticks = _run_ticks(
+        _mixed_fleet(demand_engine))
+    assert (fused_ticks, unfused_ticks) == (_TICKS, 0)
+
+    # Not vacuous: the run hits each case it is meant to cover.
+    departures = [t for t, tick in enumerate(fused)
+                  for r in tick.values() for _ in r[4]]
+    assert 20 in departures and max(departures) == _LAST_EXIT
+    capped = dict(fused[10]["b-capped"][1])
+    assert float.fromhex(capped["crunch/0"]) <= 1.5
+    idle_cpi = dict(fused[10]["a-cold"][2])["idle/0"]
+    assert float.fromhex(idle_cpi) > 4.0        # full cold-start penalty
+    assert fused[10]["e-empty"][1:4] == ([], [], None)
+    assert all(r[1:4] == ([], [], None)
+               for r in fused[_LAST_EXIT + 1].values())
+
+    assert fused == unfused
+    assert fused_states == unfused_states
+
+
 # -- the numpy identities the vector engine relies on -------------------------
 
 
@@ -192,3 +365,34 @@ def test_vector_exp_matches_scalar_exp():
     batched = np.exp(values)
     assert [v.hex() for v in batched.tolist()] == [
         float(np.exp(v)).hex() for v in values.tolist()]
+
+
+def test_bincount_matches_sequential_running_sums():
+    """np.bincount(ids, weights=w) == a per-bin running sum from 0.0 in
+    index order, bit-for-bit.
+
+    The fused tick's per-machine pressures rely on this; numpy's pairwise
+    ``.sum()`` and ``reduceat`` round differently.  Bins 7-8 stay empty,
+    bin 6 only ever sees -0.0 (a running sum from 0.0 stays +0.0), and
+    weights span 16 decades so the summation order shows in the result.
+    """
+    rng = np.random.default_rng(5)
+    ids = rng.integers(0, 6, 500)
+    weights = rng.standard_normal(500) * 10.0 ** rng.integers(-8, 8, 500)
+    weights[::7] = 0.0
+    weights[3::11] = -0.0
+    ids = np.concatenate([ids, [6, 6]])
+    weights = np.concatenate([weights, [-0.0, -0.0]])
+    expected = [0.0] * 9
+    for i, w in zip(ids.tolist(), weights.tolist()):
+        expected[i] += w
+    got = np.bincount(ids, weights=weights, minlength=9)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+
+    # With no weights at all numpy returns int64 zeros, not float64: the
+    # fused tick casts the result so an emptied fleet still broadcasts
+    # float pressures.
+    empty = np.bincount(np.zeros(0, dtype=np.intp), weights=np.zeros(0),
+                        minlength=3)
+    assert empty.dtype == np.int64
+    assert empty.tolist() == [0, 0, 0]
