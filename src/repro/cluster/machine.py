@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +50,9 @@ from repro.cluster.platform import Platform
 from repro.cluster.task import SchedulingClass, Task, TaskState
 from repro.perf.counters import CounterBank
 from repro.perf.events import CounterEvent
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.cluster.scheduler import ClusterScheduler
 
 __all__ = ["Machine", "TickResult", "TICK_ENGINES", "default_tick_engine"]
 
@@ -239,6 +242,9 @@ class Machine:
         self._table: Optional[_TaskTable] = None
         self.total_cpu_seconds = 0.0
         self._duty_cycle: Optional[DutyCycleState] = None
+        #: The scheduler whose reservation columns hold this machine's row;
+        #: told of every resident change (see :meth:`place`/:meth:`remove`).
+        self._scheduler: Optional[ClusterScheduler] = None
 
     # -- placement ------------------------------------------------------------
 
@@ -253,6 +259,8 @@ class Machine:
         task.mark_running(self.name)
         self._tasks[task.name] = task
         self._invalidate_table()
+        if self._scheduler is not None:
+            self._scheduler._resident_changed(self, task.name)
 
     def remove(self, task_name: str, state: TaskState,
                reason: Optional[str] = None) -> Task:
@@ -264,6 +272,8 @@ class Machine:
         task.mark_stopped(state, reason)
         self.counters.drop(task.cgroup.name)
         self._invalidate_table()
+        if self._scheduler is not None:
+            self._scheduler._resident_changed(self, task_name)
         return task
 
     def get_task(self, task_name: str) -> Task:
@@ -325,9 +335,10 @@ class Machine:
     def reserved_cpu(self, scheduling_class: SchedulingClass | None = None) -> float:
         """Sum of resident cgroup limits, optionally for one class only."""
         return sum(
-            task.cgroup.cpu_limit for task in self._tasks.values()
-            if scheduling_class is None or task.scheduling_class is scheduling_class
-        )
+            (task.cgroup.cpu_limit for task in self._tasks.values()
+             if scheduling_class is None
+             or task.scheduling_class is scheduling_class),
+            0.0)
 
     # -- duty-cycle modulation (the Section 8 alternative) ----------------------
 

@@ -18,6 +18,15 @@ The scheduler here implements exactly that contract:
 
 Placement scoring is worst-fit (most free reservation first), which spreads
 load and matches the paper's observation that machines run many tasks each.
+
+The scheduler keeps three fleet-wide float64 columns, one row per machine:
+capacity, reserved CPU and latency-sensitive reserved CPU.  Admission is one
+numpy mask per task and worst-fit a stable descending sort of the survivors'
+free reservation.  A machine's row is recomputed from its residents (the
+same left-to-right sum as :meth:`Machine.reserved_cpu`) every time
+:meth:`Machine.place` or :meth:`Machine.remove` changes them, so departures
+the scheduler did not make (completions, kills) are seen too.  That is why a
+machine has exactly one owning scheduler.
 """
 
 from __future__ import annotations
@@ -48,17 +57,26 @@ class ClusterScheduler:
         rng: np.random.Generator | None = None,
     ):
         """Args:
-            machines: the machines under management.
+            machines: the machines under management.  A machine may belong
+                to one scheduler only.
             batch_overcommit: total reservations (all classes) on a machine
                 may reach this multiple of capacity when placing batch work.
             best_effort_overcommit: ditto for best-effort work (higher: these
                 are the first to be squeezed, so speculation is cheaper).
             rng: tie-breaking randomness source (seeded default).
+
+        Raises:
+            ValueError: on no machines, duplicate names, bad overcommit
+                factors, or a machine another scheduler already manages.
         """
         self.machines: dict[str, Machine] = {}
         for machine in machines:
             if machine.name in self.machines:
                 raise ValueError(f"duplicate machine name {machine.name!r}")
+            if machine._scheduler is not None:
+                raise ValueError(
+                    f"machine {machine.name!r} is already managed by another "
+                    "ClusterScheduler")
             self.machines[machine.name] = machine
         if not self.machines:
             raise ValueError("scheduler needs at least one machine")
@@ -73,6 +91,37 @@ class ClusterScheduler:
         #: Pairs of job names that must not share a machine.
         self._anti_affinity: set[frozenset[str]] = set()
         self.preemption_count = 0
+        # The reservation columns: one row per machine, in insertion order.
+        self._fleet: tuple[Machine, ...] = tuple(self.machines.values())
+        self._rows = {m.name: row for row, m in enumerate(self._fleet)}
+        self._capacity = np.array([m.cpu_capacity for m in self._fleet])
+        self._reserved = np.zeros(len(self._fleet))
+        self._ls_reserved = np.zeros(len(self._fleet))
+        #: Rows of the machines hosting a task of each resident task name.
+        self._hosts: dict[str, set[int]] = {}
+        for machine in self._fleet:
+            machine._scheduler = self
+            for task in machine.resident_tasks():
+                self._resident_changed(machine, task.name)
+
+    def _resident_changed(self, machine: Machine, task_name: str) -> None:
+        """Recompute ``machine``'s row after ``task_name`` arrived or left.
+
+        :meth:`Machine.place` and :meth:`Machine.remove` call this.  The row
+        is re-summed, never adjusted with ``+=``/``-=``: float addition does
+        not undo exactly, and admission compares these sums directly.
+        """
+        row = self._rows[machine.name]
+        self._reserved[row] = machine.reserved_cpu()
+        self._ls_reserved[row] = machine.reserved_cpu(
+            SchedulingClass.LATENCY_SENSITIVE)
+        if machine.has_task(task_name):
+            self._hosts.setdefault(task_name, set()).add(row)
+        else:
+            hosts = self._hosts[task_name]
+            hosts.discard(row)
+            if not hosts:
+                del self._hosts[task_name]
 
     # -- anti-affinity (fed by CPI2 forensics) ---------------------------------
 
@@ -99,37 +148,32 @@ class ClusterScheduler:
             return self.batch_overcommit
         return self.best_effort_overcommit
 
-    def _fits(self, machine: Machine, task: Task) -> bool:
-        """Admission test for one task on one machine."""
-        if machine.has_task(task.name):
-            return False
-        if not self.colocation_allowed(machine, task.job.name):
-            return False
+    def _admissible(self, task: Task,
+                    exclude: Optional[set[str]] = None) -> np.ndarray:
+        """Row mask of the machines that may take ``task`` right now."""
         need = task.cgroup.cpu_limit
+        capacity = self._capacity
         if task.scheduling_class is SchedulingClass.LATENCY_SENSITIVE:
             # LS reservations are never oversubscribed among themselves, and
             # an LS arrival may not push total reservations past the machine's
             # overcommit ceiling without preempting batch work first.
-            ls_reserved = machine.reserved_cpu(SchedulingClass.LATENCY_SENSITIVE)
-            if ls_reserved + need > machine.cpu_capacity:
-                return False
-            return (machine.reserved_cpu() + need
-                    <= machine.cpu_capacity * self.batch_overcommit)
-        limit = self._overcommit_limit(task.scheduling_class)
-        return machine.reserved_cpu() + need <= machine.cpu_capacity * limit
-
-    def _score(self, machine: Machine) -> float:
-        """Worst-fit score: prefer machines with the most free reservation."""
-        return machine.cpu_capacity - machine.reserved_cpu()
-
-    def _candidates(self, task: Task,
-                    exclude: Optional[set[str]] = None) -> list[Machine]:
-        machines = [
-            m for m in self.machines.values()
-            if (exclude is None or m.name not in exclude) and self._fits(m, task)
-        ]
-        machines.sort(key=self._score, reverse=True)
-        return machines
+            fits = ~(self._ls_reserved + need > capacity)
+            fits &= self._reserved + need <= capacity * self.batch_overcommit
+        else:
+            limit = self._overcommit_limit(task.scheduling_class)
+            fits = self._reserved + need <= capacity * limit
+        for row in self._hosts.get(task.name, ()):
+            fits[row] = False
+        if exclude:
+            for name in exclude:
+                row = self._rows.get(name)
+                if row is not None:
+                    fits[row] = False
+        if self._anti_affinity:
+            for row in np.flatnonzero(fits):
+                if not self.colocation_allowed(self._fleet[row], task.job.name):
+                    fits[row] = False
+        return fits
 
     # -- placement ---------------------------------------------------------------
 
@@ -142,14 +186,17 @@ class ClusterScheduler:
         Raises:
             PlacementError: if no machine can take the task.
         """
-        candidates = self._candidates(task, exclude_machines)
-        if candidates:
-            # Randomise among the near-best to avoid herding every placement
-            # onto one machine when scores tie.
-            best_score = self._score(candidates[0])
-            near_best = [m for m in candidates
-                         if self._score(m) >= best_score - 1e-9]
-            machine = near_best[int(self.rng.integers(len(near_best)))]
+        rows = np.flatnonzero(self._admissible(task, exclude_machines))
+        if rows.size:
+            # Worst-fit: most free reservation first.  Randomise among the
+            # near-best to avoid herding every placement onto one machine
+            # when scores tie; the band is ordered by descending score, ties
+            # by machine order, as a stable sort of all survivors would be.
+            free = self._capacity[rows] - self._reserved[rows]
+            band = free >= free.max() - 1e-9
+            near_best = rows[band][np.argsort(-free[band], kind="stable")]
+            pick = int(self.rng.integers(len(near_best)))
+            machine = self._fleet[near_best[pick]]
             machine.place(task)
             return machine
         if task.scheduling_class is SchedulingClass.LATENCY_SENSITIVE:
@@ -172,21 +219,21 @@ class ClusterScheduler:
         need = task.cgroup.cpu_limit
         best_machine: Optional[Machine] = None
         best_victims: list[Task] = []
-        for machine in self.machines.values():
+        for row, machine in enumerate(self._fleet):
             if exclude is not None and machine.name in exclude:
                 continue
             if not self.colocation_allowed(machine, task.job.name):
                 continue
-            ls_reserved = machine.reserved_cpu(SchedulingClass.LATENCY_SENSITIVE)
-            if ls_reserved + need > machine.cpu_capacity:
+            capacity = machine.cpu_capacity
+            if float(self._ls_reserved[row]) + need > capacity:
                 continue  # preemption cannot create LS headroom
             batch_tasks = sorted(
                 (t for t in machine.resident_tasks() if t.scheduling_class.is_batch),
                 key=lambda t: (t.scheduling_class is SchedulingClass.BATCH,
                                t.cgroup.cpu_limit),
             )  # best-effort first, then small batch
-            overshoot = (machine.reserved_cpu() + need
-                         - machine.cpu_capacity * self.batch_overcommit)
+            overshoot = (float(self._reserved[row]) + need
+                         - capacity * self.batch_overcommit)
             victims: list[Task] = []
             freed = 0.0
             for victim in batch_tasks:

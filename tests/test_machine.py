@@ -52,6 +52,18 @@ class TestPlacement:
         with pytest.raises(KeyError, match="no task"):
             machine.get_task("ghost/0")
 
+    def test_reserved_cpu_is_a_float_sum(self, machine):
+        assert machine.reserved_cpu().hex() == (0.0).hex()
+        assert machine.reserved_cpu(SchedulingClass.BATCH).hex() == (0.0).hex()
+        place(machine, make_scripted_job("a", [1.0], cpu_limit=0.1))
+        place(machine, make_scripted_job(
+            "b", [1.0], cpu_limit=0.2, scheduling_class=SchedulingClass.BATCH))
+        # The same left-to-right sum as before the 0.0 start: 0.1 + 0.2.
+        assert machine.reserved_cpu().hex() == (0.1 + 0.2).hex()
+        assert machine.reserved_cpu(
+            SchedulingClass.LATENCY_SENSITIVE).hex() == (0.1).hex()
+        assert machine.reserved_cpu(SchedulingClass.BATCH).hex() == (0.2).hex()
+
 
 class TestAllocation:
     def test_undersubscribed_grants_demand(self, machine):

@@ -30,6 +30,29 @@ class TestConstruction:
         with pytest.raises(ValueError, match="best_effort_overcommit"):
             scheduler(batch_overcommit=2.0, best_effort_overcommit=1.5)
 
+    def test_machine_has_one_owner(self):
+        machines = make_fleet(2)
+        with pytest.raises(ValueError, match="batch_overcommit"):
+            ClusterScheduler(machines, batch_overcommit=0.5)
+        owner = ClusterScheduler(machines)  # a rejected scheduler owns nothing
+        with pytest.raises(ValueError, match="already managed"):
+            ClusterScheduler([make_quiet_machine("other"), machines[1]])
+        assert all(m._scheduler is owner for m in machines)
+
+    def test_resident_tasks_seed_the_columns(self):
+        machines = make_fleet(2)
+        early = make_scripted_job("early", [1.0], cpu_limit=20.0)
+        machines[0].place(early.tasks[0])
+        sched = ClusterScheduler(machines)
+        job = make_scripted_job("j", [1.0], cpu_limit=2.0)
+        sched.submit(job)
+        assert job.tasks[0].machine_name == "m1"
+        with pytest.raises(PlacementError):
+            sched.submit(make_scripted_job("big", [1.0], cpu_limit=23.0))
+        # A departure the scheduler did not make frees the room.
+        machines[0].remove("early/0", TaskState.COMPLETED)
+        sched.submit(make_scripted_job("big2", [1.0], cpu_limit=23.0))
+
 
 class TestSubmitAndSpread:
     def test_all_tasks_placed(self):
