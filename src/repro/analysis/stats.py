@@ -58,10 +58,20 @@ def pearson_correlation(xs: Iterable[float], ys: Iterable[float]) -> float:
         raise ValueError("correlation requires at least 2 points")
     xd = x - x.mean()
     yd = y - y.mean()
-    denom = math.sqrt(float(np.dot(xd, xd)) * float(np.dot(yd, yd)))
-    if denom == 0.0:
+    # Divide each deviation vector by its largest magnitude first: the sums
+    # of squares then lie in [1, n], so neither they nor their product can
+    # underflow to subnormals or zero (deviations near 1e-79 and below) or
+    # overflow (near 1e155 and above).
+    x_scale = float(np.max(np.abs(xd)))
+    y_scale = float(np.max(np.abs(yd)))
+    if x_scale == 0.0 or y_scale == 0.0:
         return 0.0
-    return float(np.dot(xd, yd) / denom)
+    xd /= x_scale
+    yd /= y_scale
+    r = float(np.dot(xd, yd)) / math.sqrt(
+        float(np.dot(xd, xd)) * float(np.dot(yd, yd)))
+    # Rounding can still carry |r| a few ulps past 1.
+    return min(1.0, max(-1.0, r))
 
 
 def normalize_to_min(values: Iterable[float]) -> np.ndarray:

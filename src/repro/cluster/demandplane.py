@@ -1,6 +1,6 @@
 """The vectorized demand/allocation plane: columnar demand programs.
 
-The per-machine vector tick engine (PR 3) batched the *physics* of a tick,
+The per-machine tick batches the *physics* of a tick into numpy arrays,
 but phases 1-3 and 5b-6 — demand evaluation, cgroup clipping, base-CPI
 reads, charging, ``on_tick`` accounting — still made three Python closure
 calls per task per simulated second.  This module removes that last big
@@ -10,7 +10,7 @@ declarative ``spec`` forms that the combinators in
 struct-of-arrays programs, so one machine's (or, fused, one cluster's)
 demand for tick ``t`` is a handful of numpy ufunc passes.
 
-Bit-exactness is a hard contract, mirroring the tick engines
+Bit-exactness against the per-task closures is a hard contract
 (``docs/performance.md`` has the full argument):
 
 * **RNG ordering** — log-normal demand noise draws one
@@ -30,8 +30,8 @@ Bit-exactness is a hard contract, mirroring the tick engines
 * **Eligibility fallback** — any workload the compiler cannot express (a
   hand-written demand lambda, an overridden ``cpu_demand``, a subclassed
   cgroup, non-finite parameters) makes :meth:`DemandColumns.compile`
-  return ``None`` and that machine steps down to the closure path,
-  mirroring ``fused_eligible``.
+  return ``None`` and that machine keeps the closure path.  The workloads
+  make this choice; no option or environment variable does.
 
 Cgroup state is columnar too: per-task limit and hard-cap columns are
 rebuilt only when any cap changes (a class-level mutation counter on
@@ -40,16 +40,15 @@ small per-table ledger that flushes whole consecutive runs into each
 cgroup's usage ring — any read of cgroup usage state flushes first, so
 the deferral is unobservable.
 
-Engine selection follows the ``REPRO_ANALYSIS_ENGINE`` precedent:
-``REPRO_DEMAND_ENGINE=vector|scalar`` process-wide, or per machine via
-``Machine(demand_engine=...)``.  The scalar engine is the closure path,
-kept verbatim as the golden reference.
+The closure path doubles as the reference: ``tests/test_demand_plane.py``
+pins compiled == closure by stubbing :meth:`DemandColumns.compile` to
+``None`` (or binding ``cpu_demand`` on a workload instance, which makes
+its table ineligible).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from bisect import bisect_right
 from typing import Optional, Sequence
@@ -58,14 +57,7 @@ import numpy as np
 
 from repro.cluster.cgroup import Cgroup
 
-__all__ = ["DEMAND_ENGINES", "DEMAND_ENGINE_ENV", "resolve_demand_engine",
-           "DemandColumns"]
-
-#: Valid demand-engine names.
-DEMAND_ENGINES = ("vector", "scalar")
-
-#: Environment variable selecting the process-wide default engine.
-DEMAND_ENGINE_ENV = "REPRO_DEMAND_ENGINE"
+__all__ = ["DemandColumns"]
 
 #: Buffered ticks per charge-ledger flush.  Small enough that a flush stays
 #: cache-friendly, large enough to amortize the per-cgroup bookkeeping; the
@@ -99,20 +91,6 @@ def _chunked_stream(rng):
     draw = rng.standard_normal
     while True:
         yield from draw(_DRAW_CHUNK).tolist()
-
-
-def resolve_demand_engine(explicit: Optional[str] = None) -> str:
-    """The demand engine to use: ``explicit``, else the env var, else vector.
-
-    Raises:
-        ValueError: for a name outside :data:`DEMAND_ENGINES`.
-    """
-    engine = explicit or os.environ.get(DEMAND_ENGINE_ENV) or "vector"
-    if engine not in DEMAND_ENGINES:
-        raise ValueError(
-            f"demand engine must be one of {', '.join(DEMAND_ENGINES)}, "
-            f"got {engine!r}")
-    return engine
 
 
 # The workload modules import repro.cluster.interference, whose package
@@ -169,7 +147,7 @@ class DemandColumns:
                 attach_ledger: bool = True) -> Optional["DemandColumns"]:
         """Compile a task table's demand plane, or ``None`` if ineligible.
 
-        Ineligibility (→ the caller keeps the scalar closure path): any
+        Ineligibility (→ the caller keeps the per-task closure path): any
         overridden/patched ``cpu_demand``, a demand function without a
         recognised spec tree (leaf under optional ``scaled`` wrappers under
         an optional outermost ``with_noise``), a spec-less ``scaled``
@@ -309,7 +287,7 @@ class DemandColumns:
                 sigma_full[i] = spec.sigma
                 # A generator no one else can reach gets a chunked stream
                 # (installed once, then sticky on the spec so its position
-                # survives recompiles and engine switches); a shared one
+                # survives recompiles and step-downs); a shared one
                 # keeps strict per-tick scalar draws.
                 stream = spec.stream
                 it = stream[0] if stream is not None else None

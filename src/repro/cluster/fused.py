@@ -1,8 +1,8 @@
 """Cluster-fused execution of the vectorized tick across many machines.
 
-The per-machine vector engine already batches per-task arithmetic into numpy
-calls, but with ~10 tasks per machine each ufunc spends more time in call
-dispatch than in its inner loop.  :class:`FusedFleet` concatenates every
+The per-machine tick already batches per-task arithmetic into numpy calls,
+but with ~10 tasks per machine each ufunc spends more time in call dispatch
+than in its inner loop.  :class:`FusedFleet` concatenates every
 machine's task table into one cluster-wide arena so the ~30 elementwise
 operations of a tick run once over *all* resident tasks instead of once per
 machine.  The physics phase and the results it returns cost a fixed number
@@ -47,8 +47,8 @@ Every observable stays bit-identical to stepping the machines one at a time
 
 The fleet is rebuilt whenever placement changes (any machine's task table
 is invalidated) and steps down to the per-machine path whenever a machine
-is ineligible: legacy engine, patched tick methods, or a subclassed
-interference model.
+is ineligible: patched or overridden tick methods, or a subclassed
+interference model or counter bank.
 """
 
 from __future__ import annotations
@@ -71,16 +71,14 @@ __all__ = ["FusedFleet", "fused_eligible"]
 def fused_eligible(machine: Machine) -> bool:
     """Whether ``machine`` can participate in a fused fleet.
 
-    The fused path inlines :meth:`Machine._tick_vector`'s math, so it must
+    The fused path inlines :meth:`Machine.tick`'s math, so it must
     step aside whenever any of the pieces it bypasses could have been
     overridden — a subclass, an instance-patched ``tick`` (tests stub it),
     or a custom interference model.
     """
     cls = type(machine)
-    return (machine.tick_engine == "vector"
-            and "tick" not in machine.__dict__
+    return ("tick" not in machine.__dict__
             and cls.tick is Machine.tick
-            and cls._tick_vector is Machine._tick_vector
             and cls._tick_inputs is Machine._tick_inputs
             and cls._tick_alloc is Machine._tick_alloc
             and cls._tick_finish is Machine._tick_finish
@@ -299,7 +297,7 @@ class FusedFleet:
         # Phase 1: demand, clipping, allocation.  With a fleet-wide demand
         # program the columnar passes run once over the arena and only the
         # small tier-allocation loop stays per machine; otherwise each
-        # machine's _tick_inputs runs (columnar or closure per its engine).
+        # machine's _tick_inputs runs (columnar or closure per its table).
         g = self.grants
         cpi = self.cpi
         segments = self.segments

@@ -16,45 +16,40 @@ Each simulated second the machine:
 6. lets each workload observe the tick (so MapReduce workers can enter
    lame-duck mode or give up when capped).
 
-Two tick engines implement that contract:
+The tick is batched: per-task arithmetic runs as numpy arrays keyed by a
+stable task-index table that is rebuilt only when placement changes.
+Measurement noise is one bulk ``rng.standard_normal(n)`` draw per
+machine-tick, consumed in task-name-sorted order, and counters burn through
+:meth:`~repro.perf.counters.CounterBank.burn_matrix`.  Demand, cgroup
+clipping and base-CPI reads run columnar when the table's workloads compile
+into a :class:`~repro.cluster.demandplane.DemandColumns` program; a table
+the compiler cannot express keeps the per-task closure loop.
 
-* ``vector`` (default) — batches all per-task arithmetic into numpy arrays
-  keyed by a stable task-index table that is rebuilt only when placement
-  changes.  Measurement noise is one bulk ``rng.standard_normal(n)`` draw
-  per machine-tick (consumed in task-name-sorted order, exactly the order
-  the scalar engine draws in), and counters burn through
-  :meth:`~repro.perf.counters.CounterBank.burn_batch`.
-* ``legacy`` — the original scalar loop, kept verbatim as the golden
-  reference.  ``tests/test_tick_parity.py`` proves both engines produce
-  byte-identical CPI sample streams and incidents for the same seed; the
-  invariants that make this possible are documented in
-  ``docs/performance.md``.
-
-Select an engine per machine via ``Machine(tick_engine=...)`` or process-wide
-with ``REPRO_TICK_ENGINE=legacy|vector``.
+The original scalar loop is the test oracle ``tests/reference/tick.py``;
+``tests/test_tick_parity.py`` proves both produce byte-identical CPI sample
+streams and incidents for the same seed.  The invariants that make this
+possible are documented in ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.demandplane import DemandColumns, resolve_demand_engine
+from repro.cluster.demandplane import DemandColumns
 from repro.cluster.interference import (BatchWorkspace, InterferenceModel,
                                         MachineContention, ProfileTable,
                                         ResourceProfile)
 from repro.cluster.platform import Platform
 from repro.cluster.task import SchedulingClass, Task, TaskState
 from repro.perf.counters import CounterBank
-from repro.perf.events import CounterEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.cluster.scheduler import ClusterScheduler
 
-__all__ = ["Machine", "TickResult", "TICK_ENGINES", "default_tick_engine"]
+__all__ = ["Machine", "TickResult"]
 
 #: Allocation order when cores are oversubscribed.
 _TIER_ORDER = (
@@ -66,19 +61,6 @@ _TIER_ORDER = (
 #: Cross-cgroup context switches per second charged per runnable task beyond
 #: the first on a core — a crude but sufficient model for the overhead ledger.
 _SWITCHES_PER_TASK_SECOND = 20
-
-#: Valid tick-engine names.
-TICK_ENGINES = ("vector", "legacy")
-
-
-def default_tick_engine() -> str:
-    """The process-wide engine choice: ``REPRO_TICK_ENGINE`` or ``vector``."""
-    engine = os.environ.get("REPRO_TICK_ENGINE", "vector")
-    if engine not in TICK_ENGINES:
-        raise ValueError(
-            f"REPRO_TICK_ENGINE must be one of {TICK_ENGINES}, got {engine!r}")
-    return engine
-
 
 @dataclass(frozen=True)
 class DutyCycleState:
@@ -117,11 +99,11 @@ class TickResult:
 
 
 class _TaskTable:
-    """The vectorized engine's stable task-index table.
+    """The tick's stable task-index table.
 
     One instance per resident-task-set; rebuilt whenever placement changes
     (:meth:`Machine.place` / :meth:`Machine.remove` invalidate it).  Rows are
-    in task-name-sorted order — the same order the legacy engine iterates
+    in task-name-sorted order — the same order the scalar reference iterates
     and draws noise in, which is what makes the bulk RNG draw bit-compatible.
 
     Besides the identity columns it holds everything per-tick work would
@@ -136,8 +118,7 @@ class _TaskTable:
                  "workspace", "counter_matrix", "demand_columns",
                  "usage_matrix")
 
-    def __init__(self, tasks: Sequence[Task], counters: CounterBank,
-                 demand_engine: str = "scalar"):
+    def __init__(self, tasks: Sequence[Task], counters: CounterBank):
         self.tasks: tuple[Task, ...] = tuple(tasks)
         self.names: tuple[str, ...] = tuple(t.name for t in tasks)
         self.cgroups = tuple(t.cgroup for t in tasks)
@@ -157,13 +138,11 @@ class _TaskTable:
         self.workspace = BatchWorkspace(len(tasks)) if tasks else None
         self.counter_matrix = (counters.matrix_view(self.cgroup_names)
                                if tasks else None)
-        # The compiled demand/cgroup program, or None when the engine is
-        # scalar or any workload/cgroup is beyond the compiler (the machine
-        # then keeps the closure path, mirroring fused_eligible).
-        self.demand_columns = (
-            DemandColumns.compile(self.workloads, self.cgroups,
-                                  self.cpu_limits)
-            if (demand_engine == "vector" and tasks) else None)
+        # The compiled demand/cgroup program, or None when any
+        # workload/cgroup is beyond the compiler (the machine then keeps
+        # the closure path).
+        self.demand_columns = DemandColumns.compile(
+            self.workloads, self.cgroups, self.cpu_limits)
         # The shared usage-ring matrix the vectorized sampler slices window
         # usage out of; built lazily (usage_rings) so tick-only machines
         # never pay the 900-slot-per-task allocation.
@@ -206,8 +185,6 @@ class Machine:
         interference: InterferenceModel | None = None,
         rng: np.random.Generator | None = None,
         cpi_noise_sigma: float = 0.03,
-        tick_engine: str | None = None,
-        demand_engine: str | None = None,
     ):
         """Args:
             name: cluster-unique machine name.
@@ -216,27 +193,14 @@ class Machine:
             rng: random generator for measurement noise (seeded default).
             cpi_noise_sigma: sigma of the multiplicative log-normal noise on
                 per-tick CPI, modelling run-to-run microarchitectural jitter.
-            tick_engine: ``"vector"`` (batched hot path, the default) or
-                ``"legacy"`` (the scalar reference loop).  ``None`` defers
-                to the ``REPRO_TICK_ENGINE`` environment variable.
-            demand_engine: ``"vector"`` (compiled columnar demand plane, the
-                default) or ``"scalar"`` (the per-task closure reference).
-                ``None`` defers to the ``REPRO_DEMAND_ENGINE`` environment
-                variable.
         """
         if cpi_noise_sigma < 0:
             raise ValueError(f"cpi_noise_sigma must be >= 0, got {cpi_noise_sigma}")
-        engine = tick_engine if tick_engine is not None else default_tick_engine()
-        if engine not in TICK_ENGINES:
-            raise ValueError(
-                f"tick_engine must be one of {TICK_ENGINES}, got {engine!r}")
         self.name = name
         self.platform = platform
         self.interference = interference or InterferenceModel()
         self.rng = rng or np.random.default_rng(0)
         self.cpi_noise_sigma = cpi_noise_sigma
-        self.tick_engine = engine
-        self.demand_engine = resolve_demand_engine(demand_engine)
         self.counters = CounterBank()
         self._tasks: dict[str, Task] = {}
         self._table: Optional[_TaskTable] = None
@@ -311,8 +275,7 @@ class Machine:
         """The cached task-index table, rebuilt after placement changes."""
         table = self._table
         if table is None:
-            table = _TaskTable(self.resident_tasks(), self.counters,
-                               self.demand_engine)
+            table = _TaskTable(self.resident_tasks(), self.counters)
             self._table = table
         return table
 
@@ -375,43 +338,24 @@ class Machine:
             self._duty_cycle = None
         return self._duty_cycle
 
-    def _apply_duty_cycle_to_grants(self, t: int,
-                                    grants: dict[str, float]) -> None:
-        state = self.duty_cycle_at(t)
-        if state is None:
-            return
-        collateral = state.core_share * (1.0 - state.level)
-        for name in grants:
-            if name == state.target_task:
-                grants[name] *= state.level
-            else:
-                grants[name] *= max(0.0, 1.0 - collateral)
-
     # -- the tick --------------------------------------------------------------
-
-    def tick(self, t: int) -> TickResult:
-        """Execute one simulated second; returns grants, CPIs and departures."""
-        if self.tick_engine == "vector":
-            return self._tick_vector(t)
-        return self._tick_legacy(t)
 
     def _tick_inputs(self, t: int, table: _TaskTable
                      ) -> tuple[list[float], list[bool], list[float]]:
         """Tick phases 1-3: demand, cgroup clipping, tier allocation, duty
         cycling, plus the per-task base-CPI reads.
 
-        Shared verbatim by the per-machine vector path and the cluster-fused
-        path (:mod:`repro.cluster.fused`) so the demand/base-CPI closure call
+        Shared verbatim by the per-machine tick and the cluster-fused path
+        (:mod:`repro.cluster.fused`) so the demand/base-CPI closure call
         order — the RNG-ordering contract — cannot drift between them.  When
-        the table carries a compiled demand program (``demand_engine
-        "vector"`` and every workload/cgroup expressible), demand, clipping
-        and base-CPI reads run columnar; the closure loop below is the
-        scalar reference and the fallback.
+        the table carries a compiled demand program (every workload/cgroup
+        expressible), demand, clipping and base-CPI reads run columnar; the
+        closure loop below is the fallback for tables that do not compile.
 
         Returns:
             ``(grants, capped, base_cpi)`` as plain Python lists in table
             order.  ``capped`` remembers the hard-cap state for phase 6 (it
-            cannot change within the tick, so the legacy path's second
+            cannot change within the tick, so the scalar reference's second
             ``is_capped`` lookup is redundant).
         """
         dc = table.demand_columns
@@ -461,8 +405,8 @@ class Machine:
         and duty cycling — plain Python on purpose.
 
         Tier membership is a handful of index tuples and the sums must stay
-        sequential left-to-right for bit-parity with the legacy loop, so
-        numpy would buy nothing here; both demand engines and the fused
+        sequential left-to-right for bit-parity with the scalar reference,
+        so numpy would buy nothing here; both demand paths and the fused
         fleet share this exact loop.
         """
         n = len(allowed)
@@ -500,7 +444,7 @@ class Machine:
         """Tick phases 5b-6: cgroup charging, context-switch accounting,
         and workload tick observations (which may trigger departures).
 
-        Shared by the per-machine vector path and the cluster-fused path;
+        Shared by the per-machine tick and the cluster-fused path;
         mutates ``result.departures`` in place.
         """
         dc = table.demand_columns
@@ -565,13 +509,13 @@ class Machine:
             self.remove(task.name, state, reason=f"workload said {outcome}")
             result.departures.append((task, state))
 
-    def _tick_vector(self, t: int) -> TickResult:
-        """The batched hot path.
+    def tick(self, t: int) -> TickResult:
+        """Execute one simulated second; returns grants, CPIs and departures.
 
-        Bit-identical to :meth:`_tick_legacy` by construction: same task
-        order, same operation order inside every formula, sequential
-        reductions, one bulk noise draw consuming the RNG stream in the
-        same order the scalar loop does.
+        Bit-identical to the scalar reference (``tests/reference/tick.py``)
+        by construction: same task order, same operation order inside every
+        formula, sequential reductions, one bulk noise draw consuming the
+        RNG stream in the same order the scalar loop does.
         """
         result = TickResult(t=t, departures=[])
         if not self._tasks:
@@ -623,99 +567,6 @@ class Machine:
 
         self._tick_finish(t, table, result, grants, capped)
         return result
-
-    def _tick_legacy(self, t: int) -> TickResult:
-        """The original scalar tick loop, kept as the golden parity reference."""
-        tasks = self.resident_tasks()
-        result = TickResult(t=t, departures=[])
-        if not tasks:
-            return result
-
-        demands = {task.name: max(0.0, task.workload.cpu_demand(t)) for task in tasks}
-        allowed = {
-            task.name: task.cgroup.allowed_usage(demands[task.name], t)
-            for task in tasks
-        }
-        grants = self._allocate(tasks, allowed)
-        self._apply_duty_cycle_to_grants(t, grants)
-        result.grants = grants
-
-        contention = self.interference.contention(
-            self.platform,
-            [(task.name, grants[task.name], task.workload.resource_profile())
-             for task in tasks],
-        )
-        result.contention = contention
-
-        for task in tasks:
-            grant = grants[task.name]
-            profile = task.workload.resource_profile()
-            cpi = self.interference.effective_cpi(
-                task.name, task.workload.base_cpi(), profile, contention,
-                self.platform, grant)
-            if self.cpi_noise_sigma > 0.0:
-                cpi *= float(np.exp(self.rng.normal(0.0, self.cpi_noise_sigma)))
-            result.cpis[task.name] = cpi
-
-            cycles = grant * self.platform.cycles_per_cpu_second
-            instructions = cycles / cpi if cpi > 0 else 0.0
-            l3_mpki = self.interference.l3_mpki(task.name, profile, contention)
-            l2_mpki = self.interference.l2_mpki(task.name, profile, contention)
-            l3_misses = instructions / 1000.0 * l3_mpki
-            counters = self.counters.counters_for(task.cgroup.name)
-            counters.add(CounterEvent.CPU_CLK_UNHALTED_REF, cycles)
-            counters.add(CounterEvent.INSTRUCTIONS_RETIRED, instructions)
-            counters.add(CounterEvent.L3_MISSES, l3_misses)
-            counters.add(CounterEvent.L2_MISSES, instructions / 1000.0 * l2_mpki)
-            counters.add(CounterEvent.MEMORY_REQUESTS, l3_misses * 1.1)
-
-            task.cgroup.charge(t, grant)
-            self.total_cpu_seconds += grant
-
-        runnable = sum(1 for g in grants.values() if g > 0.0)
-        oversubscribed = max(0, runnable - self.platform.num_cores)
-        self.counters.record_context_switches(
-            runnable * _SWITCHES_PER_TASK_SECOND + oversubscribed * 100)
-
-        # Workload observations may trigger departures (lame-duck exits etc.).
-        for task in tasks:
-            outcome = task.workload.on_tick(
-                t, grants[task.name], task.cgroup.is_capped(t))
-            if outcome is None:
-                continue
-            if outcome == "completed":
-                state = TaskState.COMPLETED
-            elif outcome == "exited":
-                state = TaskState.EXITED
-            else:
-                raise ValueError(
-                    f"workload for {task.name} returned unknown outcome {outcome!r}")
-            self.remove(task.name, state, reason=f"workload said {outcome}")
-            result.departures.append((task, state))
-        return result
-
-    def _allocate(self, tasks: list[Task], allowed: dict[str, float]
-                  ) -> dict[str, float]:
-        """Split core capacity across tiers; pro-rata within a saturated tier."""
-        grants = {name: 0.0 for name in allowed}
-        remaining = self.cpu_capacity
-        for tier in _TIER_ORDER:
-            tier_tasks = [task for task in tasks if task.scheduling_class is tier]
-            want = sum(allowed[task.name] for task in tier_tasks)
-            if want <= 0.0:
-                continue
-            if want <= remaining:
-                for task in tier_tasks:
-                    grants[task.name] = allowed[task.name]
-                remaining -= want
-            else:
-                scale = remaining / want
-                for task in tier_tasks:
-                    grants[task.name] = allowed[task.name] * scale
-                remaining = 0.0
-            if remaining <= 0.0:
-                break
-        return grants
 
     def __repr__(self) -> str:
         return (f"Machine({self.name}, {self.platform.name}, "

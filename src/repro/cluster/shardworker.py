@@ -39,7 +39,6 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.core.samplebatch import SampleColumns
 from repro.perf.profiling import StageTimers
 
 __all__ = ["ShardSpec", "ShardedRunUnsupported", "COORDINATOR_COUNTERS",
@@ -252,13 +251,6 @@ def run_pool_worker(conn) -> None:
         conn.close()
 
 
-def _columns(samples) -> SampleColumns:
-    """A closed window as columns, reusing the vector sampler's own."""
-    columns = getattr(samples, "columns", None)
-    # Explicit None check: an empty SampleColumns is falsy.
-    return SampleColumns.from_samples(samples) if columns is None else columns
-
-
 def _run_one(conn, spec: ShardSpec, prebuilt: Optional[_Prebuilt]) -> None:
     from repro.obs import set_default_observability
     from repro.obs.metrics import export_state
@@ -307,7 +299,7 @@ def _run_one(conn, spec: ShardSpec, prebuilt: Optional[_Prebuilt]) -> None:
                 for name, samples in closed:
                     plane.upload(t, name, samples)
             conn.send(("window", t,
-                       [(name, _columns(samples)) for name, samples in closed],
+                       [(name, samples.columns) for name, samples in closed],
                        arrivals))
             arrivals.clear()
             now = time.perf_counter()
@@ -328,8 +320,8 @@ def _run_one(conn, spec: ShardSpec, prebuilt: Optional[_Prebuilt]) -> None:
                         agents[name].update_specs(specs, now=t)
             # The local path, after the refresh (as in _on_samples).
             for name, samples in closed:
-                agents[name].ingest_samples(
-                    t, samples, columns=getattr(samples, "columns", None))
+                agents[name].ingest_samples(t, samples,
+                                            columns=samples.columns)
             if telemetry:
                 # After the ingest loop, so the scrape sees every effect
                 # of tick t — the same point in the tick the

@@ -30,10 +30,10 @@ from repro.perf.sampler import CpiSampler, SamplerConfig
 __all__ = ["SimConfig", "ClusterSimulation"]
 
 #: Sink signature: (time, machine_name, samples-from-the-window-just-closed).
-#: The samples argument is a sequence of :class:`CpiSample`: a plain list
-#: from the scalar sampler engine, a columns-first
-#: :class:`~repro.core.samplebatch.WindowSamples` from the vector engine —
-#: sinks that only need ``len``/truthiness never materialize objects.
+#: The samples argument is the sampler's columns-first
+#: :class:`~repro.core.samplebatch.WindowSamples`, a sequence of
+#: :class:`CpiSample` — sinks that only need ``len``/truthiness never
+#: materialize objects.
 SampleSink = Callable[[int, str, Sequence[CpiSample]], None]
 
 #: Hook signature: (time, machine, tick_result) after a machine executed.
@@ -196,7 +196,7 @@ class ClusterSimulation:
         # Fused fast path: all machines' physics in one cluster-wide batch
         # (bit-identical to per-machine stepping; see repro.cluster.fused).
         # Rebuilt when placement changes; falls back to Machine.tick when
-        # any machine is ineligible (legacy engine, patched tick, custom
+        # any machine is ineligible (patched or overridden tick, custom
         # interference model) or a dynamic profile changed mid-guard.
         fleet = self._fleet
         if fleet is None or not fleet.matches(machine_order):

@@ -13,7 +13,7 @@ Public entry points:
 * :class:`~repro.core.outlier.OutlierDetector` — local anomaly detection.
 * :func:`~repro.core.correlation.antagonist_correlation` — Section 4.2's formula.
 * :func:`~repro.core.identify.rank_cotenant_suspects` — Section 4.2 for all
-  suspects at once (matrix engine; bit-identical to the scalar reference).
+  suspects at once (one usage matrix; bit-identical to ``rank_suspects``).
 * :class:`~repro.core.agent.MachineAgent` — everything wired together per machine.
 * :class:`~repro.core.pipeline.CpiPipeline` — the cluster-level loop.
 * :class:`~repro.core.forensics.ForensicsStore` — offline incident queries.
@@ -31,7 +31,6 @@ from repro.core.correlation import (
 from repro.core.identify import (
     rank_cotenant_suspects,
     rank_suspects_matrix,
-    resolve_analysis_engine,
     suspect_usage_matrix,
 )
 from repro.core.window import ColumnarWindow
@@ -55,7 +54,6 @@ __all__ = [
     "rank_suspects",
     "rank_cotenant_suspects",
     "rank_suspects_matrix",
-    "resolve_analysis_engine",
     "suspect_usage_matrix",
     "ColumnarWindow",
     "SuspectScore",

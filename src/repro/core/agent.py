@@ -29,8 +29,7 @@ from repro.cluster.machine import Machine
 from repro.cluster.task import Task
 from repro.core.config import CpiConfig, DEFAULT_CONFIG
 from repro.core.correlation import SuspectScore
-from repro.core.identify import (rank_cotenant_suspects,
-                                 resolve_analysis_engine)
+from repro.core.identify import rank_cotenant_suspects
 from repro.core.outlier import AnomalyEvent, OutlierDetector
 from repro.core.policy import AmeliorationPolicy, PolicyAction, PolicyDecision
 from repro.core.records import CpiSample, CpiSpec, SpecKey
@@ -46,9 +45,9 @@ from repro.obs.tracing import PipelineTrace, Span
 
 __all__ = ["Incident", "MachineAgent", "VECTOR_MIN_BATCH"]
 
-#: Below this many samples per window the vector ingest path costs more in
-#: fixed numpy dispatch than it saves, so the agent falls back to the
-#: (bit-identical) scalar loop.  Measured crossover on the analysis-plane
+#: Below this many samples per window the columnar ingest path costs more in
+#: fixed numpy dispatch than it saves, so the agent takes the (bit-identical)
+#: per-sample loop instead.  Measured crossover on the analysis-plane
 #: benchmark; override per agent via ``agent.vector_min_batch``.
 VECTOR_MIN_BATCH = 16
 
@@ -118,7 +117,6 @@ class MachineAgent:
         incident_sink: Optional[Callable[[Incident], None]] = None,
         migrator: Optional[Callable[[Task], None]] = None,
         obs: Optional[Observability] = None,
-        analysis_engine: Optional[str] = None,
     ):
         """Args:
             machine: the machine this agent manages.
@@ -132,17 +130,11 @@ class MachineAgent:
                 those decisions are logged but not actuated.
             obs: telemetry handle (metrics/events/traces); the process
                 default when omitted.
-            analysis_engine: ``"vector"`` (columnar ingest + matrix
-                identification) or ``"scalar"`` (the per-sample reference
-                loop); defaults to ``$REPRO_ANALYSIS_ENGINE`` or
-                ``vector``.  Both engines produce byte-identical samples,
-                incidents, rankings and counters.
         """
         self.machine = machine
         self.config = config
-        self.analysis_engine = resolve_analysis_engine(analysis_engine)
-        #: Smallest batch routed through the vector ingest path; below it
-        #: the scalar loop is cheaper (identical output either way).
+        #: Smallest batch routed through the columnar ingest path; below it
+        #: the per-sample loop is cheaper (identical output either way).
         self.vector_min_batch = VECTOR_MIN_BATCH
         self.obs = obs or default_observability()
         self.detector = OutlierDetector(config, obs=self.obs)
@@ -283,8 +275,8 @@ class MachineAgent:
         follow-ups keep working, but no new incidents open against a
         long-expired model.
 
-        Under the ``vector`` engine, batches of at least
-        :attr:`vector_min_batch` samples run the columnar path —
+        Batches of at least :attr:`vector_min_batch` samples run the
+        columnar path —
         vectorized quarantine, batch outlier detection
         (:meth:`~repro.core.outlier.OutlierDetector.observe_batch`) —
         feeding from ``columns`` when the caller already built the
@@ -294,8 +286,7 @@ class MachineAgent:
         of alternating per sample).
         """
         self._refresh_degraded(t)
-        if (self.analysis_engine == "vector"
-                and len(samples) >= self.vector_min_batch):
+        if len(samples) >= self.vector_min_batch:
             if columns is None or len(columns) != len(samples):
                 columns = SampleColumns.from_samples(samples)
             return self._ingest_vector(t, samples, columns)
@@ -303,7 +294,7 @@ class MachineAgent:
 
     def _ingest_scalar(self, t: int,
                        samples: list[CpiSample]) -> list[Incident]:
-        """The per-sample reference ingest loop (engine ``scalar``)."""
+        """The per-sample ingest loop, for batches below the cutoff."""
         incidents: list[Incident] = []
         for sample in samples:
             quarantine = sample_quarantine_reason(
@@ -519,8 +510,7 @@ class MachineAgent:
         wall_start = time.perf_counter()
         scores, suspect_tasks = rank_cotenant_suspects(
             self.machine.resident_tasks(), victim.job.name, victim_cpi,
-            timestamps, anomaly.threshold, self.config.sampling_duration,
-            engine=self.analysis_engine)
+            timestamps, anomaly.threshold, self.config.sampling_duration)
         if not suspect_tasks:
             self._drop_analysis(t, anomaly, "no_cotenants")
             trace.span("identify", t, t, outcome="no_cotenants")

@@ -1,7 +1,8 @@
 """Matrix antagonist identification: Section 4.2 for all suspects at once.
 
-:func:`~repro.core.correlation.rank_suspects` is the scalar reference — one
-Python loop per suspect, and (upstream of it) one
+The literal transcription of the formula,
+:func:`~repro.core.correlation.rank_suspects`, is one Python loop per
+suspect, fed (upstream of it) by one
 :meth:`~repro.cluster.cgroup.Cgroup.usage_between` window read per suspect
 per victim timestamp.  At 100 co-tenants and a 30-point victim series that
 is ~3,000 window reads, per analysis.  This module computes the same
@@ -14,8 +15,9 @@ ranking from columnar data:
 * :func:`rank_suspects_matrix` evaluates the paper's asymmetric correlation
   formula over the whole ``(S, T)`` usage matrix in one vectorized pass.
 
-Both are **bit-identical** to the scalar reference, which the golden-parity
-suite (``tests/test_analysis_plane.py``) pins via ``float.hex()``.  The
+Both are **bit-identical** to that scalar path, which survives as the test
+oracle ``tests/reference/identify.py``; the golden-parity suite
+(``tests/test_analysis_plane.py``) pins the two via ``float.hex()``.  The
 rules that make that possible (see ``docs/performance.md``):
 
 * Window sums and correlation accumulations run **sequentially along the
@@ -27,49 +29,22 @@ rules that make that possible (see ``docs/performance.md``):
   bitwise.
 * Victim samples exactly at the threshold are *skipped* (no ``+ 0.0``
   term), via the shared :func:`~repro.core.correlation._victim_terms`.
-
-The engine is selected by ``REPRO_ANALYSIS_ENGINE`` (``vector`` default,
-``scalar`` forces the reference everywhere), mirroring
-``REPRO_TICK_ENGINE`` for the simulation plane.
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.correlation import (SuspectScore, _victim_terms,
-                                    rank_suspects)
+from repro.core.correlation import SuspectScore, _victim_terms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cgroup import Cgroup
     from repro.cluster.task import Task
 
-__all__ = ["ANALYSIS_ENGINES", "ANALYSIS_ENGINE_ENV",
-           "resolve_analysis_engine", "suspect_usage_matrix",
-           "rank_suspects_matrix", "rank_cotenant_suspects"]
-
-#: Environment variable selecting the identification engine.
-ANALYSIS_ENGINE_ENV = "REPRO_ANALYSIS_ENGINE"
-
-#: Valid engine names: ``vector`` (default) and the scalar reference.
-ANALYSIS_ENGINES = ("vector", "scalar")
-
-
-def resolve_analysis_engine(explicit: Optional[str] = None) -> str:
-    """The analysis engine to use: explicit choice, else the environment.
-
-    Raises:
-        ValueError: for a name outside :data:`ANALYSIS_ENGINES`.
-    """
-    engine = explicit or os.environ.get(ANALYSIS_ENGINE_ENV) or "vector"
-    if engine not in ANALYSIS_ENGINES:
-        raise ValueError(
-            f"unknown analysis engine {engine!r}; valid: "
-            f"{', '.join(ANALYSIS_ENGINES)}")
-    return engine
+__all__ = ["suspect_usage_matrix", "rank_suspects_matrix",
+           "rank_cotenant_suspects"]
 
 
 def suspect_usage_matrix(cgroups: Sequence["Cgroup"],
@@ -186,16 +161,13 @@ def rank_cotenant_suspects(
     timestamps: Sequence[int],
     cpi_threshold: float,
     duration: int,
-    engine: str = "vector",
 ) -> tuple[list[SuspectScore], dict[str, "Task"]]:
-    """Rank every co-tenant of a victim's machine, engine-selectable.
+    """Rank every co-tenant of a victim's machine.
 
     The shared identification front end for the agent and the trial
     harness: filters out the victim's job-mates ("never suspect the
     victim's own job-mates"), gathers each remaining task's usage aligned
-    to the victim's sample windows, and ranks.  ``engine="scalar"`` runs
-    the reference :func:`~repro.core.correlation.rank_suspects` loop;
-    ``"vector"`` the matrix path.  Both return identical rankings.
+    to the victim's sample windows as one usage matrix, and ranks.
 
     Returns:
         ``(scores, suspect_tasks)`` where ``suspect_tasks`` maps taskname
@@ -206,16 +178,6 @@ def rank_cotenant_suspects(
     suspect_tasks = {task.name: task for task in cotenants}
     if not cotenants:
         return [], suspect_tasks
-    if engine == "scalar":
-        suspects = {
-            task.name: (
-                task.job.name,
-                [task.cgroup.usage_between(t - duration, t)
-                 for t in timestamps],
-            )
-            for task in cotenants
-        }
-        return rank_suspects(victim_cpi, cpi_threshold, suspects), suspect_tasks
     usage = suspect_usage_matrix([task.cgroup for task in cotenants],
                                  timestamps, duration)
     labels = [(task.name, task.job.name) for task in cotenants]

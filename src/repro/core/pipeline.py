@@ -17,7 +17,7 @@ migrate/kill decisions through the cluster scheduler.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.cluster.machine import Machine, TickResult
 from repro.cluster.scheduler import PlacementError
@@ -28,7 +28,7 @@ from repro.core.agent import Incident, MachineAgent
 from repro.core.config import CpiConfig, DEFAULT_CONFIG
 from repro.core.forensics import ForensicsStore
 from repro.core.records import CpiSample, CpiSpec
-from repro.core.samplebatch import SampleColumns
+from repro.core.samplebatch import WindowSamples
 from repro.core.specstore import AggregatorHost, DurableSpecStore
 from repro.core.throttle import ThrottleController
 from repro.faults.plane import FaultPlane
@@ -52,7 +52,6 @@ class CpiPipeline:
         obs: Optional[Observability] = None,
         fault_profile: "FaultProfile | str | None" = None,
         fault_seed: int = 0,
-        analysis_engine: Optional[str] = None,
         spec_store: Optional[DurableSpecStore] = None,
     ):
         """Args:
@@ -85,10 +84,6 @@ class CpiPipeline:
             fault_seed: root seed for all injected-fault randomness,
                 independent of the simulation seed so the workload is
                 unchanged under different fault schedules.
-            analysis_engine: analysis-plane engine for every agent
-                (``vector``/``scalar``; default ``$REPRO_ANALYSIS_ENGINE``
-                or ``vector``) — byte-identical output either way, see
-                ``docs/performance.md``.
             spec_store: a :class:`~repro.core.specstore.DurableSpecStore`
                 to WAL every aggregator mutation into.  One is created
                 automatically when the fault profile can kill the
@@ -112,7 +107,6 @@ class CpiPipeline:
                 incident_sink=self.forensics.record,
                 migrator=self._migrate if enable_migration else None,
                 obs=self.obs,
-                analysis_engine=analysis_engine,
             )
         profile = resolve_fault_profile(fault_profile)
         self.fault_profile = profile
@@ -161,22 +155,20 @@ class CpiPipeline:
     # -- simulation plumbing ------------------------------------------------------
 
     def _on_samples(self, t: int, machine_name: str,
-                    samples: Sequence[CpiSample]) -> None:
+                    samples: WindowSamples) -> None:
         n = len(samples)
         self.total_samples += n
         if self.log_samples:
             self.sample_log.extend(samples)
-        # The vector sampler ships its window as WindowSamples — columns
-        # already built, objects only on demand.  Reuse them everywhere.
-        columns: Optional[SampleColumns] = getattr(samples, "columns", None)
+        # The sampler ships its window as WindowSamples — columns already
+        # built, objects only on demand.  Reuse them everywhere.
+        columns = samples.columns
         if self.faults is None:
             if n:
                 # Columnar even in-process: ingest_batch is bit-identical to
                 # per-sample ingest and dodges its per-sample dispatch.  An
-                # empty window skips the encode and the batch call outright
-                # (ingest_batch early-returns on n == 0, so unobservable).
-                if columns is None:
-                    columns = SampleColumns.from_samples(samples)
+                # empty window skips the batch call outright (ingest_batch
+                # early-returns on n == 0, so unobservable).
                 if self.host is not None:
                     self.host.ingest_columns(t, columns, samples=samples)
                 else:
@@ -191,9 +183,7 @@ class CpiPipeline:
                     agent.update_specs(refreshed, now=t)
             else:
                 self.faults.push_specs(t, refreshed)
-        # The agent reuses the batch's columns (vector engine) instead of
-        # re-encoding; under faults the local path stays object-based and
-        # the agent encodes only if its batch clears the vector cutoff.
+        # The agent reuses the window's columns instead of re-encoding.
         self.agents[machine_name].ingest_samples(t, samples, columns=columns)
 
     def _on_tick(self, t: int, machine: Machine, result: TickResult) -> None:

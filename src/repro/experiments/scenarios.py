@@ -74,8 +74,6 @@ def build_cluster(
     fault_profile: "FaultProfile | str | None" = None,
     fault_seed: int = 0,
     obs: Optional[Observability] = None,
-    tick_engine: Optional[str] = None,
-    demand_engine: Optional[str] = None,
     telemetry: bool = False,
     spec_store: Optional["DurableSpecStore"] = None,
 ) -> Scenario:
@@ -84,11 +82,7 @@ def build_cluster(
     ``fault_profile`` / ``fault_seed`` select the transport/crash fault
     schedule (default: none — all paths in-process); ``obs`` isolates the
     run's telemetry from the process default, which the chaos sweep needs
-    to attribute fault counters to one profile at a time; ``tick_engine``
-    picks the machine tick implementation (``"vector"``/``"legacy"``,
-    default per ``REPRO_TICK_ENGINE``) — the parity tests run both, and
-    ``demand_engine`` does the same for the demand plane
-    (``"vector"``/``"scalar"``, default per ``REPRO_DEMAND_ENGINE``).
+    to attribute fault counters to one profile at a time.
     ``telemetry`` attaches the fleet telemetry plane (TSDB + alert rules)
     to the run's facade, creating an isolated one if ``obs`` was omitted.
     ``spec_store`` makes the aggregator durable (snapshot + WAL) even when
@@ -100,8 +94,7 @@ def build_cluster(
         obs = (obs or Observability()).enable_telemetry()
     machines = [
         Machine(f"m{i}", get_platform(platforms[i % len(platforms)]),
-                cpi_noise_sigma=cpi_noise_sigma, tick_engine=tick_engine,
-                demand_engine=demand_engine)
+                cpi_noise_sigma=cpi_noise_sigma)
         for i in range(num_machines)
     ]
     sim = ClusterSimulation(machines, SimConfig(

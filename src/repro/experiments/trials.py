@@ -42,7 +42,7 @@ from repro.cluster.interference import ResourceProfile
 from repro.cluster.job import Job, JobSpec
 from repro.cluster.task import PriorityBand, SchedulingClass
 from repro.core.config import CpiConfig, DEFAULT_CONFIG
-from repro.core.identify import rank_cotenant_suspects, resolve_analysis_engine
+from repro.core.identify import rank_cotenant_suspects
 from repro.core.outlier import OutlierDetector
 from repro.perf.events import CounterEvent
 from repro.perf.sampler import CpiSampler, SamplerConfig
@@ -395,8 +395,7 @@ def run_trial(seed: int, config: TrialConfig | None = None) -> TrialResult:
     threshold = spec.outlier_threshold(cpi_config.outlier_stddevs)
     ranked, suspect_tasks = rank_cotenant_suspects(
         machine.resident_tasks(), "victim", victim_cpi_series, timestamps,
-        threshold, cpi_config.sampling_duration,
-        engine=resolve_analysis_engine())
+        threshold, cpi_config.sampling_duration)
     top = ranked[0] if ranked else None
 
     pre_window = [s.cpi for s in victim_samples

@@ -3,10 +3,10 @@
 ``run_trials(jobs=N)`` and ``run_experiments(jobs=N)`` both fan
 independent units of work across a ``multiprocessing.Pool``; before this
 module each call built (and tore down) its own pool, so short corpora
-paid more in process spawning than they saved in parallelism — the
-``trials_parallel`` bench measured 0.74x *against* serial on the default
-corpus.  :func:`shared_pool` keeps one fork-preferred pool alive for the
-life of the process instead (the coarse-fan-out sibling of
+paid more in process spawning than they saved in parallelism — a
+serial-vs-parallel trials benchmark measured 0.74x *against* serial on the
+default corpus.  :func:`shared_pool` keeps one fork-preferred pool alive for
+the life of the process instead (the coarse-fan-out sibling of
 :class:`repro.cluster.shards.ShardPool`), growing it when a caller asks
 for more workers and shutting it down atexit.
 

@@ -10,35 +10,28 @@ minute it snapshots every resident cgroup's counters; 10 seconds later it
 differences them and emits one :class:`~repro.core.records.CpiSample` per
 task that executed instructions during the window.
 
-Two engines implement the window close:
+The window close is columnar: a snapshot is one array copy of the
+machine's index-aligned counter matrix, window usage is one slice-sum over
+the shared per-task usage-ring matrix, and deltas / validity masks / CPI
+run as full-width ufunc passes that emit a
+:class:`~repro.core.samplebatch.SampleColumns` record directly, wrapped in
+a lazy :class:`~repro.core.samplebatch.WindowSamples`.  No ``CpiSample``
+objects exist on the clean path.
 
-* ``vector`` (default) — snapshots are one array copy of the machine's
-  index-aligned counter matrix, window usage is one slice-sum over the
-  shared per-task usage-ring matrix, and deltas / validity masks / CPI run
-  as full-width ufunc passes that emit a
-  :class:`~repro.core.samplebatch.SampleColumns` record directly (wrapped
-  in a lazy :class:`~repro.core.samplebatch.WindowSamples`) — no
-  ``CpiSample`` objects exist on the clean path.
-* ``scalar`` — the original per-task loop, kept verbatim as the
-  never-optimized golden reference.
-
-Select per sampler via ``CpiSampler(engine=...)`` or process-wide with
-``REPRO_SAMPLER_ENGINE=vector|scalar``.  ``tests/test_sampler_plane.py``
-pins byte-identical samples, incidents, counters, and discard events
-between the two; the invariants that make this possible are documented in
-``docs/performance.md``.
+The original per-task loop is the test oracle ``tests/reference/sampler.py``;
+``tests/test_sampler_plane.py`` pins byte-identical samples, incidents,
+counters, and discard events between the two.  The invariants that make
+this possible are documented in ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.records import MICROSECONDS_PER_SECOND, CpiSample, SpecKey
+from repro.records import MICROSECONDS_PER_SECOND, SpecKey
 from repro.perf.events import CounterEvent
 from repro.perf.counters import EVENT_ORDER, delta_matrix
 
@@ -47,30 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.samplebatch import SampleColumns, WindowSamples
     from repro.obs import Observability
 
-__all__ = ["SamplerConfig", "CpiSampler", "SAMPLER_ENGINES",
-           "SAMPLER_ENGINE_ENV", "default_sampler_engine"]
-
-#: Valid sampler-engine names.
-SAMPLER_ENGINES = ("vector", "scalar")
-
-#: Environment variable selecting the process-wide sampler engine.
-SAMPLER_ENGINE_ENV = "REPRO_SAMPLER_ENGINE"
+__all__ = ["SamplerConfig", "CpiSampler"]
 
 #: Fixed column positions of the two events the CPI formula reads.
 _CYCLES_COL = EVENT_ORDER.index(CounterEvent.CPU_CLK_UNHALTED_REF)
 _INSTRUCTIONS_COL = EVENT_ORDER.index(CounterEvent.INSTRUCTIONS_RETIRED)
 
 _EMPTY_SNAPSHOT = np.empty((0, len(EVENT_ORDER)))
-
-
-def default_sampler_engine() -> str:
-    """The process-wide engine choice: ``REPRO_SAMPLER_ENGINE`` or ``vector``."""
-    engine = os.environ.get(SAMPLER_ENGINE_ENV, "vector")
-    if engine not in SAMPLER_ENGINES:
-        raise ValueError(
-            f"{SAMPLER_ENGINE_ENV} must be one of {SAMPLER_ENGINES}, "
-            f"got {engine!r}")
-    return engine
 
 
 @dataclass(frozen=True)
@@ -105,21 +81,21 @@ class CpiSampler:
     """
 
     def __init__(self, machine: "Machine", config: SamplerConfig | None = None,
-                 obs: "Optional[Observability]" = None,
-                 engine: str | None = None):
+                 obs: "Optional[Observability]" = None):
+        # Deferred import: repro.core pulls in the agent, which imports the
+        # machine, which imports this module.
+        from repro.core.samplebatch import SampleColumns, WindowSamples
+
         self.machine = machine
         self.config = config or SamplerConfig()
         #: Telemetry handle; the simulation injects its own when attached.
         self.obs = obs
-        engine = engine if engine is not None else default_sampler_engine()
-        if engine not in SAMPLER_ENGINES:
-            raise ValueError(
-                f"engine must be one of {SAMPLER_ENGINES}, got {engine!r}")
-        self.engine = engine
         self._window_start: int | None = None
-        self._snapshots: dict[str, Mapping[CounterEvent, float]] = {}
-        #: Vector-engine snapshot: (cgroup-name tuple, counter-matrix copy).
+        #: The open window's snapshot: (cgroup-name tuple, counter-matrix
+        #: copy).
         self._snapshot_columns: tuple[tuple[str, ...], np.ndarray] | None = None
+        #: What :meth:`tick` returns when no window closed.
+        self._no_window = WindowSamples(SampleColumns.empty())
         # Per-reason discard-counter handles, so a storm of bad windows
         # under heavy chaos doesn't pay a labelled registry lookup per
         # discard.  Keyed by the obs identity the cache was built against:
@@ -165,20 +141,18 @@ class CpiSampler:
             return t - self._window_start >= self.config.duration_seconds
         return t % self.config.period_seconds == 0
 
-    def tick(self, t: int) -> "Sequence[CpiSample]":
+    def tick(self, t: int) -> "WindowSamples":
         """Advance to second ``t``; returns the window's samples if one closed.
 
-        The scalar engine returns a plain list; the vector engine returns a
-        :class:`~repro.core.samplebatch.WindowSamples` (columns-first, lazy
-        object materialization).  Both are sequences of field-identical
-        :class:`CpiSample` values.
+        The result is a :class:`~repro.core.samplebatch.WindowSamples`
+        (columns-first, lazy object materialization), empty when no window
+        closed at ``t``.
         """
-        samples: "Sequence[CpiSample]" = []
+        samples = self._no_window
         if (self._window_start is not None
                 and t - self._window_start >= self.config.duration_seconds):
             samples = self._close_window(end=t)
             self._window_start = None
-            self._snapshots = {}
             self._snapshot_columns = None
         if self._window_start is None and t % self.config.period_seconds == 0:
             self._open_window(t)
@@ -186,71 +160,27 @@ class CpiSampler:
 
     def _open_window(self, t: int) -> None:
         self._window_start = t
-        if self.engine == "vector":
-            # One memcpy of the index-aligned counter matrix instead of one
-            # dict per cgroup.  The matrix rows ARE the cgroups' live
-            # counter storage (CounterBank.matrix_view), so the copy is the
-            # same values a per-cgroup snapshot() sweep would record.
-            table = self.machine._task_table()
-            matrix = table.counter_matrix
-            self._snapshot_columns = (
-                table.cgroup_names,
-                matrix.copy() if matrix is not None else _EMPTY_SNAPSHOT)
-            return
-        self._snapshots = {
-            name: self.machine.counters.counters_for(name).snapshot()
-            for name in self.machine.resident_cgroup_names()
-        }
+        # One memcpy of the index-aligned counter matrix instead of one dict
+        # per cgroup.  The matrix rows ARE the cgroups' live counter storage
+        # (CounterBank.matrix_view), so the copy is the same values a
+        # per-cgroup snapshot() sweep would record.
+        table = self.machine._task_table()
+        matrix = table.counter_matrix
+        self._snapshot_columns = (
+            table.cgroup_names,
+            matrix.copy() if matrix is not None else _EMPTY_SNAPSHOT)
 
-    def _close_window(self, end: int) -> "Sequence[CpiSample]":
-        if self.engine == "vector":
-            return self._close_window_vector(end)
-        assert self._window_start is not None
-        start = self._window_start
-        samples: list[CpiSample] = []
-        for task in self.machine.resident_tasks():
-            snapshot = self._snapshots.get(task.cgroup.name)
-            if snapshot is None:
-                continue  # task arrived mid-window; skip it this round
-            deltas = self.machine.counters.counters_for(
-                task.cgroup.name).delta_since(snapshot)
-            cycles = deltas[CounterEvent.CPU_CLK_UNHALTED_REF]
-            instructions = deltas[CounterEvent.INSTRUCTIONS_RETIRED]
-            if not (math.isfinite(cycles) and math.isfinite(instructions)):
-                # A corrupted counter read; CPI would be NaN/inf and poison
-                # every consumer downstream.  Guard at the source.
-                self._discard_window(task.name, "non_finite_counters")
-                continue
-            if instructions <= 0.0:
-                # No retired instructions -> CPI undefined; no sample.
-                self._discard_window(task.name, "zero_instructions")
-                continue
-            usage = task.cgroup.usage_between(start + 1, end + 1)
-            if not math.isfinite(usage):
-                self._discard_window(task.name, "non_finite_usage")
-                continue
-            samples.append(CpiSample(
-                jobname=task.job.name,
-                platforminfo=self.machine.platform.name,
-                timestamp=end * MICROSECONDS_PER_SECOND,
-                cpu_usage=usage,
-                cpi=cycles / instructions,
-                taskname=task.name,
-            ))
-        return samples
-
-    # -- the vectorized window close -----------------------------------------
+    # -- the window close -----------------------------------------------------
     #
-    # Bit-identical to the scalar loop by construction: same task order
-    # (the task table is name-sorted, exactly resident_tasks() order), the
-    # same float64 subtraction per counter slot, the same IEEE division for
-    # CPI, and a window usage summed from 0.0 in the same time order as
-    # Cgroup.usage_between, over the same ring slots.  Discard reasons
-    # apply in the same precedence and emit events in the same task order.
+    # Bit-identical to the scalar reference loop by construction: same task
+    # order (the task table is name-sorted, exactly resident_tasks() order),
+    # the same float64 subtraction per counter slot, the same IEEE division
+    # for CPI, and a window usage summed from 0.0 in the same time order as
+    # Cgroup.usage_between, over the same ring slots.  Discard reasons apply
+    # in the same precedence and emit events in the same task order.
 
-    def _close_window_vector(self, end: int) -> "WindowSamples":
-        # Deferred import: repro.core pulls in the agent, which imports the
-        # machine, which imports this module.
+    def _close_window(self, end: int) -> "WindowSamples":
+        # Deferred import: see __init__.
         from repro.core.samplebatch import SampleColumns, WindowSamples
 
         assert self._window_start is not None
@@ -261,7 +191,7 @@ class CpiSampler:
         table = machine._task_table()
         names = table.cgroup_names
         if not names:
-            return WindowSamples(SampleColumns.empty())
+            return self._no_window
         cached_table, tasknames_all, jobnames_all = self._names_cache
         if cached_table is not table:
             tasknames_all = tuple(task.name for task in table.tasks)
@@ -277,13 +207,13 @@ class CpiSampler:
             matrix_rows: Optional[np.ndarray] = None
         else:
             # Tasks arrived (no snapshot row: skipped, like the scalar
-            # engine) and/or departed (snapshot row no longer resident:
+            # reference) and/or departed (snapshot row no longer resident:
             # simply not iterated) mid-window; align by cgroup name.
             index = {name: j for j, name in enumerate(snap_names)}
             keep = [(i, index[name]) for i, name in enumerate(names)
                     if name in index]
             if not keep:
-                return WindowSamples(SampleColumns.empty())
+                return self._no_window
             matrix_rows = np.asarray([i for i, _ in keep], dtype=np.intp)
             current = table.counter_matrix[matrix_rows]
             snapshot = snap[np.asarray([j for _, j in keep], dtype=np.intp)]
@@ -300,7 +230,7 @@ class CpiSampler:
         if not ok.all():
             # Discards interleave nothing but their own counters/events, so
             # replaying them row-by-row in task order reproduces exactly
-            # the scalar engine's event stream.  Precedence per row matches
+            # the scalar reference's event stream.  Precedence per row matches
             # the scalar guard order: counters, then instructions, then
             # usage.
             for j in np.flatnonzero(~ok).tolist():
@@ -353,7 +283,7 @@ class CpiSampler:
         second (its machine skipped ticks) reads the same ring through
         :meth:`~repro.cluster.cgroup.Cgroup.usage_between` instead, which
         zero-fills the seconds after its last charge.  The ledger is flushed
-        once up front.  Computing usage for rows the scalar engine would
+        once up front.  Computing usage for rows the scalar reference would
         have discarded first is unobservable: the read is pure once the
         ledger is flushed.
         """

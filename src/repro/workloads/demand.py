@@ -7,7 +7,7 @@ self-inflicted victims, steady services) and these express them directly.
 
 Every combinator returns an ordinary callable *and* attaches a frozen
 ``spec`` attribute describing it declaratively (:class:`ConstantSpec`,
-:class:`OnOffSpec`, ...).  The vectorized demand engine
+:class:`OnOffSpec`, ...).  The columnar demand plane
 (:mod:`repro.cluster.demandplane`) compiles those specs into
 struct-of-arrays programs so a whole machine's demand for one tick is a
 handful of numpy ufunc passes; a demand function without a recognised spec
@@ -113,11 +113,11 @@ class NoiseSpec:
 
     ``stream`` is a one-slot mutable holder shared with the closure.  It
     starts as ``[None]`` (the closure draws scalars straight from ``rng``);
-    the demand engine may install an iterator yielding the generator's
+    the demand plane may install an iterator yielding the generator's
     scalar stream in bulk-drawn chunks (bit-identical values, cheaper per
     draw).  Once installed, *every* consumer — compiled program or closure,
     whichever runs — takes draws from that iterator, so the stream position
-    stays exact across engine switches and table recompiles.
+    stays exact across step-downs and table recompiles.
     """
 
     base: Optional["DemandSpec"]
@@ -268,9 +268,9 @@ def with_noise(base: DemandFn, sigma: float,
         # ``d if d > 0.0 else 0.0`` matches max(0.0, d) for every float
         # including NaN.  This runs once per task per simulated second, so
         # it is one of the hottest expressions in the whole simulator.
-        # When the demand engine has installed a chunked stream for this
+        # When the demand plane has installed a chunked stream for this
         # generator (see NoiseSpec.stream), draws must come from it so the
-        # stream position survives engine switches and table recompiles.
+        # stream position survives step-downs and table recompiles.
         it = stream[0]
         d = base(t) * float(_exp(sigma * (draw() if it is None else next(it))))
         return d if d > 0.0 else 0.0

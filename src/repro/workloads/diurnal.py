@@ -42,7 +42,7 @@ class DiurnalPattern:
         self.amplitude = amplitude
         self.peak_hour = peak_hour
         self.weekend_damping = weekend_damping
-        # Purity declaration for the vectorized demand engine: two patterns
+        # Purity declaration for the columnar demand plane: two patterns
         # with equal specs produce identical outputs for every t, so tasks
         # sharing a spec can share one evaluation per tick (keeping the
         # math.cos calls scalar and therefore bit-identical).

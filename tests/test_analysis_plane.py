@@ -1,11 +1,12 @@
 """Golden-parity tests for the vectorized analysis plane.
 
-The matrix identification engine, the batch outlier detector, the columnar
+The matrix identification path, the batch outlier detector, the columnar
 task windows, and the parallel trial runner must all be **bit-identical**
-to their scalar references: same sample streams, same incidents, same
-suspect rankings, same counters.  Floats are compared via ``float.hex()``
-so "close enough" can never creep in, mirroring ``test_tick_parity.py``
-for the simulation plane.
+to their scalar references (``tests/reference/identify.py``, per-sample
+``observe``, the per-sample ingest loop): same sample streams, same
+incidents, same suspect rankings, same counters.  Floats are compared via
+``float.hex()`` so "close enough" can never creep in, mirroring
+``test_tick_parity.py`` for the simulation plane.
 """
 
 from __future__ import annotations
@@ -18,40 +19,17 @@ from hypothesis import strategies as st
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS, Cgroup
 from repro.core.config import CpiConfig
 from repro.core.correlation import rank_suspects
-from repro.core.identify import (ANALYSIS_ENGINE_ENV, rank_cotenant_suspects,
-                                 rank_suspects_matrix,
-                                 resolve_analysis_engine,
-                                 suspect_usage_matrix)
+from repro.core.identify import (rank_cotenant_suspects,
+                                 rank_suspects_matrix, suspect_usage_matrix)
 from repro.core.outlier import OutlierDetector
 from repro.core.window import WINDOW_CAPACITY, ColumnarWindow
 from repro.experiments.scenarios import demo_scenario
 from tests.conftest import make_sample, make_spec
+from tests.reference import identify as reference_identify
 
 
 def _hex(x) -> str:
     return float(x).hex()
-
-
-# ---------------------------------------------------------------------------
-# Engine selection
-
-
-class TestResolveAnalysisEngine:
-    def test_defaults_to_vector(self, monkeypatch):
-        monkeypatch.delenv(ANALYSIS_ENGINE_ENV, raising=False)
-        assert resolve_analysis_engine() == "vector"
-
-    def test_environment_selects(self, monkeypatch):
-        monkeypatch.setenv(ANALYSIS_ENGINE_ENV, "scalar")
-        assert resolve_analysis_engine() == "scalar"
-
-    def test_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ANALYSIS_ENGINE_ENV, "scalar")
-        assert resolve_analysis_engine("vector") == "vector"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown analysis engine"):
-            resolve_analysis_engine("simd")
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +227,12 @@ class TestRankSuspectsMatrixParity:
                           [("a/0", "a"), ("b/0", "b")],
                           [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
 
+    def test_at_threshold_sample_is_skipped_not_added(self):
+        # Only a non-finite usage tells a skipped term from "+ 0.0": the
+        # reference never evaluates inf / inf * 0.0, which would be NaN.
+        _scalar_vs_matrix([2.0, 3.0, 1.0], 2.0, [("a/0", "a"), ("b/0", "b")],
+                          [[float("inf"), 1.0, 2.0], [1.0, 1.0, 1.0]])
+
     def test_single_point_window(self):
         _scalar_vs_matrix([3.0], 1.0, [("a/0", "a"), ("b/0", "b")],
                           [[0.5], [2.0]])
@@ -317,10 +301,12 @@ class TestRankCotenantSuspects:
         timestamps = [70, 80, 90, 100, 110, 120]
         victim_cpi = [1.0, 2.5, 1.2, 2.9, 1.1, 3.2]
         results = {}
-        for engine in ("scalar", "vector"):
-            scores, suspect_tasks = rank_cotenant_suspects(
+        for engine, rank in (("scalar",
+                              reference_identify.rank_cotenant_suspects),
+                             ("vector", rank_cotenant_suspects)):
+            scores, suspect_tasks = rank(
                 machine.resident_tasks(), "job-0", victim_cpi, timestamps,
-                1.5, 10, engine=engine)
+                1.5, 10)
             results[engine] = [(s.taskname, s.jobname, _hex(s.correlation))
                                for s in scores]
             # Job-mates of the victim are never suspected.
@@ -471,7 +457,8 @@ class TestObserveBatchParity:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: the full pipeline, scalar vs vector, clean and under chaos
+# End-to-end: the full pipeline, scalar references vs production, clean and
+# under chaos
 
 
 def _canon_incidents(pipeline):
@@ -499,13 +486,17 @@ def _canon_windows(pipeline):
 
 
 def _run_demo(engine, fault_profile="none", minutes=20):
+    """The demo on the scalar references (per-sample ingest at every batch
+    size, per-timestamp co-tenant ranking) or on production code with the
+    columnar ingest forced at every batch size."""
     scenario = demo_scenario(seed=7, fault_profile=fault_profile,
                              fault_seed=3)
     for agent in scenario.pipeline.agents.values():
-        agent.analysis_engine = engine
-        if engine == "vector":
-            agent.vector_min_batch = 1  # force the batch path at any size
-    scenario.simulation.run_minutes(minutes)
+        agent.vector_min_batch = 1 if engine == "vector" else 1 << 62
+    with pytest.MonkeyPatch.context() as patch:
+        if engine == "scalar":
+            reference_identify.install(patch)
+        scenario.simulation.run_minutes(minutes)
     pipeline = scenario.pipeline
     detectors = [(_detector_state(agent.detector))
                  for agent in pipeline.agents.values()]
@@ -522,20 +513,6 @@ class TestGoldenPipelineParity:
                                "detectors"), scalar, vector):
             assert s == v, f"{fault_profile}: {name} diverged"
         assert scalar[0], "expected at least one incident in the demo"
-
-    def test_pipeline_engine_parameter_threads_to_agents(self):
-        from repro.cluster.machine import Machine
-        from repro.cluster.platform import get_platform
-        from repro.cluster.simulation import ClusterSimulation, SimConfig
-        from repro.core.pipeline import CpiPipeline
-        from repro.obs import Observability
-
-        machine = Machine("m0", get_platform("westmere-2.6"))
-        sim = ClusterSimulation([machine], SimConfig(seed=1))
-        pipeline = CpiPipeline(sim, CpiConfig(), obs=Observability(),
-                               analysis_engine="scalar")
-        assert all(agent.analysis_engine == "scalar"
-                   for agent in pipeline.agents.values())
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +556,9 @@ class TestParallelTrials:
         from repro.experiments.trials import run_trial
 
         config = self._fast_config()
-        monkeypatch.setenv(ANALYSIS_ENGINE_ENV, "scalar")
-        scalar = run_trial(9, config)
-        monkeypatch.setenv(ANALYSIS_ENGINE_ENV, "vector")
+        with monkeypatch.context() as patch:
+            reference_identify.install(patch)
+            scalar = run_trial(9, config)
         vector = run_trial(9, config)
         assert repr(vector) == repr(scalar)
 

@@ -47,6 +47,23 @@ class TestPearsonCorrelation:
         with pytest.raises(ValueError, match="at least 2"):
             pearson_correlation([1], [1])
 
+    def test_tiny_deviations_do_not_underflow(self):
+        # The sums of squares underflowed: into the subnormals (|r| > 1),
+        # or to zero (a perfect anti-correlation reported as 0.0).
+        assert pearson_correlation([0, 1.39e-79], [5e-79, 1e-79]) == -1.0
+        assert pearson_correlation([0, 1e-300], [1, 0]) == -1.0
+
+    def test_huge_deviations_do_not_overflow(self):
+        with np.errstate(over="raise", invalid="raise"):
+            r = pearson_correlation([1e300, -1e300], [1e300, -1e300])
+        assert r == 1.0
+
+    def test_one_ulp_apart_stays_in_range(self):
+        # The mean rounds, so the two deviations are unequal and r is not
+        # exactly 1; it must still be a valid correlation.
+        r = pearson_correlation([1.0, 1.0 + 2**-52], [1.0, 2.0])
+        assert -1.0 <= r <= 1.0
+
     def test_symmetry(self):
         x = [1.0, 4.0, 2.0]
         y = [3.0, 1.0, 5.0]

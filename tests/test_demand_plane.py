@@ -9,11 +9,15 @@ Three layers of pinning:
 * **Eligibility** — anything the compiler can't express (opaque lambdas,
   overridden ``cpu_demand``, subclassed cgroups, shared cgroups,
   non-finite parameters) steps the machine down to the closure path, and
-  that machine still ticks identically to a scalar-engine twin.
-* **End-to-end golden parity** — ``REPRO_DEMAND_ENGINE=scalar`` vs
-  ``vector`` on the scale scenario (clean, sharded at 1/2/4 workers) and
-  the chaos scenario (moderate faults, caps actually applied), compared
-  through the same hex-canonical forms the shard golden tests use.
+  that machine still ticks identically to a closure-only twin.
+* **End-to-end golden parity** — every table on the closures
+  (``tests/reference/demand.py``) vs compiled columns on the scale
+  scenario (clean, sharded at 1/2/4 workers) and the chaos scenario
+  (moderate faults, caps actually applied), compared through the same
+  hex-canonical forms the shard golden tests use.
+
+A "scalar" machine below is a twin whose workloads are pinned to their
+closures; a "vector" one compiles its demand program.
 
 Plus regression tests for the NaN-clamp unification (``scaled`` /
 ``with_noise`` / ``SyntheticWorkload.cpu_demand`` all treat non-finite
@@ -31,8 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cgroup import Cgroup
-from repro.cluster.demandplane import (DEMAND_ENGINE_ENV, DEMAND_ENGINES,
-                                       DemandColumns, resolve_demand_engine)
+from repro.cluster.demandplane import DemandColumns
 from repro.cluster.job import Job, JobSpec
 from repro.cluster.machine import Machine
 from repro.cluster.platform import get_platform
@@ -48,6 +51,7 @@ from repro.workloads.demand import (ConstantSpec, NoiseSpec, OnOffSpec,
                                     constant, demand_spec, on_off, phased,
                                     ramp, scaled, with_noise)
 from repro.workloads.diurnal import DiurnalPattern
+from tests.reference import demand as reference_demand
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -55,6 +59,16 @@ from repro.workloads.diurnal import DiurnalPattern
 
 def _hex(x) -> str:
     return float(x).hex()
+
+
+def _demand_path(machine: Machine, engine: str) -> Machine:
+    """``machine``, pinned to the demand closures when ``engine`` is
+    ``"scalar"``."""
+    if engine == "scalar":
+        reference_demand.pin_closures(
+            task.workload for task in machine.resident_tasks())
+        assert machine._task_table().demand_columns is None
+    return machine
 
 
 def _workload(fn) -> SyntheticWorkload:
@@ -263,10 +277,10 @@ class TestEligibility:
 
     def test_machine_steps_down_and_matches_scalar_engine(self):
         """A machine whose table can't compile still ticks bit-identically
-        to a scalar-engine twin (the closure path is shared)."""
+        to a closure-only twin (the closure path is shared)."""
         def build(engine):
             m = Machine("m0", get_platform("westmere-2.6"),
-                        cpi_noise_sigma=0.03, demand_engine=engine)
+                        cpi_noise_sigma=0.03)
             spec = JobSpec(
                 name="odd", num_tasks=3,
                 scheduling_class=SchedulingClass.LATENCY_SENSITIVE,
@@ -277,7 +291,7 @@ class TestEligibility:
                     demand=lambda t, i=i: 0.5 + 0.1 * i))
             for task in Job(spec):
                 m.place(task)
-            return m
+            return _demand_path(m, engine)
 
         mv = build("vector")
         ms = build("scalar")
@@ -295,9 +309,8 @@ class TestEligibility:
 def _noisy_machine(engine: str, num: int = 4) -> Machine:
     """A machine of noisy tasks whose generators are private to their
     ``with_noise`` closures (constructed inline, no other reference), so
-    the vector engine is allowed to install chunked draw streams."""
-    m = Machine("m0", get_platform("westmere-2.6"), cpi_noise_sigma=0.0,
-                demand_engine=engine)
+    the demand plane is allowed to install chunked draw streams."""
+    m = Machine("m0", get_platform("westmere-2.6"), cpi_noise_sigma=0.0)
     spec = JobSpec(
         name="svc", num_tasks=num,
         scheduling_class=SchedulingClass.LATENCY_SENSITIVE,
@@ -310,7 +323,7 @@ def _noisy_machine(engine: str, num: int = 4) -> Machine:
                                   np.random.SeedSequence((7, i))))))
     for task in Job(spec):
         m.place(task)
-    return m
+    return _demand_path(m, engine)
 
 
 def _assert_tick_parity(mv: Machine, ms: Machine, ts) -> None:
@@ -331,7 +344,7 @@ class TestDrawPrefetch:
 
     def test_private_rng_gets_stream_and_matches_scalar(self):
         """A private generator is bulk-drawn in chunks; grants stay
-        bit-identical to the scalar engine across refill boundaries."""
+        bit-identical to the closures across refill boundaries."""
         from repro.cluster.demandplane import _DRAW_CHUNK
         mv = _noisy_machine("vector")
         ms = _noisy_machine("scalar")
@@ -419,48 +432,12 @@ class TestNaNClamp:
 
 
 # ---------------------------------------------------------------------------
-# engine selection
-
-
-class TestEngineSelection:
-    def test_resolve_explicit(self):
-        assert resolve_demand_engine("scalar") == "scalar"
-        assert resolve_demand_engine("vector") == "vector"
-
-    def test_resolve_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv(DEMAND_ENGINE_ENV, raising=False)
-        assert resolve_demand_engine() == "vector"
-
-    def test_resolve_env(self, monkeypatch):
-        monkeypatch.setenv(DEMAND_ENGINE_ENV, "scalar")
-        assert resolve_demand_engine() == "scalar"
-        assert resolve_demand_engine("vector") == "vector"  # explicit wins
-
-    def test_resolve_rejects_unknown(self, monkeypatch):
-        with pytest.raises(ValueError, match="demand engine"):
-            resolve_demand_engine("turbo")
-        monkeypatch.setenv(DEMAND_ENGINE_ENV, "bogus")
-        with pytest.raises(ValueError, match="demand engine"):
-            resolve_demand_engine()
-
-    def test_machine_rejects_unknown(self):
-        from repro.cluster.platform import get_platform
-        with pytest.raises(ValueError, match="demand engine"):
-            Machine("m0", get_platform("westmere-2.6"),
-                    demand_engine="turbo")
-
-    def test_engines_tuple(self):
-        assert DEMAND_ENGINES == ("vector", "scalar")
-
-
-# ---------------------------------------------------------------------------
 # charge ledger
 
 
 class TestChargeLedger:
     def _machine(self, engine="vector"):
-        m = Machine("m0", get_platform("westmere-2.6"), cpi_noise_sigma=0.0,
-                    demand_engine=engine)
+        m = Machine("m0", get_platform("westmere-2.6"), cpi_noise_sigma=0.0)
         spec = JobSpec(
             name="svc", num_tasks=2,
             scheduling_class=SchedulingClass.LATENCY_SENSITIVE,
@@ -470,7 +447,7 @@ class TestChargeLedger:
         tasks = list(Job(spec))
         for task in tasks:
             m.place(task)
-        return m, tasks
+        return _demand_path(m, engine), tasks
 
     def test_reads_flush_mid_chunk(self):
         """total / last_usage / usage_between / window views all see charges
@@ -521,15 +498,15 @@ class TestChargeLedger:
     def test_departure_mid_run_stays_consistent(self):
         """ScriptedWorkload is not a SyntheticWorkload, so its machine
         takes the closure path end to end; its timed exits must still
-        match the scalar engine exactly."""
+        match the closure-only twin exactly."""
         def build(engine):
             m = Machine("m0", get_platform("westmere-2.6"),
-                        cpi_noise_sigma=0.0, demand_engine=engine)
+                        cpi_noise_sigma=0.0)
             job = make_scripted_job("scripted", [1.0, 2.0, 0.5],
                                     num_tasks=3, exit_at=25)
             for task in job:
                 m.place(task)
-            return m
+            return _demand_path(m, engine)
 
         mv, ms = build("vector"), build("scalar")
         assert mv._task_table().demand_columns is None
@@ -543,18 +520,18 @@ class TestChargeLedger:
     def test_mapreduce_departures_with_compiled_demand(self):
         """MapReduceWorker demand (noise over constant) compiles, but its
         overridden on_tick disables the batched accounting: departures
-        must still fire exactly as on the scalar engine."""
+        must still fire exactly as on the closure-only twin."""
         from repro.workloads.batch import make_mapreduce_job_spec
 
         def build(engine):
             m = Machine("m0", get_platform("westmere-2.6"),
-                        cpi_noise_sigma=0.0, demand_engine=engine)
+                        cpi_noise_sigma=0.0)
             spec = make_mapreduce_job_spec("mr", num_workers=4, seed=3,
                                            work_cpu_seconds=40.0,
                                            give_up_episode=2)
             for task in Job(spec):
                 m.place(task)
-            return m
+            return _demand_path(m, engine)
 
         mv, ms = build("vector"), build("scalar")
         dc = mv._task_table().demand_columns
@@ -571,7 +548,7 @@ class TestChargeLedger:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end golden parity, scalar vs vector engine
+# end-to-end golden parity, closures vs compiled columns
 
 
 _SCALE_KWARGS = dict(num_machines=6, seed=11, num_service_jobs=2,
@@ -631,13 +608,13 @@ def _run_sharded(builder, kwargs, seconds, jobs):
 
 class TestGoldenEngineParity:
     def test_scale_clean_parity_across_jobs(self, monkeypatch):
-        """Clean fleet: scalar reference == vector engine, single-process
-        and sharded at 1/2/4 workers, byte for byte."""
+        """Clean fleet: closures == compiled columns, single-process and
+        sharded at 1/2/4 workers, byte for byte."""
         seconds = 1200
-        monkeypatch.setenv(DEMAND_ENGINE_ENV, "scalar")
-        baseline = _run_single(scale_scenario, _SCALE_KWARGS, seconds)
+        with monkeypatch.context() as patch:
+            reference_demand.install(patch)
+            baseline = _run_single(scale_scenario, _SCALE_KWARGS, seconds)
         assert len(baseline["samples"]) > 300   # not vacuously equal
-        monkeypatch.setenv(DEMAND_ENGINE_ENV, "vector")
         assert _run_single(scale_scenario, _SCALE_KWARGS,
                            seconds) == baseline
         for jobs in (1, 2, 4):
@@ -648,11 +625,11 @@ class TestGoldenEngineParity:
         """Moderate chaos: caps fire and machines churn; sample, incident,
         spec, and cap-counter streams must stay byte-identical."""
         seconds = 2400
-        monkeypatch.setenv(DEMAND_ENGINE_ENV, "scalar")
-        baseline = _run_single(chaos_scenario, _CHAOS_KWARGS, seconds)
+        with monkeypatch.context() as patch:
+            reference_demand.install(patch)
+            baseline = _run_single(chaos_scenario, _CHAOS_KWARGS, seconds)
         assert len(baseline["incidents"]) > 0   # detection fired
         assert baseline["caps"] > 0             # caps actually applied
-        monkeypatch.setenv(DEMAND_ENGINE_ENV, "vector")
         assert _run_single(chaos_scenario, _CHAOS_KWARGS,
                            seconds) == baseline
         for jobs in (1, 2, 4):

@@ -2,6 +2,8 @@
 sampler fast-forward, cached iteration order, matrix-backed counters, and
 the fused-fleet eligibility/fallback rules."""
 
+from types import MethodType
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.perf.profiling import StageTimers, profile_call
 from repro.perf.sampler import CpiSampler, SamplerConfig
 from repro import get_platform
 from repro.testing import make_quiet_machine, make_scripted_job
+from tests.reference import tick as reference_tick
 
 
 class TestStageTimers:
@@ -96,10 +99,19 @@ class TestSamplerFastForward:
                 == [(s.timestamp, s.cpi, s.cpu_usage) for s in skipped])
 
 
-def _sim(num_machines, engine="vector"):
+def _bind_reference_tick(machine):
+    """``machine``, ticking the scalar reference loop bound on its instance."""
+    machine.tick = MethodType(reference_tick.tick, machine)
+    return machine
+
+
+def _sim(num_machines, reference=False):
     machines = [Machine(f"m{i}", get_platform("westmere-2.6"),
-                        cpi_noise_sigma=0.0, tick_engine=engine)
+                        cpi_noise_sigma=0.0)
                 for i in range(num_machines)]
+    if reference:
+        for machine in machines:
+            _bind_reference_tick(machine)
     return ClusterSimulation(machines, SimConfig(seed=1))
 
 
@@ -168,53 +180,35 @@ class TestMatrixCounters:
 
 class TestFusedEligibility:
     def test_fresh_vector_machine_is_eligible(self):
-        assert fused_eligible(
-            Machine("m", get_platform("westmere-2.6"),
-                    tick_engine="vector"))
-
-    def test_legacy_engine_is_not(self):
-        assert not fused_eligible(
-            Machine("m", get_platform("westmere-2.6"),
-                    tick_engine="legacy"))
+        assert fused_eligible(Machine("m", get_platform("westmere-2.6")))
 
     def test_instance_patched_tick_is_not(self):
-        machine = Machine("m", get_platform("westmere-2.6"),
-                          tick_engine="vector")
+        machine = Machine("m", get_platform("westmere-2.6"))
         machine.tick = lambda t: None
         assert not fused_eligible(machine)
 
     def test_subclass_override_is_not(self):
         class Custom(Machine):
-            def _tick_vector(self, t):
-                return super()._tick_vector(t)
+            def tick(self, t):
+                return super().tick(t)
 
-        assert not fused_eligible(
-            Custom("m", get_platform("westmere-2.6"), tick_engine="vector"))
+        assert not fused_eligible(Custom("m", get_platform("westmere-2.6")))
 
     def test_build_rejects_mixed_fleets(self):
-        ok = Machine("a", get_platform("westmere-2.6"), tick_engine="vector")
-        bad = Machine("b", get_platform("westmere-2.6"),
-                      tick_engine="legacy")
+        ok = Machine("a", get_platform("westmere-2.6"))
+        bad = _bind_reference_tick(Machine("b", get_platform("westmere-2.6")))
         for m in (ok, bad):
             m.rng = np.random.default_rng(0)
         assert FusedFleet.build([("a", ok), ("b", bad)]) is None
 
     def test_simulation_falls_back_for_legacy_fleet(self):
-        sim = _sim(2, engine="legacy")
+        sim = _sim(2, reference=True)
         results = sim.step()
         assert sim._fleet is None
         assert set(results) == {"m0", "m1"}
 
     def test_simulation_fuses_vector_fleet(self):
-        sim = _sim(2, engine="vector")
+        sim = _sim(2)
         results = sim.step()
         assert sim._fleet is not None
         assert set(results) == {"m0", "m1"}
-
-    def test_default_engine_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TICK_ENGINE", "legacy")
-        assert Machine("m", get_platform("westmere-2.6")).tick_engine == \
-            "legacy"
-        monkeypatch.delenv("REPRO_TICK_ENGINE")
-        assert Machine("m", get_platform("westmere-2.6")).tick_engine == \
-            "vector"

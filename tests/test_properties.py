@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import Ecdf, pearson_correlation, rolling_mean
@@ -72,10 +72,13 @@ class TestCorrelationProperties:
 class TestStatsProperties:
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=2, max_size=100))
+    # Random search found this one: the product of the two sums of squares
+    # underflowed into the subnormals and r came out as -1.0000000014.
+    @example(xs=[0.0, 1.39e-79])
     def test_pearson_in_unit_interval(self, xs):
         ys = xs[::-1]
         r = pearson_correlation(xs, ys)
-        assert -1.0 - 1e-9 <= r <= 1.0 + 1e-9
+        assert -1.0 <= r <= 1.0
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=100),

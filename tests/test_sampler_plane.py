@@ -1,9 +1,9 @@
 """The columnar sampling plane vs the scalar golden reference.
 
-``REPRO_SAMPLER_ENGINE=vector`` closes sampling windows as array passes
-over the machine's counter matrix and usage-ring matrix, emitting
-``SampleColumns`` directly; ``scalar`` is the original per-task loop, kept
-as the never-optimized reference.  Everything observable — samples,
+:class:`CpiSampler` closes sampling windows as array passes over the
+machine's counter matrix and usage-ring matrix, emitting ``SampleColumns``
+directly; ``tests/reference/sampler.py`` is the original per-task loop,
+kept as the never-optimized reference.  Everything observable — samples,
 incidents, specs, cap counters, discard counters, discard *events and their
 order* — must match byte for byte (``float.hex()``), single-process and
 sharded.
@@ -11,7 +11,7 @@ sharded.
 
 from __future__ import annotations
 
-import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -22,10 +22,13 @@ from repro.core.samplebatch import SampleColumns, WindowSamples
 from repro.experiments.chaos import chaos_scenario
 from repro.experiments.scenarios import scale_scenario
 from repro.obs import Observability
-from repro.perf.sampler import (SAMPLER_ENGINE_ENV, SAMPLER_ENGINES,
-                                CpiSampler, SamplerConfig,
-                                default_sampler_engine)
+from repro.perf.counters import EVENT_ORDER
+from repro.perf.events import CounterEvent
+from repro.perf.sampler import CpiSampler, SamplerConfig
 from repro.testing import make_quiet_machine, make_scripted_job
+from tests.reference import sampler as reference_sampler
+from tests.reference import tick as reference_tick
+
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -40,25 +43,39 @@ def _canon_samples(samples):
              _hex(s.cpi), s.taskname) for s in samples]
 
 
-def _drive(machine, sampler, seconds, skip_ticks=()):
+@contextmanager
+def _window_close(path):
+    """Run the enclosed code with ``path``'s window close."""
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "reference":
+            reference_sampler.install(patch)
+        yield
+
+
+def _drive(machine, sampler, seconds, skip_ticks=(), after_tick=None):
     """Tick machine+sampler over ``seconds``; returns closed windows.
 
     ``skip_ticks`` seconds are skipped on the *machine* only (no charge
     arrives — the sampler still runs), which leaves gaps in usage rings.
+    ``after_tick(t)`` runs between the machine's and the sampler's tick.
     """
     collected = []
     for t in range(seconds):
         if t not in skip_ticks:
             machine.tick(t)
+        if after_tick is not None:
+            after_tick(t)
         samples = sampler.tick(t)
         if samples:
             collected.append((t, samples))
     return collected
 
 
-def _discard_run(engine, seconds=11, skip_ticks=()):
+def _discard_run(path, seconds=11, skip_ticks=(), corrupt=()):
     """One machine with an idle task among active ones: the idle task's
-    windows discard as zero_instructions.  Returns everything observable."""
+    windows discard as zero_instructions.  ``corrupt`` lists
+    ``(taskname, event, value)`` counter reads overwritten at t=5, mid
+    first window.  Returns everything observable."""
     obs = Observability()
     events = []
     obs.events.add_sink(events.append)
@@ -66,8 +83,19 @@ def _discard_run(engine, seconds=11, skip_ticks=()):
     machine.place(make_scripted_job("idle", [0.0], cpu_limit=4.0).tasks[0])
     machine.place(make_scripted_job("busy", [1.0], cpu_limit=4.0).tasks[0])
     machine.place(make_scripted_job("work", [2.0], cpu_limit=4.0).tasks[0])
-    sampler = CpiSampler(machine, obs=obs, engine=engine)
-    collected = _drive(machine, sampler, seconds, skip_ticks=skip_ticks)
+    sampler = CpiSampler(machine, obs=obs)
+
+    def corrupt_reads(t):
+        if t != 5:
+            return
+        for taskname, event, value in corrupt:
+            cgroup = machine.get_task(taskname).cgroup.name
+            counters = machine.counters.counters_for(cgroup)
+            counters._values[EVENT_ORDER.index(event)] = value
+
+    with _window_close(path):
+        collected = _drive(machine, sampler, seconds, skip_ticks=skip_ticks,
+                           after_tick=corrupt_reads)
     return {
         "windows": [(t, _canon_samples(samples)) for t, samples in collected],
         "discards": obs.metrics.total("sampler_windows_discarded"),
@@ -77,50 +105,20 @@ def _discard_run(engine, seconds=11, skip_ticks=()):
 
 
 # ---------------------------------------------------------------------------
-# engine selection
-
-
-class TestEngineSelection:
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv(SAMPLER_ENGINE_ENV, raising=False)
-        assert default_sampler_engine() == "vector"
-        assert CpiSampler(make_quiet_machine()).engine == "vector"
-
-    def test_env_selects_engine(self, monkeypatch):
-        for engine in SAMPLER_ENGINES:
-            monkeypatch.setenv(SAMPLER_ENGINE_ENV, engine)
-            assert default_sampler_engine() == engine
-            assert CpiSampler(make_quiet_machine()).engine == engine
-
-    def test_env_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv(SAMPLER_ENGINE_ENV, "turbo")
-        with pytest.raises(ValueError, match="turbo"):
-            default_sampler_engine()
-
-    def test_explicit_engine_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SAMPLER_ENGINE_ENV, "scalar")
-        assert CpiSampler(make_quiet_machine(), engine="vector").engine == \
-            "vector"
-
-    def test_constructor_rejects_unknown(self):
-        with pytest.raises(ValueError, match="warp"):
-            CpiSampler(make_quiet_machine(), engine="warp")
-
-
-# ---------------------------------------------------------------------------
-# the vector window is columns-first
+# the window is columns-first
 
 
 class TestWindowSamples:
-    def _one_window(self, engine):
+    def _one_window(self, path="columnar"):
         machine = make_quiet_machine()
         machine.place(make_scripted_job("j", [1.0], cpu_limit=4.0).tasks[0])
-        sampler = CpiSampler(machine, engine=engine)
-        (_, samples), = _drive(machine, sampler, 11)
+        sampler = CpiSampler(machine)
+        with _window_close(path):
+            (_, samples), = _drive(machine, sampler, 11)
         return samples
 
     def test_vector_window_is_lazy_columns(self):
-        samples = self._one_window("vector")
+        samples = self._one_window()
         assert isinstance(samples, WindowSamples)
         assert isinstance(samples.columns, SampleColumns)
         assert samples._samples is None          # len/bool didn't materialize
@@ -129,16 +127,13 @@ class TestWindowSamples:
         assert samples[0].taskname == "j/0"      # first element access does
         assert samples._samples is not None
 
-    def test_scalar_window_is_a_list(self):
-        assert isinstance(self._one_window("scalar"), list)
-
     def test_windows_compare_equal_across_engines(self):
-        assert self._one_window("vector") == self._one_window("scalar")
+        assert self._one_window() == self._one_window("reference")
 
     def test_empty_window_is_falsy(self):
         machine = make_quiet_machine()   # no tasks at all
-        sampler = CpiSampler(machine, engine="vector")
-        sampler.tick(0)
+        sampler = CpiSampler(machine)
+        assert isinstance(sampler.tick(0), WindowSamples)   # opens only
         assert not sampler.tick(10)
 
 
@@ -148,93 +143,111 @@ class TestWindowSamples:
 
 class TestUnitParity:
     def test_discard_counts_and_event_order_match(self):
-        scalar = _discard_run("scalar")
-        vector = _discard_run("vector")
+        scalar = _discard_run("reference")
+        vector = _discard_run("columnar")
         assert scalar["discards"] == vector["discards"] == 1.0
         assert scalar["events"] == vector["events"]
         assert vector["events"][0]["reason"] == "zero_instructions"
         assert scalar["windows"] == vector["windows"]
 
+    def test_corrupt_counter_discard_precedence(self):
+        # A NaN instruction count fails the finiteness guard *and* the
+        # positivity guard; the counters guard must win, as in the
+        # reference loop.  An infinite cycle count fails finiteness only.
+        corrupt = (("busy/0", CounterEvent.INSTRUCTIONS_RETIRED,
+                    float("nan")),
+                   ("work/0", CounterEvent.CPU_CLK_UNHALTED_REF,
+                    float("inf")))
+        scalar = _discard_run("reference", corrupt=corrupt)
+        vector = _discard_run("columnar", corrupt=corrupt)
+        assert scalar == vector
+        assert [(e["task"], e["reason"]) for e in vector["events"]] == [
+            ("busy/0", "non_finite_counters"),
+            ("idle/0", "zero_instructions"),
+            ("work/0", "non_finite_counters")]
+
     def test_parity_with_machine_tick_gap(self):
         # Skipping machine seconds mid-window leaves charge gaps, which the
-        # rings zero-fill, so the vector engine's matrix read still matches
-        # the scalar engine.
-        scalar = _discard_run("scalar", seconds=71, skip_ticks=(4, 63))
-        vector = _discard_run("vector", seconds=71, skip_ticks=(4, 63))
+        # rings zero-fill, so the columnar matrix read still matches the
+        # reference.
+        scalar = _discard_run("reference", seconds=71, skip_ticks=(4, 63))
+        vector = _discard_run("columnar", seconds=71, skip_ticks=(4, 63))
         assert scalar == vector
         assert len(vector["windows"]) == 2
         # Skipping a window's last second leaves every ring charged only up
-        # to the second before: the vector engine reads those rows through
+        # to the second before: the columnar close reads those rows through
         # usage_between instead of the matrix.
-        scalar = _discard_run("scalar", seconds=71, skip_ticks=(4, 70))
-        vector = _discard_run("vector", seconds=71, skip_ticks=(4, 70))
+        scalar = _discard_run("reference", seconds=71, skip_ticks=(4, 70))
+        vector = _discard_run("columnar", seconds=71, skip_ticks=(4, 70))
         assert scalar == vector
         assert len(vector["windows"]) == 2
 
     def test_mid_window_arrival_and_departure_parity(self):
-        def run(engine):
+        def run(path):
             machine = make_quiet_machine()
             machine.place(
                 make_scripted_job("a", [1.0], cpu_limit=4.0).tasks[0])
             late = make_scripted_job("b", [1.0], cpu_limit=4.0)
-            sampler = CpiSampler(machine, engine=engine)
+            sampler = CpiSampler(machine)
             collected = []
-            for t in range(75):
-                if t == 5:
-                    machine.place(late.tasks[0])   # arrives mid-window
-                machine.tick(t)
-                if t == 64:
-                    machine.remove("a/0", TaskState.KILLED)  # departs mid-window
-                samples = sampler.tick(t)
-                if samples:
-                    collected.append((t, _canon_samples(samples)))
+            with _window_close(path):
+                for t in range(75):
+                    if t == 5:
+                        machine.place(late.tasks[0])   # arrives mid-window
+                    machine.tick(t)
+                    if t == 64:
+                        # departs mid-window
+                        machine.remove("a/0", TaskState.KILLED)
+                    samples = sampler.tick(t)
+                    if samples:
+                        collected.append((t, _canon_samples(samples)))
             return collected
 
-        scalar = run("scalar")
-        assert run("vector") == scalar
+        scalar = run("reference")
+        assert run("columnar") == scalar
         # First window: only the resident-at-open task; second: only the
         # survivor of the kill.
         assert [sorted(s[-1] for s in w) for _, w in scalar] == \
             [["a/0"], ["b/0"]]
 
     def test_custom_duty_cycle_parity(self):
-        def run(engine):
+        def run(path):
             machine = make_quiet_machine()
             machine.place(
                 make_scripted_job("j", [1.0, 3.0], cpu_limit=4.0).tasks[0])
             sampler = CpiSampler(
-                machine, SamplerConfig(duration_seconds=5, period_seconds=20),
-                engine=engine)
-            return [(t, _canon_samples(s))
-                    for t, s in _drive(machine, sampler, 50)]
+                machine, SamplerConfig(duration_seconds=5, period_seconds=20))
+            with _window_close(path):
+                return [(t, _canon_samples(s))
+                        for t, s in _drive(machine, sampler, 50)]
 
-        assert run("vector") == run("scalar")
+        assert run("columnar") == run("reference")
 
     def test_legacy_tick_engine_with_vector_sampler(self, monkeypatch):
-        # The vector sampler builds the machine's task table even when the
-        # tick engine never would (REPRO_TICK_ENGINE=legacy); building it
-        # must not perturb anything observable.
-        monkeypatch.setenv("REPRO_TICK_ENGINE", "legacy")
+        # The columnar sampler builds the machine's task table even when
+        # the tick never would (the reference tick); building it must not
+        # perturb anything observable.
+        reference_tick.install(monkeypatch)
 
-        def run(engine):
-            monkeypatch.setenv(SAMPLER_ENGINE_ENV, engine)
+        def run(path):
             scenario = scale_scenario(num_machines=2, seed=3,
                                       num_service_jobs=1, num_batch_jobs=1,
                                       tasks_per_job=4)
             scenario.pipeline.log_samples = True
-            scenario.simulation.run(300)
+            with _window_close(path):
+                scenario.simulation.run(300)
             return _canon_samples(scenario.pipeline.sample_log)
 
-        baseline = run("scalar")
+        baseline = run("reference")
         assert len(baseline) > 0
-        assert run("vector") == baseline
+        assert run("columnar") == baseline
 
 
 class TestDiscardCounterCache:
     def test_counter_handle_cached_per_reason(self):
         obs = Observability()
         machine = make_quiet_machine()
-        sampler = CpiSampler(machine, obs=obs, engine="vector")
+        sampler = CpiSampler(machine, obs=obs)
         sampler._discard_window("t/0", "zero_instructions")
         handle = sampler._discard_counters["zero_instructions"]
         sampler._discard_window("t/0", "zero_instructions")
@@ -243,7 +256,7 @@ class TestDiscardCounterCache:
 
     def test_cache_invalidated_when_obs_swapped(self):
         machine = make_quiet_machine()
-        sampler = CpiSampler(machine, obs=Observability(), engine="vector")
+        sampler = CpiSampler(machine, obs=Observability())
         sampler._discard_window("t/0", "zero_instructions")
         assert sampler._discard_counters
         replacement = Observability()
@@ -253,13 +266,13 @@ class TestDiscardCounterCache:
         assert replacement.metrics.total("sampler_windows_discarded") == 1.0
 
     def test_no_obs_no_counting(self):
-        sampler = CpiSampler(make_quiet_machine(), engine="vector")
+        sampler = CpiSampler(make_quiet_machine())
         sampler._discard_window("t/0", "zero_instructions")   # must not raise
         assert not sampler._discard_counters
 
 
 # ---------------------------------------------------------------------------
-# end-to-end golden parity, scalar vs vector engine
+# end-to-end golden parity, reference vs columnar window close
 
 
 _SCALE_KWARGS = dict(num_machines=6, seed=11, num_service_jobs=2,
@@ -316,30 +329,28 @@ def _run_sharded(builder, kwargs, seconds, jobs):
 
 
 class TestGoldenEngineParity:
-    def test_scale_clean_parity_across_jobs(self, monkeypatch):
-        """Clean fleet: scalar reference == vector engine, single-process
+    def test_scale_clean_parity_across_jobs(self):
+        """Clean fleet: scalar reference == columnar close, single-process
         and sharded at 1/2/4 workers, byte for byte."""
         seconds = 1200
-        monkeypatch.setenv(SAMPLER_ENGINE_ENV, "scalar")
-        baseline = _run_single(scale_scenario, _SCALE_KWARGS, seconds)
+        with _window_close("reference"):
+            baseline = _run_single(scale_scenario, _SCALE_KWARGS, seconds)
         assert len(baseline["samples"]) > 300   # not vacuously equal
-        monkeypatch.setenv(SAMPLER_ENGINE_ENV, "vector")
         assert _run_single(scale_scenario, _SCALE_KWARGS,
                            seconds) == baseline
         for jobs in (1, 2, 4):
             assert _run_sharded(scale_scenario, _SCALE_KWARGS, seconds,
                                 jobs) == baseline, f"jobs={jobs}"
 
-    def test_chaos_moderate_parity_across_jobs(self, monkeypatch):
+    def test_chaos_moderate_parity_across_jobs(self):
         """Moderate chaos: caps fire and machines churn; sample, incident,
         spec, cap-counter, and discard-counter streams must stay
         byte-identical."""
         seconds = 2400
-        monkeypatch.setenv(SAMPLER_ENGINE_ENV, "scalar")
-        baseline = _run_single(chaos_scenario, _CHAOS_KWARGS, seconds)
+        with _window_close("reference"):
+            baseline = _run_single(chaos_scenario, _CHAOS_KWARGS, seconds)
         assert len(baseline["incidents"]) > 0   # detection fired
         assert baseline["caps"] > 0             # caps actually applied
-        monkeypatch.setenv(SAMPLER_ENGINE_ENV, "vector")
         assert _run_single(chaos_scenario, _CHAOS_KWARGS,
                            seconds) == baseline
         for jobs in (1, 2, 4):

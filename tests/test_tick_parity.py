@@ -1,10 +1,11 @@
-"""Golden-parity tests: legacy vs vectorized tick engines.
+"""Golden-parity tests: the batched tick vs the scalar reference loop.
 
-The vector engine (and the cluster-fused fast path layered on top of it)
-must be *bit-identical* to the scalar legacy engine — same CPI sample
-stream, same incidents, same chaos precision/recall — for any seed.  These
-tests pin that contract on the reference seeds, comparing floats by their
-hex representation so "close enough" can never creep in.
+:meth:`Machine.tick` (and the cluster-fused fast path layered on top of it)
+must be *bit-identical* to the original scalar loop kept in
+``tests/reference/tick.py`` — same CPI sample stream, same incidents, same
+chaos precision/recall — for any seed.  These tests pin that contract on
+the reference seeds, comparing floats by their hex representation so
+"close enough" can never creep in.
 
 The micro-tests at the bottom pin the numpy identities the vectorization
 leans on (documented in ``docs/performance.md``); if a numpy upgrade ever
@@ -35,8 +36,8 @@ from repro.workloads import make_batch_job_spec
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.demand import constant, on_off, with_noise
 from repro.workloads.services import make_service_job_spec
-
-ENGINES = ("legacy", "vector")
+from tests.reference import demand as reference_demand
+from tests.reference import tick as reference_tick
 
 
 def _hex(x) -> str:
@@ -63,13 +64,12 @@ def _canon_incidents(incidents) -> list[tuple]:
     ) for i in incidents]
 
 
-def _per_engine(monkeypatch, run):
-    """Run ``run()`` once per engine (selected via REPRO_TICK_ENGINE)."""
-    out = {}
-    for engine in ENGINES:
-        monkeypatch.setenv("REPRO_TICK_ENGINE", engine)
-        out[engine] = run()
-    return out
+def _reference_and_production(monkeypatch, run):
+    """Run ``run()`` on the scalar reference tick, then on ``Machine.tick``."""
+    with monkeypatch.context() as patch:
+        reference_tick.install(patch)
+        reference = run()
+    return reference, run()
 
 
 # -- end-to-end stream parity -------------------------------------------------
@@ -83,9 +83,9 @@ def test_fleet_sample_stream_parity(monkeypatch):
         scenario.simulation.run_minutes(20)
         return _canon_samples(scenario.pipeline.sample_log)
 
-    streams = _per_engine(monkeypatch, run)
-    assert len(streams["legacy"]) > 500  # not vacuously equal
-    assert streams["legacy"] == streams["vector"]
+    reference, production = _reference_and_production(monkeypatch, run)
+    assert len(reference) > 500  # not vacuously equal
+    assert production == reference
 
 
 def test_victim_antagonist_incident_parity(monkeypatch):
@@ -97,10 +97,10 @@ def test_victim_antagonist_incident_parity(monkeypatch):
         return (_canon_samples(scenario.pipeline.sample_log),
                 _canon_incidents(scenario.pipeline.all_incidents()))
 
-    results = _per_engine(monkeypatch, run)
-    samples, incidents = results["legacy"]
+    reference, production = _reference_and_production(monkeypatch, run)
+    _samples, incidents = reference
     assert len(incidents) > 0  # the case study must actually fire
-    assert results["vector"] == (samples, incidents)
+    assert production == reference
 
 
 def test_moderate_fault_profile_parity(monkeypatch):
@@ -128,14 +128,14 @@ def test_moderate_fault_profile_parity(monkeypatch):
                 _canon_incidents(scenario.pipeline.all_incidents()),
                 scenario.pipeline.faults.total_faults_injected)
 
-    results = _per_engine(monkeypatch, run)
-    _samples, _incidents, faults = results["legacy"]
+    reference, production = _reference_and_production(monkeypatch, run)
+    _samples, _incidents, faults = reference
     assert faults > 0  # the moderate profile must actually inject
-    assert results["vector"] == results["legacy"]
+    assert production == reference
 
 
 def test_chaos_precision_recall_parity(monkeypatch):
-    """The chaos experiment's headline numbers match across engines."""
+    """The chaos experiment's headline numbers match the reference."""
     def run():
         result = chaos_sweep(profiles=("none", "moderate"),
                              num_machines=3, hours=1.0, seed=0,
@@ -144,20 +144,19 @@ def test_chaos_precision_recall_parity(monkeypatch):
                  c.incidents, c.identified, c.true_identified,
                  c.faults_injected) for c in result.cells]
 
-    results = _per_engine(monkeypatch, run)
-    assert any(cell[3] > 0 for cell in results["legacy"])  # incidents fired
-    assert results["legacy"] == results["vector"]
+    reference, production = _reference_and_production(monkeypatch, run)
+    assert any(cell[3] > 0 for cell in reference)  # incidents fired
+    assert production == reference
 
 
 def test_fused_path_matches_per_machine_vector(monkeypatch):
-    """Disabling cluster fusion must not change the vector stream at all."""
+    """Disabling cluster fusion must not change the sample stream at all."""
     def run():
         scenario = populated_fleet(num_machines=3, seed=13)
         scenario.pipeline.log_samples = True
         scenario.simulation.run_minutes(15)
         return _canon_samples(scenario.pipeline.sample_log)
 
-    monkeypatch.setenv("REPRO_TICK_ENGINE", "vector")
     fused = run()
     monkeypatch.setattr(FusedFleet, "build",
                         classmethod(lambda cls, order: None))
@@ -190,7 +189,7 @@ class _Leaving(SyntheticWorkload):
         return "exited" if t >= self.leave_at else None
 
 
-def _mixed_fleet(demand_engine: str) -> ClusterSimulation:
+def _mixed_fleet(demand: str) -> ClusterSimulation:
     """Five machines covering every branch of the fused tick.
 
     ``a-cold`` runs cold-start services at zero and near-zero grants (one
@@ -198,13 +197,13 @@ def _mixed_fleet(demand_engine: str) -> ClusterSimulation:
     an arena rebuild.  ``b-capped`` oversubscribes its batch tier and
     hard-caps one task; ``c-duty`` is duty-cycled; ``d-quiet`` has
     ``cpi_noise_sigma=0``; ``e-empty`` never hosts anything.  Tasks leave
-    one by one until every machine is empty at ``_LAST_EXIT``.
+    one by one until every machine is empty at ``_LAST_EXIT``.  With
+    ``demand="scalar"`` every workload stays on its demand closure.
     """
     platform = get_platform("westmere-2.6")
 
     def machine(name, sigma=0.03):
-        return Machine(name, platform, cpi_noise_sigma=sigma,
-                       tick_engine="vector", demand_engine=demand_engine)
+        return Machine(name, platform, cpi_noise_sigma=sigma)
 
     sim = ClusterSimulation(
         [machine("a-cold"), machine("b-capped"), machine("c-duty"),
@@ -253,6 +252,8 @@ def _mixed_fleet(demand_engine: str) -> ClusterSimulation:
     }
     for name, jobs in placements.items():
         for j in jobs:
+            if demand == "scalar":
+                reference_demand.pin_closures(t.workload for t in j.tasks)
             for task in j.tasks:
                 sim.machines[name].place(task)
     sim.machines["b-capped"].get_task("crunch/0").cgroup.apply_cap(
@@ -301,17 +302,22 @@ def _run_ticks(sim: ClusterSimulation) -> tuple[list, list, int]:
     return results, states, fused_ticks
 
 
-@pytest.mark.parametrize("demand_engine", ["vector", "scalar"])
-def test_fused_tick_results_match_per_machine(monkeypatch, demand_engine):
-    """Fused and per-machine ticks agree on every TickResult field, every
-    counter and every CPU total, bit for bit, through rebuilds and an
-    emptied fleet."""
-    fused, fused_states, fused_ticks = _run_ticks(_mixed_fleet(demand_engine))
+@pytest.mark.parametrize("demand", ["vector", "scalar"])
+def test_fused_tick_results_match_per_machine(monkeypatch, demand):
+    """Fused, per-machine and scalar reference ticks agree on every
+    TickResult field, every counter and every CPU total, bit for bit,
+    through rebuilds, an oversubscribed tier, a duty cycle and an emptied
+    fleet — with compiled demand columns and with closures."""
+    sim = _mixed_fleet(demand)
+    compiled = sim.machines["a-cold"]._task_table().demand_columns
+    assert (compiled is not None) == (demand == "vector")
+    fused, fused_states, fused_ticks = _run_ticks(sim)
     monkeypatch.setattr(FusedFleet, "build",
                         classmethod(lambda cls, order: None))
-    unfused, unfused_states, unfused_ticks = _run_ticks(
-        _mixed_fleet(demand_engine))
+    unfused, unfused_states, unfused_ticks = _run_ticks(_mixed_fleet(demand))
     assert (fused_ticks, unfused_ticks) == (_TICKS, 0)
+    reference_tick.install(monkeypatch)
+    reference, reference_states, _ = _run_ticks(_mixed_fleet(demand))
 
     # Not vacuous: the run hits each case it is meant to cover.
     departures = [t for t, tick in enumerate(fused)
@@ -325,19 +331,19 @@ def test_fused_tick_results_match_per_machine(monkeypatch, demand_engine):
     assert all(r[1:4] == ([], [], None)
                for r in fused[_LAST_EXIT + 1].values())
 
-    assert fused == unfused
-    assert fused_states == unfused_states
+    assert fused == unfused == reference
+    assert fused_states == unfused_states == reference_states
 
 
-# -- the numpy identities the vector engine relies on -------------------------
+# -- the numpy identities the batched tick relies on --------------------------
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 def test_bulk_standard_normal_matches_scalar_draws(seed):
     """One rng.standard_normal(n) call == n scalar draws, bit-for-bit.
 
-    This is the batched-RNG-order contract: the vector engine replaces the
-    legacy per-task scalar draw loop with one bulk draw per machine-tick.
+    This is the batched-RNG-order contract: the tick replaces the reference's
+    per-task scalar draw loop with one bulk draw per machine-tick.
     """
     bulk = np.random.default_rng(seed).standard_normal(257)
     scalar_rng = np.random.default_rng(seed)
