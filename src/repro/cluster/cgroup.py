@@ -30,19 +30,6 @@ __all__ = ["BandwidthCap", "Cgroup"]
 USAGE_HISTORY_SECONDS = 900
 
 
-def _ring_spans(t0: int, n: int) -> list[tuple[int, int, int]]:
-    """The ring slots of seconds ``t0 .. t0+n-1`` (``n <= 900``).
-
-    One ``(first slot, end slot, offset into the run)`` triple, or two when
-    the run wraps past the ring's last slot.
-    """
-    i0 = t0 % USAGE_HISTORY_SECONDS
-    head = USAGE_HISTORY_SECONDS - i0
-    if n <= head:
-        return [(i0, i0 + n, 0)]
-    return [(i0, USAGE_HISTORY_SECONDS, 0), (0, n - head, head)]
-
-
 @dataclass(frozen=True)
 class BandwidthCap:
     """An active CFS bandwidth cap on a cgroup.
@@ -57,7 +44,7 @@ class BandwidthCap:
     expires_at: int
 
     def __post_init__(self) -> None:
-        if self.quota < 0:
+        if not self.quota >= 0:
             raise ValueError(f"cap quota must be >= 0, got {self.quota}")
 
     def active_at(self, t: int) -> bool:
@@ -82,17 +69,11 @@ class Cgroup:
             cpu_limit: steady-state CPU limit in CPU-sec/sec (the task's
                 reservation); must be positive.
         """
-        if cpu_limit <= 0:
+        if not cpu_limit > 0:
             raise ValueError(f"cpu_limit must be positive, got {cpu_limit}")
         self.name = name
         self.cpu_limit = cpu_limit
         self._cap: Optional[BandwidthCap] = None
-        self._total_cpu = 0.0
-        # The demand plane's charge ledger, when a compiled task table owns
-        # this cgroup: per-tick charges are buffered there and flushed in
-        # consecutive runs.  Every usage read below flushes first, so the
-        # deferral is unobservable.
-        self._ledger = None
         # Per-second usage history: second ``t`` lives in slot
         # ``t % USAGE_HISTORY_SECONDS``, and ``_ring_last`` is the latest
         # charged second (None before the first charge).  Charge times
@@ -148,18 +129,6 @@ class Cgroup:
 
     # -- accounting ---------------------------------------------------------
 
-    def _flush_ledger(self) -> None:
-        """Drain any charges the demand plane has buffered for this cgroup."""
-        ledger = self._ledger
-        if ledger is not None:
-            ledger.flush_charges()
-
-    @property
-    def total_cpu_seconds(self) -> float:
-        """Lifetime CPU-seconds charged to this cgroup."""
-        self._flush_ledger()
-        return self._total_cpu
-
     def _advance(self, t: int) -> np.ndarray:
         """Open the ring for a charge at second ``t``; returns the ring.
 
@@ -175,52 +144,21 @@ class Cgroup:
                     f"cgroup {self.name}: charge at second {t} does not "
                     f"follow the last charged second {last}")
             skipped = min(t - last - 1, USAGE_HISTORY_SECONDS)
-            for a, b, _ in _ring_spans(last + 1, skipped):
-                ring[a:b] = 0.0
+            ring.put(np.arange(last + 1, last + 1 + skipped), 0.0,
+                     mode="wrap")
         return ring
 
     def charge(self, t: int, usage: float) -> None:
         """Record ``usage`` CPU-sec/sec consumed during second ``t``.
 
         Raises:
-            ValueError: for negative usage, or a ``t`` at or before the
-                latest charged second (time must strictly increase).
+            ValueError: for negative or NaN usage, or a ``t`` at or before
+                the latest charged second (time must strictly increase).
         """
-        self._flush_ledger()
-        if usage < 0:
+        if not usage >= 0:
             raise ValueError(f"usage must be >= 0, got {usage}")
         self._advance(t)[t % USAGE_HISTORY_SECONDS] = usage
         self._ring_last = t
-        self._total_cpu += usage
-
-    def _charge_run(self, t0: int, values: np.ndarray,
-                    checked: bool = False) -> None:
-        """Apply a run of consecutive per-second charges starting at ``t0``.
-
-        The demand plane's ledger flush calls this with one column of its
-        pending matrix; the effect is bit-identical to calling
-        :meth:`charge` for ``t0, t0+1, ...`` in order (same ring writes,
-        same sequential float adds into the total, same errors).  Only the
-        ledger may call it — it does not flush, and assumes the run was
-        buffered *after* any earlier direct charges.  The run spans at most
-        ``USAGE_HISTORY_SECONDS`` seconds.  ``checked`` means the caller
-        already proved ``values`` non-negative for the whole block.
-        """
-        if not checked and not values.min() >= 0.0:
-            # A negative (or NaN) grant: take the scalar path so validation
-            # raises exactly as a direct charge would, at the same second.
-            for offset, usage in enumerate(values.tolist()):
-                self.charge(t0 + offset, usage)
-            return
-        ring = self._advance(t0)
-        count = len(values)
-        for a, b, k in _ring_spans(t0, count):
-            ring[a:b] = values[k:k + b - a]
-        self._ring_last = t0 + count - 1
-        total = self._total_cpu
-        for v in values.tolist():
-            total += v
-        self._total_cpu = total
 
     def usage_between(self, start: int, end: int) -> float:
         """Mean CPU-sec/sec over the half-open window ``[start, end)``.
@@ -244,7 +182,6 @@ class Cgroup:
         """
         if end <= start:
             raise ValueError(f"empty window [{start}, {end})")
-        self._flush_ledger()
         out = np.zeros(end - start)
         last = self._ring_last
         if last is None:
@@ -252,25 +189,19 @@ class Cgroup:
         lo = max(start, last - USAGE_HISTORY_SECONDS + 1)
         hi = min(end, last + 1)
         if lo < hi:
-            ring = self._ring
-            base = lo - start
-            for a, b, k in _ring_spans(lo, hi - lo):
-                out[base + k:base + k + b - a] = ring[a:b]
+            out[lo - start:hi - start] = self._ring.take(np.arange(lo, hi),
+                                                         mode="wrap")
         return out
 
     def rebind_ring(self, row: np.ndarray) -> None:
         """Re-back the usage ring with caller-owned storage.
 
-        The vectorized sampler keeps every resident cgroup's ring as one
-        row of a shared ``(n_tasks, USAGE_HISTORY_SECONDS)`` matrix, so a
-        whole window's per-task usage gathers as a single slice instead of
-        one ring read per cgroup.  Existing history is copied into ``row``
-        and future charges write through it, so every reader sees the same
-        state through either handle.
-
-        Pending ledger charges need no special handling: they flush through
-        :meth:`_charge_run` into whatever ``self._ring`` points at, which
-        after this call is ``row``.
+        A machine's task table keeps every resident cgroup's ring as one
+        row of a shared ``(n_tasks, USAGE_HISTORY_SECONDS)`` matrix: a tick
+        charges the whole table with one column write, and the sampler
+        gathers a window's per-task usage as a single slice.  Existing
+        history is copied into ``row`` and future charges write through
+        it, so every reader sees the same state through either handle.
         """
         if len(row) != USAGE_HISTORY_SECONDS:
             raise ValueError(
@@ -281,7 +212,6 @@ class Cgroup:
 
     def last_usage(self) -> float:
         """Most recently recorded per-second usage (0.0 before any charge)."""
-        self._flush_ledger()
         last = self._ring_last
         if last is None:
             return 0.0

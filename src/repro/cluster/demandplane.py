@@ -35,10 +35,9 @@ Bit-exactness against the per-task closures is a hard contract
 
 Cgroup state is columnar too: per-task limit and hard-cap columns are
 rebuilt only when any cap changes (a class-level mutation counter on
-:class:`~repro.cluster.cgroup.Cgroup`), and charges are buffered in a
-small per-table ledger that flushes whole consecutive runs into each
-cgroup's usage ring — any read of cgroup usage state flushes first, so
-the deferral is unobservable.
+:class:`~repro.cluster.cgroup.Cgroup`).  Charging is not part of this
+plane: the machine's task table writes each tick's grants straight into
+its cgroups' usage rings, one column of a shared matrix.
 
 The closure path doubles as the reference: ``tests/test_demand_plane.py``
 pins compiled == closure by stubbing :meth:`DemandColumns.compile` to
@@ -58,12 +57,6 @@ import numpy as np
 from repro.cluster.cgroup import Cgroup
 
 __all__ = ["DemandColumns"]
-
-#: Buffered ticks per charge-ledger flush.  Small enough that a flush stays
-#: cache-friendly, large enough to amortize the per-cgroup bookkeeping; the
-#: 60-second sampler window forces a flush long before the buffer wraps the
-#: 900-second usage ring.
-_CHARGE_CHUNK = 128
 
 _INF = float("inf")
 
@@ -138,13 +131,11 @@ class DemandColumns:
         "_cap_quota", "_cap_expires", "_cap_epoch", "_any_cap", "_no_caps",
         "_base_cpi_vals", "_base_cpi_dyn", "check_base_cpi",
         "batch_on_tick", "now_workloads",
-        "_pending", "_pend_count", "_pend_t0",
     )
 
     @classmethod
     def compile(cls, workloads: Sequence, cgroups: Sequence[Cgroup],
-                cpu_limits: Sequence[float], *,
-                attach_ledger: bool = True) -> Optional["DemandColumns"]:
+                cpu_limits: Sequence[float]) -> Optional["DemandColumns"]:
         """Compile a task table's demand plane, or ``None`` if ineligible.
 
         Ineligibility (→ the caller keeps the per-task closure path): any
@@ -152,8 +143,8 @@ class DemandColumns:
         recognised spec tree (leaf under optional ``scaled`` wrappers under
         an optional outermost ``with_noise``), a spec-less ``scaled``
         factor, non-finite parameters, a subclassed cgroup, or a cgroup
-        shared between tasks (the charge ledger needs one column per
-        cgroup).
+        shared between tasks (a cgroup's usage ring is one row of the
+        table's usage matrix, so each task needs its own).
         """
         wbase, wdemand = _workload_modules()
         sw = wbase.SyntheticWorkload
@@ -345,16 +336,6 @@ class DemandColumns:
             type(w).on_tick is sw.on_tick
             and "on_tick" not in getattr(w, "__dict__", ())
             for w in workloads)
-
-        # -- charge ledger -------------------------------------------------
-        if attach_ledger:
-            self._pending = np.empty((_CHARGE_CHUNK, n))
-            for cg in cgroups:
-                cg._ledger = self
-        else:
-            self._pending = None
-        self._pend_count = 0
-        self._pend_t0 = 0
         return self
 
     # -- demand ---------------------------------------------------------------
@@ -460,42 +441,3 @@ class DemandColumns:
         for i, fn in self._base_cpi_dyn:
             vals[i] = fn()
         return vals
-
-    # -- charge ledger --------------------------------------------------------
-
-    def charge_tick(self, t: int, grants: list[float]) -> None:
-        """Buffer one tick's per-task grants for deferred cgroup charging."""
-        count = self._pend_count
-        if count == 0:
-            self._pend_t0 = t
-        elif t != self._pend_t0 + count:
-            # A manually driven machine skipped seconds; flush so each
-            # cgroup still sees maximal consecutive runs.  A replayed
-            # second raises from the cgroup when its run is flushed.
-            self.flush_charges()
-            self._pend_t0 = t
-            count = 0
-        self._pending[count] = grants
-        self._pend_count = count + 1
-        if self._pend_count == _CHARGE_CHUNK:
-            self.flush_charges()
-
-    def flush_charges(self) -> None:
-        """Apply all buffered charges to the cgroups.
-
-        Called from every cgroup usage read (``usage_between``,
-        ``usage_window_view``, ``last_usage``, ``total_cpu_seconds``), from
-        placement changes, and when the buffer fills — so no reader can
-        ever observe a stale ledger.
-        """
-        count = self._pend_count
-        if count == 0 or self._pending is None:
-            return
-        self._pend_count = 0
-        t0 = self._pend_t0
-        block = self._pending[:count]
-        # One reduce over the whole block; only when it fails does each
-        # column re-check and (if offending) fall back to scalar charges.
-        checked = bool(block.min() >= 0.0)
-        for j, cg in enumerate(self.cgroups):
-            cg._charge_run(t0, block[:, j], checked)

@@ -177,8 +177,7 @@ class FusedFleet:
         # arena and phase 1's per-machine ufunc dispatch collapses into a
         # single pass.  Per-task noise draws happen in arena order ==
         # machine order x table order, exactly the per-machine sequence.
-        # No ledger: each machine table's own program keeps charging its
-        # cgroups.  Any ineligible segment -> per-machine phase 1.
+        # Any ineligible segment -> per-machine phase 1.
         fleet_dc = None
         if self.segments and all(tb.demand_columns is not None
                                  for _, _, tb, _, _ in self.segments):
@@ -189,8 +188,7 @@ class FusedFleet:
                 workloads.extend(tb.workloads)
                 cgroups.extend(tb.cgroups)
                 limits.extend(tb.cpu_limits)
-            fleet_dc = DemandColumns.compile(workloads, cgroups, limits,
-                                             attach_ledger=False)
+            fleet_dc = DemandColumns.compile(workloads, cgroups, limits)
         self.demand_columns = fleet_dc
 
         # Scratch buffers, allocated once per fleet build.

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
 from repro.cluster.demandplane import DemandColumns
 from repro.cluster.interference import (BatchWorkspace, InterferenceModel,
                                         MachineContention, ProfileTable,
@@ -108,15 +109,16 @@ class _TaskTable:
 
     Besides the identity columns it holds everything per-tick work would
     otherwise look up per task: prebound workload methods, cgroup limits,
-    the columnized profiles, the fused-math scratch buffers, and the shared
-    counter matrix the tick burns into with a single array add.
+    the columnized profiles, the fused-math scratch buffers, the shared
+    counter matrix the tick burns into with a single array add, and the
+    shared usage matrix it charges with a single column write.
     """
 
     __slots__ = ("tasks", "names", "cgroups", "cgroup_names", "workloads",
                  "demand_fns", "on_tick_fns", "base_cpi_fns", "profile_fns",
                  "cpu_limits", "tier_indices", "profiles", "profile_table",
                  "workspace", "counter_matrix", "demand_columns",
-                 "usage_matrix")
+                 "usage_matrix", "charged_to")
 
     def __init__(self, tasks: Sequence[Task], counters: CounterBank):
         self.tasks: tuple[Task, ...] = tuple(tasks)
@@ -143,29 +145,33 @@ class _TaskTable:
         # the closure path).
         self.demand_columns = DemandColumns.compile(
             self.workloads, self.cgroups, self.cpu_limits)
-        # The shared usage-ring matrix the vectorized sampler slices window
-        # usage out of; built lazily (usage_rings) so tick-only machines
-        # never pay the 900-slot-per-task allocation.
-        self.usage_matrix: Optional[np.ndarray] = None
+        # Every cgroup's usage ring, as row i of one matrix (rebind_ring):
+        # charge writes a tick as one column, and the sampler slices window
+        # usage out of it.
+        self.usage_matrix = np.zeros((len(tasks), USAGE_HISTORY_SECONDS))
+        for cg, row in zip(self.cgroups, self.usage_matrix):
+            cg.rebind_ring(row)
+        # The last second charged through this table (None before any).
+        self.charged_to: Optional[int] = None
         self.refresh_profiles([fn() for fn in self.profile_fns])
 
-    def usage_rings(self) -> np.ndarray:
-        """The per-task usage rings as rows of one shared matrix.
+    def charge(self, t: int, grants: list[float]) -> None:
+        """Record one tick's grants as column ``t % 900`` of the usage matrix.
 
-        Row ``i`` becomes the backing storage of ``cgroups[i]``'s usage
-        ring (:meth:`~repro.cluster.cgroup.Cgroup.rebind_ring`), so it
-        holds the seconds ``(last - 900, last]`` before that cgroup's
-        latest charge (``_ring_last``).
+        A tick that does not follow this table's last charge (its first
+        tick, or one after skipped seconds) first opens every cgroup's ring
+        at ``t``: skipped seconds are zero-filled, and a replayed second
+        raises before anything is written.  The grants need no check here:
+        the tick's counter burn has already rejected negative and NaN ones.
         """
-        from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
-
-        matrix = self.usage_matrix
-        if matrix is None:
-            matrix = np.zeros((len(self.tasks), USAGE_HISTORY_SECONDS))
-            for cg, row in zip(self.cgroups, matrix):
-                cg.rebind_ring(row)
-            self.usage_matrix = matrix
-        return matrix
+        cgroups = self.cgroups
+        if t - 1 != self.charged_to:
+            for cg in cgroups:
+                cg._advance(t)
+        self.usage_matrix[:, t % USAGE_HISTORY_SECONDS] = grants
+        for cg in cgroups:
+            cg._ring_last = t
+        self.charged_to = t
 
     def refresh_profiles(self, profiles: Sequence[ResourceProfile]) -> None:
         """(Re)columnize resource profiles (rare: profiles are static in
@@ -222,7 +228,7 @@ class Machine:
             raise ValueError(f"task {task.name} already on machine {self.name}")
         task.mark_running(self.name)
         self._tasks[task.name] = task
-        self._invalidate_table()
+        self._table = None
         if self._scheduler is not None:
             self._scheduler._resident_changed(self, task.name)
 
@@ -235,7 +241,7 @@ class Machine:
             raise KeyError(f"no task {task_name!r} on machine {self.name}") from None
         task.mark_stopped(state, reason)
         self.counters.drop(task.cgroup.name)
-        self._invalidate_table()
+        self._table = None
         if self._scheduler is not None:
             self._scheduler._resident_changed(self, task_name)
         return task
@@ -258,18 +264,6 @@ class Machine:
     def resident_cgroup_names(self) -> list[str]:
         """Cgroup names of all resident tasks."""
         return [t.cgroup.name for t in self.resident_tasks()]
-
-    def _invalidate_table(self) -> None:
-        """Discard the cached task table after a placement change.
-
-        Any charges its demand program buffered are flushed first — the
-        outgoing table's ledger is about to become unreachable, and a new
-        table's program will re-point the surviving cgroups at itself.
-        """
-        table = self._table
-        if table is not None and table.demand_columns is not None:
-            table.demand_columns.flush_charges()
-        self._table = None
 
     def _task_table(self) -> _TaskTable:
         """The cached task-index table, rebuilt after placement changes."""
@@ -448,51 +442,39 @@ class Machine:
         mutates ``result.departures`` in place.
         """
         dc = table.demand_columns
+        batch = dc is not None and dc.batch_on_tick
         total = self.total_cpu_seconds
         runnable = 0
-        if dc is not None:
-            # Charges go to the table's ledger (flushed by any usage read,
-            # placement change, or every _CHARGE_CHUNK ticks).
-            dc.charge_tick(t, grants)
-            if dc.batch_on_tick:
-                # Every workload uses SyntheticWorkload.on_tick verbatim:
-                # plain accounting, never a departure — fold it into the
-                # totals loop without the per-task method dispatch.  Only
-                # workloads whose base_cpi may read ``_now`` need it
-                # advanced (the rest never look at it).
-                for w, grant in zip(table.workloads, grants):
-                    total += grant
-                    if grant > 0.0:
-                        runnable += 1
-                    w.granted_cpu_seconds += grant
-                for w in dc.now_workloads:
-                    w._now = t
-                if True in capped:
-                    for i, w in enumerate(table.workloads):
-                        if capped[i]:
-                            w.capped_seconds += 1
-                self.total_cpu_seconds = total
-                oversubscribed = max(0, runnable - self.platform.num_cores)
-                self.counters.record_context_switches(
-                    runnable * _SWITCHES_PER_TASK_SECOND
-                    + oversubscribed * 100)
-                return
+        if batch:
+            # Every workload uses SyntheticWorkload.on_tick verbatim: plain
+            # accounting, never a departure — fold it into the totals loop
+            # without the per-task method dispatch.
+            for w, grant in zip(table.workloads, grants):
+                total += grant
+                if grant > 0.0:
+                    runnable += 1
+                w.granted_cpu_seconds += grant
+        else:
             for grant in grants:
                 total += grant
                 if grant > 0.0:
                     runnable += 1
-        else:
-            cgroups = table.cgroups
-            for i, grant in enumerate(grants):
-                cgroups[i].charge(t, grant)
-                total += grant
-                if grant > 0.0:
-                    runnable += 1
+        table.charge(t, grants)
         self.total_cpu_seconds = total
         oversubscribed = max(0, runnable - self.platform.num_cores)
         self.counters.record_context_switches(
             runnable * _SWITCHES_PER_TASK_SECOND + oversubscribed * 100)
 
+        if batch:
+            # Only workloads whose base_cpi may read ``_now`` need it
+            # advanced (the rest never look at it).
+            for w in dc.now_workloads:
+                w._now = t
+            if True in capped:
+                for i, w in enumerate(table.workloads):
+                    if capped[i]:
+                        w.capped_seconds += 1
+            return
         tasks = table.tasks
         for i, fn in enumerate(table.on_tick_fns):
             outcome = fn(t, grants[i], capped[i])

@@ -282,21 +282,17 @@ class CpiSampler:
         exactly the window's seconds.  A row charged only up to an earlier
         second (its machine skipped ticks) reads the same ring through
         :meth:`~repro.cluster.cgroup.Cgroup.usage_between` instead, which
-        zero-fills the seconds after its last charge.  The ledger is flushed
-        once up front.  Computing usage for rows the scalar reference would
-        have discarded first is unobservable: the read is pure once the
-        ledger is flushed.
+        zero-fills the seconds after its last charge.  Computing usage for
+        rows the scalar reference would have discarded first is
+        unobservable: the read is pure.
         """
         from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
 
         span = end - start
         lo, hi = start + 1, end + 1
-        dc = table.demand_columns
-        if dc is not None:
-            dc.flush_charges()
         if span > USAGE_HISTORY_SECONDS:
             return np.array([cg.usage_between(lo, hi) for cg in cgroups])
-        matrix = table.usage_rings()
+        matrix = table.usage_matrix
         if matrix_rows is not None:
             matrix = matrix[matrix_rows]
         window = matrix[:, np.arange(lo, hi) % USAGE_HISTORY_SECONDS]

@@ -81,7 +81,7 @@ class TestColumnarWindow:
 
 
 # ---------------------------------------------------------------------------
-# Cgroup ring ledger
+# Cgroup usage window view
 
 
 class TestUsageWindowView:

@@ -1,11 +1,17 @@
 """Unit tests for repro.cluster.cgroup (CFS bandwidth control model)."""
 
-import numpy as np
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS, BandwidthCap, Cgroup
+from repro.cluster.job import Job, JobSpec
+from repro.cluster.task import PriorityBand, SchedulingClass, TaskState
+from repro.testing import QUIET_PROFILE, ScriptedWorkload, make_quiet_machine
+from repro.workloads.base import SyntheticWorkload
+from repro.workloads.demand import constant, phased
 from tests.reference.usage_history import DequeUsageHistory
 
 
@@ -19,6 +25,12 @@ class TestBandwidthCap:
     def test_negative_quota_rejected(self):
         with pytest.raises(ValueError, match="quota"):
             BandwidthCap(quota=-0.1, expires_at=10)
+
+    def test_nan_quota_rejected(self):
+        with pytest.raises(ValueError, match="quota"):
+            BandwidthCap(quota=float("nan"), expires_at=10)
+        with pytest.raises(ValueError, match="quota"):
+            Cgroup("job/0", cpu_limit=2.0).apply_cap(float("nan"), 0, 10)
 
 
 class TestCgroup:
@@ -79,10 +91,11 @@ class TestCgroup:
         assert cg.usage_between(0, 4) == pytest.approx(1.0)
 
     def test_total_cpu_seconds(self):
+        # The ring's sum over the charged span is the lifetime total.
         cg = Cgroup("job/0", cpu_limit=4.0)
         cg.charge(0, 1.5)
         cg.charge(1, 0.5)
-        assert cg.total_cpu_seconds == pytest.approx(2.0)
+        assert cg.usage_between(0, 2) * 2 == pytest.approx(2.0)
 
     def test_last_usage(self):
         cg = Cgroup("job/0", cpu_limit=4.0)
@@ -106,6 +119,16 @@ class TestCgroup:
             Cgroup("job/0", cpu_limit=0.0)
         with pytest.raises(ValueError):
             cg.apply_cap(quota=0.1, now=0, duration=0)
+
+    def test_nan_limit_rejected(self):
+        with pytest.raises(ValueError, match="cpu_limit"):
+            Cgroup("job/0", cpu_limit=float("nan"))
+
+    def test_nan_usage_rejected(self):
+        cg = Cgroup("job/0", cpu_limit=4.0)
+        with pytest.raises(ValueError, match="usage"):
+            cg.charge(0, float("nan"))
+        assert cg._ring_last is None
 
 
 class TestUsageBetweenPaths:
@@ -196,14 +219,14 @@ class TestReplayRejected:
             with pytest.raises(ValueError, match=rf"job/0.*second {t}\b.*5"):
                 cg.charge(t, 2.0)
         # A rejected charge changes nothing.
-        assert cg.total_cpu_seconds == 1.0
+        assert cg._ring_last == 5
         assert cg.last_usage() == 1.0
         assert cg.usage_between(0, 10) == 0.1
 
 
 # One segment of charges: the gap (seconds) from the previous charge, the
 # usages it cycles through at consecutive seconds, how many times, and
-# whether to charge it as one ledger run instead of second by second.
+# whether a machine's tick charges it instead of direct Cgroup.charge calls.
 _usage_values = st.one_of(
     st.just(0.0),
     st.floats(min_value=0.0, max_value=8.0, allow_nan=False))
@@ -214,33 +237,83 @@ _segments = st.lists(
               st.booleans()),
     min_size=1, max_size=5)
 
+#: Script length of the driven machine's workload: longer than any time
+#: span ``_build`` covers, so ``t % _SCRIPT_SECONDS`` is one-to-one there.
+_SCRIPT_SECONDS = 1 << 15
+
+
+def _one_task_job(name, workload):
+    return Job(JobSpec(name=name, num_tasks=1,
+                       scheduling_class=SchedulingClass.LATENCY_SENSITIVE,
+                       priority_band=PriorityBand.PRODUCTION,
+                       cpu_limit_per_task=8.0,
+                       workload_factory=lambda i: workload))
+
 
 class TestUsageHistoryOracle:
     """The ring against the deque reference, over random gapped charges."""
 
     @staticmethod
-    def _build(segments, t0):
-        cg = Cgroup("job/0", cpu_limit=8.0)
+    def _build(segments, t0, compiled):
+        """Charge ``segments`` into one cgroup, directly or by machine ticks.
+
+        The machine's one task demands ``script[t % _SCRIPT_SECONDS]``,
+        which its 24 cores grant in full; ``compiled`` picks a ``phased``
+        demand program over that script, else a closure table.  Half-way
+        through each ticked segment a companion task is placed or removed,
+        so the table (and its usage matrix) is rebuilt mid-run.
+        """
+        script = [0.0] * _SCRIPT_SECONDS
+        t = t0
+        for gap, usages, repeat, as_run in segments:
+            t += gap
+            run = usages * repeat
+            if as_run:
+                for offset, usage in enumerate(run):
+                    script[(t + offset) % _SCRIPT_SECONDS] = usage
+            t += len(run) - 1
+        if compiled:
+            workload = SyntheticWorkload(
+                base_cpi=1.0, profile=QUIET_PROFILE,
+                demand=phased([(len(list(run)), level)
+                               for level, run in itertools.groupby(script)]))
+        else:
+            workload = ScriptedWorkload(script)
+        machine = make_quiet_machine()
+        (task,) = _one_task_job("job", workload)
+        machine.place(task)
+        assert (machine._task_table().demand_columns is not None) == compiled
+        companion = None
+        cg = task.cgroup
         ref = DequeUsageHistory()
         t = t0
         for gap, usages, repeat, as_run in segments:
             t += gap
             run = usages * repeat
-            if as_run:  # in chunks no longer than the demand-plane ledger's
-                for i in range(0, len(run), 128):
-                    cg._charge_run(t + i, np.array(run[i:i + 128]))
             for offset, usage in enumerate(run):
+                ref.charge(t + offset, usage)
                 if not as_run:
                     cg.charge(t + offset, usage)
-                ref.charge(t + offset, usage)
+                    continue
+                if offset == len(run) // 2:
+                    if companion is None:
+                        (companion,) = _one_task_job("side", SyntheticWorkload(
+                            base_cpi=1.0, profile=QUIET_PROFILE,
+                            demand=constant(0.0)))
+                        machine.place(companion)
+                    else:
+                        machine.remove(companion.name, TaskState.KILLED)
+                        companion = None
+                assert machine.tick(t + offset).grants[task.name] == usage
             t += len(run) - 1
         return cg, ref, t
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), segments=_segments,
-           t0=st.integers(-50, 2000))
-    def test_ring_matches_deque_within_history(self, data, segments, t0):
-        cg, ref, last = self._build(segments, t0)
+           t0=st.integers(-50, 2000), compiled=st.booleans())
+    def test_ring_matches_deque_within_history(self, data, segments, t0,
+                                               compiled):
+        cg, ref, last = self._build(segments, t0, compiled)
         assert cg._ring_last == last
         assert cg.last_usage().hex() == float(ref.entries[-1][1]).hex()
         for _ in range(8):
@@ -257,9 +330,10 @@ class TestUsageHistoryOracle:
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), segments=_segments,
-           t0=st.integers(-50, 2000))
-    def test_window_beyond_history_reads_zero(self, data, segments, t0):
-        cg, _ref, last = self._build(segments, t0)
+           t0=st.integers(-50, 2000), compiled=st.booleans())
+    def test_window_beyond_history_reads_zero(self, data, segments, t0,
+                                              compiled):
+        cg, _ref, last = self._build(segments, t0, compiled)
         end = data.draw(st.integers(last - 3000,
                                     last - USAGE_HISTORY_SECONDS + 1))
         start = end - data.draw(st.integers(1, 1000))

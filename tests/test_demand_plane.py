@@ -21,8 +21,8 @@ closures; a "vector" one compiles its demand program.
 
 Plus regression tests for the NaN-clamp unification (``scaled`` /
 ``with_noise`` / ``SyntheticWorkload.cpu_demand`` all treat non-finite
-demand as zero) and the deferred charge ledger (every cgroup read sees
-flushed state).
+demand as zero) and table charging (each tick's grants are in the usage
+rings as soon as the tick returns).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.cgroup import Cgroup
+from repro.cluster.cgroup import USAGE_HISTORY_SECONDS, Cgroup
 from repro.cluster.demandplane import DemandColumns
 from repro.cluster.job import Job, JobSpec
 from repro.cluster.machine import Machine
@@ -432,10 +432,10 @@ class TestNaNClamp:
 
 
 # ---------------------------------------------------------------------------
-# charge ledger
+# table charging
 
 
-class TestChargeLedger:
+class TestTableCharging:
     def _machine(self, engine="vector"):
         m = Machine("m0", get_platform("westmere-2.6"), cpi_noise_sigma=0.0)
         spec = JobSpec(
@@ -449,51 +449,92 @@ class TestChargeLedger:
             m.place(task)
         return _demand_path(m, engine), tasks
 
-    def test_reads_flush_mid_chunk(self):
-        """total / last_usage / usage_between / window views all see charges
-        buffered by the ledger, at any point inside a chunk."""
+    @staticmethod
+    def _assert_reads_match(a, b, t):
+        """Every usage read of task ``a`` equals its closure twin ``b``'s
+        after the tick at ``t``."""
+        assert a.cgroup._ring_last == b.cgroup._ring_last == t
+        assert _hex(a.cgroup.last_usage()) == _hex(b.cgroup.last_usage())
+        start = max(0, t - 19)
+        assert _hex(a.cgroup.usage_between(start, t + 1)) == \
+            _hex(b.cgroup.usage_between(start, t + 1))
+        assert a.cgroup.usage_window_view(0, t + 1).tolist() == \
+            b.cgroup.usage_window_view(0, t + 1).tolist()
+        assert _hex(a.workload.granted_cpu_seconds) == \
+            _hex(b.workload.granted_cpu_seconds)
+
+    def test_reads_match_closure_twin_after_every_tick(self):
         mv, tv = self._machine("vector")
         ms, ts_ = self._machine("scalar")
-        for t in range(37):     # well inside the 128-tick chunk
+        for t in range(60):
+            mv.tick(t)
+            ms.tick(t)
+            for a, b in zip(tv, ts_):
+                self._assert_reads_match(a, b, t)
+
+    def test_long_run_wraps_the_ring(self):
+        mv, tv = self._machine("vector")
+        ms, ts_ = self._machine("scalar")
+        last = USAGE_HISTORY_SECONDS + 150
+        for t in range(last + 1):
             mv.tick(t)
             ms.tick(t)
         for a, b in zip(tv, ts_):
-            assert a.cgroup.total_cpu_seconds == b.cgroup.total_cpu_seconds
-            assert a.cgroup.last_usage() == b.cgroup.last_usage()
-            assert a.cgroup.usage_between(10, 30) == \
-                b.cgroup.usage_between(10, 30)
-            va = a.cgroup.usage_window_view(0, 37)
-            vb = b.cgroup.usage_window_view(0, 37)
-            assert va.tolist() == vb.tolist()
+            self._assert_reads_match(a, b, last)
+            assert _hex(a.cgroup.usage_between(120, 1020)) == \
+                _hex(b.cgroup.usage_between(120, 1020))
 
-    def test_long_run_crosses_chunk_boundaries(self):
+    def test_gapped_ticks_zero_fill(self):
         mv, tv = self._machine("vector")
         ms, ts_ = self._machine("scalar")
-        for t in range(300):    # > 2 chunks of 128
+        for t in [*range(10), *range(15, 20), *range(1300, 1310)]:
             mv.tick(t)
             ms.tick(t)
-        for a, b in zip(tv, ts_):
-            assert _hex(a.cgroup.total_cpu_seconds) == \
-                _hex(b.cgroup.total_cpu_seconds)
-            assert a.cgroup.usage_between(120, 260) == \
-                b.cgroup.usage_between(120, 260)
+            for a, b in zip(tv, ts_):
+                self._assert_reads_match(a, b, t)
+        assert tv[0].cgroup.usage_between(1290, 1310) == 0.25
 
-    def test_placement_change_flushes(self):
+    def test_placement_change_keeps_history(self):
         mv, tasks = self._machine("vector")
         for t in range(10):
             mv.tick(t)
         mv.remove(tasks[0].name, TaskState.KILLED, reason="test")
-        # The removed task's cgroup must have all 10 charges.
+        # The removed task's cgroup keeps all 10 charges ...
         assert tasks[0].cgroup._ring_last == 9
         assert tasks[0].cgroup.usage_between(0, 10) == 0.5
+        # ... and the survivor's history moves into the new table's matrix.
+        for t in range(10, 20):
+            mv.tick(t)
+        assert tasks[1].cgroup.usage_between(0, 20) == 0.75
+        table = mv._task_table()
+        assert table.cgroups == (tasks[1].cgroup,)
+        assert table.usage_matrix[0, :20].tolist() == [0.75] * 20
 
-    def test_replayed_tick_raises_by_next_read(self):
-        mv, tasks = self._machine("vector")
-        mv.tick(4)
-        mv.tick(5)
-        with pytest.raises(ValueError, match=r"svc/0.*second 5\b.*5"):
-            mv.tick(5)
-            tasks[0].cgroup.usage_between(0, 6)
+    @pytest.mark.parametrize("engine", ["vector", "scalar"])
+    def test_replayed_tick_raises_from_tick(self, engine):
+        m, tasks = self._machine(engine)
+        m.tick(4)
+        m.tick(5)
+        matrix = m._task_table().usage_matrix.copy()
+        for t in (5, 3):
+            with pytest.raises(ValueError, match=rf"svc/0.*second {t}\b.*5"):
+                m.tick(t)
+        assert np.array_equal(m._task_table().usage_matrix, matrix)
+        assert [task.cgroup._ring_last for task in tasks] == [5, 5]
+
+    @pytest.mark.parametrize("engine", ["vector", "scalar"])
+    @pytest.mark.parametrize("bad", [-0.5, float("nan")])
+    def test_bad_grant_raises_before_write(self, engine, bad, monkeypatch):
+        """The counter burn rejects the grant before the charge."""
+        m, tasks = self._machine(engine)
+        m.tick(0)
+        matrix = m._task_table().usage_matrix.copy()
+        monkeypatch.setattr(m, "_tick_alloc",
+                            lambda t, table, allowed, capped: [0.5, bad])
+        with pytest.raises(ValueError, match=">= 0"):
+            m.tick(1)
+        assert np.array_equal(m._task_table().usage_matrix, matrix)
+        assert [task.cgroup._ring_last for task in tasks] == [0, 0]
 
     def test_departure_mid_run_stays_consistent(self):
         """ScriptedWorkload is not a SyntheticWorkload, so its machine

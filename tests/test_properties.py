@@ -106,8 +106,9 @@ class TestCgroupProperties:
         cg = Cgroup("j/0", cpu_limit=1000.0)
         for t, u in enumerate(usages):
             cg.charge(t, u)
-        assert math.isclose(cg.total_cpu_seconds, sum(usages), rel_tol=1e-9,
-                            abs_tol=1e-9)
+        n = len(usages)
+        assert math.isclose(cg.usage_between(0, n) * n, sum(usages),
+                            rel_tol=1e-9, abs_tol=1e-9)
 
     @given(demand=usage_floats, limit=positive_floats,
            quota=st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
