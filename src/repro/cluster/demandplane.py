@@ -1,9 +1,10 @@
 """The vectorized demand/allocation plane: columnar demand programs.
 
-The per-machine tick batches the *physics* of a tick into numpy arrays,
-but phases 1-3 and 5b-6 — demand evaluation, cgroup clipping, base-CPI
-reads, charging, ``on_tick`` accounting — still made three Python closure
-calls per task per simulated second.  This module removes that last big
+The tick batches its *physics* into numpy arrays over a fleet arena
+(:mod:`repro.cluster.fused`), but phases 1-3 and 5b-6 — demand
+evaluation, cgroup clipping, base-CPI reads, charging, ``on_tick``
+accounting — still made three Python closure calls per task per simulated
+second.  This module removes that last big
 Python loop from the hot path: :class:`DemandColumns` compiles the
 declarative ``spec`` forms that the combinators in
 :mod:`repro.workloads.demand` attach to their closures into
@@ -117,10 +118,10 @@ class DemandColumns:
     """A compiled, batch-evaluable demand/cgroup program for one task table.
 
     Built by :meth:`compile` from a table's workloads and cgroups (in table
-    order); the machine's vector input path and :class:`FusedFleet` both
-    evaluate it — the fused fleet compiles one program over the whole arena
-    so the ufunc passes run once per cluster-tick instead of once per
-    machine.
+    order); :meth:`Machine._tick_inputs` evaluates it, and a
+    :class:`FusedFleet` of several machines compiles one program over its
+    whole arena so the ufunc passes run once per cluster-tick instead of
+    once per machine.
     """
 
     __slots__ = (

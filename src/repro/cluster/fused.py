@@ -1,18 +1,18 @@
-"""Cluster-fused execution of the vectorized tick across many machines.
+"""The tick engine: one simulated second of many machines as one arena.
 
-The per-machine tick already batches per-task arithmetic into numpy calls,
-but with ~10 tasks per machine each ufunc spends more time in call dispatch
-than in its inner loop.  :class:`FusedFleet` concatenates every
-machine's task table into one cluster-wide arena so the ~30 elementwise
-operations of a tick run once over *all* resident tasks instead of once per
-machine.  The physics phase and the results it returns cost a fixed number
-of numpy calls however many machines there are:
+:class:`FusedFleet` concatenates its machines' task tables into one arena
+so the ~30 elementwise operations of a tick run once over *all* resident
+tasks instead of once per machine.  It is the only implementation of the
+tick's physics: the simulation steps one fleet over all its machines, and
+:meth:`Machine.tick` steps a one-machine fleet of its own.  The physics
+phase and the results it returns cost a fixed number of numpy calls however
+many machines there are:
 
 * per-machine cache/membw pressure is one ``np.bincount`` over the arena's
   machine-index column, broadcast back to the arena with ``take``;
 * every resident cgroup's counters are rows of one counter arena
   (:meth:`~repro.perf.counters.CounterBank.matrix_view` with ``out=``),
-  burned with a single add;
+  burned with one :meth:`~repro.perf.counters.CounterBank.burn_matrix`;
 * each machine's :class:`TickResult` builds its ``grants``, ``cpis`` and
   ``contention`` from per-tick copies of the arena columns the first time
   they are read.
@@ -21,7 +21,8 @@ Demand/allocation (phase 1) and charging/observations (phase 3) still run
 per machine.
 
 Every observable stays bit-identical to stepping the machines one at a time
-(``tests/test_tick_parity.py`` proves it end to end):
+on the scalar reference tick (``tests/test_tick_parity.py`` proves it end
+to end):
 
 * demand and base-CPI closures — the only tick-phase code that consumes
   randomness — run in the same global order: machines in the simulation's
@@ -30,25 +31,30 @@ Every observable stays bit-identical to stepping the machines one at a time
   adds each bin's weights in index order starting from 0.0 (numpy's
   pairwise ``.sum()`` and ``reduceat`` would round differently);
 * measurement noise is drawn per machine from that machine's own generator
-  into its segment of the cluster noise buffer.  Machines with sigma == 0
-  draw nothing, exactly like the per-machine path; their segment is
+  into its segment of the cluster noise buffer: one bulk
+  ``standard_normal`` per machine-tick, consumed in table order, the same
+  stream as one scalar ``rng.normal(0, sigma)`` per task.  Machines with
+  sigma == 0 draw nothing, exactly like the reference; their segment is
   zero-filled so the shared ``exp``/multiply is a bit-exact no-op
   (``exp(0.0) == 1.0`` and ``x * 1.0 == x`` for every float);
 * per-machine platform/model scalars (LLC size, CPI scale, coupling, sigma)
   become per-element constant columns, so each element sees the exact
   operand values the scalar formulas use;
 * workload ``on_tick`` observations and cgroup charging run after the
-  cluster math.  Relative to the per-machine path this moves machine j's
+  cluster math.  Relative to per-machine stepping this moves machine j's
   observations after machine j+1's demand calls, which is unobservable:
   ``on_tick`` never draws randomness and only mutates state local to its
   own task and machine (the control-plane actions that *do* cross machines
   — caps, migrations — actuate from the sample-sink phase, which runs after
   all ticks in both orderings).
 
-The fleet is rebuilt whenever placement changes (any machine's task table
-is invalidated) and steps down to the per-machine path whenever a machine
-is ineligible: patched or overridden tick methods, or a subclassed
-interference model or counter bank.
+A fleet re-points its tables' counter rows into its own arena, so a
+machine belongs to one live fleet at a time: whichever fleet stepped it
+last.  :meth:`FusedFleet.matches` checks each table still holds the rows
+this fleet installed; the simulation and :meth:`Machine.tick` both rebuild
+their cached fleet when it does not (and on any placement change).  The
+simulation leaves out of its fleet a machine whose ``tick`` is patched or
+overridden (:func:`fused_eligible`) and calls that ``tick`` instead.
 """
 
 from __future__ import annotations
@@ -60,8 +66,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.cluster.demandplane import DemandColumns
-from repro.cluster.interference import (InterferenceModel, MachineContention,
-                                        _SATURATE_KNEE)
+from repro.cluster.interference import MachineContention, _SATURATE_KNEE
 from repro.cluster.machine import Machine, TickResult
 from repro.perf.counters import CounterBank
 
@@ -69,22 +74,14 @@ __all__ = ["FusedFleet", "fused_eligible"]
 
 
 def fused_eligible(machine: Machine) -> bool:
-    """Whether ``machine`` can participate in a fused fleet.
+    """Whether ``machine`` can join the simulation's cluster-wide fleet.
 
-    The fused path inlines :meth:`Machine.tick`'s math, so it must
-    step aside whenever any of the pieces it bypasses could have been
-    overridden — a subclass, an instance-patched ``tick`` (tests stub it),
-    or a custom interference model.
+    The fleet replaces :meth:`Machine.tick`, so a machine whose ``tick`` is
+    patched on the instance (tests stub it) or overridden by a subclass
+    runs that ``tick`` instead.
     """
-    cls = type(machine)
     return ("tick" not in machine.__dict__
-            and cls.tick is Machine.tick
-            and cls._tick_inputs is Machine._tick_inputs
-            and cls._tick_alloc is Machine._tick_alloc
-            and cls._tick_finish is Machine._tick_finish
-            and type(machine.interference).tick_batch
-                is InterferenceModel.tick_batch
-            and type(machine.counters).burn_matrix is CounterBank.burn_matrix)
+            and type(machine).tick is Machine.tick)
 
 
 class _FusedTickResult(TickResult):
@@ -128,7 +125,8 @@ class FusedFleet:
     """One cluster-wide arena for the vectorized tick of many machines."""
 
     __slots__ = (
-        "machines", "tables", "ptables", "offsets", "segments", "total",
+        "machines", "tables", "ptables", "counter_views", "offsets",
+        "segments", "total",
         "seg_id", "grants", "cache_contrib", "membw_contrib", "tmp", "tmp2",
         "inflation", "cpi", "l3_buf", "l2_buf", "kilo", "noise",
         "cache_pressure", "membw_pressure", "events", "event_columns",
@@ -142,7 +140,7 @@ class FusedFleet:
     def build(cls, machine_order: Sequence[tuple[str, Machine]]
               ) -> Optional["FusedFleet"]:
         """A fleet over ``machine_order``, or ``None`` if any machine is
-        ineligible (the caller then uses the per-machine path)."""
+        ineligible (the caller then calls each machine's ``tick``)."""
         machines = tuple(m for _, m in machine_order)
         if not machines:
             return None
@@ -155,7 +153,6 @@ class FusedFleet:
         self.machines = machines
         tables = tuple(m._task_table() for m in machines)
         self.tables = tables
-        self.ptables = tuple(tb.profile_table for tb in tables)
         offsets = []
         total = 0
         for tb in tables:
@@ -172,15 +169,17 @@ class FusedFleet:
         self.seg_id = np.repeat(np.arange(len(machines), dtype=np.intp),
                                 [len(tb.tasks) for tb in tables])
 
-        # One cluster-wide demand program, when every resident segment
-        # compiled one: demand/cap/base-CPI columns then span the whole
-        # arena and phase 1's per-machine ufunc dispatch collapses into a
-        # single pass.  Per-task noise draws happen in arena order ==
-        # machine order x table order, exactly the per-machine sequence.
-        # Any ineligible segment -> per-machine phase 1.
+        # One cluster-wide demand program, when more than one resident
+        # segment and every one compiled one: demand/cap/base-CPI columns
+        # then span the whole arena and phase 1's per-machine ufunc
+        # dispatch collapses into a single pass.  Per-task noise draws
+        # happen in arena order == machine order x table order, exactly the
+        # per-machine sequence.  Otherwise each machine's _tick_inputs runs
+        # its own table's program (or closures).
         fleet_dc = None
-        if self.segments and all(tb.demand_columns is not None
-                                 for _, _, tb, _, _ in self.segments):
+        if len(self.segments) > 1 and all(
+                tb.demand_columns is not None
+                for _, _, tb, _, _ in self.segments):
             workloads: list = []
             cgroups: list = []
             limits: list[float] = []
@@ -202,11 +201,12 @@ class FusedFleet:
         # One counter arena: every resident cgroup's counter set becomes a
         # row of it, so a tick burns the whole cluster with one add.  Each
         # table's counter_matrix is re-pointed at its segment, which is
-        # where the sampler and the per-machine path read it.
+        # where the sampler reads it; matches() checks it is still there.
         self.counter_arena = np.empty((total, 5), dtype=np.float64)
         for _, m, tb, o, n in self.segments:
             tb.counter_matrix = m.counters.matrix_view(
                 tb.cgroup_names, out=self.counter_arena[o:o + n])
+        self.counter_views = tuple(tb.counter_matrix for tb in tables)
 
         # Per-element constants: each machine's platform/model scalars
         # repeated across its segment, so elementwise ops see exactly the
@@ -230,9 +230,15 @@ class FusedFleet:
         self.cpi_scale, self.cycles_per_sec = cpi_scale, cycles
         self.sigma, self.coupling, self.coupling4 = sigma, coupling, coupling4
 
-        # Profile columns, concatenated in segment order (empty tables
-        # contribute zero-length arrays, keeping offsets aligned).
-        ptables = [tb.profile_table for tb in tables]
+        self.any_noise = any(m.cpi_noise_sigma > 0.0
+                             for _, m, _, _, _ in self.segments)
+        self._load_profiles()
+
+    def _load_profiles(self) -> None:
+        """Gather the tables' profile columns into the arena."""
+        # Concatenated in segment order (empty tables contribute
+        # zero-length arrays, keeping offsets aligned).
+        ptables = self.ptables = tuple(tb.profile_table for tb in self.tables)
         self.cache_mib = np.concatenate(
             [pt.cache_mib_per_cpu for pt in ptables])
         self.membw_gbps = np.concatenate(
@@ -252,14 +258,13 @@ class FusedFleet:
                 cold.append((o + i, j, i,
                              float(pt.cold_start_penalty[i]), scale))
         self.cold = tuple(cold)
-        self.any_noise = any(m.cpi_noise_sigma > 0.0
-                             for _, m, _, _, _ in self.segments)
 
     def matches(self, machine_order: Sequence[tuple[str, Machine]]) -> bool:
         """Whether this fleet is still valid for ``machine_order``.
 
-        Placement changes null out a machine's cached task table and
-        dynamic profile refreshes replace its profile table, so two
+        Placement changes null out a machine's cached task table, dynamic
+        profile refreshes replace its profile table, and another fleet
+        taking the machine over re-points its counter rows, so three
         identity checks per machine cover every invalidation.
         """
         machines = self.machines
@@ -267,19 +272,20 @@ class FusedFleet:
             return False
         tables = self.tables
         ptables = self.ptables
+        views = self.counter_views
         for i, (_, m) in enumerate(machine_order):
-            if (m is not machines[i] or m._table is not tables[i]
-                    or tables[i].profile_table is not ptables[i]):
+            tb = tables[i]
+            if (m is not machines[i] or m._table is not tb
+                    or tb.profile_table is not ptables[i]
+                    or tb.counter_matrix is not views[i]):
                 return False
         return True
 
-    def step(self, t: int) -> Optional[dict[str, TickResult]]:
-        """One fused cluster tick; per-machine results keyed by name.
-
-        Returns ``None`` — before consuming any randomness — if a dynamic
-        resource profile changed, after refreshing the affected tables.
-        The caller then runs this tick per-machine and rebuilds the fleet.
-        """
+    def step(self, t: int) -> dict[str, TickResult]:
+        """One fused cluster tick; per-machine results keyed by name."""
+        # Resource profiles are static in every shipped workload; the
+        # identity check keeps a dynamic profile correct while costing one
+        # method call and one `is` per task.
         tables = self.tables
         stale = False
         for tb in tables:
@@ -290,7 +296,7 @@ class FusedFleet:
                     stale = True
                     break
         if stale:
-            return None
+            self._load_profiles()
 
         # Phase 1: demand, clipping, allocation.  With a fleet-wide demand
         # program the columnar passes run once over the arena and only the
@@ -325,8 +331,10 @@ class FusedFleet:
                 inputs[j] = (grants, capped)
 
         # Phase 2 (numpy, cluster-wide): contention, inflation, CPI,
-        # miss rates, noise, counters — InterferenceModel.tick_batch's math
-        # over one concatenated arena.
+        # miss rates, noise, counters — the scalar InterferenceModel
+        # formulas, operand for operand, over one concatenated arena.
+        # (``out`` is passed positionally throughout: the keyword form
+        # costs extra argument parsing on every ufunc call.)
         cc, mc = self.cache_contrib, self.membw_contrib
         tmp, tmp2, infl = self.tmp, self.tmp2, self.inflation
         np.multiply(g, self.cache_mib, cc)
@@ -393,16 +401,7 @@ class FusedFleet:
         np.multiply(self.kilo, self.l2_buf, l2)
         np.multiply(self.kilo, self.l3_buf, l3)
         np.multiply(l3, 1.1, mem)
-        # Same validation contract as CounterBank.burn_matrix, enforced
-        # once over the whole cluster's event matrix.
-        if ev.size:
-            lo = float(ev.min())
-            if not lo >= 0.0:
-                raise ValueError(
-                    f"counter increments must be finite and >= 0, got {lo}")
-            if float(ev.max()) == math.inf:
-                raise ValueError("counter increments must be finite")
-        self.counter_arena += ev
+        CounterBank.burn_matrix(self.counter_arena, ev)
 
         # Phase 3 (Python, per machine): charging and observations.  The
         # scratch columns are overwritten next tick, so results read

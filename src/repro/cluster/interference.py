@@ -23,6 +23,12 @@ on: CPI rising at near-zero CPU usage (case 3's bimodal "victim", the reason
 for the 0.25 CPU-sec/sec gate) via a cold-start penalty, and L3
 misses-per-instruction tracking CPI inflation (Figure 15c's 0.87 linear
 correlation).
+
+The methods of :class:`InterferenceModel` state the formulas one task at a
+time; they are what the scalar reference tick (``tests/reference/tick.py``)
+calls.  The tick itself evaluates the same formulas, operand for operand,
+over a whole arena of tasks at once in :mod:`repro.cluster.fused`, reading
+the model's two parameters and each task table's :class:`ProfileTable`.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 from repro.cluster.platform import Platform
 
 __all__ = ["ResourceProfile", "MachineContention", "InterferenceModel",
-           "ProfileTable", "BatchWorkspace"]
+           "ProfileTable"]
 
 
 @dataclass(frozen=True)
@@ -251,125 +257,3 @@ class InterferenceModel:
         inflation = self.inflation(task_name, profile, contention)
         return (3.0 * profile.base_l3_mpki
                 * (1.0 + 0.25 * self.miss_rate_coupling * inflation))
-
-    # -- batched path (the vectorized tick engine) ---------------------------
-
-    def tick_batch(
-        self,
-        platform: Platform,
-        names: Sequence[str],
-        base_cpi: Sequence[float],
-        grants: Sequence[float],
-        table: ProfileTable,
-        ws: "BatchWorkspace",
-    ) -> MachineContention:
-        """One machine-tick of contention + CPI + miss-rate math, fused.
-
-        Computes exactly what the scalar methods above compute, for every
-        task at once, into ``ws``'s preallocated buffers (``ws.inflation``,
-        ``ws.cpi`` pre-noise, ``ws.l3_mpki``, ``ws.l2_mpki``).  Bit-identical
-        results are a hard contract (see docs/performance.md): every
-        operation is IEEE-exact elementwise arithmetic (+, -, *, /, max)
-        whose vectorized result equals the scalar result, operand order
-        within each formula matches the scalar expressions, reductions run
-        sequentially in task order to match Python's ``sum``, and the one
-        transcendental (the cold-start ``math.exp``) stays scalar.
-
-        Args:
-            platform: the machine's hardware type.
-            names: task names, in table order.
-            base_cpi: per-task contention-free CPI (validated positive here,
-                matching the scalar :meth:`effective_cpi`).
-            grants: per-task granted CPU (never negative by construction).
-            table: the resident tasks' columnized profiles.
-            ws: scratch buffers sized for this task count.
-
-        Returns:
-            The same :class:`MachineContention` the scalar path builds.
-        """
-        cc, mc, tmp, tmp2 = ws.cache_contrib, ws.membw_contrib, ws.tmp, ws.tmp2
-        infl, cpi = ws.inflation, ws.cpi
-        gr = ws.grants
-        gr[:] = grants
-        # contention(): contrib = usage * appetite / capacity.  (``out`` is
-        # passed positionally throughout: the keyword form costs an extra
-        # ~0.25us of argument parsing per ufunc call, which matters at ~30
-        # calls per machine-tick.)
-        np.multiply(gr, table.cache_mib_per_cpu, cc)
-        np.divide(cc, platform.llc_mib, cc)
-        np.multiply(gr, table.membw_gbps_per_cpu, mc)
-        np.divide(mc, platform.membw_gbps, mc)
-        cache_list = cc.tolist()
-        membw_list = mc.tolist()
-        # Sequential sums match the scalar path's sum(dict.values()).
-        cache_pressure = 0.0
-        for v in cache_list:
-            cache_pressure += v
-        membw_pressure = 0.0
-        for v in membw_list:
-            membw_pressure += v
-        contention = MachineContention(
-            cache_pressure=cache_pressure,
-            membw_pressure=membw_pressure,
-            cache_contrib=dict(zip(names, cache_list)),
-            membw_contrib=dict(zip(names, membw_list)),
-        )
-        # inflation(): sensitivity * _saturate(pressure from everyone else).
-        # _saturate's p <= 0 early-return is covered exactly: after
-        # maximum(), p is 0.0 and 0.0 / (1.0 + 0.0) == 0.0.
-        np.subtract(cache_pressure, cc, tmp)
-        np.maximum(tmp, 0.0, out=tmp)
-        np.multiply(tmp, _SATURATE_KNEE, tmp2)
-        np.add(tmp2, 1.0, tmp2)
-        np.divide(tmp, tmp2, tmp)
-        np.multiply(tmp, table.cache_sensitivity, infl)
-        np.subtract(membw_pressure, mc, tmp)
-        np.maximum(tmp, 0.0, out=tmp)
-        np.multiply(tmp, _SATURATE_KNEE, tmp2)
-        np.add(tmp2, 1.0, tmp2)
-        np.divide(tmp, tmp2, tmp)
-        np.multiply(tmp, table.membw_sensitivity, tmp)
-        np.add(infl, tmp, infl)
-        # effective_cpi(): base * scale * (1 + inflation) * cold_start.
-        cpi[:] = base_cpi
-        np.multiply(cpi, platform.cpi_scale, cpi)
-        np.add(infl, 1.0, tmp)
-        np.multiply(cpi, tmp, cpi)
-        for i in table.cold_indices:
-            cold = 1.0 + table.cold_start_penalty[i] * math.exp(
-                -grants[i] / self.cold_start_scale)
-            cpi[i] = cpi[i] * cold
-        # l3_mpki() / l2_mpki().
-        np.multiply(infl, self.miss_rate_coupling, tmp)
-        np.add(tmp, 1.0, tmp)
-        np.multiply(tmp, table.base_l3_mpki, ws.l3_mpki)
-        np.multiply(infl, 0.25 * self.miss_rate_coupling, tmp)
-        np.add(tmp, 1.0, tmp)
-        np.multiply(tmp, table.l2_base_mpki, ws.l2_mpki)
-        return contention
-
-
-class BatchWorkspace:
-    """Preallocated scratch buffers for :meth:`InterferenceModel.tick_batch`.
-
-    One per machine task-table (sized to the resident task count); reused
-    every tick so the hot path allocates nothing.  ``events`` is the
-    counter-burn matrix in :data:`repro.perf.counters.EVENT_ORDER` column
-    layout.
-    """
-
-    __slots__ = ("n", "grants", "cache_contrib", "membw_contrib", "tmp",
-                 "tmp2", "inflation", "cpi", "l3_mpki", "l2_mpki", "kilo",
-                 "noise", "events", "event_columns")
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"workspace needs n >= 1, got {n}")
-        self.n = n
-        (self.grants, self.cache_contrib, self.membw_contrib, self.tmp,
-         self.tmp2, self.inflation, self.cpi, self.l3_mpki, self.l2_mpki,
-         self.kilo, self.noise) = np.empty((11, n), dtype=np.float64)
-        self.events = np.empty((n, 5), dtype=np.float64)
-        #: Per-event column views of ``events``, prebuilt so the tick does
-        #: not pay the ``events[:, i]`` view construction five times a tick.
-        self.event_columns = tuple(self.events[:, i] for i in range(5))

@@ -16,14 +16,16 @@ Each simulated second the machine:
 6. lets each workload observe the tick (so MapReduce workers can enter
    lame-duck mode or give up when capped).
 
-The tick is batched: per-task arithmetic runs as numpy arrays keyed by a
-stable task-index table that is rebuilt only when placement changes.
-Measurement noise is one bulk ``rng.standard_normal(n)`` draw per
-machine-tick, consumed in task-name-sorted order, and counters burn through
-:meth:`~repro.perf.counters.CounterBank.burn_matrix`.  Demand, cgroup
-clipping and base-CPI reads run columnar when the table's workloads compile
-into a :class:`~repro.cluster.demandplane.DemandColumns` program; a table
-the compiler cannot express keeps the per-task closure loop.
+This module holds the per-machine half of the tick: the stable task-index
+table (rebuilt only when placement changes), phases 1-3 (demand, clipping,
+tier allocation, duty cycling) and phases 5b-6 (charging, context switches,
+observations).  Demand, cgroup clipping and base-CPI reads run columnar when
+the table's workloads compile into a
+:class:`~repro.cluster.demandplane.DemandColumns` program; a table the
+compiler cannot express keeps the per-task closure loop.  Phases 4-5 — the
+contention, CPI, noise and counter physics — have one implementation,
+:class:`~repro.cluster.fused.FusedFleet`: :meth:`Machine.tick` steps a
+one-machine fleet, the simulation one fleet over all its machines.
 
 The original scalar loop is the test oracle ``tests/reference/tick.py``;
 ``tests/test_tick_parity.py`` proves both produce byte-identical CPI sample
@@ -40,9 +42,8 @@ import numpy as np
 
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
 from repro.cluster.demandplane import DemandColumns
-from repro.cluster.interference import (BatchWorkspace, InterferenceModel,
-                                        MachineContention, ProfileTable,
-                                        ResourceProfile)
+from repro.cluster.interference import (InterferenceModel, MachineContention,
+                                        ProfileTable, ResourceProfile)
 from repro.cluster.platform import Platform
 from repro.cluster.task import SchedulingClass, Task, TaskState
 from repro.perf.counters import CounterBank
@@ -109,16 +110,16 @@ class _TaskTable:
 
     Besides the identity columns it holds everything per-tick work would
     otherwise look up per task: prebound workload methods, cgroup limits,
-    the columnized profiles, the fused-math scratch buffers, the shared
-    counter matrix the tick burns into with a single array add, and the
-    shared usage matrix it charges with a single column write.
+    the columnized profiles, the shared counter matrix the tick burns into
+    (re-pointed into the arena of whichever fleet steps the machine), and
+    the shared usage matrix it charges with a single column write.
     """
 
     __slots__ = ("tasks", "names", "cgroups", "cgroup_names", "workloads",
                  "demand_fns", "on_tick_fns", "base_cpi_fns", "profile_fns",
                  "cpu_limits", "tier_indices", "profiles", "profile_table",
-                 "workspace", "counter_matrix", "demand_columns",
-                 "usage_matrix", "charged_to")
+                 "counter_matrix", "demand_columns", "usage_matrix",
+                 "charged_to")
 
     def __init__(self, tasks: Sequence[Task], counters: CounterBank):
         self.tasks: tuple[Task, ...] = tuple(tasks)
@@ -137,7 +138,6 @@ class _TaskTable:
                   if t.scheduling_class is tier)
             for tier in _TIER_ORDER
         )
-        self.workspace = BatchWorkspace(len(tasks)) if tasks else None
         self.counter_matrix = (counters.matrix_view(self.cgroup_names)
                                if tasks else None)
         # The compiled demand/cgroup program, or None when any
@@ -175,8 +175,8 @@ class _TaskTable:
 
     def refresh_profiles(self, profiles: Sequence[ResourceProfile]) -> None:
         """(Re)columnize resource profiles (rare: profiles are static in
-        every shipped workload; the identity guard in the tick keeps dynamic
-        ones correct anyway)."""
+        every shipped workload; the identity guard in
+        :meth:`FusedFleet.step` keeps dynamic ones correct anyway)."""
         self.profiles: tuple[ResourceProfile, ...] = tuple(profiles)
         self.profile_table = ProfileTable.from_profiles(self.profiles)
 
@@ -210,6 +210,8 @@ class Machine:
         self.counters = CounterBank()
         self._tasks: dict[str, Task] = {}
         self._table: Optional[_TaskTable] = None
+        #: The one-machine fleet :meth:`tick` steps (built on first use).
+        self._fleet: Optional[FusedFleet] = None
         self.total_cpu_seconds = 0.0
         self._duty_cycle: Optional[DutyCycleState] = None
         #: The scheduler whose reservation columns hold this machine's row;
@@ -339,10 +341,9 @@ class Machine:
         """Tick phases 1-3: demand, cgroup clipping, tier allocation, duty
         cycling, plus the per-task base-CPI reads.
 
-        Shared verbatim by the per-machine tick and the cluster-fused path
-        (:mod:`repro.cluster.fused`) so the demand/base-CPI closure call
-        order — the RNG-ordering contract — cannot drift between them.  When
-        the table carries a compiled demand program (every workload/cgroup
+        Called by :meth:`FusedFleet.step` for each machine unless a
+        fleet-wide demand program covers the whole arena.  When the table
+        carries a compiled demand program (every workload/cgroup
         expressible), demand, clipping and base-CPI reads run columnar; the
         closure loop below is the fallback for tables that do not compile.
 
@@ -400,8 +401,8 @@ class Machine:
 
         Tier membership is a handful of index tuples and the sums must stay
         sequential left-to-right for bit-parity with the scalar reference,
-        so numpy would buy nothing here; both demand paths and the fused
-        fleet share this exact loop.
+        so numpy would buy nothing here; both demand paths share this exact
+        loop.
         """
         n = len(allowed)
         grants = [0.0] * n
@@ -438,8 +439,8 @@ class Machine:
         """Tick phases 5b-6: cgroup charging, context-switch accounting,
         and workload tick observations (which may trigger departures).
 
-        Shared by the per-machine tick and the cluster-fused path;
-        mutates ``result.departures`` in place.
+        Called by :meth:`FusedFleet.step` for each machine after the
+        physics; mutates ``result.departures`` in place.
         """
         dc = table.demand_columns
         batch = dc is not None and dc.batch_on_tick
@@ -494,62 +495,22 @@ class Machine:
     def tick(self, t: int) -> TickResult:
         """Execute one simulated second; returns grants, CPIs and departures.
 
-        Bit-identical to the scalar reference (``tests/reference/tick.py``)
-        by construction: same task order, same operation order inside every
-        formula, sequential reductions, one bulk noise draw consuming the
-        RNG stream in the same order the scalar loop does.
+        Steps a one-machine :class:`~repro.cluster.fused.FusedFleet`, cached
+        until placement changes or another fleet steps this machine.
         """
-        result = TickResult(t=t, departures=[])
         if not self._tasks:
-            return result
-        table = self._task_table()
-        names = table.names
-
-        # Resource profiles are static in every shipped workload; the
-        # identity check keeps a hypothetical dynamic profile correct while
-        # costing only one method call + one `is` per task.
-        profiles = table.profiles
-        for i, fn in enumerate(table.profile_fns):
-            if fn() is not profiles[i]:
-                table.refresh_profiles([p() for p in table.profile_fns])
-                break
-
-        grants, capped, base_cpi = self._tick_inputs(t, table)
-        result.grants = dict(zip(names, grants))
-
-        # 4. contention, inflation, CPI and miss rates — one fused batch.
-        ws = table.workspace
-        result.contention = self.interference.tick_batch(
-            self.platform, names, base_cpi, grants, table.profile_table, ws)
-        cpi = ws.cpi
-        sigma = self.cpi_noise_sigma
-        if sigma > 0.0:
-            # One draw per task, consumed in table (name-sorted) order: the
-            # documented RNG contract.  sigma * standard_normal(n) is the
-            # same value stream as n scalar rng.normal(0, sigma) calls, and
-            # np.exp on the array equals np.exp per scalar.
-            noise = ws.noise
-            self.rng.standard_normal(out=noise)
-            np.multiply(noise, sigma, noise)
-            np.exp(noise, noise)
-            np.multiply(cpi, noise, cpi)
-        result.cpis = dict(zip(names, cpi.tolist()))
-
-        # 5. burn counters, batched (EVENT_ORDER column layout).
-        events = ws.events
-        cycles, instructions, l2, l3, mem = ws.event_columns
-        np.multiply(ws.grants, self.platform.cycles_per_cpu_second,
-                    cycles)                        # CPU_CLK_UNHALTED_REF
-        np.divide(cycles, cpi, instructions)       # INSTRUCTIONS_RETIRED
-        np.divide(instructions, 1000.0, ws.kilo)
-        np.multiply(ws.kilo, ws.l2_mpki, l2)       # L2_MISSES
-        np.multiply(ws.kilo, ws.l3_mpki, l3)       # L3_MISSES
-        np.multiply(l3, 1.1, mem)                  # MEMORY_REQUESTS
-        self.counters.burn_matrix(table.counter_matrix, events)
-
-        self._tick_finish(t, table, result, grants, capped)
-        return result
+            return TickResult(t=t, departures=[])
+        fleet = self._fleet
+        order = ((self.name, self),)
+        if fleet is None or not fleet.matches(order):
+            fleet = self._fleet = FusedFleet((self,))
+        return fleet.step(t)[self.name]
 
     def __repr__(self) -> str:
         return (f"Machine({self.name}, {self.platform.name}, "
                 f"tasks={self.num_tasks})")
+
+
+# The tick engine subclasses TickResult and checks Machine.tick, so it
+# imports this module: bind it once both classes exist.
+from repro.cluster.fused import FusedFleet  # noqa: E402

@@ -193,21 +193,18 @@ class ClusterSimulation:
     def _tick_machines(self, t: int) -> dict[str, TickResult]:
         """Phase 1: every machine's physics, then the per-machine hooks."""
         machine_order, _ = self._iteration_order()
-        # Fused fast path: all machines' physics in one cluster-wide batch
-        # (bit-identical to per-machine stepping; see repro.cluster.fused).
-        # Rebuilt when placement changes; falls back to Machine.tick when
-        # any machine is ineligible (patched or overridden tick, custom
-        # interference model) or a dynamic profile changed mid-guard.
+        # All machines' physics in one cluster-wide arena (bit-identical to
+        # per-machine stepping; see repro.cluster.fused).  Rebuilt when
+        # placement changes or a machine was ticked on its own since; each
+        # machine's own tick runs instead when any machine's tick is
+        # patched or overridden.
         fleet = self._fleet
         if fleet is None or not fleet.matches(machine_order):
             fleet = FusedFleet.build(machine_order)
             self._fleet = fleet
-        results: Optional[dict[str, TickResult]] = None
         if fleet is not None:
             results = fleet.step(t)
-            if results is None:
-                self._fleet = None
-        if results is None:
+        else:
             results = {name: machine.tick(t)
                        for name, machine in machine_order}
         hooks = self._tick_hooks

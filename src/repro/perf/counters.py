@@ -13,11 +13,11 @@ context-switch save/restore overhead ledger that lets the overhead benchmark
 verify the <0.1% claim against the simulated context-switch rate.
 
 Storage is a small numpy array per cgroup (one slot per
-:class:`~repro.perf.events.CounterEvent`), so the simulator's vectorized
-tick engine can burn a whole machine-tick's worth of counter increments with
-:meth:`CounterBank.burn_batch` — one validation pass over the event matrix
-and one array add per cgroup, instead of five validated scalar adds per
-task per second.
+:class:`~repro.perf.events.CounterEvent`).  The tick re-backs those arrays
+with rows of one matrix (:meth:`CounterBank.matrix_view`) and burns a whole
+tick's counter increments with :meth:`CounterBank.burn_matrix` — one
+validation pass over the event matrix and one array add, instead of five
+validated scalar adds per task per second.
 """
 
 from __future__ import annotations
@@ -69,14 +69,6 @@ class CounterSet:
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
         self._values[_EVENT_INDEX[event]] += amount
-
-    def add_array(self, amounts: np.ndarray) -> None:
-        """Accumulate a full event vector (``EVENT_ORDER`` layout) at once.
-
-        The caller is responsible for validation — this is the pre-validated
-        inner loop of :meth:`CounterBank.burn_batch`.
-        """
-        self._values += amounts
 
     def read(self, event: CounterEvent) -> float:
         """Current cumulative value of ``event``."""
@@ -156,36 +148,6 @@ class CounterBank:
         """Names of cgroups with live counter sets."""
         return sorted(self._sets)
 
-    def burn_batch(self, cgroup_names: Sequence[str],
-                   events: np.ndarray) -> None:
-        """Accumulate one machine-tick of counters for many cgroups at once.
-
-        Args:
-            cgroup_names: one cgroup per row of ``events``.
-            events: array of shape ``(len(cgroup_names), len(EVENT_ORDER))``
-                in :data:`EVENT_ORDER` column layout.
-
-        Raises:
-            ValueError: if any increment is negative or non-finite (same
-                contract as :meth:`CounterSet.add`, enforced in one pass
-                over the whole matrix), or on a shape mismatch.
-        """
-        if events.shape != (len(cgroup_names), len(EVENT_ORDER)):
-            raise ValueError(
-                f"event matrix shape {events.shape} does not match "
-                f"({len(cgroup_names)}, {len(EVENT_ORDER)})")
-        if not np.isfinite(events).all():
-            raise ValueError("counter increments must be finite")
-        if events.size and float(events.min()) < 0:
-            raise ValueError("counter increments must be >= 0")
-        sets = self._sets
-        for i, name in enumerate(cgroup_names):
-            counters = sets.get(name)
-            if counters is None:
-                counters = CounterSet()
-                sets[name] = counters
-            counters._values += events[i]
-
     def matrix_view(self, cgroup_names: Sequence[str],
                     out: np.ndarray | None = None) -> np.ndarray:
         """Re-back the named counter sets with rows of one shared matrix.
@@ -223,12 +185,14 @@ class CounterBank:
             counters._values = matrix[i]
         return matrix
 
-    def burn_matrix(self, matrix: np.ndarray, events: np.ndarray) -> None:
+    @staticmethod
+    def burn_matrix(matrix: np.ndarray, events: np.ndarray) -> None:
         """Accumulate a tick's event matrix onto a :meth:`matrix_view` matrix.
 
         Same validation contract as :meth:`CounterSet.add`, enforced with
         two reductions over the whole matrix (``min`` flags negatives and
-        NaN, ``max`` flags +inf).
+        NaN, ``max`` flags +inf).  A static method: the matrix may be an
+        arena holding rows of many machines' banks.
         """
         if events.shape != matrix.shape:
             raise ValueError(

@@ -1,11 +1,12 @@
-"""Golden-parity tests: the batched tick vs the scalar reference loop.
+"""Golden-parity tests: the fused tick vs the scalar reference loop.
 
-:meth:`Machine.tick` (and the cluster-fused fast path layered on top of it)
+:class:`FusedFleet` is the only tick: the simulation steps one fleet over
+all its machines and :meth:`Machine.tick` steps a one-machine fleet.  Both
 must be *bit-identical* to the original scalar loop kept in
 ``tests/reference/tick.py`` — same CPI sample stream, same incidents, same
 chaos precision/recall — for any seed.  These tests pin that contract on
-the reference seeds, comparing floats by their hex representation so
-"close enough" can never creep in.
+the reference seeds and on Hypothesis-drawn machine mixes, comparing floats
+by their hex representation so "close enough" can never creep in.
 
 The micro-tests at the bottom pin the numpy identities the vectorization
 leans on (documented in ``docs/performance.md``); if a numpy upgrade ever
@@ -14,8 +15,13 @@ broke one of them, these fail before the end-to-end streams drift.
 
 from __future__ import annotations
 
+import dataclasses
+from types import MethodType
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import CpiConfig
 from repro.cluster.fused import FusedFleet
@@ -150,7 +156,8 @@ def test_chaos_precision_recall_parity(monkeypatch):
 
 
 def test_fused_path_matches_per_machine_vector(monkeypatch):
-    """Disabling cluster fusion must not change the sample stream at all."""
+    """Ticking each machine on its own one-machine fleet, instead of one
+    cluster-wide fleet, must not change the sample stream at all."""
     def run():
         scenario = populated_fleet(num_machines=3, seed=13)
         scenario.pipeline.log_samples = True
@@ -165,7 +172,7 @@ def test_fused_path_matches_per_machine_vector(monkeypatch):
     assert fused == unfused
 
 
-# -- tick-level parity: fused fleet vs per-machine ticks ----------------------
+# -- tick-level parity: cluster fleet vs one-machine fleets -------------------
 
 #: A service profile with the services' default cold-start penalty.
 _COLD_SERVICE = ResourceProfile(
@@ -276,12 +283,21 @@ def _canon_result(result) -> tuple:
             [(task.name, state.value) for task, state in result.departures])
 
 
+def _machine_state(m: Machine) -> tuple:
+    """A machine's CPU total and every live counter, as hex."""
+    return (_hex(m.total_cpu_seconds),
+            [(cg, [_hex(m.counters.counters_for(cg).read(e))
+                   for e in EVENT_ORDER])
+             for cg in m.counters.known_cgroups()])
+
+
 def _run_ticks(sim: ClusterSimulation) -> tuple[list, list, int]:
     """Step ``sim`` ``_TICKS`` times.
 
     Returns each tick's canonical results — read only after the *next* tick
     has run, so results must not alias the fused scratch buffers — each
-    tick's counter values and CPU totals, and how many ticks ran fused.
+    tick's counter values and CPU totals, and how many ticks ran on the
+    cluster-wide fleet.
     """
     results, states = [], []
     fused_ticks = 0
@@ -289,12 +305,8 @@ def _run_ticks(sim: ClusterSimulation) -> tuple[list, list, int]:
     for _ in range(_TICKS):
         step = sim.step()
         fused_ticks += sim._fleet is not None
-        states.append([
-            (name, _hex(m.total_cpu_seconds),
-             [(cg, [_hex(m.counters.counters_for(cg).read(e))
-                    for e in EVENT_ORDER])
-              for cg in m.counters.known_cgroups()])
-            for name, m in sorted(sim.machines.items())])
+        states.append([(name, *_machine_state(m))
+                       for name, m in sorted(sim.machines.items())])
         if pending is not None:
             results.append({n: _canon_result(r) for n, r in pending.items()})
         pending = step
@@ -304,7 +316,8 @@ def _run_ticks(sim: ClusterSimulation) -> tuple[list, list, int]:
 
 @pytest.mark.parametrize("demand", ["vector", "scalar"])
 def test_fused_tick_results_match_per_machine(monkeypatch, demand):
-    """Fused, per-machine and scalar reference ticks agree on every
+    """The cluster-wide fleet, one-machine fleets (each machine's own
+    ``Machine.tick``) and the scalar reference tick agree on every
     TickResult field, every counter and every CPU total, bit for bit,
     through rebuilds, an oversubscribed tier, a duty cycle and an emptied
     fleet — with compiled demand columns and with closures."""
@@ -333,6 +346,204 @@ def test_fused_tick_results_match_per_machine(monkeypatch, demand):
 
     assert fused == unfused == reference
     assert fused_states == unfused_states == reference_states
+
+
+# -- dynamic resource profiles ------------------------------------------------
+
+
+class _Shifting(_Leaving):
+    """A workload whose profile is a new (equal) object on every call, and
+    whose values switch from a victim's to a hog's at ``shift_at``."""
+
+    def __init__(self, shift_at: int, **kwargs):
+        super().__init__(**kwargs)
+        self.shift_at = shift_at
+        self.last_tick = -1
+
+    def on_tick(self, t, granted_usage, capped):
+        self.last_tick = t
+        return super().on_tick(t, granted_usage, capped)
+
+    def resource_profile(self):
+        hog = self.last_tick + 1 >= self.shift_at
+        return dataclasses.replace(
+            NOISY_NEIGHBOR_PROFILE if hog else SENSITIVE_PROFILE)
+
+
+def _dynamic_fleet() -> ClusterSimulation:
+    """Two machines; ``a`` hosts a victim beside a ``_Shifting`` task."""
+    platform = get_platform("westmere-2.6")
+    sim = ClusterSimulation([Machine("a", platform), Machine("b", platform)],
+                            SimConfig(seed=31))
+    never = 10 * _TICKS
+    workloads = {
+        "a": [_Leaving(never, base_cpi=1.0, profile=SENSITIVE_PROFILE,
+                       demand=constant(1.0)),
+              _Shifting(20, leave_at=never, base_cpi=1.0,
+                        profile=SENSITIVE_PROFILE, demand=constant(3.0))],
+        "b": [_Leaving(never, base_cpi=1.0, profile=_COLD_SERVICE,
+                       demand=constant(0.5))],
+    }
+    for name, ws in workloads.items():
+        job = Job(JobSpec(
+            name=f"job-{name}", num_tasks=len(ws),
+            scheduling_class=SchedulingClass.LATENCY_SENSITIVE,
+            priority_band=PriorityBand.PRODUCTION, cpu_limit_per_task=4.0,
+            workload_factory=lambda i, ws=ws: ws[i]))
+        for task in job.tasks:
+            sim.machines[name].place(task)
+    return sim
+
+
+def test_dynamic_profiles_match_reference(monkeypatch):
+    """A profile that changes identity every tick, and values at t=20,
+    refreshes the arena in place: the cluster fleet, one-machine fleets and
+    the reference tick still agree bit for bit."""
+    fused, fused_states, fused_ticks = _run_ticks(_dynamic_fleet())
+    monkeypatch.setattr(FusedFleet, "build",
+                        classmethod(lambda cls, order: None))
+    unfused, unfused_states, _ = _run_ticks(_dynamic_fleet())
+    reference_tick.install(monkeypatch)
+    reference, reference_states, _ = _run_ticks(_dynamic_fleet())
+
+    pressure = [float.fromhex(tick["a"][3][0]) for tick in fused]
+    assert pressure[20] > pressure[19] == pressure[0]   # the shift shows
+    assert fused_ticks == _TICKS
+    assert fused == unfused == reference
+    assert fused_states == unfused_states == reference_states
+
+
+# -- counter-row ownership: one machine, two fleets ---------------------------
+
+
+def _interleaved_run() -> tuple[list, list]:
+    """Step ``_mixed_fleet`` for ``_TICKS`` seconds, ticking ``b-capped``
+    on its own (``Machine.tick``) every third second instead of stepping
+    the simulation.
+
+    Each direct tick hands the machine's counter rows to its one-machine
+    fleet and the next ``sim.step()`` takes them back, so a fleet that
+    burned into rows it no longer owns would lose that second's counters.
+    Returns every second's machine states and every task's usage history.
+    """
+    sim = _mixed_fleet("vector")
+    tasks = [task for m in sim.machines.values()
+             for task in m.resident_tasks()]
+    machine = sim.machines["b-capped"]
+    states = []
+    for t in range(_TICKS):
+        if t % 3 == 1:
+            machine.tick(t)
+            sim.now += 1    # the direct tick stands in for this second
+        else:
+            sim.step()
+        states.append([(name, *_machine_state(m))
+                       for name, m in sorted(sim.machines.items())])
+    usage = [(task.name, [_hex(u) for u in
+                          task.cgroup.usage_window_view(0, _TICKS).tolist()])
+             for task in tasks]
+    return states, usage
+
+
+def test_direct_ticks_between_cluster_steps_keep_counters(monkeypatch):
+    """A machine ticked directly between cluster steps ends every second
+    with the counters and usage of the reference tick, bit for bit."""
+    production = _interleaved_run()
+    reference_tick.install(monkeypatch)
+    reference = _interleaved_run()
+    states, _ = reference
+    burned = dict((name, counters) for name, _, counters in states[4])
+    assert burned["b-capped"]    # the direct ticks burned something
+    assert production == reference
+
+
+# -- Machine.tick vs the reference on drawn machine mixes ---------------------
+
+_PROPERTY_TICKS = 30
+_PROFILES = (SENSITIVE_PROFILE, NOISY_NEIGHBOR_PROFILE, _COLD_SERVICE)
+
+#: One task: (tier, demand level, noisy demand, profile index, leave_at or
+#: None, cgroup limit).
+_TASKS = st.tuples(
+    st.sampled_from(tuple(SchedulingClass)),
+    st.sampled_from((0.0, 0.03, 0.4, 1.0, 2.5, 6.0)),
+    st.booleans(),
+    st.integers(0, len(_PROFILES) - 1),
+    st.one_of(st.none(), st.integers(0, _PROPERTY_TICKS - 1)),
+    st.sampled_from((1.0, 2.0, 4.0, 8.0)),
+)
+
+
+@st.composite
+def _machine_mixes(draw):
+    tasks = draw(st.lists(_TASKS, min_size=1, max_size=12))
+    last = len(tasks) - 1
+    cap = draw(st.one_of(st.none(), st.tuples(
+        st.integers(0, last), st.sampled_from((0.0, 0.3, 1.5)),
+        st.integers(1, _PROPERTY_TICKS))))
+    duty = draw(st.one_of(st.none(), st.tuples(
+        st.integers(0, last), st.sampled_from((0.0, 0.5, 0.9)),
+        st.sampled_from((0.25, 1.0)), st.integers(1, _PROPERTY_TICKS))))
+    return dict(tasks=tasks, cap=cap, duty=duty,
+                sigma=draw(st.sampled_from((0.0, 0.03))),
+                closures=draw(st.booleans()), seed=draw(st.integers(0, 999)))
+
+
+def _mix_machine(mix: dict) -> tuple[Machine, list]:
+    """A fresh machine holding ``mix``, and its tasks."""
+    seed = mix["seed"]
+    machine = Machine("m", get_platform("westmere-2.6"),
+                      rng=np.random.default_rng(seed),
+                      cpi_noise_sigma=mix["sigma"])
+    tasks = []
+    for i, (tier, level, noisy, profile, leave_at, limit) in enumerate(
+            mix["tasks"]):
+        demand = (with_noise(constant(level), 0.3,
+                             np.random.default_rng([seed, i]))
+                  if noisy else constant(level))
+        workload = _Leaving(
+            _PROPERTY_TICKS if leave_at is None else leave_at,
+            base_cpi=1.0, profile=_PROFILES[profile], demand=demand)
+        job = Job(JobSpec(
+            name=f"j{i}", num_tasks=1, scheduling_class=tier,
+            priority_band=PriorityBand.PRODUCTION, cpu_limit_per_task=limit,
+            workload_factory=lambda _, w=workload: w))
+        tasks.extend(job.tasks)
+    if mix["closures"]:
+        reference_demand.pin_closures(task.workload for task in tasks)
+    for task in tasks:
+        machine.place(task)
+    if mix["cap"] is not None:
+        i, quota, duration = mix["cap"]
+        tasks[i].cgroup.apply_cap(quota, now=0, duration=duration)
+    if mix["duty"] is not None:
+        i, level, share, duration = mix["duty"]
+        machine.apply_duty_cycle(tasks[i].name, level=level,
+                                 core_share=share, now=0, duration=duration)
+    return machine, tasks
+
+
+def _run_mix(mix: dict, reference: bool) -> tuple[list, list, list]:
+    machine, tasks = _mix_machine(mix)
+    if reference:
+        machine.tick = MethodType(reference_tick.tick, machine)
+    results, states = [], []
+    for t in range(_PROPERTY_TICKS):
+        results.append(machine.tick(t))
+        states.append(_machine_state(machine))
+    usage = [[_hex(u) for u in task.cgroup.usage_window_view(
+        0, _PROPERTY_TICKS).tolist()] for task in tasks]
+    # Canonicalized only now: no result may alias a later tick's buffers.
+    return [_canon_result(r) for r in results], states, usage
+
+
+@settings(deadline=None)
+@given(mix=_machine_mixes())
+def test_machine_tick_matches_reference_on_drawn_mixes(mix):
+    """``Machine.tick`` equals the scalar reference tick on every
+    TickResult field, counter and usage slot, by ``float.hex``, for any
+    mix of tiers, caps, duty cycles, noise, cold starts and departures."""
+    assert _run_mix(mix, reference=False) == _run_mix(mix, reference=True)
 
 
 # -- the numpy identities the batched tick relies on --------------------------
