@@ -8,15 +8,15 @@ second.  This module removes that last big
 Python loop from the hot path: :class:`DemandColumns` compiles the
 declarative ``spec`` forms that the combinators in
 :mod:`repro.workloads.demand` attach to their closures into
-struct-of-arrays programs, so one machine's (or, fused, one cluster's)
-demand for tick ``t`` is a handful of numpy ufunc passes.
+struct-of-arrays programs, so a fleet's demand for tick ``t`` — one
+machine's or a whole cluster's — is a handful of numpy ufunc passes.
 
 Bit-exactness against the per-task closures is a hard contract
 (``docs/performance.md`` has the full argument):
 
 * **RNG ordering** — log-normal demand noise draws one
   ``rng.standard_normal()`` per noisy task from that task's own generator,
-  in table order (arena order when fused) — exactly the sequence the
+  in arena order (machine order x table order) — exactly the sequence the
   scalar closures draw, so every downstream consumer of those generators
   (transaction counters, latency models) sees an identical stream.
 * **Operand order** — every compiled formula multiplies/adds in the same
@@ -31,8 +31,8 @@ Bit-exactness against the per-task closures is a hard contract
 * **Eligibility fallback** — any workload the compiler cannot express (a
   hand-written demand lambda, an overridden ``cpu_demand``, a subclassed
   cgroup, non-finite parameters) makes :meth:`DemandColumns.compile`
-  return ``None`` and that machine keeps the closure path.  The workloads
-  make this choice; no option or environment variable does.
+  return ``None`` and every machine of that fleet runs its closures.  The
+  workloads make this choice; no option or environment variable does.
 
 Cgroup state is columnar too: per-task limit and hard-cap columns are
 rebuilt only when any cap changes (a class-level mutation counter on
@@ -43,7 +43,7 @@ its cgroups' usage rings, one column of a shared matrix.
 The closure path doubles as the reference: ``tests/test_demand_plane.py``
 pins compiled == closure by stubbing :meth:`DemandColumns.compile` to
 ``None`` (or binding ``cpu_demand`` on a workload instance, which makes
-its table ineligible).
+any fleet holding it ineligible).
 """
 
 from __future__ import annotations
@@ -115,13 +115,12 @@ def _as_index(indices: list[int], n: int):
 
 
 class DemandColumns:
-    """A compiled, batch-evaluable demand/cgroup program for one task table.
+    """A compiled, batch-evaluable demand/cgroup program for one arena.
 
-    Built by :meth:`compile` from a table's workloads and cgroups (in table
-    order); :meth:`Machine._tick_inputs` evaluates it, and a
-    :class:`FusedFleet` of several machines compiles one program over its
-    whole arena so the ufunc passes run once per cluster-tick instead of
-    once per machine.
+    Built by :meth:`compile` from the workloads and cgroups of every task
+    a :class:`~repro.cluster.fused.FusedFleet` steps (in arena order), so
+    the ufunc passes run once per fleet-tick however many machines it
+    spans; :meth:`FusedFleet.step` evaluates it.
     """
 
     __slots__ = (
@@ -137,9 +136,9 @@ class DemandColumns:
     @classmethod
     def compile(cls, workloads: Sequence, cgroups: Sequence[Cgroup],
                 cpu_limits: Sequence[float]) -> Optional["DemandColumns"]:
-        """Compile a task table's demand plane, or ``None`` if ineligible.
+        """Compile an arena's demand plane, or ``None`` if ineligible.
 
-        Ineligibility (→ the caller keeps the per-task closure path): any
+        Ineligibility (→ the fleet runs the per-task closures): any
         overridden/patched ``cpu_demand``, a demand function without a
         recognised spec tree (leaf under optional ``scaled`` wrappers under
         an optional outermost ``with_noise``), a spec-less ``scaled``
@@ -342,7 +341,7 @@ class DemandColumns:
     # -- demand ---------------------------------------------------------------
 
     def demand(self, t: int) -> np.ndarray:
-        """All tasks' clamped CPU demand at ``t``, in table order.
+        """All tasks' clamped CPU demand at ``t``, in arena order.
 
         Returns an internal buffer, overwritten by the next call.
         """
@@ -373,7 +372,7 @@ class DemandColumns:
         if nz is not None:
             idx, sigma, draws, z, mask = nz
             # One scalar draw per noisy task from its own generator, in
-            # table order: bit-identical stream positions to the closures.
+            # arena order: bit-identical stream positions to the closures.
             z[idx] = [draw() for draw in draws]
             np.multiply(z, sigma, z)
             np.exp(z, z)

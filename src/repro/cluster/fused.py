@@ -17,8 +17,12 @@ many machines there are:
   ``contention`` from per-tick copies of the arena columns the first time
   they are read.
 
-Demand/allocation (phase 1) and charging/observations (phase 3) still run
-per machine.
+Phase 1's demand, cgroup clipping and base-CPI reads run as one compiled
+:class:`~repro.cluster.demandplane.DemandColumns` program over the arena
+when every resident workload and cgroup compiles; a fleet with any that
+does not runs every machine's per-task closures instead.  Tier allocation
+(the rest of phase 1) and charging/observations (phase 3) run per
+machine.
 
 Every observable stays bit-identical to stepping the machines one at a time
 on the scalar reference tick (``tests/test_tick_parity.py`` proves it end
@@ -169,26 +173,21 @@ class FusedFleet:
         self.seg_id = np.repeat(np.arange(len(machines), dtype=np.intp),
                                 [len(tb.tasks) for tb in tables])
 
-        # One cluster-wide demand program, when more than one resident
-        # segment and every one compiled one: demand/cap/base-CPI columns
-        # then span the whole arena and phase 1's per-machine ufunc
-        # dispatch collapses into a single pass.  Per-task noise draws
+        # One demand program over the whole arena: demand/cap/base-CPI
+        # columns span every resident task, so phase 1 is a single columnar
+        # pass however many machines there are.  Per-task noise draws
         # happen in arena order == machine order x table order, exactly the
-        # per-machine sequence.  Otherwise each machine's _tick_inputs runs
-        # its own table's program (or closures).
-        fleet_dc = None
-        if len(self.segments) > 1 and all(
-                tb.demand_columns is not None
-                for _, _, tb, _, _ in self.segments):
-            workloads: list = []
-            cgroups: list = []
-            limits: list[float] = []
-            for _, _, tb, _, _ in self.segments:
-                workloads.extend(tb.workloads)
-                cgroups.extend(tb.cgroups)
-                limits.extend(tb.cpu_limits)
-            fleet_dc = DemandColumns.compile(workloads, cgroups, limits)
-        self.demand_columns = fleet_dc
+        # per-machine sequence.  None (no resident task, or some workload
+        # or cgroup beyond the compiler) runs every machine's closures.
+        workloads: list = []
+        cgroups: list = []
+        limits: list[float] = []
+        for _, _, tb, _, _ in self.segments:
+            workloads.extend(tb.workloads)
+            cgroups.extend(tb.cgroups)
+            limits.extend(tb.cpu_limits)
+        self.demand_columns = DemandColumns.compile(workloads, cgroups,
+                                                    limits)
 
         # Scratch buffers, allocated once per fleet build.
         (self.grants, self.cache_contrib, self.membw_contrib, self.tmp,
@@ -298,10 +297,10 @@ class FusedFleet:
         if stale:
             self._load_profiles()
 
-        # Phase 1: demand, clipping, allocation.  With a fleet-wide demand
+        # Phase 1: demand, clipping, allocation.  With the fleet's demand
         # program the columnar passes run once over the arena and only the
-        # small tier-allocation loop stays per machine; otherwise each
-        # machine's _tick_inputs runs (columnar or closure per its table).
+        # small tier-allocation loop stays per machine; without one each
+        # machine's _tick_inputs runs its closures.
         g = self.grants
         cpi = self.cpi
         segments = self.segments
@@ -408,6 +407,12 @@ class FusedFleet:
         # copies taken here.
         columns = (cpi.copy(), cc.copy(), mc.copy(), cache_p, membw_p)
         offsets = self.offsets
+        batch = fdc is not None and fdc.batch_on_tick
+        if batch:
+            # The inline on_tick accounting skips ``_now``: advance it for
+            # the workloads whose base_cpi may read it (the rest never do).
+            for w in fdc.now_workloads:
+                w._now = t
         results: dict[str, TickResult] = {}
         for j, m in enumerate(self.machines):
             inp = inputs[j]
@@ -418,6 +423,6 @@ class FusedFleet:
             grants, capped = inp
             result = _FusedTickResult(
                 t, (columns, j, offsets[j], tb.names, grants))
-            m._tick_finish(t, tb, result, grants, capped)
+            m._tick_finish(t, tb, result, grants, capped, batch)
             results[m.name] = result
         return results

@@ -19,13 +19,14 @@ Each simulated second the machine:
 This module holds the per-machine half of the tick: the stable task-index
 table (rebuilt only when placement changes), phases 1-3 (demand, clipping,
 tier allocation, duty cycling) and phases 5b-6 (charging, context switches,
-observations).  Demand, cgroup clipping and base-CPI reads run columnar when
-the table's workloads compile into a
-:class:`~repro.cluster.demandplane.DemandColumns` program; a table the
-compiler cannot express keeps the per-task closure loop.  Phases 4-5 — the
-contention, CPI, noise and counter physics — have one implementation,
-:class:`~repro.cluster.fused.FusedFleet`: :meth:`Machine.tick` steps a
-one-machine fleet, the simulation one fleet over all its machines.
+observations).  Phases 4-5 — the contention, CPI, noise and counter
+physics — have one implementation, :class:`~repro.cluster.fused.FusedFleet`:
+:meth:`Machine.tick` steps a one-machine fleet, the simulation one fleet
+over all its machines.  Demand, cgroup clipping and base-CPI reads run
+columnar when the fleet's workloads compile into one
+:class:`~repro.cluster.demandplane.DemandColumns` program over its arena;
+a fleet the compiler cannot express runs this module's per-task closure
+loop on every machine.
 
 The original scalar loop is the test oracle ``tests/reference/tick.py``;
 ``tests/test_tick_parity.py`` proves both produce byte-identical CPI sample
@@ -41,7 +42,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
-from repro.cluster.demandplane import DemandColumns
 from repro.cluster.interference import (InterferenceModel, MachineContention,
                                         ProfileTable, ResourceProfile)
 from repro.cluster.platform import Platform
@@ -118,7 +118,7 @@ class _TaskTable:
     __slots__ = ("tasks", "names", "cgroups", "cgroup_names", "workloads",
                  "demand_fns", "on_tick_fns", "base_cpi_fns", "profile_fns",
                  "cpu_limits", "tier_indices", "profiles", "profile_table",
-                 "counter_matrix", "demand_columns", "usage_matrix",
+                 "counter_matrix", "usage_matrix",
                  "charged_to")
 
     def __init__(self, tasks: Sequence[Task], counters: CounterBank):
@@ -140,11 +140,6 @@ class _TaskTable:
         )
         self.counter_matrix = (counters.matrix_view(self.cgroup_names)
                                if tasks else None)
-        # The compiled demand/cgroup program, or None when any
-        # workload/cgroup is beyond the compiler (the machine then keeps
-        # the closure path).
-        self.demand_columns = DemandColumns.compile(
-            self.workloads, self.cgroups, self.cpu_limits)
         # Every cgroup's usage ring, as row i of one matrix (rebind_ring):
         # charge writes a tick as one column, and the sampler slices window
         # usage out of it.
@@ -338,14 +333,12 @@ class Machine:
 
     def _tick_inputs(self, t: int, table: _TaskTable
                      ) -> tuple[list[float], list[bool], list[float]]:
-        """Tick phases 1-3: demand, cgroup clipping, tier allocation, duty
-        cycling, plus the per-task base-CPI reads.
+        """Tick phases 1-3 on the per-task closures: demand, cgroup
+        clipping, tier allocation, duty cycling, plus the base-CPI reads.
 
-        Called by :meth:`FusedFleet.step` for each machine unless a
-        fleet-wide demand program covers the whole arena.  When the table
-        carries a compiled demand program (every workload/cgroup
-        expressible), demand, clipping and base-CPI reads run columnar; the
-        closure loop below is the fallback for tables that do not compile.
+        Called by :meth:`FusedFleet.step` for each machine when the fleet
+        has no compiled demand program (some workload or cgroup in it is
+        beyond :meth:`DemandColumns.compile`).
 
         Returns:
             ``(grants, capped, base_cpi)`` as plain Python lists in table
@@ -353,42 +346,28 @@ class Machine:
             cannot change within the tick, so the scalar reference's second
             ``is_capped`` lookup is redundant).
         """
-        dc = table.demand_columns
-        if dc is not None:
-            allowed_arr, capped = dc.allowed_and_capped(t)
-            grants = self._tick_alloc(t, table, allowed_arr.tolist(), capped)
-            # base_cpi closures are pure within a tick (modulation reads
-            # ``_now``, which only on_tick advances), so reading them here
-            # rather than after allocation is unobservable.
-            base_cpi = dc.base_cpi()
-            if dc.check_base_cpi and not min(base_cpi) > 0:
-                bad = min(base_cpi)
-                raise ValueError(f"base_cpi must be positive, got {bad}")
-            return grants, capped, base_cpi
-        else:
-            cgroups = table.cgroups
-            cpu_limits = table.cpu_limits
-            n = len(cgroups)
+        cgroups = table.cgroups
+        cpu_limits = table.cpu_limits
+        n = len(cgroups)
 
-            # 1-2. demand, clipped by cgroup limit and any hard-cap.
-            allowed = [0.0] * n
-            capped = [False] * n
-            for i, fn in enumerate(table.demand_fns):
-                d = fn(t)
-                if not d > 0.0:     # matches max(0.0, d), including d = NaN
-                    d = 0.0
-                limit = cpu_limits[i]
-                a = d if d < limit else limit
-                cap = cgroups[i].cap_at(t)
-                if cap is not None:
-                    capped[i] = True
-                    if cap.quota < a:
-                        a = cap.quota
-                allowed[i] = a
+        # 1-2. demand, clipped by cgroup limit and any hard-cap.
+        allowed = [0.0] * n
+        capped = [False] * n
+        for i, fn in enumerate(table.demand_fns):
+            d = fn(t)
+            if not d > 0.0:     # matches max(0.0, d), including d = NaN
+                d = 0.0
+            limit = cpu_limits[i]
+            a = d if d < limit else limit
+            cap = cgroups[i].cap_at(t)
+            if cap is not None:
+                capped[i] = True
+                if cap.quota < a:
+                    a = cap.quota
+            allowed[i] = a
 
-            grants = self._tick_alloc(t, table, allowed, capped)
-            base_cpi = [fn() for fn in table.base_cpi_fns]
-
+        grants = self._tick_alloc(t, table, allowed, capped)
+        base_cpi = [fn() for fn in table.base_cpi_fns]
         if not min(base_cpi) > 0:
             bad = min(base_cpi)
             raise ValueError(f"base_cpi must be positive, got {bad}")
@@ -401,8 +380,8 @@ class Machine:
 
         Tier membership is a handful of index tuples and the sums must stay
         sequential left-to-right for bit-parity with the scalar reference,
-        so numpy would buy nothing here; both demand paths share this exact
-        loop.
+        so numpy would buy nothing here; the compiled demand program and
+        the closures share this exact loop.
         """
         n = len(allowed)
         grants = [0.0] * n
@@ -435,15 +414,17 @@ class Machine:
         return grants
 
     def _tick_finish(self, t: int, table: _TaskTable, result: TickResult,
-                     grants: list[float], capped: list[bool]) -> None:
+                     grants: list[float], capped: list[bool],
+                     batch: bool) -> None:
         """Tick phases 5b-6: cgroup charging, context-switch accounting,
         and workload tick observations (which may trigger departures).
 
         Called by :meth:`FusedFleet.step` for each machine after the
-        physics; mutates ``result.departures`` in place.
+        physics; mutates ``result.departures`` in place.  ``batch`` says
+        every workload uses ``SyntheticWorkload.on_tick`` verbatim, so its
+        accounting runs inline here; the fleet then advances the ``_now``
+        of the workloads that read it.
         """
-        dc = table.demand_columns
-        batch = dc is not None and dc.batch_on_tick
         total = self.total_cpu_seconds
         runnable = 0
         if batch:
@@ -467,10 +448,6 @@ class Machine:
             runnable * _SWITCHES_PER_TASK_SECOND + oversubscribed * 100)
 
         if batch:
-            # Only workloads whose base_cpi may read ``_now`` need it
-            # advanced (the rest never look at it).
-            for w in dc.now_workloads:
-                w._now = t
             if True in capped:
                 for i, w in enumerate(table.workloads):
                     if capped[i]:

@@ -14,6 +14,10 @@ policy what to do, actuates hard-caps, and — crucially — follows up: when a
 cap expires it measures whether the victim actually recovered, feeds the
 outcome back to the policy (enabling re-analysis, the paper's "presumably we
 picked poorly the first time"), and finalises the incident record.
+
+Each closed window is ingested as columns (:class:`SampleColumns`), at any
+window size: one vectorized quarantine mask, then batch detection.  Its
+per-sample oracle is ``tests/reference/ingest.py``.
 """
 
 from __future__ import annotations
@@ -39,17 +43,11 @@ from repro.core.window import ColumnarWindow
 from repro.faults.checkpoint import (AgentCheckpoint, CheckpointVersionError,
                                      FollowUpState, sample_from_dict,
                                      sample_to_dict)
-from repro.faults.quarantine import sample_quarantine_reason, spec_is_plausible
+from repro.faults.quarantine import quarantine_reason, spec_is_plausible
 from repro.obs import Observability, default_observability
 from repro.obs.tracing import PipelineTrace, Span
 
-__all__ = ["Incident", "MachineAgent", "VECTOR_MIN_BATCH"]
-
-#: Below this many samples per window the columnar ingest path costs more in
-#: fixed numpy dispatch than it saves, so the agent takes the (bit-identical)
-#: per-sample loop instead.  Measured crossover on the analysis-plane
-#: benchmark; override per agent via ``agent.vector_min_batch``.
-VECTOR_MIN_BATCH = 16
+__all__ = ["Incident", "MachineAgent"]
 
 _incident_ids = itertools.count(1)
 
@@ -133,9 +131,6 @@ class MachineAgent:
         """
         self.machine = machine
         self.config = config
-        #: Smallest batch routed through the columnar ingest path; below it
-        #: the per-sample loop is cheaper (identical output either way).
-        self.vector_min_batch = VECTOR_MIN_BATCH
         self.obs = obs or default_observability()
         self.detector = OutlierDetector(config, obs=self.obs)
         self.throttler = throttler or ThrottleController(config)
@@ -275,87 +270,53 @@ class MachineAgent:
         follow-ups keep working, but no new incidents open against a
         long-expired model.
 
-        Batches of at least :attr:`vector_min_batch` samples run the
-        columnar path —
-        vectorized quarantine, batch outlier detection
+        The window is processed as columns — a vectorized quarantine mask,
+        then batch outlier detection
         (:meth:`~repro.core.outlier.OutlierDetector.observe_batch`) —
-        feeding from ``columns`` when the caller already built the
-        :class:`SampleColumns` (the pipeline did, for the aggregator).
-        Output is identical either way; only event *interleaving* within a
-        batch differs (quarantine events precede detection events instead
+        reusing ``columns`` when the caller already built the
+        :class:`SampleColumns` (the pipeline did, for the aggregator) and
+        otherwise encoding ``samples`` once.  No :class:`CpiSample` is
+        materialised.  The output equals a per-sample loop's
+        (``tests/reference/ingest.py``); only event *interleaving* within a
+        window differs (quarantine events precede detection events instead
         of alternating per sample).
+
+        At most one analysis per window can run in full (all samples in a
+        window share time ``t`` and ``analysis_min_interval >= 1``
+        rate-limits the rest), drop paths mutate no machine state, and
+        every sample lands in its task window before any anomaly is
+        handled — and the one handled analysis only reads the *victim's*
+        window, which holds exactly the same samples at that point in both
+        orders (a closed window has at most one sample per task).
         """
         self._refresh_degraded(t)
-        if len(samples) >= self.vector_min_batch:
-            if columns is None or len(columns) != len(samples):
-                columns = SampleColumns.from_samples(samples)
-            return self._ingest_vector(t, samples, columns)
-        return self._ingest_scalar(t, samples)
-
-    def _ingest_scalar(self, t: int,
-                       samples: list[CpiSample]) -> list[Incident]:
-        """The per-sample ingest loop, for batches below the cutoff."""
-        incidents: list[Incident] = []
-        for sample in samples:
-            quarantine = sample_quarantine_reason(
-                sample, self.config.quarantine_cpi_bound)
-            if quarantine is not None:
-                self._note_quarantined(sample, quarantine)
-                continue
-            window = self._windows.get(sample.taskname)
-            if window is None:
-                window = ColumnarWindow(sample.taskname)
-                self._windows[sample.taskname] = window
-            window.append_sample(sample)
-            if self._degraded:
-                self._note_stale_drop(t, sample)
-                continue
-            spec = self._specs.get(sample.key())
-            _verdict, anomaly = self.detector.observe(sample, spec)
-            if anomaly is None:
-                continue
-            incident = self._note_anomaly(t, anomaly)
-            if incident is not None:
-                incidents.append(incident)
-        return incidents
-
-    def _ingest_vector(self, t: int, samples: list[CpiSample],
-                       columns: SampleColumns) -> list[Incident]:
-        """Columnar ingest: masks over the batch, then batch detection.
-
-        Trajectory-identical to :meth:`_ingest_scalar`: at most one
-        analysis per batch can run in full (all samples in a window share
-        time ``t`` and ``analysis_min_interval >= 1`` rate-limits the
-        rest), drop paths mutate no machine state, and every sample lands
-        in its task window before any anomaly is handled — and the one
-        handled analysis only reads the *victim's* window, which holds
-        exactly the same samples at that point in both orders.
-        """
+        if columns is None or len(columns) != len(samples):
+            columns = SampleColumns.from_samples(samples)
         cpi = columns.cpi
         usage = columns.cpu_usage
         bound = self.config.quarantine_cpi_bound
         ok = (np.isfinite(cpi) & np.isfinite(usage) & (cpi != 0.0)
               & (cpi <= bound))
-        if not ok.all():
-            for row in np.flatnonzero(~ok).tolist():
-                sample = samples[row]
-                self._note_quarantined(
-                    sample, sample_quarantine_reason(sample, bound))
-        ok_rows = np.flatnonzero(ok)
-        if ok_rows.size == 0:
-            return []
         tasks = columns.tasks
         keys = columns.keys
         task_code = columns.task_code
+        task_code_list = task_code.tolist()
+        key_code_list = columns.key_code.tolist()
+        usage_list = usage.tolist()
+        cpi_list = cpi.tolist()
+        if not ok.all():
+            for row in np.flatnonzero(~ok).tolist():
+                self._note_quarantined(
+                    tasks[task_code_list[row]], keys[key_code_list[row]],
+                    quarantine_reason(cpi_list[row], usage_list[row], bound))
+        ok_rows = np.flatnonzero(ok)
+        if ok_rows.size == 0:
+            return []
         # int(timestamp_seconds) == int64(microseconds / 1e6): same
         # float64 divide, same truncation toward zero.
         ts_sec = (columns.timestamp / 1e6).astype(np.int64)
         ts_us_list = columns.timestamp.tolist()
         ts_sec_list = ts_sec.tolist()
-        usage_list = usage.tolist()
-        cpi_list = cpi.tolist()
-        task_code_list = task_code.tolist()
-        key_code_list = columns.key_code.tolist()
         ok_list = ok_rows.tolist()
         for row in ok_list:
             taskname = tasks[task_code_list[row]]
@@ -368,7 +329,8 @@ class MachineAgent:
                           cpi_list[row], key.jobname, key.platforminfo)
         if self._degraded:
             for row in ok_list:
-                self._note_stale_drop(t, samples[row])
+                self._note_stale_drop(t, tasks[task_code_list[row]],
+                                      keys[key_code_list[row]])
             return []
         stddevs = self.config.outlier_stddevs
         thresholds_by_key = np.zeros(len(keys))
@@ -397,20 +359,19 @@ class MachineAgent:
                 incidents.append(incident)
         return incidents
 
-    def _note_quarantined(self, sample: CpiSample, reason: str) -> None:
+    def _note_quarantined(self, taskname: str, key: SpecKey,
+                          reason: str) -> None:
         self.obs.metrics.counter("samples_quarantined", reason=reason).inc()
         self.obs.events.event(
             "sample_quarantined", reason=reason,
-            machine=self.machine.name, task=sample.taskname,
-            job=sample.jobname)
+            machine=self.machine.name, task=taskname, job=key.jobname)
 
-    def _note_stale_drop(self, t: int, sample: CpiSample) -> None:
+    def _note_stale_drop(self, t: int, taskname: str, key: SpecKey) -> None:
         self.obs.metrics.counter("analyses_dropped",
                                  reason="stale_spec").inc()
         self.obs.events.event(
             "analysis_dropped", reason="stale_spec",
-            machine=self.machine.name, task=sample.taskname,
-            job=sample.jobname,
+            machine=self.machine.name, task=taskname, job=key.jobname,
             staleness=self.spec_staleness(t))
 
     def _note_anomaly(self, t: int, anomaly: AnomalyEvent

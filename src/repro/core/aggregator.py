@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 from repro.core.config import CpiConfig, DEFAULT_CONFIG
 from repro.core.records import CpiSample, CpiSpec, SpecKey
 from repro.core.samplebatch import SampleColumns
-from repro.faults.quarantine import sample_quarantine_reason
+from repro.faults.quarantine import quarantine_reason, sample_quarantine_reason
 from repro.obs import Observability
 
 __all__ = ["CpiAggregator"]
@@ -142,7 +142,8 @@ class CpiAggregator:
         """Accumulate one columnar batch.
 
         Bit-identical to feeding the same samples through :meth:`ingest`
-        one at a time — the quarantine predicates run in the same order and
+        one at a time — a failing sample's reason comes from the same
+        :func:`~repro.faults.quarantine.quarantine_reason` ladder and
         the Welford recurrence is the same sequential float arithmetic; the
         win is dispatch, not math: one ``tolist`` per column instead of an
         attribute walk, a key construction, a quarantine call, and a
@@ -170,17 +171,9 @@ class CpiAggregator:
                 else:
                     group.append(i)
                 continue
-            # Mirror sample_quarantine_reason's check order exactly.
-            if not isfinite(c):
-                reason = "non_finite_cpi"
-            elif not isfinite(usage[i]):
-                reason = "non_finite_usage"
-            elif c == 0.0:
-                reason = "zero_cpi"
-            else:
-                reason = "absurd_cpi"
             key = keys[key_code[i]]
-            self._reject(reason, key.jobname, key.platforminfo)
+            self._reject(quarantine_reason(c, usage[i], bound),
+                         key.jobname, key.platforminfo)
         current = self._current
         tasks = batch.tasks
         ingested = 0

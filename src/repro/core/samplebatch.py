@@ -139,13 +139,13 @@ class WindowSamples(SequenceABC):
     The sampler emits :class:`SampleColumns` directly — no
     :class:`~repro.records.CpiSample` objects exist on the clean path.  But
     the window still flows through consumers written against sample lists
-    (``sample_log.extend``, the fault plane's upload clients, the agent's
-    per-sample ingest loop, tests indexing ``samples[0]``), so this wrapper
-    *is* a sequence of samples: materialization via
-    :meth:`SampleColumns.to_samples` happens lazily on the first element
-    access and is cached.  Consumers that only need ``len``/truthiness (the
-    simulation's dispatch guard, the pipeline's empty-window skip) never
-    build an object.
+    (``sample_log.extend``, the fault plane's upload clients, tests
+    indexing ``samples[0]``), so this wrapper *is* a sequence of samples:
+    materialization via :meth:`SampleColumns.to_samples` happens lazily on
+    the first element access and is cached.  Consumers that only need
+    ``len``/truthiness or the columns (the simulation's dispatch guard, the
+    pipeline's empty-window skip, the aggregator's and the agent's ingest)
+    never build an object.
 
     Equality against lists/tuples compares the materialized samples, so the
     golden-parity suites can diff a window field by field against a list.

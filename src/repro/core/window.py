@@ -89,7 +89,7 @@ class ColumnarWindow:
             self._start += 1
 
     def append_sample(self, sample: CpiSample) -> None:
-        """Append one :class:`CpiSample` object (the scalar ingest path)."""
+        """Append one :class:`CpiSample` object (checkpoint restore)."""
         self.append(sample.timestamp, int(sample.timestamp_seconds),
                     sample.cpu_usage, sample.cpi, sample.jobname,
                     sample.platforminfo)

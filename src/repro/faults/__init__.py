@@ -43,6 +43,7 @@ from repro.faults.profile import (
     resolve_fault_profile,
 )
 from repro.faults.quarantine import (
+    quarantine_reason,
     sample_quarantine_reason,
     spec_is_plausible,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "LinkFaults",
     "RetryPolicy",
     "resolve_fault_profile",
+    "quarantine_reason",
     "sample_quarantine_reason",
     "spec_is_plausible",
     "Ack",

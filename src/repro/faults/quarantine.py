@@ -7,7 +7,8 @@ stddev every later detection compares against — so implausible records are
 *quarantined* at each trust boundary (sampler, agent, aggregator) with a
 counted reason, never folded in and never silently dropped.
 
-This module is the shared vocabulary: :func:`sample_quarantine_reason` and
+This module is the shared vocabulary: :func:`quarantine_reason` (with its
+one-sample form :func:`sample_quarantine_reason`) and
 :func:`spec_is_plausible` are the validators the agent and aggregator
 apply, and :func:`corrupt_sample_batch` / :func:`corrupt_spec_push` are
 the transport-layer corrupters that generate exactly the kinds of damage
@@ -25,6 +26,7 @@ import numpy as np
 from repro.records import CpiSample, CpiSpec
 
 __all__ = [
+    "quarantine_reason",
     "sample_quarantine_reason",
     "spec_is_plausible",
     "corrupt_sample_batch",
@@ -32,25 +34,33 @@ __all__ = [
 ]
 
 
-def sample_quarantine_reason(sample: CpiSample,
-                             cpi_bound: float) -> Optional[str]:
-    """Why this sample must not reach detection or aggregation, if at all.
+def quarantine_reason(cpi: float, usage: float,
+                      cpi_bound: float) -> Optional[str]:
+    """Why a sample with this CPI and CPU usage must not reach detection or
+    aggregation, if at all.
 
     Returns one of ``non_finite_cpi`` / ``non_finite_usage`` /
     ``zero_cpi`` (zero cycles with retired instructions — physically
     impossible, the signature of a corrupted counter read) /
     ``absurd_cpi`` (above ``cpi_bound``; real fleet CPIs live in single
-    digits, Figure 3), or ``None`` for a plausible sample.
+    digits, Figure 3), or ``None`` for a plausible sample.  The first
+    failing check names the reason, in that order.
     """
-    if not math.isfinite(sample.cpi):
+    if not math.isfinite(cpi):
         return "non_finite_cpi"
-    if not math.isfinite(sample.cpu_usage):
+    if not math.isfinite(usage):
         return "non_finite_usage"
-    if sample.cpi == 0.0:
+    if cpi == 0.0:
         return "zero_cpi"
-    if sample.cpi > cpi_bound:
+    if cpi > cpi_bound:
         return "absurd_cpi"
     return None
+
+
+def sample_quarantine_reason(sample: CpiSample,
+                             cpi_bound: float) -> Optional[str]:
+    """:func:`quarantine_reason` for one sample object."""
+    return quarantine_reason(sample.cpi, sample.cpu_usage, cpi_bound)
 
 
 def spec_is_plausible(spec: CpiSpec, cpi_bound: float) -> bool:

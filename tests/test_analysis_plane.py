@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS, Cgroup
+from repro.core.agent import MachineAgent
 from repro.core.config import CpiConfig
 from repro.core.correlation import rank_suspects
 from repro.core.identify import (rank_cotenant_suspects,
@@ -24,8 +25,12 @@ from repro.core.identify import (rank_cotenant_suspects,
 from repro.core.outlier import OutlierDetector
 from repro.core.window import WINDOW_CAPACITY, ColumnarWindow
 from repro.experiments.scenarios import demo_scenario
+from repro.obs import Observability
+from repro.records import SpecKey
+from repro.testing import make_quiet_machine, make_scripted_job
 from tests.conftest import make_sample, make_spec
 from tests.reference import identify as reference_identify
+from tests.reference import ingest as reference_ingest
 
 
 def _hex(x) -> str:
@@ -486,16 +491,16 @@ def _canon_windows(pipeline):
 
 
 def _run_demo(engine, fault_profile="none", minutes=20):
-    """The demo on the scalar references (per-sample ingest at every batch
-    size, per-timestamp co-tenant ranking) or on production code with the
-    columnar ingest forced at every batch size."""
+    """The demo on the scalar references (per-sample ingest, per-timestamp
+    co-tenant ranking) or on production code."""
     scenario = demo_scenario(seed=7, fault_profile=fault_profile,
                              fault_seed=3)
-    for agent in scenario.pipeline.agents.values():
-        agent.vector_min_batch = 1 if engine == "vector" else 1 << 62
     with pytest.MonkeyPatch.context() as patch:
         if engine == "scalar":
+            reference_ingest.install(patch)
             reference_identify.install(patch)
+            assert MachineAgent.ingest_samples is \
+                reference_ingest.ingest_samples
         scenario.simulation.run_minutes(minutes)
     pipeline = scenario.pipeline
     detectors = [(_detector_state(agent.detector))
@@ -513,6 +518,82 @@ class TestGoldenPipelineParity:
                                "detectors"), scalar, vector):
             assert s == v, f"{fault_profile}: {name} diverged"
         assert scalar[0], "expected at least one incident in the demo"
+
+
+class TestReferenceIngestParity:
+    """Columnar ingest == the per-sample reference on small windows."""
+
+    JOBS = ("alpha", "beta", "gamma", "delta")
+    TASKS = tuple(f"{job}/{i}" for job in JOBS for i in range(5))
+    BOUND = CpiConfig().quarantine_cpi_bound
+    #: Plausible values on both sides of the spec's 1.4 threshold (mostly
+    #: above, so streaks reach anomalies), plus each kind of damage the
+    #: quarantine ladder names.
+    CPI = (1.0, 1.6, 2.5, 2.5, 2.5, 2.5, 2.5, float("nan"), float("inf"),
+           0.0, 2 * BOUND)
+    USAGE = (0.1, 1.0, 1.0, 1.0, 2.0, 2.0, float("nan"), float("inf"))
+
+    def _agent(self, spec_jobs, degraded):
+        machine = make_quiet_machine()
+        for job in self.JOBS:
+            for task in make_scripted_job(job, [1.0], num_tasks=5):
+                machine.place(task)
+        agent = MachineAgent(machine, CpiConfig(), obs=Observability())
+        config = agent.config
+        ttl = config.spec_ttl_periods * config.spec_refresh_period
+        agent.update_specs(
+            {SpecKey(job, machine.platform.name):
+             make_spec(jobname=job, cpi_mean=1.0, cpi_stddev=0.2)
+             for job in spec_jobs},
+            now=-int(ttl) - 1 if degraded else 0)
+        return agent
+
+    @staticmethod
+    def _state(agent):
+        incidents = [(i.time_seconds, i.victim_taskname, _hex(i.victim_cpi),
+                      _hex(i.cpi_threshold), i.decision.action.value,
+                      [(s.taskname, _hex(s.correlation))
+                       for s in i.suspects])
+                     for i in agent.incidents]
+        windows = {task: [(s.timestamp, _hex(s.cpu_usage), _hex(s.cpi),
+                           s.jobname, s.platforminfo)
+                          for s in window.samples]
+                   for task, window in agent._windows.items()}
+        counters = sorted((c.name, tuple(sorted(c.labels)), c.value)
+                          for c in agent.obs.metrics.counters())
+        return (incidents, windows, _detector_state(agent.detector),
+                counters, agent.degraded)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_columnar_ingest_matches_per_sample_loop(self, data):
+        spec_jobs = data.draw(st.sets(st.sampled_from(self.JOBS)),
+                              label="spec_jobs")
+        degraded = data.draw(st.booleans(), label="degraded")
+        # One task order for the whole run, so the first tasks recur in
+        # every window and can build detector streaks.
+        tasks = data.draw(st.permutations(self.TASKS), label="tasks")
+        windows = []
+        for k in range(data.draw(st.integers(1, 8), label="windows")):
+            t = 60 * (k + 1)
+            n = data.draw(st.integers(1, 20), label="n")
+            windows.append((t, [
+                make_sample(jobname=task.split("/")[0], taskname=task, t=t,
+                            cpu_usage=data.draw(st.sampled_from(self.USAGE)),
+                            cpi=data.draw(st.sampled_from(self.CPI)))
+                for task in tasks[:n]]))
+
+        def run():
+            agent = self._agent(spec_jobs, degraded)
+            for t, samples in windows:
+                agent.ingest_samples(t, samples)
+            return self._state(agent)
+
+        production = run()
+        with pytest.MonkeyPatch.context() as patch:
+            reference_ingest.install(patch)
+            reference = run()
+        assert production == reference
 
 
 # ---------------------------------------------------------------------------

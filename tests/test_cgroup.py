@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS, BandwidthCap, Cgroup
+from repro.cluster.fused import FusedFleet
 from repro.cluster.job import Job, JobSpec
 from repro.cluster.task import PriorityBand, SchedulingClass, TaskState
 from repro.testing import QUIET_PROFILE, ScriptedWorkload, make_quiet_machine
@@ -282,7 +283,7 @@ class TestUsageHistoryOracle:
         machine = make_quiet_machine()
         (task,) = _one_task_job("job", workload)
         machine.place(task)
-        assert (machine._task_table().demand_columns is not None) == compiled
+        assert (FusedFleet((machine,)).demand_columns is not None) == compiled
         companion = None
         cg = task.cgroup
         ref = DequeUsageHistory()

@@ -8,7 +8,7 @@ Three layers of pinning:
   adversarial ``t`` ranges, phases, durations and noise seeds.
 * **Eligibility** — anything the compiler can't express (opaque lambdas,
   overridden ``cpu_demand``, subclassed cgroups, shared cgroups,
-  non-finite parameters) steps the machine down to the closure path, and
+  non-finite parameters) steps the fleet down to the closure path, and
   that machine still ticks identically to a closure-only twin.
 * **End-to-end golden parity** — every table on the closures
   (``tests/reference/demand.py``) vs compiled columns on the scale
@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS, Cgroup
 from repro.cluster.demandplane import DemandColumns
+from repro.cluster.fused import FusedFleet
 from repro.cluster.job import Job, JobSpec
 from repro.cluster.machine import Machine
 from repro.cluster.platform import get_platform
@@ -61,13 +62,18 @@ def _hex(x) -> str:
     return float(x).hex()
 
 
+def _program(machine: Machine):
+    """The demand program of the one-machine fleet ``machine.tick`` steps."""
+    return FusedFleet((machine,)).demand_columns
+
+
 def _demand_path(machine: Machine, engine: str) -> Machine:
     """``machine``, pinned to the demand closures when ``engine`` is
     ``"scalar"``."""
     if engine == "scalar":
         reference_demand.pin_closures(
             task.workload for task in machine.resident_tasks())
-        assert machine._task_table().demand_columns is None
+        assert _program(machine) is None
     return machine
 
 
@@ -276,7 +282,7 @@ class TestEligibility:
                        np.random.default_rng(0))) is None
 
     def test_machine_steps_down_and_matches_scalar_engine(self):
-        """A machine whose table can't compile still ticks bit-identically
+        """A machine whose demand can't compile still ticks bit-identically
         to a closure-only twin (the closure path is shared)."""
         def build(engine):
             m = Machine("m0", get_platform("westmere-2.6"),
@@ -295,7 +301,7 @@ class TestEligibility:
 
         mv = build("vector")
         ms = build("scalar")
-        assert mv._task_table().demand_columns is None
+        assert _program(mv) is None
         for t in range(50):
             rv = mv.tick(t)
             rs = ms.tick(t)
@@ -348,7 +354,7 @@ class TestDrawPrefetch:
         from repro.cluster.demandplane import _DRAW_CHUNK
         mv = _noisy_machine("vector")
         ms = _noisy_machine("scalar")
-        assert mv._task_table().demand_columns is not None
+        assert _program(mv) is not None
         w = next(iter(mv._tasks.values())).workload
         assert w._demand.spec.stream[0] is not None, "stream not installed"
         _assert_tick_parity(mv, ms, range(2 * _DRAW_CHUNK + 16))
@@ -368,8 +374,8 @@ class TestDrawPrefetch:
             assert _hex(got) == _hex(max(0.0, expected))
 
     def test_stream_survives_recompile(self):
-        """Removing a task recompiles the table; the surviving tasks'
-        stream positions must carry over (they live on the specs)."""
+        """Removing a task recompiles the fleet's program; the surviving
+        tasks' stream positions must carry over (they live on the specs)."""
         mv = _noisy_machine("vector")
         ms = _noisy_machine("scalar")
         _assert_tick_parity(mv, ms, range(40))
@@ -379,7 +385,7 @@ class TestDrawPrefetch:
         _assert_tick_parity(mv, ms, range(40, 120))
 
     def test_closure_continues_stream_after_step_down(self):
-        """If the table turns ineligible after streams were installed, the
+        """If the fleet turns ineligible after streams were installed, the
         closure path keeps consuming the same iterators, so the values
         still match a scalar twin draw for draw."""
         mv = _noisy_machine("vector")
@@ -400,7 +406,7 @@ class TestDrawPrefetch:
             mv.place(task)
         for task in Job(opaque_job()):
             ms.place(task)
-        assert mv._task_table().demand_columns is None
+        assert _program(mv) is None
         _assert_tick_parity(mv, ms, range(40, 120))
 
 
@@ -550,7 +556,7 @@ class TestTableCharging:
             return _demand_path(m, engine)
 
         mv, ms = build("vector"), build("scalar")
-        assert mv._task_table().demand_columns is None
+        assert _program(mv) is None
         for t in range(40):
             rv, rs = mv.tick(t), ms.tick(t)
             assert rv.grants == rs.grants
@@ -575,7 +581,7 @@ class TestTableCharging:
             return _demand_path(m, engine)
 
         mv, ms = build("vector"), build("scalar")
-        dc = mv._task_table().demand_columns
+        dc = _program(mv)
         assert dc is not None and not dc.batch_on_tick
         departures_v, departures_s = [], []
         for t in range(400):

@@ -14,9 +14,11 @@ import pytest
 from repro.core.aggregator import CpiAggregator
 from repro.core.agent import MachineAgent
 from repro.core.config import CpiConfig
+from repro.core.samplebatch import SampleColumns, WindowSamples
 from repro.faults.quarantine import (
     corrupt_sample_batch,
     corrupt_spec_push,
+    quarantine_reason,
     sample_quarantine_reason,
     spec_is_plausible,
 )
@@ -118,6 +120,73 @@ class TestAgentBoundary:
         agent.ingest_samples(60, [good])
         assert "victim/0" in agent._windows
         assert obs.metrics.total("samples_quarantined") == 0
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    def test_window_stays_columnar(self, degraded):
+        """A quarantined row and stale-spec drops name their tasks from the
+        window's columns: ingest builds no sample object."""
+        agent, obs = self.make_agent()
+        if degraded:
+            config = agent.config
+            ttl = config.spec_ttl_periods * config.spec_refresh_period
+            agent.update_specs(agent._specs, now=-int(ttl) - 1)
+        # Three victim samples, the middle one corrupt, as the sampler
+        # ships a closed window.
+        window = WindowSamples(SampleColumns.from_samples([
+            make_sample(jobname="victim", taskname=f"victim/{i}", cpi=cpi)
+            for i, cpi in enumerate([1.0, float("nan"), 1.0])]))
+        agent.ingest_samples(60, window, columns=window.columns)
+        assert agent.degraded == degraded
+        assert window._samples is None
+        assert obs.metrics.total("samples_quarantined") == 1
+        assert sorted(agent._windows) == ["victim/0", "victim/2"]
+        assert obs.metrics.total("analyses_dropped") == (2 if degraded
+                                                         else 0)
+
+
+#: One damaged field per quarantine reason, in the ladder's check order.
+_DAMAGE = {
+    "non_finite_cpi": {"cpi": float("inf")},
+    "non_finite_usage": {"cpu_usage": float("nan")},
+    "zero_cpi": {"cpi": 0.0},
+    "absurd_cpi": {"cpi": BOUND * 2},
+}
+
+
+def _quarantine_via_agent(sample):
+    obs = Observability()
+    agent = MachineAgent(make_quiet_machine(), CpiConfig(), obs=obs)
+    agent.ingest_samples(60, [sample])
+    return obs, "samples_quarantined"
+
+
+def _quarantine_via_ingest(sample):
+    obs = Observability()
+    CpiAggregator(CpiConfig(), obs=obs).ingest(sample)
+    return obs, "aggregator_samples_rejected"
+
+
+def _quarantine_via_ingest_batch(sample):
+    obs = Observability()
+    CpiAggregator(CpiConfig(), obs=obs).ingest_batch(
+        SampleColumns.from_samples([sample]))
+    return obs, "aggregator_samples_rejected"
+
+
+@pytest.mark.parametrize("path", [_quarantine_via_agent,
+                                  _quarantine_via_ingest,
+                                  _quarantine_via_ingest_batch],
+                         ids=["agent", "ingest", "ingest_batch"])
+@pytest.mark.parametrize("reason", list(_DAMAGE))
+def test_every_boundary_names_the_same_reason(reason, path):
+    """Agent ingest, per-sample and columnar aggregator ingest all count a
+    damaged sample under the reason :func:`quarantine_reason` gives it."""
+    kwargs = _DAMAGE[reason]
+    assert quarantine_reason(kwargs.get("cpi", 1.0),
+                             kwargs.get("cpu_usage", 1.0), BOUND) == reason
+    obs, counter = path(make_sample(**kwargs))
+    assert [(c.labels, c.value) for c in obs.metrics.counters(counter)] == \
+        [((("reason", reason),), 1)]
 
 
 class TestAggregatorBoundary:

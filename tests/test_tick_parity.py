@@ -322,7 +322,7 @@ def test_fused_tick_results_match_per_machine(monkeypatch, demand):
     through rebuilds, an oversubscribed tier, a duty cycle and an emptied
     fleet — with compiled demand columns and with closures."""
     sim = _mixed_fleet(demand)
-    compiled = sim.machines["a-cold"]._task_table().demand_columns
+    compiled = FusedFleet(tuple(sim.machines.values())).demand_columns
     assert (compiled is not None) == (demand == "vector")
     fused, fused_states, fused_ticks = _run_ticks(sim)
     monkeypatch.setattr(FusedFleet, "build",
@@ -344,6 +344,97 @@ def test_fused_tick_results_match_per_machine(monkeypatch, demand):
     assert all(r[1:4] == ([], [], None)
                for r in fused[_LAST_EXIT + 1].values())
 
+    assert fused == unfused == reference
+    assert fused_states == unfused_states == reference_states
+
+
+def _opaque_fleet() -> ClusterSimulation:
+    """``_mixed_fleet`` on compiled demand, plus a job on ``d-quiet``
+    whose demand is a hand-written lambda the compiler cannot express."""
+    sim = _mixed_fleet("vector")
+    job = Job(JobSpec(
+        name="opaque", num_tasks=2, scheduling_class=SchedulingClass.BATCH,
+        priority_band=PriorityBand.PRODUCTION, cpu_limit_per_task=2.0,
+        workload_factory=lambda i: _Leaving(
+            _LAST_EXIT, base_cpi=1.0, profile=SENSITIVE_PROFILE,
+            demand=lambda t: 0.5 + 0.25 * i + 0.1 * (t % 3))))
+    for task in job.tasks:
+        sim.machines["d-quiet"].place(task)
+    return sim
+
+
+def test_opaque_machine_puts_the_fleet_on_closures(monkeypatch):
+    """One machine's opaque demand leaves the cluster fleet without a
+    demand program, so every machine runs its closures; the results still
+    match one-machine fleets and the reference tick bit for bit."""
+    sim = _opaque_fleet()
+    sim.step()
+    assert sim._fleet is not None and sim._fleet.demand_columns is None
+    for name, compiled in (("a-cold", True), ("d-quiet", False)):
+        machine = _opaque_fleet().machines[name]
+        machine.tick(0)
+        assert (machine._fleet.demand_columns is not None) == compiled
+
+    fused, fused_states, fused_ticks = _run_ticks(_opaque_fleet())
+    monkeypatch.setattr(FusedFleet, "build",
+                        classmethod(lambda cls, order: None))
+    unfused, unfused_states, _ = _run_ticks(_opaque_fleet())
+    reference_tick.install(monkeypatch)
+    reference, reference_states, _ = _run_ticks(_opaque_fleet())
+
+    assert fused_ticks == _TICKS
+    opaque = dict(fused[10]["d-quiet"][1])
+    assert [opaque[f"opaque/{i}"] for i in range(2)] == [
+        _hex(0.6), _hex(0.85)]
+    assert fused == unfused == reference
+    assert fused_states == unfused_states == reference_states
+
+
+def _modulated_fleet() -> ClusterSimulation:
+    """Two machines of plain ``SyntheticWorkload``s, whose ``on_tick`` the
+    fleet batches; the base CPI of ``a``'s one (noise-free) task follows a
+    modulation of the clock."""
+    platform = get_platform("westmere-2.6")
+    sim = ClusterSimulation(
+        [Machine("a", platform, cpi_noise_sigma=0.0), Machine("b", platform)],
+        SimConfig(seed=37))
+    workloads = {
+        "a": [SyntheticWorkload(base_cpi=1.0, profile=SENSITIVE_PROFILE,
+                                demand=constant(1.0),
+                                cpi_modulation=lambda t: 1.0 + 0.5 * (t % 3))],
+        "b": [SyntheticWorkload(base_cpi=1.2, profile=_COLD_SERVICE,
+                                demand=with_noise(constant(2.0), 0.2,
+                                                  np.random.default_rng(5)))],
+    }
+    for name, ws in workloads.items():
+        job = Job(JobSpec(
+            name=f"job-{name}", num_tasks=len(ws),
+            scheduling_class=SchedulingClass.LATENCY_SENSITIVE,
+            priority_band=PriorityBand.PRODUCTION, cpu_limit_per_task=4.0,
+            workload_factory=lambda i, ws=ws: ws[i]))
+        for task in job.tasks:
+            sim.machines[name].place(task)
+    return sim
+
+
+def test_batched_on_tick_advances_modulation_clock(monkeypatch):
+    """The fleet's batched ``on_tick`` accounting skips the method, so the
+    fleet itself must advance ``_now`` for a base CPI that reads it; the
+    CPIs still match one-machine fleets and the reference tick."""
+    sim = _modulated_fleet()
+    sim.step()
+    program = sim._fleet.demand_columns
+    assert program.batch_on_tick and len(program.now_workloads) == 1
+    fused, fused_states, _ = _run_ticks(_modulated_fleet())
+    monkeypatch.setattr(FusedFleet, "build",
+                        classmethod(lambda cls, order: None))
+    unfused, unfused_states, _ = _run_ticks(_modulated_fleet())
+    reference_tick.install(monkeypatch)
+    reference, reference_states, _ = _run_ticks(_modulated_fleet())
+
+    cpis = [float.fromhex(dict(tick["a"][2])["job-a/0"]) for tick in fused]
+    # Tick t reads the clock the previous tick's on_tick left, t - 1.
+    assert cpis[1:4] == [cpis[0], 1.5 * cpis[0], 2.0 * cpis[0]]
     assert fused == unfused == reference
     assert fused_states == unfused_states == reference_states
 
