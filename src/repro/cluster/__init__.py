@@ -26,7 +26,6 @@ from repro.cluster.machine import Machine
 from repro.cluster.interference import (
     InterferenceModel,
     ResourceProfile,
-    MachineContention,
 )
 from repro.cluster.scheduler import ClusterScheduler, PlacementError
 from repro.cluster.simulation import ClusterSimulation, SimConfig
@@ -47,7 +46,6 @@ __all__ = [
     "Machine",
     "InterferenceModel",
     "ResourceProfile",
-    "MachineContention",
     "ClusterScheduler",
     "PlacementError",
     "ClusterSimulation",

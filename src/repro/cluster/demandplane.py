@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from typing import Optional, Sequence
 
 import numpy as np
@@ -126,7 +125,7 @@ class DemandColumns:
     __slots__ = (
         "n", "workloads", "cgroups",
         "_base0", "_vals",
-        "_onoff", "_ramp", "_phased", "_scaled", "_noise",
+        "_onoff", "_scaled", "_noise",
         "_limits", "_allowed", "_cap_mask",
         "_cap_quota", "_cap_expires", "_cap_epoch", "_any_cap", "_no_caps",
         "_base_cpi_vals", "_base_cpi_dyn", "check_base_cpi",
@@ -178,10 +177,6 @@ class DemandColumns:
                 elif isinstance(spec, wdemand.OnOffSpec):
                     ok = _finite(spec.on_level, spec.off_level,
                                  spec.on_seconds)
-                elif isinstance(spec, wdemand.PhasedSpec):
-                    ok = _finite(*spec.levels)
-                elif isinstance(spec, wdemand.RampSpec):
-                    ok = _finite(spec.start_level, spec.end_level)
                 else:
                     return None
                 if not ok:
@@ -206,20 +201,12 @@ class DemandColumns:
         base0 = np.zeros(n)
         onoff_i: list[int] = []
         onoff_rows: list = []
-        ramp_i: list[int] = []
-        ramp_rows: list = []
-        phased_groups: dict = {}
         for i, spec in enumerate(leaves):
             if isinstance(spec, wdemand.ConstantSpec):
                 base0[i] = spec.level
-            elif isinstance(spec, wdemand.OnOffSpec):
+            else:
                 onoff_i.append(i)
                 onoff_rows.append(spec)
-            elif isinstance(spec, wdemand.RampSpec):
-                ramp_i.append(i)
-                ramp_rows.append(spec)
-            else:
-                phased_groups.setdefault(spec, []).append(i)
         self._base0 = base0
         self._vals = np.empty(n)
         if onoff_i:
@@ -234,20 +221,6 @@ class DemandColumns:
             )
         else:
             self._onoff = None
-        if ramp_i:
-            self._ramp = (
-                _as_index(ramp_i, n),
-                np.array([s.start_level for s in ramp_rows]),
-                np.array([s.end_level - s.start_level for s in ramp_rows]),
-                np.array([s.end_level for s in ramp_rows]),
-                np.array([s.duration for s in ramp_rows], dtype=np.int64),
-            )
-        else:
-            self._ramp = None
-        self._phased = tuple(
-            (list(spec.boundaries), list(spec.levels), spec.total,
-             spec.cycle, _as_index(idx, n))
-            for spec, idx in phased_groups.items())
 
         # -- scaled stages: depth-major, one evaluation per factor spec ----
         stages: list[tuple] = []
@@ -353,18 +326,6 @@ class DemandColumns:
             np.add(phase, t, ti)
             np.remainder(ti, period, ti)
             vals[idx] = np.where(np.less(ti, on_seconds), on, off)
-        rp = self._ramp
-        if rp is not None:
-            idx, start, delta, end, duration = rp
-            v = np.add(start, np.multiply(delta, np.divide(t, duration)))
-            vals[idx] = np.where(np.greater_equal(t, duration), end, v)
-        for boundaries, levels, total, cycle, idx in self._phased:
-            if cycle:
-                vals[idx] = levels[bisect_right(boundaries, t % total)]
-            elif t >= total:
-                vals[idx] = levels[-1]
-            else:
-                vals[idx] = levels[bisect_right(boundaries, t)]
         for idx, fn in self._scaled:
             seg = vals[idx] * fn(t)
             vals[idx] = np.where(seg > 0.0, seg, 0.0)

@@ -3,19 +3,20 @@
 :class:`FusedFleet` concatenates its machines' task tables into one arena
 so the ~30 elementwise operations of a tick run once over *all* resident
 tasks instead of once per machine.  It is the only implementation of the
-tick's physics: the simulation steps one fleet over all its machines, and
-:meth:`Machine.tick` steps a one-machine fleet of its own.  The physics
-phase and the results it returns cost a fixed number of numpy calls however
-many machines there are:
+tick's physics (the formulas are stated in
+:mod:`repro.cluster.interference`): the simulation steps one fleet over all
+its machines, and :meth:`Machine.tick` steps a one-machine fleet of its
+own.  The physics phase and the results it returns cost a fixed number of
+numpy calls however many machines there are:
 
 * per-machine cache/membw pressure is one ``np.bincount`` over the arena's
   machine-index column, broadcast back to the arena with ``take``;
 * every resident cgroup's counters are rows of one counter arena
   (:meth:`~repro.perf.counters.CounterBank.matrix_view` with ``out=``),
   burned with one :meth:`~repro.perf.counters.CounterBank.burn_matrix`;
-* each machine's :class:`TickResult` builds its ``grants``, ``cpis`` and
-  ``contention`` from per-tick copies of the arena columns the first time
-  they are read.
+* each machine's :class:`TickResult` builds its ``grants`` and ``cpis``
+  from the tick's grant list and a per-tick copy of the CPI column the
+  first time they are read.
 
 Phase 1's demand, cgroup clipping and base-CPI reads run as one compiled
 :class:`~repro.cluster.demandplane.DemandColumns` program over the arena
@@ -25,8 +26,9 @@ does not runs every machine's per-task closures instead.  Tier allocation
 machine.
 
 Every observable stays bit-identical to stepping the machines one at a time
-on the scalar reference tick (``tests/test_tick_parity.py`` proves it end
-to end):
+on a per-task scalar loop — the test oracle ``tests/reference/tick.py``,
+which transcribes the same formulas independently of this module
+(``tests/test_tick_parity.py`` proves it end to end):
 
 * demand and base-CPI closures — the only tick-phase code that consumes
   randomness — run in the same global order: machines in the simulation's
@@ -43,7 +45,7 @@ to end):
   (``exp(0.0) == 1.0`` and ``x * 1.0 == x`` for every float);
 * per-machine platform/model scalars (LLC size, CPI scale, coupling, sigma)
   become per-element constant columns, so each element sees the exact
-  operand values the scalar formulas use;
+  operand values a per-task evaluation uses;
 * workload ``on_tick`` observations and cgroup charging run after the
   cluster math.  Relative to per-machine stepping this moves machine j's
   observations after machine j+1's demand calls, which is unobservable:
@@ -70,7 +72,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.cluster.demandplane import DemandColumns
-from repro.cluster.interference import MachineContention, _SATURATE_KNEE
+from repro.cluster.interference import _SATURATE_KNEE
 from repro.cluster.machine import Machine, TickResult
 from repro.perf.counters import CounterBank
 
@@ -91,12 +93,10 @@ def fused_eligible(machine: Machine) -> bool:
 class _FusedTickResult(TickResult):
     """One machine's :class:`TickResult` from a fused tick.
 
-    ``grants``, ``cpis`` and ``contention`` are built the first time they
-    are read, then cached (and stay assignable); most ticks nobody reads
-    them.  ``source`` is ``(columns, machine index, arena offset, task
-    names, grant list)``, where ``columns`` are the tick's own copies of
-    ``(cpi, cache_contrib, membw_contrib, cache_pressure,
-    membw_pressure)``.
+    ``grants`` and ``cpis`` are built the first time they are read, then
+    cached (and stay assignable); most ticks nobody reads them.  ``source``
+    is ``(cpi, arena offset, task names, grant list)``, where ``cpi`` is
+    the tick's own copy of the arena's CPI column.
     """
 
     def __init__(self, t: int, source: tuple) -> None:
@@ -106,23 +106,13 @@ class _FusedTickResult(TickResult):
 
     @cached_property
     def grants(self) -> dict[str, float]:
-        _, _, _, names, grants = self._source
+        _, _, names, grants = self._source
         return dict(zip(names, grants))
 
     @cached_property
     def cpis(self) -> dict[str, float]:
-        (cpi, *_), _, o, names, _ = self._source
+        cpi, o, names, _ = self._source
         return dict(zip(names, cpi[o:o + len(names)].tolist()))
-
-    @cached_property
-    def contention(self) -> MachineContention:
-        (_, cc, mc, cache_p, membw_p), j, o, names, _ = self._source
-        end = o + len(names)
-        return MachineContention(
-            cache_pressure=float(cache_p[j]),
-            membw_pressure=float(membw_p[j]),
-            cache_contrib=dict(zip(names, cc[o:end].tolist())),
-            membw_contrib=dict(zip(names, mc[o:end].tolist())))
 
 
 class FusedFleet:
@@ -209,7 +199,7 @@ class FusedFleet:
 
         # Per-element constants: each machine's platform/model scalars
         # repeated across its segment, so elementwise ops see exactly the
-        # operands the scalar formulas use.
+        # operands a per-task evaluation would use.
         (llc, membw, cpi_scale, cycles, sigma, coupling,
          coupling4) = np.empty((7, total), dtype=np.float64)
         for j, m, tb, o, n in self.segments:
@@ -223,7 +213,7 @@ class FusedFleet:
             k = m.interference.miss_rate_coupling
             coupling[o:end] = k
             # 0.25 * k is exact (power-of-two scale), so precomputing the
-            # L2 coupling column matches the scalar expression bit for bit.
+            # L2 coupling column matches a per-task 0.25 * k bit for bit.
             coupling4[o:end] = 0.25 * k
         self.llc_mib, self.membw_cap = llc, membw
         self.cpi_scale, self.cycles_per_sec = cpi_scale, cycles
@@ -330,8 +320,8 @@ class FusedFleet:
                 inputs[j] = (grants, capped)
 
         # Phase 2 (numpy, cluster-wide): contention, inflation, CPI,
-        # miss rates, noise, counters — the scalar InterferenceModel
-        # formulas, operand for operand, over one concatenated arena.
+        # miss rates, noise, counters — the formulas stated in
+        # repro.cluster.interference, over one concatenated arena.
         # (``out`` is passed positionally throughout: the keyword form
         # costs extra argument parsing on every ufunc call.)
         cc, mc = self.cache_contrib, self.membw_contrib
@@ -403,9 +393,9 @@ class FusedFleet:
         CounterBank.burn_matrix(self.counter_arena, ev)
 
         # Phase 3 (Python, per machine): charging and observations.  The
-        # scratch columns are overwritten next tick, so results read
-        # copies taken here.
-        columns = (cpi.copy(), cc.copy(), mc.copy(), cache_p, membw_p)
+        # CPI column is overwritten next tick, so results read a copy taken
+        # here.
+        cpi_copy = cpi.copy()
         offsets = self.offsets
         batch = fdc is not None and fdc.batch_on_tick
         if batch:
@@ -422,7 +412,7 @@ class FusedFleet:
             tb = tables[j]
             grants, capped = inp
             result = _FusedTickResult(
-                t, (columns, j, offsets[j], tb.names, grants))
+                t, (cpi_copy, offsets[j], tb.names, grants))
             m._tick_finish(t, tb, result, grants, capped, batch)
             results[m.name] = result
         return results

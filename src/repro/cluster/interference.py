@@ -8,41 +8,47 @@ hot, its neighbours' CPI rises, roughly in proportion to the antagonist's CPU
 usage — that proportionality is exactly what the correlation detector of
 Section 4.2 exploits.
 
-This module produces that consequence from first principles:
+This module holds the model's data; the tick evaluates it over a whole
+arena of tasks at once in :mod:`repro.cluster.fused`, the only place the
+formulas are computed.  Per task, with ``g`` its CPU grant this second:
 
 * every task declares a :class:`ResourceProfile` — how much last-level cache
   and memory bandwidth it touches per CPU-second of execution, and how
   sensitive its own CPI is to pressure from others;
-* each tick the machine computes a :class:`MachineContention` summary (total
-  cache and bandwidth pressure, normalised to the platform's capacity);
-* :class:`InterferenceModel` turns "pressure from everyone else" into a CPI
-  inflation factor and an L3 miss-rate inflation for each task.
+* its cache pressure is ``g * cache_mib_per_cpu / llc_mib`` (likewise for
+  memory bandwidth), and a machine's pressure is the running sum of its
+  tasks' in table order, so 1.0 means the resident tasks together demand
+  exactly the platform's capacity;
+* "pressure from everyone else" is ``max(0, machine - own)``, saturated as
+  ``p / (1 + 0.35 p)`` (:data:`_SATURATE_KNEE`): linear for small pressure,
+  so correlation with an antagonist's usage stays strong, and sub-linear as
+  it grows, since caches can only be thrashed so hard.  Inflation is
+  ``cache_sensitivity * sat(cache) + membw_sensitivity * sat(membw)``;
+* effective CPI is ``base_cpi * cpi_scale * (1 + inflation) * cold`` before
+  measurement noise.
 
 The model also covers two second-order effects the paper's case studies rely
-on: CPI rising at near-zero CPU usage (case 3's bimodal "victim", the reason
-for the 0.25 CPU-sec/sec gate) via a cold-start penalty, and L3
-misses-per-instruction tracking CPI inflation (Figure 15c's 0.87 linear
-correlation).
-
-The methods of :class:`InterferenceModel` state the formulas one task at a
-time; they are what the scalar reference tick (``tests/reference/tick.py``)
-calls.  The tick itself evaluates the same formulas, operand for operand,
-over a whole arena of tasks at once in :mod:`repro.cluster.fused`, reading
-the model's two parameters and each task table's :class:`ProfileTable`.
+on.  CPI rises at near-zero CPU usage (case 3's bimodal "victim", the reason
+for the 0.25 CPU-sec/sec gate) via a cold-start factor ``1 + penalty *
+exp(-g / cold_start_scale)``, applied only to tasks with a non-zero
+penalty.  And L3 misses per thousand instructions track CPI inflation
+(Figure 15c's 0.87 linear correlation): ``base_l3_mpki * (1 + coupling *
+inflation)``.  The private L2 barely moves under co-runner contention —
+``3 * base_l3_mpki * (1 + coupling / 4 * inflation)`` — which is why
+Section 7.2 finds L3 misses/instruction the best-correlated memory metric;
+the substrate has to reproduce that asymmetry for the comparison to mean
+anything.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.cluster.platform import Platform
-
-__all__ = ["ResourceProfile", "MachineContention", "InterferenceModel",
-           "ProfileTable"]
+__all__ = ["ResourceProfile", "InterferenceModel", "ProfileTable"]
 
 
 @dataclass(frozen=True)
@@ -75,50 +81,13 @@ class ResourceProfile:
                            "cache_sensitivity", "membw_sensitivity",
                            "base_l3_mpki", "cold_start_penalty"):
             value = getattr(self, field_name)
-            if value < 0:
-                raise ValueError(f"{field_name} must be >= 0, got {value}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{field_name} must be finite and >= 0, got {value}")
 
 
-@dataclass(frozen=True)
-class MachineContention:
-    """Aggregate shared-resource pressure on a machine during one tick.
-
-    Pressure is normalised: 1.0 means the resident tasks together demand
-    exactly the platform's capacity (full LLC, full memory bandwidth).
-    Values above 1.0 are common on overcommitted machines.
-    """
-
-    cache_pressure: float
-    membw_pressure: float
-
-    #: Per-task contributions, keyed by task name, so "pressure from everyone
-    #: else" can be computed by subtraction.
-    cache_contrib: Mapping[str, float]
-    membw_contrib: Mapping[str, float]
-
-    def others_cache(self, task_name: str) -> float:
-        """Cache pressure exerted by every task except ``task_name``."""
-        return max(0.0, self.cache_pressure - self.cache_contrib.get(task_name, 0.0))
-
-    def others_membw(self, task_name: str) -> float:
-        """Memory-bandwidth pressure exerted by every task except ``task_name``."""
-        return max(0.0, self.membw_pressure - self.membw_contrib.get(task_name, 0.0))
-
-
-#: The saturation knee shared by the scalar and batched paths.
+#: The knee of the pressure saturation ``p / (1 + knee * p)``.
 _SATURATE_KNEE = 0.35
-
-
-def _saturate(pressure: float, knee: float = _SATURATE_KNEE) -> float:
-    """Soft-saturating response to pressure.
-
-    Linear for small pressure (so correlation with an antagonist's usage stays
-    strong, which Section 4.2 needs) but sub-linear as pressure grows (caches
-    can only be thrashed so hard).
-    """
-    if pressure <= 0.0:
-        return 0.0
-    return pressure / (1.0 + knee * pressure)
 
 
 @dataclass(frozen=True)
@@ -135,13 +104,12 @@ class ProfileTable:
     cache_sensitivity: np.ndarray
     membw_sensitivity: np.ndarray
     base_l3_mpki: np.ndarray
-    #: ``3.0 * base_l3_mpki`` — the scalar :meth:`InterferenceModel.l2_mpki`
-    #: computes this product every call; precomputing it is exact.
+    #: ``3.0 * base_l3_mpki``, the L2 miss-rate baseline, precomputed once.
     l2_base_mpki: np.ndarray
     cold_start_penalty: np.ndarray
     #: Positions with a non-zero cold-start penalty (usually few or none);
-    #: the cold-start factor is the one transcendental the batched path must
-    #: evaluate with ``math.exp`` to stay bit-identical to the scalar path.
+    #: the tick evaluates their cold-start factor one task at a time with
+    #: ``math.exp``.
     cold_indices: tuple[int, ...]
 
     @classmethod
@@ -167,7 +135,7 @@ class ProfileTable:
 
 
 class InterferenceModel:
-    """Turns machine contention into per-task CPI and miss-rate inflation."""
+    """The two parameters of the contention model (see the module notes)."""
 
     def __init__(self, cold_start_scale: float = 0.08,
                  miss_rate_coupling: float = 0.9):
@@ -178,82 +146,11 @@ class InterferenceModel:
             miss_rate_coupling: fraction of CPI inflation that shows up as L3
                 miss-rate inflation, producing Figure 15c's linear relation.
         """
-        if cold_start_scale <= 0:
-            raise ValueError(f"cold_start_scale must be positive, got {cold_start_scale}")
-        if miss_rate_coupling < 0:
-            raise ValueError(f"miss_rate_coupling must be >= 0, got {miss_rate_coupling}")
+        if not (math.isfinite(cold_start_scale) and cold_start_scale > 0):
+            raise ValueError(f"cold_start_scale must be finite and positive, "
+                             f"got {cold_start_scale}")
+        if not (math.isfinite(miss_rate_coupling) and miss_rate_coupling >= 0):
+            raise ValueError(f"miss_rate_coupling must be finite and >= 0, "
+                             f"got {miss_rate_coupling}")
         self.cold_start_scale = cold_start_scale
         self.miss_rate_coupling = miss_rate_coupling
-
-    def contention(
-        self,
-        platform: Platform,
-        usages: Iterable[tuple[str, float, ResourceProfile]],
-    ) -> MachineContention:
-        """Aggregate pressure from ``(task_name, cpu_usage, profile)`` triples."""
-        cache_contrib: dict[str, float] = {}
-        membw_contrib: dict[str, float] = {}
-        for name, usage, profile in usages:
-            if usage < 0:
-                raise ValueError(f"usage must be >= 0, got {usage} for {name}")
-            cache_contrib[name] = usage * profile.cache_mib_per_cpu / platform.llc_mib
-            membw_contrib[name] = usage * profile.membw_gbps_per_cpu / platform.membw_gbps
-        return MachineContention(
-            cache_pressure=sum(cache_contrib.values()),
-            membw_pressure=sum(membw_contrib.values()),
-            cache_contrib=cache_contrib,
-            membw_contrib=membw_contrib,
-        )
-
-    def inflation(self, task_name: str, profile: ResourceProfile,
-                  contention: MachineContention) -> float:
-        """CPI inflation (0 = none) from everyone else's pressure."""
-        cache = profile.cache_sensitivity * _saturate(contention.others_cache(task_name))
-        membw = profile.membw_sensitivity * _saturate(contention.others_membw(task_name))
-        return cache + membw
-
-    def cold_start_factor(self, profile: ResourceProfile, usage: float) -> float:
-        """Multiplicative CPI factor from running nearly idle (case 3)."""
-        if profile.cold_start_penalty == 0.0:
-            return 1.0
-        return 1.0 + profile.cold_start_penalty * math.exp(
-            -usage / self.cold_start_scale)
-
-    def effective_cpi(
-        self,
-        task_name: str,
-        base_cpi: float,
-        profile: ResourceProfile,
-        contention: MachineContention,
-        platform: Platform,
-        usage: float,
-    ) -> float:
-        """The CPI a task actually experiences this tick (before noise).
-
-        ``base_cpi * platform_scale * (1 + inflation) * cold_start``.
-        """
-        if base_cpi <= 0:
-            raise ValueError(f"base_cpi must be positive, got {base_cpi}")
-        inflation = self.inflation(task_name, profile, contention)
-        cold = self.cold_start_factor(profile, usage)
-        return base_cpi * platform.cpi_scale * (1.0 + inflation) * cold
-
-    def l3_mpki(self, task_name: str, profile: ResourceProfile,
-                contention: MachineContention) -> float:
-        """L3 misses per thousand instructions under current contention."""
-        inflation = self.inflation(task_name, profile, contention)
-        return profile.base_l3_mpki * (1.0 + self.miss_rate_coupling * inflation)
-
-    def l2_mpki(self, task_name: str, profile: ResourceProfile,
-                contention: MachineContention) -> float:
-        """L2 misses per thousand instructions under current contention.
-
-        The L2 is private, so co-runner contention barely moves it: its
-        coupling to CPI inflation is a quarter of the (shared) L3's.  This is
-        why Section 7.2 finds L3 misses/instruction the best-correlated
-        memory metric — the substrate has to reproduce that asymmetry for the
-        comparison to mean anything.
-        """
-        inflation = self.inflation(task_name, profile, contention)
-        return (3.0 * profile.base_l3_mpki
-                * (1.0 + 0.25 * self.miss_rate_coupling * inflation))

@@ -28,7 +28,8 @@ columnar when the fleet's workloads compile into one
 a fleet the compiler cannot express runs this module's per-task closure
 loop on every machine.
 
-The original scalar loop is the test oracle ``tests/reference/tick.py``;
+The test oracle ``tests/reference/tick.py`` is the original per-task
+scalar loop, with its own transcription of the physics formulas;
 ``tests/test_tick_parity.py`` proves both produce byte-identical CPI sample
 streams and incidents for the same seed.  The invariants that make this
 possible are documented in ``docs/performance.md``.
@@ -36,14 +37,15 @@ possible are documented in ``docs/performance.md``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
-from repro.cluster.interference import (InterferenceModel, MachineContention,
-                                        ProfileTable, ResourceProfile)
+from repro.cluster.interference import (InterferenceModel, ProfileTable,
+                                        ResourceProfile)
 from repro.cluster.platform import Platform
 from repro.cluster.task import SchedulingClass, Task, TaskState
 from repro.perf.counters import CounterBank
@@ -94,8 +96,6 @@ class TickResult:
     grants: dict[str, float] = field(default_factory=dict)
     #: Effective CPI experienced per task name (after noise).
     cpis: dict[str, float] = field(default_factory=dict)
-    #: The contention summary used for this tick.
-    contention: Optional[MachineContention] = None
     #: Tasks that left the machine this tick, with their departure state.
     departures: list[tuple[Task, TaskState]] = field(default_factory=list)
 
@@ -195,8 +195,9 @@ class Machine:
             cpi_noise_sigma: sigma of the multiplicative log-normal noise on
                 per-tick CPI, modelling run-to-run microarchitectural jitter.
         """
-        if cpi_noise_sigma < 0:
-            raise ValueError(f"cpi_noise_sigma must be >= 0, got {cpi_noise_sigma}")
+        if not (math.isfinite(cpi_noise_sigma) and cpi_noise_sigma >= 0):
+            raise ValueError(f"cpi_noise_sigma must be finite and >= 0, "
+                             f"got {cpi_noise_sigma}")
         self.name = name
         self.platform = platform
         self.interference = interference or InterferenceModel()

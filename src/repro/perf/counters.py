@@ -9,21 +9,23 @@ costs a couple of microseconds.  Total CPU overhead is less than 0.1%."
 
 :class:`CounterSet` is one cgroup's monotonically increasing counters;
 :class:`CounterBank` is a machine's collection of them plus the
-context-switch save/restore overhead ledger that lets the overhead benchmark
-verify the <0.1% claim against the simulated context-switch rate.
+context-switch save/restore overhead ledger against which
+``tests/test_machine.py::test_context_switch_overhead_below_claim``
+checks the <0.1% claim at the simulated context-switch rate.
 
 Storage is a small numpy array per cgroup (one slot per
 :class:`~repro.perf.events.CounterEvent`).  The tick re-backs those arrays
 with rows of one matrix (:meth:`CounterBank.matrix_view`) and burns a whole
 tick's counter increments with :meth:`CounterBank.burn_matrix` — one
-validation pass over the event matrix and one array add, instead of five
-validated scalar adds per task per second.
+validation pass over the event matrix and one array add.  The sampler
+copies the matrix at a window's open and differences it at the close with
+:func:`delta_matrix`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +49,9 @@ class CounterSet:
 
     Values only increase; sampling works by differencing two snapshots, which
     is exactly how perf_event counting mode is consumed.  Backed by one
-    float64 array in :data:`EVENT_ORDER` layout.
+    float64 array in :data:`EVENT_ORDER` layout — a row of the matrix the
+    tick burns (:meth:`CounterBank.matrix_view`), which is the only way
+    counters advance.
     """
 
     __slots__ = ("_values",)
@@ -55,62 +59,22 @@ class CounterSet:
     def __init__(self) -> None:
         self._values = np.zeros(len(EVENT_ORDER), dtype=np.float64)
 
-    def add(self, event: CounterEvent, amount: float) -> None:
-        """Accumulate ``amount`` onto ``event``.
-
-        Raises:
-            ValueError: if ``amount`` is negative (counters are monotonic)
-                or non-finite (one NaN would poison every later delta and
-                every CPI computed from it).
-        """
-        if not math.isfinite(amount):
-            raise ValueError(
-                f"counter increments must be finite, got {amount}")
-        if amount < 0:
-            raise ValueError(f"counter increments must be >= 0, got {amount}")
-        self._values[_EVENT_INDEX[event]] += amount
-
     def read(self, event: CounterEvent) -> float:
         """Current cumulative value of ``event``."""
         return float(self._values[_EVENT_INDEX[event]])
-
-    def snapshot(self) -> Mapping[CounterEvent, float]:
-        """An immutable copy of all counter values, for later differencing."""
-        return dict(zip(EVENT_ORDER, self._values.tolist()))
-
-    def delta_since(self, snapshot: Mapping[CounterEvent, float]
-                    ) -> Mapping[CounterEvent, float]:
-        """Per-event increase since ``snapshot`` was taken.
-
-        Raises:
-            ValueError: if any counter appears to have gone backwards, which
-                would indicate a bookkeeping bug.
-        """
-        deltas: dict[CounterEvent, float] = {}
-        values = self._values.tolist()
-        for event, now in zip(EVENT_ORDER, values):
-            before = snapshot.get(event, 0.0)
-            if now < before:
-                raise ValueError(
-                    f"counter {event.value} went backwards: {before} -> {now}")
-            deltas[event] = now - before
-        return deltas
 
 
 def delta_matrix(now: np.ndarray, before: np.ndarray) -> np.ndarray:
     """Per-event increases for many cgroups at once.
 
-    The bulk form of :meth:`CounterSet.delta_since` over the
-    :meth:`CounterBank.matrix_view` layout: ``before`` is an earlier copy
-    of the matrix (rows aligned to the same cgroups), and the result is the
-    elementwise increase — bit-identical to differencing each cgroup's
-    snapshot dict, since both are single float64 subtractions per slot.
+    Over the :meth:`CounterBank.matrix_view` layout: ``before`` is an
+    earlier copy of the matrix (rows aligned to the same cgroups), and the
+    result is the elementwise increase — one float64 subtraction per slot.
 
     Raises:
-        ValueError: if any counter went backwards, with the same message
-            ``delta_since`` raises for the first offender in row-major
-            (cgroup-then-:data:`EVENT_ORDER`) order — the order a scalar
-            sweep over the same rows would trip in.
+        ValueError: if any counter went backwards (a bookkeeping bug), naming
+            the first offender in row-major (cgroup-then-:data:`EVENT_ORDER`)
+            order.
     """
     if now.shape != before.shape:
         raise ValueError(
@@ -156,9 +120,9 @@ class CounterBank:
         whose row ``i`` *is* the storage of ``cgroup_names[i]``'s
         :class:`CounterSet` (current values preserved; sets are created on
         first use).  A whole machine-tick of increments then burns as a
-        single ``matrix += events`` (:meth:`burn_matrix`) while every
-        existing reader — :meth:`CounterSet.read`, snapshots, deltas — keeps
-        working, since they all go through the set's backing array.
+        single ``matrix += events`` (:meth:`burn_matrix`) while
+        :meth:`CounterSet.read` keeps working, since it goes through the
+        set's backing array.
 
         ``out``, when given, is used as that matrix — typically a slice of
         a larger arena shared with other machines (:mod:`repro.cluster.fused`).
@@ -189,10 +153,12 @@ class CounterBank:
     def burn_matrix(matrix: np.ndarray, events: np.ndarray) -> None:
         """Accumulate a tick's event matrix onto a :meth:`matrix_view` matrix.
 
-        Same validation contract as :meth:`CounterSet.add`, enforced with
-        two reductions over the whole matrix (``min`` flags negatives and
-        NaN, ``max`` flags +inf).  A static method: the matrix may be an
-        arena holding rows of many machines' banks.
+        Counters are monotonic, and one NaN would poison every later delta
+        and every CPI computed from it, so every increment must be finite
+        and >= 0.  Enforced with two reductions over the whole matrix
+        (``min`` flags negatives and NaN, ``max`` flags +inf); a rejected
+        matrix leaves the counters untouched.  A static method: the matrix
+        may be an arena holding rows of many machines' banks.
         """
         if events.shape != matrix.shape:
             raise ValueError(

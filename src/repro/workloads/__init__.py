@@ -19,8 +19,6 @@ from repro.workloads.demand import (
     DemandFn,
     constant,
     on_off,
-    phased,
-    ramp,
     bimodal,
     with_noise,
     scaled,
@@ -58,8 +56,6 @@ __all__ = [
     "DemandFn",
     "constant",
     "on_off",
-    "phased",
-    "ramp",
     "bimodal",
     "with_noise",
     "scaled",

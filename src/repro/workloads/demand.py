@@ -3,13 +3,16 @@
 A demand function maps simulation time (seconds) to desired CPU usage in
 CPU-sec/sec.  Workloads are assembled from these small combinators; the case
 studies each need a specific temporal shape (bursty antagonists, bimodal
-self-inflicted victims, steady services) and these express them directly.
+self-inflicted victims, steady services, diurnal load) and these express
+them directly: two leaf shapes (:func:`constant`, :func:`on_off`) under
+optional :func:`scaled` factors and an optional outermost
+:func:`with_noise`.
 
 Every combinator returns an ordinary callable *and* attaches a frozen
 ``spec`` attribute describing it declaratively (:class:`ConstantSpec`,
 :class:`OnOffSpec`, ...).  The columnar demand plane
 (:mod:`repro.cluster.demandplane`) compiles those specs into
-struct-of-arrays programs so a whole machine's demand for one tick is a
+struct-of-arrays programs so a whole fleet's demand for one tick is a
 handful of numpy ufunc passes; a demand function without a recognised spec
 (a hand-written lambda, an unsupported composition) simply makes its
 machine fall back to calling the closures — the closures here remain the
@@ -24,9 +27,8 @@ draws from so the compiled form can consume the identical RNG stream.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -35,15 +37,11 @@ __all__ = [
     "DemandSpec",
     "ConstantSpec",
     "OnOffSpec",
-    "PhasedSpec",
-    "RampSpec",
     "ScaledSpec",
     "NoiseSpec",
     "demand_spec",
     "constant",
     "on_off",
-    "phased",
-    "ramp",
     "bimodal",
     "with_noise",
     "scaled",
@@ -72,25 +70,6 @@ class OnOffSpec:
     period: int
     on_seconds: float   # duty * period, precomputed exactly as the closure does
     phase: int
-
-
-@dataclass(frozen=True)
-class PhasedSpec:
-    """Spec of :func:`phased`: cumulative segment boundaries and levels."""
-
-    boundaries: tuple[int, ...]  # cumulative end time of each segment
-    levels: tuple[float, ...]
-    total: int
-    cycle: bool
-
-
-@dataclass(frozen=True)
-class RampSpec:
-    """Spec of :func:`ramp`."""
-
-    start_level: float
-    end_level: float
-    duration: int
 
 
 @dataclass(frozen=True)
@@ -126,8 +105,7 @@ class NoiseSpec:
     stream: list = field(default=None, compare=False, repr=False)
 
 
-DemandSpec = Union[ConstantSpec, OnOffSpec, PhasedSpec, RampSpec,
-                   ScaledSpec, NoiseSpec]
+DemandSpec = Union[ConstantSpec, OnOffSpec, ScaledSpec, NoiseSpec]
 
 
 def demand_spec(fn: DemandFn) -> Optional[DemandSpec]:
@@ -176,62 +154,6 @@ def on_off(on_level: float, off_level: float, period: int,
         return on_level if ((t + phase) % period) < on_seconds else off_level
 
     fn.spec = OnOffSpec(on_level, off_level, period, on_seconds, phase)
-    return fn
-
-
-def phased(segments: Sequence[tuple[int, float]], cycle: bool = True) -> DemandFn:
-    """Piecewise-constant demand from ``(duration_seconds, level)`` segments.
-
-    Segment lookup is a binary search over precomputed cumulative
-    boundaries, so long schedules (diurnal traces with hundreds of
-    segments) cost O(log n) per call instead of a linear scan.
-
-    Args:
-        segments: the schedule, in order.
-        cycle: repeat the schedule forever if True; hold the final level
-            otherwise.
-    """
-    if not segments:
-        raise ValueError("need at least one segment")
-    for duration, level in segments:
-        if duration < 1:
-            raise ValueError(f"segment duration must be >= 1, got {duration}")
-        if level < 0:
-            raise ValueError(f"segment level must be >= 0, got {level}")
-    boundaries: list[int] = []
-    levels: list[float] = []
-    elapsed = 0
-    for duration, level in segments:
-        elapsed += duration
-        boundaries.append(elapsed)
-        levels.append(level)
-    total = elapsed
-    last_level = levels[-1]
-
-    def fn(t: int) -> float:
-        if cycle:
-            t = t % total
-        elif t >= total:
-            return last_level
-        return levels[bisect_right(boundaries, t)]
-
-    fn.spec = PhasedSpec(tuple(boundaries), tuple(levels), total, cycle)
-    return fn
-
-
-def ramp(start_level: float, end_level: float, duration: int) -> DemandFn:
-    """Linear ramp from ``start_level`` to ``end_level`` over ``duration`` s."""
-    if duration < 1:
-        raise ValueError(f"duration must be >= 1, got {duration}")
-    if start_level < 0 or end_level < 0:
-        raise ValueError("levels must be >= 0")
-
-    def fn(t: int) -> float:
-        if t >= duration:
-            return end_level
-        return start_level + (end_level - start_level) * (t / duration)
-
-    fn.spec = RampSpec(start_level, end_level, duration)
     return fn
 
 

@@ -7,6 +7,8 @@ task's counters against its snapshot, applies the discard guards in order
 (counters, then instructions, then usage), reads usage through
 ``Cgroup.usage_between``, and builds one ``CpiSample`` per survivor.  The
 list is wrapped in a ``WindowSamples`` so it flows through the same sinks.
+Snapshots and deltas are this module's own dict code, reading counters
+only through ``CounterSet.read``.
 
 Tests swap both methods in for every sampler with :func:`install`.
 """
@@ -27,7 +29,7 @@ def install(monkeypatch) -> None:
 def open_window(sampler: CpiSampler, t: int) -> None:
     sampler._window_start = t
     sampler._snapshots = {
-        name: sampler.machine.counters.counters_for(name).snapshot()
+        name: _snapshot(sampler.machine.counters.counters_for(name))
         for name in sampler.machine.resident_cgroup_names()
     }
 
@@ -40,8 +42,8 @@ def close_window(sampler: CpiSampler, end: int) -> WindowSamples:
         snapshot = sampler._snapshots.get(task.cgroup.name)
         if snapshot is None:
             continue  # task arrived mid-window; skip it this round
-        deltas = sampler.machine.counters.counters_for(
-            task.cgroup.name).delta_since(snapshot)
+        deltas = _delta_since(
+            sampler.machine.counters.counters_for(task.cgroup.name), snapshot)
         cycles = deltas[CounterEvent.CPU_CLK_UNHALTED_REF]
         instructions = deltas[CounterEvent.INSTRUCTIONS_RETIRED]
         if not (math.isfinite(cycles) and math.isfinite(instructions)):
@@ -66,3 +68,22 @@ def close_window(sampler: CpiSampler, end: int) -> WindowSamples:
             taskname=task.name,
         ))
     return WindowSamples(SampleColumns.from_samples(samples))
+
+
+def _snapshot(counters) -> dict:
+    """Every event's current value, copied into a dict."""
+    return {event: counters.read(event) for event in CounterEvent}
+
+
+def _delta_since(counters, snapshot: dict) -> dict:
+    """Per-event increase since ``snapshot``; a decrease is a bookkeeping
+    bug."""
+    deltas = {}
+    for event in CounterEvent:
+        before = snapshot[event]
+        now = counters.read(event)
+        if now < before:
+            raise ValueError(
+                f"counter {event.value} went backwards: {before} -> {now}")
+        deltas[event] = now - before
+    return deltas

@@ -6,10 +6,20 @@ clipping, tier allocation, duty cycling, contention, CPI, noise, counter
 burns and charging, then the workload observations.  It draws measurement
 noise with one ``rng.normal(0, sigma)`` per task in name-sorted order.
 
+The physics and counter arithmetic are this module's own: the contention,
+CPI, miss-rate and counter formulas below are transcribed operand for
+operand from the per-task model the columnar tick
+(:mod:`repro.cluster.fused`) vectorizes, and read the task's
+:class:`~repro.cluster.interference.ResourceProfile`, the platform and the
+machine's interference parameters only as data.  A parity test therefore
+compares two independent programs.
+
 Tests swap it in for every machine with :func:`install`, or bind it to one
 machine (``machine.tick = MethodType(tick, machine)``), which also keeps
 that machine out of any fused fleet.
 """
+
+import math
 
 import numpy as np
 
@@ -17,7 +27,13 @@ from repro.cluster.fused import FusedFleet
 from repro.cluster.machine import (_SWITCHES_PER_TASK_SECOND, _TIER_ORDER,
                                    Machine, TickResult)
 from repro.cluster.task import Task, TaskState
+from repro.perf.counters import EVENT_ORDER
 from repro.perf.events import CounterEvent
+
+#: The saturation knee of the contention response.
+_KNEE = 0.35
+
+_EVENT_SLOT = {event: i for i, event in enumerate(EVENT_ORDER)}
 
 
 def install(monkeypatch) -> None:
@@ -47,34 +63,47 @@ def tick(machine: Machine, t: int) -> TickResult:
     _apply_duty_cycle_to_grants(machine, t, grants)
     result.grants = grants
 
-    contention = machine.interference.contention(
-        machine.platform,
-        [(task.name, grants[task.name], task.workload.resource_profile())
-         for task in tasks],
-    )
-    result.contention = contention
+    platform = machine.platform
+    model = machine.interference
+    profiles = {task.name: task.workload.resource_profile() for task in tasks}
+    cache_contrib, membw_contrib = _contention(platform, tasks, grants,
+                                               profiles)
+    cache_pressure = _running_sum(cache_contrib.values())
+    membw_pressure = _running_sum(membw_contrib.values())
 
     for task in tasks:
         grant = grants[task.name]
-        profile = task.workload.resource_profile()
-        cpi = machine.interference.effective_cpi(
-            task.name, task.workload.base_cpi(), profile, contention,
-            machine.platform, grant)
+        profile = profiles[task.name]
+        base_cpi = task.workload.base_cpi()
+        if base_cpi <= 0:
+            raise ValueError(f"base_cpi must be positive, got {base_cpi}")
+        others_cache = max(0.0, cache_pressure - cache_contrib[task.name])
+        others_membw = max(0.0, membw_pressure - membw_contrib[task.name])
+        inflation = (profile.cache_sensitivity * _saturate(others_cache)
+                     + profile.membw_sensitivity * _saturate(others_membw))
+        if profile.cold_start_penalty == 0.0:
+            cold = 1.0
+        else:
+            cold = 1.0 + profile.cold_start_penalty * math.exp(
+                -grant / model.cold_start_scale)
+        cpi = base_cpi * platform.cpi_scale * (1.0 + inflation) * cold
         if machine.cpi_noise_sigma > 0.0:
             cpi *= float(np.exp(machine.rng.normal(0.0, machine.cpi_noise_sigma)))
         result.cpis[task.name] = cpi
 
-        cycles = grant * machine.platform.cycles_per_cpu_second
+        cycles = grant * platform.cycles_per_cpu_second
         instructions = cycles / cpi if cpi > 0 else 0.0
-        l3_mpki = machine.interference.l3_mpki(task.name, profile, contention)
-        l2_mpki = machine.interference.l2_mpki(task.name, profile, contention)
+        l3_mpki = profile.base_l3_mpki * (
+            1.0 + model.miss_rate_coupling * inflation)
+        l2_mpki = 3.0 * profile.base_l3_mpki * (
+            1.0 + 0.25 * model.miss_rate_coupling * inflation)
         l3_misses = instructions / 1000.0 * l3_mpki
-        counters = machine.counters.counters_for(task.cgroup.name)
-        counters.add(CounterEvent.CPU_CLK_UNHALTED_REF, cycles)
-        counters.add(CounterEvent.INSTRUCTIONS_RETIRED, instructions)
-        counters.add(CounterEvent.L3_MISSES, l3_misses)
-        counters.add(CounterEvent.L2_MISSES, instructions / 1000.0 * l2_mpki)
-        counters.add(CounterEvent.MEMORY_REQUESTS, l3_misses * 1.1)
+        values = machine.counters.counters_for(task.cgroup.name)._values
+        _add(values, CounterEvent.CPU_CLK_UNHALTED_REF, cycles)
+        _add(values, CounterEvent.INSTRUCTIONS_RETIRED, instructions)
+        _add(values, CounterEvent.L3_MISSES, l3_misses)
+        _add(values, CounterEvent.L2_MISSES, instructions / 1000.0 * l2_mpki)
+        _add(values, CounterEvent.MEMORY_REQUESTS, l3_misses * 1.1)
 
         task.cgroup.charge(t, grant)
         machine.total_cpu_seconds += grant
@@ -100,6 +129,50 @@ def tick(machine: Machine, t: int) -> TickResult:
         machine.remove(task.name, state, reason=f"workload said {outcome}")
         result.departures.append((task, state))
     return result
+
+
+def _contention(platform, tasks: list[Task], grants: dict[str, float],
+                profiles: dict) -> tuple[dict[str, float], dict[str, float]]:
+    """Each task's cache and memory-bandwidth pressure, as a share of the
+    platform's capacity."""
+    cache_contrib: dict[str, float] = {}
+    membw_contrib: dict[str, float] = {}
+    for task in tasks:
+        usage = grants[task.name]
+        if usage < 0:
+            raise ValueError(
+                f"usage must be >= 0, got {usage} for {task.name}")
+        profile = profiles[task.name]
+        cache_contrib[task.name] = (usage * profile.cache_mib_per_cpu
+                                    / platform.llc_mib)
+        membw_contrib[task.name] = (usage * profile.membw_gbps_per_cpu
+                                    / platform.membw_gbps)
+    return cache_contrib, membw_contrib
+
+
+def _running_sum(values) -> float:
+    """Left-to-right sum from 0.0 (a machine's pressure, in table order)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _saturate(pressure: float) -> float:
+    """Soft-saturating response: linear for small pressure, sub-linear as
+    it grows."""
+    if pressure <= 0.0:
+        return 0.0
+    return pressure / (1.0 + _KNEE * pressure)
+
+
+def _add(values: np.ndarray, event: CounterEvent, amount: float) -> None:
+    """Accumulate one finite, non-negative increment onto a counter slot."""
+    if not math.isfinite(amount):
+        raise ValueError(f"counter increments must be finite, got {amount}")
+    if amount < 0:
+        raise ValueError(f"counter increments must be >= 0, got {amount}")
+    values[_EVENT_SLOT[event]] += amount
 
 
 def _allocate(machine: Machine, tasks: list[Task], allowed: dict[str, float]

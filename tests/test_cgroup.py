@@ -1,7 +1,5 @@
 """Unit tests for repro.cluster.cgroup (CFS bandwidth control model)."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +10,7 @@ from repro.cluster.job import Job, JobSpec
 from repro.cluster.task import PriorityBand, SchedulingClass, TaskState
 from repro.testing import QUIET_PROFILE, ScriptedWorkload, make_quiet_machine
 from repro.workloads.base import SyntheticWorkload
-from repro.workloads.demand import constant, phased
+from repro.workloads.demand import constant, scaled
 from tests.reference.usage_history import DequeUsageHistory
 
 
@@ -251,6 +249,23 @@ def _one_task_job(name, workload):
                        workload_factory=lambda i: workload))
 
 
+class _ScriptFactor:
+    """``script[t % len(script)]`` as a pure ``scaled`` factor.
+
+    Its ``spec`` attribute declares it pure (the contract
+    :class:`~repro.workloads.diurnal.DiurnalPattern` follows), which is
+    what lets the demand plane compile it; ``1.0 * x == x`` keeps the
+    scaled demand equal to the script.
+    """
+
+    def __init__(self, script):
+        self.script = tuple(script)
+        self.spec = ("script", self.script)
+
+    def __call__(self, t: int) -> float:
+        return self.script[t % len(self.script)]
+
+
 class TestUsageHistoryOracle:
     """The ring against the deque reference, over random gapped charges."""
 
@@ -259,8 +274,9 @@ class TestUsageHistoryOracle:
         """Charge ``segments`` into one cgroup, directly or by machine ticks.
 
         The machine's one task demands ``script[t % _SCRIPT_SECONDS]``,
-        which its 24 cores grant in full; ``compiled`` picks a ``phased``
-        demand program over that script, else a closure table.  Half-way
+        which its 24 cores grant in full; ``compiled`` picks a compiled
+        demand program (the script as a ``scaled`` factor), else a closure
+        table.  Half-way
         through each ticked segment a companion task is placed or removed,
         so the table (and its usage matrix) is rebuilt mid-run.
         """
@@ -276,8 +292,7 @@ class TestUsageHistoryOracle:
         if compiled:
             workload = SyntheticWorkload(
                 base_cpi=1.0, profile=QUIET_PROFILE,
-                demand=phased([(len(list(run)), level)
-                               for level, run in itertools.groupby(script)]))
+                demand=scaled(constant(1.0), _ScriptFactor(script)))
         else:
             workload = ScriptedWorkload(script)
         machine = make_quiet_machine()

@@ -3,7 +3,7 @@
 Three layers of pinning:
 
 * **Hypothesis property tests** — every compiled demand kind (constant,
-  on_off/bimodal, phased, ramp, scaled, with_noise, and nested
+  on_off/bimodal, scaled, with_noise, and nested
   compositions) matches its closure bit-for-bit (float hex) over
   adversarial ``t`` ranges, phases, durations and noise seeds.
 * **Eligibility** — anything the compiler can't express (opaque lambdas,
@@ -48,9 +48,8 @@ from repro.experiments.scenarios import scale_scenario
 from repro.testing import QUIET_PROFILE, ScriptedWorkload, make_scripted_job
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.demand import (ConstantSpec, NoiseSpec, OnOffSpec,
-                                    PhasedSpec, RampSpec, ScaledSpec, bimodal,
-                                    constant, demand_spec, on_off, phased,
-                                    ramp, scaled, with_noise)
+                                    ScaledSpec, bimodal, constant, demand_spec,
+                                    on_off, scaled, with_noise)
 from repro.workloads.diurnal import DiurnalPattern
 from tests.reference import demand as reference_demand
 
@@ -135,20 +134,6 @@ class TestCompiledKindParity:
                             phase=phase), ts)
 
     @settings(max_examples=50, deadline=None)
-    @given(segments=st.lists(
-               st.tuples(st.integers(1, 100_000), _LEVELS),
-               min_size=1, max_size=20),
-           cycle=st.booleans(), ts=_TS)
-    def test_phased(self, segments, cycle, ts):
-        _assert_kind_parity(lambda: phased(segments, cycle=cycle), ts)
-
-    @settings(max_examples=50, deadline=None)
-    @given(start=_LEVELS, end=_LEVELS,
-           duration=st.integers(1, 10_000_000), ts=_TS)
-    def test_ramp(self, start, end, duration, ts):
-        _assert_kind_parity(lambda: ramp(start, end, duration), ts)
-
-    @settings(max_examples=50, deadline=None)
     @given(level=_LEVELS, amplitude=st.floats(0.0, 0.99),
            peak=st.floats(0.0, 23.99), ts=_TS)
     def test_scaled_diurnal(self, level, amplitude, peak, ts):
@@ -197,7 +182,7 @@ class TestCompiledKindParity:
                 constant(2.0),
                 with_noise(on_off(3.0, 0.5, 60), 0.2,
                            np.random.default_rng(2)),
-                phased([(10, 1.0), (20, 4.0)]),
+                on_off(1.0, 4.0, 30, duty=0.25),
                 with_noise(constant(0.7), 0.3, np.random.default_rng(3)),
             ]
         scalar_ws = [_workload(fn) for fn in build()]
@@ -221,9 +206,6 @@ class TestSpecs:
         assert demand_spec(constant(1.0)) == ConstantSpec(1.0)
         assert demand_spec(on_off(2.0, 0.5, 60, duty=0.25, phase=7)) == \
             OnOffSpec(2.0, 0.5, 60, 0.25 * 60, 7)
-        assert demand_spec(phased([(10, 1.0), (5, 2.0)])) == \
-            PhasedSpec((10, 15), (1.0, 2.0), 15, True)
-        assert demand_spec(ramp(0.0, 4.0, 100)) == RampSpec(0.0, 4.0, 100)
         pat = DiurnalPattern(0.2)
         spec = demand_spec(scaled(constant(1.0), pat))
         assert isinstance(spec, ScaledSpec)

@@ -25,7 +25,7 @@ from repro.faults.quarantine import (
 from repro.faults.retry import SampleBatch
 from repro.faults.plane import SpecPush
 from repro.obs import Observability
-from repro.perf.counters import CounterSet
+from repro.perf.counters import EVENT_ORDER, CounterBank
 from repro.perf.events import CounterEvent
 from repro.perf.sampler import CpiSampler, SamplerConfig
 from repro.records import SpecKey
@@ -215,11 +215,14 @@ class TestAggregatorBoundary:
 
 class TestSamplerBoundary:
     def test_counterset_refuses_non_finite_increments(self):
-        counters = CounterSet()
-        with pytest.raises(ValueError, match="finite"):
-            counters.add(CounterEvent.INSTRUCTIONS_RETIRED, float("nan"))
-        with pytest.raises(ValueError, match="finite"):
-            counters.add(CounterEvent.CPU_CLK_UNHALTED_REF, float("inf"))
+        matrix = CounterBank().matrix_view(["a"])
+        for event, poison in ((CounterEvent.INSTRUCTIONS_RETIRED, math.nan),
+                              (CounterEvent.CPU_CLK_UNHALTED_REF, math.inf)):
+            events = np.zeros_like(matrix)
+            events[0, EVENT_ORDER.index(event)] = poison
+            with pytest.raises(ValueError, match="finite"):
+                CounterBank.burn_matrix(matrix, events)
+        assert not matrix.any()
 
     def test_zero_instruction_window_discarded_with_count(self):
         obs = Observability()

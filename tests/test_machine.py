@@ -1,7 +1,11 @@
 """Unit tests for repro.cluster.machine (allocation, counters, departures)."""
 
+import math
+
 import pytest
 
+from repro.cluster.machine import Machine
+from repro.cluster.platform import get_platform
 from repro.cluster.task import SchedulingClass, TaskState
 from repro.perf.events import CounterEvent
 from repro.testing import (
@@ -249,3 +253,10 @@ class TestThreadCount:
         with pytest.raises(ValueError, match="noise"):
             make_quiet_machine().__class__(
                 "m", make_quiet_machine().platform, cpi_noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_sigma_rejected(self, sigma):
+        # A NaN sigma used to tick noiselessly on its own machine, and to
+        # poison the CPI column of any fleet that also held a noisy one.
+        with pytest.raises(ValueError, match="cpi_noise_sigma must be finite"):
+            Machine("m", get_platform("westmere-2.6"), cpi_noise_sigma=sigma)

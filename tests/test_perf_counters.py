@@ -8,65 +8,101 @@ from repro.perf.counters import (
     EVENT_ORDER,
     CounterBank,
     CounterSet,
+    delta_matrix,
 )
 from repro.perf.events import CounterEvent
 
 
+def _burn(matrix: np.ndarray, **amounts) -> None:
+    """Burn one tick onto a ``matrix_view`` matrix: ``amounts`` maps an
+    event name to its column of per-row increments (others burn zero)."""
+    events = np.zeros_like(matrix)
+    for event, column in amounts.items():
+        events[:, EVENT_ORDER.index(CounterEvent[event])] = column
+    CounterBank.burn_matrix(matrix, events)
+
+
+def _col(event: CounterEvent) -> int:
+    return EVENT_ORDER.index(event)
+
+
 class TestCounterSet:
+    """The tick's counter arithmetic: ``burn_matrix`` adds a tick, a matrix
+    copy is a snapshot and ``delta_matrix`` differences it."""
+
     def test_starts_at_zero(self):
         counters = CounterSet()
         for event in CounterEvent:
             assert counters.read(event) == 0.0
 
     def test_accumulates(self):
-        counters = CounterSet()
-        counters.add(CounterEvent.INSTRUCTIONS_RETIRED, 100.0)
-        counters.add(CounterEvent.INSTRUCTIONS_RETIRED, 50.0)
-        assert counters.read(CounterEvent.INSTRUCTIONS_RETIRED) == 150.0
+        bank = CounterBank()
+        matrix = bank.matrix_view(["a", "b"])
+        _burn(matrix, INSTRUCTIONS_RETIRED=[100.0, 1.0])
+        _burn(matrix, INSTRUCTIONS_RETIRED=[50.0, 2.0])
+        assert bank.counters_for("a").read(
+            CounterEvent.INSTRUCTIONS_RETIRED) == 150.0
+        assert bank.counters_for("b").read(
+            CounterEvent.INSTRUCTIONS_RETIRED) == 3.0
+        assert bank.counters_for("a").read(CounterEvent.L3_MISSES) == 0.0
 
     def test_negative_increment_rejected(self):
-        counters = CounterSet()
-        with pytest.raises(ValueError, match=">= 0"):
-            counters.add(CounterEvent.L3_MISSES, -1.0)
+        bank = CounterBank()
+        matrix = bank.matrix_view(["a"])
+        _burn(matrix, L3_MISSES=[1.0])
+        with pytest.raises(ValueError, match=">= 0, got -1.0"):
+            _burn(matrix, L3_MISSES=[-1.0])
+        assert bank.counters_for("a").read(CounterEvent.L3_MISSES) == 1.0
 
     def test_snapshot_is_immutable_copy(self):
-        counters = CounterSet()
-        counters.add(CounterEvent.CPU_CLK_UNHALTED_REF, 10.0)
-        snap = counters.snapshot()
-        counters.add(CounterEvent.CPU_CLK_UNHALTED_REF, 5.0)
-        assert snap[CounterEvent.CPU_CLK_UNHALTED_REF] == 10.0
+        bank = CounterBank()
+        matrix = bank.matrix_view(["a"])
+        _burn(matrix, CPU_CLK_UNHALTED_REF=[10.0])
+        snap = matrix.copy()
+        _burn(matrix, CPU_CLK_UNHALTED_REF=[5.0])
+        assert snap[0, _col(CounterEvent.CPU_CLK_UNHALTED_REF)] == 10.0
+        assert bank.counters_for("a").read(
+            CounterEvent.CPU_CLK_UNHALTED_REF) == 15.0
 
     def test_delta_since(self):
-        counters = CounterSet()
-        counters.add(CounterEvent.CPU_CLK_UNHALTED_REF, 10.0)
-        snap = counters.snapshot()
-        counters.add(CounterEvent.CPU_CLK_UNHALTED_REF, 7.0)
-        counters.add(CounterEvent.L3_MISSES, 3.0)
-        deltas = counters.delta_since(snap)
-        assert deltas[CounterEvent.CPU_CLK_UNHALTED_REF] == 7.0
-        assert deltas[CounterEvent.L3_MISSES] == 3.0
-        assert deltas[CounterEvent.INSTRUCTIONS_RETIRED] == 0.0
+        matrix = CounterBank().matrix_view(["a", "b"])
+        _burn(matrix, CPU_CLK_UNHALTED_REF=[10.0, 1.0])
+        snap = matrix.copy()
+        _burn(matrix, CPU_CLK_UNHALTED_REF=[7.0, 0.0], L3_MISSES=[3.0, 0.5])
+        deltas = dict(zip(EVENT_ORDER, delta_matrix(matrix, snap).T.tolist()))
+        assert deltas[CounterEvent.CPU_CLK_UNHALTED_REF] == [7.0, 0.0]
+        assert deltas[CounterEvent.L3_MISSES] == [3.0, 0.5]
+        assert deltas[CounterEvent.INSTRUCTIONS_RETIRED] == [0.0, 0.0]
 
     def test_backwards_counter_detected(self):
-        counters = CounterSet()
-        counters.add(CounterEvent.L2_MISSES, 5.0)
-        snap = counters.snapshot()
-        fresh = CounterSet()
-        with pytest.raises(ValueError, match="backwards"):
-            fresh.delta_since(snap)
+        # Two regressions; the message names the first in row-major
+        # (cgroup, then EVENT_ORDER) order.
+        before = np.zeros((2, len(EVENT_ORDER)))
+        before[0, _col(CounterEvent.MEMORY_REQUESTS)] = 4.0
+        before[1, _col(CounterEvent.CPU_CLK_UNHALTED_REF)] = 9.0
+        now = np.ones_like(before)
+        first = CounterEvent.MEMORY_REQUESTS.value
+        message = f"counter {first} went backwards: 4.0 -> 1.0"
+        with pytest.raises(ValueError, match=message):
+            delta_matrix(now, before)
+        with pytest.raises(ValueError, match="shape"):
+            delta_matrix(now, before[:1])
 
     def test_delta_with_partial_snapshot(self):
-        counters = CounterSet()
-        counters.add(CounterEvent.L2_MISSES, 5.0)
-        deltas = counters.delta_since({})  # missing keys count from zero
-        assert deltas[CounterEvent.L2_MISSES] == 5.0
+        # A cgroup with no earlier reading counts from zero: its snapshot
+        # row is all zeros, and the delta is everything burned so far.
+        matrix = CounterBank().matrix_view(["a"])
+        _burn(matrix, L2_MISSES=[5.0])
+        deltas = delta_matrix(matrix, np.zeros_like(matrix))
+        assert deltas.tolist() == matrix.tolist()
+        assert deltas[0, _col(CounterEvent.L2_MISSES)] == 5.0
 
 
 class TestCounterBank:
     def test_lazy_creation(self):
         bank = CounterBank()
         assert bank.known_cgroups() == []
-        bank.counters_for("job/0").add(CounterEvent.L3_MISSES, 1.0)
+        bank.counters_for("job/0")
         assert bank.known_cgroups() == ["job/0"]
 
     def test_same_instance_returned(self):
@@ -112,8 +148,8 @@ class TestMatrixViewOut:
     @staticmethod
     def _bank() -> CounterBank:
         bank = CounterBank()
-        bank.counters_for("a").add(CounterEvent.CPU_CLK_UNHALTED_REF, 10.0)
-        bank.counters_for("b").add(CounterEvent.INSTRUCTIONS_RETIRED, 4.0)
+        _burn(bank.matrix_view(["a", "b"]), CPU_CLK_UNHALTED_REF=[10.0, 0.0],
+              INSTRUCTIONS_RETIRED=[0.0, 4.0])
         return bank
 
     @staticmethod
@@ -123,16 +159,14 @@ class TestMatrixViewOut:
 
     def test_values_preserved_and_readers_unchanged(self):
         bank = self._bank()
-        snap = bank.counters_for("a").snapshot()
-        bank.counters_for("a").add(CounterEvent.L3_MISSES, 2.0)
+        _burn(bank.matrix_view(["a"]), L3_MISSES=[2.0])
         reads = self._reads(bank)
-        delta = bank.counters_for("a").delta_since(snap)
 
         arena = np.full((3, len(EVENT_ORDER)), -1.0)
         matrix = bank.matrix_view(["a", "b"], out=arena[1:])
         assert matrix.base is arena
         assert self._reads(bank) == reads
-        assert bank.counters_for("a").delta_since(snap) == delta
+        assert matrix.tolist() == [reads["a"], reads["b"]]
         assert arena[0].tolist() == [-1.0] * len(EVENT_ORDER)
 
         # The rows are now the live storage: an arena add is a burn.

@@ -156,7 +156,8 @@ class TestCachedIterationOrder:
 class TestMatrixCounters:
     def test_matrix_view_shares_storage(self):
         bank = CounterBank()
-        bank.counters_for("a").add(CounterEvent.CPU_CLK_UNHALTED_REF, 10.0)
+        first = bank.matrix_view(["a"])
+        first[0, EVENT_ORDER.index(CounterEvent.CPU_CLK_UNHALTED_REF)] = 10.0
         matrix = bank.matrix_view(["a", "b"])
         assert matrix.shape == (2, len(EVENT_ORDER))
         events = np.ones_like(matrix)

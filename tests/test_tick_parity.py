@@ -28,7 +28,7 @@ from repro.cluster.fused import FusedFleet
 from repro.cluster.interference import ResourceProfile
 from repro.cluster.job import Job, JobSpec
 from repro.cluster.machine import Machine
-from repro.cluster.platform import get_platform
+from repro.cluster.platform import PLATFORM_CATALOG, get_platform
 from repro.cluster.simulation import ClusterSimulation, SimConfig
 from repro.cluster.task import PriorityBand, SchedulingClass
 from repro.experiments.chaos import chaos_sweep
@@ -275,11 +275,7 @@ def _canon_pairs(mapping) -> list[tuple[str, str]]:
 
 
 def _canon_result(result) -> tuple:
-    c = result.contention
     return (result.t, _canon_pairs(result.grants), _canon_pairs(result.cpis),
-            None if c is None else (
-                _hex(c.cache_pressure), _hex(c.membw_pressure),
-                _canon_pairs(c.cache_contrib), _canon_pairs(c.membw_contrib)),
             [(task.name, state.value) for task, state in result.departures])
 
 
@@ -334,14 +330,14 @@ def test_fused_tick_results_match_per_machine(monkeypatch, demand):
 
     # Not vacuous: the run hits each case it is meant to cover.
     departures = [t for t, tick in enumerate(fused)
-                  for r in tick.values() for _ in r[4]]
+                  for r in tick.values() for _ in r[3]]
     assert 20 in departures and max(departures) == _LAST_EXIT
     capped = dict(fused[10]["b-capped"][1])
     assert float.fromhex(capped["crunch/0"]) <= 1.5
     idle_cpi = dict(fused[10]["a-cold"][2])["idle/0"]
     assert float.fromhex(idle_cpi) > 4.0        # full cold-start penalty
-    assert fused[10]["e-empty"][1:4] == ([], [], None)
-    assert all(r[1:4] == ([], [], None)
+    assert fused[10]["e-empty"][1:3] == ([], [])
+    assert all(r[1:3] == ([], [])
                for r in fused[_LAST_EXIT + 1].values())
 
     assert fused == unfused == reference
@@ -497,8 +493,9 @@ def test_dynamic_profiles_match_reference(monkeypatch):
     reference_tick.install(monkeypatch)
     reference, reference_states, _ = _run_ticks(_dynamic_fleet())
 
-    pressure = [float.fromhex(tick["a"][3][0]) for tick in fused]
-    assert pressure[20] > pressure[19] == pressure[0]   # the shift shows
+    # The shift shows: the victim beside the new hog runs twice as slow.
+    victim = [float.fromhex(dict(tick["a"][2])["job-a/0"]) for tick in fused]
+    assert min(victim[20:]) > 1.5 * max(victim[:20])
     assert fused_ticks == _TICKS
     assert fused == unfused == reference
     assert fused_states == unfused_states == reference_states
@@ -551,15 +548,29 @@ def test_direct_ticks_between_cluster_steps_keep_counters(monkeypatch):
 # -- Machine.tick vs the reference on drawn machine mixes ---------------------
 
 _PROPERTY_TICKS = 30
-_PROFILES = (SENSITIVE_PROFILE, NOISY_NEIGHBOR_PROFILE, _COLD_SERVICE)
 
-#: One task: (tier, demand level, noisy demand, profile index, leave_at or
-#: None, cgroup limit).
+#: Either a shipped-style profile or a drawn one: appetites up to 1e6
+#: MiB or GB/s per CPU (pressures far past any platform's capacity), and
+#: sensitivities and cold-start penalties that are often exactly zero.
+_PROFILE = st.one_of(
+    st.sampled_from((SENSITIVE_PROFILE, NOISY_NEIGHBOR_PROFILE,
+                     _COLD_SERVICE)),
+    st.builds(
+        ResourceProfile,
+        cache_mib_per_cpu=st.floats(0.0, 1e6),
+        membw_gbps_per_cpu=st.floats(0.0, 1e6),
+        cache_sensitivity=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        membw_sensitivity=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        base_l3_mpki=st.floats(0.0, 50.0),
+        cold_start_penalty=st.one_of(st.just(0.0), st.floats(0.0, 8.0))))
+
+#: One task: (tier, demand level, noisy demand, profile, leave_at or None,
+#: cgroup limit).
 _TASKS = st.tuples(
     st.sampled_from(tuple(SchedulingClass)),
     st.sampled_from((0.0, 0.03, 0.4, 1.0, 2.5, 6.0)),
     st.booleans(),
-    st.integers(0, len(_PROFILES) - 1),
+    _PROFILE,
     st.one_of(st.none(), st.integers(0, _PROPERTY_TICKS - 1)),
     st.sampled_from((1.0, 2.0, 4.0, 8.0)),
 )
@@ -576,6 +587,7 @@ def _machine_mixes(draw):
         st.integers(0, last), st.sampled_from((0.0, 0.5, 0.9)),
         st.sampled_from((0.25, 1.0)), st.integers(1, _PROPERTY_TICKS))))
     return dict(tasks=tasks, cap=cap, duty=duty,
+                platform=draw(st.sampled_from(sorted(PLATFORM_CATALOG))),
                 sigma=draw(st.sampled_from((0.0, 0.03))),
                 closures=draw(st.booleans()), seed=draw(st.integers(0, 999)))
 
@@ -583,7 +595,7 @@ def _machine_mixes(draw):
 def _mix_machine(mix: dict) -> tuple[Machine, list]:
     """A fresh machine holding ``mix``, and its tasks."""
     seed = mix["seed"]
-    machine = Machine("m", get_platform("westmere-2.6"),
+    machine = Machine("m", get_platform(mix["platform"]),
                       rng=np.random.default_rng(seed),
                       cpi_noise_sigma=mix["sigma"])
     tasks = []
@@ -594,7 +606,7 @@ def _mix_machine(mix: dict) -> tuple[Machine, list]:
                   if noisy else constant(level))
         workload = _Leaving(
             _PROPERTY_TICKS if leave_at is None else leave_at,
-            base_cpi=1.0, profile=_PROFILES[profile], demand=demand)
+            base_cpi=1.0, profile=profile, demand=demand)
         job = Job(JobSpec(
             name=f"j{i}", num_tasks=1, scheduling_class=tier,
             priority_band=PriorityBand.PRODUCTION, cpu_limit_per_task=limit,
@@ -633,7 +645,8 @@ def _run_mix(mix: dict, reference: bool) -> tuple[list, list, list]:
 def test_machine_tick_matches_reference_on_drawn_mixes(mix):
     """``Machine.tick`` equals the scalar reference tick on every
     TickResult field, counter and usage slot, by ``float.hex``, for any
-    mix of tiers, caps, duty cycles, noise, cold starts and departures."""
+    mix of tiers, caps, duty cycles, noise, cold starts and departures, on
+    every platform and at extreme appetites."""
     assert _run_mix(mix, reference=False) == _run_mix(mix, reference=True)
 
 

@@ -7,8 +7,6 @@ from repro.workloads.demand import (
     bimodal,
     constant,
     on_off,
-    phased,
-    ramp,
     scaled,
     with_noise,
 )
@@ -54,41 +52,6 @@ class TestOnOff:
             on_off(1.0, 0.0, period=10, duty=1.5)
         with pytest.raises(ValueError, match="levels"):
             on_off(-1.0, 0.0, period=10)
-
-
-class TestPhased:
-    def test_schedule(self):
-        fn = phased([(2, 1.0), (3, 2.0)], cycle=False)
-        assert [fn(t) for t in range(6)] == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
-
-    def test_cycling(self):
-        fn = phased([(2, 1.0), (2, 2.0)], cycle=True)
-        assert [fn(t) for t in range(8)] == [1.0, 1.0, 2.0, 2.0] * 2
-
-    def test_hold_final_level(self):
-        fn = phased([(1, 5.0)], cycle=False)
-        assert fn(100) == 5.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            phased([])
-        with pytest.raises(ValueError, match="duration"):
-            phased([(0, 1.0)])
-        with pytest.raises(ValueError, match="level"):
-            phased([(1, -1.0)])
-
-
-class TestRamp:
-    def test_linear(self):
-        fn = ramp(0.0, 10.0, duration=10)
-        assert fn(0) == 0.0
-        assert fn(5) == pytest.approx(5.0)
-        assert fn(10) == 10.0
-        assert fn(100) == 10.0
-
-    def test_downward(self):
-        fn = ramp(10.0, 0.0, duration=10)
-        assert fn(5) == pytest.approx(5.0)
 
 
 class TestBimodal:
