@@ -7,41 +7,23 @@ model of Figure 7).  Everything here is deliberately dependency-light so the
 core library can use it without pulling in plotting or dataframe stacks.
 """
 
-from repro.analysis.stats import (
-    Ecdf,
-    coefficient_of_variation,
-    normalize_to_min,
-    pearson_correlation,
-    spearman_correlation,
-    rolling_mean,
-    summarize,
-    SeriesSummary,
-)
+from repro.analysis.stats import Ecdf, coefficient_of_variation, pearson_correlation
 from repro.analysis.distributions import (
     DistributionFit,
     fit_all_candidates,
     fit_distribution,
-    best_fit,
     CANDIDATE_FAMILIES,
 )
-from repro.analysis.viz import cdf_plot, histogram, sparkline, timeseries
+from repro.analysis.viz import sparkline, timeseries
 
 __all__ = [
     "Ecdf",
-    "SeriesSummary",
     "coefficient_of_variation",
-    "normalize_to_min",
     "pearson_correlation",
-    "spearman_correlation",
-    "rolling_mean",
-    "summarize",
     "DistributionFit",
     "CANDIDATE_FAMILIES",
     "fit_all_candidates",
     "fit_distribution",
-    "best_fit",
-    "cdf_plot",
-    "histogram",
     "sparkline",
     "timeseries",
 ]

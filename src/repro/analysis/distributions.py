@@ -8,8 +8,9 @@ performance is more common than exceptionally good performance, so the 2-sigma
 outlier threshold sits on a long right tail.
 
 This module wraps scipy's maximum-likelihood fitters with a uniform result
-type and a goodness-of-fit comparison so the Figure 7 benchmark can rank the
-four families exactly the way the paper does.
+type that carries each fit's Kolmogorov-Smirnov distance; Figure 7's
+``DistributionResult.best_family`` (``repro.experiments.metric_validation``)
+picks the family with the smallest one, the paper's "fit best".
 
 A note on GEV parameter conventions: the paper quotes ``GEV(mu, sigma, xi)``
 with the standard sign convention where ``xi < 0`` is the (bounded-tail)
@@ -30,7 +31,6 @@ __all__ = [
     "CANDIDATE_FAMILIES",
     "fit_distribution",
     "fit_all_candidates",
-    "best_fit",
 ]
 
 #: Families the paper compares in Section 4.1 / Figure 7.
@@ -60,29 +60,6 @@ class DistributionFit:
     log_likelihood: float
     ks_statistic: float
     n: int
-
-    @property
-    def aic(self) -> float:
-        """Akaike information criterion (lower is better)."""
-        k = 2 if self.shape is None else 3
-        return 2.0 * k - 2.0 * self.log_likelihood
-
-    def frozen(self):
-        """Return the scipy frozen distribution for sampling / pdf evaluation."""
-        if self.family == "normal":
-            return sps.norm(loc=self.location, scale=self.scale)
-        if self.family == "lognormal":
-            return sps.lognorm(self.shape, loc=self.location, scale=self.scale)
-        if self.family == "gamma":
-            return sps.gamma(self.shape, loc=self.location, scale=self.scale)
-        if self.family == "gev":
-            # paper convention xi -> scipy convention c = -xi
-            return sps.genextreme(-self.shape, loc=self.location, scale=self.scale)
-        raise ValueError(f"unknown family {self.family!r}")
-
-    def sf(self, x: float) -> float:
-        """Survival function P[X > x] under the fitted distribution."""
-        return float(self.frozen().sf(x))
 
 
 def _validate_samples(samples: Iterable[float]) -> np.ndarray:
@@ -158,14 +135,3 @@ def fit_all_candidates(samples: Iterable[float]) -> Mapping[str, DistributionFit
     if not fits:
         raise ValueError("no candidate family could be fitted")
     return fits
-
-
-def best_fit(samples: Iterable[float]) -> DistributionFit:
-    """The candidate with the smallest KS statistic, as the paper's 'fit best'.
-
-    The paper says the GEV curve "fit the best" among the four families; KS
-    distance is the natural notion of best for an eyeballed histogram overlay
-    and is also what our Figure 7 benchmark reports.
-    """
-    fits = fit_all_candidates(samples)
-    return min(fits.values(), key=lambda f: f.ks_statistic)

@@ -1,8 +1,8 @@
-"""Terminal visualisation: sparklines, histograms and CDF plots.
+"""Terminal visualisation: sparklines and time-series plots.
 
-The paper's figures are time series, scatter plots and CDFs; this module
-renders their text-mode equivalents so examples and the CLI can *show* a
-victim's CPI trace or a fleet distribution without a plotting stack.
+The case-study figures are CPI-versus-time traces; this module renders
+their text-mode equivalents so examples and the CLI can *show* a victim's
+CPI trace without a plotting stack.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-__all__ = ["sparkline", "histogram", "cdf_plot", "timeseries"]
+__all__ = ["sparkline", "timeseries"]
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -53,51 +53,6 @@ def sparkline(values: Iterable[float], width: int | None = None) -> str:
         return _BLOCKS[0] * len(data)
     scale = (len(_BLOCKS) - 1) / (hi - lo)
     return "".join(_BLOCKS[int(round((v - lo) * scale))] for v in data)
-
-
-def histogram(values: Iterable[float], bins: int = 10,
-              width: int = 40) -> str:
-    """A multi-line text histogram, one row per bin.
-
-    Rows read ``lower..upper | ###### count``.
-    """
-    data = _clean(values)
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    lo, hi = min(data), max(data)
-    if hi == lo:
-        hi = lo + 1.0
-    step = (hi - lo) / bins
-    counts = [0] * bins
-    for v in data:
-        index = min(bins - 1, int((v - lo) / step))
-        counts[index] += 1
-    peak = max(counts)
-    lines = []
-    for i, count in enumerate(counts):
-        bar = "#" * (round(width * count / peak) if peak else 0)
-        lines.append(f"{lo + i * step:8.3g}..{lo + (i + 1) * step:<8.3g}"
-                     f"|{bar:<{width}} {count}")
-    return "\n".join(lines)
-
-
-def cdf_plot(values: Iterable[float], points: int = 10,
-             width: int = 40) -> str:
-    """A text CDF: one row per quantile, bar length = cumulative fraction."""
-    data = sorted(_clean(values))
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    lines = []
-    for i in range(points):
-        q = i / (points - 1)
-        index = min(len(data) - 1, int(round(q * (len(data) - 1))))
-        bar = "#" * round(width * q)
-        lines.append(f"p{100 * q:5.1f} {data[index]:10.4g} |{bar}")
-    return "\n".join(lines)
 
 
 def timeseries(values: Iterable[float], width: int = 60,

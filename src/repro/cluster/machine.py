@@ -18,7 +18,7 @@ Each simulated second the machine:
 
 This module holds the per-machine half of the tick: the stable task-index
 table (rebuilt only when placement changes), phases 1-3 (demand, clipping,
-tier allocation, duty cycling) and phases 5b-6 (charging, context switches,
+tier allocation, duty cycling) and phases 5b-6 (charging and
 observations).  Phases 4-5 — the contention, CPI, noise and counter
 physics — have one implementation, :class:`~repro.cluster.fused.FusedFleet`:
 :meth:`Machine.tick` steps a one-machine fleet, the simulation one fleet
@@ -62,9 +62,6 @@ _TIER_ORDER = (
     SchedulingClass.BEST_EFFORT,
 )
 
-#: Cross-cgroup context switches per second charged per runnable task beyond
-#: the first on a core — a crude but sufficient model for the overhead ledger.
-_SWITCHES_PER_TASK_SECOND = 20
 
 @dataclass(frozen=True)
 class DutyCycleState:
@@ -417,8 +414,8 @@ class Machine:
     def _tick_finish(self, t: int, table: _TaskTable, result: TickResult,
                      grants: list[float], capped: list[bool],
                      batch: bool) -> None:
-        """Tick phases 5b-6: cgroup charging, context-switch accounting,
-        and workload tick observations (which may trigger departures).
+        """Tick phases 5b-6: cgroup charging and workload tick observations
+        (which may trigger departures).
 
         Called by :meth:`FusedFleet.step` for each machine after the
         physics; mutates ``result.departures`` in place.  ``batch`` says
@@ -427,26 +424,18 @@ class Machine:
         of the workloads that read it.
         """
         total = self.total_cpu_seconds
-        runnable = 0
         if batch:
             # Every workload uses SyntheticWorkload.on_tick verbatim: plain
             # accounting, never a departure — fold it into the totals loop
             # without the per-task method dispatch.
             for w, grant in zip(table.workloads, grants):
                 total += grant
-                if grant > 0.0:
-                    runnable += 1
                 w.granted_cpu_seconds += grant
         else:
             for grant in grants:
                 total += grant
-                if grant > 0.0:
-                    runnable += 1
         table.charge(t, grants)
         self.total_cpu_seconds = total
-        oversubscribed = max(0, runnable - self.platform.num_cores)
-        self.counters.record_context_switches(
-            runnable * _SWITCHES_PER_TASK_SECOND + oversubscribed * 100)
 
         if batch:
             if True in capped:

@@ -9,22 +9,21 @@ disrupt many innocent tasks."
 * :class:`~repro.core.baselines.active_probe.ActiveProbeIdentifier` — that
   scheme, with disruption accounting, so the ablation benchmark can quantify
   the paper's objection.
-* :mod:`~repro.core.baselines.usage_ranker` — passive heuristics (top CPU
-  user, top L3 misser) without correlation.
-* :mod:`~repro.core.baselines.random_pick` — the null hypothesis.
+* :func:`~repro.core.baselines.usage_ranker.rank_by_usage` — the passive
+  heuristic (accuse the top CPU user) without correlation.
+* :class:`~repro.core.baselines.duty_cycle.DutyCycleThrottler` — the
+  Section 8 per-core hardware actuator the paper rejected, with its
+  collateral modelled.
 """
 
 from repro.core.baselines.active_probe import ActiveProbeIdentifier, ProbeReport
-from repro.core.baselines.usage_ranker import rank_by_usage, rank_by_l3_misses
-from repro.core.baselines.random_pick import pick_random_suspect
+from repro.core.baselines.usage_ranker import rank_by_usage
 from repro.core.baselines.duty_cycle import DutyCycleAction, DutyCycleThrottler
 
 __all__ = [
     "ActiveProbeIdentifier",
     "ProbeReport",
     "rank_by_usage",
-    "rank_by_l3_misses",
-    "pick_random_suspect",
     "DutyCycleAction",
     "DutyCycleThrottler",
 ]

@@ -1,22 +1,19 @@
-"""Passive heuristic baselines: blame the biggest consumer.
+"""Passive heuristic baseline: blame the biggest CPU consumer.
 
-These are the heuristics the paper's hypothetical active scheme would
+This is the first heuristic the paper's hypothetical active scheme would
 rank-order by ("CPU usage and cache miss rate"), used *without* the
-probe step: just accuse the top consumer outright.  They are cheap and
+probe step: just accuse the top consumer outright.  It is cheap and
 plausible — and wrong whenever the hungriest co-tenant is an innocent
-compute-bound spinner, which is exactly the failure mode the accuracy
-ablation measures.
+compute-bound spinner.  The active probe
+(:mod:`~repro.core.baselines.active_probe`) tries suspects in this order.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.cluster.machine import Machine
 from repro.cluster.task import Task
-from repro.perf.events import CounterEvent
 
-__all__ = ["rank_by_usage", "rank_by_l3_misses"]
+__all__ = ["rank_by_usage"]
 
 
 def _suspects(machine: Machine, victim: Task) -> list[Task]:
@@ -32,23 +29,6 @@ def rank_by_usage(machine: Machine, victim: Task,
     start, end = window
     scored = [
         (task, task.cgroup.usage_between(start, end))
-        for task in _suspects(machine, victim)
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0].name))
-    return scored
-
-
-def rank_by_l3_misses(machine: Machine, victim: Task) -> list[tuple[Task, float]]:
-    """Co-tenants ranked by cumulative L3 misses, biggest first.
-
-    Uses lifetime counters (a real implementation would difference over a
-    window; for ranking co-resident peers the cumulative totals give the
-    same ordering when residency overlaps).
-    """
-    scored = [
-        (task,
-         machine.counters.counters_for(task.cgroup.name).read(
-             CounterEvent.L3_MISSES))
         for task in _suspects(machine, victim)
     ]
     scored.sort(key=lambda pair: (-pair[1], pair[0].name))

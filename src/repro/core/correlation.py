@@ -20,10 +20,9 @@ the agent uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-__all__ = ["antagonist_correlation", "SuspectScore", "rank_suspects",
-           "top_suspects"]
+__all__ = ["antagonist_correlation", "SuspectScore", "rank_suspects"]
 
 
 def antagonist_correlation(
@@ -171,17 +170,3 @@ def rank_suspects(
     ]
     scores.sort(key=lambda s: (-s.correlation, s.taskname))
     return scores
-
-
-def top_suspects(scores: Iterable[SuspectScore], limit: int = 5,
-                 threshold: float | None = None) -> list[SuspectScore]:
-    """The first ``limit`` suspects, optionally filtered by a threshold.
-
-    The case studies report "the top 5 suspects"; this is that view.
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    ranked = sorted(scores, key=lambda s: (-s.correlation, s.taskname))
-    if threshold is not None:
-        ranked = [s for s in ranked if s.correlation >= threshold]
-    return ranked[:limit]

@@ -108,12 +108,10 @@ def incident_rate(num_machines: int = 16, hours: float = 4.0,
     identified = [i for i in incidents if i.decision.target is not None]
     throttles = [i for i in incidents
                  if i.decision.action.value == "throttle"]
-    machine_days = pipeline.machine_seconds / 86400.0
     return IncidentRateResult(
-        machine_days=machine_days,
+        machine_days=pipeline.machine_seconds / 86400.0,
         incidents_identified=len(identified),
-        rate_per_machine_day=(len(identified) / machine_days
-                              if machine_days else 0.0),
+        rate_per_machine_day=pipeline.incident_rate_per_machine_day(),
         throttle_actions=len(throttles),
         distinct_victim_jobs=len({i.victim_jobname for i in incidents}),
     )

@@ -5,14 +5,12 @@ The production CPI2 reads ``CPU_CLK_UNHALTED.REF`` and
 with counters saved/restored on context switches between cgroups.  We cannot
 assume real counters here, so this package provides the same interface backed
 by the cluster simulator: per-cgroup monotonically increasing counter sets, a
-bank per machine with context-switch overhead accounting, and the sampling
-daemon that turns counter deltas into the paper's once-a-minute, 10-second
-CPI samples.
+bank per machine, and the sampling daemon that turns counter deltas into the
+paper's once-a-minute, 10-second CPI samples.
 """
 
 from repro.perf.events import CounterEvent
-from repro.perf.counters import (CounterSet, CounterBank,
-                                 CONTEXT_SWITCH_COST_SECONDS, EVENT_ORDER)
+from repro.perf.counters import CounterSet, CounterBank, EVENT_ORDER
 from repro.perf.profiling import StageTimers, profile_call
 from repro.perf.sampler import CpiSampler, SamplerConfig
 
@@ -20,7 +18,6 @@ __all__ = [
     "CounterEvent",
     "CounterSet",
     "CounterBank",
-    "CONTEXT_SWITCH_COST_SECONDS",
     "EVENT_ORDER",
     "CpiSampler",
     "SamplerConfig",

@@ -8,10 +8,9 @@ when a context switch changes to a thread from a different cgroup, which
 costs a couple of microseconds.  Total CPU overhead is less than 0.1%."
 
 :class:`CounterSet` is one cgroup's monotonically increasing counters;
-:class:`CounterBank` is a machine's collection of them plus the
-context-switch save/restore overhead ledger against which
-``tests/test_machine.py::test_context_switch_overhead_below_claim``
-checks the <0.1% claim at the simulated context-switch rate.
+:class:`CounterBank` is a machine's collection of them.  The simulator
+does not model the save/restore cost; the <0.1% overhead is the paper's
+claim, not a figure this package measures.
 
 Storage is a small numpy array per cgroup (one slot per
 :class:`~repro.perf.events.CounterEvent`).  The tick re-backs those arrays
@@ -31,12 +30,7 @@ import numpy as np
 
 from repro.perf.events import CounterEvent
 
-__all__ = ["CounterSet", "CounterBank", "CONTEXT_SWITCH_COST_SECONDS",
-           "EVENT_ORDER", "delta_matrix"]
-
-#: Cost of one counter save/restore at a cross-cgroup context switch — the
-#: paper says "a couple of microseconds".
-CONTEXT_SWITCH_COST_SECONDS = 2e-6
+__all__ = ["CounterSet", "CounterBank", "EVENT_ORDER", "delta_matrix"]
 
 #: The fixed event layout of every counter array (enum definition order).
 EVENT_ORDER: tuple[CounterEvent, ...] = tuple(CounterEvent)
@@ -89,12 +83,10 @@ def delta_matrix(now: np.ndarray, before: np.ndarray) -> np.ndarray:
 
 
 class CounterBank:
-    """All cgroup counter sets on one machine, plus overhead accounting."""
+    """All cgroup counter sets on one machine."""
 
     def __init__(self) -> None:
         self._sets: dict[str, CounterSet] = {}
-        self._context_switches = 0
-        self._overhead_seconds = 0.0
 
     def counters_for(self, cgroup_name: str) -> CounterSet:
         """The counter set for ``cgroup_name``, created on first use."""
@@ -172,32 +164,3 @@ class CounterBank:
             if float(events.max()) == math.inf:
                 raise ValueError("counter increments must be finite")
         matrix += events
-
-    # -- context-switch overhead ledger --------------------------------------
-
-    def record_context_switches(self, count: int) -> None:
-        """Charge ``count`` cross-cgroup switches' worth of save/restore cost."""
-        if count < 0:
-            raise ValueError(f"context switch count must be >= 0, got {count}")
-        self._context_switches += count
-        self._overhead_seconds += count * CONTEXT_SWITCH_COST_SECONDS
-
-    @property
-    def context_switches(self) -> int:
-        """Total cross-cgroup context switches recorded."""
-        return self._context_switches
-
-    @property
-    def overhead_seconds(self) -> float:
-        """Cumulative CPU seconds spent saving/restoring counters."""
-        return self._overhead_seconds
-
-    def overhead_fraction(self, total_cpu_seconds: float) -> float:
-        """Monitoring overhead as a fraction of ``total_cpu_seconds`` burned.
-
-        The paper's claim is that this stays below 0.1%.
-        """
-        if total_cpu_seconds <= 0:
-            raise ValueError(
-                f"total_cpu_seconds must be positive, got {total_cpu_seconds}")
-        return self._overhead_seconds / total_cpu_seconds

@@ -24,8 +24,7 @@ import math
 import numpy as np
 
 from repro.cluster.fused import FusedFleet
-from repro.cluster.machine import (_SWITCHES_PER_TASK_SECOND, _TIER_ORDER,
-                                   Machine, TickResult)
+from repro.cluster.machine import _TIER_ORDER, Machine, TickResult
 from repro.cluster.task import Task, TaskState
 from repro.perf.counters import EVENT_ORDER
 from repro.perf.events import CounterEvent
@@ -107,11 +106,6 @@ def tick(machine: Machine, t: int) -> TickResult:
 
         task.cgroup.charge(t, grant)
         machine.total_cpu_seconds += grant
-
-    runnable = sum(1 for g in grants.values() if g > 0.0)
-    oversubscribed = max(0, runnable - machine.platform.num_cores)
-    machine.counters.record_context_switches(
-        runnable * _SWITCHES_PER_TASK_SECOND + oversubscribed * 100)
 
     # Workload observations may trigger departures (lame-duck exits etc.).
     for task in tasks:

@@ -6,10 +6,10 @@ from scipy import stats as sps
 
 from repro.analysis.distributions import (
     CANDIDATE_FAMILIES,
-    best_fit,
     fit_all_candidates,
     fit_distribution,
 )
+from repro.experiments.metric_validation import DistributionResult
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +40,9 @@ class TestFitDistribution:
         assert fit.scale == pytest.approx(0.133, abs=0.02)
         # Paper sign convention: xi = -0.0534 (bounded right tail).
         assert fit.shape == pytest.approx(-0.0534, abs=0.05)
+        # The samples were drawn with scipy's c = +0.0534, so a tight match
+        # on the negation pins the xi = -c conversion.
+        assert fit.shape == pytest.approx(-0.0534, abs=0.01)
 
     def test_unknown_family_raises(self, normal_samples):
         with pytest.raises(ValueError, match="unknown family"):
@@ -63,22 +66,6 @@ class TestFitDistribution:
         with pytest.raises(ValueError, match="positive"):
             fit_distribution(samples, "gamma")
 
-    def test_aic_penalises_parameters(self, normal_samples):
-        normal = fit_distribution(normal_samples, "normal")
-        # AIC = 2k - 2LL; same data, so comparing k for identical LL
-        assert normal.aic == pytest.approx(2 * 2 - 2 * normal.log_likelihood)
-
-    def test_frozen_roundtrip(self, gev_samples):
-        fit = fit_distribution(gev_samples, "gev")
-        frozen = fit.frozen()
-        # The frozen distribution must reproduce the fitted parameters.
-        assert frozen.mean() == pytest.approx(np.mean(gev_samples), rel=0.02)
-
-    def test_sf_is_probability(self, normal_samples):
-        fit = fit_distribution(normal_samples, "normal")
-        assert 0.0 <= fit.sf(2.0) <= 1.0
-        assert fit.sf(-100.0) == pytest.approx(1.0)
-
 
 class TestFitAllAndBest:
     def test_all_families_attempted(self, gev_samples):
@@ -88,8 +75,10 @@ class TestFitAllAndBest:
     def test_gev_wins_on_skewed_cpi_data(self, gev_samples):
         # The paper's headline claim for Figure 7: GEV fits the CPI
         # distribution better than normal, log-normal and gamma.
-        winner = best_fit(gev_samples)
-        assert winner.family == "gev"
+        fits = dict(fit_all_candidates(gev_samples))
+        result = DistributionResult(num_samples=len(gev_samples), mean=0.0,
+                                    stddev=0.0, fits=fits)
+        assert result.best_family == "gev"
 
     def test_normal_wins_on_gaussian_data(self, normal_samples):
         fits = fit_all_candidates(normal_samples)

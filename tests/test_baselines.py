@@ -1,16 +1,10 @@
 """Unit tests for the baseline identification schemes."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.simulation import ClusterSimulation, SimConfig
 from repro.cluster.task import SchedulingClass
-from repro.core.baselines import (
-    ActiveProbeIdentifier,
-    pick_random_suspect,
-    rank_by_l3_misses,
-    rank_by_usage,
-)
+from repro.core.baselines import ActiveProbeIdentifier, rank_by_usage
 from repro.testing import (
     NOISY_NEIGHBOR_PROFILE,
     QUIET_PROFILE,
@@ -50,32 +44,6 @@ class TestUsageRanker:
         machine, victim, _, _ = build_machine_with_mix()
         ranked = rank_by_usage(machine, victim.tasks[0], window=(0, 1))
         assert all(task.job.name != "victim" for task, _ in ranked)
-
-
-class TestL3Ranker:
-    def test_ranks_thrasher_first(self):
-        machine, victim, antagonist, _ = build_machine_with_mix()
-        for t in range(30):
-            machine.tick(t)
-        ranked = rank_by_l3_misses(machine, victim.tasks[0])
-        # L3 misses finger the real antagonist despite lower CPU usage.
-        assert ranked[0][0].name == "ant/0"
-
-
-class TestRandomPick:
-    def test_picks_a_cotenant(self):
-        machine, victim, _, _ = build_machine_with_mix()
-        rng = np.random.default_rng(0)
-        picks = {pick_random_suspect(machine, victim.tasks[0], rng).name
-                 for _ in range(50)}
-        assert picks == {"ant/0", "spin/0"}
-
-    def test_alone_returns_none(self):
-        machine = make_quiet_machine()
-        victim = make_scripted_job("v", [1.0])
-        machine.place(victim.tasks[0])
-        assert pick_random_suspect(machine, victim.tasks[0],
-                                   np.random.default_rng(0)) is None
 
 
 class TestActiveProbe:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.correlation import (
     antagonist_correlation,
     rank_suspects,
-    top_suspects,
     SuspectScore,
 )
 
@@ -96,22 +95,7 @@ class TestRanking:
         assert rank_suspects([2.0], 1.5, {}) == []
 
 
-class TestTopSuspects:
-    def test_limit(self):
-        scores = [SuspectScore(f"t{i}", "j", 0.1 * i) for i in range(10)]
-        top = top_suspects(scores, limit=5)
-        assert len(top) == 5
-        assert top[0].correlation == pytest.approx(0.9)
-
-    def test_threshold_filter(self):
-        scores = [SuspectScore("a", "j", 0.5), SuspectScore("b", "j", 0.2)]
-        top = top_suspects(scores, limit=5, threshold=0.35)
-        assert [s.taskname for s in top] == ["a"]
-
+class TestSuspectScore:
     def test_meets(self):
         assert SuspectScore("a", "j", 0.35).meets(0.35)
         assert not SuspectScore("a", "j", 0.349).meets(0.35)
-
-    def test_bad_limit(self):
-        with pytest.raises(ValueError):
-            top_suspects([], limit=0)

@@ -168,16 +168,6 @@ class TestCounters:
         machine.tick(0)
         assert task.cgroup.last_usage() == pytest.approx(1.5)
 
-    def test_context_switch_overhead_below_claim(self, machine):
-        # The paper: "Total CPU overhead is less than 0.1%".
-        for i in range(10):
-            job = make_scripted_job(f"j{i}", [1.0], cpu_limit=2.0)
-            place(machine, job)
-        for t in range(100):
-            machine.tick(t)
-        fraction = machine.counters.overhead_fraction(machine.total_cpu_seconds)
-        assert fraction < 0.001
-
 
 class TestInterferenceIntegration:
     def test_victim_cpi_rises_with_antagonist(self, machine):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.perf.counters import (
-    CONTEXT_SWITCH_COST_SECONDS,
     EVENT_ORDER,
     CounterBank,
     CounterSet,
@@ -115,31 +114,6 @@ class TestCounterBank:
         bank.drop("a")
         bank.drop("never-existed")  # no-op
         assert bank.known_cgroups() == []
-
-    def test_context_switch_ledger(self):
-        bank = CounterBank()
-        bank.record_context_switches(1000)
-        assert bank.context_switches == 1000
-        assert bank.overhead_seconds == pytest.approx(
-            1000 * CONTEXT_SWITCH_COST_SECONDS)
-
-    def test_overhead_fraction_matches_paper_claim(self):
-        # A task switching 1000x/sec for an hour while burning 1 CPU-sec/sec:
-        # 3.6M switches * 2us = 7.2s over 3600 CPU-seconds = 0.2%... the
-        # paper's <0.1% holds at realistic (<500/s) switch rates.
-        bank = CounterBank()
-        bank.record_context_switches(500 * 3600)
-        assert bank.overhead_fraction(3600.0) < 0.001
-
-    def test_overhead_fraction_validation(self):
-        bank = CounterBank()
-        with pytest.raises(ValueError, match="positive"):
-            bank.overhead_fraction(0.0)
-
-    def test_negative_switches_rejected(self):
-        bank = CounterBank()
-        with pytest.raises(ValueError, match=">= 0"):
-            bank.record_context_switches(-1)
 
 
 class TestMatrixViewOut:

@@ -5,7 +5,7 @@ import math
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import Ecdf, pearson_correlation, rolling_mean
+from repro.analysis.stats import Ecdf, pearson_correlation
 from repro.cluster.cgroup import Cgroup
 from repro.core.aggregator import CpiAggregator
 from repro.core.config import CpiConfig
@@ -79,15 +79,6 @@ class TestStatsProperties:
         ys = xs[::-1]
         r = pearson_correlation(xs, ys)
         assert -1.0 <= r <= 1.0
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e6,
-                              allow_nan=False), min_size=1, max_size=100),
-           st.integers(min_value=1, max_value=20))
-    def test_rolling_mean_bounded_by_extremes(self, values, window):
-        out = rolling_mean(values, window)
-        assert len(out) == len(values)
-        lo, hi = min(values), max(values)
-        assert all(lo - 1e-9 <= v <= hi + 1e-9 for v in out)
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=200))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.viz import cdf_plot, histogram, sparkline, timeseries
+from repro.analysis.viz import sparkline, timeseries
 
 
 class TestSparkline:
@@ -28,44 +28,6 @@ class TestSparkline:
             sparkline([1.0, float("nan")])
         with pytest.raises(ValueError, match="width"):
             sparkline([1.0], width=0)
-
-
-class TestHistogram:
-    def test_counts_sum_to_n(self):
-        text = histogram([1, 1, 2, 3, 3, 3], bins=3)
-        counts = [int(line.rsplit(" ", 1)[1]) for line in text.splitlines()]
-        assert sum(counts) == 6
-
-    def test_peak_bin_fills_width(self):
-        text = histogram([1] * 10 + [2], bins=2, width=20)
-        first = text.splitlines()[0]
-        assert "#" * 20 in first
-
-    def test_single_value(self):
-        text = histogram([7.0, 7.0], bins=4)
-        assert text.count("\n") == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            histogram([], bins=3)
-        with pytest.raises(ValueError, match="bins"):
-            histogram([1.0], bins=0)
-
-
-class TestCdfPlot:
-    def test_rows_and_monotone(self):
-        text = cdf_plot(range(100), points=5)
-        lines = text.splitlines()
-        assert len(lines) == 5
-        quantile_values = [float(line.split("|")[0].split()[1])
-                           for line in lines]
-        assert quantile_values == sorted(quantile_values)
-        assert lines[0].startswith("p  0.0")
-        assert lines[-1].startswith("p100.0")
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="points"):
-            cdf_plot([1.0, 2.0], points=1)
 
 
 class TestTimeseries:
