@@ -9,9 +9,7 @@ On top of that single-process floor, the shard sweep measures the multi-
 core engine (``repro.cluster.shards``): the same workload partitioned
 across 1/2/4 worker processes, byte-identical output (pinned by
 ``tests/test_shards.py``), wall-clock scaling gated only where the runner
-actually has the cores.  The columnar micro-benchmark isolates the other
-half of the PR: ``CpiAggregator.ingest_batch`` versus per-sample
-``ingest`` on the identical sample stream.
+actually has the cores.
 
 Results merge into ``BENCH_throughput.json`` next to the reference
 benchmark's before/after numbers.
@@ -20,24 +18,17 @@ benchmark's before/after numbers.
 import os
 import time
 
-import numpy as np
 from conftest import run_once
 
 from repro.cluster.shards import run_sharded
-from repro.core.aggregator import CpiAggregator
-from repro.core.config import CpiConfig
-from repro.core.samplebatch import SampleColumns
 from repro.experiments.reporting import ExperimentReport
 from repro.experiments.scenarios import scale_scenario
-from repro.obs import Observability
 from repro.perf.profiling import StageTimers
-from repro.records import CpiSample
 
 SIM_MINUTES = 10
 NUM_MACHINES = 50
 NUM_TASKS = 500
 SHARD_JOBS = (1, 2, 4)
-NUM_INGEST_SAMPLES = 150_000
 
 
 def run_scaled_workload() -> dict:
@@ -191,58 +182,3 @@ def test_shard_sweep_throughput(report_sink, bench_json_sink):
     else:
         print(f"SKIP shard scaling gate (4w >= 2.5x, warm spawn ~0): "
               f"only {cores} core(s) on this runner")
-
-
-def _synthetic_samples(n: int) -> list[CpiSample]:
-    """A realistic multi-key, multi-task plausible sample stream."""
-    rng = np.random.default_rng(7)
-    cpis = rng.uniform(0.5, 3.0, n).tolist()
-    usages = rng.uniform(0.1, 2.0, n).tolist()
-    return [
-        CpiSample(f"job-{i % 10}", "westmere-2.6", 1_000_000 + i,
-                  usages[i], cpis[i], f"job-{i % 10}/{i % 20}")
-        for i in range(n)
-    ]
-
-
-def test_ingest_batch_throughput(report_sink, bench_json_sink):
-    """Columnar ingest vs per-sample ingest on the identical stream."""
-    samples = _synthetic_samples(NUM_INGEST_SAMPLES)
-    batch = SampleColumns.from_samples(samples)
-
-    scalar = CpiAggregator(CpiConfig(), obs=Observability())
-    start = time.perf_counter()
-    scalar.ingest_many(samples)
-    scalar_wall = time.perf_counter() - start
-
-    columnar = CpiAggregator(CpiConfig(), obs=Observability())
-    start = time.perf_counter()
-    columnar.ingest_batch(batch)
-    batch_wall = time.perf_counter() - start
-
-    assert (columnar.total_samples_ingested
-            == scalar.total_samples_ingested == NUM_INGEST_SAMPLES)
-    speedup = scalar_wall / batch_wall
-
-    report = ExperimentReport("meta_ingest_batch",
-                              "Columnar aggregator ingest throughput")
-    report.add("ingest() samples / second", "-",
-               NUM_INGEST_SAMPLES / scalar_wall)
-    report.add("ingest_batch() samples / second", "-",
-               NUM_INGEST_SAMPLES / batch_wall, f"{speedup:.2f}x")
-    report_sink(report)
-    bench_json_sink(
-        "ingest_batch",
-        {
-            "workload": (f"{NUM_INGEST_SAMPLES} plausible samples, "
-                         "10 keys x 20 tasks"),
-            "scalar_samples_per_second": NUM_INGEST_SAMPLES / scalar_wall,
-            "batch_samples_per_second": NUM_INGEST_SAMPLES / batch_wall,
-            "speedup": speedup,
-        },
-        summary=(f"ingest-batch: {NUM_INGEST_SAMPLES / batch_wall:,.0f} "
-                 f"samples/s ({speedup:.2f}x over scalar ingest)"))
-
-    # The whole point of the columnar wire format: same bits, less
-    # per-sample dispatch.  Modest floor — this is a timing test.
-    assert speedup > 1.1

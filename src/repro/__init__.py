@@ -66,7 +66,6 @@ from repro.core import (
     PolicyAction,
     ThrottleController,
     antagonist_correlation,
-    rank_suspects,
 )
 
 __version__ = "1.0.0"
@@ -105,7 +104,6 @@ __all__ = [
     "PolicyAction",
     "ThrottleController",
     "antagonist_correlation",
-    "rank_suspects",
     # fault injection / robustness
     "FAULT_PROFILES",
     "AgentCheckpoint",

@@ -279,7 +279,7 @@ def _run_one(conn, spec: ShardSpec, prebuilt: Optional[_Prebuilt]) -> None:
         registry = pipeline.obs.metrics
         arrivals: list = []
         if plane is not None:
-            arrivals = plane.capture_arrivals(shard)
+            arrivals = plane.capture_arrivals()
         barriers = set(barrier_ticks(sim.config.sampler, spec.seconds))
     conn.send(("ready", spec.index))
     if sim._c_ticks is not None and spec.seconds:

@@ -12,8 +12,8 @@ Public entry points:
 * :class:`~repro.core.aggregator.CpiAggregator` — spec learning.
 * :class:`~repro.core.outlier.OutlierDetector` — local anomaly detection.
 * :func:`~repro.core.correlation.antagonist_correlation` — Section 4.2's formula.
-* :func:`~repro.core.identify.rank_cotenant_suspects` — Section 4.2 for all
-  suspects at once (one usage matrix; bit-identical to ``rank_suspects``).
+* :func:`~repro.core.identify.rank_cotenant_suspects` — Section 4.2 ranking
+  of every co-tenant at once (one usage matrix).
 * :class:`~repro.core.agent.MachineAgent` — everything wired together per machine.
 * :class:`~repro.core.pipeline.CpiPipeline` — the cluster-level loop.
 * :class:`~repro.core.forensics.ForensicsStore` — offline incident queries.
@@ -23,11 +23,7 @@ from repro.core.config import CpiConfig, DEFAULT_CONFIG
 from repro.core.records import CpiSample, CpiSpec, SpecKey
 from repro.core.aggregator import CpiAggregator
 from repro.core.outlier import OutlierDetector, AnomalyEvent
-from repro.core.correlation import (
-    antagonist_correlation,
-    rank_suspects,
-    SuspectScore,
-)
+from repro.core.correlation import antagonist_correlation, SuspectScore
 from repro.core.identify import (
     rank_cotenant_suspects,
     rank_suspects_matrix,
@@ -51,7 +47,6 @@ __all__ = [
     "OutlierDetector",
     "AnomalyEvent",
     "antagonist_correlation",
-    "rank_suspects",
     "rank_cotenant_suspects",
     "rank_suspects_matrix",
     "suspect_usage_matrix",

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.core.config import CpiConfig, DEFAULT_CONFIG
-from repro.core.records import CpiSample, CpiSpec, SpecKey
+from repro.core.records import CpiSpec, SpecKey
 from repro.core.samplebatch import SampleColumns
-from repro.faults.quarantine import quarantine_reason, sample_quarantine_reason
+from repro.faults.quarantine import quarantine_reason
 from repro.obs import Observability
 
 __all__ = ["CpiAggregator"]
@@ -38,15 +38,6 @@ class _RunningStats:
     m2: float = 0.0
     usage_sum: float = 0.0
     samples_per_task: dict[str, int] = field(default_factory=dict)
-
-    def add(self, sample: CpiSample) -> None:
-        self.count += 1
-        delta = sample.cpi - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (sample.cpi - self.mean)
-        self.usage_sum += sample.cpu_usage
-        task = sample.taskname or f"{sample.jobname}/?"
-        self.samples_per_task[task] = self.samples_per_task.get(task, 0) + 1
 
     @property
     def variance(self) -> float:
@@ -87,7 +78,7 @@ class CpiAggregator:
         self.total_samples_ingested = 0
         self.total_samples_rejected = 0
         self._obs = obs
-        # Cached so the per-sample ingest path is one attribute increment.
+        # Cached so each batch pays one attribute increment.
         self._c_ingested = (obs.metrics.counter("samples_ingested")
                             if obs is not None else None)
         # Per-reason rejection counters, cached the same way on first use so
@@ -96,29 +87,6 @@ class CpiAggregator:
         self._c_rejected: dict[str, object] = {}
 
     # -- ingest -----------------------------------------------------------------
-
-    def ingest(self, sample: CpiSample) -> None:
-        """Accumulate one sample into the current refresh period.
-
-        Implausible samples — non-finite CPI or usage, zero CPI, CPI above
-        the quarantine bound (corrupted counter reads or wire damage) —
-        are rejected with a counted reason instead of being folded into
-        the running statistics, where one NaN would poison a whole spec.
-        """
-        reason = sample_quarantine_reason(sample,
-                                          self.config.quarantine_cpi_bound)
-        if reason is not None:
-            self._reject(reason, sample.jobname, sample.platforminfo)
-            return
-        key = sample.key()
-        stats = self._current.get(key)
-        if stats is None:
-            stats = _RunningStats()
-            self._current[key] = stats
-        stats.add(sample)
-        self.total_samples_ingested += 1
-        if self._c_ingested is not None:
-            self._c_ingested.inc()
 
     def _reject(self, reason: str, jobname: str, platforminfo: str) -> None:
         self.total_samples_rejected += 1
@@ -133,23 +101,18 @@ class CpiAggregator:
         self._obs.events.event("aggregator_sample_rejected", reason=reason,
                                job=jobname, platform=platforminfo)
 
-    def ingest_many(self, samples: Iterable[CpiSample]) -> None:
-        """Accumulate a batch of samples."""
-        for sample in samples:
-            self.ingest(sample)
-
     def ingest_batch(self, batch: SampleColumns) -> None:
-        """Accumulate one columnar batch.
+        """Accumulate one columnar batch into the current refresh period.
 
-        Bit-identical to feeding the same samples through :meth:`ingest`
-        one at a time — a failing sample's reason comes from the same
-        :func:`~repro.faults.quarantine.quarantine_reason` ladder and
-        the Welford recurrence is the same sequential float arithmetic; the
-        win is dispatch, not math: one ``tolist`` per column instead of an
-        attribute walk, a key construction, a quarantine call, and a
-        counter increment per sample.  Cross-key processing order differs
-        from the sample order (grouped by key), which is unobservable: each
-        key owns an independent accumulator.
+        Implausible samples — non-finite CPI or usage, zero CPI, CPI above
+        the quarantine bound (corrupted counter reads or wire damage) —
+        are rejected in row order with a counted reason from
+        :func:`~repro.faults.quarantine.quarantine_reason` instead of being
+        folded into the running statistics, where one NaN would poison a
+        whole spec.  Accepted samples run the Welford recurrence per key,
+        in row order within the key; keys enter the period in order of
+        their first accepted sample.  The per-sample transcription is the
+        test oracle ``tests/reference/aggregator.py``.
         """
         n = len(batch)
         if n == 0:

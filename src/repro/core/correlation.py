@@ -13,16 +13,17 @@ with the suspect's usage normalised so sum(u_i) = 1, giving a value in
 [-1, 1]: it rises when the suspect's CPU spikes coincide with abnormally high
 victim CPI and falls when the suspect runs hot while the victim is fine.
 
-This module implements the formula verbatim plus the suspect-ranking wrapper
-the agent uses.
+This module implements the formula verbatim, the per-sample victim terms it
+factors into, and the score record; the ranking over every co-tenant at
+once is :func:`repro.core.identify.rank_suspects_matrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-__all__ = ["antagonist_correlation", "SuspectScore", "rank_suspects"]
+__all__ = ["antagonist_correlation", "SuspectScore"]
 
 
 def antagonist_correlation(
@@ -78,10 +79,11 @@ def _victim_terms(victim_cpi: Sequence[float],
 
     The victim side of the score — validation of the series plus the
     ``(1 - threshold/c)`` / ``(c/threshold - 1)`` term — is identical for
-    every suspect, so :func:`rank_suspects` computes it once instead of per
-    suspect.  ``None`` marks samples exactly at the threshold, which the
-    formula skips (contributing nothing, not a ``+ 0.0``, so accumulation
-    stays bit-identical to :func:`antagonist_correlation`).
+    every suspect, so :func:`~repro.core.identify.rank_suspects_matrix`
+    computes it once instead of per suspect.  ``None`` marks samples
+    exactly at the threshold, which the formula skips (contributing
+    nothing, not a ``+ 0.0``, so accumulation stays bit-identical to
+    :func:`antagonist_correlation`).
     """
     if not victim_cpi:
         raise ValueError("correlation window is empty")
@@ -100,29 +102,6 @@ def _victim_terms(victim_cpi: Sequence[float],
     return terms
 
 
-def _correlate_with_terms(terms: list[float | None],
-                          suspect_usage: Sequence[float]) -> float:
-    """One suspect's score against precomputed victim terms.
-
-    Same arithmetic, in the same order, as :func:`antagonist_correlation`.
-    """
-    if len(terms) != len(suspect_usage):
-        raise ValueError(
-            f"series lengths differ: {len(terms)} != {len(suspect_usage)}")
-    total_usage = 0.0
-    for u in suspect_usage:
-        if u < 0:
-            raise ValueError(f"usage values must be >= 0, got {u}")
-        total_usage += u
-    if total_usage <= 0.0:
-        return 0.0
-    score = 0.0
-    for term, u in zip(terms, suspect_usage):
-        if term is not None:
-            score += (u / total_usage) * term
-    return score
-
-
 @dataclass(frozen=True)
 class SuspectScore:
     """One suspect's correlation against a victim."""
@@ -134,39 +113,3 @@ class SuspectScore:
     def meets(self, threshold: float) -> bool:
         """Whether this suspect clears the declaration threshold."""
         return self.correlation >= threshold
-
-
-def rank_suspects(
-    victim_cpi: Sequence[float],
-    cpi_threshold: float,
-    suspects: Mapping[str, tuple[str, Sequence[float]]],
-) -> list[SuspectScore]:
-    """Score every suspect and rank them, highest correlation first.
-
-    Args:
-        victim_cpi: the victim's CPI series over the window.
-        cpi_threshold: the victim's abnormal-CPI threshold.
-        suspects: ``taskname -> (jobname, usage_series)`` for every co-tenant
-            under consideration (everyone on the machine except the victim's
-            own job).
-
-    Returns:
-        All suspects as :class:`SuspectScore`, sorted descending by
-        correlation (ties broken by task name for determinism).
-
-    The victim series is validated and its per-sample terms computed once,
-    not once per suspect — same scores as calling
-    :func:`antagonist_correlation` in a loop, at a fraction of the cost on
-    machines with many co-tenants.
-    """
-    terms = _victim_terms(victim_cpi, cpi_threshold)
-    scores = [
-        SuspectScore(
-            taskname=taskname,
-            jobname=jobname,
-            correlation=_correlate_with_terms(terms, usage),
-        )
-        for taskname, (jobname, usage) in suspects.items()
-    ]
-    scores.sort(key=lambda s: (-s.correlation, s.taskname))
-    return scores

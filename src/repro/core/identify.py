@@ -1,12 +1,12 @@
 """Matrix antagonist identification: Section 4.2 for all suspects at once.
 
 The literal transcription of the formula,
-:func:`~repro.core.correlation.rank_suspects`, is one Python loop per
-suspect, fed (upstream of it) by one
-:meth:`~repro.cluster.cgroup.Cgroup.usage_between` window read per suspect
-per victim timestamp.  At 100 co-tenants and a 30-point victim series that
-is ~3,000 window reads, per analysis.  This module computes the same
-ranking from columnar data:
+:func:`~repro.core.correlation.antagonist_correlation`, scores one suspect
+with one Python loop, fed by one
+:meth:`~repro.cluster.cgroup.Cgroup.usage_between` window read per
+victim timestamp.  At 100 co-tenants and a 30-point victim series that
+is ~3,000 window reads, per analysis.  This module computes the whole
+ranking from columnar data, and is the only ranking path:
 
 * :func:`suspect_usage_matrix` reads each suspect's per-second usage as one
   contiguous slice of the cgroup's usage ring
@@ -15,8 +15,10 @@ ranking from columnar data:
 * :func:`rank_suspects_matrix` evaluates the paper's asymmetric correlation
   formula over the whole ``(S, T)`` usage matrix in one vectorized pass.
 
-Both are **bit-identical** to that scalar path, which survives as the test
-oracle ``tests/reference/identify.py``; the golden-parity suite
+Both are **bit-identical** to scoring each suspect with
+:func:`~repro.core.correlation.antagonist_correlation` over
+``usage_between`` reads and sorting by ``(-correlation, taskname)`` —
+the test oracle ``tests/reference/identify.py``; the golden-parity suite
 (``tests/test_analysis_plane.py``) pins the two via ``float.hex()``.  The
 rules that make that possible (see ``docs/performance.md``):
 
@@ -105,9 +107,11 @@ def rank_suspects_matrix(
             :func:`suspect_usage_matrix`.
 
     Returns:
-        The same :class:`SuspectScore` list, in the same order, with the
-        same float bits, as :func:`~repro.core.correlation.rank_suspects`
-        over the equivalent per-suspect series.
+        One :class:`SuspectScore` per suspect, sorted descending by
+        correlation (ties broken by task name for determinism); each
+        score has the same float bits as
+        :func:`~repro.core.correlation.antagonist_correlation` over that
+        suspect's row.
 
     Raises:
         ValueError: on an empty window, a non-positive threshold, negative

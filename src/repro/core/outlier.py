@@ -23,29 +23,10 @@ import numpy as np
 
 from repro.core.config import CpiConfig, DEFAULT_CONFIG
 from repro.core.records import CpiSample, CpiSpec, SpecKey
+from repro.core.samplebatch import SampleColumns
 from repro.obs import Observability
 
-__all__ = ["OutlierVerdict", "AnomalyEvent", "OutlierDetector"]
-
-#: Cached-verdict dictionaries are cleared past this size; thresholds only
-#: churn when specs are republished, so in practice the caches stay tiny.
-_VERDICT_CACHE_LIMIT = 512
-
-
-@dataclass(frozen=True)
-class OutlierVerdict:
-    """What the detector concluded about one sample."""
-
-    #: The sample was above threshold (and above the usage gate).
-    flagged: bool
-    #: The sample was skipped entirely (usage gate or missing spec).
-    skipped: bool
-    #: Why it was skipped, if it was ("low-usage" or "no-spec").
-    skip_reason: Optional[str] = None
-    #: Outlier flags for this task currently inside the anomaly window.
-    violations_in_window: int = 0
-    #: The threshold used, if a spec was available.
-    threshold: Optional[float] = None
+__all__ = ["AnomalyEvent", "OutlierDetector"]
 
 
 @dataclass(frozen=True)
@@ -75,8 +56,8 @@ class OutlierDetector:
         self.samples_seen = 0
         self.samples_skipped_low_usage = 0
         self.samples_skipped_no_spec = 0
-        # Instruments are resolved once here so the per-sample path below
-        # pays a plain attribute increment, nothing more.
+        # Instruments are resolved once here so each batch pays a plain
+        # attribute increment, nothing more.
         metrics = (obs.metrics if obs is not None else None)
         self._c_seen = metrics.counter("detector_samples_seen") if metrics else None
         self._c_no_spec = (metrics.counter("detector_samples_skipped",
@@ -87,85 +68,6 @@ class OutlierDetector:
                              if metrics else None)
         self._c_flagged = (metrics.counter("detector_outliers_flagged")
                            if metrics else None)
-        # Verdict caches: the overwhelmingly common outcomes (skipped, or
-        # clean below threshold) are immutable reads for callers, so the
-        # per-sample path hands out shared instances instead of allocating
-        # a fresh frozen dataclass every observation.
-        self._verdict_no_spec = OutlierVerdict(flagged=False, skipped=True,
-                                               skip_reason="no-spec")
-        self._verdicts_low_usage: dict[float, OutlierVerdict] = {}
-        self._verdicts_clean: dict[tuple[int, float], OutlierVerdict] = {}
-
-    def observe(self, sample: CpiSample, spec: Optional[CpiSpec]
-                ) -> tuple[OutlierVerdict, Optional[AnomalyEvent]]:
-        """Process one sample; returns the verdict and an anomaly, if declared.
-
-        An anomaly is (re-)declared on every flagged sample at or beyond the
-        violation count — the caller's rate-limit on antagonist analysis is
-        what stops that from causing repeated work.
-        """
-        self.samples_seen += 1
-        if self._c_seen is not None:
-            self._c_seen.inc()
-        if spec is None:
-            self.samples_skipped_no_spec += 1
-            if self._c_no_spec is not None:
-                self._c_no_spec.inc()
-            return self._verdict_no_spec, None
-        threshold = spec.outlier_threshold(self.config.outlier_stddevs)
-        if sample.cpu_usage < self.config.min_cpu_usage:
-            self.samples_skipped_low_usage += 1
-            if self._c_low_usage is not None:
-                self._c_low_usage.inc()
-            verdict = self._verdicts_low_usage.get(threshold)
-            if verdict is None:
-                if len(self._verdicts_low_usage) >= _VERDICT_CACHE_LIMIT:
-                    self._verdicts_low_usage.clear()
-                verdict = OutlierVerdict(flagged=False, skipped=True,
-                                         skip_reason="low-usage",
-                                         threshold=threshold)
-                self._verdicts_low_usage[threshold] = verdict
-            return verdict, None
-        t = int(sample.timestamp_seconds)
-        flags = self._flags.get(sample.taskname)
-        if flags is None:
-            flags = deque()
-            self._flags[sample.taskname] = flags
-        # Expire flags older than the anomaly window (inclusive: a flag
-        # exactly window-seconds old still counts).
-        horizon = t - self.config.anomaly_window
-        while flags and flags[0] < horizon:
-            flags.popleft()
-        if sample.cpi <= threshold:
-            key = (len(flags), threshold)
-            verdict = self._verdicts_clean.get(key)
-            if verdict is None:
-                if len(self._verdicts_clean) >= _VERDICT_CACHE_LIMIT:
-                    self._verdicts_clean.clear()
-                verdict = OutlierVerdict(flagged=False, skipped=False,
-                                         violations_in_window=len(flags),
-                                         threshold=threshold)
-                self._verdicts_clean[key] = verdict
-            return verdict, None
-        flags.append(t)
-        if self._c_flagged is not None:
-            self._c_flagged.inc()
-        verdict = OutlierVerdict(flagged=True, skipped=False,
-                                 violations_in_window=len(flags),
-                                 threshold=threshold)
-        anomaly: Optional[AnomalyEvent] = None
-        if len(flags) >= self.config.anomaly_violations:
-            anomaly = AnomalyEvent(
-                taskname=sample.taskname,
-                jobname=sample.jobname,
-                platforminfo=sample.platforminfo,
-                time_seconds=t,
-                cpi=sample.cpi,
-                threshold=threshold,
-                violations=len(flags),
-                first_flag_seconds=flags[0],
-            )
-        return verdict, anomaly
 
     def observe_batch(
         self,
@@ -179,15 +81,24 @@ class OutlierDetector:
         key_code: np.ndarray,
         keys: Sequence[SpecKey],
     ) -> list[tuple[int, AnomalyEvent]]:
-        """Vectorized :meth:`observe` over one closed sampling window.
+        """Apply the Section 4.1 rules to one batch of samples, in row order.
+
+        A row is skipped when its key has no spec or its CPU usage is
+        under the gate; otherwise it is flagged when its CPI is not at or
+        below the threshold (so a NaN threshold flags).  Before a row is
+        judged, its task's flags older than ``anomaly_window`` seconds are
+        expired (a flag exactly window-old still counts).  A flagged row
+        whose task then holds ``anomaly_violations`` in-window flags
+        declares an anomaly — re-declared on every such row; the caller's
+        rate-limit on antagonist analysis is what stops that from causing
+        repeated work.
 
         The spec lookup, usage gate, and threshold comparison run as array
         masks over the whole batch; only rows that actually touch streak
-        state (flagged outliers, plus below-threshold samples of tasks
-        with live flags, whose expiry the scalar path would advance) fall
-        into the sequential per-row loop.  Trajectory- and counter-
-        identical to calling :meth:`observe` per sample in row order; no
-        per-sample verdicts are materialised.
+        state (flagged outliers, plus active samples of tasks with live
+        flags, whose expiry must advance) fall into the sequential per-row
+        loop.  The per-sample transcription of the same rules is the test
+        oracle ``tests/reference/outlier.py``.
 
         Args:
             timestamps_sec: truncated-second timestamps per row (int64).
@@ -203,7 +114,7 @@ class OutlierDetector:
 
         Returns:
             ``(row, anomaly)`` pairs in row order, one per declared
-            anomaly — the exact events the scalar loop would declare.
+            anomaly.
         """
         n = len(cpi)
         self.samples_seen += n
@@ -223,8 +134,7 @@ class OutlierDetector:
                 self._c_low_usage.inc(skipped_low_usage)
         active = has_spec & ~low_usage
         # ``~(cpi <= thr)`` rather than ``cpi > thr``: identical for real
-        # thresholds and preserves the scalar path's behaviour for a NaN
-        # threshold (nothing compares <= NaN, so the sample flags).
+        # thresholds, and a NaN threshold flags (nothing compares <= NaN).
         flagged = active & ~(cpi <= thresholds)
         flagged_count = int(flagged.sum())
         if flagged_count and self._c_flagged is not None:
@@ -234,8 +144,8 @@ class OutlierDetector:
             return anomalies
         # Rows that must replay sequentially: every flagged sample, plus
         # active samples of any task that is either already tracked or
-        # becomes flagged in this batch (their expiry must advance exactly
-        # as per-sample observation would advance it).
+        # becomes flagged in this batch (their expiry must advance row by
+        # row).
         n_tasks = len(tasknames)
         touched = np.zeros(n_tasks, dtype=bool)
         for code, name in enumerate(tasknames):
@@ -275,6 +185,32 @@ class OutlierDetector:
                     first_flag_seconds=flags[0],
                 )))
         return anomalies
+
+    def observe_samples(self, samples: Sequence[CpiSample],
+                        spec: Optional[CpiSpec]) -> list[AnomalyEvent]:
+        """:meth:`observe_batch` over a sample stream judged by one spec.
+
+        The replay form the trial harness and the ablation sweeps use:
+        one victim's recorded samples against one (possibly absent) spec.
+        Returns the declared anomalies in sample order.
+        """
+        columns = SampleColumns.from_samples(samples)
+        n = len(columns)
+        threshold = (spec.outlier_threshold(self.config.outlier_stddevs)
+                     if spec is not None else 0.0)
+        # int(timestamp_seconds) == int64(microseconds / 1e6).
+        anomalies = self.observe_batch(
+            timestamps_sec=(columns.timestamp / 1e6).astype(np.int64),
+            cpi=columns.cpi,
+            usage=columns.cpu_usage,
+            thresholds=np.full(n, threshold),
+            has_spec=np.full(n, spec is not None),
+            task_code=columns.task_code,
+            tasknames=columns.tasks,
+            key_code=columns.key_code,
+            keys=columns.keys,
+        )
+        return [anomaly for _row, anomaly in anomalies]
 
     def forget_task(self, taskname: str) -> None:
         """Drop state for a departed task."""

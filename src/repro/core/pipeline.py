@@ -165,10 +165,8 @@ class CpiPipeline:
         columns = samples.columns
         if self.faults is None:
             if n:
-                # Columnar even in-process: ingest_batch is bit-identical to
-                # per-sample ingest and dodges its per-sample dispatch.  An
-                # empty window skips the batch call outright (ingest_batch
-                # early-returns on n == 0, so unobservable).
+                # An empty window skips the batch call outright
+                # (ingest_batch early-returns on n == 0, so unobservable).
                 if self.host is not None:
                     self.host.ingest_columns(t, columns, samples=samples)
                 else:
@@ -297,11 +295,9 @@ class CpiPipeline:
             # The coordinator owns the canonical durable host; this
             # worker's host only tracks the up/down schedule so its
             # endpoint gate refuses exactly what the coordinator's would.
-            # Accepted batches must keep flowing to the arrival capture
-            # (endpoint.ingest), not into the replica's WAL.
+            # Accepted batches go to the worker's arrival capture
+            # (FaultPlane.capture_arrivals), not into the replica's WAL.
             self.host.become_replica()
-            if self.faults is not None:
-                self.faults.endpoint.batch_sink = None
 
     # -- operator conveniences ---------------------------------------------------------
 

@@ -100,8 +100,9 @@ class AmeliorationPolicy:
                suspects: Sequence[tuple[SuspectScore, Task]]) -> PolicyDecision:
         """Choose an action for a victim given its ranked, scored suspects.
 
-        ``suspects`` must be ranked best-first (as :func:`rank_suspects`
-        returns) and carry the resolved :class:`Task` for each score.
+        ``suspects`` must be ranked best-first (as
+        :func:`~repro.core.identify.rank_cotenant_suspects` returns) and
+        carry the resolved :class:`Task` for each score.
         """
         history = self._victims.setdefault(victim.name, _VictimHistory())
         if history.failed_throttles >= self.migrate_after_failures:

@@ -5,8 +5,7 @@ the aggregator — machine -> coordinator (a process boundary under
 ``--jobs N``, where batches are pickled onto the worker's pipe) and
 pipeline -> :meth:`CpiAggregator.ingest_batch`.  Shipping them as a list
 of :class:`~repro.records.CpiSample` dataclasses means one pickled Python
-object per sample plus one attribute-walking ``ingest`` call per sample on
-arrival.  :class:`SampleColumns` is the struct-of-arrays alternative: two
+object per sample plus one attribute walk per sample on arrival.  :class:`SampleColumns` is the struct-of-arrays alternative: two
 small string tables (aggregation keys and tasknames) and five numpy
 columns, so a 500-sample window pickles as a handful of buffers and
 ingests as one tight loop.

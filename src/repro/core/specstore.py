@@ -195,17 +195,14 @@ class DurableSpecStore:
             op = record["op"]
             if op == "set_spec":
                 shadow.set_spec(spec_from_dict(record["spec"]))
-            elif op == "wire":
-                # The endpoint already deduped live arrivals; every wire
-                # record is a distinct accepted batch.  Per-sample scalar
-                # ingest, exactly like the live wire path.
-                seen[record["batch"]] = None
-                while len(seen) > AggregatorEndpoint.DEDUP_WINDOW:
-                    seen.popitem(last=False)
-                received += 1
-                for data in record["samples"]:
-                    shadow.ingest(sample_from_dict(data))
-            elif op == "ingest":
+            elif op in ("wire", "ingest"):
+                if op == "wire":
+                    # The endpoint already deduped live arrivals; every
+                    # wire record is a distinct accepted batch.
+                    seen[record["batch"]] = None
+                    while len(seen) > AggregatorEndpoint.DEDUP_WINDOW:
+                        seen.popitem(last=False)
+                    received += 1
                 shadow.ingest_batch(SampleColumns.from_samples(
                     [sample_from_dict(data) for data in record["samples"]]))
             elif op == "refresh":
@@ -470,13 +467,12 @@ class AggregatorHost:
     # -- mutation surfaces (log first, then apply) --------------------------------
 
     def ingest_wire_batch(self, t: int, batch: "SampleBatch") -> None:
-        """Endpoint batch sink: one accepted non-duplicate upload batch."""
+        """Endpoint sink: one accepted non-duplicate upload batch."""
         self.store.log_wire_batch(t, batch)
-        for sample in batch.samples:
-            self.aggregator.ingest(sample)
+        columns = SampleColumns.from_samples(batch.samples)
+        self.aggregator.ingest_batch(columns)
         if self.reference is not None:
-            for sample in batch.samples:
-                self.reference.ingest(sample)
+            self.reference.ingest_batch(columns)
 
     def ingest_columns(self, t: int, columns: SampleColumns,
                        samples: Optional[list[CpiSample]] = None) -> None:

@@ -21,8 +21,10 @@ from repro.cluster.simulation import ClusterSimulation, SimConfig
 from repro.cluster.task import PriorityBand, SchedulingClass
 from repro.core.baselines import ActiveProbeIdentifier
 from repro.core.config import CpiConfig, DEFAULT_CONFIG
-from repro.core.correlation import antagonist_correlation, rank_suspects
+from repro.core.correlation import antagonist_correlation
+from repro.core.identify import rank_cotenant_suspects
 from repro.core.outlier import OutlierDetector
+from repro.core.samplebatch import SampleColumns
 from repro.experiments.scenarios import victim_antagonist_machine
 from repro.experiments.trials import TrialConfig, TrialResult, run_trials
 from repro.perf.sampler import CpiSampler, SamplerConfig
@@ -114,13 +116,7 @@ def _victim_sample_stream(seed: int, interfered: bool,
 
 
 def _replay(samples: list[CpiSample], config: CpiConfig, spec) -> int:
-    detector = OutlierDetector(config)
-    anomalies = 0
-    for sample in samples:
-        _, anomaly = detector.observe(sample, spec)
-        if anomaly is not None:
-            anomalies += 1
-    return anomalies
+    return len(OutlierDetector(config).observe_samples(samples, spec))
 
 
 # -- usage gate -----------------------------------------------------------------
@@ -246,13 +242,9 @@ def passive_vs_active(seed: int = 0) -> PassiveActiveResult:
     window = [s for s in victim_samples if s.timestamp_seconds > sim.now - 600]
     timestamps = [int(s.timestamp_seconds) for s in window]
     threshold = 1.0 * 1.2  # mean 1.0, ~2 sigma
-    suspects = {}
-    for task in machine.resident_tasks():
-        if task.job.name == "victim":
-            continue
-        usage = [task.cgroup.usage_between(ts - 10, ts) for ts in timestamps]
-        suspects[task.name] = (task.job.name, usage)
-    ranked = rank_suspects([s.cpi for s in window], threshold, suspects)
+    ranked, _ = rank_cotenant_suspects(
+        machine.resident_tasks(), "victim", [s.cpi for s in window],
+        timestamps, threshold, 10)
     passive_correct = ranked[0].jobname == "ant"
 
     # Active: probe one by one, hungriest first.
@@ -341,7 +333,6 @@ def age_weight_sweep(weights=(0.0, 0.5, 0.9, 1.0), days: int = 14,
     levels; the paper's 0.9 balances the two.
     """
     from repro.core.aggregator import CpiAggregator
-    from repro.records import CpiSample
 
     results = []
     for weight in weights:
@@ -355,14 +346,15 @@ def age_weight_sweep(weights=(0.0, 0.5, 0.9, 1.0), days: int = 14,
             true_mean += drift_per_day
             day_level = true_mean * float(
                 np.exp(rng.normal(0.0, day_noise)))
-            for i in range(samples_per_day):
-                aggregator.ingest(CpiSample(
+            aggregator.ingest_batch(SampleColumns.from_samples([
+                CpiSample(
                     jobname="drifting", platforminfo="westmere-2.6",
                     timestamp=(day * 86400 + i * 60) * 1_000_000,
                     cpu_usage=1.0,
                     cpi=max(0.01, day_level
                             + float(rng.normal(0.0, 0.15))),
-                    taskname=f"drifting/{i % 6}"))
+                    taskname=f"drifting/{i % 6}")
+                for i in range(samples_per_day)]))
             specs = aggregator.recompute(day * 86400)
             spec = next(iter(specs.values()))
             if day >= 2:  # skip the cold-start days every weight shares
@@ -599,7 +591,6 @@ def spec_convergence(populations=(50, 200, 1000, 5000, 20000),
     from scipy import stats as sps
 
     from repro.core.aggregator import CpiAggregator
-    from repro.records import CpiSample
 
     # The paper's GEV fit (scipy's c = -xi).
     distribution = sps.genextreme(0.0534, loc=true_mean - 0.07,
@@ -613,11 +604,12 @@ def spec_convergence(populations=(50, 200, 1000, 5000, 20000),
             config = CpiConfig(min_tasks_for_spec=1, min_samples_per_task=1)
             aggregator = CpiAggregator(config)
             values = distribution.rvs(n, random_state=rng)
-            for i, value in enumerate(values):
-                aggregator.ingest(CpiSample(
+            aggregator.ingest_batch(SampleColumns.from_samples([
+                CpiSample(
                     jobname="conv", platforminfo="westmere-2.6",
                     timestamp=i * 60_000_000, cpu_usage=1.0,
-                    cpi=max(0.01, float(value)), taskname=f"conv/{i % 40}"))
+                    cpi=max(0.01, float(value)), taskname=f"conv/{i % 40}")
+                for i, value in enumerate(values)]))
             spec = next(iter(aggregator.recompute(0).values()))
             mean_errors.append(abs(spec.cpi_mean - distribution.mean()))
             std_errors.append(abs(spec.cpi_stddev - distribution.std()))

@@ -322,7 +322,6 @@ def run_trial(seed: int, config: TrialConfig | None = None) -> TrialResult:
 
     calibration_cpis: list[float] = []
     victim_samples: list = []
-    anomaly_detected = False
     spec: Optional[CpiSpec] = None
     granted_sum = 0.0
     granted_ticks = 0
@@ -382,10 +381,8 @@ def run_trial(seed: int, config: TrialConfig | None = None) -> TrialResult:
             if sample.taskname != victim_name:
                 continue
             victim_samples.append(sample)
-            _, anomaly = detector.observe(sample, spec)
-            if anomaly is not None:
-                anomaly_detected = True
     pre_counters_end = counter_snapshot()
+    anomaly_detected = bool(detector.observe_samples(victim_samples, spec))
 
     # Rank suspects over the last correlation window of phase B.
     horizon = end_b - cpi_config.correlation_window

@@ -44,7 +44,6 @@ from repro.faults.profile import (
 )
 from repro.faults.quarantine import (
     quarantine_reason,
-    sample_quarantine_reason,
     spec_is_plausible,
 )
 from repro.faults.retry import (
@@ -67,7 +66,6 @@ __all__ = [
     "RetryPolicy",
     "resolve_fault_profile",
     "quarantine_reason",
-    "sample_quarantine_reason",
     "spec_is_plausible",
     "Ack",
     "AggregatorEndpoint",

@@ -24,7 +24,8 @@ import numpy as np
 from repro.faults.checkpoint import CrashInjector
 from repro.faults.profile import FaultProfile
 from repro.faults.quarantine import corrupt_sample_batch, corrupt_spec_push
-from repro.faults.retry import Ack, AggregatorEndpoint, UploadClient
+from repro.faults.retry import (Ack, AggregatorEndpoint, SampleBatch,
+                                UploadClient)
 from repro.faults.transport import FaultyLink
 from repro.obs import Observability
 from repro.records import CpiSample, CpiSpec, SpecKey
@@ -76,13 +77,19 @@ class FaultPlane:
         self.config = config
         self.obs = obs
         self.agents = agents
+        from repro.core.samplebatch import SampleColumns
+
         # With a durable host, accepted batches are WAL-logged before
-        # ingest and uploads are refused while the service is down; the
-        # hostless wiring is byte-identical to what it always was.
+        # ingest and uploads are refused while the service is down.
+        if host is not None:
+            sink = host.ingest_wire_batch
+        else:
+            def sink(t: int, batch: SampleBatch) -> None:
+                aggregator.ingest_batch(
+                    SampleColumns.from_samples(batch.samples))
         self.endpoint = AggregatorEndpoint(
-            ingest=aggregator.ingest, ack=self._route_ack, obs=obs,
-            gate=host.accepting if host is not None else None,
-            batch_sink=host.ingest_wire_batch if host is not None else None)
+            sink=sink, ack=self._route_ack, obs=obs,
+            gate=host.accepting if host is not None else None)
         if host is not None:
             host.bind_endpoint(self.endpoint)
         self.ports: dict[str, _MachinePort] = {}
@@ -144,13 +151,13 @@ class FaultPlane:
             self.ports[name].speclink.send(t, SpecPush(issued_at=t,
                                                        specs=dict(specs)))
 
-    def capture_arrivals(self, machines: Iterable[str]) -> list:
+    def capture_arrivals(self) -> list:
         """Rewire the endpoint to record arrivals instead of ingesting.
 
         Shard workers call this: the worker-local
         :class:`~repro.faults.retry.AggregatorEndpoint` still dedupes
         batch ids and sends acks (machine-side behaviour), but instead of
-        feeding the worker's demoted replica aggregator, each
+        feeding the worker's demoted replica aggregator, each non-empty
         non-duplicate batch is recorded in the returned list as
         ``(arrival_tick, machine, SampleColumns)`` for the coordinator to
         replay into the canonical aggregator in global (tick, machine)
@@ -159,21 +166,13 @@ class FaultPlane:
         from repro.core.samplebatch import SampleColumns
 
         arrivals: list = []
-        staging: list = []
-        self.endpoint.ingest = staging.append
-        for name in machines:
-            port = self.ports[name]
-            original = port.uplink.deliver
 
-            def deliver(t, batch, _original=original):
-                staging.clear()
-                _original(t, batch)
-                if staging:
-                    arrivals.append((t, batch.machine,
-                                     SampleColumns.from_samples(staging)))
-                    staging.clear()
+        def record(t: int, batch: SampleBatch) -> None:
+            if batch.samples:
+                arrivals.append((t, batch.machine,
+                                 SampleColumns.from_samples(batch.samples)))
 
-            port.uplink.deliver = deliver
+        self.endpoint.sink = record
         return arrivals
 
     def pump(self, t: int, only: Optional[Iterable[str]] = None) -> None:

@@ -7,8 +7,7 @@ stddev every later detection compares against — so implausible records are
 *quarantined* at each trust boundary (sampler, agent, aggregator) with a
 counted reason, never folded in and never silently dropped.
 
-This module is the shared vocabulary: :func:`quarantine_reason` (with its
-one-sample form :func:`sample_quarantine_reason`) and
+This module is the shared vocabulary: :func:`quarantine_reason` and
 :func:`spec_is_plausible` are the validators the agent and aggregator
 apply, and :func:`corrupt_sample_batch` / :func:`corrupt_spec_push` are
 the transport-layer corrupters that generate exactly the kinds of damage
@@ -23,11 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.records import CpiSample, CpiSpec
+from repro.records import CpiSpec
 
 __all__ = [
     "quarantine_reason",
-    "sample_quarantine_reason",
     "spec_is_plausible",
     "corrupt_sample_batch",
     "corrupt_spec_push",
@@ -55,12 +53,6 @@ def quarantine_reason(cpi: float, usage: float,
     if cpi > cpi_bound:
         return "absurd_cpi"
     return None
-
-
-def sample_quarantine_reason(sample: CpiSample,
-                             cpi_bound: float) -> Optional[str]:
-    """:func:`quarantine_reason` for one sample object."""
-    return quarantine_reason(sample.cpi, sample.cpu_usage, cpi_bound)
 
 
 def spec_is_plausible(spec: CpiSpec, cpi_bound: float) -> bool:

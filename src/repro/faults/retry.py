@@ -211,15 +211,16 @@ class AggregatorEndpoint:
 
     def __init__(
         self,
-        ingest: Callable[[CpiSample], None],
+        sink: Callable[[int, SampleBatch], None],
         ack: Callable[[int, Ack], None],
         obs: Optional[Observability] = None,
         gate: Optional[Callable[[], bool]] = None,
-        batch_sink: Optional[Callable[[int, SampleBatch], None]] = None,
     ):
         """Args:
-            ingest: per-sample sink (the aggregator's ``ingest``, which
-                applies its own plausibility rejection).
+            sink: called with (time, batch) once per accepted
+                non-duplicate batch — the hostless plane ingests it
+                straight into the aggregator, the durable host WAL-logs it
+                first, a shard worker records it for the coordinator.
             ack: called with (time, Ack) for every arrival — duplicates
                 are re-acked so a client whose ack got dropped stops
                 retrying.
@@ -228,15 +229,11 @@ class AggregatorEndpoint:
                 refuses every batch (no ack, no dedup mark, counted), the
                 way a down aggregation service drops connections; clients
                 ride it out on their retry/backoff schedule.
-            batch_sink: batch-level ingest override; when set, each
-                non-duplicate batch is handed over whole (the durable host
-                WAL-logs it before applying) instead of via ``ingest``.
         """
-        self.ingest = ingest
+        self.sink = sink
         self.ack = ack
         self.obs = obs
         self.gate = gate
-        self.batch_sink = batch_sink
         self._seen: "OrderedDict[str, None]" = OrderedDict()
         self.batches_received = 0
         self.duplicates_ignored = 0
@@ -267,11 +264,7 @@ class AggregatorEndpoint:
             self.batches_received += 1
             if self.obs is not None:
                 self.obs.metrics.counter("aggregator_batches_received").inc()
-            if self.batch_sink is not None:
-                self.batch_sink(t, batch)
-            else:
-                for sample in batch.samples:
-                    self.ingest(sample)
+            self.sink(t, batch)
         self.ack(t, Ack(batch_id=batch.batch_id, machine=batch.machine))
 
     # -- durable dedup state -----------------------------------------------------

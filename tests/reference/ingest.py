@@ -4,9 +4,10 @@ This is how :meth:`repro.core.agent.MachineAgent.ingest_samples` handled
 small windows before the columnar path became the only one: every sample
 is validated by the literal quarantine ladder below (kept here, not
 imported, so a change to the production check order shows), appended to
-its task's window, and — unless the agent is degraded — classified by
-:meth:`repro.core.outlier.OutlierDetector.observe` against its spec, with
-each declared anomaly handed to analysis before the next sample.
+its task's window, and — unless the agent is degraded — classified by the
+per-sample Section 4.1 rules of ``tests/reference/outlier.py`` against its
+spec, with each declared anomaly handed to analysis before the next
+sample.
 
 Tests swap it in for every agent with :func:`install`.
 """
@@ -15,6 +16,7 @@ import math
 
 from repro.core.agent import MachineAgent
 from repro.core.window import ColumnarWindow
+from tests.reference import outlier as reference_outlier
 
 
 def install(monkeypatch) -> None:
@@ -49,8 +51,8 @@ def ingest_samples(agent, t, samples, columns=None):
         if agent._degraded:
             agent._note_stale_drop(t, sample.taskname, sample.key())
             continue
-        _verdict, anomaly = agent.detector.observe(
-            sample, agent._specs.get(sample.key()))
+        anomaly = reference_outlier.observe(
+            agent.detector, sample, agent._specs.get(sample.key()))
         if anomaly is None:
             continue
         incident = agent._note_anomaly(t, anomaly)

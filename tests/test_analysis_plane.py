@@ -2,8 +2,8 @@
 
 The matrix identification path, the batch outlier detector, the columnar
 task windows, and the parallel trial runner must all be **bit-identical**
-to their scalar references (``tests/reference/identify.py``, per-sample
-``observe``, the per-sample ingest loop): same sample streams, same
+to their scalar references (``tests/reference/identify.py``,
+``tests/reference/outlier.py``, ``tests/reference/ingest.py``): same sample streams, same
 incidents, same suspect rankings, same counters.  Floats are compared via
 ``float.hex()`` so "close enough" can never creep in, mirroring
 ``test_tick_parity.py`` for the simulation plane.
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS, Cgroup
 from repro.core.agent import MachineAgent
 from repro.core.config import CpiConfig
-from repro.core.correlation import rank_suspects
 from repro.core.identify import (rank_cotenant_suspects,
                                  rank_suspects_matrix, suspect_usage_matrix)
 from repro.core.outlier import OutlierDetector
@@ -31,6 +30,7 @@ from repro.testing import make_quiet_machine, make_scripted_job
 from tests.conftest import make_sample, make_spec
 from tests.reference import identify as reference_identify
 from tests.reference import ingest as reference_ingest
+from tests.reference import outlier as reference_outlier
 
 
 def _hex(x) -> str:
@@ -185,7 +185,8 @@ class TestSuspectUsageMatrix:
 def _scalar_vs_matrix(victim_cpi, threshold, names_jobs, usage_rows):
     suspects = {name: (job, list(row))
                 for (name, job), row in zip(names_jobs, usage_rows)}
-    expected = rank_suspects(victim_cpi, threshold, suspects)
+    expected = reference_identify.rank_suspects(victim_cpi, threshold,
+                                                suspects)
     got = rank_suspects_matrix(victim_cpi, threshold, names_jobs,
                                np.asarray(usage_rows, dtype=np.float64))
     assert [(s.taskname, s.jobname, _hex(s.correlation))
@@ -256,9 +257,9 @@ class TestRankSuspectsMatrixParity:
         usage = [[1.0, 1.0], [1.0, -0.5]]
         names_jobs = [("a/0", "a"), ("b/0", "b")]
         with pytest.raises(ValueError) as scalar_err:
-            rank_suspects(victim, 1.0,
-                          {n: (j, list(r))
-                           for (n, j), r in zip(names_jobs, usage)})
+            reference_identify.rank_suspects(
+                victim, 1.0, {n: (j, list(r))
+                              for (n, j), r in zip(names_jobs, usage)})
         with pytest.raises(ValueError) as matrix_err:
             rank_suspects_matrix(victim, 1.0, names_jobs, np.asarray(usage))
         assert str(matrix_err.value) == str(scalar_err.value)
@@ -377,7 +378,8 @@ def _assert_batch_matches_scalar(samples, specs, config):
     scalar = OutlierDetector(config)
     expected = []
     for i, sample in enumerate(samples):
-        _verdict, anomaly = scalar.observe(sample, specs.get(sample.key()))
+        anomaly = reference_outlier.observe(scalar, sample,
+                                            specs.get(sample.key()))
         if anomaly is not None:
             expected.append((i, _canon_anomaly(anomaly)))
     batch = OutlierDetector(config)
@@ -442,23 +444,6 @@ class TestObserveBatchParity:
         samples = [make_sample(t=600 + i, jobname="job", cpu_usage=1.0,
                                cpi=1.0) for i in range(4)]
         _assert_batch_matches_scalar(samples, specs, config)
-
-    def test_cached_verdicts_are_reused(self, config):
-        detector = OutlierDetector(config)
-        spec = make_spec(jobname="job", cpi_mean=1.0, cpi_stddev=0.1)
-        low = [make_sample(t=60 + i, jobname="job", cpu_usage=0.01,
-                           cpi=1.0) for i in range(3)]
-        verdicts = [detector.observe(s, spec)[0] for s in low]
-        assert verdicts[0] is verdicts[1] is verdicts[2]
-        assert verdicts[0].skip_reason == "low-usage"
-        no_spec = [detector.observe(s, None)[0] for s in low]
-        assert no_spec[0] is no_spec[1]
-        clean = [detector.observe(s, spec)[0]
-                 for s in (make_sample(t=80 + i, jobname="job",
-                                       cpu_usage=1.0, cpi=0.9)
-                           for i in range(3))]
-        assert clean[0] is clean[1] is clean[2]
-        assert not clean[0].flagged and not clean[0].skipped
 
 
 # ---------------------------------------------------------------------------

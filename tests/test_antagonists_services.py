@@ -169,12 +169,7 @@ class TestGcService:
         spec = make_spec(jobname="gc", cpi_mean=1.1, cpi_stddev=0.09)
 
         def anomalies(config):
-            detector = OutlierDetector(config)
-            count = 0
-            for sample in samples:
-                _, anomaly = detector.observe(sample, spec)
-                count += anomaly is not None
-            return count
+            return len(OutlierDetector(config).observe_samples(samples, spec))
 
         one_shot = anomalies(CpiConfig(anomaly_violations=1))
         paper = anomalies(CpiConfig())

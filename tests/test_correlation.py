@@ -1,12 +1,19 @@
 """Unit tests for repro.core.correlation (the Section 4.2 formula)."""
 
+import numpy as np
 import pytest
 
-from repro.core.correlation import (
-    antagonist_correlation,
-    rank_suspects,
-    SuspectScore,
-)
+from repro.core.correlation import antagonist_correlation, SuspectScore
+from repro.core.identify import rank_suspects_matrix
+
+
+def rank(victim_cpi, cpi_threshold, suspects):
+    """Rank ``taskname -> (jobname, usage_series)`` suspects."""
+    return rank_suspects_matrix(
+        victim_cpi, cpi_threshold,
+        [(taskname, jobname) for taskname, (jobname, _) in suspects.items()],
+        np.asarray([usage for _, usage in suspects.values()],
+                   dtype=np.float64).reshape(len(suspects), len(victim_cpi)))
 
 
 class TestFormula:
@@ -77,7 +84,7 @@ class TestRanking:
             "innocent/0": ("innocent", [0.0, 1.0, 0.0, 1.0]),
             "steady/0": ("steady", [0.5, 0.5, 0.5, 0.5]),
         }
-        ranked = rank_suspects(victim, 1.5, suspects)
+        ranked = rank(victim, 1.5, suspects)
         assert [s.taskname for s in ranked] == ["guilty/0", "steady/0",
                                                 "innocent/0"]
         assert ranked[0].jobname == "guilty"
@@ -88,11 +95,11 @@ class TestRanking:
             "b/0": ("b", [1.0, 1.0]),
             "a/0": ("a", [1.0, 1.0]),
         }
-        ranked = rank_suspects(victim, 1.5, suspects)
+        ranked = rank(victim, 1.5, suspects)
         assert [s.taskname for s in ranked] == ["a/0", "b/0"]
 
     def test_empty_suspects(self):
-        assert rank_suspects([2.0], 1.5, {}) == []
+        assert rank([2.0], 1.5, {}) == []
 
 
 class TestSuspectScore:

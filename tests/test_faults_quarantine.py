@@ -19,7 +19,6 @@ from repro.faults.quarantine import (
     corrupt_sample_batch,
     corrupt_spec_push,
     quarantine_reason,
-    sample_quarantine_reason,
     spec_is_plausible,
 )
 from repro.faults.retry import SampleBatch
@@ -31,13 +30,18 @@ from repro.perf.sampler import CpiSampler, SamplerConfig
 from repro.records import SpecKey
 from repro.testing import make_quiet_machine, make_scripted_job
 from tests.conftest import make_sample, make_spec
+from tests.reference import aggregator as reference_aggregator
+
+
+def reason_of(sample, cpi_bound):
+    return quarantine_reason(sample.cpi, sample.cpu_usage, cpi_bound)
 
 BOUND = 1000.0
 
 
 class TestSampleValidator:
     def test_plausible_sample_passes(self):
-        assert sample_quarantine_reason(make_sample(cpi=1.2), BOUND) is None
+        assert reason_of(make_sample(cpi=1.2), BOUND) is None
 
     @pytest.mark.parametrize("kwargs,reason", [
         ({"cpi": float("nan")}, "non_finite_cpi"),
@@ -47,7 +51,7 @@ class TestSampleValidator:
         ({"cpi": BOUND * 2}, "absurd_cpi"),
     ])
     def test_each_quarantine_reason(self, kwargs, reason):
-        assert sample_quarantine_reason(make_sample(**kwargs), BOUND) == reason
+        assert reason_of(make_sample(**kwargs), BOUND) == reason
 
 
 class TestSpecValidator:
@@ -71,7 +75,7 @@ class TestCorrupters:
                                           for i in range(1, 4)))
         for seed in range(50):
             damaged = corrupt_sample_batch(batch, np.random.default_rng(seed))
-            reasons = [sample_quarantine_reason(s, BOUND)
+            reasons = [reason_of(s, BOUND)
                        for s in damaged.samples]
             assert sum(r is not None for r in reasons) == 1
             assert damaged.batch_id == batch.batch_id
@@ -162,7 +166,7 @@ def _quarantine_via_agent(sample):
 
 def _quarantine_via_ingest(sample):
     obs = Observability()
-    CpiAggregator(CpiConfig(), obs=obs).ingest(sample)
+    reference_aggregator.ingest(CpiAggregator(CpiConfig(), obs=obs), sample)
     return obs, "aggregator_samples_rejected"
 
 
@@ -179,8 +183,9 @@ def _quarantine_via_ingest_batch(sample):
                          ids=["agent", "ingest", "ingest_batch"])
 @pytest.mark.parametrize("reason", list(_DAMAGE))
 def test_every_boundary_names_the_same_reason(reason, path):
-    """Agent ingest, per-sample and columnar aggregator ingest all count a
-    damaged sample under the reason :func:`quarantine_reason` gives it."""
+    """Agent ingest, the per-sample reference aggregator and columnar
+    aggregator ingest all count a damaged sample under the reason
+    :func:`quarantine_reason` gives it."""
     kwargs = _DAMAGE[reason]
     assert quarantine_reason(kwargs.get("cpi", 1.0),
                              kwargs.get("cpu_usage", 1.0), BOUND) == reason
@@ -193,9 +198,9 @@ class TestAggregatorBoundary:
     def test_rejects_non_finite_without_touching_stats(self):
         obs = Observability()
         aggregator = CpiAggregator(CpiConfig(), obs=obs)
-        aggregator.ingest(make_sample(cpi=float("nan")))
-        aggregator.ingest(make_sample(cpi=0.0))
-        aggregator.ingest(make_sample(cpi=1.1, t=120))
+        aggregator.ingest_batch(SampleColumns.from_samples([
+            make_sample(cpi=float("nan")), make_sample(cpi=0.0),
+            make_sample(cpi=1.1, t=120)]))
         assert aggregator.total_samples_rejected == 2
         assert aggregator.total_samples_ingested == 1
         assert obs.metrics.total("aggregator_samples_rejected") == 2
@@ -203,9 +208,10 @@ class TestAggregatorBoundary:
     def test_published_specs_stay_finite_under_garbage(self):
         config = CpiConfig(min_tasks_for_spec=1, min_samples_per_task=1)
         aggregator = CpiAggregator(config, obs=Observability())
-        for i in range(20):
-            aggregator.ingest(make_sample(t=60 * i, cpi=1.0 + 0.01 * i))
-            aggregator.ingest(make_sample(t=60 * i, cpi=float("nan")))
+        aggregator.ingest_batch(SampleColumns.from_samples([
+            sample for i in range(20)
+            for sample in (make_sample(t=60 * i, cpi=1.0 + 0.01 * i),
+                           make_sample(t=60 * i, cpi=float("nan")))]))
         specs = aggregator.recompute(now=20 * 60)
         assert specs
         for spec in specs.values():

@@ -22,7 +22,7 @@ def make_endpoint(obs=None):
     """An AggregatorEndpoint recording ingested samples and outgoing acks."""
     ingested, acks = [], []
     endpoint = AggregatorEndpoint(
-        ingest=ingested.append,
+        sink=lambda t, batch: ingested.extend(batch.samples),
         ack=lambda t, ack: acks.append((t, ack)),
         obs=obs)
     return endpoint, ingested, acks

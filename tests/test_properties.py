@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,9 @@ from repro.analysis.stats import Ecdf, pearson_correlation
 from repro.cluster.cgroup import Cgroup
 from repro.core.aggregator import CpiAggregator
 from repro.core.config import CpiConfig
-from repro.core.correlation import antagonist_correlation, rank_suspects
+from repro.core.correlation import antagonist_correlation
+from repro.core.identify import rank_suspects_matrix
+from repro.core.samplebatch import SampleColumns
 from repro.records import CpiSample
 from tests.conftest import make_sample
 
@@ -59,14 +62,15 @@ class TestCorrelationProperties:
     def test_ranking_is_sorted_descending(self, data):
         n = data.draw(st.integers(min_value=2, max_value=10))
         cpis = data.draw(st.lists(positive_floats, min_size=n, max_size=n))
-        suspects = {}
+        labels, rows = [], []
         for i in range(data.draw(st.integers(min_value=1, max_value=6))):
-            usages = data.draw(st.lists(usage_floats, min_size=n, max_size=n))
-            suspects[f"task{i}"] = (f"job{i}", usages)
-        ranked = rank_suspects(cpis, 1.0, suspects)
+            rows.append(data.draw(st.lists(usage_floats, min_size=n,
+                                           max_size=n)))
+            labels.append((f"task{i}", f"job{i}"))
+        ranked = rank_suspects_matrix(cpis, 1.0, labels, np.asarray(rows))
         correlations = [s.correlation for s in ranked]
         assert correlations == sorted(correlations, reverse=True)
-        assert len(ranked) == len(suspects)
+        assert len(ranked) == len(labels)
 
 
 class TestStatsProperties:
@@ -120,11 +124,11 @@ class TestAggregatorProperties:
     def test_spec_mean_within_sample_range(self, pairs):
         config = CpiConfig(min_tasks_for_spec=1, min_samples_per_task=1)
         agg = CpiAggregator(config)
-        cpis = []
-        for i, (cpi, usage) in enumerate(pairs):
-            agg.ingest(make_sample(t=60 * i, cpi=cpi, cpu_usage=usage,
-                                   taskname=f"job/{i % 3}"))
-            cpis.append(cpi)
+        cpis = [cpi for cpi, _ in pairs]
+        agg.ingest_batch(SampleColumns.from_samples([
+            make_sample(t=60 * i, cpi=cpi, cpu_usage=usage,
+                        taskname=f"job/{i % 3}")
+            for i, (cpi, usage) in enumerate(pairs)]))
         specs = agg.recompute(0)
         spec = next(iter(specs.values()))
         assert min(cpis) - 1e-9 <= spec.cpi_mean <= max(cpis) + 1e-9
@@ -137,14 +141,14 @@ class TestAggregatorProperties:
     def test_blended_mean_between_old_and_new(self, old_cpis, new_cpis):
         config = CpiConfig(min_tasks_for_spec=1, min_samples_per_task=1)
         agg = CpiAggregator(config)
-        for i, cpi in enumerate(old_cpis):
-            agg.ingest(make_sample(t=60 * i, cpi=cpi, taskname="job/0"))
+        agg.ingest_batch(SampleColumns.from_samples([
+            make_sample(t=60 * i, cpi=cpi, taskname="job/0")
+            for i, cpi in enumerate(old_cpis)]))
         old_spec = agg.recompute(0)[next(iter(agg.specs()))]
-        for i, cpi in enumerate(new_cpis):
-            agg.ingest(make_sample(t=86400 + 60 * i, cpi=cpi,
-                                   taskname="job/0"))
+        agg.ingest_batch(SampleColumns.from_samples([
+            make_sample(t=86400 + 60 * i, cpi=cpi, taskname="job/0")
+            for i, cpi in enumerate(new_cpis)]))
         new_spec = agg.recompute(86400)[next(iter(agg.specs()))]
-        import numpy as np
         fresh_mean = float(np.mean(new_cpis))
         lo = min(old_spec.cpi_mean, fresh_mean) - 1e-9
         hi = max(old_spec.cpi_mean, fresh_mean) + 1e-9

@@ -10,15 +10,13 @@ aggregator's quarantine), comparing floats by their hex representation so
 
 The unit tests at the bottom pin the building blocks: deterministic shard
 planning, the global barrier schedule, lossless columnar round-trips,
-``ingest_batch``'s bit-equivalence to scalar ``ingest``, the shardability
-guards, and crash surfacing (a dead worker must raise
+the shardability guards, and crash surfacing (a dead worker must raise
 :class:`~repro.cluster.shards.ShardCrashed` naming its machines, never
 hang the coordinator).
 """
 
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import sys
@@ -35,7 +33,6 @@ from repro.core.config import CpiConfig
 from repro.core.samplebatch import SampleColumns
 from repro.experiments.chaos import ANTAGONIST_JOBS, chaos_scenario
 from repro.experiments.scenarios import build_cluster, scale_scenario
-from repro.obs import Observability
 from repro.perf.sampler import SamplerConfig
 from repro.records import CpiSample
 from repro.workloads import make_batch_job_spec
@@ -398,54 +395,6 @@ def test_sample_columns_empty_batch():
     assert len(batch) == 0
     assert batch.to_samples() == []
     CpiAggregator(CpiConfig()).ingest_batch(batch)  # no-op, no error
-
-
-# -- ingest_batch == scalar ingest, bit for bit -------------------------------
-
-
-def _quarantine_mix() -> list[CpiSample]:
-    """Plausible samples interleaved with every quarantine reason."""
-    bound = CpiConfig().quarantine_cpi_bound
-    return [
-        CpiSample("svc", "westmere-2.6", 1, 0.5, 1.25, "svc/0"),
-        CpiSample("svc", "westmere-2.6", 2, 0.5, math.nan, "svc/0"),
-        CpiSample("svc", "westmere-2.6", 3, math.inf, 1.0, "svc/1"),
-        CpiSample("svc", "westmere-2.6", 4, 0.5, 0.0, "svc/1"),
-        CpiSample("svc", "westmere-2.6", 5, 0.5, bound * 2, "svc/0"),
-        CpiSample("svc", "westmere-2.6", 6, 0.7, 1.31, "svc/1"),
-        CpiSample("batch", "clovertown-2.3", 7, 1.1, 2.25, None),
-        CpiSample("svc", "clovertown-2.3", 8, 0.9, 1.75, "svc/2"),
-    ]
-
-
-def _canon_state(aggregator: CpiAggregator) -> list[tuple]:
-    return sorted(
-        ((key.jobname, key.platforminfo, stats.count, _hex(stats.mean),
-          _hex(stats.m2), _hex(stats.usage_sum),
-          tuple(sorted(stats.samples_per_task.items())))
-         for key, stats in aggregator._current.items()))
-
-
-def test_ingest_batch_matches_scalar_ingest():
-    """Same samples, same accumulators, same reject counters — bit-exact."""
-    samples = _quarantine_mix()
-    obs_scalar, obs_batch = Observability(), Observability()
-    scalar = CpiAggregator(CpiConfig(), obs=obs_scalar)
-    batch = CpiAggregator(CpiConfig(), obs=obs_batch)
-    scalar.ingest_many(samples)
-    batch.ingest_batch(SampleColumns.from_samples(samples))
-    assert _canon_state(batch) == _canon_state(scalar)
-    assert batch.total_samples_ingested == scalar.total_samples_ingested == 4
-    assert batch.total_samples_rejected == scalar.total_samples_rejected == 4
-
-    def rejects(obs):
-        return sorted((c.labels, c.value) for c in
-                      obs.metrics.counters("aggregator_samples_rejected"))
-
-    assert rejects(obs_batch) == rejects(obs_scalar)
-    assert len(rejects(obs_batch)) == 4    # one counter per distinct reason
-    assert (obs_batch.metrics.total("samples_ingested")
-            == obs_scalar.metrics.total("samples_ingested") == 4)
 
 
 # -- shardability guards ------------------------------------------------------

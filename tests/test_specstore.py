@@ -25,6 +25,7 @@ from repro.faults.profile import FAULT_PROFILES
 from repro.faults.retry import AggregatorEndpoint, SampleBatch
 from repro.obs import Observability
 from tests.conftest import make_sample, make_spec
+from tests.reference import aggregator as reference_aggregator
 
 
 def _config(**overrides) -> CpiConfig:
@@ -108,8 +109,7 @@ class TestWalReplay:
                                 sent_at=60 * (i + 1),
                                 samples=tuple(_window(60 * (i + 1), n=2)))
             store.log_wire_batch(batch.sent_at, batch)
-            for sample in batch.samples:
-                live.ingest(sample)
+            reference_aggregator.ingest_many(live, batch.samples)
         recovered = store.recover(config)
         assert recovered.endpoint["seen"] == ["m0/0", "m0/1", "m0/2"]
         assert recovered.endpoint["received"] == 3
@@ -268,8 +268,8 @@ class TestAggregatorHost:
         host = make_host(profile=profile, obs=obs)
         acks = []
         endpoint = AggregatorEndpoint(
-            ingest=host.aggregator.ingest, ack=lambda t, a: acks.append(a),
-            obs=obs, gate=host.accepting, batch_sink=host.ingest_wire_batch)
+            sink=host.ingest_wire_batch, ack=lambda t, a: acks.append(a),
+            obs=obs, gate=host.accepting)
         host.bind_endpoint(endpoint)
         batch = SampleBatch(batch_id="m0/0", machine="m0", sent_at=100,
                             samples=tuple(_window(100, n=2)))
@@ -350,7 +350,8 @@ class TestAggregatorHost:
         assert drift["exact"] is True
         assert drift["accumulators_compared"] > 0
         # An unlogged mutation is exactly what drift detection is for.
-        host.aggregator.ingest(make_sample(jobname="rogue", t=1260))
+        host.aggregator.ingest_batch(SampleColumns.from_samples(
+            [make_sample(jobname="rogue", t=1260)]))
         assert host.reference_drift()["exact"] is False
 
     def test_reference_drift_requires_attachment(self):
