@@ -14,11 +14,16 @@ machine's or a whole cluster's — is a handful of numpy ufunc passes.
 Bit-exactness against the per-task closures is a hard contract
 (``docs/performance.md`` has the full argument):
 
-* **RNG ordering** — log-normal demand noise draws one
-  ``rng.standard_normal()`` per noisy task from that task's own generator,
-  in arena order (machine order x table order) — exactly the sequence the
-  scalar closures draw, so every downstream consumer of those generators
-  (transaction counters, latency models) sees an identical stream.
+* **RNG ordering** — every consumer of a generator's normals (the
+  ``with_noise`` closure, this program, a transaction counter, a latency
+  model) draws through that generator's one :class:`NormalStream`, so the
+  generator has exactly one cursor.  A generator private to its stream
+  gets a row of the program's ``(k, 256)`` noise block: a tick's noise is
+  one gather, and a row whose cursor reaches 256 refills with
+  ``standard_normal(out=row)``, which consumes the bit stream exactly as
+  256 scalar draws.  Shared generators keep strict per-tick scalar draws
+  in arena order (machine order x table order).  Either way every
+  consumer sees the sequence the scalar closures would draw.
 * **Operand order** — every compiled formula multiplies/adds in the same
   order as its closure, clamps with the same NaN-safe ``d if d > 0.0 else
   0.0`` branch, and keeps the one transcendental per noisy task
@@ -50,40 +55,61 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.cgroup import Cgroup
 
-__all__ = ["DemandColumns"]
+__all__ = ["DemandColumns", "NormalStream"]
 
 _INF = float("inf")
 
-#: Draws bulk-fetched per chunk of a private noise generator's stream.
+#: Draws buffered per row of a program's noise block.
 _DRAW_CHUNK = 256
 
 #: ``sys.getrefcount`` ceiling that proves a noise generator is private to
-#: its ``with_noise`` closure: one reference from the spec, one from the
-#: bound ``standard_normal`` in the closure cell, plus getrefcount's own
-#: argument.  Any further reference means someone else (a workload's
-#: transaction counter, a CPI-modulation closure, a second demand function)
-#: might interleave draws, so the stream must stay strictly per-tick.
-_PRIVATE_RNG_REFS = 3
+#: its :class:`NormalStream`: the stream's own reference plus getrefcount's
+#: argument.  Any further reference — a second stream over the same
+#: generator, a model that kept the generator, a test holding it — means
+#: someone might draw from it directly, so its stream must stay strictly
+#: per-tick.
+_PRIVATE_RNG_REFS = 2
 
 
-def _chunked_stream(rng):
-    """Yield ``rng``'s scalar ``standard_normal`` stream, drawn in chunks.
+class NormalStream:
+    """One generator's ``standard_normal()`` sequence, with one cursor.
 
-    ``standard_normal(k)`` consumes the underlying bit stream exactly as
-    ``k`` scalar calls do (the ziggurat fills the array element by element),
-    so the yielded values — and the generator's position at every chunk
-    boundary — are bit-identical to per-tick scalar draws, at a fraction of
-    the per-draw call overhead.
+    Every consumer of a generator's normals draws through its one stream,
+    so buffering draws never reorders them.  Outside a compiled program
+    (``home is None``) :meth:`take` draws a scalar from ``rng``.  Once a
+    :class:`DemandColumns` program adopts the stream, its state is row
+    ``row`` of that program's noise block plus that row's cursor, and
+    :meth:`take` reads it there.
     """
-    draw = rng.standard_normal
-    while True:
-        yield from draw(_DRAW_CHUNK).tolist()
+
+    __slots__ = ("rng", "home", "row")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.home: Optional["DemandColumns"] = None
+        self.row = 0
+
+    def take(self) -> float:
+        """The next value of ``rng``'s ``standard_normal()`` sequence."""
+        home = self.home
+        if home is None:
+            return self.rng.standard_normal()
+        return home._take(self.row)
+
+    def normal(self, sigma: float) -> float:
+        """The next ``rng.normal(0.0, sigma)``, drawn through the stream.
+
+        ``0.0 + sigma * z`` is numpy's own ``normal(loc, scale)`` formula
+        over the same ziggurat draw, so the value is bit-identical.
+        """
+        return 0.0 + sigma * self.take()
 
 
 # The workload modules import repro.cluster.interference, whose package
@@ -126,6 +152,8 @@ class DemandColumns:
         "n", "workloads", "cgroups",
         "_base0", "_vals",
         "_onoff", "_scaled", "_noise",
+        "_streams", "_block", "_pos", "_row_base", "_flat", "_left",
+        "_stale",
         "_limits", "_allowed", "_cap_mask",
         "_cap_quota", "_cap_expires", "_cap_epoch", "_any_cap", "_no_caps",
         "_base_cpi_vals", "_base_cpi_dyn", "check_base_cpi",
@@ -238,35 +266,53 @@ class DemandColumns:
             depth += 1
         self._scaled = tuple(stages)
 
-        # -- noise: per-task draws from each task's own generator ----------
+        # -- noise: one block row per private stream, scalars for the rest --
         # Full-width columns (sigma = 0 on noiseless slots): exp(0) == 1.0
-        # exactly, so one in-place table-wide multiply applies the noise
-        # without any fancy-indexed gather/scatter on the hot path.
+        # exactly, so one in-place table-wide multiply applies the noise.
         noise_i = [i for i, s in enumerate(noises) if s is not None]
         if noise_i:
             sigma_full = np.zeros(n)
-            draws = []
+            uses = Counter(id(noises[i].stream) for i in noise_i)
+            priv_i: list[int] = []
+            streams: list = []
+            shared_i: list[int] = []
+            takes: list = []
             for i in noise_i:
-                spec = noises[i]
-                sigma_full[i] = spec.sigma
-                # A generator no one else can reach gets a chunked stream
-                # (installed once, then sticky on the spec so its position
-                # survives recompiles and step-downs); a shared one
-                # keeps strict per-tick scalar draws.
-                stream = spec.stream
-                it = stream[0] if stream is not None else None
-                if (it is None and stream is not None
-                        and sys.getrefcount(spec.rng) <= _PRIVATE_RNG_REFS):
-                    it = stream[0] = _chunked_stream(spec.rng)
-                draws.append(it.__next__ if it is not None
-                             else spec.rng.standard_normal)
+                sigma_full[i] = noises[i].sigma
+                stream = noises[i].stream
+                # A stream drawn once per tick whose generator no one else
+                # can reach (or that a program already buffers) gets a
+                # block row; a generator someone else might draw from keeps
+                # strict per-tick scalar draws.
+                if uses[id(stream)] == 1 and (
+                        stream.home is not None
+                        or sys.getrefcount(stream.rng) <= _PRIVATE_RNG_REFS):
+                    priv_i.append(i)
+                    streams.append(stream)
+                else:
+                    shared_i.append(i)
+                    takes.append(stream.take)
             self._noise = (
-                _as_index(noise_i, n),
                 sigma_full,
-                tuple(draws),
                 np.zeros(n),
                 np.empty(n, dtype=bool),
+                _as_index(priv_i, n) if priv_i else None,
+                _as_index(shared_i, n) if shared_i else None,
+                tuple(takes),
             )
+            if streams:
+                k = len(streams)
+                self._streams = tuple(streams)
+                self._block = np.empty((k, _DRAW_CHUNK))
+                # Every row starts empty; the first demand() adopts the
+                # streams (carrying over rows another program buffered)
+                # and fills the rest, so compiling draws nothing.
+                self._pos = np.full(k, _DRAW_CHUNK, dtype=np.intp)
+                self._row_base = np.arange(0, k * _DRAW_CHUNK, _DRAW_CHUNK,
+                                           dtype=np.intp)
+                self._flat = np.empty(k, dtype=np.intp)
+                self._left = 0      # gathers before the fullest row runs out
+                self._stale = True
         else:
             self._noise = None
 
@@ -331,10 +377,21 @@ class DemandColumns:
             vals[idx] = np.where(seg > 0.0, seg, 0.0)
         nz = self._noise
         if nz is not None:
-            idx, sigma, draws, z, mask = nz
-            # One scalar draw per noisy task from its own generator, in
-            # arena order: bit-identical stream positions to the closures.
-            z[idx] = [draw() for draw in draws]
+            sigma, z, mask, priv, shared, takes = nz
+            if priv is not None:
+                if self._stale:
+                    self._adopt()
+                if not self._left:
+                    self._refill()
+                # One gather: row r's next draw is block[r, pos[r]].
+                flat = self._flat
+                np.add(self._row_base, self._pos, flat)
+                z[priv] = self._block.take(flat)
+                self._pos += 1
+                self._left -= 1
+            if shared is not None:
+                # One scalar per shared stream, in arena order.
+                z[shared] = [take() for take in takes]
             np.multiply(z, sigma, z)
             np.exp(z, z)
             # sigma is 0 on noiseless slots, so exp gives exactly 1.0 there
@@ -346,6 +403,59 @@ class DemandColumns:
             np.logical_not(mask, mask)
             vals[mask] = 0.0
         return vals
+
+    # -- noise block ------------------------------------------------------------
+
+    def _adopt(self) -> None:
+        """Become the home of every stream of the block.
+
+        A stream another program buffers brings its row and cursor along
+        (and leaves that program stale, to re-adopt before its own next
+        draw); a stream that never had a home starts from an empty row.
+        """
+        pos = self._pos
+        moved: dict = {}
+        for r, stream in enumerate(self._streams):
+            home = stream.home
+            if home is self:
+                continue
+            if home is None:
+                pos[r] = _DRAW_CHUNK
+            else:
+                rows = moved.setdefault(home, ([], []))
+                rows[0].append(r)
+                rows[1].append(stream.row)
+            stream.home = self
+            stream.row = r
+        for home, (dst, src) in moved.items():
+            self._block[dst] = home._block[src]
+            pos[dst] = home._pos[src]
+            home._stale = True
+        self._stale = False
+        self._left = _DRAW_CHUNK - int(pos.max())
+
+    def _refill(self) -> None:
+        """Refill every exhausted row from its stream's generator."""
+        pos = self._pos
+        block = self._block
+        streams = self._streams
+        empty = np.flatnonzero(pos == _DRAW_CHUNK)
+        for r in empty.tolist():
+            streams[r].rng.standard_normal(out=block[r])
+        pos[empty] = 0
+        self._left = _DRAW_CHUNK - int(pos.max())
+
+    def _take(self, r: int) -> float:
+        """Row ``r``'s next draw, outside the tick (:meth:`NormalStream.take`)."""
+        row = self._block[r]
+        p = int(self._pos[r])
+        if p == _DRAW_CHUNK:
+            self._streams[r].rng.standard_normal(out=row)
+            p = 0
+        self._pos[r] = p + 1
+        if _DRAW_CHUNK - 1 - p < self._left:
+            self._left = _DRAW_CHUNK - 1 - p
+        return float(row[p])
 
     def allowed_and_capped(self, t: int) -> tuple[np.ndarray, list[bool]]:
         """Demand clipped by limits and active caps, plus the capped flags.

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.cluster.demandplane import NormalStream
 from repro.cluster.interference import ResourceProfile
 from repro.workloads.demand import DemandFn
 
@@ -97,19 +98,27 @@ class TransactionCounter:
     instruction cost wanders slowly (an AR(1) walk around its mean) and each
     reading carries small measurement noise.  The wander is what keeps the
     paper's Figure 2 correlation at 0.97 rather than 1.0.
+
+    Both draws go through a :class:`~repro.cluster.demandplane.NormalStream`
+    (:meth:`~repro.cluster.demandplane.NormalStream.normal`, bit-identical
+    to ``rng.normal(0.0, sigma)``), so a counter that shares its generator
+    with a ``with_noise`` demand (see
+    :func:`~repro.workloads.demand.noise_stream`) shares its one cursor
+    too, and the demand plane may still buffer that generator.
     """
 
     def __init__(
         self,
         instructions_per_transaction: float,
-        rng: np.random.Generator,
+        rng: np.random.Generator | NormalStream,
         cost_wander: float = 0.02,
         measurement_noise: float = 0.01,
     ):
         """Args:
             instructions_per_transaction: mean instruction cost of one
                 application transaction.
-            rng: noise source.
+            rng: noise source: a generator, or the stream that already
+                draws it.
             cost_wander: stationary stddev (fractional) of the cost walk.
             measurement_noise: per-reading fractional noise.
         """
@@ -119,7 +128,7 @@ class TransactionCounter:
         if cost_wander < 0 or measurement_noise < 0:
             raise ValueError("noise parameters must be >= 0")
         self.mean_cost = instructions_per_transaction
-        self.rng = rng
+        self.stream = rng if isinstance(rng, NormalStream) else NormalStream(rng)
         self.cost_wander = cost_wander
         self.measurement_noise = measurement_noise
         self._drift = 0.0
@@ -131,9 +140,9 @@ class TransactionCounter:
         # AR(1): drift' = 0.9 drift + noise; stationary sigma = cost_wander.
         innovation_sigma = self.cost_wander * np.sqrt(1.0 - 0.9 ** 2)
         self._drift = 0.9 * self._drift + float(
-            self.rng.normal(0.0, innovation_sigma))
+            self.stream.normal(innovation_sigma))
         cost = self.mean_cost * (1.0 + self._drift)
         reading = instructions / cost
         if self.measurement_noise > 0.0:
-            reading *= 1.0 + float(self.rng.normal(0.0, self.measurement_noise))
+            reading *= 1.0 + float(self.stream.normal(self.measurement_noise))
         return max(0.0, reading)

@@ -27,7 +27,7 @@ from repro.cluster.interference import ResourceProfile
 from repro.cluster.job import Job, JobSpec
 from repro.cluster.task import PriorityBand, SchedulingClass, Task
 from repro.workloads.base import SyntheticWorkload, TransactionCounter
-from repro.workloads.demand import DemandFn, constant, with_noise
+from repro.workloads.demand import DemandFn, constant, noise_stream, with_noise
 
 __all__ = [
     "BatchWorkload",
@@ -60,13 +60,17 @@ class BatchWorkload(SyntheticWorkload):
         instructions_per_transaction: float = 2.0e7,
         threads: int = 8,
     ):
+        demand = demand or with_noise(constant(1.0), 0.08, rng)
         super().__init__(
             base_cpi=base_cpi,
             profile=profile,
-            demand=demand or with_noise(constant(1.0), 0.08, rng),
+            demand=demand,
             threads=threads,
         )
-        self.transactions = TransactionCounter(instructions_per_transaction, rng)
+        # Through the demand's stream when both draw ``rng``: one cursor
+        # per generator, and no reference that would make it look shared.
+        self.transactions = TransactionCounter(
+            instructions_per_transaction, noise_stream(rng, demand))
 
     def transactions_for(self, instructions: float) -> float:
         """Application transactions completed by ``instructions`` instructions."""

@@ -21,16 +21,18 @@ scalar reference semantics either way.
 Spec contract: a spec must describe the closure *exactly* — same value,
 bit for bit, for every ``t`` — and a callable carrying a ``spec`` must be
 pure (its output determined by ``t`` and the spec alone).  The one
-exception is :class:`NoiseSpec`, which names the generator its closure
-draws from so the compiled form can consume the identical RNG stream.
+exception is :class:`NoiseSpec`, which names the stream its closure draws
+from so the compiled form can consume the identical RNG sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+
+from repro.cluster.demandplane import NormalStream
 
 __all__ = [
     "DemandFn",
@@ -40,6 +42,7 @@ __all__ = [
     "ScaledSpec",
     "NoiseSpec",
     "demand_spec",
+    "noise_stream",
     "constant",
     "on_off",
     "bimodal",
@@ -90,19 +93,22 @@ class ScaledSpec:
 class NoiseSpec:
     """Spec of :func:`with_noise`: log-normal noise from a named generator.
 
-    ``stream`` is a one-slot mutable holder shared with the closure.  It
-    starts as ``[None]`` (the closure draws scalars straight from ``rng``);
-    the demand plane may install an iterator yielding the generator's
-    scalar stream in bulk-drawn chunks (bit-identical values, cheaper per
-    draw).  Once installed, *every* consumer — compiled program or closure,
-    whichever runs — takes draws from that iterator, so the stream position
-    stays exact across step-downs and table recompiles.
+    ``stream`` is the generator's one
+    :class:`~repro.cluster.demandplane.NormalStream`, shared with the
+    closure (and with any other model that draws the same generator, see
+    :func:`noise_stream`).  Every consumer takes its draws from it, so a
+    compiled program may buffer the generator's normals in its noise block
+    and the position stays exact across step-downs and recompiles.
     """
 
     base: Optional["DemandSpec"]
     sigma: float
-    rng: np.random.Generator
-    stream: list = field(default=None, compare=False, repr=False)
+    stream: NormalStream
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator the noise is drawn from."""
+        return self.stream.rng
 
 
 DemandSpec = Union[ConstantSpec, OnOffSpec, ScaledSpec, NoiseSpec]
@@ -111,6 +117,20 @@ DemandSpec = Union[ConstantSpec, OnOffSpec, ScaledSpec, NoiseSpec]
 def demand_spec(fn: DemandFn) -> Optional[DemandSpec]:
     """The declarative spec of ``fn``, or ``None`` for opaque callables."""
     return getattr(fn, "spec", None)
+
+
+def noise_stream(rng: np.random.Generator, demand: DemandFn) -> NormalStream:
+    """The stream another model of a workload must draw ``rng`` through.
+
+    When ``demand`` is a :func:`with_noise` over the same generator, that
+    is the demand's own stream, so the generator keeps one cursor (and
+    stays private, eligible for the demand plane's noise block);
+    otherwise a fresh stream over ``rng``.
+    """
+    spec = demand_spec(demand)
+    if isinstance(spec, NoiseSpec) and spec.rng is rng:
+        return spec.stream
+    return NormalStream(rng)
 
 
 # -- combinators --------------------------------------------------------------
@@ -181,8 +201,8 @@ def with_noise(base: DemandFn, sigma: float,
         return base
 
     _exp = np.exp
-    draw = rng.standard_normal
-    stream: list = [None]
+    stream = NormalStream(rng)
+    take = stream.take
 
     def fn(t: int) -> float:
         # sigma * standard_normal() is bit-identical to normal(0.0, sigma)
@@ -190,14 +210,12 @@ def with_noise(base: DemandFn, sigma: float,
         # ``d if d > 0.0 else 0.0`` matches max(0.0, d) for every float
         # including NaN.  This runs once per task per simulated second, so
         # it is one of the hottest expressions in the whole simulator.
-        # When the demand plane has installed a chunked stream for this
-        # generator (see NoiseSpec.stream), draws must come from it so the
-        # stream position survives step-downs and table recompiles.
-        it = stream[0]
-        d = base(t) * float(_exp(sigma * (draw() if it is None else next(it))))
+        # The draw goes through the generator's one stream, which a
+        # compiled program may be buffering (see NoiseSpec.stream).
+        d = base(t) * float(_exp(sigma * take()))
         return d if d > 0.0 else 0.0
 
-    fn.spec = NoiseSpec(demand_spec(base), sigma, rng, stream)
+    fn.spec = NoiseSpec(demand_spec(base), sigma, stream)
     return fn
 
 

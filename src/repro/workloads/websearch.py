@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster.demandplane import NormalStream
 from repro.cluster.interference import ResourceProfile
 from repro.cluster.job import JobSpec
 from repro.cluster.task import PriorityBand, SchedulingClass
 from repro.workloads.base import SyntheticWorkload
-from repro.workloads.demand import constant, scaled, with_noise
+from repro.workloads.demand import constant, noise_stream, scaled, with_noise
 from repro.workloads.diurnal import DiurnalPattern
 
 __all__ = ["SearchTier", "LatencyModel", "WebSearchWorkload",
@@ -96,12 +97,14 @@ class LatencyModel:
     where ``cpi_ratio`` is measured CPI over the job's baseline CPI and ``F``
     is a lognormal fan-out factor modelling the wait for the slowest child.
     Leaf nodes have high coupling and a tight fan-out term; the root is the
-    reverse, reproducing Figure 4's contrast.
+    reverse, reproducing Figure 4's contrast.  ``rng`` is a generator or
+    the stream that already draws it (a search node passes its demand's).
     """
 
-    def __init__(self, tier: SearchTier, rng: np.random.Generator):
+    def __init__(self, tier: SearchTier,
+                 rng: np.random.Generator | NormalStream):
         self.tier = tier
-        self.rng = rng
+        self.stream = rng if isinstance(rng, NormalStream) else NormalStream(rng)
         self._traits = _TIER_TRAITS[tier]
 
     def request_latency_ms(self, cpi_ratio: float) -> float:
@@ -113,7 +116,7 @@ class LatencyModel:
         if cpi_ratio <= 0:
             raise ValueError(f"cpi_ratio must be positive, got {cpi_ratio}")
         traits = self._traits
-        fanout = float(np.exp(self.rng.normal(0.0, traits.fanout_sigma)))
+        fanout = float(np.exp(self.stream.normal(traits.fanout_sigma)))
         mix = traits.cpu_coupling * cpi_ratio + (1.0 - traits.cpu_coupling) * fanout
         return traits.base_latency_ms * mix
 
@@ -155,7 +158,7 @@ class WebSearchWorkload(SyntheticWorkload):
             cpi_modulation=cpi_drift if cpi_diurnal_amplitude > 0 else None,
         )
         self.tier = tier
-        self.latency_model = LatencyModel(tier, rng)
+        self.latency_model = LatencyModel(tier, noise_stream(rng, demand))
 
     def baseline_cpi(self) -> float:
         """The tier's nominal contention-free CPI (for latency normalisation)."""

@@ -35,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS, Cgroup
-from repro.cluster.demandplane import DemandColumns
+from repro.cluster.demandplane import _DRAW_CHUNK, DemandColumns
 from repro.cluster.fused import FusedFleet
 from repro.cluster.job import Job, JobSpec
 from repro.cluster.machine import Machine
@@ -52,6 +52,7 @@ from repro.workloads.demand import (ConstantSpec, NoiseSpec, OnOffSpec,
                                     on_off, scaled, with_noise)
 from repro.workloads.diurnal import DiurnalPattern
 from tests.reference import demand as reference_demand
+from tests.reference import noise as reference_noise
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -291,13 +292,13 @@ class TestEligibility:
 
 
 # ---------------------------------------------------------------------------
-# chunked draw prefetch (private noise generators)
+# the noise block (private generators) and the one-cursor NormalStream
 
 
 def _noisy_machine(engine: str, num: int = 4) -> Machine:
     """A machine of noisy tasks whose generators are private to their
-    ``with_noise`` closures (constructed inline, no other reference), so
-    the demand plane is allowed to install chunked draw streams."""
+    ``with_noise`` streams (constructed inline, no other reference), so
+    the demand plane buffers them in its noise block."""
     m = Machine("m0", get_platform("westmere-2.6"), cpi_noise_sigma=0.0)
     spec = JobSpec(
         name="svc", num_tasks=num,
@@ -322,42 +323,113 @@ def _assert_tick_parity(mv: Machine, ms: Machine, ts) -> None:
                 == {k: _hex(v) for k, v in rs.grants.items()}), f"t={t}"
 
 
+def _opaque_job() -> JobSpec:
+    """One task whose demand no program can compile."""
+    return JobSpec(
+        name="opaque", num_tasks=1,
+        scheduling_class=SchedulingClass.BATCH,
+        priority_band=PriorityBand.NONPRODUCTION,
+        cpu_limit_per_task=1.0,
+        workload_factory=lambda i: SyntheticWorkload(
+            base_cpi=1.0, profile=QUIET_PROFILE, demand=lambda t: 0.3))
+
+
 class TestDrawPrefetch:
-    def test_chunked_stream_matches_scalar_draws(self):
-        from repro.cluster.demandplane import _chunked_stream
-        it = _chunked_stream(np.random.default_rng(5))
+    def test_refill_matches_scalar_draws(self):
+        """A row refill, ``standard_normal(out=row)``, equals 256 scalar
+        draws, so a stream homed in a program yields the scalar sequence
+        across refills."""
+        row = np.empty(_DRAW_CHUNK)
+        np.random.default_rng(5).standard_normal(out=row)
         ref = np.random.default_rng(5)
-        for _ in range(600):        # crosses two chunk refills
-            assert _hex(next(it)) == _hex(ref.standard_normal())
+        assert [_hex(x) for x in row] == [
+            _hex(ref.standard_normal()) for _ in range(_DRAW_CHUNK)]
+
+        fn = with_noise(constant(1.0), 0.1, np.random.default_rng(5))
+        dc = _compile_one(fn)
+        stream = fn.spec.stream
+        assert stream.home is None, "compiling must not adopt"
+        dc.demand(0)
+        assert stream.home is dc
+        ref = np.random.default_rng(5)
+        ref.standard_normal()                   # the tick's draw
+        for _ in range(2 * _DRAW_CHUNK + 88):    # crosses two refills
+            assert _hex(stream.take()) == _hex(ref.standard_normal())
 
     def test_private_rng_gets_stream_and_matches_scalar(self):
-        """A private generator is bulk-drawn in chunks; grants stay
-        bit-identical to the closures across refill boundaries."""
-        from repro.cluster.demandplane import _DRAW_CHUNK
+        """A private generator is buffered in the program's block; grants
+        stay bit-identical to the closures across refill boundaries."""
         mv = _noisy_machine("vector")
         ms = _noisy_machine("scalar")
-        assert _program(mv) is not None
-        w = next(iter(mv._tasks.values())).workload
-        assert w._demand.spec.stream[0] is not None, "stream not installed"
         _assert_tick_parity(mv, ms, range(2 * _DRAW_CHUNK + 16))
+        dc = mv._fleet.demand_columns
+        assert dc is not None
+        for task in mv.resident_tasks():
+            assert task.workload._demand.spec.stream.home is dc
 
     def test_shared_rng_keeps_per_tick_draws(self):
-        """A generator someone else can reach must not be prefetched —
+        """A generator someone else can reach must not be buffered —
         another consumer could interleave draws between ticks."""
         rng = np.random.default_rng(3)      # this reference makes it shared
         fn = with_noise(constant(1.0), 0.1, rng)
         dc = _compile_one(fn)
         assert dc is not None
-        assert fn.spec.stream[0] is None
         ref = np.random.default_rng(3)
         for t in range(20):
             got = float(dc.demand(t)[0])
             expected = 1.0 * float(np.exp(0.1 * ref.standard_normal()))
             assert _hex(got) == _hex(max(0.0, expected))
+        assert fn.spec.stream.home is None
+
+    def test_programs_hand_a_stream_back_and_forth(self):
+        """Two programs over one stream: each adopts the row and cursor
+        from the other before it draws, so draws interleaved across both
+        programs and the stream itself are the scalar sequence."""
+        fn = with_noise(constant(1.0), 0.1, np.random.default_rng(9))
+        w = _workload(fn)
+        cg = Cgroup("t/0", 1e12)
+        a = DemandColumns.compile([w], [cg], [cg.cpu_limit])
+        b = DemandColumns.compile([w], [cg], [cg.cpu_limit])
+        stream = fn.spec.stream
+        ref = np.random.default_rng(9)
+
+        def expect():
+            return _hex(max(0.0, float(np.exp(0.1 * ref.standard_normal()))))
+
+        for t in range(3 * _DRAW_CHUNK):
+            dc = (a, b)[(t // 7) % 2]
+            assert _hex(dc.demand(t)[0]) == expect(), f"t={t}"
+            assert stream.home is dc
+            if t % 5 == 0:
+                assert _hex(max(0.0, float(np.exp(0.1 * stream.take())))) \
+                    == expect()
+
+    def test_latency_model_shares_the_demand_stream(self):
+        """A search node's latency readings draw its demand's stream, so
+        the generator stays block-backed and readings between ticks are
+        ``rng.normal(0.0, sigma)`` draws in call order."""
+        from repro.workloads.websearch import (_TIER_TRAITS, SearchTier,
+                                               WebSearchWorkload)
+        w = WebSearchWorkload(SearchTier.LEAF, np.random.default_rng(4))
+        cg = Cgroup("t/0", 1e12)
+        dc = DemandColumns.compile([w], [cg], [cg.cpu_limit])
+        traits = _TIER_TRAITS[SearchTier.LEAF]
+        ref = np.random.default_rng(4)
+        for t in range(2 * _DRAW_CHUNK + 16):
+            dc.demand(t)
+            ref.standard_normal()
+            if t % 3 == 0:
+                fanout = float(np.exp(ref.normal(0.0, traits.fanout_sigma)))
+                expected = traits.base_latency_ms * (
+                    traits.cpu_coupling * 1.1
+                    + (1.0 - traits.cpu_coupling) * fanout)
+                got = w.latency_model.request_latency_ms(1.1)
+                assert _hex(got) == _hex(expected), f"t={t}"
+        assert w._demand.spec.stream.home is dc
 
     def test_stream_survives_recompile(self):
         """Removing a task recompiles the fleet's program; the surviving
-        tasks' stream positions must carry over (they live on the specs)."""
+        tasks' rows and cursors carry over to the new program."""
         mv = _noisy_machine("vector")
         ms = _noisy_machine("scalar")
         _assert_tick_parity(mv, ms, range(40))
@@ -367,29 +439,199 @@ class TestDrawPrefetch:
         _assert_tick_parity(mv, ms, range(40, 120))
 
     def test_closure_continues_stream_after_step_down(self):
-        """If the fleet turns ineligible after streams were installed, the
-        closure path keeps consuming the same iterators, so the values
-        still match a scalar twin draw for draw."""
+        """If the fleet turns ineligible after streams were buffered, the
+        closures take from the same streams (the old program's rows), so
+        the values still match a scalar twin draw for draw."""
         mv = _noisy_machine("vector")
         ms = _noisy_machine("scalar")
         _assert_tick_parity(mv, ms, range(40))
+        for task in Job(_opaque_job()):
+            mv.place(task)
+        for task in Job(_opaque_job()):
+            ms.place(task)
+        assert _program(mv) is None
+        _assert_tick_parity(mv, ms, range(40, 120))
 
-        def opaque_job():
+
+class TestNoiseCensus:
+    def test_every_private_fleet_row_is_block_backed(self):
+        """Every shipped job spec's noise is buffered in the fleet's
+        block (a batch task's transaction counter shares its demand's
+        stream, a search node's latency model too); a generator the test
+        holds, or one two ``with_noise`` closures share, stays scalar."""
+        from repro.experiments.scenarios import build_cluster
+        from repro.workloads.antagonists import (AntagonistKind,
+                                                 make_antagonist_job_spec)
+        from repro.workloads.batch import (make_batch_job_spec,
+                                           make_mapreduce_job_spec)
+        from repro.workloads.services import make_service_job_spec
+        from repro.workloads.websearch import (SearchTier,
+                                               make_websearch_job_spec)
+
+        scenario = build_cluster(4, seed=1)
+        for spec in (
+                make_service_job_spec("svc", num_tasks=4, seed=1),
+                make_batch_job_spec("batch", num_tasks=4, seed=2),
+                make_mapreduce_job_spec("mr", num_workers=4, seed=3),
+                make_antagonist_job_spec(
+                    "ant", AntagonistKind.VIDEO_PROCESSING, num_tasks=2,
+                    seed=4),
+                make_websearch_job_spec("leaf", SearchTier.LEAF,
+                                        num_tasks=4, seed=5)):
+            scenario.submit(spec)
+        held = np.random.default_rng(6)
+        trial_rng = np.random.default_rng(7)
+
+        def negative(name, num, rng):
             return JobSpec(
-                name="opaque", num_tasks=1,
+                name=name, num_tasks=num,
                 scheduling_class=SchedulingClass.BATCH,
                 priority_band=PriorityBand.NONPRODUCTION,
                 cpu_limit_per_task=1.0,
                 workload_factory=lambda i: SyntheticWorkload(
                     base_cpi=1.0, profile=QUIET_PROFILE,
-                    demand=lambda t: 0.3))
+                    demand=with_noise(constant(0.4), 0.1, rng)))
 
-        for task in Job(opaque_job()):
-            mv.place(task)
-        for task in Job(opaque_job()):
-            ms.place(task)
-        assert _program(mv) is None
-        _assert_tick_parity(mv, ms, range(40, 120))
+        scenario.submit(negative("held", 1, held))
+        scenario.submit(negative("trial", 2, trial_rng))
+        sim = scenario.simulation
+        sim.run(3)
+        dc = sim._fleet.demand_columns
+        assert dc is not None
+        scalar = {"held", "trial"}
+        owner = {id(task.workload): name
+                 for name, job in scenario.jobs.items() for task in job.tasks}
+        homes: dict[str, list] = {}
+        for w in dc.workloads:
+            spec = demand_spec(w._demand)
+            assert isinstance(spec, NoiseSpec)
+            homes.setdefault(owner[id(w)], []).append(spec.stream.home)
+        assert set(homes) == {"svc", "batch", "mr", "ant", "leaf"} | scalar
+        for job, hs in homes.items():
+            want = None if job in scalar else dc
+            assert all(h is want for h in hs), job
+
+
+# -- draw-order oracle: compiled, closure and counter draws vs scalar twins
+
+_KINDS = ("service", "batch", "mapreduce")
+
+
+def _noisy_pair(kind: str, seed: int):
+    """A production workload and its scalar twin over generators seeded
+    alike, plus the twin's transaction counter (``None`` for a service).
+
+    Built here so the production generator has no reference beyond its
+    stream and the demand plane buffers it.
+    """
+    from repro.workloads.batch import BatchWorkload, MapReduceWorker
+    rng = np.random.default_rng(seed)
+    twin_rng = np.random.default_rng(seed)
+    if kind == "service":
+        w = _workload(with_noise(constant(0.6), 0.1, rng))
+        return w, _workload(reference_noise.noisy_level(0.6, 0.1,
+                                                        twin_rng)), None
+    cls, level, sigma = ((BatchWorkload, 1.0, 0.08) if kind == "batch"
+                         else (MapReduceWorker, 2.0, 0.1))
+    w = cls(rng=rng, demand=with_noise(constant(level), sigma, rng),
+            profile=QUIET_PROFILE)
+    twin = _workload(reference_noise.noisy_level(level, sigma, twin_rng))
+    return w, twin, reference_noise.ScalarTransactionCounter(2.0e7, twin_rng)
+
+
+def _place_one(machine: Machine, name: str, workload) -> str:
+    job = Job(JobSpec(
+        name=name, num_tasks=1,
+        scheduling_class=SchedulingClass.BATCH,
+        priority_band=PriorityBand.NONPRODUCTION,
+        cpu_limit_per_task=3.0,
+        workload_factory=lambda i: workload))
+    machine.place(job.tasks[0])
+    return job.tasks[0].name
+
+
+_ORACLE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("tick"), st.integers(1, 150)),
+    st.tuples(st.just("foreign"), st.integers(1, 40)),
+    st.tuples(st.just("closure"), st.integers(1, 60)),
+    st.tuples(st.just("txn"), st.integers(1, 40)),
+    st.tuples(st.just("remove"), st.integers(0, 15)),
+    st.tuples(st.just("arrive"), st.sampled_from(_KINDS)),
+), min_size=1, max_size=12)
+
+
+class TestDrawOrderOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6),
+           ops=_ORACLE_OPS)
+    def test_every_draw_matches_scalar_twin(self, kinds, ops):
+        """Compiled ticks, closure ticks (an opaque task resident), ticks
+        stepped by another program over the machine, ``transactions_for``
+        between ticks, and removals/arrivals mid-chunk all read the
+        generators' scalar sequences — past two refills of every row."""
+        mv = Machine("m0", get_platform("westmere-2.6"), cpi_noise_sigma=0.0)
+        ms = Machine("m0", get_platform("westmere-2.6"), cpi_noise_sigma=0.0)
+        live: list[tuple[str, object, object]] = []   # name, workload, twin counter
+        seeds = iter(range(100, 10_000))
+
+        def arrive(kind):
+            seed = next(seeds)
+            w, twin, counter = _noisy_pair(kind, seed)
+            name = _place_one(mv, f"{kind}{seed}", w)
+            assert _place_one(ms, f"{kind}{seed}", twin) == name
+            live.append((name, w, counter))
+
+        def txn(n):
+            counted = [(w, c) for _, w, c in live if c is not None]
+            for i in range(n if counted else 0):
+                w, c = counted[i % len(counted)]
+                instr = 1.0e8 + 1.0e6 * i
+                assert (_hex(w.transactions_for(instr))
+                        == _hex(c.transactions_for(instr)))
+
+        for kind in kinds:
+            arrive(kind)
+        t = 0
+
+        def tick(n, step=None):
+            nonlocal t
+            for _ in range(n):
+                rv = step(t) if step else mv.tick(t)
+                rs = ms.tick(t)
+                assert ({k: _hex(v) for k, v in rv.grants.items()}
+                        == {k: _hex(v) for k, v in rs.grants.items()}), t
+                t += 1
+
+        for op, arg in ops:
+            if op == "tick":
+                tick(arg)
+            elif op == "foreign":
+                fleet = FusedFleet((mv,))
+                tick(arg, lambda t: fleet.step(t)["m0"])
+            elif op == "closure":
+                names = [_place_one(m, "opaque", _workload(lambda t: 0.3))
+                         for m in (mv, ms)]
+                assert _program(mv) is None
+                tick(arg)
+                for m, name in zip((mv, ms), names):
+                    m.remove(name, TaskState.EXITED, reason="test")
+            elif op == "txn":
+                txn(arg)
+            elif op == "remove" and len(live) > 1:
+                name, _, _ = live.pop(arg % len(live))
+                mv.remove(name, TaskState.EXITED, reason="test")
+                ms.remove(name, TaskState.EXITED, reason="test")
+            elif op == "arrive":
+                arrive(arg)
+        # Then, with no recompile, counters draw between ticks: their rows
+        # run ahead of the rest and refill on their own.
+        while t < 2 * _DRAW_CHUNK + 8:
+            tick(3)
+            txn(2)
+        dc = mv._fleet.demand_columns
+        assert dc is not None
+        for _, w, _ in live:
+            assert w._demand.spec.stream.home is dc
 
 
 # ---------------------------------------------------------------------------
