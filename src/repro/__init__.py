@@ -30,15 +30,6 @@ from repro.cluster import (
     TaskState,
     get_platform,
 )
-from repro.faults import (
-    FAULT_PROFILES,
-    AgentCheckpoint,
-    FaultPlane,
-    FaultProfile,
-    LinkFaults,
-    RetryPolicy,
-    resolve_fault_profile,
-)
 from repro.obs import (
     MetricsRegistry,
     Observability,
@@ -48,6 +39,8 @@ from repro.obs import (
     default_observability,
     render_metrics_report,
 )
+# core before faults: the agent imports faults.checkpoint, which imports
+# core modules, so core's package init must be the one that starts it.
 from repro.core import (
     AdaptiveCapController,
     ClusterStatus,
@@ -66,6 +59,15 @@ from repro.core import (
     PolicyAction,
     ThrottleController,
     antagonist_correlation,
+)
+from repro.faults import (
+    FAULT_PROFILES,
+    AgentCheckpoint,
+    FaultPlane,
+    FaultProfile,
+    LinkFaults,
+    RetryPolicy,
+    resolve_fault_profile,
 )
 
 __version__ = "1.0.0"

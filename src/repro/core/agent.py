@@ -40,9 +40,8 @@ from repro.core.records import CpiSample, CpiSpec, SpecKey
 from repro.core.samplebatch import SampleColumns
 from repro.core.throttle import ThrottleController
 from repro.core.window import ColumnarWindow
-from repro.faults.checkpoint import (AgentCheckpoint, CheckpointVersionError,
-                                     FollowUpState, sample_from_dict,
-                                     sample_to_dict)
+from repro.faults.checkpoint import (AgentCheckpoint, CheckpointFormatError,
+                                     CheckpointVersionError, FollowUpState)
 from repro.faults.quarantine import quarantine_reason, spec_is_plausible
 from repro.obs import Observability, default_observability
 from repro.obs.tracing import PipelineTrace, Span
@@ -679,16 +678,17 @@ class MachineAgent:
 
         Covers the outlier windows (per-task recent samples), detector
         streaks, and in-flight follow-ups — the state whose loss would
-        silently forget an anomalous task mid-incident.  The snapshot is
-        plain JSON-able data (see :class:`~repro.faults.checkpoint.
-        AgentCheckpoint`), i.e. what a real agent would write to disk.
+        silently forget an anomalous task mid-incident.  Each window is
+        held as a compacted copy; :meth:`~repro.faults.checkpoint.
+        AgentCheckpoint.to_dict` turns the snapshot into what a real agent
+        would write to disk.
         """
         checkpoint = AgentCheckpoint(
             machine=self.machine.name,
             taken_at=t,
             last_analysis=self._last_analysis,
             anomalies_seen=self.anomalies_seen,
-            windows={name: [sample_to_dict(s) for s in window.samples]
+            windows={name: window.copy()
                      for name, window in self._windows.items()
                      if len(window)},
             detector_flags=self.detector.export_flags(),
@@ -742,11 +742,8 @@ class MachineAgent:
         agent object still holds them; otherwise (restore into a fresh
         process) they are rebuilt from the checkpointed fields.
         """
-        self._windows = {
-            name: ColumnarWindow.from_samples(
-                name, (sample_from_dict(s) for s in samples))
-            for name, samples in checkpoint.windows.items()
-        }
+        self._windows = {name: window.copy()
+                         for name, window in checkpoint.windows.items()}
         self.detector.restore_flags(checkpoint.detector_flags)
         self._last_analysis = checkpoint.last_analysis
         self.anomalies_seen = max(self.anomalies_seen,
@@ -810,17 +807,21 @@ class MachineAgent:
 
         A checkpoint written under a different schema version — a stale
         file left by a pre-upgrade agent — is ignored with a counted
-        ``checkpoint_version_mismatch`` event: the agent relearns its
-        windows instead of crashing on the file, which would wedge it in a
-        restart loop a restart cannot fix.
+        ``checkpoint_version_mismatch`` event, and a damaged one (a field
+        missing or unusable) with a counted ``checkpoint_malformed`` event:
+        the agent relearns its windows instead of crashing on the file,
+        which would wedge it in a restart loop a restart cannot fix.
+        Nothing of a rejected checkpoint is restored.
         """
         try:
             checkpoint = AgentCheckpoint.from_dict(data)
-        except CheckpointVersionError as error:
-            self.obs.metrics.counter("checkpoint_version_mismatch").inc()
-            self.obs.events.warning(
-                "checkpoint_version_mismatch", machine=self.machine.name,
-                error=str(error))
+        except (CheckpointVersionError, CheckpointFormatError) as error:
+            reason = ("checkpoint_version_mismatch"
+                      if isinstance(error, CheckpointVersionError)
+                      else "checkpoint_malformed")
+            self.obs.metrics.counter(reason).inc()
+            self.obs.events.warning(reason, machine=self.machine.name,
+                                    error=str(error))
             return False
         self.restore(checkpoint, t)
         return True

@@ -16,9 +16,10 @@ antagonists, and co-location-avoidance hints for the scheduler.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
-from repro.core.agent import Incident
+if TYPE_CHECKING:  # the agent imports the checkpoint, which imports storage
+    from repro.core.agent import Incident
 
 __all__ = ["IncidentRecord", "Query", "ForensicsStore"]
 

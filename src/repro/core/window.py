@@ -12,8 +12,10 @@ boxed Python floats, and batch ingest writes scalars straight from
 Two compatibility contracts are preserved exactly:
 
 * ``window.samples`` materialises the window as ``CpiSample`` objects that
-  are field-equal to what the old deque held, which keeps the agent
-  checkpoint format (``sample_to_dict`` round-trips) byte-identical.
+  are field-equal to what the old deque held.  An agent checkpoint holds
+  :meth:`ColumnarWindow.copy` snapshots and runs this view only when
+  ``AgentCheckpoint.to_dict`` serialises one, so the checkpoint JSON is
+  byte-identical to the deque era's.
 * The capacity is the old ``deque(maxlen=64)``: appending to a full window
   evicts the oldest sample.
 
@@ -123,9 +125,9 @@ class ColumnarWindow:
     def samples(self) -> list[CpiSample]:
         """The window as sample objects, field-equal to what was appended.
 
-        This is the compatibility/checkpoint view: ``take_checkpoint`` runs
-        ``sample_to_dict`` over it, so restored agents see exactly the
-        dicts the deque-based window produced.
+        This is the serialisation view: ``AgentCheckpoint.to_dict`` runs
+        ``repro.core.storage.sample_to_dict`` over it, so a persisted
+        checkpoint holds exactly the dicts the deque-based window produced.
         """
         ts = self._ts_us[self._start:self._end].tolist()
         usage = self._usage[self._start:self._end].tolist()
@@ -137,6 +139,24 @@ class ColumnarWindow:
             for (jobname, platforminfo), t, u, c in zip(self._meta, ts,
                                                         usage, cpi)
         ]
+
+    def copy(self) -> "ColumnarWindow":
+        """An independent, compacted copy: the live rows moved to the front.
+
+        Checkpoints snapshot with this and restores copy again, so appends
+        to the live window never write into a snapshot and one snapshot can
+        be restored any number of times.
+        """
+        clone = ColumnarWindow(self.taskname, capacity=self.capacity)
+        start, end = self._start, self._end
+        n = end - start
+        clone._ts_us[:n] = self._ts_us[start:end]
+        clone._ts_sec[:n] = self._ts_sec[start:end]
+        clone._usage[:n] = self._usage[start:end]
+        clone._cpi[:n] = self._cpi[start:end]
+        clone._meta.extend(self._meta)
+        clone._end = n
+        return clone
 
     @classmethod
     def from_samples(cls, taskname: str, samples: Iterable[CpiSample],

@@ -1,18 +1,25 @@
 """Tests for agent checkpointing, crash, and deterministic recovery."""
 
+import copy
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.task import SchedulingClass
 from repro.core.agent import MachineAgent
 from repro.core.config import CpiConfig
 from repro.core.policy import PolicyAction
+from repro.core.window import WINDOW_CAPACITY, ColumnarWindow
 from repro.faults.checkpoint import (CHECKPOINT_VERSION, AgentCheckpoint,
+                                     CheckpointFormatError,
                                      CheckpointVersionError, FollowUpState)
 from repro.obs import Observability
 from repro.perf.sampler import CpiSampler, SamplerConfig
-from repro.records import SpecKey
+from repro.records import CpiSample, SpecKey
 from repro.testing import (
     NOISY_NEIGHBOR_PROFILE,
     SENSITIVE_PROFILE,
@@ -20,6 +27,7 @@ from repro.testing import (
     make_scripted_job,
 )
 from tests.conftest import make_sample, make_spec
+from tests.reference import checkpoint as reference_checkpoint
 
 FAST = CpiConfig(sampling_duration=5, sampling_period=15,
                  anomaly_window=120, correlation_window=300,
@@ -67,13 +75,29 @@ def run_until_followup(machine, sampler, agent, limit=600):
     raise AssertionError("no follow-up in flight within the limit")
 
 
+def window_fingerprint(window):
+    """Every column bit for bit (floats by ``float.hex``) and the metadata."""
+    return (window.taskname,
+            window.timestamps_us.tolist(),
+            window.timestamps_sec.tolist(),
+            [value.hex() for value in window.cpu_usage.tolist()],
+            [value.hex() for value in window.cpi.tolist()],
+            list(window._meta))
+
+
+def windows_fingerprint(windows):
+    return {name: window_fingerprint(window)
+            for name, window in windows.items()}
+
+
 class TestCheckpointSerialisation:
     def test_round_trips_through_json(self):
+        window = ColumnarWindow.from_samples("victim/0", [CpiSample(
+            jobname="victim", platforminfo="p", timestamp=1, cpu_usage=1.0,
+            cpi=1.5, taskname="victim/0")])
         checkpoint = AgentCheckpoint(
             machine="m0", taken_at=120, last_analysis=90, anomalies_seen=3,
-            windows={"victim/0": [
-                {"jobname": "victim", "platforminfo": "p", "timestamp": 1,
-                 "cpu_usage": 1.0, "cpi": 1.5, "taskname": "victim/0"}]},
+            windows={"victim/0": window},
             detector_flags={"victim/0": [60, 120]},
             followups=[FollowUpState(
                 due_at=300, victim_taskname="victim/0",
@@ -81,9 +105,23 @@ class TestCheckpointSerialisation:
                 incident_time=120, victim_jobname="victim",
                 victim_cpi=1.9, cpi_threshold=1.2, action="throttle")],
         )
+        assert checkpoint.to_dict()["windows"] == {"victim/0": [
+            {"jobname": "victim", "platforminfo": "p", "timestamp": 1,
+             "cpu_usage": 1.0, "cpi": 1.5, "taskname": "victim/0"}]}
         wire = json.dumps(checkpoint.to_dict())
         restored = AgentCheckpoint.from_dict(json.loads(wire))
-        assert restored == checkpoint
+        assert restored.to_dict() == checkpoint.to_dict()
+
+    def test_windows_serialise_like_the_per_sample_dicts(self):
+        machine, sampler, agent, obs = build_rig()
+        # Past 2 x capacity samples per task, so every ring has compacted.
+        run_rig(machine, sampler, agent, 0, 2100)
+        assert agent._windows
+        assert all(len(w) == WINDOW_CAPACITY for w in agent._windows.values())
+        expected = json.dumps(
+            reference_checkpoint.windows_to_dict(agent._windows))
+        checkpoint = agent.take_checkpoint(2100)
+        assert json.dumps(checkpoint.to_dict()["windows"]) == expected
 
 
 class TestCrashSemantics:
@@ -159,10 +197,57 @@ class TestCheckpointRecovery:
         checkpoint = agent.take_checkpoint(120)
         agent.crash(120)
         agent.restore(checkpoint, 125)
-        for taskname, samples in checkpoint.windows.items():
+        assert checkpoint.windows
+        assert agent._windows.keys() == checkpoint.windows.keys()
+        for taskname, snapshot in checkpoint.windows.items():
             window = agent._windows[taskname]
-            assert [s.cpi for s in window.samples] == [s["cpi"]
-                                                      for s in samples]
+            assert window is not snapshot
+            assert window_fingerprint(window) == window_fingerprint(snapshot)
+
+
+class TestSnapshotIndependence:
+    """A checkpoint is a copy: later ingest never reaches it, and it can be
+    restored any number of times."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_tasks=st.integers(1, 3),
+           n_before=st.integers(2 * WINDOW_CAPACITY + 1, 3 * WINDOW_CAPACITY),
+           n_after=st.integers(1, 2 * WINDOW_CAPACITY),
+           seed=st.integers(0, 2**32 - 1))
+    def test_restores_equal_the_window_at_checkpoint(self, n_tasks, n_before,
+                                                     n_after, seed):
+        rng = np.random.default_rng(seed)
+        machine = make_quiet_machine()
+        platform = machine.platform.name
+        agent = MachineAgent(machine, FAST, obs=Observability())
+
+        def ingest(start, stop):
+            for t in range(start, stop):
+                agent.ingest_samples(t, [CpiSample(
+                    jobname=f"job{k}", platforminfo=platform,
+                    timestamp=t * 1_000_000 + int(rng.integers(1_000_000)),
+                    cpu_usage=float(rng.uniform(0.0, 4.0)),
+                    cpi=float(rng.uniform(0.2, 8.0)),
+                    taskname=f"job{k}/0") for k in range(n_tasks)])
+
+        # Past 2 x capacity appends: every ring has compacted at least once.
+        ingest(0, n_before)
+        expected = windows_fingerprint(agent._windows)
+        assert len(expected) == n_tasks
+        checkpoint = agent.take_checkpoint(n_before)
+        wire = json.dumps(checkpoint.to_dict())
+
+        t = n_before
+        for _ in range(2):
+            ingest(t, t + n_after)
+            t += n_after
+            agent.crash_and_restart(t)
+            assert windows_fingerprint(agent._windows) == expected
+
+        fresh = MachineAgent(machine, FAST, obs=Observability())
+        assert fresh.restore_from_dict(json.loads(wire), t) is True
+        assert windows_fingerprint(fresh._windows) == expected
+        assert json.dumps(checkpoint.to_dict()) == wire
 
 
 class TestCrashRestartDeterminism:
@@ -255,3 +340,89 @@ class TestCheckpointVersioning:
         assert agent.restore_from_dict(data, t + 1) is True
         assert obs.metrics.total("checkpoint_version_mismatch") == 0
         assert len(agent._followups) == 1
+
+
+_TOP_LEVEL_KEYS = ("version", "machine", "taken_at", "last_analysis",
+                   "anomalies_seen", "windows", "detector_flags", "followups")
+_SAMPLE_KEYS = ("jobname", "platforminfo", "timestamp", "cpu_usage", "cpi",
+                "taskname")
+_FOLLOWUP_KEYS = tuple(f.name for f in dataclasses.fields(FollowUpState))
+
+
+def _first_sample(data):
+    return next(iter(data["windows"].values()))[0]
+
+
+def _set(record, key, value):
+    record[key] = value
+
+
+_DAMAGE = (
+    [pytest.param(lambda d, k=k: d.pop(k), id=f"drop-{k}")
+     for k in _TOP_LEVEL_KEYS]
+    + [pytest.param(lambda d, k=k: _first_sample(d).pop(k),
+                    id=f"drop-sample-{k}") for k in _SAMPLE_KEYS]
+    + [pytest.param(lambda d, k=k: d["followups"][0].pop(k),
+                    id=f"drop-followup-{k}") for k in _FOLLOWUP_KEYS]
+    + [
+        pytest.param(lambda d: _set(d["followups"][0], "action", "evict"),
+                     id="unknown-action"),
+        pytest.param(lambda d: _set(d, "anomalies_seen", "3"),
+                     id="mistyped-anomalies_seen"),
+        pytest.param(lambda d: _set(_first_sample(d), "cpi", "high"),
+                     id="mistyped-sample-cpi"),
+        pytest.param(lambda d: _set(_first_sample(d), "taskname", "other/0"),
+                     id="foreign-sample"),
+        pytest.param(lambda d: _set(d["windows"], "victim/0", {}),
+                     id="window-not-a-list"),
+        pytest.param(lambda d: _set(d["detector_flags"], "victim/0", "60"),
+                     id="flags-not-a-list"),
+        pytest.param(lambda d: _set(d, "extra", 1), id="unknown-key"),
+    ]
+)
+
+
+class TestMalformedCheckpoint:
+    """A damaged checkpoint file is rejected, counted, and restores nothing,
+    instead of raising out of the agent's start-up."""
+
+    @pytest.fixture(scope="class")
+    def serialised(self):
+        machine, sampler, agent, obs = build_rig()
+        t = run_until_followup(machine, sampler, agent)
+        data = json.loads(json.dumps(agent.take_checkpoint(t).to_dict()))
+        assert data["windows"] and data["followups"]
+        assert data["detector_flags"]
+        return machine, t, data
+
+    @pytest.mark.parametrize("damage", _DAMAGE)
+    def test_rejected_counted_and_nothing_restored(self, serialised, damage):
+        machine, t, pristine = serialised
+        data = copy.deepcopy(pristine)
+        damage(data)
+        obs = Observability()
+        agent = MachineAgent(machine, FAST, obs=obs)
+        assert agent.restore_from_dict(data, t + 1) is False
+        counted = ("checkpoint_version_mismatch" if "version" not in data
+                   else "checkpoint_malformed")
+        assert obs.metrics.total(counted) == 1
+        assert (obs.metrics.total("checkpoint_version_mismatch")
+                + obs.metrics.total("checkpoint_malformed")) == 1
+        assert agent._windows == {}
+        assert agent._followups == []
+        assert agent.detector.export_flags() == {}
+        assert agent._last_analysis is None
+        assert agent.anomalies_seen == 0
+
+    def test_undamaged_copy_restores(self, serialised):
+        machine, t, pristine = serialised
+        agent = MachineAgent(machine, FAST, obs=Observability())
+        assert agent.restore_from_dict(copy.deepcopy(pristine), t + 1) is True
+        assert agent._windows and len(agent._followups) == 1
+
+    def test_from_dict_raises_format_error(self, serialised):
+        _, _, pristine = serialised
+        data = copy.deepcopy(pristine)
+        del data["followups"][0]["action"]
+        with pytest.raises(CheckpointFormatError, match="follow-up"):
+            AgentCheckpoint.from_dict(data)
