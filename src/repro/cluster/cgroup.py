@@ -81,7 +81,10 @@ class Cgroup:
         # slot of a second in ``(last - 900, last]`` holds that second's
         # usage, or 0.0 if it was never charged.
         self._ring = np.zeros(USAGE_HISTORY_SECONDS)
-        self._ring_last: Optional[int] = None
+        # The cgroup's own clock, and the task table its ring is a row of
+        # (rebind_ring): a table keeps one clock for all its rows.
+        self._last: Optional[int] = None
+        self._table = None
 
     # -- capping ------------------------------------------------------------
 
@@ -129,6 +132,23 @@ class Cgroup:
 
     # -- accounting ---------------------------------------------------------
 
+    @property
+    def _ring_last(self) -> Optional[int]:
+        """The latest charged second (None before the first charge).
+
+        Once the task table this ring is a row of has charged a tick, that
+        is the table's ``charged_to`` — one clock for every row, so a tick
+        advances all of them without touching any cgroup.  Otherwise it is
+        the cgroup's own clock: its last direct :meth:`charge`, or the
+        table clock it had when :meth:`rebind_ring` bound it.
+        """
+        table = self._table
+        if table is not None:
+            last = table.charged_to
+            if last is not None:
+                return last
+        return self._last
+
     def _advance(self, t: int) -> np.ndarray:
         """Open the ring for a charge at second ``t``; returns the ring.
 
@@ -158,7 +178,17 @@ class Cgroup:
         if not usage >= 0:
             raise ValueError(f"usage must be >= 0, got {usage}")
         self._advance(t)[t % USAGE_HISTORY_SECONDS] = usage
-        self._ring_last = t
+        table = self._table
+        if table is not None and table.charged_to is not None:
+            # This row's clock leaves the table's: every row keeps the
+            # table's clock as its own, and the table's next charge opens
+            # each ring again from there.
+            last = table.charged_to
+            for cg in table.cgroups:
+                if cg._table is table:
+                    cg._last = last
+            table.charged_to = None
+        self._last = t
 
     def usage_between(self, start: int, end: int) -> float:
         """Mean CPU-sec/sec over the half-open window ``[start, end)``.
@@ -193,8 +223,8 @@ class Cgroup:
                                                          mode="wrap")
         return out
 
-    def rebind_ring(self, row: np.ndarray) -> None:
-        """Re-back the usage ring with caller-owned storage.
+    def rebind_ring(self, row: np.ndarray, table) -> None:
+        """Re-back the usage ring with a row of ``table``'s usage matrix.
 
         A machine's task table keeps every resident cgroup's ring as one
         row of a shared ``(n_tasks, USAGE_HISTORY_SECONDS)`` matrix: a tick
@@ -202,13 +232,24 @@ class Cgroup:
         gathers a window's per-task usage as a single slice.  Existing
         history is copied into ``row`` and future charges write through
         it, so every reader sees the same state through either handle.
+        The current clock becomes the cgroup's own until ``table`` first
+        charges (see :attr:`_ring_last`).
         """
         if len(row) != USAGE_HISTORY_SECONDS:
             raise ValueError(
                 f"ring row must hold {USAGE_HISTORY_SECONDS} slots, "
                 f"got {len(row)}")
+        self._last = self._ring_last
         row[:] = self._ring
         self._ring = row
+        self._table = table
+
+    def unbind_ring(self) -> None:
+        """Leave the task table: the ring keeps its storage and its clock
+        becomes the cgroup's own, so a departed task's cgroup does not
+        keep its machine's old table alive."""
+        self._last = self._ring_last
+        self._table = None
 
     def last_usage(self) -> float:
         """Most recently recorded per-second usage (0.0 before any charge)."""

@@ -22,8 +22,13 @@ Phase 1's demand, cgroup clipping and base-CPI reads run as one compiled
 :class:`~repro.cluster.demandplane.DemandColumns` program over the arena
 when every resident workload and cgroup compiles; a fleet with any that
 does not runs every machine's per-task closures instead.  Tier allocation
-(the rest of phase 1) and charging/observations (phase 3) run per
-machine.
+(the rest of phase 1) runs per machine.  Phase 3 does no per-task Python
+unless a workload needs its own ``on_tick``: each machine's task table
+charges the tick's grants as one column of its usage matrix and advances
+one clock for all its rows, and when every workload's ``on_tick`` is
+plain accounting its ``granted_cpu_seconds`` is a row of the table's
+``granted`` column, advanced with one add.  Resource profiles are read
+once, when a table is built at placement.
 
 Every observable stays bit-identical to stepping the machines one at a time
 on a per-task scalar loop — the test oracle ``tests/reference/tick.py``,
@@ -119,7 +124,7 @@ class FusedFleet:
     """One cluster-wide arena for the vectorized tick of many machines."""
 
     __slots__ = (
-        "machines", "tables", "ptables", "counter_views", "offsets",
+        "machines", "tables", "counter_views", "offsets",
         "segments", "total",
         "seg_id", "grants", "cache_contrib", "membw_contrib", "tmp", "tmp2",
         "inflation", "cpi", "l3_buf", "l2_buf", "kilo", "noise",
@@ -221,13 +226,11 @@ class FusedFleet:
 
         self.any_noise = any(m.cpi_noise_sigma > 0.0
                              for _, m, _, _, _ in self.segments)
-        self._load_profiles()
 
-    def _load_profiles(self) -> None:
-        """Gather the tables' profile columns into the arena."""
-        # Concatenated in segment order (empty tables contribute
+        # The tables' profile columns (fixed when each table was built),
+        # concatenated in segment order (empty tables contribute
         # zero-length arrays, keeping offsets aligned).
-        ptables = self.ptables = tuple(tb.profile_table for tb in self.tables)
+        ptables = [tb.profile_table for tb in tables]
         self.cache_mib = np.concatenate(
             [pt.cache_mib_per_cpu for pt in ptables])
         self.membw_gbps = np.concatenate(
@@ -248,45 +251,37 @@ class FusedFleet:
                              float(pt.cold_start_penalty[i]), scale))
         self.cold = tuple(cold)
 
+        # Batch accounting: each workload's granted_cpu_seconds lives in
+        # its table's ``granted`` column while this fleet steps it (its
+        # own on_tick, run by a fleet without batch accounting, unbinds it).
+        fdc = self.demand_columns
+        if fdc is not None and fdc.batch_on_tick:
+            for _, _, tb, _, _ in self.segments:
+                granted = tb.granted
+                for i, w in enumerate(tb.workloads):
+                    w._bind_granted(granted, i)
+
     def matches(self, machine_order: Sequence[tuple[str, Machine]]) -> bool:
         """Whether this fleet is still valid for ``machine_order``.
 
-        Placement changes null out a machine's cached task table, dynamic
-        profile refreshes replace its profile table, and another fleet
-        taking the machine over re-points its counter rows, so three
-        identity checks per machine cover every invalidation.
+        Placement changes null out a machine's cached task table, and
+        another fleet taking the machine over re-points its counter rows,
+        so two identity checks per machine cover every invalidation.
         """
         machines = self.machines
         if len(machine_order) != len(machines):
             return False
         tables = self.tables
-        ptables = self.ptables
         views = self.counter_views
         for i, (_, m) in enumerate(machine_order):
             tb = tables[i]
             if (m is not machines[i] or m._table is not tb
-                    or tb.profile_table is not ptables[i]
                     or tb.counter_matrix is not views[i]):
                 return False
         return True
 
     def step(self, t: int) -> dict[str, TickResult]:
         """One fused cluster tick; per-machine results keyed by name."""
-        # Resource profiles are static in every shipped workload; the
-        # identity check keeps a dynamic profile correct while costing one
-        # method call and one `is` per task.
-        tables = self.tables
-        stale = False
-        for tb in tables:
-            profiles = tb.profiles
-            for fn, p in zip(tb.profile_fns, profiles):
-                if fn() is not p:
-                    tb.refresh_profiles([f() for f in tb.profile_fns])
-                    stale = True
-                    break
-        if stale:
-            self._load_profiles()
-
         # Phase 1: demand, clipping, allocation.  With the fleet's demand
         # program the columnar passes run once over the arena and only the
         # small tier-allocation loop stays per machine; without one each
@@ -392,10 +387,11 @@ class FusedFleet:
         np.multiply(l3, 1.1, mem)
         CounterBank.burn_matrix(self.counter_arena, ev)
 
-        # Phase 3 (Python, per machine): charging and observations.  The
-        # CPI column is overwritten next tick, so results read a copy taken
+        # Phase 3 (per machine): charging and observations.  The CPI
+        # column is overwritten next tick, so results read a copy taken
         # here.
         cpi_copy = cpi.copy()
+        tables = self.tables
         offsets = self.offsets
         batch = fdc is not None and fdc.batch_on_tick
         if batch:

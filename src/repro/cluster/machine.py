@@ -44,8 +44,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
-from repro.cluster.interference import (InterferenceModel, ProfileTable,
-                                        ResourceProfile)
+from repro.cluster.interference import InterferenceModel, ProfileTable
 from repro.cluster.platform import Platform
 from repro.cluster.task import SchedulingClass, Task, TaskState
 from repro.perf.counters import CounterBank
@@ -107,15 +106,20 @@ class _TaskTable:
 
     Besides the identity columns it holds everything per-tick work would
     otherwise look up per task: prebound workload methods, cgroup limits,
-    the columnized profiles, the shared counter matrix the tick burns into
-    (re-pointed into the arena of whichever fleet steps the machine), and
-    the shared usage matrix it charges with a single column write.
+    the resource profiles (read once, here: a profile change after
+    placement is seen only once a ``place`` or ``remove`` rebuilds the
+    table), the shared counter matrix the tick burns into (re-pointed into
+    the arena of whichever fleet steps the machine), the shared usage
+    matrix it charges with a single column write, the one clock
+    (``charged_to``) every row's ring reads once the table has charged,
+    and the ``granted`` column that holds the workloads'
+    ``granted_cpu_seconds`` while a batch-accounting fleet steps it.
     """
 
     __slots__ = ("tasks", "names", "cgroups", "cgroup_names", "workloads",
-                 "demand_fns", "on_tick_fns", "base_cpi_fns", "profile_fns",
-                 "cpu_limits", "tier_indices", "profiles", "profile_table",
-                 "counter_matrix", "usage_matrix",
+                 "demand_fns", "on_tick_fns", "base_cpi_fns",
+                 "cpu_limits", "tier_indices", "profile_table",
+                 "counter_matrix", "usage_matrix", "granted",
                  "charged_to")
 
     def __init__(self, tasks: Sequence[Task], counters: CounterBank):
@@ -128,7 +132,8 @@ class _TaskTable:
         self.demand_fns = tuple(w.cpu_demand for w in self.workloads)
         self.on_tick_fns = tuple(w.on_tick for w in self.workloads)
         self.base_cpi_fns = tuple(w.base_cpi for w in self.workloads)
-        self.profile_fns = tuple(w.resource_profile for w in self.workloads)
+        self.profile_table = ProfileTable.from_profiles(
+            [w.resource_profile() for w in self.workloads])
         self.cpu_limits = tuple(cg.cpu_limit for cg in self.cgroups)
         self.tier_indices: tuple[tuple[int, ...], ...] = tuple(
             tuple(i for i, t in enumerate(tasks)
@@ -141,36 +146,29 @@ class _TaskTable:
         # charge writes a tick as one column, and the sampler slices window
         # usage out of it.
         self.usage_matrix = np.zeros((len(tasks), USAGE_HISTORY_SECONDS))
-        for cg, row in zip(self.cgroups, self.usage_matrix):
-            cg.rebind_ring(row)
-        # The last second charged through this table (None before any).
+        # The last second charged through this table: None before any, and
+        # again after a direct Cgroup.charge on one of its rows.
         self.charged_to: Optional[int] = None
-        self.refresh_profiles([fn() for fn in self.profile_fns])
+        for cg, row in zip(self.cgroups, self.usage_matrix):
+            cg.rebind_ring(row, self)
+        self.granted = np.zeros(len(tasks))
 
     def charge(self, t: int, grants: list[float]) -> None:
         """Record one tick's grants as column ``t % 900`` of the usage matrix.
 
         A tick that does not follow this table's last charge (its first
-        tick, or one after skipped seconds) first opens every cgroup's ring
-        at ``t``: skipped seconds are zero-filled, and a replayed second
-        raises before anything is written.  The grants need no check here:
-        the tick's counter burn has already rejected negative and NaN ones.
+        tick, one after skipped seconds, or one after a direct charge of a
+        row) first opens every cgroup's ring at ``t``: skipped seconds are
+        zero-filled, and a replayed second raises before anything is
+        written.  Advancing ``charged_to`` then advances every row's clock.
+        The grants need no check here: the tick's counter burn has already
+        rejected negative and NaN ones.
         """
-        cgroups = self.cgroups
         if t - 1 != self.charged_to:
-            for cg in cgroups:
+            for cg in self.cgroups:
                 cg._advance(t)
         self.usage_matrix[:, t % USAGE_HISTORY_SECONDS] = grants
-        for cg in cgroups:
-            cg._ring_last = t
         self.charged_to = t
-
-    def refresh_profiles(self, profiles: Sequence[ResourceProfile]) -> None:
-        """(Re)columnize resource profiles (rare: profiles are static in
-        every shipped workload; the identity guard in
-        :meth:`FusedFleet.step` keeps dynamic ones correct anyway)."""
-        self.profiles: tuple[ResourceProfile, ...] = tuple(profiles)
-        self.profile_table = ProfileTable.from_profiles(self.profiles)
 
 
 class Machine:
@@ -205,7 +203,6 @@ class Machine:
         self._table: Optional[_TaskTable] = None
         #: The one-machine fleet :meth:`tick` steps (built on first use).
         self._fleet: Optional[FusedFleet] = None
-        self.total_cpu_seconds = 0.0
         self._duty_cycle: Optional[DutyCycleState] = None
         #: The scheduler whose reservation columns hold this machine's row;
         #: told of every resident change (see :meth:`place`/:meth:`remove`).
@@ -236,6 +233,7 @@ class Machine:
             raise KeyError(f"no task {task_name!r} on machine {self.name}") from None
         task.mark_stopped(state, reason)
         self.counters.drop(task.cgroup.name)
+        task.cgroup.unbind_ring()
         self._table = None
         if self._scheduler is not None:
             self._scheduler._resident_changed(self, task_name)
@@ -419,29 +417,15 @@ class Machine:
 
         Called by :meth:`FusedFleet.step` for each machine after the
         physics; mutates ``result.departures`` in place.  ``batch`` says
-        every workload uses ``SyntheticWorkload.on_tick`` verbatim, so its
-        accounting runs inline here; the fleet then advances the ``_now``
-        of the workloads that read it.
+        every workload uses ``SyntheticWorkload.on_tick`` verbatim: plain
+        accounting, never a departure.  The fleet bound each workload's
+        ``granted_cpu_seconds`` to the table's ``granted`` column when it
+        was built, so the accounting is one add here; the fleet then
+        advances the ``_now`` of the workloads that read it.
         """
-        total = self.total_cpu_seconds
-        if batch:
-            # Every workload uses SyntheticWorkload.on_tick verbatim: plain
-            # accounting, never a departure — fold it into the totals loop
-            # without the per-task method dispatch.
-            for w, grant in zip(table.workloads, grants):
-                total += grant
-                w.granted_cpu_seconds += grant
-        else:
-            for grant in grants:
-                total += grant
         table.charge(t, grants)
-        self.total_cpu_seconds = total
-
         if batch:
-            if True in capped:
-                for i, w in enumerate(table.workloads):
-                    if capped[i]:
-                        w.capped_seconds += 1
+            np.add(table.granted, grants, table.granted)
             return
         tasks = table.tasks
         for i, fn in enumerate(table.on_tick_fns):

@@ -83,7 +83,12 @@ class WorkloadModel(Protocol):
         ...
 
     def resource_profile(self) -> "ResourceProfile":
-        """Shared-resource pressure exerted and sensitivity experienced."""
+        """Shared-resource pressure exerted and sensitivity experienced.
+
+        Read once per placement, when the machine's task table is built: a
+        profile that changes afterwards is seen only once a ``place`` or
+        ``remove`` on that machine rebuilds the table.
+        """
         ...
 
     def thread_count(self, t: int) -> int:

@@ -279,7 +279,8 @@ class CpiSampler:
 
         One gather + slice-sum over the shared usage-ring matrix for every
         row whose cgroup was charged through ``end``, so the ring holds
-        exactly the window's seconds.  A row charged only up to an earlier
+        exactly the window's seconds: all of them when the table's clock
+        reads ``end``.  Otherwise a row charged only up to an earlier
         second (its machine skipped ticks) reads the same ring through
         :meth:`~repro.cluster.cgroup.Cgroup.usage_between` instead, which
         zero-fills the seconds after its last charge.  Computing usage for
@@ -302,7 +303,8 @@ class CpiSampler:
         for column in range(span):
             acc += window[:, column]
         acc /= span
-        for j, cg in enumerate(cgroups):
-            if cg._ring_last != end:
-                acc[j] = cg.usage_between(lo, hi)
+        if table.charged_to != end:
+            for j, cg in enumerate(cgroups):
+                if cg._ring_last != end:
+                    acc[j] = cg.usage_between(lo, hi)
         return acc

@@ -29,6 +29,11 @@ __all__ = ["SyntheticWorkload", "TransactionCounter"]
 class SyntheticWorkload:
     """A concrete workload assembled from pluggable pieces."""
 
+    #: While a fleet with batch accounting steps this workload, its
+    #: ``granted_cpu_seconds`` is row ``_granted_row`` of this column of
+    #: its task table (see :meth:`_bind_granted`); otherwise ``None``.
+    _granted_column: Optional[np.ndarray] = None
+
     def __init__(
         self,
         base_cpi: float,
@@ -53,8 +58,7 @@ class SyntheticWorkload:
         self._threads = threads
         self._cpi_modulation = cpi_modulation
         self._now = 0
-        self.capped_seconds = 0
-        self.granted_cpu_seconds = 0.0
+        self._granted = 0.0
 
     # -- WorkloadModel protocol -------------------------------------------------
 
@@ -73,7 +77,7 @@ class SyntheticWorkload:
         return self._base_cpi * max(1e-6, self._cpi_modulation(self._now))
 
     def resource_profile(self) -> ResourceProfile:
-        """The workload's shared-resource profile."""
+        """The workload's shared-resource profile (read once per placement)."""
         return self._profile
 
     def thread_count(self, t: int) -> int:
@@ -85,10 +89,41 @@ class SyntheticWorkload:
     def on_tick(self, t: int, granted_usage: float, capped: bool) -> Optional[str]:
         """Record execution; subclasses may return a departure outcome."""
         self._now = t
-        self.granted_cpu_seconds += granted_usage
-        if capped:
-            self.capped_seconds += 1
+        if self._granted_column is not None:
+            self._granted = self.granted_cpu_seconds
+            self._granted_column = None
+        self._granted += granted_usage
         return None
+
+    # -- accounting -------------------------------------------------------------
+
+    @property
+    def granted_cpu_seconds(self) -> float:
+        """CPU-seconds granted so far, summed tick by tick."""
+        column = self._granted_column
+        if column is None:
+            return self._granted
+        return column.item(self._granted_row)
+
+    @granted_cpu_seconds.setter
+    def granted_cpu_seconds(self, value: float) -> None:
+        column = self._granted_column
+        if column is None:
+            self._granted = value
+        else:
+            column[self._granted_row] = value
+
+    def _bind_granted(self, column: np.ndarray, row: int) -> None:
+        """Keep ``granted_cpu_seconds`` in ``column[row]`` from now on.
+
+        A fleet whose workloads all use this class's ``on_tick`` (plain
+        accounting) binds them to their task table's ``granted`` column and
+        adds a tick's grants to it in one pass; the workload's own
+        ``on_tick`` unbinds it again.
+        """
+        column[row] = self.granted_cpu_seconds
+        self._granted_column = column
+        self._granted_row = row
 
 
 class TransactionCounter:

@@ -105,7 +105,6 @@ def tick(machine: Machine, t: int) -> TickResult:
         _add(values, CounterEvent.MEMORY_REQUESTS, l3_misses * 1.1)
 
         task.cgroup.charge(t, grant)
-        machine.total_cpu_seconds += grant
 
     # Workload observations may trigger departures (lame-duck exits etc.).
     for task in tasks:

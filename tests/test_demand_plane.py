@@ -41,6 +41,7 @@ from repro.cluster.job import Job, JobSpec
 from repro.cluster.machine import Machine
 from repro.cluster.platform import get_platform
 from repro.cluster.shards import run_sharded
+from repro.cluster.simulation import ClusterSimulation, SimConfig
 from repro.cluster.task import PriorityBand, SchedulingClass, TaskState
 from repro.core.config import CpiConfig
 from repro.experiments.chaos import chaos_scenario
@@ -788,6 +789,72 @@ class TestTableCharging:
                 [(task.name, s) for task, s in rs.departures]
         assert mv.num_tasks == ms.num_tasks == 0
 
+    def test_direct_charge_between_ticks_keeps_the_table_clock(self):
+        """A direct ``Cgroup.charge`` on one row of a compiled table moves
+        only that row's clock; the next tick opens every ring again."""
+        m = Machine("m0", get_platform("westmere-2.6"), cpi_noise_sigma=0.0)
+        spec = JobSpec(
+            name="svc", num_tasks=3,
+            scheduling_class=SchedulingClass.LATENCY_SENSITIVE,
+            priority_band=PriorityBand.PRODUCTION,
+            cpu_limit_per_task=2.0,
+            workload_factory=lambda i: _workload(constant(0.5 + 0.25 * i)))
+        tasks = list(Job(spec))
+        for task in tasks:
+            m.place(task)
+        assert _program(m) is not None
+        for t in range(10):
+            m.tick(t)
+        table = m._task_table()
+        tasks[1].cgroup.charge(10, 0.125)
+        assert [task.cgroup._ring_last for task in tasks] == [9, 10, 9]
+        for i in (0, 2):
+            cg = tasks[i].cgroup
+            level = 0.5 + 0.25 * i
+            assert cg.usage_between(0, 10) == level
+            assert cg.usage_between(5, 15) == level / 2
+            assert cg.last_usage() == level
+        assert tasks[1].cgroup.usage_between(9, 11) == (0.75 + 0.125) / 2
+
+        # The directly charged second replays for its row: nothing moves.
+        matrix = table.usage_matrix.copy()
+        with pytest.raises(ValueError, match=r"svc/1.*second 10\b.*10"):
+            m.tick(10)
+        assert np.array_equal(table.usage_matrix, matrix)
+        assert [task.cgroup._ring_last for task in tasks] == [9, 10, 9]
+
+        m.tick(11)
+        assert m._task_table() is table
+        assert [task.cgroup._ring_last for task in tasks] == [11, 11, 11]
+        assert [task.cgroup.usage_window_view(9, 12).tolist()
+                for task in tasks] == [[0.5, 0.0, 0.5], [0.75, 0.125, 0.75],
+                                       [1.0, 0.0, 1.0]]
+        m.tick(12)
+        assert [task.cgroup._ring_last for task in tasks] == [12, 12, 12]
+        with pytest.raises(ValueError, match=r"svc/0.*second 12\b.*12"):
+            m.tick(12)
+        assert [task.cgroup.last_usage() for task in tasks] == \
+            [0.5, 0.75, 1.0]
+
+    def test_direct_charge_keeps_departed_row_clock(self):
+        """A departed task's cgroup leaves its table with the table's clock
+        as its own; a direct charge of a row still bound to that table
+        hands the table's clock only to the rows bound to it."""
+        m, (gone, kept) = self._machine("vector")
+        for t in range(10):
+            m.tick(t)
+        m.remove(gone.name, TaskState.KILLED, reason="test")
+        assert gone.cgroup._table is None and gone.cgroup._ring_last == 9
+        gone.cgroup.charge(11, 0.25)
+        kept.cgroup.charge(10, 0.5)
+        assert gone.cgroup._ring_last == 11
+        assert gone.cgroup.usage_window_view(9, 12).tolist() == \
+            [0.5, 0.0, 0.25]
+        assert kept.cgroup._ring_last == 10
+        m.tick(11)
+        assert kept.cgroup.usage_window_view(9, 12).tolist() == \
+            [0.75, 0.5, 0.75]
+
     def test_mapreduce_departures_with_compiled_demand(self):
         """MapReduceWorker demand (noise over constant) compiles, but its
         overridden on_tick disables the batched accounting: departures
@@ -816,6 +883,119 @@ class TestTableCharging:
         assert departures_v == departures_s
         assert len(departures_v) == 4          # every worker finished
         assert mv.num_tasks == ms.num_tasks == 0
+
+
+# ---------------------------------------------------------------------------
+# grant accounting: the table's granted column vs a running-sum oracle
+
+_ACCOUNTING_TICKS = 60
+
+#: One event before a tick: place a compiled task on machine ``m`` at a
+#: demand level, remove the i-th resident task, or set the i-th task's
+#: ``granted_cpu_seconds`` directly.
+_ACCOUNTING_OPS = st.lists(st.tuples(
+    st.integers(0, _ACCOUNTING_TICKS - 1),
+    st.one_of(
+        st.tuples(st.just("place"), st.integers(0, 1),
+                  st.sampled_from((0.0, 0.25, 1.5, 3.0))),
+        st.tuples(st.just("remove"), st.integers(0, 15)),
+        st.tuples(st.just("set"), st.integers(0, 15),
+                  st.floats(0.0, 1e6, allow_nan=False)),
+    )), max_size=12)
+
+
+class TestGrantAccounting:
+    """Every workload's ``granted_cpu_seconds`` is the running sum of its
+    grants, bit for bit, however often the fleet moves it between its
+    table's ``granted`` column and its own float."""
+
+    @staticmethod
+    def _job(name, demand):
+        return Job(JobSpec(
+            name=name, num_tasks=1, scheduling_class=SchedulingClass.BATCH,
+            priority_band=PriorityBand.NONPRODUCTION, cpu_limit_per_task=3.0,
+            workload_factory=lambda i: _workload(demand))).tasks[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_ACCOUNTING_OPS,
+           closure=st.tuples(st.integers(1, _ACCOUNTING_TICKS),
+                             st.integers(1, _ACCOUNTING_TICKS)),
+           seed=st.integers(0, 2**16))
+    def test_granted_matches_running_sum(self, ops, closure, seed):
+        platform = get_platform("westmere-2.6")
+        sim = ClusterSimulation(
+            [Machine("a", platform), Machine("b", platform)],
+            SimConfig(seed=seed))
+        machines = [sim.machines["a"], sim.machines["b"]]
+        rng = np.random.default_rng(seed)
+        tasks = [self._job(f"svc{i}", with_noise(constant(1.0), 0.3, rng))
+                 for i in range(3)]
+        for i, task in enumerate(tasks):
+            machines[i % 2].place(task)
+        # An opaque-demand task joins machine b and leaves again: while it
+        # is resident the whole fleet runs on closures and every
+        # workload's own on_tick.
+        join, leave = sorted(closure)
+        opaque = self._job("opaque", lambda t: 0.5)
+        sums = {task.name: 0.0 for task in tasks}
+        first = {task.name: 0 for task in tasks}
+        direct = set()
+        resident = list(tasks)
+        by_tick = {}
+        for at, op in ops:
+            by_tick.setdefault(at, []).append(op)
+        modes = set()
+        for t in range(_ACCOUNTING_TICKS):
+            if t == join:
+                machines[1].place(opaque)
+                resident.append(opaque)
+                sums[opaque.name] = opaque.workload.granted_cpu_seconds
+                first[opaque.name] = t
+            if t == leave and opaque in resident:
+                machines[1].remove(opaque.name, TaskState.KILLED)
+                resident.remove(opaque)
+            for op in by_tick.get(t, ()):
+                if op[0] == "place":
+                    task = self._job(f"new{len(sums)}", constant(op[2]))
+                    machines[op[1]].place(task)
+                    resident.append(task)
+                    tasks.append(task)
+                    sums[task.name] = 0.0
+                    first[task.name] = t
+                elif op[0] == "remove" and resident:
+                    task = resident.pop(op[1] % len(resident))
+                    sim.machines[task.machine_name].remove(
+                        task.name, TaskState.KILLED)
+                elif op[0] == "set":
+                    task = tasks[op[1] % len(tasks)]
+                    task.workload.granted_cpu_seconds = op[2]
+                    sums[task.name] = op[2]
+                    direct.add(task.name)
+            results = sim.step()
+            if resident:
+                program = sim._fleet.demand_columns
+                modes.add(program is not None and program.batch_on_tick)
+            for result in results.values():
+                for name, grant in result.grants.items():
+                    sums[name] += grant
+            for task in [*tasks, opaque]:
+                if task.name in sums:
+                    assert _hex(task.workload.granted_cpu_seconds) == \
+                        _hex(sums[task.name]), (t, task.name)
+        # Both accounting paths ran: tick 0 is batch unless an op ran
+        # first, and the opaque task's stay is not.
+        assert (False in modes) == (join < leave)
+        assert True in modes or 0 in by_tick
+        # Usage conservation: with no direct set, the total is the
+        # running sum of the usage ring over the task's whole run.
+        for task in tasks:
+            if task.name in direct:
+                continue
+            total = 0.0
+            for usage in task.cgroup.usage_window_view(
+                    first[task.name], _ACCOUNTING_TICKS).tolist():
+                total += usage
+            assert _hex(task.workload.granted_cpu_seconds) == _hex(total)
 
 
 # ---------------------------------------------------------------------------

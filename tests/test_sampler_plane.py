@@ -182,6 +182,15 @@ class TestUnitParity:
         assert scalar == vector
         assert len(vector["windows"]) == 2
 
+    def test_skipped_window_end_after_ring_wrap_parity(self):
+        # Past 900 s the skipped last second's ring slot still holds the
+        # usage of 900 s before, so a close that read every row from the
+        # matrix without checking the table's clock would report it.
+        scalar = _discard_run("reference", seconds=971, skip_ticks=(970,))
+        vector = _discard_run("columnar", seconds=971, skip_ticks=(970,))
+        assert scalar == vector
+        assert len(vector["windows"]) == 17
+
     def test_mid_window_arrival_and_departure_parity(self):
         def run(path):
             machine = make_quiet_machine()

@@ -15,7 +15,6 @@ broke one of them, these fail before the end-to-end streams drift.
 
 from __future__ import annotations
 
-import dataclasses
 from types import MethodType
 
 import numpy as np
@@ -30,7 +29,7 @@ from repro.cluster.job import Job, JobSpec
 from repro.cluster.machine import Machine
 from repro.cluster.platform import PLATFORM_CATALOG, get_platform
 from repro.cluster.simulation import ClusterSimulation, SimConfig
-from repro.cluster.task import PriorityBand, SchedulingClass
+from repro.cluster.task import PriorityBand, SchedulingClass, TaskState
 from repro.experiments.chaos import chaos_sweep
 from repro.experiments.scenarios import (build_cluster, populated_fleet,
                                          victim_antagonist_machine)
@@ -280,8 +279,10 @@ def _canon_result(result) -> tuple:
 
 
 def _machine_state(m: Machine) -> tuple:
-    """A machine's CPU total and every live counter, as hex."""
-    return (_hex(m.total_cpu_seconds),
+    """A machine's resident CPU totals and every live counter, as hex."""
+    granted = [(task.name, _hex(task.workload.granted_cpu_seconds))
+               for task in m.resident_tasks()]
+    return (granted,
             [(cg, [_hex(m.counters.counters_for(cg).read(e))
                    for e in EVENT_ORDER])
              for cg in m.counters.known_cgroups()])
@@ -435,70 +436,59 @@ def test_batched_on_tick_advances_modulation_clock(monkeypatch):
     assert fused_states == unfused_states == reference_states
 
 
-# -- dynamic resource profiles ------------------------------------------------
+# -- resource profiles are fixed at placement ---------------------------------
 
 
-class _Shifting(_Leaving):
-    """A workload whose profile is a new (equal) object on every call, and
-    whose values switch from a victim's to a hog's at ``shift_at``."""
-
-    def __init__(self, shift_at: int, **kwargs):
-        super().__init__(**kwargs)
-        self.shift_at = shift_at
-        self.last_tick = -1
-
-    def on_tick(self, t, granted_usage, capped):
-        self.last_tick = t
-        return super().on_tick(t, granted_usage, capped)
-
-    def resource_profile(self):
-        hog = self.last_tick + 1 >= self.shift_at
-        return dataclasses.replace(
-            NOISY_NEIGHBOR_PROFILE if hog else SENSITIVE_PROFILE)
+def _profile_machine(hog_profile: ResourceProfile) -> tuple[Machine, list]:
+    """A noiseless machine: a victim, a task with ``hog_profile`` and an
+    idle companion, all on constant demand."""
+    machine = Machine("a", get_platform("westmere-2.6"), cpi_noise_sigma=0.0)
+    profiles = (SENSITIVE_PROFILE, hog_profile, SENSITIVE_PROFILE)
+    job = Job(JobSpec(
+        name="job", num_tasks=3,
+        scheduling_class=SchedulingClass.LATENCY_SENSITIVE,
+        priority_band=PriorityBand.PRODUCTION, cpu_limit_per_task=4.0,
+        workload_factory=lambda i: SyntheticWorkload(
+            base_cpi=1.0, profile=profiles[i],
+            demand=constant((1.0, 3.0, 0.0)[i]))))
+    for task in job.tasks:
+        machine.place(task)
+    return machine, job.tasks
 
 
-def _dynamic_fleet() -> ClusterSimulation:
-    """Two machines; ``a`` hosts a victim beside a ``_Shifting`` task."""
-    platform = get_platform("westmere-2.6")
-    sim = ClusterSimulation([Machine("a", platform), Machine("b", platform)],
-                            SimConfig(seed=31))
-    never = 10 * _TICKS
-    workloads = {
-        "a": [_Leaving(never, base_cpi=1.0, profile=SENSITIVE_PROFILE,
-                       demand=constant(1.0)),
-              _Shifting(20, leave_at=never, base_cpi=1.0,
-                        profile=SENSITIVE_PROFILE, demand=constant(3.0))],
-        "b": [_Leaving(never, base_cpi=1.0, profile=_COLD_SERVICE,
-                       demand=constant(0.5))],
-    }
-    for name, ws in workloads.items():
-        job = Job(JobSpec(
-            name=f"job-{name}", num_tasks=len(ws),
-            scheduling_class=SchedulingClass.LATENCY_SENSITIVE,
-            priority_band=PriorityBand.PRODUCTION, cpu_limit_per_task=4.0,
-            workload_factory=lambda i, ws=ws: ws[i]))
-        for task in job.tasks:
-            sim.machines[name].place(task)
-    return sim
+@pytest.mark.parametrize("rebuild", ["place", "remove"])
+def test_profile_change_is_seen_only_after_placement(rebuild):
+    """The tick reads each profile once, when the task table is built: a
+    change after placement is invisible until a ``place`` or ``remove``
+    on that machine rebuilds the table."""
+    machine, tasks = _profile_machine(SENSITIVE_PROFILE)
+    before, _ = _profile_machine(SENSITIVE_PROFILE)
+    after, _ = _profile_machine(NOISY_NEIGHBOR_PROFILE)
 
+    def cpis(m, t):
+        got = m.tick(t).cpis
+        return [_hex(got[name]) for name in ("job/0", "job/1")]
 
-def test_dynamic_profiles_match_reference(monkeypatch):
-    """A profile that changes identity every tick, and values at t=20,
-    refreshes the arena in place: the cluster fleet, one-machine fleets and
-    the reference tick still agree bit for bit."""
-    fused, fused_states, fused_ticks = _run_ticks(_dynamic_fleet())
-    monkeypatch.setattr(FusedFleet, "build",
-                        classmethod(lambda cls, order: None))
-    unfused, unfused_states, _ = _run_ticks(_dynamic_fleet())
-    reference_tick.install(monkeypatch)
-    reference, reference_states, _ = _run_ticks(_dynamic_fleet())
-
-    # The shift shows: the victim beside the new hog runs twice as slow.
-    victim = [float.fromhex(dict(tick["a"][2])["job-a/0"]) for tick in fused]
-    assert min(victim[20:]) > 1.5 * max(victim[:20])
-    assert fused_ticks == _TICKS
-    assert fused == unfused == reference
-    assert fused_states == unfused_states == reference_states
+    for t in range(10):
+        assert cpis(machine, t) == cpis(before, t)
+    tasks[1].workload._profile = NOISY_NEIGHBOR_PROFILE
+    for t in range(10, 20):
+        assert cpis(machine, t) == cpis(before, t)
+    if rebuild == "place":
+        machine.place(Job(JobSpec(
+            name="idle", num_tasks=1,
+            scheduling_class=SchedulingClass.BEST_EFFORT,
+            priority_band=PriorityBand.PRODUCTION, cpu_limit_per_task=1.0,
+            workload_factory=lambda i: SyntheticWorkload(
+                base_cpi=1.0, profile=SENSITIVE_PROFILE,
+                demand=constant(0.0)))).tasks[0])
+    else:
+        machine.remove("job/2", TaskState.KILLED)
+    for t in range(20, 30):
+        assert cpis(machine, t) == cpis(after, t)
+    # The change shows: the victim beside the new hog runs far slower.
+    victim = float.fromhex(cpis(machine, 30)[0])
+    assert victim > 1.5 * float.fromhex(cpis(before, 30)[0])
 
 
 # -- counter-row ownership: one machine, two fleets ---------------------------

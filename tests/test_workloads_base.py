@@ -37,7 +37,6 @@ class TestSyntheticWorkload:
         assert workload.on_tick(0, 0.5, False) is None
         workload.on_tick(1, 0.5, True)
         assert workload.granted_cpu_seconds == pytest.approx(1.0)
-        assert workload.capped_seconds == 1
 
     def test_invalid_base_cpi(self):
         with pytest.raises(ValueError, match="base_cpi"):
