@@ -21,14 +21,26 @@ numpy calls however many machines there are:
 Phase 1's demand, cgroup clipping and base-CPI reads run as one compiled
 :class:`~repro.cluster.demandplane.DemandColumns` program over the arena
 when every resident workload and cgroup compiles; a fleet with any that
-does not runs every machine's per-task closures instead.  Tier allocation
-(the rest of phase 1) runs per machine.  Phase 3 does no per-task Python
-unless a workload needs its own ``on_tick``: each machine's task table
-charges the tick's grants as one column of its usage matrix and advances
-one clock for all its rows, and when every workload's ``on_tick`` is
-plain accounting its ``granted_cpu_seconds`` is a row of the table's
-``granted`` column, advanced with one add.  Resource profiles are read
-once, when a table is built at placement.
+does not runs every machine's per-task closures instead.  The fleet's size
+selects how the rest of the tick runs:
+
+* a fleet of more than one machine allocates, duty cycles, charges and
+  accounts grants over the whole arena with no call per machine
+  (:meth:`FusedFleet._allocate`): one ``bincount`` sums each
+  (machine, tier) bin's want, a fixed number of elementwise operations
+  over the (machine, tier) matrix allocate every tier of every machine,
+  and each task table charges the tick's grants as one column of its
+  usage matrix and advances one clock for all its rows;
+* a one-machine fleet (:meth:`Machine.tick`: trials and ablations) runs
+  the machine's own Python loops, :meth:`Machine._tick_alloc` and
+  :meth:`Machine._tick_finish`, which cost less than the arena pass's
+  fixed numpy calls at that size.
+
+Either way, when every workload's ``on_tick`` is plain accounting its
+``granted_cpu_seconds`` is a row of the fleet's ``granted`` column,
+advanced with one add; otherwise each machine runs its workloads'
+``on_tick``.  Resource profiles are read once, when a table is built at
+placement.
 
 Every observable stays bit-identical to stepping the machines one at a time
 on a per-task scalar loop — the test oracle ``tests/reference/tick.py``,
@@ -38,9 +50,14 @@ which transcribes the same formulas independently of this module
 * demand and base-CPI closures — the only tick-phase code that consumes
   randomness — run in the same global order: machines in the simulation's
   name-sorted order, tasks in table order within each machine;
-* per-machine pressure sums match the per-machine running sum: ``bincount``
-  adds each bin's weights in index order starting from 0.0 (numpy's
-  pairwise ``.sum()`` and ``reduceat`` would round differently);
+* per-machine pressure sums and per-tier wants match the per-machine
+  running sum: ``bincount`` adds each bin's weights in index order
+  starting from 0.0 (numpy's pairwise ``.sum()`` and ``reduceat`` would
+  round differently);
+* tier allocation compares, subtracts, divides and multiplies the same
+  operands in the same order as the per-machine loop, and gives 0.0 to a
+  task of a skipped tier by selection, never as ``allowed * 0.0`` (an
+  infinite allowance times zero is NaN);
 * measurement noise is drawn per machine from that machine's own generator
   into its segment of the cluster noise buffer: one bulk
   ``standard_normal`` per machine-tick, consumed in table order, the same
@@ -76,9 +93,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
 from repro.cluster.demandplane import DemandColumns
 from repro.cluster.interference import _SATURATE_KNEE
-from repro.cluster.machine import Machine, TickResult
+from repro.cluster.machine import _TIER_ORDER, Machine, TickResult
 from repro.perf.counters import CounterBank
 
 __all__ = ["FusedFleet", "fused_eligible"]
@@ -100,8 +118,9 @@ class _FusedTickResult(TickResult):
 
     ``grants`` and ``cpis`` are built the first time they are read, then
     cached (and stay assignable); most ticks nobody reads them.  ``source``
-    is ``(cpi, arena offset, task names, grant list)``, where ``cpi`` is
-    the tick's own copy of the arena's CPI column.
+    is ``(cpi, grants, arena offset, task names)``, where ``cpi`` is the
+    tick's own copy of the arena's CPI column and ``grants`` its copy of
+    the grant column, or a one-machine fleet's grant list.
     """
 
     def __init__(self, t: int, source: tuple) -> None:
@@ -111,12 +130,15 @@ class _FusedTickResult(TickResult):
 
     @cached_property
     def grants(self) -> dict[str, float]:
-        _, _, names, grants = self._source
+        _, grants, o, names = self._source
+        grants = grants[o:o + len(names)]
+        if type(grants) is not list:
+            grants = grants.tolist()
         return dict(zip(names, grants))
 
     @cached_property
     def cpis(self) -> dict[str, float]:
-        cpi, o, names, _ = self._source
+        cpi, _, o, names = self._source
         return dict(zip(names, cpi[o:o + len(names)].tolist()))
 
 
@@ -124,9 +146,12 @@ class FusedFleet:
     """One cluster-wide arena for the vectorized tick of many machines."""
 
     __slots__ = (
-        "machines", "tables", "counter_views", "offsets",
-        "segments", "total",
-        "seg_id", "grants", "cache_contrib", "membw_contrib", "tmp", "tmp2",
+        "machines", "tables", "counter_views",
+        "segments", "total", "result_rows", "one",
+        "seg_id", "bins", "capacity", "allowed", "granted", "left", "fits",
+        "live", "ends", "bin_scale", "bin_dead", "row_scale", "row_dead",
+        "duty_epoch", "duty_segments",
+        "grants", "cache_contrib", "membw_contrib", "tmp", "tmp2",
         "inflation", "cpi", "l3_buf", "l2_buf", "kilo", "noise",
         "cache_pressure", "membw_pressure", "events", "event_columns",
         "counter_arena", "llc_mib", "membw_cap", "cpi_scale",
@@ -157,7 +182,6 @@ class FusedFleet:
         for tb in tables:
             offsets.append(total)
             total += len(tb.tasks)
-        self.offsets = tuple(offsets)
         self.total = total
         self.segments = tuple(
             (j, m, tb, offsets[j], len(tb.tasks))
@@ -165,8 +189,40 @@ class FusedFleet:
             if tb.tasks)
         # The machine index of every arena slot: the bins of the
         # per-machine pressure bincount.
-        self.seg_id = np.repeat(np.arange(len(machines), dtype=np.intp),
+        n_machines = len(machines)
+        self.seg_id = np.repeat(np.arange(n_machines, dtype=np.intp),
                                 [len(tb.tasks) for tb in tables])
+        # What each machine's TickResult needs: (name, machine, table,
+        # arena offset), the table None for a machine with no resident task.
+        self.result_rows = tuple(
+            (m.name, m, tb if tb.tasks else None, o)
+            for m, tb, o in zip(machines, tables, offsets))
+
+        # A one-machine fleet with resident tasks runs its machine's own
+        # allocation and finish loops: (machine, table), else None.
+        self.one = ((machines[0], tables[0])
+                    if n_machines == 1 and tables[0].tasks else None)
+        # Tier allocation over the arena, built for every other fleet: each
+        # slot's (machine, tier) bin, each machine's core capacity, and
+        # per-machine / per-bin / per-slot scratch.  The duty-cycle list is
+        # rebuilt whenever Machine._duty_mutations moves.
+        if self.one is None:
+            tier = np.empty(total, dtype=np.intp)
+            for _, _, tb, o, _ in self.segments:
+                for k, indices in enumerate(tb.tier_indices):
+                    tier[[o + i for i in indices]] = k
+            self.bins = self.seg_id * len(_TIER_ORDER) + tier
+            self.capacity = np.array([m.cpu_capacity for m in machines])
+            shape = (n_machines, len(_TIER_ORDER))
+            self.left, self.bin_scale = np.empty((2, *shape))
+            self.fits, self.live, self.bin_dead = np.empty(
+                (3, *shape), dtype=bool)
+            self.ends = np.empty((n_machines, len(_TIER_ORDER) - 1),
+                                 dtype=bool)
+            self.row_scale = np.empty(total)
+            self.row_dead = np.empty(total, dtype=bool)
+            self.duty_epoch = -1        # forces a listing on first use
+            self.duty_segments = ()
 
         # One demand program over the whole arena: demand/cap/base-CPI
         # columns span every resident task, so phase 1 is a single columnar
@@ -187,8 +243,8 @@ class FusedFleet:
         # Scratch buffers, allocated once per fleet build.
         (self.grants, self.cache_contrib, self.membw_contrib, self.tmp,
          self.tmp2, self.inflation, self.cpi, self.l3_buf, self.l2_buf,
-         self.kilo, self.noise, self.cache_pressure,
-         self.membw_pressure) = np.empty((13, total), dtype=np.float64)
+         self.kilo, self.noise, self.cache_pressure, self.membw_pressure,
+         self.allowed) = np.empty((14, total), dtype=np.float64)
         self.events = np.empty((total, 5), dtype=np.float64)
         self.event_columns = tuple(self.events[:, i] for i in range(5))
 
@@ -247,19 +303,19 @@ class FusedFleet:
             pt = tb.profile_table
             scale = m.interference.cold_start_scale
             for i in pt.cold_indices:
-                cold.append((o + i, j, i,
-                             float(pt.cold_start_penalty[i]), scale))
+                cold.append((o + i, float(pt.cold_start_penalty[i]), scale))
         self.cold = tuple(cold)
 
         # Batch accounting: each workload's granted_cpu_seconds lives in
-        # its table's ``granted`` column while this fleet steps it (its
-        # own on_tick, run by a fleet without batch accounting, unbinds it).
+        # its row of the fleet's ``granted`` column while this fleet steps
+        # it (its own on_tick, run by a fleet without batch accounting, or
+        # Machine.remove unbinds it).
+        self.granted = np.zeros(total)
         fdc = self.demand_columns
         if fdc is not None and fdc.batch_on_tick:
-            for _, _, tb, _, _ in self.segments:
-                granted = tb.granted
+            for _, _, tb, o, _ in self.segments:
                 for i, w in enumerate(tb.workloads):
-                    w._bind_granted(granted, i)
+                    w._bind_granted(self.granted, o + i)
 
     def matches(self, machine_order: Sequence[tuple[str, Machine]]) -> bool:
         """Whether this fleet is still valid for ``machine_order``.
@@ -283,36 +339,41 @@ class FusedFleet:
     def step(self, t: int) -> dict[str, TickResult]:
         """One fused cluster tick; per-machine results keyed by name."""
         # Phase 1: demand, clipping, allocation.  With the fleet's demand
-        # program the columnar passes run once over the arena and only the
-        # small tier-allocation loop stays per machine; without one each
-        # machine's _tick_inputs runs its closures.
+        # program the columnar passes run once over the arena; without one
+        # each machine's _tick_inputs runs its closures.  A one-machine
+        # fleet then allocates on its machine's loop, any other fleet over
+        # the arena.
         g = self.grants
         cpi = self.cpi
         segments = self.segments
-        inputs: list[Optional[tuple[list[float], list[bool]]]] = \
-            [None] * len(self.machines)
+        one = self.one
         fdc = self.demand_columns
         if fdc is not None:
-            allowed_all, capped_all = fdc.allowed_and_capped(t)
-            allowed_list = allowed_all.tolist()
+            allowed, capped = fdc.allowed_and_capped(t)
             base_all = fdc.base_cpi()
             if fdc.check_base_cpi and not min(base_all) > 0:
                 bad = min(base_all)
                 raise ValueError(f"base_cpi must be positive, got {bad}")
             cpi[:] = base_all
-            for j, m, tb, o, n in segments:
-                end = o + n
-                capped = capped_all[o:end]
-                grants = m._tick_alloc(t, tb, allowed_list[o:end], capped)
-                g[o:end] = grants
-                inputs[j] = (grants, capped)
+            if one is not None:
+                allowed = allowed.tolist()
+        elif one is not None:
+            allowed, capped, base = one[0]._tick_inputs(t, one[1])
+            cpi[:] = base
         else:
+            allowed = self.allowed
+            capped = []
             for j, m, tb, o, n in segments:
-                grants, capped, base = m._tick_inputs(t, tb)
+                a, c, base = m._tick_inputs(t, tb)
                 end = o + n
-                g[o:end] = grants
+                allowed[o:end] = a
                 cpi[o:end] = base
-                inputs[j] = (grants, capped)
+                capped += c
+        if one is None:
+            self._allocate(t, allowed)
+        else:
+            grant_list = one[0]._tick_alloc(t, one[1], allowed, capped)
+            g[:] = grant_list
 
         # Phase 2 (numpy, cluster-wide): contention, inflation, CPI,
         # miss rates, noise, counters — the formulas stated in
@@ -355,8 +416,8 @@ class FusedFleet:
         np.multiply(cpi, self.cpi_scale, cpi)
         np.add(infl, 1.0, tmp)
         np.multiply(cpi, tmp, cpi)
-        for gi, j, li, penalty, scale in self.cold:
-            cold = 1.0 + penalty * math.exp(-inputs[j][0][li] / scale)
+        for gi, penalty, scale in self.cold:
+            cold = 1.0 + penalty * math.exp(-g.item(gi) / scale)
             cpi[gi] = cpi[gi] * cold
         np.multiply(infl, self.coupling, tmp)
         np.add(tmp, 1.0, tmp)
@@ -387,28 +448,109 @@ class FusedFleet:
         np.multiply(l3, 1.1, mem)
         CounterBank.burn_matrix(self.counter_arena, ev)
 
-        # Phase 3 (per machine): charging and observations.  The CPI
-        # column is overwritten next tick, so results read a copy taken
-        # here.
+        # Phase 3: charging, accounting and observations.  The CPI column
+        # (and the arena's grant column) is overwritten next tick, so
+        # results read copies taken here.  An arena fleet charges every
+        # table first (the steps of _TaskTable.charge), then runs any
+        # on_tick: on_tick only touches its own machine, so the order is
+        # unobservable.
         cpi_copy = cpi.copy()
-        tables = self.tables
-        offsets = self.offsets
         batch = fdc is not None and fdc.batch_on_tick
         if batch:
             # The inline on_tick accounting skips ``_now``: advance it for
             # the workloads whose base_cpi may read it (the rest never do).
             for w in fdc.now_workloads:
                 w._now = t
+        if one is None:
+            grants = g.copy()
+            slot = t % USAGE_HISTORY_SECONDS
+            for _, _, tb, o, n in segments:
+                if t - 1 != tb.charged_to:
+                    for cg in tb.cgroups:
+                        cg._advance(t)
+                tb.usage_matrix[:, slot] = g[o:o + n]
+                tb.charged_to = t
+            if not batch:
+                grant_list = grants.tolist()
+        else:
+            grants = grant_list
         results: dict[str, TickResult] = {}
-        for j, m in enumerate(self.machines):
-            inp = inputs[j]
-            if inp is None:
-                results[m.name] = TickResult(t=t, departures=[])
+        for name, m, tb, o in self.result_rows:
+            if tb is None:
+                results[name] = TickResult(t=t, departures=[])
                 continue
-            tb = tables[j]
-            grants, capped = inp
-            result = _FusedTickResult(
-                t, (cpi_copy, offsets[j], tb.names, grants))
-            m._tick_finish(t, tb, result, grants, capped, batch)
-            results[m.name] = result
+            result = _FusedTickResult(t, (cpi_copy, grants, o, tb.names))
+            results[name] = result
+            if one is not None:
+                m._tick_finish(t, tb, result, grant_list, capped, batch)
+            elif not batch:
+                end = o + len(tb.names)
+                m._observe(t, tb, result, grant_list[o:end], capped[o:end])
+        if batch:
+            np.add(self.granted, g, self.granted)
         return results
+
+    def _allocate(self, t: int, allowed: np.ndarray) -> None:
+        """Tick phase 3 over the arena: tier allocation, then duty cycling,
+        into :attr:`grants`; no call per machine.
+
+        The arithmetic of :meth:`Machine._tick_alloc`, on every machine at
+        once, as ``(machine, tier)`` matrices.  One ``bincount`` over the
+        slots' bins gives each tier's want, summed from 0.0 in table order.
+        ``left`` is the capacity before each tier when every earlier tier
+        fitted: the loop's ``remaining -= want`` (subtracting a skipped
+        tier's 0.0 changes nothing).  A tier fits when ``want <= left``;
+        when every tier of every machine does, the grants are the
+        allowances.  Otherwise a tier that wants something and does not
+        fit, or leaves nothing, ends its machine's loop; a tier the loop
+        reaches with a non-zero want grants its allowances times 1.0, or
+        times ``left / want`` when it does not fit, and every other slot
+        gets 0.0 by selection.
+        """
+        g = self.grants
+        want = np.bincount(self.bins, weights=allowed,
+                           minlength=self.left.size).reshape(self.left.shape)
+        left, fits = self.left, self.fits
+        np.copyto(left[:, 0], self.capacity)
+        for k in range(len(_TIER_ORDER) - 1):
+            np.subtract(left[:, k], want[:, k], left[:, k + 1])
+        np.less_equal(want, left, fits)
+        if fits.all():
+            np.copyto(g, allowed)
+        else:
+            live, ends = self.live, self.ends
+            np.greater(want, 0.0, live)
+            np.less_equal(left[:, 1:], 0.0, ends)
+            np.logical_or(ends, ~fits[:, :-1], ends)
+            np.logical_and(ends, live[:, :-1], ends)
+            np.logical_or.accumulate(ends, axis=1, out=ends)
+            np.logical_and(live[:, 1:], ~ends, live[:, 1:])
+            scale = self.bin_scale
+            scale.fill(1.0)
+            np.divide(left, want, out=scale, where=live & ~fits)
+            np.logical_not(live, self.bin_dead)
+            bins = self.bins
+            scale.take(bins, out=self.row_scale, mode="clip")
+            self.bin_dead.take(bins, out=self.row_dead, mode="clip")
+            np.multiply(allowed, self.row_scale, g)
+            np.copyto(g, 0.0, where=self.row_dead)
+
+        if Machine._duty_mutations != self.duty_epoch:
+            self.duty_epoch = Machine._duty_mutations
+            self.duty_segments = tuple(
+                (m, tb, o, n) for _, m, tb, o, n in self.segments
+                if m._duty_cycle is not None)
+        for m, tb, o, n in self.duty_segments:
+            duty = m.duty_cycle_at(t)
+            if duty is None:
+                continue
+            factor = max(0.0, 1.0 - duty.core_share * (1.0 - duty.level))
+            seg = g[o:o + n]
+            try:
+                i = tb.names.index(duty.target_task)
+            except ValueError:
+                seg *= factor
+            else:
+                target = seg.item(i)
+                seg *= factor
+                seg[i] = target * duty.level

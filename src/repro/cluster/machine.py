@@ -17,16 +17,19 @@ Each simulated second the machine:
    lame-duck mode or give up when capped).
 
 This module holds the per-machine half of the tick: the stable task-index
-table (rebuilt only when placement changes), phases 1-3 (demand, clipping,
-tier allocation, duty cycling) and phases 5b-6 (charging and
-observations).  Phases 4-5 — the contention, CPI, noise and counter
-physics — have one implementation, :class:`~repro.cluster.fused.FusedFleet`:
-:meth:`Machine.tick` steps a one-machine fleet, the simulation one fleet
-over all its machines.  Demand, cgroup clipping and base-CPI reads run
-columnar when the fleet's workloads compile into one
-:class:`~repro.cluster.demandplane.DemandColumns` program over its arena;
-a fleet the compiler cannot express runs this module's per-task closure
-loop on every machine.
+table (rebuilt only when placement changes), the per-task closure loop of
+phases 1-2 (demand and cgroup clipping, for a fleet whose workloads do not
+compile), and the one-machine fleet's tier allocation, duty cycling,
+charging and observations.  Phases 4-5 — the contention, CPI, noise and
+counter physics — have one implementation,
+:class:`~repro.cluster.fused.FusedFleet`: :meth:`Machine.tick` steps a
+one-machine fleet, the simulation one fleet over all its machines.  Demand,
+cgroup clipping and base-CPI reads run columnar when the fleet's workloads
+compile into one :class:`~repro.cluster.demandplane.DemandColumns` program
+over its arena.  A fleet of more than one machine also allocates, duty
+cycles, charges and accounts grants over its whole arena
+(:meth:`FusedFleet._allocate`); only a one-machine fleet calls
+:meth:`Machine._tick_alloc` and :meth:`Machine._tick_finish`.
 
 The test oracle ``tests/reference/tick.py`` is the original per-task
 scalar loop, with its own transcription of the physics formulas;
@@ -110,17 +113,14 @@ class _TaskTable:
     placement is seen only once a ``place`` or ``remove`` rebuilds the
     table), the shared counter matrix the tick burns into (re-pointed into
     the arena of whichever fleet steps the machine), the shared usage
-    matrix it charges with a single column write, the one clock
-    (``charged_to``) every row's ring reads once the table has charged,
-    and the ``granted`` column that holds the workloads'
-    ``granted_cpu_seconds`` while a batch-accounting fleet steps it.
+    matrix it charges with a single column write, and the one clock
+    (``charged_to``) every row's ring reads once the table has charged.
     """
 
     __slots__ = ("tasks", "names", "cgroups", "cgroup_names", "workloads",
                  "demand_fns", "on_tick_fns", "base_cpi_fns",
                  "cpu_limits", "tier_indices", "profile_table",
-                 "counter_matrix", "usage_matrix", "granted",
-                 "charged_to")
+                 "counter_matrix", "usage_matrix", "charged_to")
 
     def __init__(self, tasks: Sequence[Task], counters: CounterBank):
         self.tasks: tuple[Task, ...] = tuple(tasks)
@@ -151,7 +151,6 @@ class _TaskTable:
         self.charged_to: Optional[int] = None
         for cg, row in zip(self.cgroups, self.usage_matrix):
             cg.rebind_ring(row, self)
-        self.granted = np.zeros(len(tasks))
 
     def charge(self, t: int, grants: list[float]) -> None:
         """Record one tick's grants as column ``t % 900`` of the usage matrix.
@@ -173,6 +172,14 @@ class _TaskTable:
 
 class Machine:
     """One machine in the cluster."""
+
+    #: Class-wide duty-cycle epoch.  Every :meth:`apply_duty_cycle` /
+    #: :meth:`clear_duty_cycle` anywhere bumps it, so a fleet re-lists the
+    #: machines that carry a modulation only when it moves (as
+    #: :attr:`Cgroup._cap_mutations` does for caps).  The lazy expiry drop
+    #: in :meth:`duty_cycle_at` does not bump it: an expired modulation and
+    #: none are indistinguishable through ``t < expires_at``.
+    _duty_mutations = 0
 
     def __init__(
         self,
@@ -234,6 +241,8 @@ class Machine:
         task.mark_stopped(state, reason)
         self.counters.drop(task.cgroup.name)
         task.cgroup.unbind_ring()
+        if getattr(task.workload, "_granted_column", None) is not None:
+            task.workload._unbind_granted()
         self._table = None
         if self._scheduler is not None:
             self._scheduler._resident_changed(self, task_name)
@@ -313,11 +322,13 @@ class Machine:
                                core_share=core_share,
                                expires_at=now + duration)
         self._duty_cycle = state
+        Machine._duty_mutations += 1
         return state
 
     def clear_duty_cycle(self) -> None:
         """Remove any active duty-cycle modulation."""
         self._duty_cycle = None
+        Machine._duty_mutations += 1
 
     def duty_cycle_at(self, t: int) -> Optional[DutyCycleState]:
         """The modulation in force at ``t``, dropped lazily once expired."""
@@ -329,15 +340,15 @@ class Machine:
 
     def _tick_inputs(self, t: int, table: _TaskTable
                      ) -> tuple[list[float], list[bool], list[float]]:
-        """Tick phases 1-3 on the per-task closures: demand, cgroup
-        clipping, tier allocation, duty cycling, plus the base-CPI reads.
+        """Tick phases 1-2 on the per-task closures: demand and cgroup
+        clipping, plus the base-CPI reads.
 
         Called by :meth:`FusedFleet.step` for each machine when the fleet
         has no compiled demand program (some workload or cgroup in it is
-        beyond :meth:`DemandColumns.compile`).
+        beyond :meth:`DemandColumns.compile`); the fleet allocates.
 
         Returns:
-            ``(grants, capped, base_cpi)`` as plain Python lists in table
+            ``(allowed, capped, base_cpi)`` as plain Python lists in table
             order.  ``capped`` remembers the hard-cap state for phase 6 (it
             cannot change within the tick, so the scalar reference's second
             ``is_capped`` lookup is redundant).
@@ -362,22 +373,25 @@ class Machine:
                     a = cap.quota
             allowed[i] = a
 
-        grants = self._tick_alloc(t, table, allowed, capped)
         base_cpi = [fn() for fn in table.base_cpi_fns]
         if not min(base_cpi) > 0:
             bad = min(base_cpi)
             raise ValueError(f"base_cpi must be positive, got {bad}")
-        return grants, capped, base_cpi
+        return allowed, capped, base_cpi
 
     def _tick_alloc(self, t: int, table: _TaskTable, allowed: list[float],
                     capped: list[bool]) -> list[float]:
-        """Tick phase 3: tier allocation (pro-rata within a saturated tier)
-        and duty cycling — plain Python on purpose.
+        """Tick phase 3 of a one-machine fleet: tier allocation (pro-rata
+        within a saturated tier) and duty cycling, in plain Python.
 
-        Tier membership is a handful of index tuples and the sums must stay
-        sequential left-to-right for bit-parity with the scalar reference,
-        so numpy would buy nothing here; the compiled demand program and
-        the closures share this exact loop.
+        A fleet of more than one machine runs the same arithmetic as one
+        pass over its arena (:meth:`FusedFleet._allocate`).  A one-machine
+        fleet — :meth:`tick`, so every trial and ablation — keeps this
+        loop, selected by fleet size: for one 9-task machine it takes
+        about 1.3 µs against 10 µs for the arena pass's fixed numpy calls
+        (22 µs with a tier oversubscribed; one core of a 2-core Xeon VM).
+        The sums run left to right in table order, which is what the
+        arena's ``bincount`` reproduces.
         """
         n = len(allowed)
         grants = [0.0] * n
@@ -412,21 +426,23 @@ class Machine:
     def _tick_finish(self, t: int, table: _TaskTable, result: TickResult,
                      grants: list[float], capped: list[bool],
                      batch: bool) -> None:
-        """Tick phases 5b-6: cgroup charging and workload tick observations
-        (which may trigger departures).
+        """Tick phases 5b-6 of a one-machine fleet: cgroup charging, then
+        workload tick observations (which may trigger departures).
 
-        Called by :meth:`FusedFleet.step` for each machine after the
-        physics; mutates ``result.departures`` in place.  ``batch`` says
-        every workload uses ``SyntheticWorkload.on_tick`` verbatim: plain
-        accounting, never a departure.  The fleet bound each workload's
-        ``granted_cpu_seconds`` to the table's ``granted`` column when it
-        was built, so the accounting is one add here; the fleet then
-        advances the ``_now`` of the workloads that read it.
+        Called by :meth:`FusedFleet.step` after the physics; mutates
+        ``result.departures`` in place.  ``batch`` says every workload uses
+        ``SyntheticWorkload.on_tick`` verbatim — plain accounting, never a
+        departure — which the fleet does itself as one add into its
+        ``granted`` column, so there is nothing to observe here.
         """
         table.charge(t, grants)
-        if batch:
-            np.add(table.granted, grants, table.granted)
-            return
+        if not batch:
+            self._observe(t, table, result, grants, capped)
+
+    def _observe(self, t: int, table: _TaskTable, result: TickResult,
+                 grants: list[float], capped: list[bool]) -> None:
+        """Tick phase 6: every workload's ``on_tick``, in table order, and
+        the departures it asks for (appended to ``result.departures``)."""
         tasks = table.tasks
         for i, fn in enumerate(table.on_tick_fns):
             outcome = fn(t, grants[i], capped[i])

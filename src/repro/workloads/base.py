@@ -30,8 +30,8 @@ class SyntheticWorkload:
     """A concrete workload assembled from pluggable pieces."""
 
     #: While a fleet with batch accounting steps this workload, its
-    #: ``granted_cpu_seconds`` is row ``_granted_row`` of this column of
-    #: its task table (see :meth:`_bind_granted`); otherwise ``None``.
+    #: ``granted_cpu_seconds`` is row ``_granted_row`` of that fleet's
+    #: ``granted`` column (see :meth:`_bind_granted`); otherwise ``None``.
     _granted_column: Optional[np.ndarray] = None
 
     def __init__(
@@ -90,8 +90,7 @@ class SyntheticWorkload:
         """Record execution; subclasses may return a departure outcome."""
         self._now = t
         if self._granted_column is not None:
-            self._granted = self.granted_cpu_seconds
-            self._granted_column = None
+            self._unbind_granted()
         self._granted += granted_usage
         return None
 
@@ -117,13 +116,20 @@ class SyntheticWorkload:
         """Keep ``granted_cpu_seconds`` in ``column[row]`` from now on.
 
         A fleet whose workloads all use this class's ``on_tick`` (plain
-        accounting) binds them to their task table's ``granted`` column and
-        adds a tick's grants to it in one pass; the workload's own
-        ``on_tick`` unbinds it again.
+        accounting) binds each to its row of the fleet's ``granted``
+        column and adds a tick's grants to the whole column in one pass;
+        the workload's own ``on_tick`` unbinds it again, and so does
+        :meth:`~repro.cluster.machine.Machine.remove`.
         """
         column[row] = self.granted_cpu_seconds
         self._granted_column = column
         self._granted_row = row
+
+    def _unbind_granted(self) -> None:
+        """Copy ``granted_cpu_seconds`` out of its column back into this
+        workload, so the column (and the fleet holding it) can go."""
+        self._granted = self.granted_cpu_seconds
+        self._granted_column = None
 
 
 class TransactionCounter:

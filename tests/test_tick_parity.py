@@ -16,6 +16,7 @@ broke one of them, these fail before the end-to-end streams drift.
 from __future__ import annotations
 
 from types import MethodType
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -582,10 +583,15 @@ def _machine_mixes(draw):
                 closures=draw(st.booleans()), seed=draw(st.integers(0, 999)))
 
 
-def _mix_machine(mix: dict) -> tuple[Machine, list]:
-    """A fresh machine holding ``mix``, and its tasks."""
+def _mix_machine(mix: dict, name: str = "m",
+                 plain: bool = False) -> tuple[Machine, list]:
+    """A fresh machine holding ``mix``, and its tasks.
+
+    With ``plain`` every workload is a bare ``SyntheticWorkload`` (no
+    departures), so a fleet of such machines batches its accounting.
+    """
     seed = mix["seed"]
-    machine = Machine("m", get_platform(mix["platform"]),
+    machine = Machine(name, get_platform(mix["platform"]),
                       rng=np.random.default_rng(seed),
                       cpi_noise_sigma=mix["sigma"])
     tasks = []
@@ -594,11 +600,15 @@ def _mix_machine(mix: dict) -> tuple[Machine, list]:
         demand = (with_noise(constant(level), 0.3,
                              np.random.default_rng([seed, i]))
                   if noisy else constant(level))
-        workload = _Leaving(
-            _PROPERTY_TICKS if leave_at is None else leave_at,
-            base_cpi=1.0, profile=profile, demand=demand)
+        if plain:
+            workload = SyntheticWorkload(base_cpi=1.0, profile=profile,
+                                         demand=demand)
+        else:
+            workload = _Leaving(
+                _PROPERTY_TICKS if leave_at is None else leave_at,
+                base_cpi=1.0, profile=profile, demand=demand)
         job = Job(JobSpec(
-            name=f"j{i}", num_tasks=1, scheduling_class=tier,
+            name=f"{name}.j{i}", num_tasks=1, scheduling_class=tier,
             priority_band=PriorityBand.PRODUCTION, cpu_limit_per_task=limit,
             workload_factory=lambda _, w=workload: w))
         tasks.extend(job.tasks)
@@ -638,6 +648,234 @@ def test_machine_tick_matches_reference_on_drawn_mixes(mix):
     mix of tiers, caps, duty cycles, noise, cold starts and departures, on
     every platform and at extreme appetites."""
     assert _run_mix(mix, reference=False) == _run_mix(mix, reference=True)
+
+
+# -- one FusedFleet over drawn machines vs the reference ----------------------
+
+
+def _edge_tasks(kind: str, cores: float,
+                inf_tier: Optional[SchedulingClass]) -> list[tuple]:
+    """The tasks of one allocation-edge machine (``_TASKS`` tuples).
+
+    ``exact`` fills the latency-sensitive tier to exactly ``cores`` (the
+    tier fits, nothing remains and the loop breaks, so the batch tier gets
+    0.0); ``over`` oversubscribes it; ``zero`` leaves it wanting nothing
+    (the tier is skipped).  ``inf_tier`` adds a task of that tier with
+    infinite demand and limit behind the exhausted tier: its grant must be
+    0.0, where ``inf * 0.0`` would be NaN.  (An infinite demand does not
+    compile, so a fleet holding one runs its closures.)
+    """
+    ls, batch = SchedulingClass.LATENCY_SENSITIVE, SchedulingClass.BATCH
+
+    def task(tier, level, limit):
+        return (tier, level, False, SENSITIVE_PROFILE, None, limit)
+
+    half = cores / 2
+    if kind == "exact":
+        tasks = [task(ls, half, half), task(ls, half, half),
+                 task(batch, 1.0, 2.0)]
+    elif kind == "over":
+        tasks = [task(ls, cores, cores), task(ls, 1.0, 1.0),
+                 task(batch, 1.0, 2.0)]
+    else:
+        return [task(ls, 0.0, 1.0), task(batch, 2.0, 4.0),
+                task(SchedulingClass.BEST_EFFORT, 0.0, 1.0)]
+    if inf_tier is not None:
+        tasks.append(task(inf_tier, float("inf"), float("inf")))
+    return tasks
+
+
+@st.composite
+def _edge_mixes(draw):
+    platform = draw(st.sampled_from(sorted(PLATFORM_CATALOG)))
+    cores = float(get_platform(platform).num_cores)
+    inf_tier = draw(st.sampled_from(
+        (None, SchedulingClass.BATCH, SchedulingClass.BEST_EFFORT)))
+    tasks = _edge_tasks(draw(st.sampled_from(("exact", "over", "zero"))),
+                        cores, inf_tier)
+    return dict(tasks=tasks, cap=None, duty=None, platform=platform,
+                sigma=draw(st.sampled_from((0.0, 0.03))),
+                seed=draw(st.integers(0, 999)))
+
+
+@st.composite
+def _fleet_mixes(draw):
+    """2-6 machines: drawn mixes, then allocation-edge machines; one demand
+    kind (compiled or closures) and one accounting kind for the fleet; a
+    duty cycle applied (and maybe cleared) between ticks; a task killed."""
+    mixes = draw(st.lists(_machine_mixes(), min_size=1, max_size=4))
+    edges = draw(st.lists(_edge_mixes(), min_size=max(0, 2 - len(mixes)),
+                          max_size=6 - len(mixes)))
+    n = len(mixes) + len(edges)
+    late_duty = draw(st.one_of(st.none(), st.tuples(
+        st.integers(0, n - 1), st.integers(0, 11),
+        st.sampled_from((0.0, 0.5, 0.9)), st.sampled_from((0.25, 1.0)),
+        st.integers(1, _PROPERTY_TICKS - 1), st.integers(1, _PROPERTY_TICKS),
+        st.one_of(st.none(), st.integers(1, _PROPERTY_TICKS - 1)))))
+    # Kills stay off the edge machines: emptying an exhausted tier would
+    # hand the infinite task an infinite grant.
+    kill = draw(st.one_of(st.none(), st.tuples(
+        st.integers(0, len(mixes) - 1), st.integers(0, 11),
+        st.integers(1, _PROPERTY_TICKS - 1))))
+    return dict(mixes=mixes + edges, late_duty=late_duty, kill=kill,
+                closures=draw(st.booleans()), plain=draw(st.booleans()))
+
+
+def _run_fleet(fleet_mix: dict, reference: bool) -> tuple:
+    """Step ``fleet_mix`` as one FusedFleet, or each machine on the
+    reference tick; every tick's results and machine states, then every
+    task's usage history and grant total, and whether each departed
+    task's total has left the fleet's column."""
+    machines, tasks = [], []
+    for k, mix in enumerate(fleet_mix["mixes"]):
+        machine, ts = _mix_machine(
+            dict(mix, closures=fleet_mix["closures"]), name=f"m{k}",
+            plain=fleet_mix["plain"])
+        machines.append(machine)
+        tasks.append(ts)
+    order = tuple((m.name, m) for m in machines)
+
+    def task_at(k, i):
+        return machines[k], tasks[k][i % len(tasks[k])].name
+
+    fleet = None
+    results, states = [], []
+    for t in range(_PROPERTY_TICKS):
+        if fleet_mix["late_duty"] is not None:
+            k, i, level, share, at, duration, clear_at = \
+                fleet_mix["late_duty"]
+            machine, name = task_at(k, i)
+            if t == at and machine.has_task(name):
+                machine.apply_duty_cycle(name, level=level,
+                                         core_share=share, now=t,
+                                         duration=duration)
+            if t == clear_at:
+                machine.clear_duty_cycle()
+        if fleet_mix["kill"] is not None:
+            k, i, at = fleet_mix["kill"]
+            machine, name = task_at(k, i)
+            if t == at and machine.has_task(name):
+                machine.remove(name, TaskState.KILLED)
+        if reference:
+            tick = {m.name: reference_tick.tick(m, t) for m in machines}
+        else:
+            if fleet is None or not fleet.matches(order):
+                fleet = FusedFleet.build(order)
+                assert len(fleet.machines) >= 2
+                if fleet_mix["closures"]:
+                    assert fleet.demand_columns is None
+            tick = fleet.step(t)
+        results.append(tick)
+        states.append([_machine_state(m) for m in machines])
+    every = [task for ts in tasks for task in ts]
+    usage = [[_hex(u) for u in task.cgroup.usage_window_view(
+        0, _PROPERTY_TICKS).tolist()] for task in every]
+    granted = [_hex(task.workload.granted_cpu_seconds) for task in every]
+    unbound = [task.workload._granted_column is None for task in every
+               if not any(m.has_task(task.name) for m in machines)]
+    canon = [{name: _canon_result(r) for name, r in tick.items()}
+             for tick in results]
+    return canon, states, usage, granted, unbound
+
+
+@settings(deadline=None)
+@given(fleet_mix=_fleet_mixes())
+def test_fused_fleet_matches_reference_on_drawn_fleets(fleet_mix):
+    """One FusedFleet over 2-6 drawn machines (so tier allocation runs over
+    the arena) equals each machine on the scalar reference tick on every
+    TickResult field, counter, usage slot and ``granted_cpu_seconds``, by
+    ``float.hex``: through exactly filled, oversubscribed and zero-want
+    tiers, infinite allowances behind an exhausted tier, duty cycles
+    applied, cleared and expired between ticks, and killed tasks, on
+    compiled and closure demand, with batched and per-task accounting."""
+    assert (_run_fleet(fleet_mix, reference=False)
+            == _run_fleet(fleet_mix, reference=True))
+
+
+def _three_machines() -> ClusterSimulation:
+    """Three machines of plain workloads; ``b`` oversubscribes its batch
+    tier, ``c`` has a noisy service beside a batch task."""
+    platform = get_platform("westmere-2.6")
+    sim = ClusterSimulation(
+        [Machine(name, platform) for name in ("a", "b", "c")],
+        SimConfig(seed=41))
+    placements = {
+        "a": [(SchedulingClass.LATENCY_SENSITIVE, constant(2.0))],
+        "b": [(SchedulingClass.LATENCY_SENSITIVE, constant(3.0)),
+              (SchedulingClass.BATCH, constant(9.0)),
+              (SchedulingClass.BATCH, constant(7.5))],
+        "c": [(SchedulingClass.LATENCY_SENSITIVE,
+               with_noise(constant(1.5), 0.2, np.random.default_rng(3))),
+              (SchedulingClass.BATCH, constant(4.0))],
+    }
+    for name, tasks in placements.items():
+        for i, (tier, demand) in enumerate(tasks):
+            job = Job(JobSpec(
+                name=f"{name}{i}", num_tasks=1, scheduling_class=tier,
+                priority_band=PriorityBand.PRODUCTION,
+                cpu_limit_per_task=12.0,
+                workload_factory=lambda _, d=demand: SyntheticWorkload(
+                    base_cpi=1.0, profile=SENSITIVE_PROFILE, demand=d)))
+            sim.machines[name].place(job.tasks[0])
+    return sim
+
+
+def _duty_run() -> tuple[list, list]:
+    """Step ``_three_machines`` for 40 s: a duty cycle goes on ``b`` at
+    t=5 and is cleared at t=15; one goes on ``c`` at t=10 and expires at
+    t=20 without a call.  No placement changes, so the simulation keeps
+    one fleet throughout."""
+    sim = _three_machines()
+    fleets = set()
+    grants = []
+    for t in range(40):
+        if t == 5:
+            sim.machines["b"].apply_duty_cycle(
+                "b1/0", level=0.5, core_share=0.5, now=t, duration=30)
+        if t == 10:
+            sim.machines["c"].apply_duty_cycle(
+                "c0/0", level=0.0, core_share=1.0, now=t, duration=10)
+        if t == 15:
+            sim.machines["b"].clear_duty_cycle()
+        results = sim.step()
+        fleets.add(id(sim._fleet))
+        grants.append({name: _canon_pairs(r.grants)
+                       for name, r in results.items()})
+    return grants, fleets
+
+
+def test_duty_cycles_between_ticks_reach_the_arena(monkeypatch):
+    """A duty cycle applied, cleared or expired between ticks, with no
+    placement change, shows in the next tick's grants exactly as on the
+    reference tick."""
+    fused, fleets = _duty_run()
+    assert len(fleets) == 1             # one fleet: no rebuild to hide behind
+    reference_tick.install(monkeypatch)
+    reference, _ = _duty_run()
+    b1 = [dict(tick["b"])["b1/0"] for tick in fused]
+    assert b1[4] != b1[5] and b1[14] != b1[15] and b1[4] == b1[15]
+    c0 = [dict(tick["c"])["c0/0"] for tick in fused]
+    assert float.fromhex(c0[9]) > 0.0 and float.fromhex(c0[20]) > 0.0
+    assert {float.fromhex(g) for g in c0[10:20]} == {0.0}
+    assert fused == reference
+
+
+def test_multi_machine_fleet_makes_no_per_machine_tick_call(monkeypatch):
+    """A compiled, batch-accounting fleet of more than one machine
+    allocates, charges and accounts over its arena: it never calls the
+    one-machine fleet's per-machine phases."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-machine tick phase called")
+
+    monkeypatch.setattr(Machine, "_tick_alloc", forbidden)
+    monkeypatch.setattr(Machine, "_tick_finish", forbidden)
+    sim = _three_machines()
+    sim.machines["b"].apply_duty_cycle("b0/0", level=0.5, core_share=0.5,
+                                       now=0, duration=10)
+    sim.run(30)
+    program = sim._fleet.demand_columns
+    assert program is not None and program.batch_on_tick
+    assert len(sim._fleet.machines) == 3
 
 
 # -- the numpy identities the batched tick relies on --------------------------
