@@ -14,9 +14,11 @@ numpy calls however many machines there are:
 * every resident cgroup's counters are rows of one counter arena
   (:meth:`~repro.perf.counters.CounterBank.matrix_view` with ``out=``),
   burned with one :meth:`~repro.perf.counters.CounterBank.burn_matrix`;
-* each machine's :class:`TickResult` builds its ``grants`` and ``cpis``
-  from the tick's grant list and a per-tick copy of the CPI column the
-  first time they are read.
+* the tick's results are one read-only mapping that builds a machine's
+  :class:`TickResult` the first time it is read, from per-tick copies of
+  the grant and CPI columns, and lists the machines that had departures
+  (:attr:`TickResults.departed`), so a tick that nobody reads costs nothing
+  per machine.
 
 Phase 1's demand, cgroup clipping and base-CPI reads run as one compiled
 :class:`~repro.cluster.demandplane.DemandColumns` program over the arena
@@ -58,14 +60,20 @@ which transcribes the same formulas independently of this module
   operands in the same order as the per-machine loop, and gives 0.0 to a
   task of a skipped tier by selection, never as ``allowed * 0.0`` (an
   infinite allowance times zero is NaN);
-* measurement noise is drawn per machine from that machine's own generator
-  into its segment of the cluster noise buffer: one bulk
-  ``standard_normal`` per machine-tick, consumed in table order, the same
-  stream as one scalar ``rng.normal(0, sigma)`` per task.  Machines with
-  sigma == 0 draw nothing, exactly like the reference; their segment is
-  zero-filled so the shared ``exp``/multiply is a bit-exact no-op
-  (``exp(0.0) == 1.0`` and ``x * 1.0 == x`` for every float);
-* per-machine platform/model scalars (LLC size, CPI scale, coupling, sigma)
+* measurement noise comes from one ``(R, total)`` block of log-noise
+  (``sigma * z``), filled per machine from its own generator every ``R``
+  ticks and read one row per tick.  ``standard_normal(R * n)`` consumes a
+  generator exactly as ``R`` calls of ``standard_normal(n)``, so row ``r``
+  holds the draws the ``r``-th tick's ``rng.normal(0, sigma)`` per task
+  would make, in table order.  Buffered draws belong to the machine: the
+  next fleet to step it consumes what this one left
+  (``block[rows_used:, segment]``, flattened, re-cut to the machine's new
+  task count) before it draws more, and assigning ``Machine.rng`` drops
+  them.  Machines with sigma == 0 draw nothing, exactly like the
+  reference; their block columns stay 0.0, so the shared ``exp``/multiply
+  is a bit-exact no-op (``exp(0.0) == 1.0`` and ``x * 1.0 == x`` for every
+  float);
+* per-machine platform/model scalars (LLC size, CPI scale, coupling)
   become per-element constant columns, so each element sees the exact
   operand values a per-task evaluation uses;
 * workload ``on_tick`` observations and cgroup charging run after the
@@ -79,8 +87,10 @@ which transcribes the same formulas independently of this module
 A fleet re-points its tables' counter rows into its own arena, so a
 machine belongs to one live fleet at a time: whichever fleet stepped it
 last.  :meth:`FusedFleet.matches` checks each table still holds the rows
-this fleet installed; the simulation and :meth:`Machine.tick` both rebuild
-their cached fleet when it does not (and on any placement change).  The
+this fleet installed, and that no machine's generator was reassigned
+since the fleet buffered its noise; the simulation and :meth:`Machine.tick`
+both rebuild their cached fleet when it does not (and on any placement
+change).  The
 simulation leaves out of its fleet a machine whose ``tick`` is patched or
 overridden (:func:`fused_eligible`) and calls that ``tick`` instead.
 """
@@ -88,8 +98,9 @@ overridden (:func:`fused_eligible`) and calls that ``tick`` instead.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -99,7 +110,11 @@ from repro.cluster.interference import _SATURATE_KNEE
 from repro.cluster.machine import _TIER_ORDER, Machine, TickResult
 from repro.perf.counters import CounterBank
 
-__all__ = ["FusedFleet", "fused_eligible"]
+__all__ = ["FusedFleet", "TickResults", "fused_eligible"]
+
+#: Ticks of measurement noise a fleet buffers per machine (rows of its
+#: noise block).
+_NOISE_ROWS = 64
 
 
 def fused_eligible(machine: Machine) -> bool:
@@ -117,15 +132,15 @@ class _FusedTickResult(TickResult):
     """One machine's :class:`TickResult` from a fused tick.
 
     ``grants`` and ``cpis`` are built the first time they are read, then
-    cached (and stay assignable); most ticks nobody reads them.  ``source``
-    is ``(cpi, grants, arena offset, task names)``, where ``cpi`` is the
-    tick's own copy of the arena's CPI column and ``grants`` its copy of
-    the grant column, or a one-machine fleet's grant list.
+    cached (and stay assignable).  ``source`` is ``(cpi, grants, arena
+    offset, task names)``, where ``cpi`` is the tick's own copy of the
+    arena's CPI column and ``grants`` its copy of the grant column, or a
+    one-machine fleet's grant list.
     """
 
-    def __init__(self, t: int, source: tuple) -> None:
+    def __init__(self, t: int, source: tuple, departures: list) -> None:
         self.t = t
-        self.departures = []
+        self.departures = departures
         self._source = source
 
     @cached_property
@@ -142,12 +157,71 @@ class _FusedTickResult(TickResult):
         return dict(zip(names, cpi[o:o + len(names)].tolist()))
 
 
+def _leftover(src: tuple) -> Optional[np.ndarray]:
+    """A machine's buffered draws, in generator order, from its
+    ``Machine._noise_src``: the rows of the owning fleet's block that fleet
+    had not reached (none for a copied-out carry), then ``extra``."""
+    owner, o, n, extra = src
+    if owner is None:
+        return extra
+    left = owner.noise_block[owner.noise_row:, o:o + n].ravel()
+    return left if extra is None else np.concatenate((left, extra))
+
+
+class TickResults(Mapping):
+    """One fused tick's results: machine name -> :class:`TickResult`.
+
+    Read-only, in the fleet's machine order.  A machine's result is built
+    the first time it is read and then kept, so a tick that nobody reads
+    makes no call per machine.  :attr:`departed` names the machines that
+    had departures (none under batch accounting).
+    """
+
+    __slots__ = ("t", "_index", "_cpi", "_grants", "_departures", "_built")
+
+    def __init__(self, t: int, index: dict, cpi: np.ndarray, grants,
+                 departures: dict[str, list]) -> None:
+        self.t = t
+        self._index = index
+        self._cpi = cpi
+        self._grants = grants
+        self._departures = departures
+        self._built: dict[str, TickResult] = {}
+
+    @property
+    def departed(self) -> tuple[str, ...]:
+        """Names of the machines that had departures, in machine order."""
+        return tuple(self._departures)
+
+    def __getitem__(self, name: str) -> TickResult:
+        result = self._built.get(name)
+        if result is None:
+            table, o = self._index[name]
+            if table is None:
+                result = TickResult(t=self.t, departures=[])
+            else:
+                result = _FusedTickResult(
+                    self.t, (self._cpi, self._grants, o, table.names),
+                    self._departures.get(name, []))
+            self._built[name] = result
+        return result
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._index
+
+
 class FusedFleet:
     """One cluster-wide arena for the vectorized tick of many machines."""
 
     __slots__ = (
-        "machines", "tables", "counter_views",
-        "segments", "total", "result_rows", "one",
+        "machines", "tables", "counter_views", "valid",
+        "segments", "total", "result_index", "one",
         "seg_id", "bins", "capacity", "allowed", "granted", "left", "fits",
         "live", "ends", "bin_scale", "bin_dead", "row_scale", "row_dead",
         "duty_epoch", "duty_segments",
@@ -155,9 +229,10 @@ class FusedFleet:
         "inflation", "cpi", "l3_buf", "l2_buf", "kilo", "noise",
         "cache_pressure", "membw_pressure", "events", "event_columns",
         "counter_arena", "llc_mib", "membw_cap", "cpi_scale",
-        "cycles_per_sec", "sigma", "coupling", "coupling4", "cache_mib",
+        "cycles_per_sec", "coupling", "coupling4", "cache_mib",
         "membw_gbps", "cache_sens", "membw_sens", "base_l3", "l2_base",
-        "cold", "any_noise", "demand_columns",
+        "cold", "noise_block", "noise_row", "noise_segments",
+        "demand_columns",
     )
 
     @classmethod
@@ -192,11 +267,14 @@ class FusedFleet:
         n_machines = len(machines)
         self.seg_id = np.repeat(np.arange(n_machines, dtype=np.intp),
                                 [len(tb.tasks) for tb in tables])
-        # What each machine's TickResult needs: (name, machine, table,
-        # arena offset), the table None for a machine with no resident task.
-        self.result_rows = tuple(
-            (m.name, m, tb if tb.tasks else None, o)
-            for m, tb, o in zip(machines, tables, offsets))
+        # What each machine's TickResult needs, by name: (table, arena
+        # offset), the table None for a machine with no resident task.
+        self.result_index = {
+            m.name: (tb if tb.tasks else None, o)
+            for m, tb, o in zip(machines, tables, offsets)}
+        #: False once a machine's generator is reassigned (Machine.rng):
+        #: the block holds draws of the old one, so the fleet must go.
+        self.valid = True
 
         # A one-machine fleet with resident tasks runs its machine's own
         # allocation and finish loops: (machine, table), else None.
@@ -261,8 +339,8 @@ class FusedFleet:
         # Per-element constants: each machine's platform/model scalars
         # repeated across its segment, so elementwise ops see exactly the
         # operands a per-task evaluation would use.
-        (llc, membw, cpi_scale, cycles, sigma, coupling,
-         coupling4) = np.empty((7, total), dtype=np.float64)
+        (llc, membw, cpi_scale, cycles, coupling,
+         coupling4) = np.empty((6, total), dtype=np.float64)
         for j, m, tb, o, n in self.segments:
             end = o + n
             platform = m.platform
@@ -270,7 +348,6 @@ class FusedFleet:
             membw[o:end] = platform.membw_gbps
             cpi_scale[o:end] = platform.cpi_scale
             cycles[o:end] = platform.cycles_per_cpu_second
-            sigma[o:end] = m.cpi_noise_sigma
             k = m.interference.miss_rate_coupling
             coupling[o:end] = k
             # 0.25 * k is exact (power-of-two scale), so precomputing the
@@ -278,10 +355,24 @@ class FusedFleet:
             coupling4[o:end] = 0.25 * k
         self.llc_mib, self.membw_cap = llc, membw
         self.cpi_scale, self.cycles_per_sec = cpi_scale, cycles
-        self.sigma, self.coupling, self.coupling4 = sigma, coupling, coupling4
+        self.coupling, self.coupling4 = coupling, coupling4
 
-        self.any_noise = any(m.cpi_noise_sigma > 0.0
-                             for _, m, _, _, _ in self.segments)
+        # The noise block: rows of log-noise (sigma * z) per tick, filled
+        # per noisy machine at the first step and every _NOISE_ROWS ticks
+        # after (_refill_noise); the columns of a sigma == 0 machine stay
+        # 0.0.  None when no resident machine is noisy.
+        self.noise_segments = tuple(
+            (m, o, n, m.cpi_noise_sigma) for _, m, _, o, n in self.segments
+            if m.cpi_noise_sigma > 0.0)
+        self.noise_block = (np.zeros((_NOISE_ROWS, total))
+                            if self.noise_segments else None)
+        self.noise_row = _NOISE_ROWS
+        # A machine with no resident task here keeps the draws another
+        # fleet buffered for it, copied out so that fleet can be freed.
+        for m in machines:
+            src = m._noise_src
+            if src is not None and src[0] is not None and not m._tasks:
+                m._noise_src = (None, 0, 0, _leftover(src))
 
         # The tables' profile columns (fixed when each table was built),
         # concatenated in segment order (empty tables contribute
@@ -322,10 +413,11 @@ class FusedFleet:
 
         Placement changes null out a machine's cached task table, and
         another fleet taking the machine over re-points its counter rows,
-        so two identity checks per machine cover every invalidation.
+        so two identity checks per machine cover every invalidation but
+        one: a reassigned ``Machine.rng`` clears :attr:`valid`.
         """
         machines = self.machines
-        if len(machine_order) != len(machines):
+        if len(machine_order) != len(machines) or not self.valid:
             return False
         tables = self.tables
         views = self.counter_views
@@ -336,8 +428,9 @@ class FusedFleet:
                 return False
         return True
 
-    def step(self, t: int) -> dict[str, TickResult]:
-        """One fused cluster tick; per-machine results keyed by name."""
+    def step(self, t: int) -> TickResults:
+        """One fused cluster tick; per-machine results keyed by name, each
+        built when first read."""
         # Phase 1: demand, clipping, allocation.  With the fleet's demand
         # program the columnar passes run once over the arena; without one
         # each machine's _tick_inputs runs its closures.  A one-machine
@@ -426,16 +519,14 @@ class FusedFleet:
         np.add(tmp, 1.0, tmp)
         np.multiply(tmp, self.l2_base, self.l2_buf)
 
-        if self.any_noise:
+        if self.noise_block is not None:
+            row = self.noise_row
+            if row == _NOISE_ROWS:
+                self._refill_noise()
+                row = 0
+            self.noise_row = row + 1
             noise = self.noise
-            for j, m, tb, o, n in segments:
-                end = o + n
-                if m.cpi_noise_sigma > 0.0:
-                    m.rng.standard_normal(out=noise[o:end])
-                else:
-                    noise[o:end] = 0.0
-            np.multiply(noise, self.sigma, noise)
-            np.exp(noise, noise)
+            np.exp(self.noise_block[row], noise)
             np.multiply(cpi, noise, cpi)
 
         ev = self.events
@@ -461,6 +552,7 @@ class FusedFleet:
             # the workloads whose base_cpi may read it (the rest never do).
             for w in fdc.now_workloads:
                 w._now = t
+        departures: dict[str, list] = {}
         if one is None:
             grants = g.copy()
             slot = t % USAGE_HISTORY_SECONDS
@@ -470,25 +562,56 @@ class FusedFleet:
                         cg._advance(t)
                 tb.usage_matrix[:, slot] = g[o:o + n]
                 tb.charged_to = t
-            if not batch:
+            if batch:
+                np.add(self.granted, g, self.granted)
+            else:
                 grant_list = grants.tolist()
+                for _, m, tb, o, n in segments:
+                    end = o + n
+                    left = m._observe(t, tb, grant_list[o:end],
+                                      capped[o:end])
+                    if left:
+                        departures[m.name] = left
         else:
             grants = grant_list
-        results: dict[str, TickResult] = {}
-        for name, m, tb, o in self.result_rows:
-            if tb is None:
-                results[name] = TickResult(t=t, departures=[])
-                continue
-            result = _FusedTickResult(t, (cpi_copy, grants, o, tb.names))
-            results[name] = result
-            if one is not None:
-                m._tick_finish(t, tb, result, grant_list, capped, batch)
-            elif not batch:
-                end = o + len(tb.names)
-                m._observe(t, tb, result, grant_list[o:end], capped[o:end])
-        if batch:
-            np.add(self.granted, g, self.granted)
-        return results
+            m, tb = one
+            left = m._tick_finish(t, tb, grant_list, capped, batch)
+            if batch:
+                np.add(self.granted, g, self.granted)
+            elif left:
+                departures[m.name] = left
+        return TickResults(t, self.result_index, cpi_copy, grants,
+                           departures)
+
+    def _refill_noise(self) -> None:
+        """Fill every noisy machine's columns of the noise block with its
+        next :data:`_NOISE_ROWS` ticks of log-noise.
+
+        A machine's draws that some fleet buffered and did not consume —
+        the rows that fleet had not reached, and any excess it could not
+        place — come first, re-cut to this fleet's task count; fresh draws
+        from the machine's generator make up the rest.  The draws that do
+        not fit stay with the machine for the next refill.
+        """
+        block = self.noise_block
+        rows = block.shape[0]
+        for m, o, n, sigma in self.noise_segments:
+            need = rows * n
+            seg = block[:, o:o + n]
+            src = m._noise_src
+            left = None if src is None else _leftover(src)
+            extra = None
+            if left is None or not left.size:
+                np.multiply(m.rng.standard_normal((rows, n)), sigma, seg)
+            elif left.size >= need:
+                seg[...] = left[:need].reshape(rows, n)
+                if left.size > need:
+                    extra = left[need:]
+            else:
+                fresh = m.rng.standard_normal(need - left.size)
+                np.multiply(fresh, sigma, fresh)
+                seg[...] = np.concatenate((left, fresh)).reshape(rows, n)
+            m._noise_src = (self, o, n, extra)
 
     def _allocate(self, t: int, allowed: np.ndarray) -> None:
         """Tick phase 3 over the arena: tier allocation, then duty cycling,

@@ -203,6 +203,11 @@ class Machine:
         self.name = name
         self.platform = platform
         self.interference = interference or InterferenceModel()
+        #: Where this machine's buffered noise draws live:
+        #: ``(fleet, offset, n, extra)`` — the rows of ``fleet``'s noise
+        #: block it has not reached (none when ``fleet`` is ``None``), then
+        #: ``extra`` — or ``None``.
+        self._noise_src: Optional[tuple] = None
         self.rng = rng or np.random.default_rng(0)
         self.cpi_noise_sigma = cpi_noise_sigma
         self.counters = CounterBank()
@@ -214,6 +219,23 @@ class Machine:
         #: The scheduler whose reservation columns hold this machine's row;
         #: told of every resident change (see :meth:`place`/:meth:`remove`).
         self._scheduler: Optional[ClusterScheduler] = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator of this machine's CPI measurement noise."""
+        return self._rng
+
+    @rng.setter
+    def rng(self, rng: np.random.Generator) -> None:
+        # Draws buffered from the old generator are dropped, and the fleet
+        # holding them (none for a copied-out carry) is retired so none of
+        # them is used.
+        self._rng = rng
+        src = self._noise_src
+        if src is not None:
+            self._noise_src = None
+            if src[0] is not None:
+                src[0].valid = False
 
     # -- placement ------------------------------------------------------------
 
@@ -423,26 +445,28 @@ class Machine:
                 grants[i] *= duty.level if name == duty.target_task else factor
         return grants
 
-    def _tick_finish(self, t: int, table: _TaskTable, result: TickResult,
-                     grants: list[float], capped: list[bool],
-                     batch: bool) -> None:
+    def _tick_finish(self, t: int, table: _TaskTable, grants: list[float],
+                     capped: list[bool], batch: bool
+                     ) -> list[tuple[Task, TaskState]]:
         """Tick phases 5b-6 of a one-machine fleet: cgroup charging, then
         workload tick observations (which may trigger departures).
 
-        Called by :meth:`FusedFleet.step` after the physics; mutates
-        ``result.departures`` in place.  ``batch`` says every workload uses
+        Called by :meth:`FusedFleet.step` after the physics; returns the
+        departures.  ``batch`` says every workload uses
         ``SyntheticWorkload.on_tick`` verbatim — plain accounting, never a
         departure — which the fleet does itself as one add into its
         ``granted`` column, so there is nothing to observe here.
         """
         table.charge(t, grants)
-        if not batch:
-            self._observe(t, table, result, grants, capped)
+        if batch:
+            return []
+        return self._observe(t, table, grants, capped)
 
-    def _observe(self, t: int, table: _TaskTable, result: TickResult,
-                 grants: list[float], capped: list[bool]) -> None:
-        """Tick phase 6: every workload's ``on_tick``, in table order, and
-        the departures it asks for (appended to ``result.departures``)."""
+    def _observe(self, t: int, table: _TaskTable, grants: list[float],
+                 capped: list[bool]) -> list[tuple[Task, TaskState]]:
+        """Tick phase 6: every workload's ``on_tick``, in table order;
+        returns the departures they asked for."""
+        departures: list[tuple[Task, TaskState]] = []
         tasks = table.tasks
         for i, fn in enumerate(table.on_tick_fns):
             outcome = fn(t, grants[i], capped[i])
@@ -457,7 +481,8 @@ class Machine:
                 raise ValueError(
                     f"workload for {task.name} returned unknown outcome {outcome!r}")
             self.remove(task.name, state, reason=f"workload said {outcome}")
-            result.departures.append((task, state))
+            departures.append((task, state))
+        return departures
 
     def tick(self, t: int) -> TickResult:
         """Execute one simulated second; returns grants, CPIs and departures.

@@ -458,9 +458,9 @@ def _pump_host_through(host, through: int, arrivals: list) -> None:
 
     ``arrivals`` must already be (tick, machine)-sorted.  Each tick pumps
     the host first (restore, crash draw, snapshot — the single-process
-    ``_on_tick`` order), then applies that tick's fabric arrivals, so a
-    crash lands between exactly the same ingests as it would have in one
-    process.
+    ``CpiPipeline.begin_tick`` order), then applies that tick's fabric
+    arrivals, so a crash lands between exactly the same ingests as it
+    would have in one process.
     """
     index = 0
     for tick in range(host.pumped_through + 1, through + 1):

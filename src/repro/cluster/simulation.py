@@ -3,11 +3,19 @@
 One tick is one simulated second.  Each tick the simulation:
 
 1. executes every machine (CPU allocation, contention, counters),
-2. runs every machine's CPI sampler and fans closed windows out to sinks
-   (the CPI2 pipeline registers itself as a sink),
-3. invokes registered per-tick hooks (CPI2's per-machine agents hang off
-   these to run their once-a-minute anomaly checks), and
+2. runs its control plane and per-machine hooks: the CPI2 pipeline, once
+   per tick, pumps its fault plane and works only on the machines whose
+   agents have something due (a follow-up, a degraded-mode transition)
+   or whose tasks departed; a per-machine hook (``TraceRecorder``) sees
+   every machine,
+3. at the seconds a sampling window opens or closes — every machine's
+   sampler shares ``SimConfig.sampler``, so those seconds are the same for
+   all — runs every machine's CPI sampler and fans closed windows out to
+   sinks (the CPI2 pipeline registers itself as a sink), and
 4. periodically asks the scheduler to re-place preempted/pending tasks.
+
+A quiet tick — no window edge, no departure, nothing due — makes no call
+per machine.
 
 The loop is deterministic given the seed: every stochastic component draws
 from generators spawned off one root ``numpy`` seed sequence.
@@ -16,7 +24,7 @@ from generators spawned off one root ``numpy`` seed sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -43,6 +51,25 @@ TickHook = Callable[[int, Machine, TickResult], None]
 #: sinks ran but before the clock advances.  The telemetry plane scrapes
 #: from here so a scrape at t sees every effect of tick t.
 StepHook = Callable[[int], None]
+
+
+class ControlPlane(Protocol):
+    """What the simulation drives once per tick after the machines ran.
+
+    The simulation reports the first machine's departures, calls
+    :meth:`begin_tick`, then gives a turn to each machine that is due or
+    had departures, in name order, reporting each later machine's
+    departures just before its turn.
+    """
+
+    def begin_tick(self, t: int) -> Iterable[str]:
+        """Once per tick; returns the names of the machines due at ``t``."""
+
+    def machine_turn(self, t: int, name: str, result: TickResult,
+                     due: bool) -> None:
+        """A machine's control work at ``t``: ``due`` says it was named
+        by :meth:`begin_tick`; ``result`` holds its departures."""
+
 
 SECONDS_PER_MINUTE = 60
 SECONDS_PER_HOUR = 3600
@@ -104,6 +131,7 @@ class ClusterSimulation:
         self._sample_sinks: list[SampleSink] = []
         self._tick_hooks: list[TickHook] = []
         self._step_hooks: list[StepHook] = []
+        self._control: Optional[ControlPlane] = None
         #: Cached name-sorted iteration order for machines and samplers.
         #: Machines never change identity mid-run today; the cache is
         #: invalidated explicitly (or by a length change) if topology ever
@@ -123,8 +151,16 @@ class ClusterSimulation:
         self._sample_sinks.append(sink)
 
     def add_tick_hook(self, hook: TickHook) -> None:
-        """Register a per-(tick, machine) observer, called after execution."""
+        """Register a per-(tick, machine) observer, called after execution
+        for every machine, after the control plane's turns."""
         self._tick_hooks.append(hook)
+
+    def set_control_plane(self, plane: ControlPlane) -> None:
+        """Attach the control plane (one per simulation; see
+        :class:`ControlPlane`)."""
+        if self._control is not None:
+            raise ValueError("the simulation already has a control plane")
+        self._control = plane
 
     def add_step_hook(self, hook: StepHook) -> None:
         """Register an end-of-tick observer (runs before the clock advances).
@@ -171,17 +207,24 @@ class ClusterSimulation:
                 (name, self.machines[name]) for name in sorted(self.machines))
             sampler_order = tuple(
                 (name, self.samplers[name]) for name in sorted(self.samplers))
+            shared = self.config.sampler
+            for name, sampler in sampler_order:
+                if sampler.config != shared:
+                    raise ValueError(
+                        f"sampler {name!r} runs {sampler.config}, not the "
+                        f"simulation's {shared}: every sampler must share "
+                        f"SimConfig.sampler")
             self._machine_order = machine_order
             self._sampler_order = sampler_order
         return machine_order, sampler_order
 
-    def step(self) -> dict[str, TickResult]:
+    def step(self) -> Mapping[str, TickResult]:
         """Execute one simulated second across the whole cluster."""
         if self._c_ticks is not None:
             self._c_ticks.inc()
         return self._step()
 
-    def _step(self) -> dict[str, TickResult]:
+    def _step(self) -> Mapping[str, TickResult]:
         """One tick, without the per-call tick-counter increment (so
         :meth:`run` can batch it into a single add)."""
         t = self.now
@@ -190,8 +233,9 @@ class ClusterSimulation:
         self._finish_step(t)
         return results
 
-    def _tick_machines(self, t: int) -> dict[str, TickResult]:
-        """Phase 1: every machine's physics, then the per-machine hooks."""
+    def _tick_machines(self, t: int) -> Mapping[str, TickResult]:
+        """Phase 1: every machine's physics, then the control plane's
+        turns and the per-machine hooks."""
         machine_order, _ = self._iteration_order()
         # All machines' physics in one cluster-wide arena (bit-identical to
         # per-machine stepping; see repro.cluster.fused).  Rebuilt when
@@ -204,32 +248,58 @@ class ClusterSimulation:
             self._fleet = fleet
         if fleet is not None:
             results = fleet.step(t)
+            departed = results.departed
         else:
             results = {name: machine.tick(t)
                        for name, machine in machine_order}
+            departed = tuple(name for name, result in results.items()
+                             if result.departures)
+        control = self._control
+        if control is None:
+            for name in departed:
+                self._report_departures(name, results[name])
+        else:
+            # The first machine's departures precede the control plane's
+            # tick (its fault pump); every later machine's precede its own
+            # turn.
+            first = machine_order[0][0]
+            if departed and departed[0] == first:
+                self._report_departures(first, results[first])
+            due = control.begin_tick(t)
+            if due or departed:
+                for name in sorted(set(due).union(departed)):
+                    result = results[name]
+                    if name != first and result.departures:
+                        self._report_departures(name, result)
+                    control.machine_turn(t, name, result, name in due)
         hooks = self._tick_hooks
-        obs = self.obs
-        for name, machine in machine_order:
-            result = results[name]
-            if obs is not None and result.departures:
-                self._c_departures.inc(len(result.departures))
-                for task, state in result.departures:
-                    obs.events.event(
-                        "task_departed", machine=name, task=task.name,
-                        job=task.job.name, state=state.value)
-            for hook in hooks:
-                hook(t, machine, result)
+        if hooks:
+            for name, machine in machine_order:
+                result = results[name]
+                for hook in hooks:
+                    hook(t, machine, result)
         return results
 
+    def _report_departures(self, name: str, result: TickResult) -> None:
+        """Count one machine's departures and emit a ``task_departed``
+        event for each."""
+        obs = self.obs
+        if obs is None:
+            return
+        self._c_departures.inc(len(result.departures))
+        for task, state in result.departures:
+            obs.events.event(
+                "task_departed", machine=name, task=task.name,
+                job=task.job.name, state=state.value)
+
     def _run_samplers(self, t: int) -> None:
-        """Phase 2: tick samplers, fanning each closed window straight out
-        to the sinks (machine by machine, in sorted-name order)."""
+        """Phase 2: at a window edge, tick every sampler, fanning each
+        closed window straight out to the sinks (machine by machine, in
+        sorted-name order)."""
+        if not self.config.sampler.acts_at(t):
+            return
         _, sampler_order = self._iteration_order()
         for name, sampler in sampler_order:
-            # The duty cycle makes tick() a no-op ~50 seconds out of every
-            # 60; skip those calls outright (the sampler fast-forward).
-            if not sampler.wants_tick(t):
-                continue
             samples = sampler.tick(t)
             if samples:
                 for sink in self._sample_sinks:
@@ -243,11 +313,11 @@ class ClusterSimulation:
         between window close and downstream processing.  Collection order
         is the same sorted-name order :meth:`_run_samplers` dispatches in.
         """
-        _, sampler_order = self._iteration_order()
         closed: list[tuple[str, Sequence[CpiSample]]] = []
+        if not self.config.sampler.acts_at(t):
+            return closed
+        _, sampler_order = self._iteration_order()
         for name, sampler in sampler_order:
-            if not sampler.wants_tick(t):
-                continue
             samples = sampler.tick(t)
             if samples:
                 closed.append((name, samples))

@@ -56,9 +56,9 @@ class TraceRecorder:
         self.task_filter = task_filter
         self.interval = interval
         self.points: list[TracePoint] = []
-        simulation.add_tick_hook(self._on_tick)
+        simulation.add_tick_hook(self._record)
 
-    def _on_tick(self, t: int, machine: Machine, result: TickResult) -> None:
+    def _record(self, t: int, machine: Machine, result: TickResult) -> None:
         if t % self.interval != 0:
             return
         for taskname, grant in result.grants.items():

@@ -23,6 +23,7 @@ per-sample oracle is ``tests/reference/ingest.py``.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -150,6 +151,11 @@ class MachineAgent:
         self._degraded = False
         self._last_checkpoint: Optional[AgentCheckpoint] = None
         self.crash_count = 0
+        #: Told ``(machine name, second)`` whenever :meth:`tick` may have
+        #: work earlier than it had (a follow-up armed, the spec anchor
+        #: moved, a degraded-mode transition); the pipeline's due-time
+        #: heap listens.
+        self.on_due: Optional[Callable[[str, int], None]] = None
 
     @property
     def degraded(self) -> bool:
@@ -171,6 +177,7 @@ class MachineAgent:
         self._specs = dict(specs)
         if now is not None:
             self._spec_anchor = now
+            self._wake(now)
 
     def receive_spec_push(self, t: int, specs: dict[SpecKey, CpiSpec],
                           issued_at: int) -> None:
@@ -209,6 +216,7 @@ class MachineAgent:
                 "spec_push_degraded", machine=self.machine.name,
                 rejected=rejected, accepted=len(accepted))
         self._refresh_degraded(t)
+        self._wake(t)
 
     def spec_for(self, jobname: str) -> Optional[CpiSpec]:
         """The spec for a job on this machine's platform, if published."""
@@ -239,11 +247,6 @@ class MachineAgent:
 
     def _refresh_degraded(self, t: int) -> None:
         """Track degraded-mode transitions (events + gauge, never silent)."""
-        if self._spec_anchor is None and not self._degraded:
-            # Bootstrap/operator specs never go stale, so no transition is
-            # possible — skip the staleness arithmetic (this runs for every
-            # machine on every simulated second).
-            return
         stale = self.specs_too_stale(t)
         if stale == self._degraded:
             return
@@ -253,6 +256,43 @@ class MachineAgent:
             "degraded_mode_entered" if stale else "degraded_mode_exited",
             machine=self.machine.name,
             staleness=self.spec_staleness(t))
+        self._wake(t)
+
+    # -- scheduling (when tick has work) ----------------------------------------
+
+    def next_due(self, t: int) -> Optional[int]:
+        """The first second ``>= t`` at which :meth:`tick` has work, or
+        ``None`` when only a spec push or a new follow-up can give it some.
+
+        Work is a follow-up coming due, or a degraded-mode transition:
+        entering it the first second the specs are past their TTL, and —
+        once degraded — leaving it as soon as a push moved the anchor
+        back within the TTL.
+        """
+        due = None
+        if self._followups:
+            due = max(t, min(f.due_at for f in self._followups))
+        anchor = self._spec_anchor
+        if anchor is None:
+            return due
+        if self._degraded:
+            if not self.specs_too_stale(t):
+                return t
+            return due
+        ttl = self.config.spec_ttl_periods * self.config.spec_refresh_period
+        if not math.isfinite(ttl):
+            return due
+        # The first whole second whose staleness exceeds the TTL.
+        stale_at = max(t, anchor + math.floor(ttl) + 1)
+        return stale_at if due is None or stale_at < due else due
+
+    def _wake(self, t: int) -> None:
+        """Tell :attr:`on_due` when :meth:`tick` next has work."""
+        hook = self.on_due
+        if hook is not None:
+            due = self.next_due(t)
+            if due is not None:
+                hook(self.machine.name, due)
 
     # -- sample ingestion ---------------------------------------------------------
 
@@ -548,6 +588,7 @@ class MachineAgent:
                 span=followup_span,
             ))
             self._update_caps_gauge(t)
+            self._wake(t)
         elif decision.action in (PolicyAction.MIGRATE_VICTIM,
                                  PolicyAction.KILL_ANTAGONIST):
             target = (victim if decision.action is PolicyAction.MIGRATE_VICTIM
@@ -569,12 +610,14 @@ class MachineAgent:
     # -- follow-ups --------------------------------------------------------------------
 
     def tick(self, t: int) -> None:
-        """Process due recovery checks.  Call at least once a minute."""
+        """Process second ``t``'s degraded-mode transition and due recovery
+        checks.
+
+        At a second before :meth:`next_due` this is a no-op, so a caller
+        may tick every second or only when :meth:`next_due` (kept current
+        through :attr:`on_due`) says there is work, as the pipeline does.
+        """
         self._refresh_degraded(t)
-        if not self._followups:
-            # The common case by far — this runs per machine per simulated
-            # second, and follow-ups exist only while a cap is in flight.
-            return
         due = [f for f in self._followups if f.due_at <= t]
         if not due:
             return
@@ -800,6 +843,7 @@ class MachineAgent:
             checkpoint_age=t - checkpoint.taken_at,
             followups_recovered=recovered,
             windows_restored=len(self._windows))
+        self._wake(t)
 
     def restore_from_dict(self, data: dict, t: int) -> bool:
         """Restore from a serialised checkpoint (what a real agent reads

@@ -13,13 +13,20 @@ machine, routes closed sampling windows both to the central
 agent (local path), pushes refreshed specs back down, forwards incidents to
 the :class:`~repro.core.forensics.ForensicsStore`, and actuates
 migrate/kill decisions through the cluster scheduler.
+
+It is also the simulation's control plane (:meth:`begin_tick`,
+:meth:`machine_turn`): once per tick it pumps the fault plane, then works
+only on the machines whose agents have something due — taken from one
+due-time heap that each agent keeps current through
+:attr:`MachineAgent.on_due` — or whose tasks departed.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import heapq
+from typing import Iterable, Optional
 
-from repro.cluster.machine import Machine, TickResult
+from repro.cluster.machine import TickResult
 from repro.cluster.scheduler import PlacementError
 from repro.cluster.simulation import SECONDS_PER_DAY, ClusterSimulation
 from repro.cluster.task import Task
@@ -128,12 +135,19 @@ class CpiPipeline:
             self.faults = FaultPlane(profile, fault_seed, self.aggregator,
                                      self.agents, config, obs=self.obs,
                                      host=self.host)
-        self._last_pump: Optional[int] = None
         #: When set (shard worker), the fault plane is pumped for these
         #: machines only; the coordinator owns the rest of the control plane.
         self.shard_names: Optional[frozenset[str]] = None
+        #: The due-time heap of ``(second, machine name)`` entries, and
+        #: each agent's one live entry: the second it is woken at, never
+        #: later than its next_due.  An entry that no longer matches
+        #: ``_wake_at`` was superseded by an earlier one and is skipped.
+        self._due: list[tuple[int, str]] = []
+        self._wake_at: dict[str, int] = {}
+        for agent in self.agents.values():
+            agent.on_due = self._schedule
         simulation.add_sample_sink(self._on_samples)
-        simulation.add_tick_hook(self._on_tick)
+        simulation.set_control_plane(self)
         #: Telemetry plane: when the facade carries a TSDB, scrape it at
         #: every sampling-window close.  A shard worker disables the local
         #: scrape (restrict_to_shard) and ships its registry state to the
@@ -184,21 +198,59 @@ class CpiPipeline:
         # The agent reuses the window's columns instead of re-encoding.
         self.agents[machine_name].ingest_samples(t, samples, columns=columns)
 
-    def _on_tick(self, t: int, machine: Machine, result: TickResult) -> None:
-        self.machine_seconds += 1
-        if ((self.faults is not None or self.host is not None)
-                and t != self._last_pump):
-            # Once per simulated second (hooks fire per machine): the host
-            # first (an outage ending at t is back up before t's
-            # deliveries), then the fabric — deliver due messages, advance
-            # retries, inject crashes, checkpoint.
-            self._last_pump = t
-            if self.host is not None:
-                self.host.pump(t)
-            if self.faults is not None:
-                self.faults.pump(t, only=self.shard_names)
-        agent = self.agents[machine.name]
-        agent.tick(t)
+    def _schedule(self, name: str, due: int) -> None:
+        """Wake ``name``'s agent at ``due`` unless it is woken earlier
+        (an early wake finds nothing due and reschedules)."""
+        at = self._wake_at.get(name)
+        if at is None or due < at:
+            self._wake_at[name] = due
+            heapq.heappush(self._due, (due, name))
+
+    def begin_tick(self, t: int) -> Iterable[str]:
+        """The control plane's once-per-tick work; returns the machines
+        whose agents have something due at ``t``.
+
+        Counts the tick's machine-seconds, pumps the host first (an outage
+        ending at ``t`` is back up before ``t``'s deliveries) and then the
+        fabric — deliver due messages, advance retries, inject crashes,
+        checkpoint — and only then pops the due-time heap, since the pump
+        can arm follow-ups (a restore) or move spec anchors.
+        """
+        machines = self.simulation.machines
+        self.machine_seconds += len(machines)
+        if self.host is not None:
+            self.host.pump(t)
+        if self.faults is not None:
+            self.faults.pump(t, only=self.shard_names)
+        heap = self._due
+        if not heap or heap[0][0] > t:
+            return ()
+        due = set()
+        wake_at = self._wake_at
+        while heap and heap[0][0] <= t:
+            at, name = heapq.heappop(heap)
+            if wake_at.get(name) != at:
+                continue
+            del wake_at[name]
+            if name not in machines:
+                continue
+            at = self.agents[name].next_due(t)
+            if at == t:
+                due.add(name)
+            elif at is not None:
+                self._schedule(name, at)
+        return due
+
+    def machine_turn(self, t: int, name: str, result: TickResult,
+                     due: bool) -> None:
+        """One machine's control work at ``t``: its agent's tick when
+        due, then the departed tasks' state dropped."""
+        agent = self.agents[name]
+        if due:
+            agent.tick(t)
+            at = agent.next_due(t + 1)
+            if at is not None:
+                self._schedule(name, at)
         for task, _state in result.departures:
             agent.forget_task(task.name, now=t)
 

@@ -70,14 +70,30 @@ class SamplerConfig:
                 "period_seconds must be >= duration_seconds "
                 f"({self.period_seconds} < {self.duration_seconds})")
 
+    def acts_at(self, t: int) -> bool:
+        """Whether a sampler on this duty cycle, ticked at every such
+        second from its start, opens or closes a window at second ``t``.
+
+        Windows open on period boundaries and close ``duration`` seconds
+        later, so at every other second :meth:`CpiSampler.tick` is a no-op
+        (50 of every 60 by default).  Every sampler of a simulation shares
+        one config, so the simulation asks this once per tick and skips
+        all its samplers at once.
+        """
+        period = self.period_seconds
+        phase = t % period
+        return phase == 0 or phase == self.duration_seconds % period
+
 
 class CpiSampler:
     """Samples one machine's per-cgroup counters on the paper's duty cycle.
 
-    Call :meth:`tick` once per simulated second, *after* the machine has
-    executed that second.  A window opened at time ``t0`` snapshots the
-    counters as of the end of second ``t0`` and closes ``duration`` seconds
-    later, so its deltas cover exactly seconds ``t0+1 .. t0+duration``.
+    Call :meth:`tick` *after* the machine has executed a second: every
+    second, or only at the seconds :meth:`SamplerConfig.acts_at` names (at
+    any other, ``tick`` is a no-op).  A window opened at time ``t0``
+    snapshots the counters as of the end of second ``t0`` and closes
+    ``duration`` seconds later, so its deltas cover exactly seconds
+    ``t0+1 .. t0+duration``.
     """
 
     def __init__(self, machine: "Machine", config: SamplerConfig | None = None,
@@ -125,21 +141,6 @@ class CpiSampler:
         counter.inc()
         obs.events.event("sampler_window_discarded", reason=reason,
                          machine=self.machine.name, task=taskname)
-
-    def wants_tick(self, t: int) -> bool:
-        """Whether :meth:`tick` would do any work at second ``t``.
-
-        The duty cycle is 10s-on/50s-off: a window closes when it has run
-        ``duration`` seconds and a new one opens on period boundaries, so
-        for every other second ``tick`` is a no-op.  The simulation's run
-        loop uses this to skip those no-op calls entirely.  (The two
-        conditions cannot overlap in a skipped second: while a window is
-        open, ``t - start`` is in ``(0, duration)`` and therefore ``t`` is
-        never on a period boundary, since ``period >= duration``.)
-        """
-        if self._window_start is not None:
-            return t - self._window_start >= self.config.duration_seconds
-        return t % self.config.period_seconds == 0
 
     def tick(self, t: int) -> "WindowSamples":
         """Advance to second ``t``; returns the window's samples if one closed.

@@ -77,13 +77,17 @@ class TestProfileCall:
 
 
 class TestSamplerFastForward:
-    def test_wants_tick_skips_only_noop_seconds(self):
-        """Skipping wants_tick==False seconds must not change the stream."""
+    @pytest.mark.parametrize(
+        "config", [SamplerConfig(), SamplerConfig(7, 7), SamplerConfig(3, 20)],
+        ids=["paper", "back-to-back", "short"])
+    def test_window_edge_schedule_skips_only_noop_seconds(self, config):
+        """Ticking a sampler only at the seconds the simulation's schedule
+        (``SamplerConfig.acts_at``) names must not change the stream."""
         def build():
             machine = make_quiet_machine()
             job = make_scripted_job("j", [1.0, 2.0], cpu_limit=4.0)
             machine.place(job.tasks[0])
-            return machine, CpiSampler(machine, SamplerConfig())
+            return machine, CpiSampler(machine, config)
 
         m1, every_second = build()
         m2, fast_forward = build()
@@ -92,11 +96,41 @@ class TestSamplerFastForward:
             m1.tick(t)
             m2.tick(t)
             full.extend(every_second.tick(t))
-            if fast_forward.wants_tick(t):
+            if config.acts_at(t):
                 skipped.extend(fast_forward.tick(t))
         assert full  # windows actually closed
         assert ([(s.timestamp, s.cpi, s.cpu_usage) for s in full]
                 == [(s.timestamp, s.cpi, s.cpu_usage) for s in skipped])
+
+    def test_simulation_ticks_samplers_only_at_window_edges(self, monkeypatch):
+        sim = _sim(2)
+        ticked = []
+        real = CpiSampler.tick
+
+        def counting(sampler, t):
+            ticked.append(t)
+            return real(sampler, t)
+
+        monkeypatch.setattr(CpiSampler, "tick", counting)
+        sim.run(125)
+        assert sorted(set(ticked)) == [0, 10, 60, 70, 120]
+        assert len(ticked) == 2 * 5
+
+    def test_foreign_sampler_config_raises(self):
+        sim = _sim(2)
+        sim.step()
+        machine = sim.machines["m1"]
+        sim.samplers["m1"] = CpiSampler(machine, SamplerConfig(5, 30))
+        sim.invalidate_iteration_order()
+        with pytest.raises(ValueError, match="SimConfig.sampler"):
+            sim.step()
+
+    def test_equal_sampler_config_is_shared(self):
+        sim = _sim(2)
+        machine = sim.machines["m1"]
+        sim.samplers["m1"] = CpiSampler(machine, SamplerConfig())
+        sim.run(11)
+        assert sim.now == 11
 
 
 def _bind_reference_tick(machine):

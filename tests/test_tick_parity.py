@@ -878,6 +878,158 @@ def test_multi_machine_fleet_makes_no_per_machine_tick_call(monkeypatch):
     assert len(sim._fleet.machines) == 3
 
 
+# -- measurement noise: buffered draws across fleets --------------------------
+
+#: Past two refills of a fleet's noise block (64 rows).
+_NOISE_TICKS = 150
+
+
+@st.composite
+def _noise_runs(draw):
+    """2-6 machines mixing sigma = 0 and sigma > 0, and the events drawn
+    between ticks: a task placed or removed (the fleet is rebuilt at a new
+    task count), a machine ticked alone through ``Machine.tick`` (its draws
+    move to a one-machine fleet and back), a reassigned ``machine.rng``."""
+    sigmas = draw(st.lists(st.sampled_from((0.0, 0.03, 0.2)), min_size=2,
+                           max_size=6).filter(
+        lambda s: 0.0 in s and any(s)))
+    n = len(sigmas)
+    events = draw(st.lists(st.tuples(
+        st.integers(1, _NOISE_TICKS - 1),
+        st.sampled_from(("place", "remove", "alone", "rng")),
+        st.integers(0, n - 1), st.integers(0, 999)), max_size=14))
+    return dict(sigmas=sigmas, seed=draw(st.integers(0, 99)),
+                tasks=draw(st.lists(st.integers(0, 5), min_size=n,
+                                    max_size=n)),
+                events=sorted(events))
+
+
+def _noise_run(run: dict) -> tuple[list, list]:
+    """Every tick of ``run``'s results by ``float.hex``, and the generator
+    state of each machine with sigma = 0 (it must never be drawn from)."""
+    platform = get_platform("westmere-2.6")
+    machines = [Machine(f"m{k}", platform, cpi_noise_sigma=sigma)
+                for k, sigma in enumerate(run["sigmas"])]
+    sim = ClusterSimulation(machines, SimConfig(seed=run["seed"]))
+    serial = iter(range(10_000))
+
+    def place(machine, level):
+        workload = SyntheticWorkload(base_cpi=1.0, profile=SENSITIVE_PROFILE,
+                                     demand=constant(level))
+        job = Job(JobSpec(
+            name=f"{machine.name}.j{next(serial)}", num_tasks=1,
+            scheduling_class=SchedulingClass.LATENCY_SENSITIVE,
+            priority_band=PriorityBand.PRODUCTION, cpu_limit_per_task=4.0,
+            workload_factory=lambda _, w=workload: w))
+        machine.place(job.tasks[0])
+
+    for machine, count in zip(machines, run["tasks"]):
+        for i in range(count):
+            place(machine, 0.5 + 0.25 * i)
+    events: dict[int, list] = {}
+    for t, kind, k, arg in run["events"]:
+        events.setdefault(t, []).append((kind, machines[k], arg))
+    ticks = []
+    for t in range(_NOISE_TICKS):
+        alone = None
+        for kind, machine, arg in events.get(t, ()):
+            if kind == "place":
+                place(machine, 0.1 + arg / 500)
+            elif kind == "remove" and machine.num_tasks:
+                victim = machine.resident_tasks()[arg % machine.num_tasks]
+                machine.remove(victim.name, TaskState.KILLED)
+            elif kind == "rng":
+                machine.rng = np.random.default_rng(arg)
+            elif kind == "alone":
+                alone = machine
+        if alone is not None:
+            ticks.append((alone.name, _canon_result(alone.tick(t))))
+            sim.now += 1    # the machine's own tick stands in for t
+        else:
+            ticks.append(sorted((name, _canon_result(r))
+                                for name, r in sim.step().items()))
+    quiet = [m.rng.bit_generator.state for m in machines
+             if m.cpi_noise_sigma == 0.0]
+    return ticks, quiet
+
+
+def _noise_reference(run: dict) -> tuple[list, list]:
+    """:func:`_noise_run` with every machine on the scalar reference tick."""
+    with pytest.MonkeyPatch.context() as patch:
+        reference_tick.install(patch)
+        return _noise_run(run)
+
+
+@settings(deadline=None)
+@given(run=_noise_runs())
+def test_noise_stream_matches_reference_across_fleets(run):
+    """Buffered noise draws belong to their machine: through fleet
+    rebuilds at new task counts, one-machine ticks between cluster steps
+    and reassigned generators, every tick equals the scalar reference by
+    ``float.hex``, and a sigma = 0 machine's generator is never drawn."""
+    assert _noise_run(run) == _noise_reference(run)
+
+
+def test_noise_block_carries_over_across_rebuilds():
+    """The property above is not vacuous: a rebuild hands a part-used
+    block on, a shrunken machine keeps the draws that did not fit, an
+    emptied machine keeps its draws without keeping the fleet (and drops
+    them when its generator is reassigned), and a sigma = 0 machine's
+    columns stay 0.0."""
+    shrink = [(70, "remove", 1, 0)] * 5
+    emptied = [(80, "remove", 1, 0)] * 6 + [(90, "place", 1, 7)]
+    reseeded = ([(80, "remove", 1, 0)] * 6 + [(81, "rng", 1, 5)]
+                + [(82, "place", 1, 7)])
+    for events in (shrink, emptied, reseeded):
+        run = dict(sigmas=[0.0, 0.03], seed=3, tasks=[2, 6], events=events)
+        assert _noise_run(run) == _noise_reference(run)
+    platform = get_platform("westmere-2.6")
+    sim = ClusterSimulation(
+        [Machine("a", platform, cpi_noise_sigma=0.0),
+         Machine("b", platform, cpi_noise_sigma=0.03)], SimConfig(seed=3))
+    for name, count in (("a", 2), ("b", 6)):
+        for i in range(count):
+            sim.machines[name].place(_plain_task(f"{name}.j{i}"))
+    sim.run(70)
+    fleet = sim._fleet
+    assert fleet.noise_row == 70 - 64
+    assert not fleet.noise_block[:, :2].any()
+    b = sim.machines["b"]
+    for task in b.resident_tasks()[1:]:
+        b.remove(task.name, TaskState.KILLED)
+    sim.step()
+    owner, _, n, extra = b._noise_src
+    assert owner is sim._fleet and n == 1
+    # 58 rows of 6 draws were left; 64 fit in the new block.
+    assert extra is not None and extra.size == 58 * 6 - 64
+    b.remove(b.resident_tasks()[0].name, TaskState.KILLED)
+    sim.step()
+    # An emptied machine's draws are copied out of the fleet that held
+    # them, so that fleet is not kept alive.
+    assert b._noise_src[0] is None and b._noise_src[3].size == 63 + extra.size
+    # Reassigning the generator of an emptied machine drops its copied-out
+    # draws; there is no fleet to retire.
+    b.rng = np.random.default_rng(2)
+    assert b._noise_src is None and sim._fleet.valid
+    sim.step()
+    b.place(_plain_task("b.again"))
+    sim.step()
+    owner = b._noise_src[0]
+    assert owner is sim._fleet
+    b.rng = np.random.default_rng(1)
+    assert b._noise_src is None and not owner.valid
+
+
+def _plain_task(name: str):
+    workload = SyntheticWorkload(base_cpi=1.0, profile=SENSITIVE_PROFILE,
+                                 demand=constant(0.5))
+    return Job(JobSpec(
+        name=name, num_tasks=1,
+        scheduling_class=SchedulingClass.LATENCY_SENSITIVE,
+        priority_band=PriorityBand.PRODUCTION, cpu_limit_per_task=4.0,
+        workload_factory=lambda _: workload)).tasks[0]
+
+
 # -- the numpy identities the batched tick relies on --------------------------
 
 
@@ -886,7 +1038,8 @@ def test_bulk_standard_normal_matches_scalar_draws(seed):
     """One rng.standard_normal(n) call == n scalar draws, bit-for-bit.
 
     This is the batched-RNG-order contract: the tick replaces the reference's
-    per-task scalar draw loop with one bulk draw per machine-tick.
+    per-task scalar draw loop with one bulk draw per machine per noise
+    block.
     """
     bulk = np.random.default_rng(seed).standard_normal(257)
     scalar_rng = np.random.default_rng(seed)
