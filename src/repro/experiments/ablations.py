@@ -26,7 +26,8 @@ from repro.core.identify import rank_cotenant_suspects
 from repro.core.outlier import OutlierDetector
 from repro.core.samplebatch import SampleColumns
 from repro.experiments.scenarios import victim_antagonist_machine
-from repro.experiments.trials import TrialConfig, TrialResult, run_trials
+from repro.experiments.trials import (TrialConfig, TrialResult,
+                                      advance_sampled, run_trials)
 from repro.perf.sampler import CpiSampler, SamplerConfig
 from repro.records import CpiSample
 from repro.workloads import AntagonistKind
@@ -153,9 +154,8 @@ def usage_gate_sweep(gates=(0.0, 0.1, 0.25, 0.5), seed: int = 0
     machine.place(job.tasks[0])
     sampler = CpiSampler(machine, SamplerConfig())
     bimodal_samples: list[CpiSample] = []
-    for t in range(40 * 60):
-        machine.tick(t)
-        bimodal_samples.extend(sampler.tick(t))
+    for _, samples in advance_sampled(machine, sampler, 0, 40 * 60):
+        bimodal_samples.extend(samples)
     bimodal_spec = CpiSpec("bimodal", "westmere-2.6", 1000, 0.3, 3.0, 1.0)
 
     interfered = _victim_sample_stream(seed, interfered=True)
@@ -426,9 +426,8 @@ def group_antagonists(group_size: int = 4, seed: int = 0
 
     sampler = CpiSampler(machine, SamplerConfig())
     victim_samples: list[CpiSample] = []
-    for t in range(30 * 60):
-        machine.tick(t)
-        for sample in sampler.tick(t):
+    for _, samples in advance_sampled(machine, sampler, 0, 30 * 60):
+        for sample in samples:
             if sample.taskname == "victim/0":
                 victim_samples.append(sample)
 
@@ -452,9 +451,9 @@ def group_antagonists(group_size: int = 4, seed: int = 0
         for task in capped_tasks:
             task.cgroup.apply_cap(0.1, now=start, duration=300)
         observed = []
-        for t in range(start, start + 300):
-            machine.tick(t)
-            for sample in sampler.tick(t):
+        for _, samples in advance_sampled(machine, sampler, start,
+                                          start + 300):
+            for sample in samples:
                 if sample.taskname == "victim/0":
                     observed.append(sample.cpi)
         for task in capped_tasks:
@@ -466,9 +465,8 @@ def group_antagonists(group_size: int = 4, seed: int = 0
     now = 30 * 60
     top1_cpi = run_capped([top], now)
     # Recovery gap, then arm 2: cap the whole group as a unit.
-    for t in range(now + 300, now + 900):
-        machine.tick(t)
-        sampler.tick(t)
+    for _ in advance_sampled(machine, sampler, now + 300, now + 900):
+        pass
     group_cpi = run_capped(members, now + 900)
 
     return GroupAntagonistResult(

@@ -32,7 +32,7 @@ predictive and their trials noisier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,8 +51,8 @@ from repro.workloads import AntagonistKind, make_antagonist_workload
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.demand import constant, with_noise
 
-__all__ = ["TrialConfig", "TrialResult", "run_trial", "run_trials",
-           "TRIALS_PARALLEL_MIN_PER_JOB"]
+__all__ = ["TrialConfig", "TrialResult", "advance_sampled", "run_trial",
+           "run_trials", "TRIALS_PARALLEL_MIN_PER_JOB"]
 
 #: Minimum trials per worker before ``run_trials`` fans out.  One trial
 #: is ~100ms of work; below this floor the pool round-trips (task
@@ -245,8 +245,36 @@ def _gated(workload: SyntheticWorkload, start: int) -> SyntheticWorkload:
     return workload
 
 
+def advance_sampled(machine: Machine, sampler: CpiSampler, start: int,
+                    end: int
+                    ) -> Iterator[tuple[list[list[float]], Iterable]]:
+    """Step ``machine`` over seconds ``[start, end)`` one sampling-window
+    edge at a time.
+
+    Each stretch runs through the next second at which the sampler acts
+    (:meth:`SamplerConfig.acts_at`), or to ``end``, as one
+    :meth:`Machine.advance`; the sampler ticks only at that second (at any
+    other its ``tick`` is a no-op), after the machine has run it.  Yields
+    each stretch's per-second grants and the samples of its last second
+    (none when that second does not act).
+    """
+    acts_at = sampler.config.acts_at
+    t = start
+    while t < end:
+        last = t
+        while last < end - 1 and not acts_at(last):
+            last += 1
+        grants = machine.advance(t, last + 1)
+        yield grants, (sampler.tick(last) if acts_at(last) else ())
+        t = last + 1
+
+
 def run_trial(seed: int, config: TrialConfig | None = None) -> TrialResult:
-    """Run one manual-capping trial; see the module docstring for phases."""
+    """Run one manual-capping trial; see the module docstring for phases.
+
+    The machine advances a sampling window at a time
+    (:func:`advance_sampled`), equal to ticking it and its sampler at every
+    second."""
     config = config or TrialConfig()
     cpi_config = config.cpi_config
     rng = np.random.default_rng(np.random.SeedSequence((0xC0FFEE, seed)))
@@ -341,9 +369,12 @@ def run_trial(seed: int, config: TrialConfig | None = None) -> TrialResult:
             "instr": counters.read(CounterEvent.INSTRUCTIONS_RETIRED),
             "cycles": counters.read(CounterEvent.CPU_CLK_UNHALTED_REF),
         }
-    for t in range(end_a):
-        machine.tick(t)
-        for sample in sampler.tick(t):
+    # Second 0 is a plain tick: benchmarks/perf times a trial's
+    # construction by stopping it at its first Machine.tick.
+    machine.tick(0)
+    sampler.tick(0)
+    for _, samples in advance_sampled(machine, sampler, 1, end_a):
+        for sample in samples:
             if sample.taskname == victim_name:
                 calibration_cpis.append(sample.cpi)
 
@@ -373,14 +404,13 @@ def run_trial(seed: int, config: TrialConfig | None = None) -> TrialResult:
     )
 
     pre_counters_start = counter_snapshot()
-    for t in range(end_a, end_b):
-        result = machine.tick(t)
-        granted_sum += sum(result.grants.values())
-        granted_ticks += 1
-        for sample in sampler.tick(t):
-            if sample.taskname != victim_name:
-                continue
-            victim_samples.append(sample)
+    for grants, samples in advance_sampled(machine, sampler, end_a, end_b):
+        for row in grants:
+            granted_sum += sum(row)
+        granted_ticks += len(grants)
+        for sample in samples:
+            if sample.taskname == victim_name:
+                victim_samples.append(sample)
     pre_counters_end = counter_snapshot()
     anomaly_detected = bool(detector.observe_samples(victim_samples, spec))
 
@@ -407,9 +437,8 @@ def run_trial(seed: int, config: TrialConfig | None = None) -> TrialResult:
             duration=config.cap_seconds)
     post_counters_start = counter_snapshot()
     post_cpis: list[float] = []
-    for t in range(end_b, end_c):
-        machine.tick(t)
-        for sample in sampler.tick(t):
+    for _, samples in advance_sampled(machine, sampler, end_b, end_c):
+        for sample in samples:
             if sample.taskname == victim_name:
                 post_cpis.append(sample.cpi)
     post_counters_end = counter_snapshot()
