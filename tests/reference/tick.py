@@ -14,9 +14,10 @@ operand from the per-task model the columnar tick
 machine's interference parameters only as data.  A parity test therefore
 compares two independent programs.
 
-Tests swap it in for every machine with :func:`install`, or bind it to one
-machine (``machine.tick = MethodType(tick, machine)``), which also keeps
-that machine out of any fused fleet.
+Tests swap it in for every machine with :func:`install` (which also
+points :meth:`Machine.advance` at it, a second at a time), or bind it to
+one machine (``machine.tick = MethodType(tick, machine)``), which also
+keeps that machine out of any fused fleet.
 """
 
 import math
@@ -36,14 +37,22 @@ _EVENT_SLOT = {event: i for i, event in enumerate(EVENT_ORDER)}
 
 
 def install(monkeypatch) -> None:
-    """Run every machine on this tick, one machine at a time.
+    """Run every machine on this tick, one machine at a time, whether it is
+    ticked or advanced.
 
     The class-level patch keeps ``type(m).tick is Machine.tick`` true, so
     cluster fusion must be switched off separately.
     """
     monkeypatch.setattr(Machine, "tick", tick)
+    monkeypatch.setattr(Machine, "advance", advance)
     monkeypatch.setattr(FusedFleet, "build",
                         classmethod(lambda cls, order: None))
+
+
+def advance(machine: Machine, t0: int, t1: int) -> list[list[float]]:
+    """Seconds ``t0 .. t1-1`` on :func:`tick`, one at a time; each second's
+    grants in table order, as :meth:`Machine.advance` returns them."""
+    return [list(tick(machine, t).grants.values()) for t in range(t0, t1)]
 
 
 def tick(machine: Machine, t: int) -> TickResult:
