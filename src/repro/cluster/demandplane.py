@@ -22,8 +22,11 @@ Bit-exactness against the per-task closures is a hard contract
   one gather, and a row whose cursor reaches 256 refills with
   ``standard_normal(out=row)``, which consumes the bit stream exactly as
   256 scalar draws.  Shared generators keep strict per-tick scalar draws
-  in arena order (machine order x table order).  Either way every
-  consumer sees the sequence the scalar closures would draw.
+  in arena order (machine order x table order); the block form
+  (:meth:`DemandColumns.demand_block`) draws each once per block, in
+  (second, arena) order.  Either way every consumer sees the sequence the
+  scalar closures would draw, and a closed
+  :func:`~repro.workloads.demand.gated` row draws nothing.
 * **Operand order** — every compiled formula multiplies/adds in the same
   order as its closure, clamps with the same NaN-safe ``d if d > 0.0 else
   0.0`` branch, and keeps the one transcendental per noisy task
@@ -36,8 +39,9 @@ Bit-exactness against the per-task closures is a hard contract
 * **Eligibility fallback** — any workload the compiler cannot express (a
   hand-written demand lambda, an overridden ``cpu_demand``, a subclassed
   cgroup, non-finite parameters) makes :meth:`DemandColumns.compile`
-  return ``None`` and every machine of that fleet runs its closures.  The
-  workloads make this choice; no option or environment variable does.
+  return ``None`` and every machine of that fleet runs its closures (the
+  fleet counts ``demand_program_fallbacks``).  The workloads make this
+  choice; no option or environment variable does.
 
 Cgroup state is columnar too: per-task limit and hard-cap columns are
 rebuilt only when any cap changes (a class-level mutation counter on
@@ -153,11 +157,12 @@ class DemandColumns:
         "_base0", "_vals",
         "_onoff", "_scaled", "_noise",
         "_streams", "_block", "_pos", "_row_base", "_flat", "_left",
-        "_stale",
+        "_stale", "_gate", "_gate_until", "_closed", "_shared_groups",
+        "_rows", "_block_vals", "_block_z", "_block_mask", "_block_allowed",
         "_limits", "_allowed", "_cap_mask",
         "_cap_quota", "_cap_expires", "_cap_epoch", "_any_cap", "_no_caps",
-        "_base_cpi_vals", "_base_cpi_dyn", "check_base_cpi",
-        "batch_on_tick", "now_workloads",
+        "_base_cpi_vals", "_base_cpi_dyn", "_base_cpi_pure",
+        "check_base_cpi", "batch_on_tick", "now_workloads", "blockable",
     )
 
     @classmethod
@@ -168,7 +173,8 @@ class DemandColumns:
         Ineligibility (→ the fleet runs the per-task closures): any
         overridden/patched ``cpu_demand``, a demand function without a
         recognised spec tree (leaf under optional ``scaled`` wrappers under
-        an optional outermost ``with_noise``), a spec-less ``scaled``
+        an optional ``with_noise`` under an optional outermost ``gated``),
+        a spec-less ``scaled``
         factor, non-finite parameters, a subclassed cgroup, or a cgroup
         shared between tasks (a cgroup's usage ring is one row of the
         table's usage matrix, so each task needs its own).
@@ -182,12 +188,17 @@ class DemandColumns:
         leaves: list = []
         chains: list[tuple] = []      # scaled factors, innermost first
         noises: list = []             # NoiseSpec or None
+        gates: list = []              # GatedSpec.start or None
         try:
             for w in workloads:
                 if (type(w).cpu_demand is not sw.cpu_demand
                         or "cpu_demand" in getattr(w, "__dict__", ())):
                     return None
                 spec = wdemand.demand_spec(w._demand)
+                gate = None
+                if isinstance(spec, wdemand.GatedSpec):
+                    gate = spec.start
+                    spec = spec.base
                 noise = None
                 if isinstance(spec, wdemand.NoiseSpec):
                     noise = spec
@@ -212,6 +223,7 @@ class DemandColumns:
                 leaves.append(spec)
                 chains.append(tuple(reversed(factors)))
                 noises.append(noise)
+                gates.append(gate)
         except AttributeError:
             return None
         for cg in cgroups:
@@ -277,6 +289,7 @@ class DemandColumns:
             streams: list = []
             shared_i: list[int] = []
             takes: list = []
+            groups: dict = {}
             for i in noise_i:
                 sigma_full[i] = noises[i].sigma
                 stream = noises[i].stream
@@ -292,6 +305,9 @@ class DemandColumns:
                 else:
                     shared_i.append(i)
                     takes.append(stream.take)
+                    groups.setdefault(id(stream.rng), (stream.rng, [], []))
+                    groups[id(stream.rng)][1].append(i)
+                    groups[id(stream.rng)][2].append(stream)
             self._noise = (
                 sigma_full,
                 np.zeros(n),
@@ -299,7 +315,14 @@ class DemandColumns:
                 _as_index(priv_i, n) if priv_i else None,
                 _as_index(shared_i, n) if shared_i else None,
                 tuple(takes),
+                np.asarray(priv_i, dtype=np.intp),
+                np.asarray(shared_i, dtype=np.intp),
             )
+            # Each shared generator with the arena slots it draws for (in
+            # arena order) and their streams, for the block form.
+            self._shared_groups = tuple(
+                (rng, np.asarray(idx, dtype=np.intp), tuple(st))
+                for rng, idx, st in groups.values())
             if streams:
                 k = len(streams)
                 self._streams = tuple(streams)
@@ -315,6 +338,20 @@ class DemandColumns:
                 self._stale = True
         else:
             self._noise = None
+            self._shared_groups = ()
+
+        # -- gates: each slot's start second, -inf for an ungated slot ------
+        if any(g is not None for g in gates):
+            self._gate = np.array([-_INF if g is None else g for g in gates],
+                                  dtype=np.float64)
+            # From this second on no gate is closed (a NaN start, like the
+            # closure's ``t < nan``, never closes).
+            self._gate_until = max((g for g in self._gate.tolist()
+                                    if g == g), default=-_INF)
+            self._closed = np.empty(n, dtype=bool)
+        else:
+            self._gate = None
+        self._rows = 0              # block buffers are made at first use
 
         # -- cgroup columns ------------------------------------------------
         self._limits = np.asarray(cpu_limits, dtype=np.float64)
@@ -331,14 +368,21 @@ class DemandColumns:
         # only needs its positivity check when dynamic slots exist; a
         # non-positive constant is routed through a dynamic slot so the
         # per-tick check raises exactly as the closure path would.
+        # A dynamic slot is pure when it is the plain modulated base CPI and
+        # its modulation declares itself pure with a ``spec`` (as
+        # DiurnalPattern does): the block form may then evaluate it ahead.
         vals = [0.0] * n
         dyn: list[tuple[int, object]] = []
+        pure: list[tuple[int, object]] = []
         now_workloads: list = []
         for i, w in enumerate(workloads):
             overridden = (type(w).base_cpi is not sw.base_cpi
                           or "base_cpi" in getattr(w, "__dict__", ()))
             if overridden or w._cpi_modulation is not None:
                 dyn.append((i, w.base_cpi))
+                if (not overridden and getattr(
+                        w._cpi_modulation, "spec", None) is not None):
+                    pure.append((i, w))
                 # Modulation (and any override) may read ``_now``, which
                 # the batched on_tick path must therefore keep advancing.
                 now_workloads.append(w)
@@ -348,6 +392,7 @@ class DemandColumns:
                 dyn.append((i, w.base_cpi))
         self._base_cpi_vals = vals
         self._base_cpi_dyn = tuple(dyn)
+        self._base_cpi_pure = tuple(pure)
         self.check_base_cpi = bool(dyn)
         self.now_workloads = tuple(now_workloads)
 
@@ -355,6 +400,11 @@ class DemandColumns:
             type(w).on_tick is sw.on_tick
             and "on_tick" not in getattr(w, "__dict__", ())
             for w in workloads)
+        # Whether a block of seconds can run as one (seconds x tasks) pass
+        # (:meth:`allowed_block`): plain accounting, every dynamic base CPI
+        # pure, and finite limits, so no row's grant can be non-finite.
+        self.blockable = (self.batch_on_tick and len(pure) == len(dyn)
+                          and bool(np.isfinite(self._limits).all()))
         return self
 
     # -- demand ---------------------------------------------------------------
@@ -375,34 +425,138 @@ class DemandColumns:
         for idx, fn in self._scaled:
             seg = vals[idx] * fn(t)
             vals[idx] = np.where(seg > 0.0, seg, 0.0)
+        # A closed gate's slot demands 0.0 and draws nothing.
+        closed = None
+        if self._gate is not None and t < self._gate_until:
+            closed = np.less(t, self._gate, out=self._closed)
         nz = self._noise
         if nz is not None:
-            sigma, z, mask, priv, shared, takes = nz
+            sigma, z, mask, priv, shared, takes, priv_i, shared_i = nz
             if priv is not None:
                 if self._stale:
                     self._adopt()
-                if not self._left:
-                    self._refill()
-                # One gather: row r's next draw is block[r, pos[r]].
-                flat = self._flat
-                np.add(self._row_base, self._pos, flat)
-                z[priv] = self._block.take(flat)
-                self._pos += 1
-                self._left -= 1
+                if closed is None:
+                    if not self._left:
+                        self._refill()
+                    # One gather: row r's next draw is block[r, pos[r]].
+                    flat = self._flat
+                    np.add(self._row_base, self._pos, flat)
+                    z[priv] = self._block.take(flat)
+                    self._pos += 1
+                    self._left -= 1
+                else:
+                    # Only the open rows draw, each refilling when it runs
+                    # out, as the block form does.
+                    rows = np.flatnonzero(~closed[priv_i]).tolist()
+                    z[priv_i[rows]] = [self._take(r) for r in rows]
             if shared is not None:
                 # One scalar per shared stream, in arena order.
-                z[shared] = [take() for take in takes]
-            np.multiply(z, sigma, z)
-            np.exp(z, z)
-            # sigma is 0 on noiseless slots, so exp gives exactly 1.0 there
-            # and the table-wide multiply leaves them bit-unchanged.  The
-            # mask clamp matches the closures' ``d if d > 0.0 else 0.0``
-            # (NaN — e.g. 0 × inf from an overflowing exp — goes to 0 too).
-            np.multiply(vals, z, vals)
-            np.greater(vals, 0.0, mask)
-            np.logical_not(mask, mask)
-            vals[mask] = 0.0
+                if closed is None:
+                    z[shared] = [take() for take in takes]
+                else:
+                    z[shared] = [0.0 if c else take() for take, c in
+                                 zip(takes, closed[shared_i].tolist())]
+            self._noisy(vals, z, sigma, mask)
+        if closed is not None:
+            vals[closed] = 0.0
         return vals
+
+    @staticmethod
+    def _noisy(vals: np.ndarray, z: np.ndarray, sigma: np.ndarray,
+               mask: np.ndarray) -> None:
+        """``vals *= exp(sigma * z)``, clamped at 0.0, in place."""
+        np.multiply(z, sigma, z)
+        np.exp(z, z)
+        # sigma is 0 on noiseless slots, so exp gives exactly 1.0 there
+        # and the table-wide multiply leaves them bit-unchanged.  The
+        # mask clamp matches the closures' ``d if d > 0.0 else 0.0``
+        # (NaN — e.g. 0 × inf from an overflowing exp — goes to 0 too).
+        np.multiply(vals, z, vals)
+        np.greater(vals, 0.0, mask)
+        np.logical_not(mask, mask)
+        vals[mask] = 0.0
+
+    def demand_block(self, t0: int, k: int) -> np.ndarray:
+        """:meth:`demand` for seconds ``t0 .. t0+k-1`` as ``(k, n)`` rows.
+
+        Every row is computed from its own ``t`` with the per-second
+        operands, so row ``r`` equals ``demand(t0 + r)``.  The draws equal
+        the per-second ones: a private stream's row of the noise block
+        yields its next ``k`` values (fewer for a gate closed part of the
+        block), and every shared generator is drawn once, ``z[mask] =
+        rng.standard_normal(count)``, the mask row-major in (second, arena)
+        order without closed gates — one bulk draw consumes a generator
+        exactly as ``count`` scalar draws.  So the block must own its
+        shared generators: the caller checks :meth:`block_ready` first,
+        and nothing may draw them until the block's seconds have run.
+
+        Returns an internal buffer, overwritten by the next call.
+        """
+        if k > self._rows:
+            self._rows = k
+            self._block_vals = np.empty((k, self.n))
+            self._block_z = np.zeros((k, self.n))
+            self._block_mask = np.empty((k, self.n), dtype=bool)
+            self._block_allowed = np.empty((k, self.n))
+        tcol = np.arange(t0, t0 + k)[:, None]
+        vals = self._block_vals[:k]
+        vals[...] = self._base0
+        oo = self._onoff
+        if oo is not None:
+            idx, on, off, period, phase, on_seconds, _ = oo
+            ti = np.add(phase, tcol)
+            np.remainder(ti, period, ti)
+            vals[:, idx] = np.where(np.less(ti, on_seconds), on, off)
+        for idx, fn in self._scaled:
+            seg = vals[:, idx] * np.array(
+                [fn(t) for t in range(t0, t0 + k)], dtype=np.float64)[:, None]
+            vals[:, idx] = np.where(seg > 0.0, seg, 0.0)
+        closed = None
+        if self._gate is not None and t0 < self._gate_until:
+            closed = np.less(tcol, self._gate)
+        nz = self._noise
+        if nz is not None:
+            sigma, _, _, priv, _, _, priv_i, _ = nz
+            z = self._block_z[:k]
+            if priv is not None:
+                if self._stale:
+                    self._adopt()
+                if closed is None and self._left >= k:
+                    flat = self._row_base + self._pos + np.arange(k)[:, None]
+                    z[:, priv] = self._block.take(flat)
+                    self._pos += k
+                    self._left -= k
+                else:
+                    for r, i in enumerate(priv_i.tolist()):
+                        rows = (slice(None) if closed is None
+                                else ~closed[:, i])
+                        col = z[:, i]       # a view: writes go to z
+                        col[rows] = self._take_many(
+                            r, k if closed is None
+                            else int(np.count_nonzero(rows)))
+                    self._left = _DRAW_CHUNK - int(self._pos.max())
+            for rng, idx, _ in self._shared_groups:
+                if closed is None:
+                    z[:, idx] = rng.standard_normal((k, len(idx)))
+                else:
+                    sub = z[:, idx]
+                    draw = ~closed[:, idx]
+                    sub[draw] = rng.standard_normal(int(np.count_nonzero(
+                        draw)))
+                    z[:, idx] = sub
+            self._noisy(vals, z, sigma, self._block_mask[:k])
+        if closed is not None:
+            vals[closed] = 0.0
+        return vals
+
+    def block_ready(self) -> bool:
+        """Whether :meth:`demand_block` may draw every shared generator
+        directly: no shared stream is being buffered by a program."""
+        for _, _, streams in self._shared_groups:
+            for stream in streams:
+                if stream.home is not None:
+                    return False
+        return True
 
     # -- noise block ------------------------------------------------------------
 
@@ -457,6 +611,24 @@ class DemandColumns:
             self._left = _DRAW_CHUNK - 1 - p
         return float(row[p])
 
+    def _take_many(self, r: int, count: int) -> np.ndarray:
+        """Row ``r``'s next ``count`` draws, refilling the row from its
+        stream's generator each time it runs out."""
+        out = np.empty(count)
+        row = self._block[r]
+        p = int(self._pos[r])
+        got = 0
+        while got < count:
+            if p == _DRAW_CHUNK:
+                self._streams[r].rng.standard_normal(out=row)
+                p = 0
+            m = min(count - got, _DRAW_CHUNK - p)
+            out[got:got + m] = row[p:p + m]
+            got += m
+            p += m
+        self._pos[r] = p
+        return out
+
     def allowed_and_capped(self, t: int) -> tuple[np.ndarray, list[bool]]:
         """Demand clipped by limits and active caps, plus the capped flags.
 
@@ -475,6 +647,24 @@ class DemandColumns:
                            out=a)
                 return a, active.tolist()
         return a, self._no_caps
+
+    def allowed_block(self, t0: int, k: int) -> np.ndarray:
+        """:meth:`allowed_and_capped`'s allowances for seconds ``t0 ..
+        t0+k-1`` as ``(k, n)`` rows (an internal buffer): the block's
+        demand clipped by the limits and the caps active at each row's
+        second."""
+        vals = self.demand_block(t0, k)
+        a = self._block_allowed[:k]
+        np.minimum(vals, self._limits, out=a)
+        if Cgroup._cap_mutations != self._cap_epoch:
+            self._sync_caps()
+        if self._any_cap:
+            active = np.less(np.arange(t0, t0 + k)[:, None],
+                             self._cap_expires)
+            if active.any():
+                np.minimum(a, np.where(active, self._cap_quota, _INF),
+                           out=a)
+        return a
 
     def _sync_caps(self) -> None:
         """Rebuild the cap columns from the cgroups' current caps.
@@ -512,3 +702,22 @@ class DemandColumns:
         for i, fn in self._base_cpi_dyn:
             vals[i] = fn()
         return vals
+
+    def base_cpi_block(self, t0: int, out: np.ndarray) -> bool:
+        """:meth:`base_cpi` for the ``len(out)`` seconds from ``t0`` into
+        ``out``'s rows; whether every value is positive.
+
+        Only for a :attr:`blockable` program: every dynamic slot is pure,
+        so its values are computed ahead from the clock each second's read
+        would see — the workload's ``_now`` for the first row, the second
+        before it for every other (batch accounting advances ``_now``
+        after each second's read).
+        """
+        out[...] = self._base_cpi_vals
+        k = len(out)
+        for i, w in self._base_cpi_pure:
+            base = w._base_cpi
+            mod = w._cpi_modulation
+            nows = [w._now, *range(t0, t0 + k - 1)]
+            out[:, i] = [base * max(1e-6, mod(now)) for now in nows]
+        return not self.check_base_cpi or bool(out.min() > 0)

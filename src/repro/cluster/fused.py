@@ -9,11 +9,13 @@ segments (:meth:`FusedFleet._physics`): the simulation steps one fleet
 over all its machines a second at a time (:meth:`FusedFleet.step`, the
 routine's one-tick case), and :meth:`Machine.tick` and
 :meth:`Machine.advance` step a one-machine fleet of their own, the latter
-in blocks of up to 64 seconds (:meth:`FusedFleet.advance`: demand,
-allocation and ``on_tick`` every second, the physics and the usage charge
-once per block — trials and ablations advance from one sampling-window
-edge to the next).  The physics phase and the results it returns cost a
-fixed number of numpy calls however many machines and seconds there are:
+in blocks of up to 64 seconds (:meth:`FusedFleet.advance`: the physics and
+the usage charge once per block, and the per-second half — demand,
+allocation and ``on_tick`` — as one ``(seconds x tasks)`` pass when the
+fleet is :attr:`~FusedFleet.blockable`, else every second; trials and
+ablations advance from one sampling-window edge to the next).  The
+physics phase and the results it returns cost a fixed number of numpy
+calls however many machines and seconds there are:
 
 * per-(tick, machine) cache/membw pressure is one ``np.bincount`` over the
   arena's bin column, broadcast back to the arena with ``take``;
@@ -36,14 +38,15 @@ selects how the rest of the tick runs:
 * a fleet of more than one machine allocates, duty cycles, charges and
   accounts grants over the whole arena with no call per machine
   (:meth:`FusedFleet._allocate`): one ``bincount`` sums each
-  (machine, tier) bin's want, a fixed number of elementwise operations
-  over the (machine, tier) matrix allocate every tier of every machine,
-  and each task table charges the tick's grants as one column of its
-  usage matrix and advances one clock for all its rows;
+  (tick x machine, tier) bin's want, a fixed number of elementwise
+  operations over the (tick x machine, tier) matrix allocate every tier
+  of every machine, and each task table charges the tick's grants as one
+  column of its usage matrix and advances one clock for all its rows;
 * a one-machine fleet (:meth:`Machine.tick` and :meth:`Machine.advance`:
-  trials and ablations) allocates and duty cycles on the machine's own
+  trials and ablations) allocates a single second on the machine's own
   Python loop, :meth:`Machine._tick_alloc`, which costs less than the
-  arena pass's fixed numpy calls at that size.
+  arena pass's fixed numpy calls at that size, and a whole block of
+  seconds with :meth:`FusedFleet._allocate`'s ``(k, tier)`` pass.
 
 Either way, when every workload's ``on_tick`` is plain accounting its
 ``granted_cpu_seconds`` is a row of the fleet's ``granted`` column,
@@ -110,6 +113,7 @@ overridden (:func:`fused_eligible`) and calls that ``tick`` instead.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -117,7 +121,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
-from repro.cluster.demandplane import DemandColumns
+from repro.cluster.demandplane import _PRIVATE_RNG_REFS, DemandColumns
 from repro.cluster.interference import _SATURATE_KNEE
 from repro.cluster.machine import _TIER_ORDER, Machine, TickResult
 from repro.perf.counters import CounterBank
@@ -237,16 +241,17 @@ class FusedFleet:
     __slots__ = (
         "machines", "tables", "counter_views", "valid",
         "segments", "total", "result_index", "one", "batch",
-        "max_rows", "block_ids", "pending", "block_t0", "one_second",
+        "max_rows", "block_ids", "pending", "block_t0", "views",
         "seg_id", "bins", "capacity", "allowed", "granted", "left", "fits",
         "live", "ends", "bin_scale", "bin_dead", "row_scale", "row_dead",
+        "tier_bins", "capacities", "blockable", "noise_private",
         "duty_epoch", "duty_segments",
         "grants", "cpi", "scratch", "events",
         "counter_arena", "llc_mib", "membw_cap", "cpi_scale",
         "cycles_per_sec", "coupling", "coupling4", "cache_mib",
         "membw_gbps", "cache_sens", "membw_sens", "base_l3", "l2_base",
         "cold", "noise_block", "noise_row", "noise_segments",
-        "demand_columns",
+        "demand_columns", "__weakref__",
     )
 
     @classmethod
@@ -290,31 +295,22 @@ class FusedFleet:
         #: the block holds draws of the old one, so the fleet must go.
         self.valid = True
 
-        # A one-machine fleet with resident tasks runs its machine's own
-        # allocation and finish loops: (machine, table), else None.
+        # A one-machine fleet with resident tasks allocates a single second
+        # on its machine's own loop: (machine, table), else None.
         self.one = ((machines[0], tables[0])
                     if n_machines == 1 and tables[0].tasks else None)
-        # Tier allocation over the arena, built for every other fleet: each
-        # slot's (machine, tier) bin, each machine's core capacity, and
-        # per-machine / per-bin / per-slot scratch.  The duty-cycle list is
-        # rebuilt whenever Machine._duty_mutations moves.
-        if self.one is None:
-            tier = np.empty(total, dtype=np.intp)
-            for _, _, tb, o, _ in self.segments:
-                for k, indices in enumerate(tb.tier_indices):
-                    tier[[o + i for i in indices]] = k
-            self.bins = self.seg_id * len(_TIER_ORDER) + tier
-            self.capacity = np.array([m.cpu_capacity for m in machines])
-            shape = (n_machines, len(_TIER_ORDER))
-            self.left, self.bin_scale = np.empty((2, *shape))
-            self.fits, self.live, self.bin_dead = np.empty(
-                (3, *shape), dtype=bool)
-            self.ends = np.empty((n_machines, len(_TIER_ORDER) - 1),
-                                 dtype=bool)
-            self.row_scale = np.empty(total)
-            self.row_dead = np.empty(total, dtype=bool)
-            self.duty_epoch = -1        # forces a listing on first use
-            self.duty_segments = ()
+        # Tier allocation over (tick x machine, tier) bins: each slot's
+        # (machine, tier) bin within one second and each machine's core
+        # capacity, repeated over a block's rows by _alloc_rows.  The
+        # duty-cycle list is rebuilt whenever Machine._duty_mutations moves.
+        tier = np.empty(total, dtype=np.intp)
+        for _, _, tb, o, _ in self.segments:
+            for k, indices in enumerate(tb.tier_indices):
+                tier[[o + i for i in indices]] = k
+        self.bins = self.seg_id * len(_TIER_ORDER) + tier
+        self.capacity = np.array([m.cpu_capacity for m in machines])
+        self.duty_epoch = -1        # forces a listing on first use
+        self.duty_segments = ()
 
         # One demand program over the whole arena: demand/cap/base-CPI
         # columns span every resident task, so phase 1 is a single columnar
@@ -329,8 +325,12 @@ class FusedFleet:
             workloads.extend(tb.workloads)
             cgroups.extend(tb.cgroups)
             limits.extend(tb.cpu_limits)
-        self.demand_columns = DemandColumns.compile(workloads, cgroups,
-                                                    limits)
+        fdc = self.demand_columns = DemandColumns.compile(
+            workloads, cgroups, limits)
+        if fdc is None and workloads:
+            from repro.obs import default_observability
+            default_observability().metrics.counter(
+                "demand_program_fallbacks").inc()
 
         # Block buffers, one row per second (one row until the first
         # advance), and the closure path's allowances.
@@ -420,33 +420,78 @@ class FusedFleet:
         # it (its own on_tick, run by a fleet without batch accounting, or
         # Machine.remove unbinds it).
         self.granted = np.zeros(total)
-        fdc = self.demand_columns
         self.batch = fdc is not None and fdc.batch_on_tick
         if self.batch:
             for _, _, tb, o, _ in self.segments:
                 for i, w in enumerate(tb.workloads):
                     w._bind_granted(self.granted, o + i)
+        # Whether advance may run a block's per-second half as one array
+        # pass (_block): a one-machine fleet whose program is blockable.
+        self.blockable = (self.one is not None and fdc is not None
+                          and fdc.blockable)
+        # Whether nothing but this fleet can draw the noise generator of
+        # its one machine: no noise, or no reference to the generator
+        # beyond the machine's own (the demand plane's privacy test).
+        self.noise_private = (
+            self.noise_block is None or n_machines > 1
+            or sys.getrefcount(machines[0]._rng) <= _PRIVATE_RNG_REFS)
 
     def _alloc_rows(self, rows: int) -> None:
         """(Re)allocate the block buffers for ``rows`` seconds: the grant
         and CPI rows, the physics scratch, the counter increments in the
-        counter arena's ``(total, 5)`` layout per second, and each slot's
-        (tick, machine) bin."""
+        counter arena's ``(total, 5)`` layout per second, each slot's
+        (tick, machine) bin and (tick, machine, tier) bin, and the
+        allocation's ``(tick x machine, tier)`` matrices."""
         total = self.total
+        n_machines = len(self.machines)
+        tiers = len(_TIER_ORDER)
         self.grants, self.cpi = np.empty((2, rows, total))
         self.scratch = np.empty((11, rows, total))
         self.events = np.empty((rows, total, 5))
-        self.block_ids = (np.arange(rows, dtype=np.intp)[:, None]
-                          * len(self.machines) + self.seg_id).ravel()
+        ticks = np.arange(rows, dtype=np.intp)[:, None]
+        self.block_ids = (ticks * n_machines + self.seg_id).ravel()
+        self.tier_bins = (ticks * (n_machines * tiers) + self.bins).ravel()
+        self.capacities = np.tile(self.capacity, rows)
+        shape = (rows * n_machines, tiers)
+        self.left, self.bin_scale = np.empty((2, *shape))
+        self.fits, self.live, self.bin_dead = np.empty((3, *shape),
+                                                       dtype=bool)
+        self.ends = np.empty((rows * n_machines, tiers - 1), dtype=bool)
+        self.row_scale = np.empty(rows * total)
+        self.row_dead = np.empty(rows * total, dtype=bool)
         self.max_rows = rows
-        # One second's views, built once, so a step makes no view: ufuncs
-        # on 1-D rows cost half what they cost broadcasting a (1, total)
-        # row against the per-element constants.
-        self.one_second = self._views(1)
+        #: Each block length's buffer views, built once, so a step or a
+        #: block makes no view.
+        self.views: dict[int, tuple] = {}
 
     def _views(self, k: int) -> tuple:
+        """The buffer views of a ``k``-second block: :meth:`_physics`'s
+        and :meth:`_allocate`'s (built at first use, then cached)."""
+        views = self.views.get(k)
+        if views is None:
+            views = self.views[k] = (self._physics_views(k),
+                                     self._alloc_views(k))
+        return views
+
+    def _alloc_views(self, k: int) -> tuple:
+        """The allocation buffers over rows ``0 .. k-1``, in
+        :meth:`_allocate`'s order: every slot's (tick, machine, tier) bin,
+        each (tick, machine)'s capacity, the ``left``, ``fits``, ``live``,
+        ``ends``, ``bin_scale`` and ``bin_dead`` matrices, and the
+        per-slot scale and dead flags."""
+        slots = k * self.total
+        bins = k * len(self.machines)
+        return (self.tier_bins[:slots], self.capacities[:bins],
+                self.left[:bins], self.fits[:bins], self.live[:bins],
+                self.ends[:bins], self.bin_scale[:bins],
+                self.bin_dead[:bins], self.row_scale[:slots],
+                self.row_dead[:slots])
+
+    def _physics_views(self, k: int) -> tuple:
         """Every block buffer over rows ``0 .. k-1`` — one second's 1-D
-        rows when ``k`` is 1, else ``(k, total)`` blocks — in
+        rows when ``k`` is 1 (ufuncs on 1-D rows cost half what they cost
+        broadcasting a (1, total) row against the per-element constants),
+        else ``(k, total)`` blocks — in
         :meth:`_physics`'s order: grants, CPI, the scratch, the five
         increment columns and the increments; then the (tick, machine)
         bin of every slot, the bin count, the contributions and pressures
@@ -525,13 +570,15 @@ class FusedFleet:
         The block runs up to ``t1``, for at most :data:`_NOISE_ROWS`
         seconds, and ends early after a placement change; it returns the
         second after its last and appends each of its seconds' grants (in
-        table order) to ``rows``.  Every second runs the per-second half
+        table order) to ``rows``.  When the fleet is :attr:`blockable` the
+        block's per-second half runs as one ``(seconds x tasks)`` pass
+        (:meth:`_block`).  Otherwise every second runs the per-second half
         (:meth:`_second`) and the workloads' ``on_tick`` (or the modulation
-        clock of batch accounting); :meth:`commit` then runs the physics,
-        the usage charge and the grant accounting of all of them at once.
-        Nothing in the per-second half reads counters or usage, so this
-        equals :meth:`step` at every second, provided the block commits
-        before anything can read what it defers:
+        clock of batch accounting).  Either way :meth:`commit` then runs
+        the physics, the usage charge and the grant accounting of all of
+        them at once.  Nothing in the per-second half reads counters or
+        usage, so this equals :meth:`step` at every second, provided the
+        block commits before anything can read what it defers:
 
         * at its end;
         * before a departure's :meth:`Machine.remove` (the block's
@@ -552,6 +599,15 @@ class FusedFleet:
             end = t0 + 1
         else:
             end = min(t1, t0 + _NOISE_ROWS)
+            if not self.noise_private:
+                # Something else may draw the machine's noise generator
+                # in the per-second half: end the block at the second
+                # whose physics refills the noise block, so the refill
+                # falls between the same draws as in a tick-by-tick run.
+                end = min(end, t0 + _NOISE_ROWS + 1 - self.noise_row)
+            if self.blockable and self._block(t0, end - t0):
+                rows += self.grants[:end - t0].tolist()
+                return end
         batch = self.batch
         now_workloads = self.demand_columns.now_workloads if batch else ()
         self.block_t0 = t0
@@ -579,6 +635,33 @@ class FusedFleet:
             self.commit()
         rows += self.grants[:t - t0].tolist()
         return t
+
+    def _block(self, t0: int, k: int) -> bool:
+        """Seconds ``t0 .. t0+k-1`` with the per-second half as one pass:
+        the program's base-CPI, demand and allowance rows, then tier
+        allocation over (tick, tier) bins, then :meth:`commit`; the batch
+        ``_now`` clock is set once, to the block's last second.  Returns
+        ``False``, having drawn nothing, when the block must step second
+        by second instead: a duty cycle is in force, some program buffers
+        a shared stream, or a row's base CPI is not positive (the
+        per-second loop then raises it at its second).  A blockable
+        program's limits are finite, so no row's grant can be non-finite.
+        """
+        m, _ = self.one
+        fdc = self.demand_columns
+        if m.duty_cycle_at(t0) is not None or not fdc.block_ready():
+            return False
+        if not fdc.base_cpi_block(t0, self.cpi[:k]):
+            return False
+        allowed = fdc.allowed_block(t0, k)
+        self._allocate(t0, k, allowed.reshape(-1),
+                       self.grants[:k].reshape(-1))
+        self.block_t0 = t0
+        self.pending = k
+        self.commit()
+        for w in fdc.now_workloads:
+            w._now = t0 + k - 1
+        return True
 
     def _second(self, t: int, r: int) -> tuple[Optional[list], list]:
         """The per-second half of second ``t``, into block row ``r``:
@@ -613,7 +696,7 @@ class FusedFleet:
                 cpi[o:end] = base
                 capped += c
         if one is None:
-            self._allocate(t, allowed, g)
+            self._allocate(t, 1, allowed, g)
             return None, capped
         grant_list = one[0]._tick_alloc(t, one[1], allowed, capped)
         g[:] = grant_list
@@ -663,8 +746,7 @@ class FusedFleet:
         """
         (g, cpi, cc, mc, tmp, tmp2, infl, l3, l2, kilo, noise, pc, pm,
          cycles, instructions, l2e, l3e, mem, ev, ids, bins, cc_flat,
-         mc_flat, pc_flat, pm_flat, exp) = (
-            self.one_second if k == 1 else self._views(k))
+         mc_flat, pc_flat, pm_flat, exp) = self._views(k)[0]
         np.multiply(g, self.cache_mib, cc)
         np.divide(cc, self.llc_mib, cc)
         np.multiply(g, self.membw_gbps, mc)
@@ -804,66 +886,71 @@ class FusedFleet:
                 seg[...] = np.concatenate((left, fresh)).reshape(rows, n)
             m._noise_src = (self, o, n, extra)
 
-    def _allocate(self, t: int, allowed: np.ndarray, g: np.ndarray) -> None:
-        """Tick phase 3 over the arena: tier allocation, then duty cycling,
-        into the grant row ``g``; no call per machine.
+    def _allocate(self, t0: int, k: int, allowed: np.ndarray,
+                  g: np.ndarray) -> None:
+        """Tick phase 3 of seconds ``t0 .. t0+k-1`` over the arena: tier
+        allocation, then duty cycling, from the flattened ``(k, total)``
+        allowances into the flattened grant rows ``g``; no call per
+        machine or second.
 
-        The arithmetic of :meth:`Machine._tick_alloc`, on every machine at
-        once, as ``(machine, tier)`` matrices.  One ``bincount`` over the
-        slots' bins gives each tier's want, summed from 0.0 in table order.
-        ``left`` is the capacity before each tier when every earlier tier
-        fitted: the loop's ``remaining -= want`` (subtracting a skipped
-        tier's 0.0 changes nothing).  A tier fits when ``want <= left``;
-        when every tier of every machine does, the grants are the
-        allowances.  Otherwise a tier that wants something and does not
-        fit, or leaves nothing, ends its machine's loop; a tier the loop
-        reaches with a non-zero want grants its allowances times 1.0, or
-        times ``left / want`` when it does not fit, and every other slot
-        gets 0.0 by selection.
+        The arithmetic of :meth:`Machine._tick_alloc`, on every machine of
+        every second at once, as ``(tick x machine, tier)`` matrices (the
+        way :meth:`_physics` bins by (tick, machine)); :meth:`step` is its
+        one-second case.  One ``bincount`` over the slots' bins gives each
+        tier's want, summed from 0.0 in table order.  ``left`` is the
+        capacity before each tier when every earlier tier fitted: the
+        loop's ``remaining -= want`` (subtracting a skipped tier's 0.0
+        changes nothing).  A tier fits when ``want <= left``; when every
+        tier of every machine does, the grants are the allowances.
+        Otherwise a tier that wants something and does not fit, or leaves
+        nothing, ends its machine's loop; a tier the loop reaches with a
+        non-zero want grants its allowances times 1.0, or times ``left /
+        want`` when it does not fit, and every other slot gets 0.0 by
+        selection.
         """
-        want = np.bincount(self.bins, weights=allowed,
-                           minlength=self.left.size).reshape(self.left.shape)
-        left, fits = self.left, self.fits
-        np.copyto(left[:, 0], self.capacity)
-        for k in range(len(_TIER_ORDER) - 1):
-            np.subtract(left[:, k], want[:, k], left[:, k + 1])
+        (bins, capacity, left, fits, live, ends, scale, dead, row_scale,
+         row_dead) = self._views(k)[1]
+        want = np.bincount(bins, weights=allowed,
+                           minlength=left.size).reshape(left.shape)
+        np.copyto(left[:, 0], capacity)
+        for j in range(len(_TIER_ORDER) - 1):
+            np.subtract(left[:, j], want[:, j], left[:, j + 1])
         np.less_equal(want, left, fits)
         if fits.all():
             np.copyto(g, allowed)
         else:
-            live, ends = self.live, self.ends
             np.greater(want, 0.0, live)
             np.less_equal(left[:, 1:], 0.0, ends)
             np.logical_or(ends, ~fits[:, :-1], ends)
             np.logical_and(ends, live[:, :-1], ends)
             np.logical_or.accumulate(ends, axis=1, out=ends)
             np.logical_and(live[:, 1:], ~ends, live[:, 1:])
-            scale = self.bin_scale
             scale.fill(1.0)
             np.divide(left, want, out=scale, where=live & ~fits)
-            np.logical_not(live, self.bin_dead)
-            bins = self.bins
-            scale.take(bins, out=self.row_scale, mode="clip")
-            self.bin_dead.take(bins, out=self.row_dead, mode="clip")
-            np.multiply(allowed, self.row_scale, g)
-            np.copyto(g, 0.0, where=self.row_dead)
+            np.logical_not(live, dead)
+            scale.take(bins, out=row_scale, mode="clip")
+            dead.take(bins, out=row_dead, mode="clip")
+            np.multiply(allowed, row_scale, g)
+            np.copyto(g, 0.0, where=row_dead)
 
         if Machine._duty_mutations != self.duty_epoch:
             self.duty_epoch = Machine._duty_mutations
             self.duty_segments = tuple(
                 (m, tb, o, n) for _, m, tb, o, n in self.segments
                 if m._duty_cycle is not None)
-        for m, tb, o, n in self.duty_segments:
-            duty = m.duty_cycle_at(t)
-            if duty is None:
-                continue
-            factor = max(0.0, 1.0 - duty.core_share * (1.0 - duty.level))
-            seg = g[o:o + n]
-            try:
-                i = tb.names.index(duty.target_task)
-            except ValueError:
-                seg *= factor
-            else:
-                target = seg.item(i)
-                seg *= factor
-                seg[i] = target * duty.level
+        for r in range(k) if self.duty_segments else ():
+            row = g[r * self.total:(r + 1) * self.total]
+            for m, tb, o, n in self.duty_segments:
+                duty = m.duty_cycle_at(t0 + r)
+                if duty is None:
+                    continue
+                factor = max(0.0, 1.0 - duty.core_share * (1.0 - duty.level))
+                seg = row[o:o + n]
+                try:
+                    i = tb.names.index(duty.target_task)
+                except ValueError:
+                    seg *= factor
+                else:
+                    target = seg.item(i)
+                    seg *= factor
+                    seg[i] = target * duty.level

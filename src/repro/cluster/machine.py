@@ -24,8 +24,9 @@ the workloads' observations.  Phases 4-5 — the contention, CPI, noise and
 counter physics — and the usage charge have one implementation,
 :class:`~repro.cluster.fused.FusedFleet`: :meth:`Machine.tick` steps a
 one-machine fleet a second at a time, :meth:`Machine.advance` the same
-fleet in blocks of seconds (physics and charge once per block), the
-simulation one fleet over all its machines.  Demand, cgroup clipping and
+fleet in blocks of seconds (physics and charge once per block, and the
+rest too when the block can run as one array pass), the simulation one
+fleet over all its machines.  Demand, cgroup clipping and
 base-CPI reads run columnar when the fleet's workloads compile into one
 :class:`~repro.cluster.demandplane.DemandColumns` program over its arena.
 A fleet of more than one machine also allocates and duty cycles over its
@@ -397,10 +398,11 @@ class Machine:
         within a saturated tier) and duty cycling, in plain Python.
 
         A fleet of more than one machine runs the same arithmetic as one
-        pass over its arena (:meth:`FusedFleet._allocate`).  A one-machine
-        fleet — :meth:`tick` and :meth:`advance`, so every trial and
-        ablation, at every second of a block — keeps this loop, selected
-        by fleet size: for one 9-task machine it takes
+        pass over its arena (:meth:`FusedFleet._allocate`), and so does a
+        one-machine block that runs as one array pass.  A one-machine
+        fleet stepping single seconds — :meth:`tick`, and :meth:`advance`
+        when a block must step second by second — keeps this loop,
+        selected by fleet size: for one 9-task machine it takes
         about 1.3 µs against 10 µs for the arena pass's fixed numpy calls
         (22 µs with a tier oversubscribed; one core of a 2-core Xeon VM).
         The sums run left to right in table order, which is what the
@@ -483,9 +485,11 @@ class Machine:
         Returns each second's grants in table order (the values of
         :attr:`TickResult.grants`; none for a second with no resident
         task).  The seconds run in blocks of up to 64
-        (:meth:`FusedFleet.advance`): demand, clipping, allocation, duty
-        cycling and ``on_tick`` every second, the physics and the usage
-        charge once per block.  Counters, usage and grant totals are
+        (:meth:`FusedFleet.advance`): the physics and the usage charge
+        once per block, and demand, clipping, allocation, duty cycling and
+        ``on_tick`` as one array pass over the block when the fleet is
+        :attr:`~repro.cluster.fused.FusedFleet.blockable`, else every
+        second.  Counters, usage and grant totals are
         committed when this returns, and before any departure.  It steps
         the machine's own fleet directly, never :meth:`tick`, so a
         ``tick`` patched on the instance or overridden by a subclass does
@@ -500,6 +504,33 @@ class Machine:
             t = self._own_fleet().advance(t, t1, rows)
         return rows
 
+    def release(self) -> None:
+        """Let go of this machine's fleet and task table.
+
+        A fleet and its machine refer to each other, and so do a task
+        table and its cgroups; this breaks both cycles, so that once the
+        caller drops the machine, reference counting frees the fleet (its
+        counter arena, noise and block buffers) and the table without
+        waiting for the cyclic collector.  The machine stays usable: its
+        next step builds both again, continuing its buffered noise draws,
+        usage history and grant totals.
+        """
+        fleet = self._fleet
+        if fleet is not None and fleet.pending:
+            fleet.commit()
+        self._fleet = None
+        src = self._noise_src
+        if src is not None and src[0] is not None:
+            self._noise_src = (None, 0, 0, _leftover(src))
+        table = self._table
+        if table is not None:
+            for cg, w in zip(table.cgroups, table.workloads):
+                if cg._table is table:
+                    cg.unbind_ring()
+                if getattr(w, "_granted_column", None) is not None:
+                    w._unbind_granted()
+            self._table = None
+
     def __repr__(self) -> str:
         return (f"Machine({self.name}, {self.platform.name}, "
                 f"tasks={self.num_tasks})")
@@ -507,4 +538,4 @@ class Machine:
 
 # The tick engine subclasses TickResult and checks Machine.tick, so it
 # imports this module: bind it once both classes exist.
-from repro.cluster.fused import FusedFleet  # noqa: E402
+from repro.cluster.fused import FusedFleet, _leftover  # noqa: E402

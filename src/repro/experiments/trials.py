@@ -49,7 +49,7 @@ from repro.perf.sampler import CpiSampler, SamplerConfig
 from repro.records import CpiSpec
 from repro.workloads import AntagonistKind, make_antagonist_workload
 from repro.workloads.base import SyntheticWorkload
-from repro.workloads.demand import constant, with_noise
+from repro.workloads.demand import constant, gated, with_noise
 
 __all__ = ["TrialConfig", "TrialResult", "advance_sampled", "run_trial",
            "run_trials", "TRIALS_PARALLEL_MIN_PER_JOB"]
@@ -178,6 +178,45 @@ class TrialResult:
         return "noise"
 
 
+class _Wander:
+    """A non-production victim's base-CPI multiplier at second ``t``: the
+    random walk (one step per 30 s), times ``1 + amp`` in the high half
+    of each oscillation period when ``amp > 0``, times ``1 + size`` from
+    second ``at`` on when ``at`` is set.
+
+    Pure: the value depends on ``t`` and the fields alone, which
+    :attr:`spec` declares, as :class:`~repro.workloads.diurnal.DiurnalPattern`
+    does, so the demand plane may evaluate it ahead of the tick that reads
+    it.
+    """
+
+    __slots__ = ("walk", "at", "size", "amp", "period", "phase")
+
+    def __init__(self, walk: np.ndarray, at: Optional[int], size: float,
+                 amp: float, period: int, phase: int) -> None:
+        self.walk = walk
+        self.at = at
+        self.size = size
+        self.amp = amp
+        self.period = period
+        self.phase = phase
+
+    @property
+    def spec(self) -> tuple:
+        return ("wander", self.walk.tobytes(), self.at, self.size, self.amp,
+                self.period, self.phase)
+
+    def __call__(self, t: int) -> float:
+        walk = self.walk
+        value = float(walk[min(len(walk) - 1, t // 30)])
+        period = self.period
+        if self.amp > 0.0 and ((t + self.phase) % period) < period / 2:
+            value *= 1.0 + self.amp
+        if self.at is not None and t >= self.at:
+            value *= 1.0 + self.size
+        return value
+
+
 def _make_victim(rng: np.random.Generator, band: PriorityBand,
                  wander: float) -> SyntheticWorkload:
     demand = with_noise(constant(float(rng.uniform(0.8, 1.5))), 0.06, rng)
@@ -206,15 +245,8 @@ def _make_victim(rng: np.random.Generator, band: PriorityBand,
             step_size = float(rng.choice((-1.0, 1.0))
                               * rng.uniform(0.08, 0.22))
 
-        def modulation(t: int, _walk=walk, _at=step_at, _size=step_size,
-                       _amp=osc_amp, _period=osc_period,
-                       _phase=osc_phase) -> float:
-            value = float(_walk[min(len(_walk) - 1, t // 30)])
-            if _amp > 0.0 and ((t + _phase) % _period) < _period / 2:
-                value *= 1.0 + _amp
-            if _at is not None and t >= _at:
-                value *= 1.0 + _size
-            return value
+        modulation = _Wander(walk, step_at, step_size, osc_amp, osc_period,
+                             osc_phase)
 
     return SyntheticWorkload(
         base_cpi=float(rng.uniform(0.9, 1.3)),
@@ -236,12 +268,7 @@ def _single_task_job(name: str, workload: SyntheticWorkload,
 
 def _gated(workload: SyntheticWorkload, start: int) -> SyntheticWorkload:
     """Silence a workload's demand before ``start`` (calibration phase)."""
-    original = workload.cpu_demand
-
-    def gated_demand(t: int) -> float:
-        return 0.0 if t < start else original(t)
-
-    workload.cpu_demand = gated_demand  # type: ignore[method-assign]
+    workload._demand = gated(workload._demand, start)
     return workload
 
 
@@ -274,7 +301,7 @@ def run_trial(seed: int, config: TrialConfig | None = None) -> TrialResult:
 
     The machine advances a sampling window at a time
     (:func:`advance_sampled`), equal to ticking it and its sampler at every
-    second."""
+    second, and is released (:meth:`Machine.release`) at the end."""
     config = config or TrialConfig()
     cpi_config = config.cpi_config
     rng = np.random.default_rng(np.random.SeedSequence((0xC0FFEE, seed)))
@@ -449,7 +476,7 @@ def run_trial(seed: int, config: TrialConfig | None = None) -> TrialResult:
         delta_base = end[base] - start[base]
         return delta_event / delta_base if delta_base > 0 else float("nan")
 
-    return TrialResult(
+    result = TrialResult(
         seed=seed,
         band=band,
         has_antagonist=has_antagonist,
@@ -478,6 +505,9 @@ def run_trial(seed: int, config: TrialConfig | None = None) -> TrialResult:
         post_mem_req_per_cycle=per("mem", "cycles", post_counters_start,
                                    post_counters_end),
     )
+    # Free the machine's fleet and task table by reference counting.
+    machine.release()
+    return result
 
 
 def _run_trial_star(seed_and_config: tuple[int, TrialConfig | None]

@@ -5,8 +5,8 @@ CPU-sec/sec.  Workloads are assembled from these small combinators; the case
 studies each need a specific temporal shape (bursty antagonists, bimodal
 self-inflicted victims, steady services, diurnal load) and these express
 them directly: two leaf shapes (:func:`constant`, :func:`on_off`) under
-optional :func:`scaled` factors and an optional outermost
-:func:`with_noise`.
+optional :func:`scaled` factors, an optional :func:`with_noise` over them
+and an optional outermost :func:`gated`.
 
 Every combinator returns an ordinary callable *and* attaches a frozen
 ``spec`` attribute describing it declaratively (:class:`ConstantSpec`,
@@ -41,6 +41,7 @@ __all__ = [
     "OnOffSpec",
     "ScaledSpec",
     "NoiseSpec",
+    "GatedSpec",
     "demand_spec",
     "noise_stream",
     "constant",
@@ -48,6 +49,7 @@ __all__ = [
     "bimodal",
     "with_noise",
     "scaled",
+    "gated",
 ]
 
 #: Seconds -> CPU-sec/sec.
@@ -111,7 +113,16 @@ class NoiseSpec:
         return self.stream.rng
 
 
-DemandSpec = Union[ConstantSpec, OnOffSpec, ScaledSpec, NoiseSpec]
+@dataclass(frozen=True)
+class GatedSpec:
+    """Spec of :func:`gated`: ``base`` from second ``start`` on, 0.0 (and
+    no call of ``base``, so no draw) before it."""
+
+    base: Optional["DemandSpec"]
+    start: int
+
+
+DemandSpec = Union[ConstantSpec, OnOffSpec, ScaledSpec, NoiseSpec, GatedSpec]
 
 
 def demand_spec(fn: DemandFn) -> Optional[DemandSpec]:
@@ -230,4 +241,18 @@ def scaled(base: DemandFn, factor_fn: Callable[[int], float]) -> DemandFn:
         return d if d > 0.0 else 0.0
 
     fn.spec = ScaledSpec(demand_spec(base), factor_fn)
+    return fn
+
+
+def gated(base: DemandFn, start: int) -> DemandFn:
+    """Silence ``base`` before second ``start``.
+
+    Before ``start`` the closure returns 0.0 without calling ``base``, so
+    a noisy ``base`` draws nothing from its generator there.
+    """
+
+    def fn(t: int) -> float:
+        return 0.0 if t < start else base(t)
+
+    fn.spec = GatedSpec(demand_spec(base), start)
     return fn

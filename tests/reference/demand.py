@@ -23,3 +23,16 @@ def pin_closures(workloads) -> None:
     """
     for workload in workloads:
         workload.cpu_demand = workload.cpu_demand
+
+
+def gated_closure(workload, start: int):
+    """Silence ``workload``'s demand before ``start`` the way trials did
+    before :func:`repro.workloads.demand.gated`: a closure over its
+    ``cpu_demand``, bound on the instance (so its fleet runs closures)."""
+    original = workload.cpu_demand
+
+    def gated_demand(t: int) -> float:
+        return 0.0 if t < start else original(t)
+
+    workload.cpu_demand = gated_demand
+    return workload

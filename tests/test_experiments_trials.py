@@ -1,10 +1,13 @@
 """Unit tests for the Section 7 trial harness."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import pytest
 
+from repro.cluster.fused import FusedFleet
 from repro.cluster.machine import Machine
 from repro.cluster.task import PriorityBand
 from repro.experiments import trials
@@ -115,6 +118,28 @@ class TestStepping:
             assert calls[0] == ("tick", 0)
             assert [c for c in calls if c[0] == "tick"] == [("tick", 0)]
             assert len(calls) > 1
+
+
+    def test_finished_trial_is_freed_without_the_collector(self,
+                                                           monkeypatch):
+        """With the cyclic collector off, every fleet a trial built is
+        gone when ``run_trial`` returns: reference counting frees it."""
+        fleets: list = []
+        init = FusedFleet.__init__
+
+        def recording_init(fleet, machines):
+            init(fleet, machines)
+            fleets.append(weakref.ref(fleet))
+
+        monkeypatch.setattr(FusedFleet, "__init__", recording_init)
+        gc.collect()
+        gc.disable()
+        try:
+            run_trial(3, FAST)
+            assert fleets
+            assert [ref() for ref in fleets] == [None] * len(fleets)
+        finally:
+            gc.enable()
 
 
 class TestDerivedMetrics:
