@@ -521,19 +521,28 @@ class DemandColumns:
             if priv is not None:
                 if self._stale:
                     self._adopt()
-                if closed is None and self._left >= k:
-                    flat = self._row_base + self._pos + np.arange(k)[:, None]
-                    z[:, priv] = self._block.take(flat)
-                    self._pos += k
-                    self._left -= k
+                if closed is None:
+                    # Every row's next draws, a gather at a time: each
+                    # gather stops where the fullest row runs out, which
+                    # then refills, as demand() does every second.
+                    r = 0
+                    while r < k:
+                        if not self._left:
+                            self._refill()
+                        m = min(k - r, self._left)
+                        flat = (self._row_base + self._pos
+                                + np.arange(m)[:, None])
+                        z[r:r + m, priv] = self._block.take(flat)
+                        self._pos += m
+                        self._left -= m
+                        r += m
                 else:
+                    # Only each row's open seconds draw.
                     for r, i in enumerate(priv_i.tolist()):
-                        rows = (slice(None) if closed is None
-                                else ~closed[:, i])
+                        rows = ~closed[:, i]
                         col = z[:, i]       # a view: writes go to z
                         col[rows] = self._take_many(
-                            r, k if closed is None
-                            else int(np.count_nonzero(rows)))
+                            r, int(np.count_nonzero(rows)))
                     self._left = _DRAW_CHUNK - int(self._pos.max())
             for rng, idx, _ in self._shared_groups:
                 if closed is None:

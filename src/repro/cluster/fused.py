@@ -5,17 +5,21 @@ so the ~30 elementwise operations of a tick run once over *all* resident
 tasks instead of once per machine.  It is the only implementation of the
 tick's physics (the formulas are stated in
 :mod:`repro.cluster.interference`), one routine over ``(tick, machine)``
-segments (:meth:`FusedFleet._physics`): the simulation steps one fleet
-over all its machines a second at a time (:meth:`FusedFleet.step`, the
-routine's one-tick case), and :meth:`Machine.tick` and
-:meth:`Machine.advance` step a one-machine fleet of their own, the latter
-in blocks of up to 64 seconds (:meth:`FusedFleet.advance`: the physics and
-the usage charge once per block, and the per-second half — demand,
-allocation and ``on_tick`` — as one ``(seconds x tasks)`` pass when the
-fleet is :attr:`~FusedFleet.blockable`, else every second; trials and
-ablations advance from one sampling-window edge to the next).  The
-physics phase and the results it returns cost a fixed number of numpy
-calls however many machines and seconds there are:
+segments (:meth:`FusedFleet._physics`).  A fleet runs a second at a time
+(:meth:`FusedFleet.step`, the routine's one-tick case) or a block of
+seconds (:meth:`FusedFleet.block`: the per-second half — demand,
+allocation and the ``on_tick`` clock — as one ``(seconds x tasks)`` pass,
+then the physics and the usage charge once), the same routine for one
+machine or many.  The simulation steps one fleet over all its machines:
+a block for the quiet seconds between events, a step at each event
+second.  :meth:`Machine.tick` and :meth:`Machine.advance` step a
+one-machine fleet of their own, the latter in blocks
+(:meth:`FusedFleet.advance`: a block pass when the fleet can take one,
+else the per-second half every second and the physics and charge once;
+trials and ablations advance from one sampling-window edge to the next).
+A block is at most :data:`_BLOCK_SLOTS` arena slots (seconds x tasks)
+and 64 seconds.  The physics phase and the results it returns cost a
+fixed number of numpy calls however many machines and seconds there are:
 
 * per-(tick, machine) cache/membw pressure is one ``np.bincount`` over the
   arena's bin column, broadcast back to the arena with ``take``;
@@ -45,8 +49,10 @@ selects how the rest of the tick runs:
 * a one-machine fleet (:meth:`Machine.tick` and :meth:`Machine.advance`:
   trials and ablations) allocates a single second on the machine's own
   Python loop, :meth:`Machine._tick_alloc`, which costs less than the
-  arena pass's fixed numpy calls at that size, and a whole block of
-  seconds with :meth:`FusedFleet._allocate`'s ``(k, tier)`` pass.
+  arena pass's fixed numpy calls at that size.
+
+A block of seconds allocates with :meth:`FusedFleet._allocate`'s
+(tick x machine, tier) pass whatever the fleet's size.
 
 Either way, when every workload's ``on_tick`` is plain accounting its
 ``granted_cpu_seconds`` is a row of the fleet's ``granted`` column,
@@ -129,9 +135,18 @@ from repro.perf.counters import CounterBank
 __all__ = ["FusedFleet", "TickResults", "fused_eligible"]
 
 #: Ticks of measurement noise a fleet buffers per machine (rows of its
-#: noise block), and the longest block :meth:`FusedFleet.advance` steps,
-#: so a block reads across at most one refill.
+#: noise block), and the longest block a fleet steps, so a block reads
+#: across at most one refill.
 _NOISE_ROWS = 64
+
+#: The arena slots (seconds x tasks) a fleet's block buffers hold: a
+#: block is ``clamp(_BLOCK_SLOTS // total, 2, _NOISE_ROWS)`` seconds long.
+#: Each slot costs about 190 bytes of buffers (the fleet's grant, CPI,
+#: scratch and counter-increment rows and bins, and its demand program's
+#: rows).  64-second blocks over the 600-640-task benchmark fleets raised
+#: their peak RSS by about 3 MiB; 4096 slots raise it by under 1 MiB and
+#: still give a 10-task trial machine 64-second blocks.
+_BLOCK_SLOTS = 4096
 
 _INF = math.inf
 
@@ -241,7 +256,7 @@ class FusedFleet:
     __slots__ = (
         "machines", "tables", "counter_views", "valid",
         "segments", "total", "result_index", "one", "batch",
-        "max_rows", "block_ids", "pending", "block_t0", "views",
+        "rows", "max_rows", "block_ids", "pending", "block_t0", "views",
         "seg_id", "bins", "capacity", "allowed", "granted", "left", "fits",
         "live", "ends", "bin_scale", "bin_dead", "row_scale", "row_dead",
         "tier_bins", "capacities", "blockable", "noise_private",
@@ -425,16 +440,17 @@ class FusedFleet:
             for _, _, tb, o, _ in self.segments:
                 for i, w in enumerate(tb.workloads):
                     w._bind_granted(self.granted, o + i)
-        # Whether advance may run a block's per-second half as one array
-        # pass (_block): a one-machine fleet whose program is blockable.
-        self.blockable = (self.one is not None and fdc is not None
-                          and fdc.blockable)
-        # Whether nothing but this fleet can draw the noise generator of
-        # its one machine: no noise, or no reference to the generator
-        # beyond the machine's own (the demand plane's privacy test).
-        self.noise_private = (
-            self.noise_block is None or n_machines > 1
-            or sys.getrefcount(machines[0]._rng) <= _PRIVATE_RNG_REFS)
+        # Whether a block's per-second half may run as one array pass
+        # (block): the fleet's program is blockable.  A block is at most
+        # ``rows`` seconds, sized from the slot budget.
+        self.blockable = fdc is not None and fdc.blockable
+        self.rows = min(_NOISE_ROWS, max(2, _BLOCK_SLOTS // max(total, 1)))
+        # Whether nothing but this fleet can draw any noisy machine's
+        # generator: no reference to it beyond the machine's own (the
+        # demand plane's privacy test, machine by machine).
+        self.noise_private = all(
+            sys.getrefcount(m._rng) <= _PRIVATE_RNG_REFS
+            for m, _, _, _ in self.noise_segments)
 
     def _alloc_rows(self, rows: int) -> None:
         """(Re)allocate the block buffers for ``rows`` seconds: the grant
@@ -567,18 +583,18 @@ class FusedFleet:
     def advance(self, t0: int, t1: int, rows: list) -> int:
         """Step this one-machine fleet from second ``t0`` as one block.
 
-        The block runs up to ``t1``, for at most :data:`_NOISE_ROWS`
-        seconds, and ends early after a placement change; it returns the
-        second after its last and appends each of its seconds' grants (in
-        table order) to ``rows``.  When the fleet is :attr:`blockable` the
-        block's per-second half runs as one ``(seconds x tasks)`` pass
-        (:meth:`_block`).  Otherwise every second runs the per-second half
-        (:meth:`_second`) and the workloads' ``on_tick`` (or the modulation
-        clock of batch accounting).  Either way :meth:`commit` then runs
-        the physics, the usage charge and the grant accounting of all of
-        them at once.  Nothing in the per-second half reads counters or
-        usage, so this equals :meth:`step` at every second, provided the
-        block commits before anything can read what it defers:
+        The block runs up to ``t1``, for at most :attr:`rows` seconds, and
+        ends early after a placement change; it returns the second after
+        its last and appends each of its seconds' grants (in table order)
+        to ``rows``.  When :meth:`block` can, the block's per-second half
+        runs as one ``(seconds x tasks)`` pass.  Otherwise every second
+        runs the per-second half (:meth:`_second`) and the workloads'
+        ``on_tick`` (or the modulation clock of batch accounting).  Either
+        way :meth:`commit` then runs the physics, the usage charge and the
+        grant accounting of all of them at once.  Nothing in the
+        per-second half reads counters or usage, so this equals
+        :meth:`step` at every second, provided the block commits before
+        anything can read what it defers:
 
         * at its end;
         * before a departure's :meth:`Machine.remove` (the block's
@@ -592,22 +608,14 @@ class FusedFleet:
         * and a table whose clock does not end at ``t0 - 1`` commits
           ``t0`` alone, so a charge that does not follow raises there.
         """
+        end = self.block(t0, t1)
+        if end > t0:
+            rows += self.grants[:end - t0].tolist()
+            return end
         m, tb = self.one
-        if self.max_rows < _NOISE_ROWS:
-            self._alloc_rows(_NOISE_ROWS)
-        if t0 - 1 != tb.charged_to:
-            end = t0 + 1
-        else:
-            end = min(t1, t0 + _NOISE_ROWS)
-            if not self.noise_private:
-                # Something else may draw the machine's noise generator
-                # in the per-second half: end the block at the second
-                # whose physics refills the noise block, so the refill
-                # falls between the same draws as in a tick-by-tick run.
-                end = min(end, t0 + _NOISE_ROWS + 1 - self.noise_row)
-            if self.blockable and self._block(t0, end - t0):
-                rows += self.grants[:end - t0].tolist()
-                return end
+        if self.max_rows < self.rows:
+            self._alloc_rows(self.rows)
+        end = t0 + 1 if t0 - 1 != tb.charged_to else self._block_end(t0, t1)
         batch = self.batch
         now_workloads = self.demand_columns.now_workloads if batch else ()
         self.block_t0 = t0
@@ -636,23 +644,50 @@ class FusedFleet:
         rows += self.grants[:t - t0].tolist()
         return t
 
-    def _block(self, t0: int, k: int) -> bool:
-        """Seconds ``t0 .. t0+k-1`` with the per-second half as one pass:
-        the program's base-CPI, demand and allowance rows, then tier
-        allocation over (tick, tier) bins, then :meth:`commit`; the batch
-        ``_now`` clock is set once, to the block's last second.  Returns
-        ``False``, having drawn nothing, when the block must step second
-        by second instead: a duty cycle is in force, some program buffers
-        a shared stream, or a row's base CPI is not positive (the
-        per-second loop then raises it at its second).  A blockable
-        program's limits are finite, so no row's grant can be non-finite.
+    def _block_end(self, t0: int, t1: int) -> int:
+        """The second after the longest block from ``t0`` toward ``t1``:
+        at most :attr:`rows` seconds, and, when something else may draw a
+        noisy machine's generator (not :attr:`noise_private`), through the
+        second whose physics refills the noise block, so the refill falls
+        between the same draws as in a second-by-second run."""
+        end = min(t1, t0 + self.rows)
+        if not self.noise_private:
+            end = min(end, t0 + _NOISE_ROWS + 1 - self.noise_row)
+        return end
+
+    def block(self, t0: int, t1: int) -> int:
+        """Seconds ``t0 ..`` toward ``t1`` as one block with the
+        per-second half as one pass, for any number of machines; returns
+        the second after the block, or ``t0`` when the block must step
+        second by second instead (having run and drawn nothing).
+
+        The pass: the program's base-CPI, demand and allowance rows, then
+        tier allocation over (tick x machine, tier) bins, then
+        :meth:`commit`; the batch ``_now`` clock is set once, to the
+        block's last second.  It runs only when the fleet is
+        :attr:`blockable` (batch accounting, a compiled program with every
+        dynamic base CPI pure and finite limits, so no row's grant can be
+        non-finite), no program buffers a shared stream, every table's
+        clock ends at ``t0 - 1``, no machine has a duty cycle in force at
+        ``t0`` (one in force later would have to start inside the block),
+        and every row's base CPI is positive (the per-second step raises
+        it at its second).  The block is :meth:`_block_end` long.
         """
-        m, _ = self.one
         fdc = self.demand_columns
-        if m.duty_cycle_at(t0) is not None or not fdc.block_ready():
-            return False
+        if not self.blockable or not fdc.block_ready():
+            return t0
+        for _, _, tb, _, _ in self.segments:
+            if tb.charged_to != t0 - 1:
+                return t0
+        for m, _, _, _ in self._duty_segments():
+            if m.duty_cycle_at(t0) is not None:
+                return t0
+        if self.max_rows < self.rows:
+            self._alloc_rows(self.rows)
+        end = self._block_end(t0, t1)
+        k = end - t0
         if not fdc.base_cpi_block(t0, self.cpi[:k]):
-            return False
+            return t0
         allowed = fdc.allowed_block(t0, k)
         self._allocate(t0, k, allowed.reshape(-1),
                        self.grants[:k].reshape(-1))
@@ -660,8 +695,8 @@ class FusedFleet:
         self.pending = k
         self.commit()
         for w in fdc.now_workloads:
-            w._now = t0 + k - 1
-        return True
+            w._now = end - 1
+        return end
 
     def _second(self, t: int, r: int) -> tuple[Optional[list], list]:
         """The per-second half of second ``t``, into block row ``r``:
@@ -933,14 +968,10 @@ class FusedFleet:
             np.multiply(allowed, row_scale, g)
             np.copyto(g, 0.0, where=row_dead)
 
-        if Machine._duty_mutations != self.duty_epoch:
-            self.duty_epoch = Machine._duty_mutations
-            self.duty_segments = tuple(
-                (m, tb, o, n) for _, m, tb, o, n in self.segments
-                if m._duty_cycle is not None)
-        for r in range(k) if self.duty_segments else ():
+        duty_segments = self._duty_segments()
+        for r in range(k) if duty_segments else ():
             row = g[r * self.total:(r + 1) * self.total]
-            for m, tb, o, n in self.duty_segments:
+            for m, tb, o, n in duty_segments:
                 duty = m.duty_cycle_at(t0 + r)
                 if duty is None:
                     continue
@@ -954,3 +985,14 @@ class FusedFleet:
                     target = seg.item(i)
                     seg *= factor
                     seg[i] = target * duty.level
+
+    def _duty_segments(self) -> tuple:
+        """``(machine, table, offset, count)`` of every machine that had a
+        duty cycle when :attr:`Machine._duty_mutations` last moved (some
+        of them may have expired since)."""
+        if Machine._duty_mutations != self.duty_epoch:
+            self.duty_epoch = Machine._duty_mutations
+            self.duty_segments = tuple(
+                (m, tb, o, n) for _, m, tb, o, n in self.segments
+                if m._duty_cycle is not None)
+        return self.duty_segments

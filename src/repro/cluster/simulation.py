@@ -1,6 +1,7 @@
-"""The fixed-tick cluster simulation loop.
+"""The cluster simulation loop: one clock, stepped or block-stepped.
 
-One tick is one simulated second.  Each tick the simulation:
+The clock counts simulated seconds.  A second at which something besides
+the machines' own physics must act is one tick (:meth:`ClusterSimulation.step`):
 
 1. executes every machine (CPU allocation, contention, counters),
 2. runs its control plane and per-machine hooks: the CPI2 pipeline, once
@@ -14,8 +15,21 @@ One tick is one simulated second.  Each tick the simulation:
    sinks (the CPI2 pipeline registers itself as a sink), and
 4. periodically asks the scheduler to re-place preempted/pending tasks.
 
-A quiet tick — no window edge, no departure, nothing due — makes no call
-per machine.
+:meth:`ClusterSimulation.run` ticks only those seconds.  From each second
+it finds the *horizon*: the earliest of the next sampler edge
+(:meth:`SamplerConfig.next_edge`), the control plane's next event
+(:meth:`ControlPlane.next_event`: the top of the pipeline's due-time
+heap), the next rescheduling second, each step hook's next acting second
+and the end of the run.  The quiet seconds before it need nothing but
+the fleet's physics, so the fleet runs them as blocks of seconds x tasks
+(:meth:`FusedFleet.block`) and the control plane counts them in one add
+(:meth:`ControlPlane.quiet_ticks`); the horizon itself is a tick.  A run
+ticks every second when any of these holds: a tick hook is registered, a
+step hook does not declare its acting seconds, the control plane has no
+horizon (a fault plane or an aggregator host), or the fleet cannot take
+a block (no batch accounting, no blockable program, a duty cycle in
+force, a machine outside the fleet).  Either way every observable equals
+:meth:`ClusterSimulation.step` at every second.
 
 The loop is deterministic given the seed: every stochastic component draws
 from generators spawned off one root ``numpy`` seed sequence.
@@ -59,7 +73,10 @@ class ControlPlane(Protocol):
     The simulation reports the first machine's departures, calls
     :meth:`begin_tick`, then gives a turn to each machine that is due or
     had departures, in name order, reporting each later machine's
-    departures just before its turn.
+    departures just before its turn.  :meth:`ClusterSimulation.run` asks
+    :meth:`next_event` where its horizon is, and reports the quiet
+    seconds it ran as fleet blocks with :meth:`quiet_ticks` instead of
+    ticks.
     """
 
     def begin_tick(self, t: int) -> Iterable[str]:
@@ -69,6 +86,15 @@ class ControlPlane(Protocol):
                      due: bool) -> None:
         """A machine's control work at ``t``: ``due`` says it was named
         by :meth:`begin_tick`; ``result`` holds its departures."""
+
+    def next_event(self, t: int) -> float:
+        """The first second ``>= t`` at which :meth:`begin_tick` may do
+        more than count (``math.inf`` for none): ``t`` itself when it
+        works every second."""
+
+    def quiet_ticks(self, t: int, k: int) -> None:
+        """Seconds ``t .. t+k-1``, all before :meth:`next_event`, passed
+        with nothing due: :meth:`begin_tick`'s bookkeeping for them."""
 
 
 SECONDS_PER_MINUTE = 60
@@ -131,6 +157,9 @@ class ClusterSimulation:
         self._sample_sinks: list[SampleSink] = []
         self._tick_hooks: list[TickHook] = []
         self._step_hooks: list[StepHook] = []
+        #: Each step hook's next acting second, or None for a hook that
+        #: did not declare it (see add_step_hook).
+        self._step_hook_events: list[Optional[Callable[[int], int]]] = []
         self._control: Optional[ControlPlane] = None
         #: Cached name-sorted iteration order for machines and samplers.
         #: Machines never change identity mid-run today; the cache is
@@ -162,14 +191,20 @@ class ClusterSimulation:
             raise ValueError("the simulation already has a control plane")
         self._control = plane
 
-    def add_step_hook(self, hook: StepHook) -> None:
+    def add_step_hook(self, hook: StepHook,
+                      next_event: Optional[Callable[[int], int]] = None
+                      ) -> None:
         """Register an end-of-tick observer (runs before the clock advances).
 
         Unlike tick hooks these fire once per tick, not once per machine,
         and only after every sampler window closed and every sink ran —
         the point in the tick where the telemetry plane takes its scrape.
+        ``next_event(t)`` declares the first second ``>= t`` at which the
+        hook does anything; :meth:`run` then skips the hook at the quiet
+        seconds before it.  Without it, :meth:`run` ticks every second.
         """
         self._step_hooks.append(hook)
+        self._step_hook_events.append(next_event)
 
     def set_observability(self, obs: Observability) -> None:
         """Attach telemetry: tick/departure counters and departure events.
@@ -237,15 +272,7 @@ class ClusterSimulation:
         """Phase 1: every machine's physics, then the control plane's
         turns and the per-machine hooks."""
         machine_order, _ = self._iteration_order()
-        # All machines' physics in one cluster-wide arena (bit-identical to
-        # per-machine stepping; see repro.cluster.fused).  Rebuilt when
-        # placement changes or a machine was ticked on its own since; each
-        # machine's own tick runs instead when any machine's tick is
-        # patched or overridden.
-        fleet = self._fleet
-        if fleet is None or not fleet.matches(machine_order):
-            fleet = FusedFleet.build(machine_order)
-            self._fleet = fleet
+        fleet = self._current_fleet(machine_order)
         if fleet is not None:
             results = fleet.step(t)
             departed = results.departed
@@ -279,6 +306,19 @@ class ClusterSimulation:
                 for hook in hooks:
                     hook(t, machine, result)
         return results
+
+    def _current_fleet(self, machine_order: tuple[tuple[str, Machine], ...]
+                       ) -> Optional[FusedFleet]:
+        """All machines' physics in one cluster-wide arena (bit-identical
+        to per-machine stepping; see repro.cluster.fused).  Rebuilt when
+        placement changes or a machine was ticked on its own since;
+        ``None`` when any machine's tick is patched or overridden (each
+        machine's own tick runs instead)."""
+        fleet = self._fleet
+        if fleet is None or not fleet.matches(machine_order):
+            fleet = FusedFleet.build(machine_order)
+            self._fleet = fleet
+        return fleet
 
     def _report_departures(self, name: str, result: TickResult) -> None:
         """Count one machine's departures and emit a ``task_departed``
@@ -354,14 +394,61 @@ class ClusterSimulation:
         """Advance the simulation by ``seconds`` ticks.
 
         Equivalent to ``seconds`` calls to :meth:`step`, but the per-tick
-        observability counter is batched into one add up front.
+        observability counter is batched into one add up front, and the
+        quiet seconds before each horizon (:meth:`_horizon`) run as fleet
+        blocks (:meth:`_run_quiet`).
         """
         if seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
         if seconds and self._c_ticks is not None:
             self._c_ticks.inc(seconds)
-        for _ in range(seconds):
+        end = self.now + seconds
+        while self.now < end:
+            t = self.now
+            h = self._horizon(t, end)
+            if h > t and self._run_quiet(t, h) > t:
+                continue
             self._step()
+
+    def _horizon(self, t: int, end: int) -> int:
+        """The first second in ``[t, end)`` at which anything but the
+        fleet may act, else ``end``: the next sampler edge, rescheduling
+        second, control-plane event or step-hook action; ``t`` when a tick
+        hook or a step hook without a declared ``next_event`` must see
+        every second."""
+        control = self._control
+        h = end if control is None else min(end, control.next_event(t))
+        if h <= t or self._tick_hooks:
+            return t
+        config = self.config
+        period = config.reschedule_period
+        h = min(h, config.sampler.next_edge(t),
+                max(period, -(-t // period) * period))
+        for next_event in self._step_hook_events:
+            if next_event is None:
+                return t
+            h = min(h, next_event(t))
+        return h
+
+    def _run_quiet(self, t: int, h: int) -> int:
+        """Run the quiet seconds ``t .. h-1`` as fleet blocks, as far as
+        the fleet takes them (:meth:`FusedFleet.block`); returns the next
+        second to run (``t`` when the fleet took none)."""
+        machine_order, _ = self._iteration_order()
+        fleet = self._current_fleet(machine_order)
+        if fleet is None:
+            return t
+        start = t
+        while t < h:
+            stop = fleet.block(t, h)
+            if stop == t:
+                break
+            t = stop
+        if t > start:
+            if self._control is not None:
+                self._control.quiet_ticks(start, t - start)
+            self.now = t
+        return t
 
     def run_minutes(self, minutes: float) -> None:
         """Advance by ``minutes`` simulated minutes."""

@@ -24,6 +24,7 @@ due-time heap that each agent keeps current through
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterable, Optional
 
 from repro.cluster.machine import TickResult
@@ -157,7 +158,10 @@ class CpiPipeline:
             sampler = simulation.config.sampler
             self._scrape_offset = sampler.duration_seconds
             self._scrape_period = sampler.period_seconds
-            simulation.add_step_hook(self._on_step_end)
+            # Window closes are sampler edges, so the hook acts at none
+            # of the seconds before the next edge.
+            simulation.add_step_hook(self._on_step_end,
+                                     next_event=sampler.next_edge)
         if simulation.obs is None:
             simulation.set_observability(self.obs)
         self.total_samples = 0
@@ -240,6 +244,21 @@ class CpiPipeline:
             elif at is not None:
                 self._schedule(name, at)
         return due
+
+    def next_event(self, t: int) -> float:
+        """The first second ``>= t`` at which :meth:`begin_tick` may do
+        more than count machine-seconds: the top of the due-time heap
+        (``math.inf`` when it is empty), or ``t`` while a host or fault
+        plane pumps every second."""
+        if self.host is not None or self.faults is not None:
+            return t
+        heap = self._due
+        return max(t, heap[0][0]) if heap else math.inf
+
+    def quiet_ticks(self, t: int, k: int) -> None:
+        """:meth:`begin_tick` for ``k`` seconds from ``t`` before
+        :meth:`next_event`: only the machine-seconds to count."""
+        self.machine_seconds += k * len(self.simulation.machines)
 
     def machine_turn(self, t: int, name: str, result: TickResult,
                      due: bool) -> None:

@@ -279,20 +279,19 @@ def advance_sampled(machine: Machine, sampler: CpiSampler, start: int,
     edge at a time.
 
     Each stretch runs through the next second at which the sampler acts
-    (:meth:`SamplerConfig.acts_at`), or to ``end``, as one
+    (:meth:`SamplerConfig.next_edge`), or to ``end``, as one
     :meth:`Machine.advance`; the sampler ticks only at that second (at any
     other its ``tick`` is a no-op), after the machine has run it.  Yields
     each stretch's per-second grants and the samples of its last second
     (none when that second does not act).
     """
-    acts_at = sampler.config.acts_at
+    next_edge = sampler.config.next_edge
     t = start
     while t < end:
-        last = t
-        while last < end - 1 and not acts_at(last):
-            last += 1
+        edge = next_edge(t)
+        last = min(edge, end - 1)
         grants = machine.advance(t, last + 1)
-        yield grants, (sampler.tick(last) if acts_at(last) else ())
+        yield grants, (sampler.tick(last) if last == edge else ())
         t = last + 1
 
 

@@ -84,6 +84,22 @@ class SamplerConfig:
         phase = t % period
         return phase == 0 or phase == self.duration_seconds % period
 
+    def next_edge(self, t: int) -> int:
+        """The first second ``>= t`` at which :meth:`acts_at` is true.
+
+        In closed form from ``t``'s phase: the window closes at phase
+        ``duration % period`` (0 when a window spans the whole period,
+        so only openings remain) and opens at phase 0.
+        """
+        period = self.period_seconds
+        phase = t % period
+        if phase == 0:
+            return t
+        close = self.duration_seconds % period
+        if phase <= close:
+            return t + close - phase
+        return t + period - phase
+
 
 class CpiSampler:
     """Samples one machine's per-cgroup counters on the paper's duty cycle.

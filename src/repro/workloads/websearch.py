@@ -121,6 +121,33 @@ class LatencyModel:
         return traits.base_latency_ms * mix
 
 
+class _CpiDrift:
+    """A search node's base-CPI multiplier at second ``t``: CPI follows
+    load with a reduced amplitude (heavier traffic means a slightly
+    different, worse-locality instruction mix).
+
+    Pure: the value depends on ``t``, the amplitude and the load pattern
+    alone, which :attr:`spec` declares (with the pattern's own spec, as
+    :class:`~repro.workloads.diurnal.DiurnalPattern` declares it), so the
+    demand plane may evaluate it ahead of the tick that reads it.
+    """
+
+    __slots__ = ("pattern", "amplitude")
+
+    def __init__(self, pattern: DiurnalPattern, amplitude: float) -> None:
+        self.pattern = pattern
+        self.amplitude = amplitude
+
+    @property
+    def spec(self) -> tuple:
+        return ("websearch_cpi_drift", self.pattern.spec, self.amplitude)
+
+    def __call__(self, t: int) -> float:
+        pattern = self.pattern
+        return 1.0 + self.amplitude * (pattern(t) - 1.0) / max(
+            pattern.amplitude, 1e-9)
+
+
 class WebSearchWorkload(SyntheticWorkload):
     """One search node: diurnal CPU demand plus a latency model."""
 
@@ -143,19 +170,13 @@ class WebSearchWorkload(SyntheticWorkload):
         demand = with_noise(
             scaled(constant(traits.cpu_demand * demand_scale), pattern),
             demand_noise, rng)
-
-        def cpi_drift(t: int) -> float:
-            # CPI follows load with a reduced amplitude: heavier traffic means
-            # a slightly different (worse-locality) instruction mix.
-            return 1.0 + cpi_diurnal_amplitude * (pattern(t) - 1.0) / max(
-                pattern.amplitude, 1e-9)
-
         super().__init__(
             base_cpi=traits.base_cpi,
             profile=traits.profile,
             demand=demand,
             threads=32 if tier is SearchTier.LEAF else 16,
-            cpi_modulation=cpi_drift if cpi_diurnal_amplitude > 0 else None,
+            cpi_modulation=(_CpiDrift(pattern, cpi_diurnal_amplitude)
+                            if cpi_diurnal_amplitude > 0 else None),
         )
         self.tier = tier
         self.latency_model = LatencyModel(tier, noise_stream(rng, demand))
