@@ -36,12 +36,13 @@ Bit-exactness against the per-task closures is a hard contract
   declare themselves pure, so tasks with equal factor specs share one
   scalar evaluation per tick; the ``math.cos`` calls stay scalar and
   therefore bit-identical.
-* **Eligibility fallback** — any workload the compiler cannot express (a
+* **Eligibility fallback** — an arena the compiler cannot express (a
   hand-written demand lambda, an overridden ``cpu_demand``, a subclassed
-  cgroup, non-finite parameters) makes :meth:`DemandColumns.compile`
-  return ``None`` and every machine of that fleet runs its closures (the
-  fleet counts ``demand_program_fallbacks``).  The workloads make this
-  choice; no option or environment variable does.
+  cgroup, non-finite parameters) still gets a program:
+  :meth:`DemandColumns.compile` returns :class:`DemandClosures`, which
+  calls every row's closures in arena order behind the same interface,
+  and the fleet counts ``demand_program_fallbacks``.  The workloads make
+  this choice; no option or environment variable does.
 
 Cgroup state is columnar too: per-task limit and hard-cap columns are
 rebuilt only when any cap changes (a class-level mutation counter on
@@ -49,10 +50,11 @@ rebuilt only when any cap changes (a class-level mutation counter on
 plane: the machine's task table writes each tick's grants straight into
 its cgroups' usage rings, one column of a shared matrix.
 
-The closure path doubles as the reference: ``tests/test_demand_plane.py``
-pins compiled == closure by stubbing :meth:`DemandColumns.compile` to
-``None`` (or binding ``cpu_demand`` on a workload instance, which makes
-any fleet holding it ineligible).
+The closures double as the reference: ``tests/test_demand_plane.py``
+pins compiled == closures by making :meth:`DemandColumns.compile` build
+:class:`DemandClosures` everywhere (``tests/reference/demand.py``), or by
+binding ``cpu_demand`` on a workload instance, which puts any arena
+holding it on the closures.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import numpy as np
 
 from repro.cluster.cgroup import Cgroup
 
-__all__ = ["DemandColumns", "NormalStream"]
+__all__ = ["DemandClosures", "DemandColumns", "NormalStream"]
 
 _INF = float("inf")
 
@@ -143,6 +145,114 @@ def _as_index(indices: list[int], n: int):
     return np.asarray(indices, dtype=np.intp)
 
 
+def _spec_rows(workloads: Sequence, cgroups: Sequence[Cgroup]
+               ) -> Optional[tuple[list, list, list, list]]:
+    """Every row's leaf spec, ``scaled`` factors (innermost first), noise
+    spec and gate start, or ``None`` when some row or cgroup is beyond
+    :meth:`DemandColumns.compile` (or there is no row)."""
+    wbase, wdemand = _workload_modules()
+    sw = wbase.SyntheticWorkload
+    if not workloads:
+        return None
+    leaves: list = []
+    chains: list[tuple] = []      # scaled factors, innermost first
+    noises: list = []             # NoiseSpec or None
+    gates: list = []              # GatedSpec.start or None
+    try:
+        for w in workloads:
+            if (type(w).cpu_demand is not sw.cpu_demand
+                    or "cpu_demand" in getattr(w, "__dict__", ())):
+                return None
+            spec = wdemand.demand_spec(w._demand)
+            gate = None
+            if isinstance(spec, wdemand.GatedSpec):
+                gate = spec.start
+                spec = spec.base
+            noise = None
+            if isinstance(spec, wdemand.NoiseSpec):
+                noise = spec
+                if not _finite(noise.sigma):
+                    return None
+                spec = spec.base
+            factors = []
+            while isinstance(spec, wdemand.ScaledSpec):
+                if getattr(spec.factor, "spec", None) is None:
+                    return None
+                factors.append(spec.factor)
+                spec = spec.base
+            if isinstance(spec, wdemand.ConstantSpec):
+                ok = _finite(spec.level)
+            elif isinstance(spec, wdemand.OnOffSpec):
+                ok = _finite(spec.on_level, spec.off_level,
+                             spec.on_seconds)
+            else:
+                return None
+            if not ok:
+                return None
+            leaves.append(spec)
+            chains.append(tuple(reversed(factors)))
+            noises.append(noise)
+            gates.append(gate)
+    except AttributeError:
+        return None
+    for cg in cgroups:
+        if type(cg) is not Cgroup:
+            return None
+    if len({id(cg) for cg in cgroups}) != len(workloads):
+        return None
+    return leaves, chains, noises, gates
+
+
+class DemandClosures:
+    """The demand program of an arena :meth:`DemandColumns.compile` cannot
+    express: every row's own closures, in arena order.
+
+    The per-second interface of :class:`DemandColumns` (never blockable,
+    never batch-accounted): each row's ``cpu_demand(t)``, clamped at 0.0
+    (NaN included), clipped by its limit and by any cap in force; then
+    every row's ``base_cpi()``.  Demand closures draw in arena order,
+    which is machine order x table order, as stepping the machines one at
+    a time would.  No base-CPI read draws, so reading them after every
+    row's demand moves no draw.
+    """
+
+    __slots__ = ("_rows", "_base_cpi_fns", "_allowed", "check_base_cpi")
+
+    batch_on_tick = False
+    blockable = False
+    now_workloads = ()
+
+    def __init__(self, workloads: Sequence, cgroups: Sequence[Cgroup],
+                 cpu_limits: Sequence[float]) -> None:
+        self._rows = tuple(zip([w.cpu_demand for w in workloads], cgroups,
+                               cpu_limits))
+        self._base_cpi_fns = tuple(w.base_cpi for w in workloads)
+        self._allowed = np.empty(len(self._rows))
+        self.check_base_cpi = bool(self._rows)
+
+    def allowed_and_capped(self, t: int) -> tuple[np.ndarray, list[bool]]:
+        """Demand clipped by limits and active caps, plus the capped flags
+        (the array is an internal buffer, overwritten by the next call)."""
+        allowed = []
+        capped = []
+        for fn, cg, limit in self._rows:
+            d = fn(t)
+            if not d > 0.0:     # matches max(0.0, d), including d = NaN
+                d = 0.0
+            a = d if d < limit else limit
+            cap = cg.cap_at(t)
+            if cap is not None and cap.quota < a:
+                a = cap.quota
+            allowed.append(a)
+            capped.append(cap is not None)
+        self._allowed[:] = allowed
+        return self._allowed, capped
+
+    def base_cpi(self) -> list[float]:
+        """Every row's contention-free CPI."""
+        return [fn() for fn in self._base_cpi_fns]
+
+
 class DemandColumns:
     """A compiled, batch-evaluable demand/cgroup program for one arena.
 
@@ -167,70 +277,27 @@ class DemandColumns:
 
     @classmethod
     def compile(cls, workloads: Sequence, cgroups: Sequence[Cgroup],
-                cpu_limits: Sequence[float]) -> Optional["DemandColumns"]:
-        """Compile an arena's demand plane, or ``None`` if ineligible.
+                cpu_limits: Sequence[float]
+                ) -> "DemandColumns | DemandClosures":
+        """Compile an arena's demand plane: columns when every row is
+        eligible, else the rows' own closures (:class:`DemandClosures`).
 
-        Ineligibility (→ the fleet runs the per-task closures): any
-        overridden/patched ``cpu_demand``, a demand function without a
-        recognised spec tree (leaf under optional ``scaled`` wrappers under
-        an optional ``with_noise`` under an optional outermost ``gated``),
-        a spec-less ``scaled``
-        factor, non-finite parameters, a subclassed cgroup, or a cgroup
-        shared between tasks (a cgroup's usage ring is one row of the
-        table's usage matrix, so each task needs its own).
+        Ineligibility: any overridden/patched ``cpu_demand``, a demand
+        function without a recognised spec tree (leaf under optional
+        ``scaled`` wrappers under an optional ``with_noise`` under an
+        optional outermost ``gated``), a spec-less ``scaled`` factor,
+        non-finite parameters, a subclassed cgroup, or a cgroup shared
+        between tasks (a cgroup's usage ring is one row of the table's
+        usage matrix, so each task needs its own).  The empty arena gets
+        the closures too.
         """
+        rows = _spec_rows(workloads, cgroups)
+        if rows is None:
+            return DemandClosures(workloads, cgroups, cpu_limits)
+        leaves, chains, noises, gates = rows
         wbase, wdemand = _workload_modules()
         sw = wbase.SyntheticWorkload
         n = len(workloads)
-        if n == 0:
-            return None
-
-        leaves: list = []
-        chains: list[tuple] = []      # scaled factors, innermost first
-        noises: list = []             # NoiseSpec or None
-        gates: list = []              # GatedSpec.start or None
-        try:
-            for w in workloads:
-                if (type(w).cpu_demand is not sw.cpu_demand
-                        or "cpu_demand" in getattr(w, "__dict__", ())):
-                    return None
-                spec = wdemand.demand_spec(w._demand)
-                gate = None
-                if isinstance(spec, wdemand.GatedSpec):
-                    gate = spec.start
-                    spec = spec.base
-                noise = None
-                if isinstance(spec, wdemand.NoiseSpec):
-                    noise = spec
-                    if not _finite(noise.sigma):
-                        return None
-                    spec = spec.base
-                factors = []
-                while isinstance(spec, wdemand.ScaledSpec):
-                    if getattr(spec.factor, "spec", None) is None:
-                        return None
-                    factors.append(spec.factor)
-                    spec = spec.base
-                if isinstance(spec, wdemand.ConstantSpec):
-                    ok = _finite(spec.level)
-                elif isinstance(spec, wdemand.OnOffSpec):
-                    ok = _finite(spec.on_level, spec.off_level,
-                                 spec.on_seconds)
-                else:
-                    return None
-                if not ok:
-                    return None
-                leaves.append(spec)
-                chains.append(tuple(reversed(factors)))
-                noises.append(noise)
-                gates.append(gate)
-        except AttributeError:
-            return None
-        for cg in cgroups:
-            if type(cg) is not Cgroup:
-                return None
-        if len({id(cg) for cg in cgroups}) != n:
-            return None
 
         self = object.__new__(cls)
         self.n = n

@@ -2,59 +2,55 @@
 
 :class:`FusedFleet` concatenates its machines' task tables into one arena
 so the ~30 elementwise operations of a tick run once over *all* resident
-tasks instead of once per machine.  It is the only implementation of the
-tick's physics (the formulas are stated in
-:mod:`repro.cluster.interference`), one routine over ``(tick, machine)``
-segments (:meth:`FusedFleet._physics`).  A fleet runs a second at a time
-(:meth:`FusedFleet.step`, the routine's one-tick case) or a block of
-seconds (:meth:`FusedFleet.block`: the per-second half — demand,
-allocation and the ``on_tick`` clock — as one ``(seconds x tasks)`` pass,
-then the physics and the usage charge once), the same routine for one
-machine or many.  The simulation steps one fleet over all its machines:
-a block for the quiet seconds between events, a step at each event
-second.  :meth:`Machine.tick` and :meth:`Machine.advance` step a
-one-machine fleet of their own, the latter in blocks
-(:meth:`FusedFleet.advance`: a block pass when the fleet can take one,
-else the per-second half every second and the physics and charge once;
-trials and ablations advance from one sampling-window edge to the next).
-A block is at most :data:`_BLOCK_SLOTS` arena slots (seconds x tasks)
-and 64 seconds.  The physics phase and the results it returns cost a
-fixed number of numpy calls however many machines and seconds there are:
+tasks instead of once per machine.  A second runs in one of two ways, for
+any number of machines:
 
+* :meth:`FusedFleet.step`, one second of any fleet: the demand program,
+  tier allocation, then the physics and the usage charge, then the
+  workloads' ``on_tick`` observations;
+* :meth:`FusedFleet.block`, ``k`` seconds of a blockable fleet: the same
+  phases, demand and allocation as one ``(seconds x tasks)`` pass, then
+  the physics and the charge once.
+
+Both share one routine per phase, each over ``(tick, machine)`` segments:
+the demand program (:mod:`repro.cluster.demandplane`), tier allocation
+and duty cycling (:meth:`FusedFleet._allocate`), the physics
+(:meth:`FusedFleet._physics`, the only implementation of the formulas
+stated in :mod:`repro.cluster.interference`) and the charge
+(:meth:`FusedFleet._charge`).  The simulation steps one fleet over all its
+machines: a block for the quiet seconds between events, a step at each
+event second.  :meth:`Machine.tick` steps a one-machine fleet of its own,
+and :meth:`Machine.advance` runs that fleet a block at a time where it
+takes one and a step at any other second (trials and ablations advance
+from one sampling-window edge to the next).  A block is at most
+:data:`_BLOCK_SLOTS` arena slots (seconds x tasks) and 64 seconds.  Each
+phase costs a fixed number of numpy calls however many machines and
+seconds there are:
+
+* the demand program is one compiled
+  :class:`~repro.cluster.demandplane.DemandColumns` pass over the arena
+  when every resident workload and cgroup compiles; an arena with any
+  that does not calls every row's closures
+  (:class:`~repro.cluster.demandplane.DemandClosures`) behind the same
+  interface;
+* allocation is one ``bincount`` summing each (tick x machine, tier) bin's
+  want and a fixed number of elementwise operations over the (tick x
+  machine, tier) matrix, for every tier of every machine;
 * per-(tick, machine) cache/membw pressure is one ``np.bincount`` over the
   arena's bin column, broadcast back to the arena with ``take``;
 * every resident cgroup's counters are rows of one counter arena
   (:meth:`~repro.perf.counters.CounterBank.matrix_view` with ``out=``),
   burned with one :meth:`~repro.perf.counters.CounterBank.burn_matrix`
   per tick, or a block's ticks as one sequential ``np.add.accumulate``;
+* each task table charges a tick's grants as one column of its usage
+  matrix and advances one clock for all its rows;
 * the tick's results are one read-only mapping that builds a machine's
   :class:`TickResult` the first time it is read, from per-tick copies of
   the grant and CPI columns, and lists the machines that had departures
   (:attr:`TickResults.departed`), so a tick that nobody reads costs nothing
   per machine.
 
-Phase 1's demand, cgroup clipping and base-CPI reads run as one compiled
-:class:`~repro.cluster.demandplane.DemandColumns` program over the arena
-when every resident workload and cgroup compiles; a fleet with any that
-does not runs every machine's per-task closures instead.  The fleet's size
-selects how the rest of the tick runs:
-
-* a fleet of more than one machine allocates, duty cycles, charges and
-  accounts grants over the whole arena with no call per machine
-  (:meth:`FusedFleet._allocate`): one ``bincount`` sums each
-  (tick x machine, tier) bin's want, a fixed number of elementwise
-  operations over the (tick x machine, tier) matrix allocate every tier
-  of every machine, and each task table charges the tick's grants as one
-  column of its usage matrix and advances one clock for all its rows;
-* a one-machine fleet (:meth:`Machine.tick` and :meth:`Machine.advance`:
-  trials and ablations) allocates a single second on the machine's own
-  Python loop, :meth:`Machine._tick_alloc`, which costs less than the
-  arena pass's fixed numpy calls at that size.
-
-A block of seconds allocates with :meth:`FusedFleet._allocate`'s
-(tick x machine, tier) pass whatever the fleet's size.
-
-Either way, when every workload's ``on_tick`` is plain accounting its
+When every workload's ``on_tick`` is plain accounting its
 ``granted_cpu_seconds`` is a row of the fleet's ``granted`` column,
 advanced with one add; otherwise each machine runs its workloads'
 ``on_tick``.  Resource profiles are read once, when a table is built at
@@ -93,10 +89,10 @@ which transcribes the same formulas independently of this module
   become per-element constant columns, so each element sees the exact
   operand values a per-task evaluation uses;
 * a block defers every second's physics and charge to one commit, which
-  is unobservable because nothing in the per-second half reads counters
-  or usage, and the block commits before anything that could: at its
-  end, before a departure's :meth:`Machine.remove`, and before any error
-  a per-second step would raise (:meth:`FusedFleet.advance`);
+  is unobservable because nothing in its per-second half reads counters
+  or usage, no workload of a blockable fleet observes a second
+  (``on_tick`` is plain accounting, so nothing departs), and no second of
+  it can raise (:meth:`FusedFleet.block`);
 * workload ``on_tick`` observations and cgroup charging run after the
   cluster math.  Relative to per-machine stepping this moves machine j's
   observations after machine j+1's demand calls, which is unobservable:
@@ -167,9 +163,8 @@ class _FusedTickResult(TickResult):
 
     ``grants`` and ``cpis`` are built the first time they are read, then
     cached (and stay assignable).  ``source`` is ``(cpi, grants, arena
-    offset, task names)``, where ``cpi`` is the tick's own copy of the
-    arena's CPI column and ``grants`` its copy of the grant column, or a
-    one-machine fleet's grant list.
+    offset, task names)``, where ``cpi`` and ``grants`` are the tick's own
+    copies of the arena's CPI and grant columns.
     """
 
     def __init__(self, t: int, source: tuple, departures: list) -> None:
@@ -180,10 +175,7 @@ class _FusedTickResult(TickResult):
     @cached_property
     def grants(self) -> dict[str, float]:
         _, grants, o, names = self._source
-        grants = grants[o:o + len(names)]
-        if type(grants) is not list:
-            grants = grants.tolist()
-        return dict(zip(names, grants))
+        return dict(zip(names, grants[o:o + len(names)].tolist()))
 
     @cached_property
     def cpis(self) -> dict[str, float]:
@@ -213,8 +205,8 @@ class TickResults(Mapping):
 
     __slots__ = ("t", "_index", "_cpi", "_grants", "_departures", "_built")
 
-    def __init__(self, t: int, index: dict, cpi: np.ndarray, grants,
-                 departures: dict[str, list]) -> None:
+    def __init__(self, t: int, index: dict, cpi: np.ndarray,
+                 grants: np.ndarray, departures: dict[str, list]) -> None:
         self.t = t
         self._index = index
         self._cpi = cpi
@@ -255,9 +247,9 @@ class FusedFleet:
 
     __slots__ = (
         "machines", "tables", "counter_views", "valid",
-        "segments", "total", "result_index", "one", "batch",
-        "rows", "max_rows", "block_ids", "pending", "block_t0", "views",
-        "seg_id", "bins", "capacity", "allowed", "granted", "left", "fits",
+        "segments", "total", "result_index", "batch",
+        "rows", "max_rows", "block_ids", "views",
+        "seg_id", "bins", "capacity", "granted", "left", "fits",
         "live", "ends", "bin_scale", "bin_dead", "row_scale", "row_dead",
         "tier_bins", "capacities", "blockable", "noise_private",
         "duty_epoch", "duty_segments",
@@ -310,10 +302,6 @@ class FusedFleet:
         #: the block holds draws of the old one, so the fleet must go.
         self.valid = True
 
-        # A one-machine fleet with resident tasks allocates a single second
-        # on its machine's own loop: (machine, table), else None.
-        self.one = ((machines[0], tables[0])
-                    if n_machines == 1 and tables[0].tasks else None)
         # Tier allocation over (tick x machine, tier) bins: each slot's
         # (machine, tier) bin within one second and each machine's core
         # capacity, repeated over a block's rows by _alloc_rows.  The
@@ -331,8 +319,9 @@ class FusedFleet:
         # columns span every resident task, so phase 1 is a single columnar
         # pass however many machines there are.  Per-task noise draws
         # happen in arena order == machine order x table order, exactly the
-        # per-machine sequence.  None (no resident task, or some workload
-        # or cgroup beyond the compiler) runs every machine's closures.
+        # per-machine sequence.  An arena some workload or cgroup of which
+        # is beyond the compiler (or that has no resident task) gets the
+        # rows' closures, in the same order.
         workloads: list = []
         cgroups: list = []
         limits: list[float] = []
@@ -342,19 +331,14 @@ class FusedFleet:
             limits.extend(tb.cpu_limits)
         fdc = self.demand_columns = DemandColumns.compile(
             workloads, cgroups, limits)
-        if fdc is None and workloads:
+        if type(fdc) is not DemandColumns and workloads:
             from repro.obs import default_observability
             default_observability().metrics.counter(
                 "demand_program_fallbacks").inc()
 
         # Block buffers, one row per second (one row until the first
-        # advance), and the closure path's allowances.
+        # block).
         self._alloc_rows(1)
-        self.allowed = np.empty(total)
-        #: The uncommitted seconds of the block: ``pending`` rows from
-        #: second ``block_t0`` (see :meth:`commit`).
-        self.pending = 0
-        self.block_t0 = 0
 
         # One counter arena: every resident cgroup's counter set becomes a
         # row of it, so a tick burns the whole cluster with one add.  Each
@@ -435,7 +419,7 @@ class FusedFleet:
         # it (its own on_tick, run by a fleet without batch accounting, or
         # Machine.remove unbinds it).
         self.granted = np.zeros(total)
-        self.batch = fdc is not None and fdc.batch_on_tick
+        self.batch = fdc.batch_on_tick
         if self.batch:
             for _, _, tb, o, _ in self.segments:
                 for i, w in enumerate(tb.workloads):
@@ -443,7 +427,7 @@ class FusedFleet:
         # Whether a block's per-second half may run as one array pass
         # (block): the fleet's program is blockable.  A block is at most
         # ``rows`` seconds, sized from the slot budget.
-        self.blockable = fdc is not None and fdc.blockable
+        self.blockable = fdc.blockable
         self.rows = min(_NOISE_ROWS, max(2, _BLOCK_SLOTS // max(total, 1)))
         # Whether nothing but this fleet can draw any noisy machine's
         # generator: no reference to it beyond the machine's own (the
@@ -546,114 +530,36 @@ class FusedFleet:
         """One fused cluster tick; per-machine results keyed by name, each
         built when first read.
 
-        A block of one second: the per-second half (:meth:`_second`), then
-        :meth:`commit`, then the workloads' ``on_tick`` observations.
+        The demand program's allowances and base CPIs, tier allocation
+        and duty cycling (:meth:`_allocate`), :meth:`commit`, then the
+        workloads' ``on_tick`` observations, or under batch accounting
+        the ``_now`` clock.
         """
-        grant_list, capped = self._second(t, 0)
-        self.block_t0 = t
-        self.pending = 1
-        self.commit()
-        if self.batch:
-            for w in self.demand_columns.now_workloads:
-                w._now = t
-        # The CPI row (and the arena's grant row) is overwritten next tick,
-        # so results read copies taken here.
-        cpi_copy = self.cpi[0].copy()
+        fdc = self.demand_columns
+        allowed, capped = fdc.allowed_and_capped(t)
+        base_all = fdc.base_cpi()
+        if fdc.check_base_cpi and not min(base_all) > 0:
+            bad = min(base_all)
+            raise ValueError(f"base_cpi must be positive, got {bad}")
+        self.cpi[0] = base_all
+        self._allocate(t, 1, allowed, self.grants[0])
+        self.commit(t, 1)
+        # The CPI and grant rows are overwritten next tick, so results
+        # read copies taken here.
+        cpi = self.cpi[0].copy()
+        grants = self.grants[0].copy()
         departures: dict[str, list] = {}
-        if self.one is None:
-            grants = self.grants[0].copy()
-            if not self.batch:
-                grant_list = grants.tolist()
-                for _, m, tb, o, n in self.segments:
-                    end = o + n
-                    left = m._observe(t, tb, grant_list[o:end],
-                                      capped[o:end])
-                    if left:
-                        departures[m.name] = left
+        if self.batch:
+            for w in fdc.now_workloads:
+                w._now = t
         else:
-            grants = grant_list
-            if not self.batch:
-                m, tb = self.one
-                left = m._observe(t, tb, grant_list, capped)
+            grant_list = grants.tolist()
+            for _, m, tb, o, n in self.segments:
+                end = o + n
+                left = m._observe(t, tb, grant_list[o:end], capped[o:end])
                 if left:
                     departures[m.name] = left
-        return TickResults(t, self.result_index, cpi_copy, grants,
-                           departures)
-
-    def advance(self, t0: int, t1: int, rows: list) -> int:
-        """Step this one-machine fleet from second ``t0`` as one block.
-
-        The block runs up to ``t1``, for at most :attr:`rows` seconds, and
-        ends early after a placement change; it returns the second after
-        its last and appends each of its seconds' grants (in table order)
-        to ``rows``.  When :meth:`block` can, the block's per-second half
-        runs as one ``(seconds x tasks)`` pass.  Otherwise every second
-        runs the per-second half (:meth:`_second`) and the workloads'
-        ``on_tick`` (or the modulation clock of batch accounting).  Either
-        way :meth:`commit` then runs the physics, the usage charge and the
-        grant accounting of all of them at once.  Nothing in the
-        per-second half reads counters or usage, so this equals
-        :meth:`step` at every second, provided the block commits before
-        anything can read what it defers:
-
-        * at its end;
-        * before a departure's :meth:`Machine.remove` (the block's
-          ``pending`` rows then include the departing second, whose
-          physics and charge :meth:`step` also runs before ``on_tick``);
-        * before any error a per-second step would raise: an error of the
-          per-second half commits the seconds before it (or through it,
-          once its physics is due), and a second whose grants are not all
-          finite commits at once, so a rejected counter burn raises at
-          that second;
-        * and a table whose clock does not end at ``t0 - 1`` commits
-          ``t0`` alone, so a charge that does not follow raises there.
-        """
-        end = self.block(t0, t1)
-        if end > t0:
-            rows += self.grants[:end - t0].tolist()
-            return end
-        m, tb = self.one
-        if self.max_rows < self.rows:
-            self._alloc_rows(self.rows)
-        end = t0 + 1 if t0 - 1 != tb.charged_to else self._block_end(t0, t1)
-        batch = self.batch
-        now_workloads = self.demand_columns.now_workloads if batch else ()
-        self.block_t0 = t0
-        t = t0
-        try:
-            while t < end:
-                r = t - t0
-                self.pending = r
-                grant_list, capped = self._second(t, r)
-                self.pending = r + 1
-                if not sum(grant_list) < _INF:
-                    self.commit()
-                for w in now_workloads:
-                    w._now = t
-                if not batch:
-                    m._observe(t, tb, grant_list, capped)
-                t += 1
-                if not self.pending or m._table is not tb:
-                    break
-        except BaseException:
-            if self.pending:
-                self.commit()
-            raise
-        if self.pending:
-            self.commit()
-        rows += self.grants[:t - t0].tolist()
-        return t
-
-    def _block_end(self, t0: int, t1: int) -> int:
-        """The second after the longest block from ``t0`` toward ``t1``:
-        at most :attr:`rows` seconds, and, when something else may draw a
-        noisy machine's generator (not :attr:`noise_private`), through the
-        second whose physics refills the noise block, so the refill falls
-        between the same draws as in a second-by-second run."""
-        end = min(t1, t0 + self.rows)
-        if not self.noise_private:
-            end = min(end, t0 + _NOISE_ROWS + 1 - self.noise_row)
-        return end
+        return TickResults(t, self.result_index, cpi, grants, departures)
 
     def block(self, t0: int, t1: int) -> int:
         """Seconds ``t0 ..`` toward ``t1`` as one block with the
@@ -664,14 +570,21 @@ class FusedFleet:
         The pass: the program's base-CPI, demand and allowance rows, then
         tier allocation over (tick x machine, tier) bins, then
         :meth:`commit`; the batch ``_now`` clock is set once, to the
-        block's last second.  It runs only when the fleet is
-        :attr:`blockable` (batch accounting, a compiled program with every
-        dynamic base CPI pure and finite limits, so no row's grant can be
-        non-finite), no program buffers a shared stream, every table's
-        clock ends at ``t0 - 1``, no machine has a duty cycle in force at
-        ``t0`` (one in force later would have to start inside the block),
-        and every row's base CPI is positive (the per-second step raises
-        it at its second).  The block is :meth:`_block_end` long.
+        block's last second.  Nothing in the per-second half reads
+        counters or usage, so deferring every second's physics and charge
+        to the one commit equals :meth:`step` at every second.  It runs
+        only when the fleet is :attr:`blockable` (batch accounting, a
+        compiled program with every dynamic base CPI pure and finite
+        limits, so no row's grant can be non-finite and no second can
+        raise in the burn), no program buffers a shared stream, every
+        table's clock ends at ``t0 - 1``, no machine has a duty cycle in
+        force at ``t0`` (one in force later would have to start inside
+        the block), and every row's base CPI is positive (the per-second
+        step raises it at its second).  The block is at most :attr:`rows`
+        seconds and, when something else may draw a noisy machine's
+        generator (not :attr:`noise_private`), runs through the second
+        whose physics refills the noise block at the latest, so the refill
+        falls between the same draws as in a second-by-second run.
         """
         fdc = self.demand_columns
         if not self.blockable or not fdc.block_ready():
@@ -684,62 +597,23 @@ class FusedFleet:
                 return t0
         if self.max_rows < self.rows:
             self._alloc_rows(self.rows)
-        end = self._block_end(t0, t1)
+        end = min(t1, t0 + self.rows)
+        if not self.noise_private:
+            end = min(end, t0 + _NOISE_ROWS + 1 - self.noise_row)
         k = end - t0
         if not fdc.base_cpi_block(t0, self.cpi[:k]):
             return t0
         allowed = fdc.allowed_block(t0, k)
         self._allocate(t0, k, allowed.reshape(-1),
                        self.grants[:k].reshape(-1))
-        self.block_t0 = t0
-        self.pending = k
-        self.commit()
+        self.commit(t0, k)
         for w in fdc.now_workloads:
             w._now = end - 1
         return end
 
-    def _second(self, t: int, r: int) -> tuple[Optional[list], list]:
-        """The per-second half of second ``t``, into block row ``r``:
-        demand, cgroup clipping and base-CPI reads (the fleet's demand
-        program, or each machine's closures), then tier allocation and
-        duty cycling (a one-machine fleet on its machine's loop, any other
-        over the arena).  Returns a one-machine fleet's grant list (else
-        ``None``) and the capped flags."""
-        g = self.grants[r]
-        cpi = self.cpi[r]
-        one = self.one
-        fdc = self.demand_columns
-        if fdc is not None:
-            allowed, capped = fdc.allowed_and_capped(t)
-            base_all = fdc.base_cpi()
-            if fdc.check_base_cpi and not min(base_all) > 0:
-                bad = min(base_all)
-                raise ValueError(f"base_cpi must be positive, got {bad}")
-            cpi[:] = base_all
-            if one is not None:
-                allowed = allowed.tolist()
-        elif one is not None:
-            allowed, capped, base = one[0]._tick_inputs(t, one[1])
-            cpi[:] = base
-        else:
-            allowed = self.allowed
-            capped = []
-            for j, m, tb, o, n in self.segments:
-                a, c, base = m._tick_inputs(t, tb)
-                end = o + n
-                allowed[o:end] = a
-                cpi[o:end] = base
-                capped += c
-        if one is None:
-            self._allocate(t, 1, allowed, g)
-            return None, capped
-        grant_list = one[0]._tick_alloc(t, one[1], allowed, capped)
-        g[:] = grant_list
-        return grant_list, capped
-
-    def commit(self) -> None:
-        """Run the block's ``pending`` seconds from ``block_t0``: their
-        physics, counter burn, usage charge and grant accounting.
+    def commit(self, t0: int, k: int) -> None:
+        """Run the ``k`` seconds of block rows ``0 .. k-1`` from ``t0``:
+        their physics, counter burn, usage charge and grant accounting.
 
         When every second's counter increments are valid they burn as
         sequential adds (``np.add.accumulate`` over the seconds, never a
@@ -748,9 +622,6 @@ class FusedFleet:
         the seconds before a rejected one commit and its error raises
         exactly as per-second steps would.
         """
-        k = self.pending
-        self.pending = 0
-        t0 = self.block_t0
         ev = self._physics(k)
         arena = self.counter_arena
         if k == 1:
@@ -928,11 +799,13 @@ class FusedFleet:
         allowances into the flattened grant rows ``g``; no call per
         machine or second.
 
-        The arithmetic of :meth:`Machine._tick_alloc`, on every machine of
-        every second at once, as ``(tick x machine, tier)`` matrices (the
-        way :meth:`_physics` bins by (tick, machine)); :meth:`step` is its
-        one-second case.  One ``bincount`` over the slots' bins gives each
-        tier's want, summed from 0.0 in table order.  ``left`` is the
+        The arithmetic of a per-machine loop over the tiers (latency
+        sensitive, batch, best effort: pro-rata within the first tier that
+        does not fit), on every machine of every second at once, as
+        ``(tick x machine, tier)`` matrices (the way :meth:`_physics` bins
+        by (tick, machine)); :meth:`step` is its one-second case.  One
+        ``bincount`` over the slots' bins gives each tier's want, summed
+        from 0.0 in table order.  ``left`` is the
         capacity before each tier when every earlier tier fitted: the
         loop's ``remaining -= want`` (subtracting a skipped tier's 0.0
         changes nothing).  A tier fits when ``want <= left``; when every

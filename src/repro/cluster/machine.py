@@ -17,21 +17,17 @@ Each simulated second the machine:
    lame-duck mode or give up when capped).
 
 This module holds the per-machine half of the tick: the stable task-index
-table (rebuilt only when placement changes), the per-task closure loop of
-phases 1-2 (demand and cgroup clipping, for a fleet whose workloads do not
-compile), the one-machine fleet's tier allocation and duty cycling, and
-the workloads' observations.  Phases 4-5 — the contention, CPI, noise and
-counter physics — and the usage charge have one implementation,
-:class:`~repro.cluster.fused.FusedFleet`: :meth:`Machine.tick` steps a
-one-machine fleet a second at a time, :meth:`Machine.advance` the same
-fleet in blocks of seconds (physics and charge once per block, and the
-rest too when the block can run as one array pass), the simulation one
-fleet over all its machines.  Demand, cgroup clipping and
-base-CPI reads run columnar when the fleet's workloads compile into one
-:class:`~repro.cluster.demandplane.DemandColumns` program over its arena.
-A fleet of more than one machine also allocates and duty cycles over its
-whole arena (:meth:`FusedFleet._allocate`); only a one-machine fleet calls
-:meth:`Machine._tick_alloc`.
+table (rebuilt only when placement changes), duty-cycle state, and the
+workloads' observations (phase 6).  Everything else has one
+implementation, :class:`~repro.cluster.fused.FusedFleet`, over the arena
+of every machine it steps: the demand program of phases 1-2 (compiled
+:class:`~repro.cluster.demandplane.DemandColumns`, or the rows' own
+closures when some workload or cgroup does not compile), the tier
+allocation and duty cycling of phase 3, the contention, CPI, noise and
+counter physics of phases 4-5, and the usage charge.
+:meth:`Machine.tick` steps a one-machine fleet a second at a time,
+:meth:`Machine.advance` the same fleet a block of seconds at a time where
+it takes one, the simulation one fleet over all its machines.
 
 The test oracle ``tests/reference/tick.py`` is the original per-task
 scalar loop, with its own transcription of the physics formulas;
@@ -121,8 +117,7 @@ class _TaskTable:
     """
 
     __slots__ = ("tasks", "names", "cgroups", "cgroup_names", "workloads",
-                 "demand_fns", "on_tick_fns", "base_cpi_fns",
-                 "cpu_limits", "tier_indices", "profile_table",
+                 "on_tick_fns", "cpu_limits", "tier_indices", "profile_table",
                  "counter_matrix", "usage_matrix", "charged_to")
 
     def __init__(self, tasks: Sequence[Task], counters: CounterBank):
@@ -132,9 +127,7 @@ class _TaskTable:
         self.cgroup_names: tuple[str, ...] = tuple(
             cg.name for cg in self.cgroups)
         self.workloads = tuple(t.workload for t in tasks)
-        self.demand_fns = tuple(w.cpu_demand for w in self.workloads)
         self.on_tick_fns = tuple(w.on_tick for w in self.workloads)
-        self.base_cpi_fns = tuple(w.base_cpi for w in self.workloads)
         self.profile_table = ProfileTable.from_profiles(
             [w.resource_profile() for w in self.workloads])
         self.cpu_limits = tuple(cg.cpu_limit for cg in self.cgroups)
@@ -246,11 +239,6 @@ class Machine:
             task = self._tasks.pop(task_name)
         except KeyError:
             raise KeyError(f"no task {task_name!r} on machine {self.name}") from None
-        fleet = self._fleet
-        if fleet is not None and fleet.pending:
-            # A departure inside a block (advance): commit the block's
-            # physics and charge before the task's rows go.
-            fleet.commit()
         task.mark_stopped(state, reason)
         self.counters.drop(task.cgroup.name)
         task.cgroup.unbind_ring()
@@ -351,93 +339,6 @@ class Machine:
 
     # -- the tick --------------------------------------------------------------
 
-    def _tick_inputs(self, t: int, table: _TaskTable
-                     ) -> tuple[list[float], list[bool], list[float]]:
-        """Tick phases 1-2 on the per-task closures: demand and cgroup
-        clipping, plus the base-CPI reads.
-
-        Called by :meth:`FusedFleet._second` for each machine when the
-        fleet has no compiled demand program (some workload or cgroup in it is
-        beyond :meth:`DemandColumns.compile`); the fleet allocates.
-
-        Returns:
-            ``(allowed, capped, base_cpi)`` as plain Python lists in table
-            order.  ``capped`` remembers the hard-cap state for phase 6 (it
-            cannot change within the tick, so the scalar reference's second
-            ``is_capped`` lookup is redundant).
-        """
-        cgroups = table.cgroups
-        cpu_limits = table.cpu_limits
-        n = len(cgroups)
-
-        # 1-2. demand, clipped by cgroup limit and any hard-cap.
-        allowed = [0.0] * n
-        capped = [False] * n
-        for i, fn in enumerate(table.demand_fns):
-            d = fn(t)
-            if not d > 0.0:     # matches max(0.0, d), including d = NaN
-                d = 0.0
-            limit = cpu_limits[i]
-            a = d if d < limit else limit
-            cap = cgroups[i].cap_at(t)
-            if cap is not None:
-                capped[i] = True
-                if cap.quota < a:
-                    a = cap.quota
-            allowed[i] = a
-
-        base_cpi = [fn() for fn in table.base_cpi_fns]
-        if not min(base_cpi) > 0:
-            bad = min(base_cpi)
-            raise ValueError(f"base_cpi must be positive, got {bad}")
-        return allowed, capped, base_cpi
-
-    def _tick_alloc(self, t: int, table: _TaskTable, allowed: list[float],
-                    capped: list[bool]) -> list[float]:
-        """Tick phase 3 of a one-machine fleet: tier allocation (pro-rata
-        within a saturated tier) and duty cycling, in plain Python.
-
-        A fleet of more than one machine runs the same arithmetic as one
-        pass over its arena (:meth:`FusedFleet._allocate`), and so does a
-        one-machine block that runs as one array pass.  A one-machine
-        fleet stepping single seconds — :meth:`tick`, and :meth:`advance`
-        when a block must step second by second — keeps this loop,
-        selected by fleet size: for one 9-task machine it takes
-        about 1.3 µs against 10 µs for the arena pass's fixed numpy calls
-        (22 µs with a tier oversubscribed; one core of a 2-core Xeon VM).
-        The sums run left to right in table order, which is what the
-        arena's ``bincount`` reproduces.
-        """
-        n = len(allowed)
-        grants = [0.0] * n
-        remaining = self.cpu_capacity
-        for indices in table.tier_indices:
-            if not indices:
-                continue
-            want = 0.0
-            for i in indices:
-                want += allowed[i]
-            if want <= 0.0:
-                continue
-            if want <= remaining:
-                for i in indices:
-                    grants[i] = allowed[i]
-                remaining -= want
-            else:
-                scale = remaining / want
-                for i in indices:
-                    grants[i] = allowed[i] * scale
-                remaining = 0.0
-            if remaining <= 0.0:
-                break
-
-        duty = self.duty_cycle_at(t)
-        if duty is not None:
-            factor = max(0.0, 1.0 - duty.core_share * (1.0 - duty.level))
-            for i, name in enumerate(table.names):
-                grants[i] *= duty.level if name == duty.target_task else factor
-        return grants
-
     def _observe(self, t: int, table: _TaskTable, grants: list[float],
                  capped: list[bool]) -> list[tuple[Task, TaskState]]:
         """Tick phase 6: every workload's ``on_tick``, in table order;
@@ -484,16 +385,12 @@ class Machine:
 
         Returns each second's grants in table order (the values of
         :attr:`TickResult.grants`; none for a second with no resident
-        task).  The seconds run in blocks of up to 64
-        (:meth:`FusedFleet.advance`): the physics and the usage charge
-        once per block, and demand, clipping, allocation, duty cycling and
-        ``on_tick`` as one array pass over the block when the fleet is
-        :attr:`~repro.cluster.fused.FusedFleet.blockable`, else every
-        second.  Counters, usage and grant totals are
-        committed when this returns, and before any departure.  It steps
-        the machine's own fleet directly, never :meth:`tick`, so a
-        ``tick`` patched on the instance or overridden by a subclass does
-        not apply here.
+        task).  The seconds run on the machine's own fleet, as blocks
+        (:meth:`FusedFleet.block`) where the fleet takes them and one
+        :meth:`FusedFleet.step` at any other second; counters, usage and
+        grant totals are committed when each returns.  It never calls
+        :meth:`tick`, so a ``tick`` patched on the instance or overridden
+        by a subclass does not apply here.
         """
         rows: list[list[float]] = []
         t = t0
@@ -501,7 +398,13 @@ class Machine:
             if not self._tasks:
                 rows += [[] for _ in range(t1 - t)]
                 break
-            t = self._own_fleet().advance(t, t1, rows)
+            fleet = self._own_fleet()
+            end = fleet.block(t, t1)
+            if end == t:
+                fleet.step(t)
+                end = t + 1
+            rows += fleet.grants[:end - t].tolist()
+            t = end
         return rows
 
     def release(self) -> None:
@@ -515,9 +418,6 @@ class Machine:
         next step builds both again, continuing its buffered noise draws,
         usage history and grant totals.
         """
-        fleet = self._fleet
-        if fleet is not None and fleet.pending:
-            fleet.commit()
         self._fleet = None
         src = self._noise_src
         if src is not None and src[0] is not None:

@@ -9,6 +9,7 @@ correlations and distribution shapes, which survive the scaling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,29 @@ class RateSeries:
         return pearson_correlation(self.series_a, self.series_b)
 
 
+class _LoadWave:
+    """A batch task's input load at second ``t``: a slow oscillation
+    around 1.0, phase-shifted by the task's index.
+
+    Pure: the value depends on ``t`` and the index alone, which
+    :attr:`spec` declares, so the demand plane compiles the ``scaled``
+    demand it drives.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    @property
+    def spec(self) -> tuple:
+        return ("tps_load_wave", self.index)
+
+    def __call__(self, t: int) -> float:
+        return 1.0 + 0.45 * math.sin(2 * math.pi * t / 5400.0
+                                     + self.index * 0.05)
+
+
 def tps_vs_ips(num_tasks: int = 60, hours: float = 2.0,
                window_seconds: int = 600, seed: int = 0) -> RateSeries:
     """Figure 2: a batch job's transactions/s vs instructions/s, r ~ 0.97.
@@ -62,17 +86,13 @@ def tps_vs_ips(num_tasks: int = 60, hours: float = 2.0,
     oscillation, and the TPS/IPS coupling (with per-task transaction-cost
     wander) produces the near-unity correlation.
     """
-    import math
-
     from repro.cluster.job import JobSpec
     from repro.cluster.task import PriorityBand, SchedulingClass
     from repro.workloads.demand import constant, scaled, with_noise
 
     def factory(index: int) -> BatchWorkload:
         rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-        load = scaled(constant(1.0),
-                      lambda t: 1.0 + 0.45 * math.sin(2 * math.pi * t / 5400.0
-                                                      + index * 0.05))
+        load = scaled(constant(1.0), _LoadWave(index))
         workload = BatchWorkload(rng=rng, demand=with_noise(load, 0.08, rng))
         # Transaction cost varies more in real jobs than the library default:
         # records differ in size, so TPS tracks IPS imperfectly (r ~ 0.97).

@@ -1,25 +1,25 @@
 """Reference demand: the per-task closures, reached without a switch.
 
 The closures in :mod:`repro.workloads.demand` are both the workloads'
-definition and the fallback for tables :class:`DemandColumns` cannot
-compile, so the reference is still in ``src/``.  These helpers make a
-machine take that path.
+definition and, through :class:`DemandClosures`, the program of every
+arena :class:`DemandColumns` cannot compile, so the reference is still in
+``src/``.  These helpers make a machine take that path.
 """
 
-from repro.cluster.demandplane import DemandColumns
+from repro.cluster.demandplane import DemandClosures, DemandColumns
 
 
 def install(monkeypatch) -> None:
-    """Compile no demand program anywhere: every table runs the closures."""
+    """Compile no columns anywhere: every arena runs its closures."""
     monkeypatch.setattr(DemandColumns, "compile",
-                        classmethod(lambda cls, *args, **kwargs: None))
+                        classmethod(lambda cls, *args: DemandClosures(*args)))
 
 
 def pin_closures(workloads) -> None:
-    """Keep tables holding these workloads on the closures.
+    """Keep arenas holding these workloads on the closures.
 
     An instance-bound ``cpu_demand`` is one of the overrides that make
-    :meth:`DemandColumns.compile` return ``None``.
+    :meth:`DemandColumns.compile` return :class:`DemandClosures`.
     """
     for workload in workloads:
         workload.cpu_demand = workload.cpu_demand

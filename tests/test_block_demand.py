@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cgroup import Cgroup
-from repro.cluster.demandplane import DemandColumns
+from repro.cluster.demandplane import DemandClosures, DemandColumns
 from repro.cluster.job import Job, JobSpec
 from repro.cluster.machine import Machine
 from repro.cluster.platform import get_platform
@@ -125,7 +125,7 @@ def _program(rows: list, seed: int) -> tuple:
     del shared      # a generator held here would look shared
     program = DemandColumns.compile(workloads, cgroups,
                                     [cg.cpu_limit for cg in cgroups])
-    assert program is not None
+    assert isinstance(program, DemandColumns)
     return program, workloads
 
 
@@ -290,7 +290,7 @@ def test_closure_fleet_counts_a_fallback():
             workload_factory=lambda _, w=w: w)).tasks[0])
     machine.tick(0)
     machine.tick(1)
-    assert machine._fleet.demand_columns is None
+    assert isinstance(machine._fleet.demand_columns, DemandClosures)
     assert _fallbacks() == 1
 
 

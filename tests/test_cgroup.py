@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS, BandwidthCap, Cgroup
+from repro.cluster.demandplane import DemandColumns
 from repro.cluster.fused import FusedFleet
 from repro.cluster.job import Job, JobSpec
 from repro.cluster.task import PriorityBand, SchedulingClass, TaskState
@@ -298,7 +299,8 @@ class TestUsageHistoryOracle:
         machine = make_quiet_machine()
         (task,) = _one_task_job("job", workload)
         machine.place(task)
-        assert (FusedFleet((machine,)).demand_columns is not None) == compiled
+        assert isinstance(FusedFleet((machine,)).demand_columns,
+                          DemandColumns) == compiled
         companion = None
         cg = task.cgroup
         ref = DequeUsageHistory()

@@ -35,7 +35,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cgroup import USAGE_HISTORY_SECONDS, Cgroup
-from repro.cluster.demandplane import _DRAW_CHUNK, DemandColumns
+from repro.cluster.demandplane import (_DRAW_CHUNK, DemandClosures,
+                                       DemandColumns)
 from repro.cluster.fused import FusedFleet
 from repro.cluster.job import Job, JobSpec
 from repro.cluster.machine import Machine
@@ -54,6 +55,7 @@ from repro.workloads.demand import (ConstantSpec, NoiseSpec, OnOffSpec,
 from repro.workloads.diurnal import DiurnalPattern
 from tests.reference import demand as reference_demand
 from tests.reference import noise as reference_noise
+from tests.reference import tick as reference_tick
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -74,7 +76,7 @@ def _demand_path(machine: Machine, engine: str) -> Machine:
     if engine == "scalar":
         reference_demand.pin_closures(
             task.workload for task in machine.resident_tasks())
-        assert _program(machine) is None
+        assert isinstance(_program(machine), DemandClosures)
     return machine
 
 
@@ -95,7 +97,7 @@ def _assert_kind_parity(factory, ts):
     bit-for-bit at every ``t``."""
     scalar_w = _workload(factory())
     dc = _compile_one(factory())
-    assert dc is not None, "expected the demand fn to compile"
+    assert isinstance(dc, DemandColumns), "expected the demand fn to compile"
     for t in ts:
         expected = scalar_w.cpu_demand(t)
         got = float(dc.demand(t)[0])
@@ -192,7 +194,7 @@ class TestCompiledKindParity:
         cgs = [Cgroup(f"t/{i}", 1e12) for i in range(len(compiled_ws))]
         dc = DemandColumns.compile(compiled_ws, cgs,
                                    [cg.cpu_limit for cg in cgs])
-        assert dc is not None
+        assert isinstance(dc, DemandColumns)
         for t in range(0, 500, 7):
             expected = [w.cpu_demand(t) for w in scalar_ws]
             got = dc.demand(t).tolist()
@@ -229,41 +231,98 @@ class TestSpecs:
 # eligibility fallback
 
 
+class _CustomDemand(SyntheticWorkload):
+    def cpu_demand(self, t):
+        return 1.0 + 0.25 * (t % 3)
+
+
+class _FancyCgroup(Cgroup):
+    pass
+
+
+#: One case per ineligibility :meth:`DemandColumns.compile` documents.
+_INELIGIBLE = ("patched_cpu_demand", "overridden_cpu_demand",
+               "unrecognised_spec", "specless_scaled_factor",
+               "non_finite_parameter", "subclassed_cgroup", "shared_cgroup")
+
+
+def _ineligible_machine(case: str, reference: bool = False) -> Machine:
+    """A noisy machine holding a compilable noisy row and one row that is
+    ineligible as ``case`` says.  The ``reference`` twin of the shared
+    cgroup case gives each task a cgroup of its own with the same limit
+    (the reference tick charges per task, so it cannot share one)."""
+    m = Machine("m0", get_platform("westmere-2.6"),
+                rng=np.random.default_rng(3), cpi_noise_sigma=0.03)
+    noisy = _workload(with_noise(constant(1.5), 0.1,
+                                 np.random.default_rng(7)))
+    if case == "patched_cpu_demand":
+        odd = _workload(constant(1.0))
+        odd.cpu_demand = lambda t: 0.5 + 0.125 * t
+    elif case == "overridden_cpu_demand":
+        odd = _CustomDemand(base_cpi=1.2, profile=QUIET_PROFILE,
+                            demand=constant(1.0))
+    elif case == "unrecognised_spec":
+        odd = _workload(lambda t: 2.0 - 0.25 * t)
+    elif case == "specless_scaled_factor":
+        odd = _workload(scaled(constant(1.0), lambda t: 1.0 + 0.5 * t))
+    elif case == "non_finite_parameter":
+        odd = _workload(constant(float("inf")))
+    else:
+        odd = _workload(constant(2.5))
+    _place_one(m, "a", noisy)
+    task = Job(JobSpec(
+        name="b", num_tasks=1, scheduling_class=SchedulingClass.BATCH,
+        priority_band=PriorityBand.NONPRODUCTION, cpu_limit_per_task=3.0,
+        workload_factory=lambda i: odd)).tasks[0]
+    if case == "subclassed_cgroup":
+        task.cgroup = _FancyCgroup(task.cgroup.name, task.cgroup.cpu_limit)
+    elif case == "shared_cgroup" and not reference:
+        task.cgroup = m.get_task("a/0").cgroup
+    m.place(task)
+    return m
+
+
 class TestEligibility:
     def test_opaque_demand_fn_is_ineligible(self):
-        assert _compile_one(lambda t: 1.0) is None
+        assert isinstance(_compile_one(lambda t: 1.0), DemandClosures)
 
     def test_speccless_scale_factor_is_ineligible(self):
-        assert _compile_one(scaled(constant(1.0), lambda t: 2.0)) is None
+        assert isinstance(_compile_one(scaled(constant(1.0), lambda t: 2.0)),
+                          DemandClosures)
 
-    def test_overridden_cpu_demand_is_ineligible(self):
-        class Custom(SyntheticWorkload):
-            def cpu_demand(self, t):
-                return 1.0
-
-        w = Custom(base_cpi=1.0, profile=QUIET_PROFILE, demand=constant(1.0))
-        cg = Cgroup("t/0", 4.0)
-        assert DemandColumns.compile([w], [cg], [4.0]) is None
+    def test_non_finite_parameters_are_ineligible(self):
+        for fn in (constant(float("nan")), constant(float("inf")),
+                   with_noise(constant(1.0), float("nan"),
+                              np.random.default_rng(0))):
+            assert isinstance(_compile_one(fn), DemandClosures)
 
     def test_subclassed_cgroup_is_ineligible(self):
-        class FancyCgroup(Cgroup):
-            pass
-
-        w = _workload(constant(1.0))
-        cg = FancyCgroup("t/0", 4.0)
-        assert DemandColumns.compile([w], [cg], [4.0]) is None
+        cg = _FancyCgroup("t/0", 4.0)
+        assert isinstance(
+            DemandColumns.compile([_workload(constant(1.0))], [cg], [4.0]),
+            DemandClosures)
 
     def test_shared_cgroup_is_ineligible(self):
         ws = [_workload(constant(1.0)), _workload(constant(2.0))]
         cg = Cgroup("t/0", 4.0)
-        assert DemandColumns.compile(ws, [cg, cg], [4.0, 4.0]) is None
+        assert isinstance(DemandColumns.compile(ws, [cg, cg], [4.0, 4.0]),
+                          DemandClosures)
 
-    def test_non_finite_parameters_are_ineligible(self):
-        assert _compile_one(constant(float("nan"))) is None
-        assert _compile_one(constant(float("inf"))) is None
-        assert _compile_one(
-            with_noise(constant(1.0), float("nan"),
-                       np.random.default_rng(0))) is None
+    @pytest.mark.parametrize("case", _INELIGIBLE)
+    def test_ineligible_arena_steps_its_closures_as_the_reference(self,
+                                                                  case):
+        """Every ineligibility gives the whole arena the closure program,
+        and each one-second step of it equals the scalar reference tick
+        by ``float.hex``."""
+        m = _ineligible_machine(case)
+        twin = _ineligible_machine(case, reference=True)
+        for t in range(3):
+            got, want = m.tick(t), reference_tick.tick(twin, t)
+            assert isinstance(m._fleet.demand_columns, DemandClosures)
+            for field in ("grants", "cpis"):
+                assert ({k: _hex(v) for k, v in getattr(got, field).items()}
+                        == {k: _hex(v)
+                            for k, v in getattr(want, field).items()})
 
     def test_machine_steps_down_and_matches_scalar_engine(self):
         """A machine whose demand can't compile still ticks bit-identically
@@ -285,7 +344,7 @@ class TestEligibility:
 
         mv = build("vector")
         ms = build("scalar")
-        assert _program(mv) is None
+        assert isinstance(_program(mv), DemandClosures)
         for t in range(50):
             rv = mv.tick(t)
             rs = ms.tick(t)
@@ -364,7 +423,7 @@ class TestDrawPrefetch:
         ms = _noisy_machine("scalar")
         _assert_tick_parity(mv, ms, range(2 * _DRAW_CHUNK + 16))
         dc = mv._fleet.demand_columns
-        assert dc is not None
+        assert isinstance(dc, DemandColumns)
         for task in mv.resident_tasks():
             assert task.workload._demand.spec.stream.home is dc
 
@@ -374,7 +433,7 @@ class TestDrawPrefetch:
         rng = np.random.default_rng(3)      # this reference makes it shared
         fn = with_noise(constant(1.0), 0.1, rng)
         dc = _compile_one(fn)
-        assert dc is not None
+        assert isinstance(dc, DemandColumns)
         ref = np.random.default_rng(3)
         for t in range(20):
             got = float(dc.demand(t)[0])
@@ -450,7 +509,7 @@ class TestDrawPrefetch:
             mv.place(task)
         for task in Job(_opaque_job()):
             ms.place(task)
-        assert _program(mv) is None
+        assert isinstance(_program(mv), DemandClosures)
         _assert_tick_parity(mv, ms, range(40, 120))
 
 
@@ -498,7 +557,7 @@ class TestNoiseCensus:
         sim = scenario.simulation
         sim.run(3)
         dc = sim._fleet.demand_columns
-        assert dc is not None
+        assert isinstance(dc, DemandColumns)
         scalar = {"held", "trial"}
         owner = {id(task.workload): name
                  for name, job in scenario.jobs.items() for task in job.tasks}
@@ -612,7 +671,7 @@ class TestDrawOrderOracle:
             elif op == "closure":
                 names = [_place_one(m, "opaque", _workload(lambda t: 0.3))
                          for m in (mv, ms)]
-                assert _program(mv) is None
+                assert isinstance(_program(mv), DemandClosures)
                 tick(arg)
                 for m, name in zip((mv, ms), names):
                     m.remove(name, TaskState.EXITED, reason="test")
@@ -630,7 +689,7 @@ class TestDrawOrderOracle:
             tick(3)
             txn(2)
         dc = mv._fleet.demand_columns
-        assert dc is not None
+        assert isinstance(dc, DemandColumns)
         for _, w, _ in live:
             assert w._demand.spec.stream.home is dc
 
@@ -760,8 +819,10 @@ class TestTableCharging:
         m, tasks = self._machine(engine)
         m.tick(0)
         matrix = m._task_table().usage_matrix.copy()
-        monkeypatch.setattr(m, "_tick_alloc",
-                            lambda t, table, allowed, capped: [0.5, bad])
+        def bad_grant(fleet, t0, k, allowed, g):
+            g[:] = [0.5, bad]
+
+        monkeypatch.setattr(FusedFleet, "_allocate", bad_grant)
         with pytest.raises(ValueError, match=">= 0"):
             m.tick(1)
         assert np.array_equal(m._task_table().usage_matrix, matrix)
@@ -781,7 +842,7 @@ class TestTableCharging:
             return _demand_path(m, engine)
 
         mv, ms = build("vector"), build("scalar")
-        assert _program(mv) is None
+        assert isinstance(_program(mv), DemandClosures)
         for t in range(40):
             rv, rs = mv.tick(t), ms.tick(t)
             assert rv.grants == rs.grants
@@ -802,7 +863,7 @@ class TestTableCharging:
         tasks = list(Job(spec))
         for task in tasks:
             m.place(task)
-        assert _program(m) is not None
+        assert isinstance(_program(m), DemandColumns)
         for t in range(10):
             m.tick(t)
         table = m._task_table()
@@ -873,7 +934,7 @@ class TestTableCharging:
 
         mv, ms = build("vector"), build("scalar")
         dc = _program(mv)
-        assert dc is not None and not dc.batch_on_tick
+        assert isinstance(dc, DemandColumns) and not dc.batch_on_tick
         departures_v, departures_s = [], []
         for t in range(400):
             departures_v += [(task.name, s) for task, s in
@@ -945,6 +1006,7 @@ class TestGrantAccounting:
         for at, op in ops:
             by_tick.setdefault(at, []).append(op)
         modes = set()
+        opaque_stepped = False
         for t in range(_ACCOUNTING_TICKS):
             if t == join:
                 machines[1].place(opaque)
@@ -975,6 +1037,7 @@ class TestGrantAccounting:
             if resident:
                 program = sim._fleet.demand_columns
                 modes.add(program is not None and program.batch_on_tick)
+                opaque_stepped = opaque_stepped or opaque in resident
             for result in results.values():
                 for name, grant in result.grants.items():
                     sums[name] += grant
@@ -983,8 +1046,9 @@ class TestGrantAccounting:
                     assert _hex(task.workload.granted_cpu_seconds) == \
                         _hex(sums[task.name]), (t, task.name)
         # Both accounting paths ran: tick 0 is batch unless an op ran
-        # first, and the opaque task's stay is not.
-        assert (False in modes) == (join < leave)
+        # first, and the opaque task's stay is not (an op may remove it
+        # before its first step).
+        assert (False in modes) == opaque_stepped
         assert True in modes or 0 in by_tick
         # Usage conservation: with no direct set, the total is the
         # running sum of the usage ring over the task's whole run.

@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from repro.cluster.demandplane import DemandColumns
 from repro.cluster.fused import FusedFleet
 from repro.cluster.interference import InterferenceModel, ResourceProfile
 from repro.cluster.job import Job, JobSpec
@@ -212,7 +213,8 @@ class TestEffectiveCpi:
             machine = make_quiet_machine()
             machine.place(task)
             fleet = FusedFleet((machine,))
-            assert (fleet.demand_columns is not None) == (task is compiled)
+            assert isinstance(fleet.demand_columns,
+                              DemandColumns) == (task is compiled)
             with pytest.raises(ValueError, match="base_cpi"):
                 machine.tick(0)
 

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import CpiConfig
+from repro.cluster.demandplane import DemandClosures, DemandColumns
 from repro.cluster.fused import FusedFleet
 from repro.cluster.interference import ResourceProfile
 from repro.cluster.job import Job, JobSpec
@@ -322,7 +323,7 @@ def test_fused_tick_results_match_per_machine(monkeypatch, demand):
     fleet — with compiled demand columns and with closures."""
     sim = _mixed_fleet(demand)
     compiled = FusedFleet(tuple(sim.machines.values())).demand_columns
-    assert (compiled is not None) == (demand == "vector")
+    assert isinstance(compiled, DemandColumns) == (demand == "vector")
     fused, fused_states, fused_ticks = _run_ticks(sim)
     monkeypatch.setattr(FusedFleet, "build",
                         classmethod(lambda cls, order: None))
@@ -368,11 +369,13 @@ def test_opaque_machine_puts_the_fleet_on_closures(monkeypatch):
     match one-machine fleets and the reference tick bit for bit."""
     sim = _opaque_fleet()
     sim.step()
-    assert sim._fleet is not None and sim._fleet.demand_columns is None
+    assert sim._fleet is not None
+    assert isinstance(sim._fleet.demand_columns, DemandClosures)
     for name, compiled in (("a-cold", True), ("d-quiet", False)):
         machine = _opaque_fleet().machines[name]
         machine.tick(0)
-        assert (machine._fleet.demand_columns is not None) == compiled
+        assert isinstance(machine._fleet.demand_columns,
+                          DemandColumns) == compiled
 
     fused, fused_states, fused_ticks = _run_ticks(_opaque_fleet())
     monkeypatch.setattr(FusedFleet, "build",
@@ -764,7 +767,7 @@ def _run_fleet(fleet_mix: dict, reference: bool) -> tuple:
                 fleet = FusedFleet.build(order)
                 assert len(fleet.machines) >= 2
                 if fleet_mix["closures"]:
-                    assert fleet.demand_columns is None
+                    assert isinstance(fleet.demand_columns, DemandClosures)
             tick = fleet.step(t)
         results.append(tick)
         states.append([_machine_state(m) for m in machines])
@@ -863,19 +866,19 @@ def test_duty_cycles_between_ticks_reach_the_arena(monkeypatch):
 
 def test_multi_machine_fleet_makes_no_per_machine_tick_call(monkeypatch):
     """A compiled, batch-accounting fleet of more than one machine
-    allocates, charges and accounts over its arena: it never calls the
-    one-machine fleet's per-machine phases."""
+    computes demand, allocates, charges and accounts over its arena: it
+    never calls the rows' closures or a machine's observations."""
     def forbidden(*args, **kwargs):
         raise AssertionError("per-machine tick phase called")
 
-    monkeypatch.setattr(Machine, "_tick_alloc", forbidden)
+    monkeypatch.setattr(DemandClosures, "allowed_and_capped", forbidden)
     monkeypatch.setattr(Machine, "_observe", forbidden)
     sim = _three_machines()
     sim.machines["b"].apply_duty_cycle("b0/0", level=0.5, core_share=0.5,
                                        now=0, duration=10)
     sim.run(30)
     program = sim._fleet.demand_columns
-    assert program is not None and program.batch_on_tick
+    assert isinstance(program, DemandColumns) and program.batch_on_tick
     assert len(sim._fleet.machines) == 3
 
 
