@@ -85,6 +85,8 @@ class Cgroup:
         # (rebind_ring): a table keeps one clock for all its rows.
         self._last: Optional[int] = None
         self._table = None
+        #: This ring's row of ``_table.usage_matrix`` (set with ``_table``).
+        self._table_row = 0
 
     # -- capping ------------------------------------------------------------
 
@@ -223,8 +225,9 @@ class Cgroup:
                                                          mode="wrap")
         return out
 
-    def rebind_ring(self, row: np.ndarray, table) -> None:
-        """Re-back the usage ring with a row of ``table``'s usage matrix.
+    def rebind_ring(self, row: np.ndarray, table, index: int) -> None:
+        """Re-back the usage ring with row ``index`` of ``table``'s usage
+        matrix (``row`` is that row).
 
         A machine's task table keeps every resident cgroup's ring as one
         row of a shared ``(n_tasks, USAGE_HISTORY_SECONDS)`` matrix: a tick
@@ -233,7 +236,9 @@ class Cgroup:
         history is copied into ``row`` and future charges write through
         it, so every reader sees the same state through either handle.
         The current clock becomes the cgroup's own until ``table`` first
-        charges (see :attr:`_ring_last`).
+        charges (see :attr:`_ring_last`).  The index lets a reader of many
+        rows gather them from the matrix at once
+        (:func:`~repro.core.identify.suspect_usage_matrix`).
         """
         if len(row) != USAGE_HISTORY_SECONDS:
             raise ValueError(
@@ -243,6 +248,7 @@ class Cgroup:
         row[:] = self._ring
         self._ring = row
         self._table = table
+        self._table_row = index
 
     def unbind_ring(self) -> None:
         """Leave the task table: the ring keeps its storage and its clock

@@ -838,7 +838,10 @@ class FusedFleet:
             np.logical_not(live, dead)
             scale.take(bins, out=row_scale, mode="clip")
             dead.take(bins, out=row_dead, mode="clip")
-            np.multiply(allowed, row_scale, g)
+            # An infinite allowance in a tier scaled to 0.0 makes a NaN
+            # grant, which the counter burn refuses; no warning for it.
+            with np.errstate(invalid="ignore"):
+                np.multiply(allowed, row_scale, g)
             np.copyto(g, 0.0, where=row_dead)
 
         duty_segments = self._duty_segments()

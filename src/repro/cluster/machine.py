@@ -145,8 +145,9 @@ class _TaskTable:
         # The last second charged through this table: None before any, and
         # again after a direct Cgroup.charge on one of its rows.
         self.charged_to: Optional[int] = None
-        for cg, row in zip(self.cgroups, self.usage_matrix):
-            cg.rebind_ring(row, self)
+        for index, (cg, row) in enumerate(zip(self.cgroups,
+                                              self.usage_matrix)):
+            cg.rebind_ring(row, self, index)
 
 
 class Machine:

@@ -40,16 +40,21 @@ from repro.core.policy import AmeliorationPolicy, PolicyAction, PolicyDecision
 from repro.core.records import CpiSample, CpiSpec, SpecKey
 from repro.core.samplebatch import SampleColumns
 from repro.core.throttle import ThrottleController
-from repro.core.window import ColumnarWindow
+from repro.core.window import ColumnarWindow, WindowStore
 from repro.faults.checkpoint import (AgentCheckpoint, CheckpointFormatError,
                                      CheckpointVersionError, FollowUpState)
 from repro.faults.quarantine import quarantine_reason, spec_is_plausible
 from repro.obs import Observability, default_observability
+from repro.obs.metrics import Counter, Histogram
 from repro.obs.tracing import PipelineTrace, Span
 
 __all__ = ["Incident", "MachineAgent"]
 
 _incident_ids = itertools.count(1)
+
+#: Accepted samples in a closed window from which the agent writes them to
+#: its windows as one scatter per column rather than one append each.
+_SCATTER_MIN_SAMPLES = 8
 
 #: Correlation scores live in [-1, 1]; bucket at the paper's 0.35 threshold.
 _CORRELATION_BUCKETS = (-0.5, 0.0, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 1.0)
@@ -141,6 +146,11 @@ class MachineAgent:
         self.migrator = migrator
         self._specs: dict[SpecKey, CpiSpec] = {}
         self._windows: dict[str, ColumnarWindow] = {}
+        #: The rows behind the windows this agent opens.
+        self._store = WindowStore()
+        #: Instruments resolved at first use (:meth:`_counter`).
+        self._counters: dict[tuple[str, Optional[str]], Counter] = {}
+        self._victim_cpi: Optional[Histogram] = None
         self._followups: list[_FollowUp] = []
         self._last_analysis: Optional[int] = None
         self.incidents: list[Incident] = []
@@ -326,7 +336,11 @@ class MachineAgent:
         every sample lands in its task window before any anomaly is
         handled — and the one handled analysis only reads the *victim's*
         window, which holds exactly the same samples at that point in both
-        orders (a closed window has at most one sample per task).
+        orders (a closed window has at most one sample per task).  So the
+        samples reach the windows as one scatter write per column
+        (:meth:`_append_windows`), and once an analysis has run at ``t``
+        the rest of the window's anomalies are noted as rate-limited in
+        one pass (:meth:`_drop_rate_limited`).
         """
         self._refresh_degraded(t)
         if columns is None or len(columns) != len(samples):
@@ -341,9 +355,9 @@ class MachineAgent:
         task_code = columns.task_code
         task_code_list = task_code.tolist()
         key_code_list = columns.key_code.tolist()
-        usage_list = usage.tolist()
-        cpi_list = cpi.tolist()
         if not ok.all():
+            usage_list = usage.tolist()
+            cpi_list = cpi.tolist()
             for row in np.flatnonzero(~ok).tolist():
                 self._note_quarantined(
                     tasks[task_code_list[row]], keys[key_code_list[row]],
@@ -354,20 +368,9 @@ class MachineAgent:
         # int(timestamp_seconds) == int64(microseconds / 1e6): same
         # float64 divide, same truncation toward zero.
         ts_sec = (columns.timestamp / 1e6).astype(np.int64)
-        ts_us_list = columns.timestamp.tolist()
-        ts_sec_list = ts_sec.tolist()
-        ok_list = ok_rows.tolist()
-        for row in ok_list:
-            taskname = tasks[task_code_list[row]]
-            window = self._windows.get(taskname)
-            if window is None:
-                window = ColumnarWindow(taskname)
-                self._windows[taskname] = window
-            key = keys[key_code_list[row]]
-            window.append(ts_us_list[row], ts_sec_list[row], usage_list[row],
-                          cpi_list[row], key.jobname, key.platforminfo)
+        self._append_windows(columns, ok_rows, ts_sec)
         if self._degraded:
-            for row in ok_list:
+            for row in ok_rows.tolist():
                 self._note_stale_drop(t, tasks[task_code_list[row]],
                                       keys[key_code_list[row]])
             return []
@@ -392,11 +395,63 @@ class MachineAgent:
             keys=keys,
         )
         incidents: list[Incident] = []
-        for _row, anomaly in anomalies:
+        for i, (_row, anomaly) in enumerate(anomalies):
+            if self._rate_limited(t):
+                # Every later anomaly of the window is rate-limited too:
+                # they share ``t`` and a drop leaves the clock alone.
+                self._drop_rate_limited(anomalies[i:])
+                break
             incident = self._note_anomaly(t, anomaly)
             if incident is not None:
                 incidents.append(incident)
         return incidents
+
+    def _append_windows(self, columns: SampleColumns, ok_rows: np.ndarray,
+                        ts_sec: np.ndarray) -> None:
+        """Append the window's accepted samples to their tasks' windows.
+
+        A closed window holds at most one sample per task, so from
+        :data:`_SCATTER_MIN_SAMPLES` samples on they land in the agent's
+        window store with one scatter write per column; a scatter's fixed
+        cost is that of about eight scalar appends.  Fewer samples, one
+        task sampled twice over, or a window that is not a row of the
+        store (one a caller put in :attr:`_windows`) take one scalar
+        append per sample, in row order.
+        """
+        tasks = columns.tasks
+        windows = self._windows
+        store = self._store
+        if ok_rows.size == len(columns):
+            ok_rows = slice(None)
+        names = [tasks[code] for code in columns.task_code[ok_rows].tolist()]
+        found = list(map(windows.get, names))
+        if None in found:
+            store.reserve(found.count(None))
+            for i, window in enumerate(found):
+                if window is None:
+                    name = names[i]
+                    window = windows.get(name)
+                    if window is None:
+                        window = windows[name] = store.window(name)
+                    found[i] = window
+        keys = columns.keys
+        key_codes = columns.key_code[ok_rows].tolist()
+        if (len(names) >= _SCATTER_MIN_SAMPLES
+                and len(set(names)) == len(names)
+                and all(window._store is store for window in found)):
+            meta = [(key.jobname, key.platforminfo) for key in keys]
+            store.append_rows(found, columns.timestamp[ok_rows],
+                              ts_sec[ok_rows], columns.cpu_usage[ok_rows],
+                              columns.cpi[ok_rows],
+                              [meta[code] for code in key_codes])
+            return
+        for window, ts_us, sec, usage, cpi, code in zip(
+                found, columns.timestamp[ok_rows].tolist(),
+                ts_sec[ok_rows].tolist(), columns.cpu_usage[ok_rows].tolist(),
+                columns.cpi[ok_rows].tolist(), key_codes):
+            key = keys[code]
+            window.append(ts_us, sec, usage, cpi, key.jobname,
+                          key.platforminfo)
 
     def _note_quarantined(self, taskname: str, key: SpecKey,
                           reason: str) -> None:
@@ -405,9 +460,27 @@ class MachineAgent:
             "sample_quarantined", reason=reason,
             machine=self.machine.name, task=taskname, job=key.jobname)
 
+    def _counter(self, name: str, reason: Optional[str] = None) -> Counter:
+        """The agent's ``name`` counter (labelled ``reason=`` when given),
+        resolved once per agent — the registry sorts the labels on every
+        lookup — and created, as a lookup creates it, at first use."""
+        key = (name, reason)
+        counter = self._counters.get(key)
+        if counter is None:
+            labels = {} if reason is None else {"reason": reason}
+            counter = self.obs.metrics.counter(name, **labels)
+            self._counters[key] = counter
+        return counter
+
+    def _victim_cpi_histogram(self) -> Histogram:
+        histogram = self._victim_cpi
+        if histogram is None:
+            histogram = self._victim_cpi = self.obs.metrics.histogram(
+                "victim_cpi")
+        return histogram
+
     def _note_stale_drop(self, t: int, taskname: str, key: SpecKey) -> None:
-        self.obs.metrics.counter("analyses_dropped",
-                                 reason="stale_spec").inc()
+        self._counter("analyses_dropped", "stale_spec").inc()
         self.obs.events.event(
             "analysis_dropped", reason="stale_spec",
             machine=self.machine.name, task=taskname, job=key.jobname,
@@ -417,8 +490,8 @@ class MachineAgent:
                       ) -> Optional[Incident]:
         """Count/emit one declared anomaly and hand it to analysis."""
         self.anomalies_seen += 1
-        self.obs.metrics.counter("anomalies_detected").inc()
-        self.obs.metrics.histogram("victim_cpi").observe(anomaly.cpi)
+        self._counter("anomalies_detected").inc()
+        self._victim_cpi_histogram().observe(anomaly.cpi)
         self.obs.events.event(
             "anomaly_detected",
             machine=self.machine.name,
@@ -451,20 +524,12 @@ class MachineAgent:
             return [], []
         return seconds[inside].tolist(), window.cpi[inside].tolist()
 
-    def _suspect_usage(self, task: Task, timestamps: list[int]) -> list[float]:
-        """The suspect's CPU usage aligned to the victim's sample windows."""
-        duration = self.config.sampling_duration
-        return [
-            task.cgroup.usage_between(ts - duration, ts)
-            for ts in timestamps
-        ]
-
     def _drop_analysis(self, t: int, anomaly: AnomalyEvent,
                        reason: str) -> None:
         """Make a skipped analysis visible: one event + one counted reason."""
-        self.obs.metrics.counter("analyses_dropped", reason=reason).inc()
+        self._counter("analyses_dropped", reason).inc()
         if reason == "rate_limited":
-            self.obs.metrics.counter("analyses_rate_limited").inc()
+            self._counter("analyses_rate_limited").inc()
         self.obs.events.event(
             "analysis_dropped",
             reason=reason,
@@ -473,6 +538,33 @@ class MachineAgent:
             job=anomaly.jobname,
             cpi=round(anomaly.cpi, 4),
         )
+
+    def _drop_rate_limited(self, anomalies: list) -> None:
+        """Note a window's rate-limited tail of ``(row, anomaly)`` pairs in
+        one pass: the events of :meth:`_note_anomaly` + :meth:`_drop_analysis`
+        for each, in order, and each counter raised once by the count."""
+        n = len(anomalies)
+        self.anomalies_seen += n
+        histogram = self._victim_cpi_histogram()
+        for _row, anomaly in anomalies:
+            histogram.observe(anomaly.cpi)
+        self._counter("anomalies_detected").inc(n)
+        self._counter("analyses_dropped", "rate_limited").inc(n)
+        self._counter("analyses_rate_limited").inc(n)
+        events = self.obs.events
+        if not events.enabled():
+            return
+        machine = self.machine.name
+        for _row, anomaly in anomalies:
+            cpi = round(anomaly.cpi, 4)
+            events.event(
+                "anomaly_detected", machine=machine, task=anomaly.taskname,
+                job=anomaly.jobname, cpi=cpi,
+                threshold=round(anomaly.threshold, 4),
+                violations=anomaly.violations)
+            events.event(
+                "analysis_dropped", reason="rate_limited", machine=machine,
+                task=anomaly.taskname, job=anomaly.jobname, cpi=cpi)
 
     def _handle_anomaly(self, t: int, anomaly: AnomalyEvent) -> Optional[Incident]:
         """Identification + policy + actuation for one anomaly."""
@@ -699,7 +791,9 @@ class MachineAgent:
                                if f.victim.name != taskname]
         # Window first: _finish_followup must see the victim as gone so the
         # departed-victim rule (recovered, post_cpi=None) applies.
-        self._windows.pop(taskname, None)
+        window = self._windows.pop(taskname, None)
+        if window is not None:
+            self._store.release(window)
         self.detector.forget_task(taskname)
         for followup in stale:
             self.obs.metrics.counter("followups_purged").inc()
@@ -770,6 +864,7 @@ class MachineAgent:
             "agent_crashed", machine=self.machine.name,
             lost_followups=lost_followups, lost_windows=len(self._windows))
         self._windows = {}
+        self._store = WindowStore()
         self._followups = []
         self._last_analysis = None
         self.detector = OutlierDetector(self.config, obs=self.obs)
@@ -785,7 +880,8 @@ class MachineAgent:
         agent object still holds them; otherwise (restore into a fresh
         process) they are rebuilt from the checkpointed fields.
         """
-        self._windows = {name: window.copy()
+        self._store = store = WindowStore()
+        self._windows = {name: store.adopt(window)
                          for name, window in checkpoint.windows.items()}
         self.detector.restore_flags(checkpoint.detector_flags)
         self._last_analysis = checkpoint.last_analysis

@@ -8,10 +8,16 @@ victim timestamp.  At 100 co-tenants and a 30-point victim series that
 is ~3,000 window reads, per analysis.  This module computes the whole
 ranking from columnar data, and is the only ranking path:
 
-* :func:`suspect_usage_matrix` reads each suspect's per-second usage as one
-  contiguous slice of the cgroup's usage ring
-  (:meth:`~repro.cluster.cgroup.Cgroup.usage_window_view`) and reduces all
-  ``S x T`` sampling windows together.
+* :func:`suspect_usage_matrix` reads every suspect's per-second usage in
+  all ``S x T`` sampling windows and reduces them together.  When every
+  suspect's cgroup is a row of one machine's task table on the table's
+  clock — the agent's and the trial harness's case — that is one gather
+  from the table's usage matrix; otherwise (a table that has not charged
+  since placement changed, a row after a direct
+  :meth:`~repro.cluster.cgroup.Cgroup.charge`, cgroups of several tables)
+  each ring is read with
+  :meth:`~repro.cluster.cgroup.Cgroup.usage_window_view`.  Both read the
+  same slots and zero-fill the same seconds.
 * :func:`rank_suspects_matrix` evaluates the paper's asymmetric correlation
   formula over the whole ``(S, T)`` usage matrix in one vectorized pass.
 
@@ -35,10 +41,11 @@ rules that make that possible (see ``docs/performance.md``):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
 from repro.core.correlation import SuspectScore, _victim_terms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,14 +81,16 @@ def suspect_usage_matrix(cgroups: Sequence["Cgroup"],
     n_points = int(ts.size)
     if n_points == 0 or n_suspects == 0:
         return np.empty((n_suspects, n_points))
-    lo = int(ts.min()) - duration
-    hi = int(ts.max())
-    # (S, hi - lo): seconds lo .. hi-1 of every suspect.
-    slab = np.stack([cgroup.usage_window_view(lo, hi) for cgroup in cgroups])
-    # Gather each window's seconds: columns[k, j] is the slab column of
-    # second j of window k.
-    columns = (ts - duration - lo)[:, None] + np.arange(duration)[None, :]
-    windows = slab[:, columns]  # (S, T, duration)
+    # seconds[k, j]: second j of window k.
+    seconds = (ts - duration)[:, None] + np.arange(duration)[None, :]
+    windows = _table_windows(cgroups, seconds)  # (S, T, duration)
+    if windows is None:
+        lo = int(ts.min()) - duration
+        hi = int(ts.max())
+        # (S, hi - lo): seconds lo .. hi-1 of every suspect.
+        slab = np.stack([cgroup.usage_window_view(lo, hi)
+                         for cgroup in cgroups])
+        windows = slab[:, seconds - lo]
     # Sequential accumulation from 0.0 along the time axis — NOT .sum(),
     # whose pairwise rounding differs from the scalar running sum.
     means = np.zeros((n_suspects, n_points))
@@ -89,6 +98,38 @@ def suspect_usage_matrix(cgroups: Sequence["Cgroup"],
         means += windows[:, :, j]
     means /= duration
     return means
+
+
+def _table_windows(cgroups: Sequence["Cgroup"],
+                   seconds: np.ndarray) -> Optional[np.ndarray]:
+    """Every cgroup's usage at the ``(T, duration)`` ``seconds``, as one
+    ``(S, T, duration)`` gather from the task table whose usage matrix
+    holds all their rings.
+
+    Returns ``None`` unless every cgroup is a row of one table on the
+    table's clock (``charged_to`` set): before a table's first charge, and
+    after a direct :meth:`~repro.cluster.cgroup.Cgroup.charge` on a row,
+    each ring reads its own clock.  Seconds outside the history
+    ``(charged_to - 900, charged_to]`` read ``0.0``, exactly as
+    :meth:`~repro.cluster.cgroup.Cgroup.usage_window_view` reads them.
+    """
+    table = cgroups[0]._table
+    if table is None:
+        return None
+    last = table.charged_to
+    if last is None:
+        return None
+    for cgroup in cgroups:
+        if cgroup._table is not table:
+            return None
+    rows = np.array([cgroup._table_row for cgroup in cgroups],
+                    dtype=np.intp)
+    windows = table.usage_matrix[rows[:, None, None],
+                                 seconds % USAGE_HISTORY_SECONDS]
+    outside = (seconds <= last - USAGE_HISTORY_SECONDS) | (seconds > last)
+    if outside.any():
+        windows[:, outside] = 0.0
+    return windows
 
 
 def rank_suspects_matrix(

@@ -95,6 +95,12 @@ class StructuredLogger:
     def remove_sink(self, sink: Callable[[dict], None]) -> None:
         self._sinks.remove(sink)
 
+    def enabled(self, level: int = logging.INFO) -> bool:
+        """Whether an event at ``level`` reaches anyone (a sink, or a
+        logging level that passes): a caller can skip building fields
+        that :meth:`event` would drop."""
+        return bool(self._sinks) or self._logger.isEnabledFor(level)
+
     def event(self, event: str, *, level: int = logging.INFO,
               **fields: object) -> Optional[dict]:
         """Emit one structured event; returns the payload, or None if dropped.
