@@ -11,23 +11,155 @@ bounds the CPU-sec/sec a cgroup may receive until it expires.  The cgroup
 also keeps a short usage history, which is what CPI2's correlation engine
 reads when it hunts for antagonists (it needs the *suspect's* CPU usage
 series time-aligned with the victim's CPI series).  That history is one
-float64 ring of per-second usage, indexed ``t % USAGE_HISTORY_SECONDS``.
+row of a :class:`UsageHistory`: the cgroup's own one-row history, or its
+machine's task table's, which holds every resident cgroup's row on one
+clock.  :class:`UsageHistory` is the only code that knows how the history
+is stored; every writer and reader goes through its three methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["BandwidthCap", "Cgroup"]
+__all__ = ["BandwidthCap", "Cgroup", "UsageHistory"]
 
 #: How many seconds of per-second usage history a cgroup retains: the
 #: seconds ``(last - 900, last]`` before its latest charge.  The correlation
 #: analysis uses a 10-minute window of per-minute samples, so 15 minutes of
 #: second-level history is comfortably enough for any consumer.
 USAGE_HISTORY_SECONDS = 900
+
+#: Which rows of a history a read covers: one row, an index array, or a
+#: slice (``slice(None)`` for every row).
+Rows = Union[int, np.ndarray, slice]
+
+
+class UsageHistory:
+    """Per-second CPU usage of a table of rows, on one clock.
+
+    Second ``t`` of row ``r`` lives in ``matrix[r, t % 900]``, and
+    :attr:`last` is the latest charged second (``None`` before the first
+    charge).  Charges move forward in time and zero-fill the seconds they
+    skip, so the matrix holds exactly the seconds ``(last - 900, last]``;
+    a never-charged history holds only zeros.  Readers see ``0.0`` for
+    every second outside that span, and a window mean is a sum from
+    ``0.0`` in time order, so it is bit-identical to a running sum over
+    the charged seconds alone (``x + 0.0 == x``).  :attr:`names` names
+    each row's cgroup, for error messages.
+    """
+
+    def __init__(self, names: Sequence[str], last: Optional[int] = None):
+        self.names = tuple(names)
+        self.matrix = np.zeros((len(self.names), USAGE_HISTORY_SECONDS))
+        self.last = last
+
+    @classmethod
+    def of_rows(cls, sources: Sequence[tuple["UsageHistory", int]]
+                ) -> "UsageHistory":
+        """A new history whose row ``i`` is row ``sources[i][1]`` of
+        history ``sources[i][0]``, on the latest of their clocks.
+
+        A source whose clock lags reads its seconds after its own clock as
+        ``0.0``, as its next charge would have zero-filled them.
+        """
+        clocks = [h.last for h, _ in sources if h.last is not None]
+        history = cls([h.names[row] for h, row in sources],
+                      max(clocks) if clocks else None)
+        for i, (source, row) in enumerate(sources):
+            if source.last is not None:
+                history.matrix[i] = source.matrix[row]
+                history._clear(i, source.last + 1, history.last + 1)
+        return history
+
+    def _clear(self, rows: Rows, first: int, stop: int) -> None:
+        """Zero ``rows``' slots of seconds ``first .. stop-1``: every slot
+        when they span the whole history."""
+        n = min(stop - first, USAGE_HISTORY_SECONDS)
+        if n > 0:
+            self.matrix[rows, np.arange(first, first + n)
+                        % USAGE_HISTORY_SECONDS] = 0.0
+
+    def charge(self, t0: int, values) -> None:
+        """Charge every row from second ``t0``: ``values`` is one second
+        ``(rows,)`` or ``k <= 900`` seconds ``(rows, k)``.
+
+        Raises ``ValueError`` before writing anything when ``t0`` does not
+        follow :attr:`last`; zero-fills the seconds skipped since it.
+        """
+        UsageHistory.charge_each(t0, values, ((self, 0, len(self.names)),))
+
+    @staticmethod
+    def charge_each(t0: int, values, parts) -> None:
+        """:meth:`charge` rows ``lo .. hi-1`` of ``values`` into each
+        ``(history, lo, hi)`` of ``parts``, in order.
+
+        A history whose clock is at ``t0 - 1`` costs no Python call, so a
+        fleet charges any number of task tables for the same calls.
+        """
+        column = np.ndim(values) < 2
+        k = 1 if column else values.shape[1]
+        slot = t0 % USAGE_HISTORY_SECONDS
+        head = min(k, USAGE_HISTORY_SECONDS - slot)
+        for history, lo, hi in parts:
+            last = history.last
+            if last is not None and last != t0 - 1:
+                if t0 <= last:
+                    raise ValueError(
+                        f"cgroup {history.names[0]}: charge at second {t0} "
+                        f"does not follow the last charged second {last}")
+                history._clear(slice(None), last + 1, t0)
+            matrix = history.matrix
+            if column:
+                matrix[:, slot] = values[lo:hi]
+            else:
+                matrix[:, slot:slot + head] = values[lo:hi, :head]
+                if head < k:
+                    matrix[:, :k - head] = values[lo:hi, head:]
+            history.last = t0 + k - 1
+
+    def window(self, rows: Rows, seconds) -> np.ndarray:
+        """Usage of ``rows`` at every one of ``seconds`` (an int array),
+        as a new array of shape ``shape(rows) + shape(seconds)``; seconds
+        outside the history read ``0.0``."""
+        seconds = np.asarray(seconds)
+        if isinstance(rows, np.ndarray):
+            rows = rows.reshape(rows.shape + (1,) * seconds.ndim)
+        out = self.matrix[rows, seconds % USAGE_HISTORY_SECONDS]
+        last = self.last
+        if last is not None:
+            outside = ((seconds <= last - USAGE_HISTORY_SECONDS)
+                       | (seconds > last))
+            if outside.any():
+                out[..., outside] = 0.0
+        return out
+
+    def means(self, rows: Rows, starts, duration: int) -> np.ndarray:
+        """Mean usage of ``rows`` over ``[start, start + duration)`` for
+        each of ``starts`` (an int or an int array), shaped
+        ``shape(rows) + shape(starts)``.
+
+        The sum runs from ``0.0`` one second at a time (never numpy's
+        pairwise ``sum``), so every mean has the bits of a scalar running
+        sum.  A single window inside the history reads its slots as one
+        slice, not a gather.
+        """
+        last = self.last
+        n = USAGE_HISTORY_SECONDS
+        if (np.ndim(starts) == 0 and last is not None
+                and last - n < starts <= last + 1 - duration
+                and starts % n <= n - duration):
+            windows = self.matrix[rows, starts % n:starts % n + duration]
+        else:
+            windows = self.window(
+                rows, np.add.outer(starts, np.arange(duration)))
+        total = np.zeros(windows.shape[:-1])
+        for j in range(duration):
+            total += windows[..., j]
+        total /= duration
+        return total
 
 
 @dataclass(frozen=True)
@@ -74,19 +206,11 @@ class Cgroup:
         self.name = name
         self.cpu_limit = cpu_limit
         self._cap: Optional[BandwidthCap] = None
-        # Per-second usage history: second ``t`` lives in slot
-        # ``t % USAGE_HISTORY_SECONDS``, and ``_ring_last`` is the latest
-        # charged second (None before the first charge).  Charge times
-        # strictly increase and skipped seconds are zero-filled, so every
-        # slot of a second in ``(last - 900, last]`` holds that second's
-        # usage, or 0.0 if it was never charged.
-        self._ring = np.zeros(USAGE_HISTORY_SECONDS)
-        # The cgroup's own clock, and the task table its ring is a row of
-        # (rebind_ring): a table keeps one clock for all its rows.
-        self._last: Optional[int] = None
-        self._table = None
-        #: This ring's row of ``_table.usage_matrix`` (set with ``_table``).
-        self._table_row = 0
+        #: The history this cgroup's per-second usage is row
+        #: :attr:`usage_row` of: its own one-row history, or the one its
+        #: machine's task table keeps for every resident cgroup.
+        self.usage = UsageHistory((name,))
+        self.usage_row = 0
 
     # -- capping ------------------------------------------------------------
 
@@ -134,63 +258,22 @@ class Cgroup:
 
     # -- accounting ---------------------------------------------------------
 
-    @property
-    def _ring_last(self) -> Optional[int]:
-        """The latest charged second (None before the first charge).
-
-        Once the task table this ring is a row of has charged a tick, that
-        is the table's ``charged_to`` — one clock for every row, so a tick
-        advances all of them without touching any cgroup.  Otherwise it is
-        the cgroup's own clock: its last direct :meth:`charge`, or the
-        table clock it had when :meth:`rebind_ring` bound it.
-        """
-        table = self._table
-        if table is not None:
-            last = table.charged_to
-            if last is not None:
-                return last
-        return self._last
-
-    def _advance(self, t: int) -> np.ndarray:
-        """Open the ring for a charge at second ``t``; returns the ring.
-
-        Raises if ``t`` does not follow the latest charged second, and
-        zero-fills the slots of any seconds skipped since it — all of them
-        when the gap spans the whole history.
-        """
-        last = self._ring_last
-        ring = self._ring
-        if last is not None and t != last + 1:
-            if t <= last:
-                raise ValueError(
-                    f"cgroup {self.name}: charge at second {t} does not "
-                    f"follow the last charged second {last}")
-            skipped = min(t - last - 1, USAGE_HISTORY_SECONDS)
-            ring.put(np.arange(last + 1, last + 1 + skipped), 0.0,
-                     mode="wrap")
-        return ring
-
     def charge(self, t: int, usage: float) -> None:
         """Record ``usage`` CPU-sec/sec consumed during second ``t``.
 
         Raises:
-            ValueError: for negative or NaN usage, or a ``t`` at or before
+            ValueError: for negative or NaN usage, for a cgroup whose usage
+                is one row of a task table's many-row history (the table
+                charges all its rows at once), or for a ``t`` at or before
                 the latest charged second (time must strictly increase).
         """
         if not usage >= 0:
             raise ValueError(f"usage must be >= 0, got {usage}")
-        self._advance(t)[t % USAGE_HISTORY_SECONDS] = usage
-        table = self._table
-        if table is not None and table.charged_to is not None:
-            # This row's clock leaves the table's: every row keeps the
-            # table's clock as its own, and the table's next charge opens
-            # each ring again from there.
-            last = table.charged_to
-            for cg in table.cgroups:
-                if cg._table is table:
-                    cg._last = last
-            table.charged_to = None
-        self._last = t
+        if len(self.usage.names) != 1:
+            raise ValueError(
+                f"cgroup {self.name} is a row of a task table's usage "
+                f"history: its table charges it")
+        self.usage.charge(t, (usage,))
 
     def usage_between(self, start: int, end: int) -> float:
         """Mean CPU-sec/sec over the half-open window ``[start, end)``.
@@ -214,55 +297,21 @@ class Cgroup:
         """
         if end <= start:
             raise ValueError(f"empty window [{start}, {end})")
-        out = np.zeros(end - start)
-        last = self._ring_last
-        if last is None:
-            return out
-        lo = max(start, last - USAGE_HISTORY_SECONDS + 1)
-        hi = min(end, last + 1)
-        if lo < hi:
-            out[lo - start:hi - start] = self._ring.take(np.arange(lo, hi),
-                                                         mode="wrap")
-        return out
+        return self.usage.window(self.usage_row, np.arange(start, end))
 
-    def rebind_ring(self, row: np.ndarray, table, index: int) -> None:
-        """Re-back the usage ring with row ``index`` of ``table``'s usage
-        matrix (``row`` is that row).
-
-        A machine's task table keeps every resident cgroup's ring as one
-        row of a shared ``(n_tasks, USAGE_HISTORY_SECONDS)`` matrix: a tick
-        charges the whole table with one column write, and the sampler
-        gathers a window's per-task usage as a single slice.  Existing
-        history is copied into ``row`` and future charges write through
-        it, so every reader sees the same state through either handle.
-        The current clock becomes the cgroup's own until ``table`` first
-        charges (see :attr:`_ring_last`).  The index lets a reader of many
-        rows gather them from the matrix at once
-        (:func:`~repro.core.identify.suspect_usage_matrix`).
-        """
-        if len(row) != USAGE_HISTORY_SECONDS:
-            raise ValueError(
-                f"ring row must hold {USAGE_HISTORY_SECONDS} slots, "
-                f"got {len(row)}")
-        self._last = self._ring_last
-        row[:] = self._ring
-        self._ring = row
-        self._table = table
-        self._table_row = index
-
-    def unbind_ring(self) -> None:
-        """Leave the task table: the ring keeps its storage and its clock
-        becomes the cgroup's own, so a departed task's cgroup does not
-        keep its machine's old table alive."""
-        self._last = self._ring_last
-        self._table = None
+    def leave_table(self) -> None:
+        """Copy this cgroup's usage row out into a one-row history of its
+        own, on the same clock, so that the history it leaves (its task
+        table's) is not kept alive by a departed task."""
+        self.usage = UsageHistory.of_rows([(self.usage, self.usage_row)])
+        self.usage_row = 0
 
     def last_usage(self) -> float:
         """Most recently recorded per-second usage (0.0 before any charge)."""
-        last = self._ring_last
+        last = self.usage.last
         if last is None:
             return 0.0
-        return float(self._ring[last % USAGE_HISTORY_SECONDS])
+        return float(self.usage_window_view(last, last + 1)[0])
 
     def __repr__(self) -> str:
         return f"Cgroup({self.name}, limit={self.cpu_limit}, cap={self._cap})"

@@ -47,8 +47,8 @@ Bit-exactness against the per-task closures is a hard contract
 Cgroup state is columnar too: per-task limit and hard-cap columns are
 rebuilt only when any cap changes (a class-level mutation counter on
 :class:`~repro.cluster.cgroup.Cgroup`).  Charging is not part of this
-plane: the machine's task table writes each tick's grants straight into
-its cgroups' usage rings, one column of a shared matrix.
+plane: each tick's grants go straight into the task table's usage
+history, one column for all its cgroups.
 
 The closures double as the reference: ``tests/test_demand_plane.py``
 pins compiled == closures by making :meth:`DemandColumns.compile` build
@@ -287,8 +287,8 @@ class DemandColumns:
         ``scaled`` wrappers under an optional ``with_noise`` under an
         optional outermost ``gated``), a spec-less ``scaled`` factor,
         non-finite parameters, a subclassed cgroup, or a cgroup shared
-        between tasks (a cgroup's usage ring is one row of the table's
-        usage matrix, so each task needs its own).  The empty arena gets
+        between tasks (a cgroup's usage is one row of the table's usage
+        history, so each task needs its own).  The empty arena gets
         the closures too.
         """
         rows = _spec_rows(workloads, cgroups)

@@ -42,8 +42,8 @@ seconds there are:
   (:meth:`~repro.perf.counters.CounterBank.matrix_view` with ``out=``),
   burned with one :meth:`~repro.perf.counters.CounterBank.burn_matrix`
   per tick, or a block's ticks as one sequential ``np.add.accumulate``;
-* each task table charges a tick's grants as one column of its usage
-  matrix and advances one clock for all its rows;
+* a tick's grants (a block's ticks) are columns of every task table's
+  usage history, one ``UsageHistory.charge_each`` for the fleet;
 * the tick's results are one read-only mapping that builds a machine's
   :class:`TickResult` the first time it is read, from per-tick copies of
   the grant and CPI columns, and lists the machines that had departures
@@ -122,7 +122,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
+from repro.cluster.cgroup import UsageHistory
 from repro.cluster.demandplane import _PRIVATE_RNG_REFS, DemandColumns
 from repro.cluster.interference import _SATURATE_KNEE
 from repro.cluster.machine import _TIER_ORDER, Machine, TickResult
@@ -247,7 +247,7 @@ class FusedFleet:
 
     __slots__ = (
         "machines", "tables", "counter_views", "valid",
-        "segments", "total", "result_index", "batch",
+        "segments", "usage_parts", "total", "result_index", "batch",
         "rows", "max_rows", "block_ids", "views",
         "seg_id", "bins", "capacity", "granted", "left", "fits",
         "live", "ends", "bin_scale", "bin_dead", "row_scale", "row_dead",
@@ -288,6 +288,9 @@ class FusedFleet:
             (j, m, tb, offsets[j], len(tb.tasks))
             for j, (m, tb) in enumerate(zip(machines, tables))
             if tb.tasks)
+        #: Each table's usage history and its rows of the arena.
+        self.usage_parts = tuple((tb.usage, o, o + n)
+                                 for _, _, tb, o, n in self.segments)
         # The machine index of every arena slot: the bins of the
         # per-machine pressure bincount.
         n_machines = len(machines)
@@ -590,7 +593,7 @@ class FusedFleet:
         if not self.blockable or not fdc.block_ready():
             return t0
         for _, _, tb, _, _ in self.segments:
-            if tb.charged_to != t0 - 1:
+            if tb.usage.last != t0 - 1:
                 return t0
         for m, _, _, _ in self._duty_segments():
             if m.duty_cycle_at(t0) is not None:
@@ -725,32 +728,23 @@ class FusedFleet:
 
     def _charge(self, t0: int, lo: int, hi: int) -> None:
         """Charge block rows ``lo .. hi-1`` (seconds ``t0 ..``) into every
-        table's usage matrix, one column per second, and advance each
-        table's clock; under batch accounting add them to the ``granted``
-        column as sequential per-second adds.
+        table's usage history, one column per second, with one
+        :meth:`~repro.cluster.cgroup.UsageHistory.charge_each` for the
+        fleet; under batch accounting add them to the ``granted`` column
+        as sequential per-second adds.
 
-        A table whose clock does not end at ``t0 - 1`` (its first charge,
-        or one after skipped seconds or a direct charge of a row) first
-        opens every cgroup's ring at ``t0``: skipped seconds are
-        zero-filled, and a replayed second raises before anything is
-        written.  The grants need no check here: the counter burn has
-        already rejected negative and NaN ones.
+        Each history checks for a replayed second before anything of its
+        table is written, and zero-fills skipped ones.  The grants need no
+        check here: the counter burn has already rejected negative and NaN
+        ones.
         """
         k = hi - lo
         if k == 1:
-            slot = t0 % USAGE_HISTORY_SECONDS
             src = self.grants[lo]
         else:
             g = self.grants[lo:hi]
-            slot = np.arange(t0, t0 + k) % USAGE_HISTORY_SECONDS
             src = g.T
-        last = t0 + k - 1
-        for _, _, tb, o, n in self.segments:
-            if t0 - 1 != tb.charged_to:
-                for cg in tb.cgroups:
-                    cg._advance(t0)
-            tb.usage_matrix[:, slot] = src[o:o + n]
-            tb.charged_to = last
+        UsageHistory.charge_each(t0, src, self.usage_parts)
         if self.batch:
             granted = self.granted
             if k == 1:

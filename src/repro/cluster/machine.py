@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
+from repro.cluster.cgroup import UsageHistory
 from repro.cluster.interference import InterferenceModel, ProfileTable
 from repro.cluster.platform import Platform
 from repro.cluster.task import SchedulingClass, Task, TaskState
@@ -110,15 +110,15 @@ class _TaskTable:
     the resource profiles (read once, here: a profile change after
     placement is seen only once a ``place`` or ``remove`` rebuilds the
     table), the shared counter matrix the tick burns into (re-pointed into
-    the arena of whichever fleet steps the machine), the shared usage
-    matrix a fleet charges with one column write per second, and the one
-    clock (``charged_to``) every row's ring reads once the table has
-    charged.
+    the arena of whichever fleet steps the machine), and the usage history
+    (:class:`~repro.cluster.cgroup.UsageHistory`) whose row ``i`` is
+    cgroup ``i``'s, on one clock: a fleet charges a second as one column,
+    and the sampler and the ranking read every row at once.
     """
 
     __slots__ = ("tasks", "names", "cgroups", "cgroup_names", "workloads",
                  "on_tick_fns", "cpu_limits", "tier_indices", "profile_table",
-                 "counter_matrix", "usage_matrix", "charged_to")
+                 "counter_matrix", "usage")
 
     def __init__(self, tasks: Sequence[Task], counters: CounterBank):
         self.tasks: tuple[Task, ...] = tuple(tasks)
@@ -138,16 +138,12 @@ class _TaskTable:
         )
         self.counter_matrix = (counters.matrix_view(self.cgroup_names)
                                if tasks else None)
-        # Every cgroup's usage ring, as row i of one matrix (rebind_ring):
-        # charge writes a tick as one column, and the sampler slices window
-        # usage out of it.
-        self.usage_matrix = np.zeros((len(tasks), USAGE_HISTORY_SECONDS))
-        # The last second charged through this table: None before any, and
-        # again after a direct Cgroup.charge on one of its rows.
-        self.charged_to: Optional[int] = None
-        for index, (cg, row) in enumerate(zip(self.cgroups,
-                                              self.usage_matrix)):
-            cg.rebind_ring(row, self, index)
+        # Every cgroup's usage history, copied into row i of one history
+        # on the latest of their clocks.
+        self.usage = UsageHistory.of_rows(
+            [(cg.usage, cg.usage_row) for cg in self.cgroups])
+        for row, cg in enumerate(self.cgroups):
+            cg.usage, cg.usage_row = self.usage, row
 
 
 class Machine:
@@ -242,7 +238,7 @@ class Machine:
             raise KeyError(f"no task {task_name!r} on machine {self.name}") from None
         task.mark_stopped(state, reason)
         self.counters.drop(task.cgroup.name)
-        task.cgroup.unbind_ring()
+        task.cgroup.leave_table()
         if getattr(task.workload, "_granted_column", None) is not None:
             task.workload._unbind_granted()
         self._table = None
@@ -411,10 +407,12 @@ class Machine:
     def release(self) -> None:
         """Let go of this machine's fleet and task table.
 
-        A fleet and its machine refer to each other, and so do a task
-        table and its cgroups; this breaks both cycles, so that once the
-        caller drops the machine, reference counting frees the fleet (its
-        counter arena, noise and block buffers) and the table without
+        A fleet and its machine refer to each other, and a task table's
+        cgroups hold its usage history; this breaks the cycle and copies
+        every row out (:meth:`~repro.cluster.cgroup.Cgroup.leave_table`),
+        so that once the caller drops the machine, reference counting
+        frees the fleet (its counter arena, noise and block buffers) and
+        the table's history, however long its tasks' jobs live, without
         waiting for the cyclic collector.  The machine stays usable: its
         next step builds both again, continuing its buffered noise draws,
         usage history and grant totals.
@@ -426,8 +424,8 @@ class Machine:
         table = self._table
         if table is not None:
             for cg, w in zip(table.cgroups, table.workloads):
-                if cg._table is table:
-                    cg.unbind_ring()
+                if cg.usage is table.usage:
+                    cg.leave_table()
                 if getattr(w, "_granted_column", None) is not None:
                     w._unbind_granted()
             self._table = None

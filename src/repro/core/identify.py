@@ -10,14 +10,11 @@ ranking from columnar data, and is the only ranking path:
 
 * :func:`suspect_usage_matrix` reads every suspect's per-second usage in
   all ``S x T`` sampling windows and reduces them together.  When every
-  suspect's cgroup is a row of one machine's task table on the table's
-  clock — the agent's and the trial harness's case — that is one gather
-  from the table's usage matrix; otherwise (a table that has not charged
-  since placement changed, a row after a direct
-  :meth:`~repro.cluster.cgroup.Cgroup.charge`, cgroups of several tables)
-  each ring is read with
-  :meth:`~repro.cluster.cgroup.Cgroup.usage_window_view`.  Both read the
-  same slots and zero-fill the same seconds.
+  suspect's cgroup is a row of one usage history — one machine's task
+  table, the agent's and the trial harness's case — that is one gather
+  and one window sum (:meth:`~repro.cluster.cgroup.UsageHistory.means`);
+  otherwise (cgroups of several tables, or of none) it is the same
+  reader, one cgroup at a time.
 * :func:`rank_suspects_matrix` evaluates the paper's asymmetric correlation
   formula over the whole ``(S, T)`` usage matrix in one vectorized pass.
 
@@ -41,11 +38,10 @@ rules that make that possible (see ``docs/performance.md``):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
 from repro.core.correlation import SuspectScore, _victim_terms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,66 +66,22 @@ def suspect_usage_matrix(cgroups: Sequence["Cgroup"],
     Returns:
         An ``(S, T)`` float64 matrix where ``[s, k]`` equals
         ``cgroups[s].usage_between(timestamps[k] - duration,
-        timestamps[k])`` bit-for-bit: both read the same per-second ring
-        (:meth:`~repro.cluster.cgroup.Cgroup.usage_window_view`), with
-        seconds outside its history as ``0.0``.
+        timestamps[k])`` bit-for-bit: both read the same usage history,
+        with seconds outside it as ``0.0``, and sum from ``0.0`` in time
+        order.
     """
     if duration < 1:
         raise ValueError(f"duration must be >= 1, got {duration}")
-    ts = np.asarray(timestamps, dtype=np.int64)
-    n_suspects = len(cgroups)
-    n_points = int(ts.size)
-    if n_points == 0 or n_suspects == 0:
-        return np.empty((n_suspects, n_points))
-    # seconds[k, j]: second j of window k.
-    seconds = (ts - duration)[:, None] + np.arange(duration)[None, :]
-    windows = _table_windows(cgroups, seconds)  # (S, T, duration)
-    if windows is None:
-        lo = int(ts.min()) - duration
-        hi = int(ts.max())
-        # (S, hi - lo): seconds lo .. hi-1 of every suspect.
-        slab = np.stack([cgroup.usage_window_view(lo, hi)
-                         for cgroup in cgroups])
-        windows = slab[:, seconds - lo]
-    # Sequential accumulation from 0.0 along the time axis — NOT .sum(),
-    # whose pairwise rounding differs from the scalar running sum.
-    means = np.zeros((n_suspects, n_points))
-    for j in range(duration):
-        means += windows[:, :, j]
-    means /= duration
-    return means
-
-
-def _table_windows(cgroups: Sequence["Cgroup"],
-                   seconds: np.ndarray) -> Optional[np.ndarray]:
-    """Every cgroup's usage at the ``(T, duration)`` ``seconds``, as one
-    ``(S, T, duration)`` gather from the task table whose usage matrix
-    holds all their rings.
-
-    Returns ``None`` unless every cgroup is a row of one table on the
-    table's clock (``charged_to`` set): before a table's first charge, and
-    after a direct :meth:`~repro.cluster.cgroup.Cgroup.charge` on a row,
-    each ring reads its own clock.  Seconds outside the history
-    ``(charged_to - 900, charged_to]`` read ``0.0``, exactly as
-    :meth:`~repro.cluster.cgroup.Cgroup.usage_window_view` reads them.
-    """
-    table = cgroups[0]._table
-    if table is None:
-        return None
-    last = table.charged_to
-    if last is None:
-        return None
-    for cgroup in cgroups:
-        if cgroup._table is not table:
-            return None
-    rows = np.array([cgroup._table_row for cgroup in cgroups],
-                    dtype=np.intp)
-    windows = table.usage_matrix[rows[:, None, None],
-                                 seconds % USAGE_HISTORY_SECONDS]
-    outside = (seconds <= last - USAGE_HISTORY_SECONDS) | (seconds > last)
-    if outside.any():
-        windows[:, outside] = 0.0
-    return windows
+    starts = np.asarray(timestamps, dtype=np.int64) - duration
+    if not cgroups:
+        return np.empty((0, starts.size))
+    history = cgroups[0].usage
+    rows = [cgroup.usage_row for cgroup in cgroups
+            if cgroup.usage is history]
+    if len(rows) == len(cgroups):
+        return history.means(np.array(rows, dtype=np.intp), starts, duration)
+    return np.stack([cgroup.usage.means(cgroup.usage_row, starts, duration)
+                     for cgroup in cgroups])
 
 
 def rank_suspects_matrix(

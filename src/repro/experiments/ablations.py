@@ -22,7 +22,8 @@ from repro.cluster.task import PriorityBand, SchedulingClass
 from repro.core.baselines import ActiveProbeIdentifier
 from repro.core.config import CpiConfig, DEFAULT_CONFIG
 from repro.core.correlation import antagonist_correlation
-from repro.core.identify import rank_cotenant_suspects
+from repro.core.identify import (rank_cotenant_suspects,
+                                 suspect_usage_matrix)
 from repro.core.outlier import OutlierDetector
 from repro.core.samplebatch import SampleColumns
 from repro.experiments.scenarios import victim_antagonist_machine
@@ -435,13 +436,10 @@ def group_antagonists(group_size: int = 4, seed: int = 0
     timestamps = [int(s.timestamp_seconds) for s in window]
     cpis = [s.cpi for s in window]
     threshold = 1.2
-    individual = []
-    usages = []
-    for member in members:
-        usage = [member.cgroup.usage_between(ts - 10, ts)
-                 for ts in timestamps]
-        usages.append(usage)
-        individual.append(antagonist_correlation(cpis, usage, threshold))
+    usages = suspect_usage_matrix([member.cgroup for member in members],
+                                  timestamps, 10).tolist()
+    individual = [antagonist_correlation(cpis, usage, threshold)
+                  for usage in usages]
     combined = [sum(u) for u in zip(*usages)]
     group_corr = antagonist_correlation(cpis, combined, threshold)
     pre_cpi = float(np.mean(cpis))

@@ -11,8 +11,8 @@ differences them and emits one :class:`~repro.core.records.CpiSample` per
 task that executed instructions during the window.
 
 The window close is columnar: a snapshot is one array copy of the
-machine's index-aligned counter matrix, window usage is one slice-sum over
-the shared per-task usage-ring matrix, and deltas / validity masks / CPI
+machine's index-aligned counter matrix, window usage is one window mean
+over the task table's usage history, and deltas / validity masks / CPI
 run as full-width ufunc passes that emit a
 :class:`~repro.core.samplebatch.SampleColumns` record directly, wrapped in
 a lazy :class:`~repro.core.samplebatch.WindowSamples`.  No ``CpiSample``
@@ -193,8 +193,8 @@ class CpiSampler:
     # order (the task table is name-sorted, exactly resident_tasks() order),
     # the same float64 subtraction per counter slot, the same IEEE division
     # for CPI, and a window usage summed from 0.0 in the same time order as
-    # Cgroup.usage_between, over the same ring slots.  Discard reasons apply
-    # in the same precedence and emit events in the same task order.
+    # Cgroup.usage_between, from the same usage history.  Discard reasons
+    # apply in the same precedence and emit events in the same task order.
 
     def _close_window(self, end: int) -> "WindowSamples":
         # Deferred import: see __init__.
@@ -220,8 +220,7 @@ class CpiSampler:
             snapshot = snap
             row_tasknames = tasknames_all
             row_jobnames = jobnames_all
-            cgroups = table.cgroups
-            matrix_rows: Optional[np.ndarray] = None
+            rows = slice(None)
         else:
             # Tasks arrived (no snapshot row: skipped, like the scalar
             # reference) and/or departed (snapshot row no longer resident:
@@ -231,18 +230,21 @@ class CpiSampler:
                     if name in index]
             if not keep:
                 return self._no_window
-            matrix_rows = np.asarray([i for i, _ in keep], dtype=np.intp)
-            current = table.counter_matrix[matrix_rows]
+            rows = np.asarray([i for i, _ in keep], dtype=np.intp)
+            current = table.counter_matrix[rows]
             snapshot = snap[np.asarray([j for _, j in keep], dtype=np.intp)]
             row_tasknames = tuple(tasknames_all[i] for i, _ in keep)
             row_jobnames = tuple(jobnames_all[i] for i, _ in keep)
-            cgroups = tuple(table.cgroups[i] for i, _ in keep)
         deltas = delta_matrix(current, snapshot)
         cycles = deltas[:, _CYCLES_COL]
         instructions = deltas[:, _INSTRUCTIONS_COL]
         finite = np.isfinite(cycles) & np.isfinite(instructions)
         positive = instructions > 0.0
-        usage = self._window_usage(table, matrix_rows, cgroups, start, end)
+        # Mean usage over seconds start+1 .. end; seconds the history's
+        # clock has not reached (the machine skipped ticks) read 0.0.
+        # Reading rows the scalar reference would discard first is
+        # unobservable: the read is pure.
+        usage = table.usage.means(rows, start + 1, end - start)
         ok = finite & positive & np.isfinite(usage)
         if not ok.all():
             # Discards interleave nothing but their own counters/events, so
@@ -289,39 +291,3 @@ class CpiSampler:
             usage[good],
             np.divide(cycles[good], instructions[good]))
         return WindowSamples(columns)
-
-    def _window_usage(self, table, matrix_rows: Optional[np.ndarray],
-                      cgroups, start: int, end: int) -> np.ndarray:
-        """Mean CPU-sec/sec over ``[start+1, end]`` for every candidate row.
-
-        One gather + slice-sum over the shared usage-ring matrix for every
-        row whose cgroup was charged through ``end``, so the ring holds
-        exactly the window's seconds: all of them when the table's clock
-        reads ``end``.  Otherwise a row charged only up to an earlier
-        second (its machine skipped ticks) reads the same ring through
-        :meth:`~repro.cluster.cgroup.Cgroup.usage_between` instead, which
-        zero-fills the seconds after its last charge.  Computing usage for
-        rows the scalar reference would have discarded first is
-        unobservable: the read is pure.
-        """
-        from repro.cluster.cgroup import USAGE_HISTORY_SECONDS
-
-        span = end - start
-        lo, hi = start + 1, end + 1
-        if span > USAGE_HISTORY_SECONDS:
-            return np.array([cg.usage_between(lo, hi) for cg in cgroups])
-        matrix = table.usage_matrix
-        if matrix_rows is not None:
-            matrix = matrix[matrix_rows]
-        window = matrix[:, np.arange(lo, hi) % USAGE_HISTORY_SECONDS]
-        # Sequential column adds from zero: the op order of usage_between's
-        # running sum (never-charged seconds are literal 0.0 slots).
-        acc = np.zeros(len(cgroups))
-        for column in range(span):
-            acc += window[:, column]
-        acc /= span
-        if table.charged_to != end:
-            for j, cg in enumerate(cgroups):
-                if cg._ring_last != end:
-                    acc[j] = cg.usage_between(lo, hi)
-        return acc

@@ -2,9 +2,11 @@
 
 This is how a machine executed one simulated second before the tick was
 batched into numpy arrays: one Python pass per task for demand, cgroup
-clipping, tier allocation, duty cycling, contention, CPI, noise, counter
-burns and charging, then the workload observations.  It draws measurement
-noise with one ``rng.normal(0, sigma)`` per task in name-sorted order.
+clipping, tier allocation, duty cycling, contention, CPI, noise and
+counter burns, then one usage charge of the whole task table (a table
+charges its rows, not each cgroup), then the workload observations.  It
+draws measurement noise with one ``rng.normal(0, sigma)`` per task in
+name-sorted order.
 
 The physics and counter arithmetic are this module's own: the contention,
 CPI, miss-rate and counter formulas below are transcribed operand for
@@ -113,7 +115,13 @@ def tick(machine: Machine, t: int) -> TickResult:
         _add(values, CounterEvent.L2_MISSES, instructions / 1000.0 * l2_mpki)
         _add(values, CounterEvent.MEMORY_REQUESTS, l3_misses * 1.1)
 
-        task.cgroup.charge(t, grant)
+    # The usage charge: one column of the task table's history, in table
+    # (name-sorted) order, after the same check Cgroup.charge makes.
+    usage = [grants[task.name] for task in tasks]
+    for grant in usage:
+        if not grant >= 0:
+            raise ValueError(f"usage must be >= 0, got {grant}")
+    machine._task_table().usage.charge(t, np.array(usage))
 
     # Workload observations may trigger departures (lame-duck exits etc.).
     for task in tasks:

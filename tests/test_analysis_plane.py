@@ -386,9 +386,9 @@ class TestRankCotenantSuspects:
 
 
 class TestTableGather:
-    """The ranking's usage matrix, gathered from the task table's usage
-    matrix when every suspect is one of its rows on the table clock, and
-    read ring by ring otherwise, equals the per-timestamp reference."""
+    """The ranking's usage matrix equals the per-timestamp reference
+    (``tests/reference/identify.py``) by ``float.hex``, whether every
+    suspect is a row of one task table's usage history or not."""
 
     VICTIM_CPI = (1.0, 2.5, 1.2, 2.9, 1.1, 3.2)
 
@@ -404,25 +404,11 @@ class TestTableGather:
             machine.tick(t)
         return machine
 
-    @staticmethod
-    def _view_calls(monkeypatch):
-        calls = []
-        view = Cgroup.usage_window_view
-
-        def counted(self, start, end):
-            calls.append(self.name)
-            return view(self, start, end)
-
-        monkeypatch.setattr(Cgroup, "usage_window_view", counted)
-        return calls
-
-    def _assert_parity(self, monkeypatch, tasks, timestamps, gathered):
-        calls = self._view_calls(monkeypatch)
+    def _assert_parity(self, tasks, timestamps):
         victim_job = tasks[0].job.name
         cpi = self.VICTIM_CPI[:len(timestamps)]
         scores, suspects = rank_cotenant_suspects(
             tasks, victim_job, cpi, timestamps, 1.5, 10)
-        assert (not calls) == gathered
         expected, expected_suspects = \
             reference_identify.rank_cotenant_suspects(
                 tasks, victim_job, cpi, timestamps, 1.5, 10)
@@ -431,57 +417,46 @@ class TestTableGather:
             (s.taskname, s.jobname, _hex(s.correlation)) for s in expected]
         assert suspects == expected_suspects
         cgroups = [task.cgroup for task in tasks]
-        del calls[:]
         matrix = suspect_usage_matrix(cgroups, timestamps, 10)
-        assert (not calls) == gathered
         assert [[_hex(u) for u in row] for row in matrix.tolist()] == [
             [_hex(cgroup.usage_between(t - 10, t)) for t in timestamps]
             for cgroup in cgroups]
 
-    def test_rows_on_the_table_clock_are_gathered(self, monkeypatch):
+    def test_rows_on_the_table_clock_are_gathered(self):
         machine = self._machine()
-        assert machine._table.charged_to == 299
-        self._assert_parity(monkeypatch, machine.resident_tasks(),
-                            [150, 160, 233, 250, 290, 300], gathered=True)
+        assert machine._table.usage.last == 299
+        self._assert_parity(machine.resident_tasks(),
+                            [150, 160, 233, 250, 290, 300])
 
-    def test_table_rebuilt_before_its_first_charge_reads_rings(
-            self, monkeypatch):
+    def test_table_rebuilt_before_its_first_charge_reads_rings(self):
+        # The rebuilt table's history takes the latest of its rows'
+        # clocks; the new task's row is all zeros.
         machine = self._machine()
         machine.remove(machine.resident_tasks()[-1].name, TaskState.COMPLETED)
         for task in make_scripted_job("late", [0.7, 0.2], num_tasks=1,
                                       cpu_limit=2.0).tasks:
             machine.place(task)
-        assert machine._task_table().charged_to is None
-        self._assert_parity(monkeypatch, machine.resident_tasks(),
-                            [150, 160, 233, 250, 290, 300], gathered=False)
+        assert machine._task_table().usage.last == 299
+        self._assert_parity(machine.resident_tasks(),
+                            [150, 160, 233, 250, 290, 300])
 
-    def test_row_after_a_direct_charge_reads_rings(self, monkeypatch):
-        machine = self._machine()
-        tasks = machine.resident_tasks()
-        tasks[3].cgroup.charge(305, 1.25)
-        assert machine._table.charged_to is None
-        self._assert_parity(monkeypatch, tasks,
-                            [150, 160, 233, 250, 300, 310], gathered=False)
-
-    def test_seconds_outside_the_history_read_zero(self, monkeypatch):
+    def test_seconds_outside_the_history_read_zero(self):
         # Charged 1000 .. 2199: windows before the first charge, older
         # than the 900-second history, straddling its edge, and after the
         # last charge all read 0.0 for their missing seconds.
         machine = self._machine(start=1000, stop=2200)
         timestamps = [1005, 1200, 1305, 2100, 2205, 2300]
-        self._assert_parity(monkeypatch, machine.resident_tasks(),
-                            timestamps, gathered=True)
+        self._assert_parity(machine.resident_tasks(), timestamps)
         matrix = suspect_usage_matrix(
             [task.cgroup for task in machine.resident_tasks()],
             timestamps, 10)
         assert not matrix[:, [1, 5]].any()
 
-    def test_cgroups_of_two_tables_read_rings(self, monkeypatch):
+    def test_cgroups_of_two_tables_read_rings(self):
         first = self._machine("m0", jobs=2)
         second = self._machine("m1", jobs=2)
         tasks = first.resident_tasks() + second.resident_tasks()
-        self._assert_parity(monkeypatch, tasks,
-                            [150, 160, 233, 250, 290, 300], gathered=False)
+        self._assert_parity(tasks, [150, 160, 233, 250, 290, 300])
 
 
 @pytest.mark.xfail(strict=True, reason=(

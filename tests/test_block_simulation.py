@@ -151,8 +151,8 @@ def _fingerprint(scenario, events: list[dict]) -> dict:
     for name, m in sorted(sim.machines.items()):
         table = m._table
         machines[name] = None if table is None else (
-            table.names, table.charged_to,
-            table.usage_matrix.tobytes(), table.counter_matrix.tobytes(),
+            table.names, table.usage.last,
+            table.usage.matrix.tobytes(), table.counter_matrix.tobytes(),
             [w.granted_cpu_seconds.hex() for w in table.workloads])
     tsdb = pipeline.obs.timeseries
     return {

@@ -1,5 +1,6 @@
 """Unit tests for repro.cluster.cgroup (CFS bandwidth control model)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +9,11 @@ from repro.cluster.cgroup import USAGE_HISTORY_SECONDS, BandwidthCap, Cgroup
 from repro.cluster.demandplane import DemandColumns
 from repro.cluster.fused import FusedFleet
 from repro.cluster.job import Job, JobSpec
+from repro.cluster.machine import _TaskTable
 from repro.cluster.task import PriorityBand, SchedulingClass, TaskState
-from repro.testing import QUIET_PROFILE, ScriptedWorkload, make_quiet_machine
+from repro.perf.counters import CounterBank
+from repro.testing import (QUIET_PROFILE, ScriptedWorkload,
+                           make_quiet_machine, make_scripted_job)
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.demand import constant, scaled
 from tests.reference.usage_history import DequeUsageHistory
@@ -128,7 +132,7 @@ class TestCgroup:
         cg = Cgroup("job/0", cpu_limit=4.0)
         with pytest.raises(ValueError, match="usage"):
             cg.charge(0, float("nan"))
-        assert cg._ring_last is None
+        assert cg.usage.last is None
 
 
 class TestUsageBetweenPaths:
@@ -219,7 +223,7 @@ class TestReplayRejected:
             with pytest.raises(ValueError, match=rf"job/0.*second {t}\b.*5"):
                 cg.charge(t, 2.0)
         # A rejected charge changes nothing.
-        assert cg._ring_last == 5
+        assert cg.usage.last == 5
         assert cg.last_usage() == 1.0
         assert cg.usage_between(0, 10) == 0.1
 
@@ -279,7 +283,12 @@ class TestUsageHistoryOracle:
         demand program (the script as a ``scaled`` factor), else a closure
         table.  Half-way
         through each ticked segment a companion task is placed or removed,
-        so the table (and its usage matrix) is rebuilt mid-run.
+        so the table (and its usage history) is rebuilt mid-run.  A direct
+        segment charges the task's cgroup off the machine (only a table
+        charges its rows): the task is removed before it and placed again
+        before the next ticked segment, so its row is copied out of one
+        table's history and into the next one's, whose clock it may lead
+        or trail.
         """
         script = [0.0] * _SCRIPT_SECONDS
         t = t0
@@ -308,6 +317,11 @@ class TestUsageHistoryOracle:
         for gap, usages, repeat, as_run in segments:
             t += gap
             run = usages * repeat
+            if as_run != machine.has_task(task.name):
+                if as_run:
+                    machine.place(task)
+                else:
+                    machine.remove(task.name, TaskState.KILLED)
             for offset, usage in enumerate(run):
                 ref.charge(t + offset, usage)
                 if not as_run:
@@ -332,7 +346,7 @@ class TestUsageHistoryOracle:
     def test_ring_matches_deque_within_history(self, data, segments, t0,
                                                compiled):
         cg, ref, last = self._build(segments, t0, compiled)
-        assert cg._ring_last == last
+        assert cg.usage.last == last
         assert cg.last_usage().hex() == float(ref.entries[-1][1]).hex()
         for _ in range(8):
             start = data.draw(
@@ -357,3 +371,103 @@ class TestUsageHistoryOracle:
         start = end - data.draw(st.integers(1, 1000))
         assert cg.usage_between(start, end) == 0.0
         assert not cg.usage_window_view(start, end).any()
+
+
+# One step of the shared-history property: a task table rebuilt over the
+# members drawn (the rows of the previous table that are not among them
+# are copied out), then k seconds of its charges after a gap; or k direct
+# charges of one cgroup after a gap.
+_seeds = st.integers(0, 2 ** 32 - 1)
+_history_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("table"),
+                  st.lists(st.booleans(), min_size=4, max_size=4),
+                  st.integers(1, 1200), st.integers(1, 64), _seeds),
+        st.tuples(st.just("direct"), st.integers(0, 3),
+                  st.integers(1, 1200), st.integers(1, 30), _seeds)),
+    min_size=1, max_size=8)
+
+
+def _usages(seed, shape):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 4.0, shape)
+    values[rng.random(shape) < 0.2] = 0.0
+    return values
+
+
+class TestSharedHistoryOracle:
+    """Task tables over cgroups whose rows are fresh, lag the table's clock
+    (by gaps under and over the 900-second history), or were copied out of
+    an earlier table: every window inside the shared history equals each
+    cgroup's deque reference by ``float.hex``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), steps=_history_steps)
+    def test_windows_match_deque_across_rebuilds(self, data, steps):
+        tasks = [make_scripted_job(f"j{i}", [1.0], cpu_limit=4.0).tasks[0]
+                 for i in range(4)]
+        cgroups = [task.cgroup for task in tasks]
+        refs = [DequeUsageHistory() for _ in tasks]
+        table = None
+        for kind, what, gap, k, seed in steps:
+            if kind == "table":
+                chosen = [i for i, member in enumerate(what) if member]
+                if table is not None:
+                    for i, cg in enumerate(cgroups):
+                        if cg.usage is table.usage and i not in chosen:
+                            cg.leave_table()
+                table = _TaskTable([tasks[i] for i in chosen], CounterBank())
+                history = table.usage
+                start = (history.last or 0) + gap
+                values = _usages(seed, (len(chosen), k))
+                history.charge(start, values)
+                for row, i in enumerate(chosen):
+                    for j in range(k):
+                        refs[i].charge(start + j, float(values[row, j]))
+            else:
+                cg = cgroups[what]
+                start = (cg.usage.last or 0) + gap
+                values = _usages(seed, k).tolist()
+                if len(cg.usage.matrix) > 1:
+                    with pytest.raises(ValueError, match="task table"):
+                        cg.charge(start, values[0])
+                    continue
+                for j, usage in enumerate(values):
+                    cg.charge(start + j, usage)
+                    refs[what].charge(start + j, usage)
+            self._check_windows(data, cgroups, refs, table)
+
+    @staticmethod
+    def _check_windows(data, cgroups, refs, table):
+        for cg, ref in zip(cgroups, refs):
+            last = cg.usage.last
+            if last is None:
+                assert not cg.usage.matrix.any()
+                continue
+            # Every second the history holds, then one window mean.
+            seconds = range(last - USAGE_HISTORY_SECONDS + 1, last + 1)
+            charged = dict(ref.entries)
+            assert [u.hex() for u in cg.usage_window_view(
+                seconds.start, seconds.stop).tolist()] == [
+                float(charged.get(t, 0.0)).hex() for t in seconds]
+            start = data.draw(st.integers(last - USAGE_HISTORY_SECONDS + 1,
+                                          last), label="start")
+            end = data.draw(st.integers(start + 1, last + 1), label="end")
+            expected = ref.usage_between(start, end).hex()
+            assert cg.usage_between(start, end).hex() == expected
+            assert float(cg.usage.means(cg.usage_row, start,
+                                        end - start)).hex() == expected
+        if table is None or table.usage.last is None:
+            return
+        # Every row at once, at several window starts: the ranking's read.
+        last = table.usage.last
+        duration = data.draw(st.integers(1, 60), label="duration")
+        starts = data.draw(st.lists(
+            st.integers(last - USAGE_HISTORY_SECONDS + 1, last + 1 - duration),
+            min_size=1, max_size=5), label="starts")
+        rows = np.arange(len(table.cgroups))
+        means = table.usage.means(rows, np.array(starts), duration)
+        for row, cg in enumerate(table.cgroups):
+            ref = refs[cgroups.index(cg)]
+            assert [m.hex() for m in means[row].tolist()] == [
+                ref.usage_between(s, s + duration).hex() for s in starts]

@@ -743,7 +743,7 @@ class TestTableCharging:
     def _assert_reads_match(a, b, t):
         """Every usage read of task ``a`` equals its closure twin ``b``'s
         after the tick at ``t``."""
-        assert a.cgroup._ring_last == b.cgroup._ring_last == t
+        assert a.cgroup.usage.last == b.cgroup.usage.last == t
         assert _hex(a.cgroup.last_usage()) == _hex(b.cgroup.last_usage())
         start = max(0, t - 19)
         assert _hex(a.cgroup.usage_between(start, t + 1)) == \
@@ -790,7 +790,7 @@ class TestTableCharging:
             mv.tick(t)
         mv.remove(tasks[0].name, TaskState.KILLED, reason="test")
         # The removed task's cgroup keeps all 10 charges ...
-        assert tasks[0].cgroup._ring_last == 9
+        assert tasks[0].cgroup.usage.last == 9
         assert tasks[0].cgroup.usage_between(0, 10) == 0.5
         # ... and the survivor's history moves into the new table's matrix.
         for t in range(10, 20):
@@ -798,19 +798,19 @@ class TestTableCharging:
         assert tasks[1].cgroup.usage_between(0, 20) == 0.75
         table = mv._task_table()
         assert table.cgroups == (tasks[1].cgroup,)
-        assert table.usage_matrix[0, :20].tolist() == [0.75] * 20
+        assert table.usage.matrix[0, :20].tolist() == [0.75] * 20
 
     @pytest.mark.parametrize("engine", ["vector", "scalar"])
     def test_replayed_tick_raises_from_tick(self, engine):
         m, tasks = self._machine(engine)
         m.tick(4)
         m.tick(5)
-        matrix = m._task_table().usage_matrix.copy()
+        matrix = m._task_table().usage.matrix.copy()
         for t in (5, 3):
             with pytest.raises(ValueError, match=rf"svc/0.*second {t}\b.*5"):
                 m.tick(t)
-        assert np.array_equal(m._task_table().usage_matrix, matrix)
-        assert [task.cgroup._ring_last for task in tasks] == [5, 5]
+        assert np.array_equal(m._task_table().usage.matrix, matrix)
+        assert [task.cgroup.usage.last for task in tasks] == [5, 5]
 
     @pytest.mark.parametrize("engine", ["vector", "scalar"])
     @pytest.mark.parametrize("bad", [-0.5, float("nan")])
@@ -818,15 +818,15 @@ class TestTableCharging:
         """The counter burn rejects the grant before the charge."""
         m, tasks = self._machine(engine)
         m.tick(0)
-        matrix = m._task_table().usage_matrix.copy()
+        matrix = m._task_table().usage.matrix.copy()
         def bad_grant(fleet, t0, k, allowed, g):
             g[:] = [0.5, bad]
 
         monkeypatch.setattr(FusedFleet, "_allocate", bad_grant)
         with pytest.raises(ValueError, match=">= 0"):
             m.tick(1)
-        assert np.array_equal(m._task_table().usage_matrix, matrix)
-        assert [task.cgroup._ring_last for task in tasks] == [0, 0]
+        assert np.array_equal(m._task_table().usage.matrix, matrix)
+        assert [task.cgroup.usage.last for task in tasks] == [0, 0]
 
     def test_departure_mid_run_stays_consistent(self):
         """ScriptedWorkload is not a SyntheticWorkload, so its machine
@@ -850,71 +850,37 @@ class TestTableCharging:
                 [(task.name, s) for task, s in rs.departures]
         assert mv.num_tasks == ms.num_tasks == 0
 
-    def test_direct_charge_between_ticks_keeps_the_table_clock(self):
-        """A direct ``Cgroup.charge`` on one row of a compiled table moves
-        only that row's clock; the next tick opens every ring again."""
-        m = Machine("m0", get_platform("westmere-2.6"), cpi_noise_sigma=0.0)
-        spec = JobSpec(
-            name="svc", num_tasks=3,
-            scheduling_class=SchedulingClass.LATENCY_SENSITIVE,
-            priority_band=PriorityBand.PRODUCTION,
-            cpu_limit_per_task=2.0,
-            workload_factory=lambda i: _workload(constant(0.5 + 0.25 * i)))
-        tasks = list(Job(spec))
-        for task in tasks:
-            m.place(task)
-        assert isinstance(_program(m), DemandColumns)
+    def test_direct_charge_of_a_bound_row_raises(self):
+        """A row of a task table's history is charged by its table only: a
+        direct ``Cgroup.charge`` raises and writes nothing."""
+        m, tasks = self._machine("vector")
         for t in range(10):
             m.tick(t)
         table = m._task_table()
-        tasks[1].cgroup.charge(10, 0.125)
-        assert [task.cgroup._ring_last for task in tasks] == [9, 10, 9]
-        for i in (0, 2):
-            cg = tasks[i].cgroup
-            level = 0.5 + 0.25 * i
-            assert cg.usage_between(0, 10) == level
-            assert cg.usage_between(5, 15) == level / 2
-            assert cg.last_usage() == level
-        assert tasks[1].cgroup.usage_between(9, 11) == (0.75 + 0.125) / 2
-
-        # The directly charged second replays for its row: nothing moves.
-        matrix = table.usage_matrix.copy()
-        with pytest.raises(ValueError, match=r"svc/1.*second 10\b.*10"):
-            m.tick(10)
-        assert np.array_equal(table.usage_matrix, matrix)
-        assert [task.cgroup._ring_last for task in tasks] == [9, 10, 9]
-
-        m.tick(11)
-        assert m._task_table() is table
-        assert [task.cgroup._ring_last for task in tasks] == [11, 11, 11]
-        assert [task.cgroup.usage_window_view(9, 12).tolist()
-                for task in tasks] == [[0.5, 0.0, 0.5], [0.75, 0.125, 0.75],
-                                       [1.0, 0.0, 1.0]]
-        m.tick(12)
-        assert [task.cgroup._ring_last for task in tasks] == [12, 12, 12]
-        with pytest.raises(ValueError, match=r"svc/0.*second 12\b.*12"):
-            m.tick(12)
-        assert [task.cgroup.last_usage() for task in tasks] == \
-            [0.5, 0.75, 1.0]
+        matrix = table.usage.matrix.copy()
+        with pytest.raises(ValueError, match=r"svc/1.*task table"):
+            tasks[1].cgroup.charge(10, 0.125)
+        assert np.array_equal(table.usage.matrix, matrix)
+        assert table.usage.last == 9
+        m.tick(10)
+        assert [task.cgroup.last_usage() for task in tasks] == [0.5, 0.75]
 
     def test_direct_charge_keeps_departed_row_clock(self):
         """A departed task's cgroup leaves its table with the table's clock
-        as its own; a direct charge of a row still bound to that table
-        hands the table's clock only to the rows bound to it."""
+        as its own, and a direct charge continues from there."""
         m, (gone, kept) = self._machine("vector")
         for t in range(10):
             m.tick(t)
         m.remove(gone.name, TaskState.KILLED, reason="test")
-        assert gone.cgroup._table is None and gone.cgroup._ring_last == 9
+        assert gone.cgroup.usage is not kept.cgroup.usage
+        assert gone.cgroup.usage.last == 9
         gone.cgroup.charge(11, 0.25)
-        kept.cgroup.charge(10, 0.5)
-        assert gone.cgroup._ring_last == 11
+        assert gone.cgroup.usage.last == 11
         assert gone.cgroup.usage_window_view(9, 12).tolist() == \
             [0.5, 0.0, 0.25]
-        assert kept.cgroup._ring_last == 10
         m.tick(11)
         assert kept.cgroup.usage_window_view(9, 12).tolist() == \
-            [0.75, 0.5, 0.75]
+            [0.75, 0.0, 0.75]
 
     def test_mapreduce_departures_with_compiled_demand(self):
         """MapReduceWorker demand (noise over constant) compiles, but its

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from repro.cluster.fused import FusedFleet
-from repro.cluster.machine import Machine
+from repro.cluster.machine import Machine, _TaskTable
 from repro.cluster.task import PriorityBand
 from repro.experiments import trials
 from repro.experiments.trials import TrialConfig, TrialResult, run_trial, run_trials
@@ -138,6 +138,29 @@ class TestStepping:
             run_trial(3, FAST)
             assert fleets
             assert [ref() for ref in fleets] == [None] * len(fleets)
+        finally:
+            gc.enable()
+
+
+    def test_finished_trial_frees_its_usage_history(self, monkeypatch):
+        """With the cyclic collector off, the usage history of every task
+        table a trial built is gone when ``run_trial`` returns, although
+        its tasks (held by their jobs' reference cycles) are not: the
+        release copied each task's row out."""
+        histories: list = []
+        init = _TaskTable.__init__
+
+        def recording_init(table, tasks, counters):
+            init(table, tasks, counters)
+            histories.append(weakref.ref(table.usage))
+
+        monkeypatch.setattr(_TaskTable, "__init__", recording_init)
+        gc.collect()
+        gc.disable()
+        try:
+            run_trial(3, FAST)
+            assert histories
+            assert [ref() for ref in histories] == [None] * len(histories)
         finally:
             gc.enable()
 

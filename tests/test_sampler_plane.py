@@ -174,22 +174,42 @@ class TestUnitParity:
         vector = _discard_run("columnar", seconds=71, skip_ticks=(4, 63))
         assert scalar == vector
         assert len(vector["windows"]) == 2
-        # Skipping a window's last second leaves every ring charged only up
-        # to the second before: the columnar close reads those rows through
-        # usage_between instead of the matrix.
+        # Skipping a window's last second leaves the table's history
+        # charged only up to the second before: the window's last second
+        # reads 0.0.
         scalar = _discard_run("reference", seconds=71, skip_ticks=(4, 70))
         vector = _discard_run("columnar", seconds=71, skip_ticks=(4, 70))
         assert scalar == vector
         assert len(vector["windows"]) == 2
 
     def test_skipped_window_end_after_ring_wrap_parity(self):
-        # Past 900 s the skipped last second's ring slot still holds the
-        # usage of 900 s before, so a close that read every row from the
-        # matrix without checking the table's clock would report it.
+        # Past 900 s the skipped last second's slot still holds the usage
+        # of 900 s before, so a close that read the history without
+        # checking its clock would report it.
         scalar = _discard_run("reference", seconds=971, skip_ticks=(970,))
         vector = _discard_run("columnar", seconds=971, skip_ticks=(970,))
         assert scalar == vector
         assert len(vector["windows"]) == 17
+
+    def test_window_longer_than_the_history_parity(self):
+        # A 1000-second window outlasts the 900-second usage history: its
+        # first 100 seconds read 0.0 on both paths, and a skipped tick
+        # inside the second window is zero-filled.
+        def run(path):
+            machine = make_quiet_machine()
+            machine.place(make_scripted_job(
+                "j", [0.5, 1.5, 2.5], cpu_limit=4.0).tasks[0])
+            machine.place(make_scripted_job(
+                "k", [1.0, 0.25], cpu_limit=4.0).tasks[0])
+            sampler = CpiSampler(machine, SamplerConfig(
+                duration_seconds=1000, period_seconds=1200))
+            with _window_close(path):
+                return [(t, _canon_samples(s)) for t, s in _drive(
+                    machine, sampler, 2201, skip_ticks=(1500,))]
+
+        columnar = run("columnar")
+        assert columnar == run("reference")
+        assert [t for t, _ in columnar] == [1000, 2200]
 
     def test_mid_window_arrival_and_departure_parity(self):
         def run(path):

@@ -1227,8 +1227,8 @@ def _block_state(machine: Machine, tasks: list) -> tuple:
     return (_machine_state(machine),
             [[_hex(u) for u in task.cgroup.usage_window_view(
                 0, _BLOCK_TICKS).tolist()] for task in tasks],
-            [task.cgroup._ring_last for task in tasks],
-            None if table is None else table.charged_to,
+            [task.cgroup.usage.last for task in tasks],
+            None if table is None else table.usage.last,
             [_hex(task.workload.granted_cpu_seconds) for task in tasks],
             [task.state.value for task in tasks],
             _generators(machine, tasks))
@@ -1350,7 +1350,7 @@ def _failing_run(kind: str, advance: bool) -> tuple:
     state = (_machine_state(machine),
              [[_hex(u) for u in task.cgroup.usage_window_view(0, 64).tolist()]
               for task in tasks],
-             [task.cgroup._ring_last for task in tasks],
+             [task.cgroup.usage.last for task in tasks],
              [_hex(task.workload.granted_cpu_seconds) for task in tasks],
              machine.rng.bit_generator.state, machine._fleet.noise_row)
     return str(error.value), state
@@ -1383,7 +1383,7 @@ def _replay_run(advance: bool) -> tuple:
             for t in range(5, 20):
                 machine.tick(t)
     return (str(error.value), _machine_state(machine),
-            task.cgroup._ring_last, machine._fleet.noise_row)
+            task.cgroup.usage.last, machine._fleet.noise_row)
 
 
 def test_advance_replayed_second_raises_like_tick():
