@@ -296,11 +296,9 @@ def _run_one(conn, spec: ShardSpec, prebuilt: Optional[_Prebuilt]) -> None:
                 # The machine-side upward path: hand each closed window to
                 # the retrying upload client (the single-process sink does
                 # this per machine before anything else at this tick).
-                for name, samples in closed:
-                    plane.upload(t, name, samples)
-            conn.send(("window", t,
-                       [(name, samples.columns) for name, samples in closed],
-                       arrivals))
+                for name, columns in closed:
+                    plane.upload(t, name, columns)
+            conn.send(("window", t, closed, arrivals))
             arrivals.clear()
             now = time.perf_counter()
             compute += now - mark
@@ -319,9 +317,8 @@ def _run_one(conn, spec: ShardSpec, prebuilt: Optional[_Prebuilt]) -> None:
                     for name in shard:
                         agents[name].update_specs(specs, now=t)
             # The local path, after the refresh (as in _on_samples).
-            for name, samples in closed:
-                agents[name].ingest_samples(t, samples,
-                                            columns=samples.columns)
+            for name, columns in closed:
+                agents[name].ingest_samples(t, columns)
             if telemetry:
                 # After the ingest loop, so the scrape sees every effect
                 # of tick t — the same point in the tick the

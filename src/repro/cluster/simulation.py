@@ -38,7 +38,8 @@ from generators spawned off one root ``numpy`` seed sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, Optional,
+                    Protocol)
 
 import numpy as np
 
@@ -46,17 +47,18 @@ from repro.cluster.fused import FusedFleet
 from repro.cluster.machine import Machine, TickResult
 from repro.cluster.scheduler import ClusterScheduler
 from repro.obs import Observability
-from repro.records import CpiSample
 from repro.perf.sampler import CpiSampler, SamplerConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.samplebatch import SampleColumns
 
 __all__ = ["SimConfig", "ClusterSimulation"]
 
-#: Sink signature: (time, machine_name, samples-from-the-window-just-closed).
-#: The samples argument is the sampler's columns-first
-#: :class:`~repro.core.samplebatch.WindowSamples`, a sequence of
-#: :class:`CpiSample` — sinks that only need ``len``/truthiness never
-#: materialize objects.
-SampleSink = Callable[[int, str, Sequence[CpiSample]], None]
+#: Sink signature: (time, machine_name, the window just closed).  The
+#: window is the sampler's :class:`~repro.core.samplebatch.SampleColumns`,
+#: never empty, and shared by every sink: a sink reads it, and one that
+#: needs sample objects decodes them with ``to_samples()``.
+SampleSink = Callable[[int, str, "SampleColumns"], None]
 
 #: Hook signature: (time, machine, tick_result) after a machine executed.
 TickHook = Callable[[int, Machine, TickResult], None]
@@ -345,7 +347,7 @@ class ClusterSimulation:
                 for sink in self._sample_sinks:
                     sink(t, name, samples)
 
-    def _tick_samplers(self, t: int) -> list[tuple[str, Sequence[CpiSample]]]:
+    def _tick_samplers(self, t: int) -> list[tuple[str, "SampleColumns"]]:
         """Phase 2, collect-only variant: tick samplers and return the
         closed windows *without* dispatching to sinks.
 
@@ -353,7 +355,7 @@ class ClusterSimulation:
         between window close and downstream processing.  Collection order
         is the same sorted-name order :meth:`_run_samplers` dispatches in.
         """
-        closed: list[tuple[str, Sequence[CpiSample]]] = []
+        closed: list[tuple[str, "SampleColumns"]] = []
         if not self.config.sampler.acts_at(t):
             return closed
         _, sampler_order = self._iteration_order()

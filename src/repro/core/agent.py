@@ -37,7 +37,7 @@ from repro.core.correlation import SuspectScore
 from repro.core.identify import rank_cotenant_suspects
 from repro.core.outlier import AnomalyEvent, OutlierDetector
 from repro.core.policy import AmeliorationPolicy, PolicyAction, PolicyDecision
-from repro.core.records import CpiSample, CpiSpec, SpecKey
+from repro.core.records import CpiSpec, SpecKey
 from repro.core.samplebatch import SampleColumns
 from repro.core.throttle import ThrottleController
 from repro.core.window import ColumnarWindow, WindowStore
@@ -306,8 +306,7 @@ class MachineAgent:
 
     # -- sample ingestion ---------------------------------------------------------
 
-    def ingest_samples(self, t: int, samples: list[CpiSample],
-                       columns: Optional[SampleColumns] = None
+    def ingest_samples(self, t: int, columns: SampleColumns
                        ) -> list[Incident]:
         """Process one closed sampling window's samples; returns new incidents.
 
@@ -321,11 +320,10 @@ class MachineAgent:
 
         The window is processed as columns — a vectorized quarantine mask,
         then batch outlier detection
-        (:meth:`~repro.core.outlier.OutlierDetector.observe_batch`) —
-        reusing ``columns`` when the caller already built the
-        :class:`SampleColumns` (the pipeline did, for the aggregator) and
-        otherwise encoding ``samples`` once.  No :class:`CpiSample` is
-        materialised.  The output equals a per-sample loop's
+        (:meth:`~repro.core.outlier.OutlierDetector.observe_batch`) — and
+        no :class:`CpiSample` is materialised.  ``columns`` is only read:
+        the pipeline hands the same object to the aggregator or the
+        upload client.  The output equals a per-sample loop's
         (``tests/reference/ingest.py``); only event *interleaving* within a
         window differs (quarantine events precede detection events instead
         of alternating per sample).
@@ -343,8 +341,6 @@ class MachineAgent:
         one pass (:meth:`_drop_rate_limited`).
         """
         self._refresh_degraded(t)
-        if columns is None or len(columns) != len(samples):
-            columns = SampleColumns.from_samples(samples)
         cpi = columns.cpi
         usage = columns.cpu_usage
         bound = self.config.quarantine_cpi_bound

@@ -36,7 +36,7 @@ from repro.core.agent import Incident, MachineAgent
 from repro.core.config import CpiConfig, DEFAULT_CONFIG
 from repro.core.forensics import ForensicsStore
 from repro.core.records import CpiSample, CpiSpec
-from repro.core.samplebatch import WindowSamples
+from repro.core.samplebatch import SampleColumns
 from repro.core.specstore import AggregatorHost, DurableSpecStore
 from repro.core.throttle import ThrottleController
 from repro.faults.plane import FaultPlane
@@ -173,24 +173,23 @@ class CpiPipeline:
     # -- simulation plumbing ------------------------------------------------------
 
     def _on_samples(self, t: int, machine_name: str,
-                    samples: WindowSamples) -> None:
-        n = len(samples)
+                    columns: SampleColumns) -> None:
+        n = len(columns)
         self.total_samples += n
         if self.log_samples:
-            self.sample_log.extend(samples)
-        # The sampler ships its window as WindowSamples — columns already
-        # built, objects only on demand.  Reuse them everywhere.
-        columns = samples.columns
+            self.sample_log.extend(columns.to_samples())
+        # One window, one object: the aggregator (or the upload client,
+        # which keeps it for resends) and the agent all read these columns.
         if self.faults is None:
             if n:
                 # An empty window skips the batch call outright
                 # (ingest_batch early-returns on n == 0, so unobservable).
                 if self.host is not None:
-                    self.host.ingest_columns(t, columns, samples=samples)
+                    self.host.ingest_columns(t, columns)
                 else:
                     self.aggregator.ingest_batch(columns)
         else:
-            self.faults.upload(t, machine_name, samples)
+            self.faults.upload(t, machine_name, columns)
         refreshed = (self.host.maybe_recompute(t) if self.host is not None
                      else self.aggregator.maybe_recompute(t))
         if refreshed is not None:
@@ -199,8 +198,7 @@ class CpiPipeline:
                     agent.update_specs(refreshed, now=t)
             else:
                 self.faults.push_specs(t, refreshed)
-        # The agent reuses the window's columns instead of re-encoding.
-        self.agents[machine_name].ingest_samples(t, samples, columns=columns)
+        self.agents[machine_name].ingest_samples(t, columns)
 
     def _schedule(self, name: str, due: int) -> None:
         """Wake ``name``'s agent at ``due`` unless it is woken earlier

@@ -1,31 +1,33 @@
-"""Columnar CPI sample batches: the sharded pipeline's wire format.
+"""Columnar CPI sample batches: the one runtime form of a sampling window.
 
-A closed sampling window's samples cross two boundaries on their way into
-the aggregator — machine -> coordinator (a process boundary under
-``--jobs N``, where batches are pickled onto the worker's pipe) and
-pipeline -> :meth:`CpiAggregator.ingest_batch`.  Shipping them as a list
-of :class:`~repro.records.CpiSample` dataclasses means one pickled Python
-object per sample plus one attribute walk per sample on arrival.  :class:`SampleColumns` is the struct-of-arrays alternative: two
-small string tables (aggregation keys and tasknames) and five numpy
-columns, so a 500-sample window pickles as a handful of buffers and
-ingests as one tight loop.
+A closed sampling window's samples travel from the machine's
+:class:`~repro.perf.sampler.CpiSampler` to the local agent
+(:meth:`~repro.core.agent.MachineAgent.ingest_samples`) and up to the
+aggregator (:meth:`~repro.core.aggregator.CpiAggregator.ingest_batch`) —
+directly in clean mode, or as the payload of a
+:class:`~repro.faults.retry.SampleBatch` over the fault plane's upload
+links.  Every hop carries the same :class:`SampleColumns`: two small string
+tables (aggregation keys and tasknames) and five numpy columns, so a
+500-sample window is a handful of arrays and ingests as one tight loop.
+Holders treat a batch as immutable; the wire corrupter damages a copy.
 
-The format is *lossless*: ``to_samples`` reconstructs samples that compare
-equal, field by field, to the originals (float64 round-trips exactly), so
-the single-process path can use the same objects without changing a byte of
-output — which the golden-parity tests in ``tests/test_shards.py`` pin.
+:class:`~repro.records.CpiSample` objects exist only where a sample is
+written out or read back: the pipeline's ``sample_log``, the spec store's
+WAL lines, agent checkpoints and :mod:`repro.core.storage`, and offline
+replay.  The format is *lossless* both ways: ``to_samples`` reconstructs
+samples that compare equal, field by field, to what ``from_samples``
+encoded (float64 round-trips exactly).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence as SequenceABC
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.records import CpiSample, SpecKey
 
-__all__ = ["SampleColumns", "WindowSamples"]
+__all__ = ["SampleColumns"]
 
 
 class SampleColumns:
@@ -95,18 +97,20 @@ class SampleColumns:
 
     @classmethod
     def empty(cls) -> "SampleColumns":
-        """A zero-sample batch (what a window with no survivors encodes to)."""
+        """A zero-sample batch: what the sampler returns when no window
+        closed, and what a window with no survivors encodes to."""
         return cls((), (), np.empty(0, dtype=np.int32),
                    np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64),
                    np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64))
 
     def to_samples(self) -> list[CpiSample]:
-        """Decode back to sample objects, field-equal to the originals.
+        """Decode to sample objects, field-equal to what was encoded.
 
-        Only valid for batches of *plausible* samples: :class:`CpiSample`
-        rejects negative values at construction, so corrupted in-flight
-        batches should stay columnar (``ingest_batch`` never materialises
-        objects).
+        The edge where a window is written out — the pipeline's
+        ``sample_log``, the spec store's WAL lines, the shard plane's
+        sample log — or read by an experiment as objects.  Wire damage
+        (NaN, zero or huge CPI, NaN usage) decodes fine; only a negative
+        value, which no producer makes, is refused by :class:`CpiSample`.
         """
         keys = self.keys
         tasks = self.tasks
@@ -130,60 +134,3 @@ class SampleColumns:
     def __repr__(self) -> str:
         return (f"SampleColumns(n={len(self)}, keys={len(self.keys)}, "
                 f"tasks={len(self.tasks)})")
-
-
-class WindowSamples(SequenceABC):
-    """A closed sampling window: columns first, objects only on demand.
-
-    The sampler emits :class:`SampleColumns` directly — no
-    :class:`~repro.records.CpiSample` objects exist on the clean path.  But
-    the window still flows through consumers written against sample lists
-    (``sample_log.extend``, the fault plane's upload clients, tests
-    indexing ``samples[0]``), so this wrapper *is* a sequence of samples:
-    materialization via :meth:`SampleColumns.to_samples` happens lazily on
-    the first element access and is cached.  Consumers that only need
-    ``len``/truthiness or the columns (the simulation's dispatch guard, the
-    pipeline's empty-window skip, the aggregator's and the agent's ingest)
-    never build an object.
-
-    Equality against lists/tuples compares the materialized samples, so the
-    golden-parity suites can diff a window field by field against a list.
-    """
-
-    __slots__ = ("columns", "_samples")
-
-    def __init__(self, columns: SampleColumns):
-        self.columns = columns
-        self._samples: list[CpiSample] | None = None
-
-    def _list(self) -> list[CpiSample]:
-        samples = self._samples
-        if samples is None:
-            samples = self.columns.to_samples()
-            self._samples = samples
-        return samples
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def __bool__(self) -> bool:
-        return len(self.columns) > 0
-
-    def __getitem__(self, index):
-        return self._list()[index]
-
-    def __iter__(self):
-        return iter(self._list())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, WindowSamples):
-            return self._list() == other._list()
-        if isinstance(other, (list, tuple)):
-            return self._list() == list(other)
-        return NotImplemented
-
-    __hash__ = None  # mutable cache; matches list semantics
-
-    def __repr__(self) -> str:
-        state = "materialized" if self._samples is not None else "columnar"
-        return f"WindowSamples(n={len(self)}, {state})"

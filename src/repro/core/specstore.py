@@ -52,7 +52,7 @@ from repro.core.storage import (sample_from_dict, sample_to_dict,
 from repro.faults.checkpoint import CrashInjector
 from repro.faults.retry import AggregatorEndpoint
 from repro.obs import Observability
-from repro.records import CpiSample, CpiSpec, SpecKey
+from repro.records import CpiSpec, SpecKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.profile import FaultProfile
@@ -133,12 +133,14 @@ class DurableSpecStore:
         """One accepted (non-duplicate) upload batch, samples included."""
         self.append({"op": "wire", "t": t, "batch": batch.batch_id,
                      "machine": batch.machine,
-                     "samples": [sample_to_dict(s) for s in batch.samples]})
+                     "samples": [sample_to_dict(s)
+                                 for s in batch.columns.to_samples()]})
 
-    def log_ingest(self, t: int, samples: list[CpiSample]) -> None:
-        """One directly-ingested columnar window (clean-mode upward path)."""
+    def log_ingest(self, t: int, columns: SampleColumns) -> None:
+        """One directly-ingested window (clean-mode upward path)."""
         self.append({"op": "ingest", "t": t,
-                     "samples": [sample_to_dict(s) for s in samples]})
+                     "samples": [sample_to_dict(s)
+                                 for s in columns.to_samples()]})
 
     def log_refresh(self, now: int) -> None:
         """A spec recomputation that actually fired at ``now``."""
@@ -469,17 +471,13 @@ class AggregatorHost:
     def ingest_wire_batch(self, t: int, batch: "SampleBatch") -> None:
         """Endpoint sink: one accepted non-duplicate upload batch."""
         self.store.log_wire_batch(t, batch)
-        columns = SampleColumns.from_samples(batch.samples)
-        self.aggregator.ingest_batch(columns)
+        self.aggregator.ingest_batch(batch.columns)
         if self.reference is not None:
-            self.reference.ingest_batch(columns)
+            self.reference.ingest_batch(batch.columns)
 
-    def ingest_columns(self, t: int, columns: SampleColumns,
-                       samples: Optional[list[CpiSample]] = None) -> None:
-        """Clean-mode upward path: one closed window, columnar."""
-        if samples is None:
-            samples = columns.to_samples()
-        self.store.log_ingest(t, samples)
+    def ingest_columns(self, t: int, columns: SampleColumns) -> None:
+        """Clean-mode upward path: one closed window."""
+        self.store.log_ingest(t, columns)
         self.aggregator.ingest_batch(columns)
         if self.reference is not None:
             self.reference.ingest_batch(columns)

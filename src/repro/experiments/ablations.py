@@ -109,7 +109,7 @@ def _victim_sample_stream(seed: int, interfered: bool,
     samples: list[CpiSample] = []
     scenario.simulation.add_sample_sink(
         lambda t, name, batch: samples.extend(
-            s for s in batch if s.jobname == "victim-service"))
+            s for s in batch.to_samples() if s.jobname == "victim-service"))
     # Detection side effects are irrelevant; disable enforcement.
     for agent in scenario.pipeline.agents.values():
         agent.update_specs({})
@@ -235,7 +235,7 @@ def passive_vs_active(seed: int = 0) -> PassiveActiveResult:
     for _ in range(20 * 60):
         sim.step()
         t = sim.now - 1
-        for sample in sampler.tick(t):
+        for sample in sampler.tick(t).to_samples():
             if sample.taskname == "victim/0":
                 victim_samples.append(sample)
 
@@ -291,7 +291,8 @@ def cap_quota_sweep(quotas=(0.01, 0.1, 0.5, 1.0, 2.0), seed: int = 0
         samples: list[CpiSample] = []
         scenario.simulation.add_sample_sink(
             lambda t, name, batch: samples.extend(
-                s for s in batch if s.jobname == "victim-service"))
+                s for s in batch.to_samples()
+                if s.jobname == "victim-service"))
         sim = scenario.simulation
         sim.run_minutes(15)
         pre = [s.cpi for s in samples if s.timestamp_seconds > sim.now - 600]

@@ -68,7 +68,7 @@ def _victim_cpi_tracker(scenario: Scenario, jobname: str) -> list[CpiSample]:
     samples: list[CpiSample] = []
     scenario.simulation.add_sample_sink(
         lambda t, name, batch: samples.extend(
-            s for s in batch if s.jobname == jobname))
+            s for s in batch.to_samples() if s.jobname == jobname))
     return samples
 
 

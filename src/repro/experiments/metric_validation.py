@@ -153,7 +153,7 @@ def latency_vs_cpi_timeseries(num_tasks: int = 8, hours: float = 24.0,
 
     samples: list[CpiSample] = []
     sim.add_sample_sink(lambda t, name, batch: samples.extend(
-        s for s in batch if s.jobname == "websearch-leaf"))
+        s for s in batch.to_samples() if s.jobname == "websearch-leaf"))
 
     series = RateSeries(window_seconds=window_seconds)
     total_seconds = int(hours * 3600)
@@ -202,7 +202,8 @@ def per_task_latency_correlations(
     }
     sim = scenario.simulation
     samples: list[CpiSample] = []
-    sim.add_sample_sink(lambda t, name, batch: samples.extend(batch))
+    sim.add_sample_sink(
+        lambda t, name, batch: samples.extend(batch.to_samples()))
 
     points: dict[SearchTier, tuple[list[float], list[float]]] = {
         tier: ([], []) for tier in SearchTier}
@@ -257,7 +258,8 @@ def diurnal_cpi(num_tasks: int = 10, days: float = 2.0,
         diurnal=pattern))
     sim = scenario.simulation
     samples: list[CpiSample] = []
-    sim.add_sample_sink(lambda t, name, batch: samples.extend(batch))
+    sim.add_sample_sink(
+        lambda t, name, batch: samples.extend(batch.to_samples()))
     sim.run(int(days * 86400))
 
     buckets: dict[int, list[float]] = {}
@@ -346,7 +348,7 @@ def cpi_distribution_fits(num_tasks: int = 40, hours: float = 5.0,
     sim = scenario.simulation
     cpis: list[float] = []
     sim.add_sample_sink(lambda t, name, batch: cpis.extend(
-        s.cpi for s in batch if s.jobname == "leaf"))
+        s.cpi for s in batch.to_samples() if s.jobname == "leaf"))
     sim.run(int(hours * 3600))
     arr = np.asarray(cpis)
     return DistributionResult(

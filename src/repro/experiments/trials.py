@@ -282,8 +282,8 @@ def advance_sampled(machine: Machine, sampler: CpiSampler, start: int,
     (:meth:`SamplerConfig.next_edge`), or to ``end``, as one
     :meth:`Machine.advance`; the sampler ticks only at that second (at any
     other its ``tick`` is a no-op), after the machine has run it.  Yields
-    each stretch's per-second grants and the samples of its last second
-    (none when that second does not act).
+    each stretch's per-second grants and the samples of its last second,
+    decoded for the trial's readers (none when that second does not act).
     """
     next_edge = sampler.config.next_edge
     t = start
@@ -291,7 +291,8 @@ def advance_sampled(machine: Machine, sampler: CpiSampler, start: int,
         edge = next_edge(t)
         last = min(edge, end - 1)
         grants = machine.advance(t, last + 1)
-        yield grants, (sampler.tick(last) if last == edge else ())
+        yield grants, (sampler.tick(last).to_samples() if last == edge
+                       else ())
         t = last + 1
 
 

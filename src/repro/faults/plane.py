@@ -28,12 +28,13 @@ from repro.faults.retry import (Ack, AggregatorEndpoint, SampleBatch,
                                 UploadClient)
 from repro.faults.transport import FaultyLink
 from repro.obs import Observability
-from repro.records import CpiSample, CpiSpec, SpecKey
+from repro.records import CpiSpec, SpecKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.agent import MachineAgent
     from repro.core.aggregator import CpiAggregator
     from repro.core.config import CpiConfig
+    from repro.core.samplebatch import SampleColumns
     from repro.core.specstore import AggregatorHost
 
 __all__ = ["SpecPush", "FaultPlane"]
@@ -77,16 +78,13 @@ class FaultPlane:
         self.config = config
         self.obs = obs
         self.agents = agents
-        from repro.core.samplebatch import SampleColumns
-
         # With a durable host, accepted batches are WAL-logged before
         # ingest and uploads are refused while the service is down.
         if host is not None:
             sink = host.ingest_wire_batch
         else:
             def sink(t: int, batch: SampleBatch) -> None:
-                aggregator.ingest_batch(
-                    SampleColumns.from_samples(batch.samples))
+                aggregator.ingest_batch(batch.columns)
         self.endpoint = AggregatorEndpoint(
             sink=sink, ack=self._route_ack, obs=obs,
             gate=host.accepting if host is not None else None)
@@ -136,9 +134,9 @@ class FaultPlane:
     # -- pipeline entry points ---------------------------------------------------
 
     def upload(self, t: int, machine_name: str,
-               samples: list[CpiSample]) -> None:
+               columns: "SampleColumns") -> None:
         """Ship one closed window's samples toward the aggregator."""
-        self.ports[machine_name].client.upload(t, samples)
+        self.ports[machine_name].client.upload(t, columns)
 
     def push_specs(self, t: int, specs: dict[SpecKey, CpiSpec],
                    only: Optional[Iterable[str]] = None) -> None:
@@ -163,14 +161,11 @@ class FaultPlane:
         replay into the canonical aggregator in global (tick, machine)
         order — the same order the single-process pump delivers in.
         """
-        from repro.core.samplebatch import SampleColumns
-
         arrivals: list = []
 
         def record(t: int, batch: SampleBatch) -> None:
-            if batch.samples:
-                arrivals.append((t, batch.machine,
-                                 SampleColumns.from_samples(batch.samples)))
+            if batch.columns:
+                arrivals.append((t, batch.machine, batch.columns))
 
         self.endpoint.sink = record
         return arrivals

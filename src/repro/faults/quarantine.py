@@ -16,6 +16,7 @@ the validators must catch (the chaos experiment closes that loop).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import replace
 from typing import Optional
@@ -72,25 +73,34 @@ def spec_is_plausible(spec: CpiSpec, cpi_bound: float) -> bool:
 
 # -- transport corrupters ---------------------------------------------------------
 
-#: The damage menu for one corrupted sample: (description, transform).
+#: The damage menu for one corrupted sample: (description, column,
+#: transform of the sample's value in that column).
 _SAMPLE_DAMAGE = (
-    ("nan_cpi", lambda s: replace(s, cpi=float("nan"))),
-    ("huge_cpi", lambda s: replace(s, cpi=s.cpi * 1e6 + 1e6)),
-    ("zero_cpi", lambda s: replace(s, cpi=0.0)),
-    ("nan_usage", lambda s: replace(s, cpu_usage=float("nan"))),
+    ("nan_cpi", "cpi", lambda cpi: float("nan")),
+    ("huge_cpi", "cpi", lambda cpi: cpi * 1e6 + 1e6),
+    ("zero_cpi", "cpi", lambda cpi: 0.0),
+    ("nan_usage", "cpu_usage", lambda usage: float("nan")),
 )
 
 
 def corrupt_sample_batch(batch, rng: np.random.Generator):
     """Damage one sample in an upload batch (the payload is a
-    :class:`~repro.faults.retry.SampleBatch`); empty batches pass through."""
-    if not batch.samples:
+    :class:`~repro.faults.retry.SampleBatch`); empty batches pass through.
+
+    The batch's columns are shared with the sender's resend queue and the
+    agent that ingested the window, so the damaged column is a copy.
+    """
+    columns = batch.columns
+    if not columns:
         return batch
-    index = int(rng.integers(len(batch.samples)))
-    _, transform = _SAMPLE_DAMAGE[int(rng.integers(len(_SAMPLE_DAMAGE)))]
-    samples = list(batch.samples)
-    samples[index] = transform(samples[index])
-    return replace(batch, samples=tuple(samples))
+    index = int(rng.integers(len(columns)))
+    _, name, transform = _SAMPLE_DAMAGE[
+        int(rng.integers(len(_SAMPLE_DAMAGE)))]
+    values = getattr(columns, name).copy()
+    values[index] = transform(float(values[index]))
+    damaged = copy.copy(columns)
+    setattr(damaged, name, values)
+    return replace(batch, columns=damaged)
 
 
 _SPEC_DAMAGE = (

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from repro.faults.profile import RetryPolicy
 from repro.obs import Observability
-from repro.records import CpiSample
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.samplebatch import SampleColumns
 
 __all__ = ["SampleBatch", "Ack", "UploadClient", "AggregatorEndpoint"]
 
@@ -40,12 +42,16 @@ _LATENCY_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """One machine's closed sampling window, as shipped over the wire."""
+    """One machine's closed sampling window, as shipped over the wire.
+
+    ``columns`` is the sampler's window itself, shared with the agent that
+    ingested it; the wire corrupter damages a copy.
+    """
 
     batch_id: str
     machine: str
     sent_at: int
-    samples: tuple[CpiSample, ...]
+    columns: "SampleColumns"
 
 
 @dataclass(frozen=True)
@@ -116,26 +122,22 @@ class UploadClient:
                 self.obs.events.event(
                     "resend_queue_overflow", machine=self.machine_name,
                     policy="drop-newest", dropped=incoming.batch_id,
-                    samples=len(incoming.samples))
+                    samples=len(incoming.columns))
             return False
         dropped_id, dropped = self._pending.popitem(last=False)
         if self.obs is not None:
             self.obs.events.event(
                 "resend_queue_overflow", machine=self.machine_name,
                 policy="drop-oldest", dropped=dropped_id,
-                samples=len(dropped.batch.samples),
+                samples=len(dropped.batch.columns),
                 waited=t - dropped.first_sent_at)
         return True
 
-    def upload(self, t: int, samples: list[CpiSample]) -> Optional[str]:
+    def upload(self, t: int, columns: "SampleColumns") -> Optional[str]:
         """Ship one window's samples; returns the batch id, or ``None`` if
         the resend queue rejected it (drop-newest overflow)."""
-        batch = SampleBatch(
-            batch_id=f"{self.machine_name}/{self._next_batch}",
-            machine=self.machine_name,
-            sent_at=t,
-            samples=tuple(samples),
-        )
+        batch = SampleBatch(f"{self.machine_name}/{self._next_batch}",
+                            self.machine_name, t, columns)
         self._next_batch += 1
         if len(self._pending) >= self.policy.queue_limit:
             if not self._evict_for_overflow(t, batch):
@@ -192,7 +194,7 @@ class UploadClient:
                     self.obs.events.event(
                         "upload_abandoned", machine=self.machine_name,
                         batch=batch_id, attempts=pending.attempts,
-                        samples=len(pending.batch.samples))
+                        samples=len(pending.batch.columns))
                 continue
             backoff = self.policy.backoff(pending.attempts, self.rng)
             pending.retry_at = t + max(1, int(round(backoff)))

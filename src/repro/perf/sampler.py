@@ -7,16 +7,16 @@ the counters."  (Section 3.1.)
 
 :class:`CpiSampler` is driven by the simulation clock: at the start of each
 minute it snapshots every resident cgroup's counters; 10 seconds later it
-differences them and emits one :class:`~repro.core.records.CpiSample` per
-task that executed instructions during the window.
+differences them and emits one sample (one row of a
+:class:`~repro.core.samplebatch.SampleColumns`) per task that executed
+instructions during the window.
 
 The window close is columnar: a snapshot is one array copy of the
 machine's index-aligned counter matrix, window usage is one window mean
 over the task table's usage history, and deltas / validity masks / CPI
 run as full-width ufunc passes that emit a
-:class:`~repro.core.samplebatch.SampleColumns` record directly, wrapped in
-a lazy :class:`~repro.core.samplebatch.WindowSamples`.  No ``CpiSample``
-objects exist on the clean path.
+:class:`~repro.core.samplebatch.SampleColumns` record directly.  No
+``CpiSample`` objects exist between the sampler and the aggregator.
 
 The original per-task loop is the test oracle ``tests/reference/sampler.py``;
 ``tests/test_sampler_plane.py`` pins byte-identical samples, incidents,
@@ -37,7 +37,7 @@ from repro.perf.counters import EVENT_ORDER, delta_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.machine import Machine
-    from repro.core.samplebatch import SampleColumns, WindowSamples
+    from repro.core.samplebatch import SampleColumns
     from repro.obs import Observability
 
 __all__ = ["SamplerConfig", "CpiSampler"]
@@ -116,7 +116,7 @@ class CpiSampler:
                  obs: "Optional[Observability]" = None):
         # Deferred import: repro.core pulls in the agent, which imports the
         # machine, which imports this module.
-        from repro.core.samplebatch import SampleColumns, WindowSamples
+        from repro.core.samplebatch import SampleColumns
 
         self.machine = machine
         self.config = config or SamplerConfig()
@@ -127,7 +127,7 @@ class CpiSampler:
         #: copy).
         self._snapshot_columns: tuple[tuple[str, ...], np.ndarray] | None = None
         #: What :meth:`tick` returns when no window closed.
-        self._no_window = WindowSamples(SampleColumns.empty())
+        self._no_window = SampleColumns.empty()
         # Per-reason discard-counter handles, so a storm of bad windows
         # under heavy chaos doesn't pay a labelled registry lookup per
         # discard.  Keyed by the obs identity the cache was built against:
@@ -158,12 +158,11 @@ class CpiSampler:
         obs.events.event("sampler_window_discarded", reason=reason,
                          machine=self.machine.name, task=taskname)
 
-    def tick(self, t: int) -> "WindowSamples":
+    def tick(self, t: int) -> "SampleColumns":
         """Advance to second ``t``; returns the window's samples if one closed.
 
-        The result is a :class:`~repro.core.samplebatch.WindowSamples`
-        (columns-first, lazy object materialization), empty when no window
-        closed at ``t``.
+        The result is a :class:`~repro.core.samplebatch.SampleColumns`,
+        empty (and falsy) when no window closed at ``t``.
         """
         samples = self._no_window
         if (self._window_start is not None
@@ -196,9 +195,9 @@ class CpiSampler:
     # Cgroup.usage_between, from the same usage history.  Discard reasons
     # apply in the same precedence and emit events in the same task order.
 
-    def _close_window(self, end: int) -> "WindowSamples":
+    def _close_window(self, end: int) -> "SampleColumns":
         # Deferred import: see __init__.
-        from repro.core.samplebatch import SampleColumns, WindowSamples
+        from repro.core.samplebatch import SampleColumns
 
         assert self._window_start is not None
         assert self._snapshot_columns is not None
@@ -284,10 +283,9 @@ class CpiSampler:
             codes.append(code)
             tasknames.append(row_tasknames[j])
         key_code = np.asarray(codes, dtype=np.int32)
-        columns = SampleColumns(
+        return SampleColumns(
             keys, tasknames, key_code,
             np.arange(n, dtype=np.int32),
             np.full(n, end * MICROSECONDS_PER_SECOND, dtype=np.int64),
             usage[good],
             np.divide(cycles[good], instructions[good]))
-        return WindowSamples(columns)

@@ -35,10 +35,10 @@ def quarantine_reason(sample, cpi_bound):
     return None
 
 
-def ingest_samples(agent, t, samples, columns=None):
+def ingest_samples(agent, t, columns):
     agent._refresh_degraded(t)
     incidents = []
-    for sample in samples:
+    for sample in columns.to_samples():
         reason = quarantine_reason(sample, agent.config.quarantine_cpi_bound)
         if reason is not None:
             agent._note_quarantined(sample.taskname, sample.key(), reason)

@@ -6,7 +6,8 @@ and closing walks the resident tasks in name order, differences each
 task's counters against its snapshot, applies the discard guards in order
 (counters, then instructions, then usage), reads usage through
 ``Cgroup.usage_between``, and builds one ``CpiSample`` per survivor.  The
-list is wrapped in a ``WindowSamples`` so it flows through the same sinks.
+list is encoded with ``SampleColumns.from_samples`` so it flows through the
+same sinks.
 Snapshots and deltas are this module's own dict code, reading counters
 only through ``CounterSet.read``.
 
@@ -15,7 +16,7 @@ Tests swap both methods in for every sampler with :func:`install`.
 
 import math
 
-from repro.core.samplebatch import SampleColumns, WindowSamples
+from repro.core.samplebatch import SampleColumns
 from repro.perf.events import CounterEvent
 from repro.perf.sampler import CpiSampler
 from repro.records import MICROSECONDS_PER_SECOND, CpiSample
@@ -34,7 +35,7 @@ def open_window(sampler: CpiSampler, t: int) -> None:
     }
 
 
-def close_window(sampler: CpiSampler, end: int) -> WindowSamples:
+def close_window(sampler: CpiSampler, end: int) -> SampleColumns:
     assert sampler._window_start is not None
     start = sampler._window_start
     samples: list[CpiSample] = []
@@ -67,7 +68,7 @@ def close_window(sampler: CpiSampler, end: int) -> WindowSamples:
             cpi=cycles / instructions,
             taskname=task.name,
         ))
-    return WindowSamples(SampleColumns.from_samples(samples))
+    return SampleColumns.from_samples(samples)
 
 
 def _snapshot(counters) -> dict:

@@ -23,4 +23,4 @@ def advance_sampled(machine: Machine, sampler: CpiSampler, start: int,
     """Seconds ``[start, end)``, the machine then the sampler at each."""
     for t in range(start, end):
         grants = list(machine.tick(t).grants.values())
-        yield [grants], sampler.tick(t)
+        yield [grants], sampler.tick(t).to_samples()

@@ -25,6 +25,7 @@ from repro.core.config import CpiConfig
 from repro.core.identify import (rank_cotenant_suspects,
                                  rank_suspects_matrix, suspect_usage_matrix)
 from repro.core.outlier import OutlierDetector
+from repro.core.samplebatch import SampleColumns
 from repro.core.window import WINDOW_CAPACITY, ColumnarWindow, WindowStore
 from repro.experiments.scenarios import demo_scenario
 from repro.obs import Observability
@@ -473,7 +474,7 @@ def test_victim_window_usage_is_its_identification_usage():
     samples = []
     for t in range(130):
         machine.tick(t)
-        samples += sampler.tick(t)
+        samples += sampler.tick(t).to_samples()
     assert len(samples) == 2
     for sample in samples:
         t = int(sample.timestamp_seconds)
@@ -716,11 +717,11 @@ class TestReferenceIngestParity:
         for k in range(data.draw(st.integers(1, 8), label="windows")):
             t = 60 * (k + 1)
             n = data.draw(st.integers(1, 20), label="n")
-            windows.append((t, [
+            windows.append((t, SampleColumns.from_samples([
                 make_sample(jobname=task.split("/")[0], taskname=task, t=t,
                             cpu_usage=data.draw(st.sampled_from(self.USAGE)),
                             cpi=data.draw(st.sampled_from(self.CPI)))
-                for task in tasks[:n]]))
+                for task in tasks[:n]])))
 
         def run():
             agent = self._agent(spec_jobs, degraded)
@@ -756,10 +757,10 @@ def test_agent_without_anomalies_exports_no_anomaly_series():
                         make_spec(jobname="calm", cpi_mean=1.0,
                                   cpi_stddev=0.2)})
     for t in (60, 120, 180, 240):
-        agent.ingest_samples(t, [
+        agent.ingest_samples(t, SampleColumns.from_samples([
             make_sample(jobname="calm", taskname=task.name, t=t,
                         cpu_usage=1.0, cpi=1.0)
-            for task in machine.resident_tasks()])
+            for task in machine.resident_tasks()]))
     assert agent.anomalies_seen == 0 and len(agent._windows) == 3
     assert obs.metrics.counters("anomalies_detected") == []
     assert obs.metrics.counters("analyses_dropped") == []

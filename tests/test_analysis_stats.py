@@ -1,9 +1,31 @@
 """Unit tests for repro.analysis.stats."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.stats import Ecdf, coefficient_of_variation, pearson_correlation
+
+
+def test_importing_the_analyses_leaves_scipy_unloaded():
+    """Only distribution fitting needs scipy: a fresh interpreter that
+    imports the paper analyses (and with them ``repro.analysis``) must not
+    load it."""
+    code = ("import sys\n"
+            "import repro.experiments.analyses\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestPearsonCorrelation:

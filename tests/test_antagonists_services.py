@@ -165,7 +165,7 @@ class TestGcService:
         samples = []
         for t in range(90 * 60):
             machine.tick(t)
-            samples.extend(sampler.tick(t))
+            samples.extend(sampler.tick(t).to_samples())
         spec = make_spec(jobname="gc", cpi_mean=1.1, cpi_stddev=0.09)
 
         def anomalies(config):

@@ -11,6 +11,7 @@ from repro.cluster.simulation import ClusterSimulation, SimConfig
 from repro.core.agent import MachineAgent
 from repro.core.config import CpiConfig
 from repro.core.pipeline import CpiPipeline
+from repro.core.samplebatch import SampleColumns
 from repro.faults.plane import FaultPlane
 from repro.obs import Observability
 from repro.records import CpiSpec, SpecKey
@@ -121,7 +122,7 @@ class TestDegradedMode:
         # TTL is 3 x 60s; at t=300 the specs are 300s old -> degraded.
         sample = make_sample(jobname="victim", taskname="victim/0",
                              t=300, cpi=5.0)
-        agent.ingest_samples(300, [sample])
+        agent.ingest_samples(300, SampleColumns.from_samples([sample]))
         assert agent._degraded
         dropped = [c for c in obs.metrics.counters("analyses_dropped")
                    if ("reason", "stale_spec") in c.labels]
@@ -133,8 +134,8 @@ class TestDegradedMode:
     def test_fresh_push_exits_degraded_mode(self):
         agent, obs = self.make_agent()
         agent.receive_spec_push(0, self.spec_map(agent), issued_at=0)
-        agent.ingest_samples(300, [make_sample(jobname="victim",
-                                               taskname="victim/0", t=300)])
+        agent.ingest_samples(300, SampleColumns.from_samples(
+            [make_sample(jobname="victim", taskname="victim/0", t=300)]))
         assert agent._degraded
         agent.receive_spec_push(301, self.spec_map(agent), issued_at=301)
         assert not agent._degraded

@@ -10,27 +10,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregator import CpiAggregator
 from repro.core.agent import MachineAgent
 from repro.core.config import CpiConfig
-from repro.core.samplebatch import SampleColumns, WindowSamples
+from repro.core.samplebatch import SampleColumns
 from repro.faults.quarantine import (
     corrupt_sample_batch,
     corrupt_spec_push,
     quarantine_reason,
     spec_is_plausible,
 )
-from repro.faults.retry import SampleBatch
 from repro.faults.plane import SpecPush
+from repro.faults.profile import LinkFaults, RetryPolicy
+from repro.faults.retry import SampleBatch, UploadClient
+from repro.faults.transport import FaultyLink
 from repro.obs import Observability
 from repro.perf.counters import EVENT_ORDER, CounterBank
 from repro.perf.events import CounterEvent
 from repro.perf.sampler import CpiSampler, SamplerConfig
-from repro.records import SpecKey
+from repro.records import CpiSample, SpecKey
 from repro.testing import make_quiet_machine, make_scripted_job
 from tests.conftest import make_sample, make_spec
 from tests.reference import aggregator as reference_aggregator
+from tests.reference import wire as reference_wire
 
 
 def reason_of(sample, cpi_bound):
@@ -70,13 +75,12 @@ class TestSpecValidator:
 
 class TestCorrupters:
     def test_every_sample_corruption_is_caught_by_validator(self):
-        batch = SampleBatch(batch_id="m0/0", machine="m0", sent_at=0,
-                            samples=tuple(make_sample(t=60 * i, cpi=1.0)
-                                          for i in range(1, 4)))
+        batch = SampleBatch("m0/0", "m0", 0, SampleColumns.from_samples(
+            [make_sample(t=60 * i, cpi=1.0) for i in range(1, 4)]))
         for seed in range(50):
             damaged = corrupt_sample_batch(batch, np.random.default_rng(seed))
             reasons = [reason_of(s, BOUND)
-                       for s in damaged.samples]
+                       for s in damaged.columns.to_samples()]
             assert sum(r is not None for r in reasons) == 1
             assert damaged.batch_id == batch.batch_id
 
@@ -93,10 +97,92 @@ class TestCorrupters:
 
     def test_empty_payloads_pass_through(self):
         rng = np.random.default_rng(0)
-        empty_batch = SampleBatch("m0/0", "m0", 0, ())
+        empty_batch = SampleBatch("m0/0", "m0", 0, SampleColumns.empty())
         assert corrupt_sample_batch(empty_batch, rng) is empty_batch
         empty_push = SpecPush(issued_at=0, specs={})
         assert corrupt_spec_push(empty_push, rng) is empty_push
+
+
+#: Sample values the wire may carry, damaged ones included.
+_wire_values = st.one_of(st.floats(min_value=0.0), st.just(float("nan")))
+_names = st.text(max_size=6)
+_wire_samples = st.builds(
+    CpiSample, jobname=_names, platforminfo=_names,
+    timestamp=st.integers(0, 2**62), cpu_usage=_wire_values,
+    cpi=_wire_values, taskname=_names)
+
+
+def _canon(samples):
+    return [(s.jobname, s.platforminfo, s.timestamp, s.cpu_usage.hex(),
+             s.cpi.hex(), s.taskname) for s in samples]
+
+
+def _seed_for_damage(seed: int, rows: int, damage: int) -> int:
+    """The first seed from ``seed`` on whose two draws pick ``damage``."""
+    while True:
+        rng = np.random.default_rng(seed)
+        rng.integers(rows)
+        if int(rng.integers(len(reference_wire.SAMPLE_DAMAGE))) == damage:
+            return seed
+        seed += 1
+
+
+@pytest.mark.parametrize(
+    "damage", range(len(reference_wire.SAMPLE_DAMAGE)),
+    ids=[name for name, _ in reference_wire.SAMPLE_DAMAGE])
+@settings(max_examples=40, deadline=None)
+@given(samples=st.lists(_wire_samples, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_columnar_corrupter_matches_object_corrupter(damage, samples, seed):
+    """The columnar corrupter damages the same row the same way as the
+    object-level reference, and leaves its generator in the same state."""
+    if samples:
+        seed = _seed_for_damage(seed, len(samples), damage)
+    expected_rng = np.random.default_rng(seed)
+    expected = reference_wire.corrupt_sample_batch(
+        reference_wire.SampleBatch("m0/0", "m0", 0, tuple(samples)),
+        expected_rng)
+    rng = np.random.default_rng(seed)
+    batch = SampleBatch("m0/0", "m0", 0, SampleColumns.from_samples(samples))
+    damaged = corrupt_sample_batch(batch, rng)
+    assert _canon(damaged.columns.to_samples()) == _canon(expected.samples)
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+    assert (damaged.batch_id, damaged.machine, damaged.sent_at) == \
+        ("m0/0", "m0", 0)
+    # The undamaged batch is untouched.
+    assert _canon(batch.columns.to_samples()) == _canon(samples)
+
+
+def test_corrupted_send_leaves_the_shared_window_alone():
+    """The pipeline hands one window to the upload client (which keeps it
+    for resends) and then to the agent; a corrupted send damages only the
+    copy on the wire."""
+    obs = Observability()
+    machine = make_quiet_machine()
+    agent = MachineAgent(machine, CpiConfig(), obs=obs)
+    window = SampleColumns.from_samples([
+        make_sample(jobname="victim", taskname=f"victim/{i}", cpi=1.0 + i)
+        for i in range(4)])
+    before = [getattr(window, c).tobytes() for c in ("cpu_usage", "cpi")]
+    delivered = []
+    link = FaultyLink("upload:m0", LinkFaults(corrupt_rate=1.0),
+                      np.random.default_rng(3),
+                      deliver=lambda t, batch: delivered.append(batch),
+                      corrupter=corrupt_sample_batch)
+    client = UploadClient("m0", link.send, RetryPolicy(),
+                          np.random.default_rng(4))
+    batch_id = client.upload(60, window)
+    agent.ingest_samples(60, window)
+    link.tick(61)
+    (arrived,) = delivered
+    assert link.fault_tallies["corrupt"] == 1
+    assert sum(reason_of(s, BOUND) is not None
+               for s in arrived.columns.to_samples()) == 1
+    assert client._pending[batch_id].batch.columns is window
+    assert [getattr(window, c).tobytes()
+            for c in ("cpu_usage", "cpi")] == before
+    assert obs.metrics.total("samples_quarantined") == 0
+    assert sorted(agent._windows) == [f"victim/{i}" for i in range(4)]
 
 
 class TestAgentBoundary:
@@ -114,19 +200,19 @@ class TestAgentBoundary:
         agent, obs = self.make_agent()
         bad = make_sample(jobname="victim", taskname="victim/0",
                           cpi=float("nan"))
-        agent.ingest_samples(60, [bad])
+        agent.ingest_samples(60, SampleColumns.from_samples([bad]))
         assert agent._windows == {}
         assert obs.metrics.total("samples_quarantined") == 1
 
     def test_plausible_samples_still_flow(self):
         agent, obs = self.make_agent()
         good = make_sample(jobname="victim", taskname="victim/0", cpi=1.0)
-        agent.ingest_samples(60, [good])
+        agent.ingest_samples(60, SampleColumns.from_samples([good]))
         assert "victim/0" in agent._windows
         assert obs.metrics.total("samples_quarantined") == 0
 
     @pytest.mark.parametrize("degraded", [False, True])
-    def test_window_stays_columnar(self, degraded):
+    def test_window_stays_columnar(self, degraded, monkeypatch):
         """A quarantined row and stale-spec drops name their tasks from the
         window's columns: ingest builds no sample object."""
         agent, obs = self.make_agent()
@@ -136,12 +222,17 @@ class TestAgentBoundary:
             agent.update_specs(agent._specs, now=-int(ttl) - 1)
         # Three victim samples, the middle one corrupt, as the sampler
         # ships a closed window.
-        window = WindowSamples(SampleColumns.from_samples([
+        window = SampleColumns.from_samples([
             make_sample(jobname="victim", taskname=f"victim/{i}", cpi=cpi)
-            for i, cpi in enumerate([1.0, float("nan"), 1.0])]))
-        agent.ingest_samples(60, window, columns=window.columns)
+            for i, cpi in enumerate([1.0, float("nan"), 1.0])])
+
+        def no_objects(sample):
+            raise AssertionError("ingest built a CpiSample")
+
+        monkeypatch.setattr(CpiSample, "__post_init__", no_objects)
+        agent.ingest_samples(60, window)
+        monkeypatch.undo()
         assert agent.degraded == degraded
-        assert window._samples is None
         assert obs.metrics.total("samples_quarantined") == 1
         assert sorted(agent._windows) == ["victim/0", "victim/2"]
         assert obs.metrics.total("analyses_dropped") == (2 if degraded
@@ -160,7 +251,7 @@ _DAMAGE = {
 def _quarantine_via_agent(sample):
     obs = Observability()
     agent = MachineAgent(make_quiet_machine(), CpiConfig(), obs=obs)
-    agent.ingest_samples(60, [sample])
+    agent.ingest_samples(60, SampleColumns.from_samples([sample]))
     return obs, "samples_quarantined"
 
 
@@ -240,7 +331,7 @@ class TestSamplerBoundary:
         # the task retires zero instructions, so CPI is undefined.
         sampler.tick(0)
         samples = sampler.tick(10)
-        assert samples == []
+        assert len(samples) == 0
         assert obs.metrics.total("sampler_windows_discarded") == 1
         labels = dict(obs.metrics.counters("sampler_windows_discarded")[0]
                       .labels)

@@ -13,6 +13,7 @@ from repro.cluster.task import SchedulingClass
 from repro.core.agent import MachineAgent
 from repro.core.config import CpiConfig
 from repro.core.policy import PolicyAction
+from repro.core.samplebatch import SampleColumns
 from repro.core.window import WINDOW_CAPACITY, ColumnarWindow
 from repro.faults.checkpoint import (CHECKPOINT_VERSION, AgentCheckpoint,
                                      CheckpointFormatError,
@@ -223,12 +224,14 @@ class TestSnapshotIndependence:
 
         def ingest(start, stop):
             for t in range(start, stop):
-                agent.ingest_samples(t, [CpiSample(
-                    jobname=f"job{k}", platforminfo=platform,
-                    timestamp=t * 1_000_000 + int(rng.integers(1_000_000)),
-                    cpu_usage=float(rng.uniform(0.0, 4.0)),
-                    cpi=float(rng.uniform(0.2, 8.0)),
-                    taskname=f"job{k}/0") for k in range(n_tasks)])
+                agent.ingest_samples(t, SampleColumns.from_samples([
+                    CpiSample(
+                        jobname=f"job{k}", platforminfo=platform,
+                        timestamp=t * 1_000_000 + int(rng.integers(1_000_000)),
+                        cpu_usage=float(rng.uniform(0.0, 4.0)),
+                        cpi=float(rng.uniform(0.2, 8.0)),
+                        taskname=f"job{k}/0")
+                    for k in range(n_tasks)]))
 
         # Past 2 x capacity appends: every ring has compacted at least once.
         ingest(0, n_before)

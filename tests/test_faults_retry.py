@@ -2,10 +2,16 @@
 
 import numpy as np
 
+from repro.core.samplebatch import SampleColumns
 from repro.faults.profile import RetryPolicy
 from repro.faults.retry import Ack, AggregatorEndpoint, SampleBatch, UploadClient
 from repro.obs import Observability
 from tests.conftest import make_sample
+
+
+def window(*samples):
+    """One closed window of ``samples``, as the sampler ships it."""
+    return SampleColumns.from_samples(samples)
 
 
 def make_client(policy=None, obs=None):
@@ -22,7 +28,7 @@ def make_endpoint(obs=None):
     """An AggregatorEndpoint recording ingested samples and outgoing acks."""
     ingested, acks = [], []
     endpoint = AggregatorEndpoint(
-        sink=lambda t, batch: ingested.extend(batch.samples),
+        sink=lambda t, batch: ingested.extend(batch.columns.to_samples()),
         ack=lambda t, ack: acks.append((t, ack)),
         obs=obs)
     return endpoint, ingested, acks
@@ -32,7 +38,7 @@ class TestHappyPath:
     def test_upload_ack_roundtrip(self):
         client, wire = make_client()
         endpoint, ingested, acks = make_endpoint()
-        batch_id = client.upload(0, [make_sample(), make_sample(t=61)])
+        batch_id = client.upload(0, window(make_sample(), make_sample(t=61)))
         assert batch_id == "m0/0"
         t_sent, batch = wire[0]
         endpoint.receive(1, batch)
@@ -43,7 +49,7 @@ class TestHappyPath:
 
     def test_batch_ids_are_unique_per_machine(self):
         client, wire = make_client()
-        ids = [client.upload(t, [make_sample()]) for t in range(5)]
+        ids = [client.upload(t, window(make_sample())) for t in range(5)]
         assert ids == [f"m0/{i}" for i in range(5)]
 
 
@@ -52,7 +58,7 @@ class TestRetryAndTimeout:
         policy = RetryPolicy(timeout=10, max_attempts=3, backoff_base=4.0,
                              backoff_factor=2.0, jitter=0.0)
         client, wire = make_client(policy)
-        client.upload(0, [make_sample()])
+        client.upload(0, window(make_sample()))
         for t in range(1, 10):
             client.pump(t)
         assert len(wire) == 1  # still within the timeout
@@ -70,7 +76,7 @@ class TestRetryAndTimeout:
         policy = RetryPolicy(timeout=5, max_attempts=2, backoff_base=1.0,
                              backoff_factor=1.0, jitter=0.0)
         client, wire = make_client(policy, obs=obs)
-        client.upload(0, [make_sample()])
+        client.upload(0, window(make_sample()))
         for t in range(1, 40):
             client.pump(t)
         # Attempt 1 timed out, attempt 2 (the final one) timed out too:
@@ -85,7 +91,7 @@ class TestRetryAndTimeout:
         policy = RetryPolicy(timeout=5, max_attempts=5, backoff_base=10.0,
                              backoff_factor=1.0, jitter=0.0)
         client, wire = make_client(policy)
-        batch_id = client.upload(0, [make_sample()])
+        batch_id = client.upload(0, window(make_sample()))
         for t in range(1, 7):
             client.pump(t)  # timed out at t=5, resend due at t=15
         client.on_ack(7, Ack(batch_id=batch_id, machine="m0"))
@@ -98,8 +104,7 @@ class TestRetryAndTimeout:
 class TestDuplicateDelivery:
     def test_endpoint_ingests_once_but_reacks(self):
         endpoint, ingested, acks = make_endpoint()
-        batch = SampleBatch(batch_id="m0/0", machine="m0", sent_at=0,
-                            samples=(make_sample(),))
+        batch = SampleBatch("m0/0", "m0", 0, window(make_sample()))
         endpoint.receive(1, batch)
         endpoint.receive(2, batch)  # duplicated in flight
         assert len(ingested) == 1
@@ -109,7 +114,7 @@ class TestDuplicateDelivery:
     def test_duplicate_ack_is_counted_and_ignored(self):
         obs = Observability()
         client, wire = make_client(obs=obs)
-        batch_id = client.upload(0, [make_sample()])
+        batch_id = client.upload(0, window(make_sample()))
         ack = Ack(batch_id=batch_id, machine="m0")
         client.on_ack(1, ack)
         client.on_ack(2, ack)  # the ack link duplicated it
@@ -120,7 +125,7 @@ class TestDuplicateDelivery:
         obs = Observability()
         client, wire = make_client(obs=obs)
         endpoint, ingested, acks = make_endpoint(obs=obs)
-        client.upload(0, [make_sample()])
+        client.upload(0, window(make_sample()))
         _, batch = wire[0]
         endpoint.receive(1, batch)
         endpoint.receive(1, batch)
@@ -139,7 +144,7 @@ class TestResendQueueOverflow:
         policy = RetryPolicy(queue_limit=2, overflow="drop-oldest",
                              jitter=0.0)
         client, wire = make_client(policy, obs=obs)
-        ids = [client.upload(t, [make_sample()]) for t in range(3)]
+        ids = [client.upload(t, window(make_sample())) for t in range(3)]
         assert ids[2] is not None  # the newcomer was admitted
         assert client.pending_batches == 2
         assert client.batches_overflowed == 1
@@ -153,7 +158,7 @@ class TestResendQueueOverflow:
         policy = RetryPolicy(queue_limit=2, overflow="drop-newest",
                              jitter=0.0)
         client, wire = make_client(policy, obs=obs)
-        ids = [client.upload(t, [make_sample()]) for t in range(3)]
+        ids = [client.upload(t, window(make_sample())) for t in range(3)]
         assert ids[2] is None
         assert len(wire) == 2  # the rejected batch never hit the wire
         assert client.pending_batches == 2
@@ -194,7 +199,7 @@ class TestBackoffDeterminism:
             client = UploadClient(
                 "m0", send=lambda t, batch: wire.append(t), policy=policy,
                 rng=np.random.default_rng(seed), obs=None)
-            client.upload(0, [make_sample()])
+            client.upload(0, window(make_sample()))
             for t in range(1, 120):
                 client.pump(t)
             return wire
@@ -219,7 +224,7 @@ class TestOutageLongerThanBackoffSchedule:
         client = UploadClient(
             "m0", send=lambda t, batch: wire.append((t, batch)), policy=policy,
             rng=np.random.default_rng(0), obs=obs)
-        client.upload(0, [make_sample()])
+        client.upload(0, window(make_sample()))
         for t in range(1, seconds):
             clock["t"] = t
             # Deliver every send of this tick, then advance the retry loop.

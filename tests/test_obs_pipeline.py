@@ -20,6 +20,7 @@ from repro.cli import _format_incident_line, main
 from repro.cluster.task import SchedulingClass
 from repro.core.agent import MachineAgent
 from repro.core.policy import PolicyAction
+from repro.core.samplebatch import SampleColumns
 from repro.obs import reset_logging
 from repro.perf.sampler import CpiSampler, SamplerConfig
 from repro.records import SpecKey
@@ -81,11 +82,12 @@ def run_rig(machine, sampler, agent, seconds):
 
 
 def anomaly_samples(taskname, times, platforminfo="westmere-2.6"):
-    """Samples hot enough to flag at every timestamp given."""
-    return [make_sample(jobname=taskname.split("/")[0],
-                        platforminfo=platforminfo, t=t, cpu_usage=1.0,
-                        cpi=5.0, taskname=taskname)
-            for t in times]
+    """A window of samples hot enough to flag at every timestamp given."""
+    return SampleColumns.from_samples(
+        [make_sample(jobname=taskname.split("/")[0],
+                     platforminfo=platforminfo, t=t, cpu_usage=1.0, cpi=5.0,
+                     taskname=taskname)
+         for t in times])
 
 
 class TestDropEvents:

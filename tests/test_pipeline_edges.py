@@ -8,6 +8,7 @@ from repro.core.agent import MachineAgent
 from repro.core.config import CpiConfig
 from repro.core.pipeline import CpiPipeline
 from repro.core.policy import AmeliorationPolicy, PolicyAction
+from repro.core.samplebatch import SampleColumns
 from repro.perf.sampler import SamplerConfig
 from repro.testing import (
     NOISY_NEIGHBOR_PROFILE,
@@ -84,8 +85,8 @@ class TestAgentInternals:
     def test_recent_cpi_requires_samples_after_since(self):
         machine = make_quiet_machine()
         agent = MachineAgent(machine, FAST)
-        agent.ingest_samples(60, [make_sample(jobname="j", taskname="j/0",
-                                              t=60, cpi=1.5)])
+        agent.ingest_samples(60, SampleColumns.from_samples(
+            [make_sample(jobname="j", taskname="j/0", t=60, cpi=1.5)]))
         assert agent._recent_cpi("j/0", since=0) == pytest.approx(1.5)
         assert agent._recent_cpi("j/0", since=60) is None
         assert agent._recent_cpi("ghost/0", since=0) is None
@@ -94,8 +95,9 @@ class TestAgentInternals:
         machine = make_quiet_machine()
         agent = MachineAgent(machine, FAST)  # correlation_window = 300
         for minute, cpi in ((1, 1.0), (4, 2.0), (9, 3.0)):
-            agent.ingest_samples(minute * 60, [make_sample(
-                jobname="j", taskname="j/0", t=minute * 60, cpi=cpi)])
+            agent.ingest_samples(minute * 60, SampleColumns.from_samples(
+                [make_sample(jobname="j", taskname="j/0", t=minute * 60,
+                             cpi=cpi)]))
         timestamps, cpis = agent._victim_series("j/0", now=9 * 60)
         # Only samples within the last 300 s of t=540 qualify: t=240? no
         # (540-300=240, strict >): t=240 excluded, t=540 included.
@@ -113,7 +115,7 @@ class TestAgentInternals:
         agent.update_specs({SpecKey("only", machine.platform.name):
                             make_spec(jobname="only", cpi_mean=0.5,
                                       cpi_stddev=0.01)})
-        incidents = agent.ingest_samples(60, [make_sample(
-            jobname="only", taskname="only/0", t=60, cpi=5.0)])
+        incidents = agent.ingest_samples(60, SampleColumns.from_samples(
+            [make_sample(jobname="only", taskname="only/0", t=60, cpi=5.0)]))
         assert incidents == []
         assert agent.anomalies_seen == 1

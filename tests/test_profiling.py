@@ -95,9 +95,9 @@ class TestSamplerFastForward:
         for t in range(200):
             m1.tick(t)
             m2.tick(t)
-            full.extend(every_second.tick(t))
+            full.extend(every_second.tick(t).to_samples())
             if config.acts_at(t):
-                skipped.extend(fast_forward.tick(t))
+                skipped.extend(fast_forward.tick(t).to_samples())
         assert full  # windows actually closed
         assert ([(s.timestamp, s.cpi, s.cpu_usage) for s in full]
                 == [(s.timestamp, s.cpi, s.cpu_usage) for s in skipped])

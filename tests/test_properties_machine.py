@@ -121,7 +121,7 @@ class TestCounterInvariants:
         collected = []
         for t in range(duration + period_extra + 2):
             machine.tick(t)
-            collected.extend(sampler.tick(t))
+            collected.extend(sampler.tick(t).to_samples())
         assert collected
         assert math.isclose(collected[0].cpu_usage, demand, rel_tol=1e-9)
 

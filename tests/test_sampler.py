@@ -13,7 +13,7 @@ def run_sampler(machine, sampler, seconds):
         machine.tick(t)
         samples = sampler.tick(t)
         if samples:
-            collected.append((t, samples))
+            collected.append((t, samples.to_samples()))
     return collected
 
 

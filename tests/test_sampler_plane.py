@@ -18,7 +18,7 @@ import pytest
 from repro.cluster.shards import run_sharded
 from repro.cluster.task import TaskState
 from repro.core.config import CpiConfig
-from repro.core.samplebatch import SampleColumns, WindowSamples
+from repro.core.samplebatch import SampleColumns
 from repro.experiments.chaos import chaos_scenario
 from repro.experiments.scenarios import scale_scenario
 from repro.obs import Observability
@@ -53,7 +53,8 @@ def _window_close(path):
 
 
 def _drive(machine, sampler, seconds, skip_ticks=(), after_tick=None):
-    """Tick machine+sampler over ``seconds``; returns closed windows.
+    """Tick machine+sampler over ``seconds``; returns closed windows,
+    decoded to samples.
 
     ``skip_ticks`` seconds are skipped on the *machine* only (no charge
     arrives — the sampler still runs), which leaves gaps in usage rings.
@@ -67,7 +68,7 @@ def _drive(machine, sampler, seconds, skip_ticks=(), after_tick=None):
             after_tick(t)
         samples = sampler.tick(t)
         if samples:
-            collected.append((t, samples))
+            collected.append((t, samples.to_samples()))
     return collected
 
 
@@ -105,35 +106,34 @@ def _discard_run(path, seconds=11, skip_ticks=(), corrupt=()):
 
 
 # ---------------------------------------------------------------------------
-# the window is columns-first
+# the window is SampleColumns
 
 
-class TestWindowSamples:
+class TestWindowColumns:
     def _one_window(self, path="columnar"):
         machine = make_quiet_machine()
         machine.place(make_scripted_job("j", [1.0], cpu_limit=4.0).tasks[0])
         sampler = CpiSampler(machine)
         with _window_close(path):
-            (_, samples), = _drive(machine, sampler, 11)
-        return samples
+            for t in range(11):
+                machine.tick(t)
+                window = sampler.tick(t)
+        return window
 
-    def test_vector_window_is_lazy_columns(self):
-        samples = self._one_window()
-        assert isinstance(samples, WindowSamples)
-        assert isinstance(samples.columns, SampleColumns)
-        assert samples._samples is None          # len/bool didn't materialize
-        assert len(samples) == 1 and bool(samples)
-        assert samples._samples is None
-        assert samples[0].taskname == "j/0"      # first element access does
-        assert samples._samples is not None
+    def test_window_is_sample_columns(self):
+        window = self._one_window()
+        assert isinstance(window, SampleColumns)
+        assert len(window) == 1 and bool(window)
+        assert window.tasks == ("j/0",)
 
     def test_windows_compare_equal_across_engines(self):
-        assert self._one_window() == self._one_window("reference")
+        assert (_canon_samples(self._one_window().to_samples())
+                == _canon_samples(self._one_window("reference").to_samples()))
 
     def test_empty_window_is_falsy(self):
         machine = make_quiet_machine()   # no tasks at all
         sampler = CpiSampler(machine)
-        assert isinstance(sampler.tick(0), WindowSamples)   # opens only
+        assert isinstance(sampler.tick(0), SampleColumns)   # opens only
         assert not sampler.tick(10)
 
 
@@ -229,7 +229,8 @@ class TestUnitParity:
                         machine.remove("a/0", TaskState.KILLED)
                     samples = sampler.tick(t)
                     if samples:
-                        collected.append((t, _canon_samples(samples)))
+                        collected.append(
+                            (t, _canon_samples(samples.to_samples())))
             return collected
 
         scalar = run("reference")

@@ -26,6 +26,7 @@ from repro.faults.retry import AggregatorEndpoint, SampleBatch
 from repro.obs import Observability
 from tests.conftest import make_sample, make_spec
 from tests.reference import aggregator as reference_aggregator
+from tests.reference import wire as reference_wire
 
 
 def _config(**overrides) -> CpiConfig:
@@ -70,9 +71,7 @@ def _feed(host: AggregatorHost, seconds: int, period: int = 60) -> None:
     for t in range(1, seconds + 1):
         host.pump(t)
         if t % period == 0 and host.is_up:
-            samples = _window(t)
-            host.ingest_columns(t, SampleColumns.from_samples(samples),
-                                samples=samples)
+            host.ingest_columns(t, SampleColumns.from_samples(_window(t)))
             host.maybe_recompute(t)
 
 
@@ -105,11 +104,11 @@ class TestWalReplay:
         config = _config()
         live = CpiAggregator(config)
         for i in range(3):
-            batch = SampleBatch(batch_id=f"m0/{i}", machine="m0",
-                                sent_at=60 * (i + 1),
-                                samples=tuple(_window(60 * (i + 1), n=2)))
+            samples = _window(60 * (i + 1), n=2)
+            batch = SampleBatch(f"m0/{i}", "m0", 60 * (i + 1),
+                                SampleColumns.from_samples(samples))
             store.log_wire_batch(batch.sent_at, batch)
-            reference_aggregator.ingest_many(live, batch.samples)
+            reference_aggregator.ingest_many(live, samples)
         recovered = store.recover(config)
         assert recovered.endpoint["seen"] == ["m0/0", "m0/1", "m0/2"]
         assert recovered.endpoint["received"] == 3
@@ -131,6 +130,67 @@ class TestWalReplay:
         with pytest.raises(ValueError, match="snapshot version"):
             host.store.recover(host.config)
         del store
+
+
+#: Clean windows, then one window per wire damage (row 1 damaged).
+_WAL_WINDOWS = [("clean", _window(60)), ("clean", _window(120, n=1))] + [
+    (name, [damage(s) if i == 1 else s
+            for i, s in enumerate(_window(60 * (k + 3)))])
+    for k, (name, damage) in enumerate(reference_wire.SAMPLE_DAMAGE)]
+
+
+class TestWalEdgeParity:
+    """The WAL writers take columns and write the lines the object path
+    wrote, damaged rows included; recovery replays them alike."""
+
+    def _columnar_store(self, directory) -> DurableSpecStore:
+        store = DurableSpecStore()
+        store.attach_disk(directory)
+        for i, (_, samples) in enumerate(_WAL_WINDOWS):
+            t = 60 * (i + 1)
+            columns = SampleColumns.from_samples(samples)
+            store.log_wire_batch(t, SampleBatch(f"m0/{i}", "m0", t, columns))
+            store.log_ingest(t, columns)
+        store.close()
+        return store
+
+    def _object_store(self) -> DurableSpecStore:
+        store = DurableSpecStore()
+        for i, (_, samples) in enumerate(_WAL_WINDOWS):
+            t = 60 * (i + 1)
+            batch = reference_wire.SampleBatch(f"m0/{i}", "m0", t,
+                                               tuple(samples))
+            store.append(reference_wire.wire_record(t, batch))
+            store.append(reference_wire.ingest_record(t, samples))
+        return store
+
+    def test_lines_are_byte_equal_to_the_object_path(self, tmp_path):
+        self._columnar_store(tmp_path)
+        expected = "".join(json.dumps(record) + "\n"
+                           for record in self._object_store()._wal)
+        assert (tmp_path / WAL_FILENAME).read_text(encoding="utf-8") \
+            == expected
+        names = {name for name, _ in _WAL_WINDOWS}
+        assert names == {"clean", "nan_cpi", "huge_cpi", "zero_cpi",
+                         "nan_usage"}
+
+    def test_recovery_replays_to_the_same_state(self, tmp_path):
+        config = _config()
+        columnar = self._columnar_store(tmp_path)
+        loaded = DurableSpecStore.load(tmp_path)
+        live = CpiAggregator(config)
+        for _, samples in _WAL_WINDOWS:
+            columns = SampleColumns.from_samples(samples)
+            live.ingest_batch(columns)
+            live.ingest_batch(columns)
+        expected = _canon(self._object_store().recover(config).aggregator)
+        assert live.total_samples_rejected == 2 * 4
+        for store in (columnar, loaded):
+            recovered = store.recover(config)
+            assert _canon(recovered.aggregator) == expected
+            assert recovered.endpoint["seen"] == [
+                f"m0/{i}" for i in range(len(_WAL_WINDOWS))]
+        assert _canon(live.export_state()) == expected
 
 
 class TestSnapshotCompaction:
@@ -271,8 +331,8 @@ class TestAggregatorHost:
             sink=host.ingest_wire_batch, ack=lambda t, a: acks.append(a),
             obs=obs, gate=host.accepting)
         host.bind_endpoint(endpoint)
-        batch = SampleBatch(batch_id="m0/0", machine="m0", sent_at=100,
-                            samples=tuple(_window(100, n=2)))
+        batch = SampleBatch("m0/0", "m0", 100,
+                            SampleColumns.from_samples(_window(100, n=2)))
         for t in range(1, 101):
             host.pump(t)
         assert not host.is_up

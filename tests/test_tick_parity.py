@@ -1250,12 +1250,12 @@ def _block_run(run: dict, split: bool) -> tuple:
             grants += [[_hex(g) for g in row]
                        for row in machine.advance(t, end)]
             if acts_at(end - 1):
-                samples += _canon_samples(sampler.tick(end - 1))
+                samples += _canon_samples(sampler.tick(end - 1).to_samples())
             t = end
     else:
         for t in range(_BLOCK_TICKS):
             grants.append([_hex(g) for g in machine.tick(t).grants.values()])
-            samples += _canon_samples(sampler.tick(t))
+            samples += _canon_samples(sampler.tick(t).to_samples())
     return grants, samples, _block_state(machine, tasks)
 
 
